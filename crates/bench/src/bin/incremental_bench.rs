@@ -1,4 +1,5 @@
-//! Incremental-vs-rebuild benchmark for the `FacetIndex` append path.
+//! Incremental-vs-rebuild benchmark for the 1-shard `ShardedFacetIndex`
+//! append path.
 //!
 //! ```text
 //! incremental [--scale <f>] [--batches <n>] [--out <path>]

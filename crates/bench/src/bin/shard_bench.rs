@@ -1,13 +1,15 @@
-//! Sharded-vs-unsharded append benchmark for `ShardedFacetIndex`.
+//! Shard-count sweep of the `ShardedFacetIndex` append path.
 //!
 //! ```text
 //! shard_bench [--scale <f>] [--batches <n>] [--shards <a,b,c>] [--out <path>] [--smoke]
 //! ```
 //!
-//! Feeds the SNYT recipe to an unsharded `FacetIndex` and to
+//! Feeds the SNYT recipe to a 1-shard baseline index and to
 //! `ShardedFacetIndex` at each requested shard count, in the same
-//! `--batches` slices, and verifies every sharded run is
-//! string-identical to the unsharded build. Writes the report as JSON
+//! `--batches` slices, and verifies every run is string-identical to
+//! the baseline. The report keeps its historical `unsharded_*` key
+//! names for the baseline, so committed baselines stay comparable.
+//! Writes the report as JSON
 //! (default `BENCH_3.json` at the repo root) and prints a summary table.
 //!
 //! `--smoke` asserts report invariants (equivalence, rate math) and
@@ -64,11 +66,11 @@ fn main() {
 
     let report = run_shard_bench(scale, batches, &shards);
     println!(
-        "sharded-vs-unsharded ({}, {} docs, {} batches, {} host cpus)",
+        "shard sweep ({}, {} docs, {} batches, {} host cpus)",
         report.dataset, report.total_docs, report.n_batches, report.host_cpus
     );
     println!(
-        "unsharded FacetIndex: {:.1} ms ({} symbols interned; pre-interning: {:.1} ms)",
+        "1-shard baseline: {:.1} ms ({} symbols interned; pre-interning: {:.1} ms)",
         report.unsharded_total_ms,
         report.unsharded_intern.len,
         report.before_interning.unsharded_total_ms
@@ -90,11 +92,11 @@ fn main() {
     }
 
     if smoke {
-        // Correctness: every shard count must reproduce the batch build.
+        // Correctness: every shard count must reproduce the baseline.
         for r in &report.runs {
             assert!(
                 r.identical_to_batch,
-                "{} shards diverged from the unsharded build",
+                "{} shards diverged from the 1-shard baseline",
                 r.shards
             );
         }

@@ -463,9 +463,10 @@ pub struct IncrementalBenchBatch {
     pub batch: usize,
     /// Documents in this batch.
     pub docs: usize,
-    /// Wall time of `FacetIndex::append` for this batch.
+    /// Wall time of the 1-shard `ShardedFacetIndex::append` for this
+    /// batch.
     pub append_ms: f64,
-    /// Wall time of a from-scratch `FacetIndex::build` over the prefix.
+    /// Wall time of a from-scratch 1-shard build over the prefix.
     pub rebuild_ms: f64,
     /// Resource queries the append issued (new-distinct terms only).
     pub append_resource_queries: u64,
@@ -507,7 +508,8 @@ pub struct IncrementalBenchReport {
     pub append_resource_queries: u64,
     /// Total resource queries across the rebuilds.
     pub rebuild_resource_queries: u64,
-    /// Final interner counters of the incremental index's vocabulary.
+    /// Final interner counters of the incremental index's (single)
+    /// shard vocabulary.
     pub intern: InternMetrics,
     /// Headline numbers of this benchmark at the commit immediately
     /// before the interner refactor (same host, default scale/batches),
@@ -529,7 +531,8 @@ pub struct PreInterningIncremental {
     pub speedup: f64,
 }
 
-/// Benchmark the incremental `FacetIndex::append` path against repeated
+/// Benchmark the incremental 1-shard `ShardedFacetIndex::append` path
+/// against repeated
 /// full rebuilds over a growing SNYT-style archive: the corpus arrives
 /// in `n_batches` slices, and after each slice both strategies must have
 /// an up-to-date facet index. Rebuilds use a fresh resource cache per
@@ -537,7 +540,7 @@ pub struct PreInterningIncremental {
 /// cross-batch expansion cache, which is exactly the advantage being
 /// measured.
 pub fn run_incremental_bench(scale: f64, n_batches: usize) -> IncrementalBenchReport {
-    use facet_core::FacetIndex;
+    use facet_core::ShardedFacetIndex;
     use facet_ner::NerTagger;
     use facet_obs::Recorder;
     use facet_resources::{CachedResource, ContextResource, WikiGraphResource};
@@ -564,8 +567,8 @@ pub fn run_incremental_bench(scale: f64, n_batches: usize) -> IncrementalBenchRe
     let inc_recorder = Recorder::enabled();
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
     let resources: Vec<&dyn ContextResource> = vec![&inc_res];
-    let mut index =
-        FacetIndex::new(extractors, resources, options.clone()).with_recorder(inc_recorder.clone());
+    let mut index = ShardedFacetIndex::new(1, extractors, resources, options.clone())
+        .with_recorder(inc_recorder.clone());
 
     let mut batches = Vec::new();
     let mut prev_queries = 0u64;
@@ -585,7 +588,7 @@ pub fn run_incremental_bench(scale: f64, n_batches: usize) -> IncrementalBenchRe
         let extractors: Vec<&dyn TermExtractor> = vec![&ne];
         let resources: Vec<&dyn ContextResource> = vec![&rebuild_res];
         let t = Instant::now();
-        let rebuilt = FacetIndex::new(extractors, resources, options.clone())
+        let rebuilt = ShardedFacetIndex::new(1, extractors, resources, options.clone())
             .with_recorder(rebuild_recorder.clone());
         let mut rebuilt = rebuilt;
         rebuilt
@@ -618,7 +621,7 @@ pub fn run_incremental_bench(scale: f64, n_batches: usize) -> IncrementalBenchRe
         rebuild_reprocessed_docs_per_sec: rebuild_docs as f64 / (rebuild_total_ms / 1e3).max(1e-9),
         append_resource_queries: batches.iter().map(|b| b.append_resource_queries).sum(),
         rebuild_resource_queries: batches.iter().map(|b| b.rebuild_resource_queries).sum(),
-        intern: index.intern_stats().into(),
+        intern: index.shard_intern_stats()[0].into(),
         // Captured at the pre-interner commit with the default
         // `--scale 0.2 --batches 5` configuration on the same host.
         before_interning: PreInterningIncremental {
@@ -639,11 +642,12 @@ pub struct ShardBenchRun {
     pub append_total_ms: f64,
     /// Net-new documents divided by total append wall time.
     pub append_docs_per_sec: f64,
-    /// Unsharded `FacetIndex` wall time divided by this run's wall time
-    /// (>1 means the sharded path was faster).
+    /// Baseline (1-shard run) wall time divided by this run's wall time
+    /// (>1 means this run was faster). The key keeps its historical
+    /// name from when the baseline was a separate unsharded index.
     pub speedup_vs_unsharded: f64,
     /// Whether this run's snapshot is string-identical (facet terms,
-    /// statistics, score bits, forest edges) to the unsharded build.
+    /// statistics, score bits, forest edges) to the 1-shard baseline.
     pub identical_to_batch: bool,
     /// Queries that reached the wrapped resource (shared-cache misses).
     pub resource_queries: u64,
@@ -668,9 +672,11 @@ pub struct ShardBenchReport {
     /// sharded run pays partition/merge overhead with no parallelism to
     /// buy it back.
     pub host_cpus: usize,
-    /// Unsharded `FacetIndex` wall time over the same batches (baseline).
+    /// Baseline wall time over the same batches: a 1-shard run, timed
+    /// before the sweep (historical key name from the unsharded index).
     pub unsharded_total_ms: f64,
-    /// Final interner counters of the unsharded baseline's vocabulary.
+    /// Final interner counters of the 1-shard baseline's shard
+    /// vocabulary.
     pub unsharded_intern: InternMetrics,
     /// Headline numbers of this benchmark at the commit immediately
     /// before the interner refactor (same host, default configuration).
@@ -688,13 +694,13 @@ pub struct PreInterningShard {
     pub unsharded_total_ms: f64,
 }
 
-/// Benchmark `ShardedFacetIndex` against the unsharded `FacetIndex` over
-/// the same growing SNYT-style archive: the corpus arrives in `n_batches`
-/// slices and each shard count in `shard_counts` indexes all of them.
-/// Every sharded run is also checked string-identical to the unsharded
-/// build — a sweep that gets faster by diverging is worthless.
+/// Benchmark `ShardedFacetIndex` at each shard count in `shard_counts`
+/// against a 1-shard baseline run over the same growing SNYT-style
+/// archive: the corpus arrives in `n_batches` slices and every run
+/// indexes all of them. Every run is also checked string-identical to
+/// the baseline — a sweep that gets faster by diverging is worthless.
 pub fn run_shard_bench(scale: f64, n_batches: usize, shard_counts: &[usize]) -> ShardBenchReport {
-    use facet_core::{FacetIndex, FacetSnapshot, ShardedFacetIndex};
+    use facet_core::{FacetSnapshot, ShardedFacetIndex};
     use facet_ner::NerTagger;
     use facet_resources::{CachedResource, ContextResource, WikiGraphResource};
     use facet_termx::{NamedEntityExtractor, TermExtractor};
@@ -728,11 +734,11 @@ pub fn run_shard_bench(scale: f64, n_batches: usize, shard_counts: &[usize]) -> 
         (rows, snap.forest().edges())
     };
 
-    // Baseline: the unsharded index over the same batches.
+    // Baseline: a 1-shard index over the same batches.
     let base_res = CachedResource::new(WikiGraphResource::new(&graph));
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
     let resources: Vec<&dyn ContextResource> = vec![&base_res];
-    let mut baseline = FacetIndex::new(extractors, resources, options.clone());
+    let mut baseline = ShardedFacetIndex::new(1, extractors, resources, options.clone());
     let t = Instant::now();
     for chunk in docs.chunks(per) {
         baseline
@@ -774,7 +780,7 @@ pub fn run_shard_bench(scale: f64, n_batches: usize, shard_counts: &[usize]) -> 
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
         unsharded_total_ms,
-        unsharded_intern: baseline.intern_stats().into(),
+        unsharded_intern: baseline.shard_intern_stats()[0].into(),
         // Captured at the pre-interner commit with the default
         // `--scale 0.2 --batches 5` configuration on the same host.
         before_interning: PreInterningShard {
@@ -795,7 +801,7 @@ pub struct ResilienceFaultRun {
     pub build_ms: f64,
     /// Terms that lost coverage during the degraded build.
     pub degraded_terms: usize,
-    /// Wall time of the [`facet_core::FacetIndex::repair`] backfill after
+    /// Wall time of the [`facet_core::ShardedFacetIndex::repair`] backfill after
     /// the fault healed.
     pub repair_ms: f64,
     /// Degraded terms re-queried by the repair pass.
@@ -852,7 +858,7 @@ pub struct ResilienceBenchReport {
     /// to the baseline.
     pub resilient_identical: bool,
     /// Final interner counters of the last fault-free baseline build's
-    /// vocabulary.
+    /// (single) shard vocabulary.
     pub intern: InternMetrics,
     /// Headline numbers of this benchmark at the commit immediately
     /// before the interner refactor (same host, default configuration).
@@ -893,7 +899,7 @@ fn sample_stddev(samples: &[f64]) -> f64 {
 /// Benchmark the resilience layer: what does wrapping every resource in
 /// a [`facet_resources::ResilientResource`] cost on the fault-free path,
 /// and how expensive is a degraded build plus its
-/// [`facet_core::FacetIndex::repair`] backfill under seeded faults.
+/// [`facet_core::ShardedFacetIndex::repair`] backfill under seeded faults.
 ///
 /// Fault-free builds run `iterations` times; the report carries every
 /// per-iteration sample plus mean and sample standard deviation, and the
@@ -902,7 +908,7 @@ fn sample_stddev(samples: &[f64]) -> f64 {
 /// flagged `overhead_within_noise` and a negative raw overhead is
 /// clamped to zero rather than reported as a speedup.
 pub fn run_resilience_bench(scale: f64, iterations: usize, seeds: &[u64]) -> ResilienceBenchReport {
-    use facet_core::{FacetIndex, FacetSnapshot};
+    use facet_core::{FacetSnapshot, ShardedFacetIndex};
     use facet_ner::NerTagger;
     use facet_resources::{
         ContextResource, ExpansionOptions, FaultPlan, FaultyResource, ResilientResource,
@@ -961,11 +967,12 @@ pub fn run_resilience_bench(scale: f64, iterations: usize, seeds: &[u64]) -> Res
         let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
         let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
         let t = Instant::now();
-        let index = FacetIndex::build(docs.clone(), extractors, resources, options.clone())
-            .expect("bench corpus is well-formed");
+        let index =
+            ShardedFacetIndex::build(docs.clone(), 1, extractors, resources, options.clone())
+                .expect("bench corpus is well-formed");
         baseline_samples_ms.push(t.elapsed().as_secs_f64() * 1e3);
         expected.get_or_insert_with(|| outputs(&index.snapshot()));
-        intern_stats = index.intern_stats();
+        intern_stats = index.shard_intern_stats()[0];
 
         let clock = VirtualClock::new();
         let graph_res = ResilientResource::new(WikiGraphResource::new(&graph), clock.clone());
@@ -976,8 +983,9 @@ pub fn run_resilience_bench(scale: f64, iterations: usize, seeds: &[u64]) -> Res
         let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
         let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
         let t = Instant::now();
-        let index = FacetIndex::build(docs.clone(), extractors, resources, options.clone())
-            .expect("bench corpus is well-formed");
+        let index =
+            ShardedFacetIndex::build(docs.clone(), 1, extractors, resources, options.clone())
+                .expect("bench corpus is well-formed");
         resilient_samples_ms.push(t.elapsed().as_secs_f64() * 1e3);
         resilient_identical &=
             outputs(&index.snapshot()) == *expected.as_ref().expect("baseline ran first");
@@ -1001,8 +1009,9 @@ pub fn run_resilience_bench(scale: f64, iterations: usize, seeds: &[u64]) -> Res
         let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
         let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
         let t = Instant::now();
-        let mut index = FacetIndex::build(docs.clone(), extractors, resources, options.clone())
-            .expect("bench corpus is well-formed");
+        let mut index =
+            ShardedFacetIndex::build(docs.clone(), 1, extractors, resources, options.clone())
+                .expect("bench corpus is well-formed");
         let build_ms = t.elapsed().as_secs_f64() * 1e3;
         let degraded_terms = index.snapshot().degraded().len();
 
@@ -1485,7 +1494,7 @@ pub struct DurabilityBenchReport {
     pub persist_stddev_ms: f64,
     /// Snapshot publication throughput, decimal MB/s.
     pub snapshot_write_mb_s: f64,
-    /// Per-iteration wall times of a from-scratch `FacetIndex::build`
+    /// Per-iteration wall times of a from-scratch 1-shard build
     /// (the recovery alternative the store exists to avoid).
     pub rebuild_samples_ms: Vec<f64>,
     /// Mean from-scratch rebuild time.
@@ -1558,7 +1567,7 @@ fn copy_store_dir(src: &std::path::Path, dst: &std::path::Path) {
 /// its own copy, so the drills are independent and deterministic per
 /// seed.
 pub fn run_durability_bench(scale: f64, iterations: usize, seeds: &[u64]) -> DurabilityBenchReport {
-    use facet_core::{FacetIndex, PipelineOptions};
+    use facet_core::{PipelineOptions, ShardedFacetIndex};
     use facet_corpus::Document;
     use facet_ner::NerTagger;
     use facet_resources::{
@@ -1601,8 +1610,9 @@ pub fn run_durability_bench(scale: f64, iterations: usize, seeds: &[u64]) -> Dur
         let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
         let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
         let t = Instant::now();
-        let index = FacetIndex::build(docs.clone(), extractors, resources, options.clone())
-            .expect("bench corpus is well-formed");
+        let index =
+            ShardedFacetIndex::build(docs.clone(), 1, extractors, resources, options.clone())
+                .expect("bench corpus is well-formed");
         rebuild_samples_ms.push(t.elapsed().as_secs_f64() * 1e3);
         reference_digest = index.snapshot().digest();
     }
@@ -1612,7 +1622,7 @@ pub fn run_durability_bench(scale: f64, iterations: usize, seeds: &[u64]) -> Dur
     let batch = {
         let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
         let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
-        FacetIndex::build(docs.clone(), extractors, resources, options.clone())
+        ShardedFacetIndex::build(docs.clone(), 1, extractors, resources, options.clone())
             .expect("bench corpus is well-formed")
     };
     let mut persist_samples_ms: Vec<f64> = Vec::with_capacity(iterations);
@@ -1642,7 +1652,7 @@ pub fn run_durability_bench(scale: f64, iterations: usize, seeds: &[u64]) -> Dur
         let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
         let t = Instant::now();
         let (recovered, report) =
-            FacetIndex::open_from(&store, extractors, resources, options.clone())
+            ShardedFacetIndex::open_from(&store, 1, extractors, resources, options.clone())
                 .expect("recover from a healthy snapshot");
         recover_samples_ms.push(t.elapsed().as_secs_f64() * 1e3);
         recover_digest_match &= !report.fell_back
@@ -1660,7 +1670,7 @@ pub fn run_durability_bench(scale: f64, iterations: usize, seeds: &[u64]) -> Dur
     let store = FacetStore::open(&template).expect("open template store");
     let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
     let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
-    let mut live = FacetIndex::new(extractors, resources, options.clone());
+    let mut live = ShardedFacetIndex::new(1, extractors, resources, options.clone());
     live.append_logged(chunks[0].clone(), &store)
         .expect("append chunk 0");
     live.persist_to(&store).expect("publish snapshot 1");
@@ -1689,8 +1699,9 @@ pub fn run_durability_bench(scale: f64, iterations: usize, seeds: &[u64]) -> Dur
     let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
     let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
     let t = Instant::now();
-    let (replayed, report) = FacetIndex::open_from(&store, extractors, resources, options.clone())
-        .expect("recover the clean incremental template");
+    let (replayed, report) =
+        ShardedFacetIndex::open_from(&store, 1, extractors, resources, options.clone())
+            .expect("recover the clean incremental template");
     let replay_recover_ms = t.elapsed().as_secs_f64() * 1e3;
     let replay_replayed_records = report.replayed_records;
     let replay_digest_match = report.generation == 2
@@ -1715,7 +1726,7 @@ pub fn run_durability_bench(scale: f64, iterations: usize, seeds: &[u64]) -> Dur
         let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
         let t = Instant::now();
         let (recovered, report) =
-            FacetIndex::open_from(&store, extractors, resources, options.clone())
+            ShardedFacetIndex::open_from(&store, 1, extractors, resources, options.clone())
                 .expect("fall back past the corrupt snapshot");
         let recover_ms = t.elapsed().as_secs_f64() * 1e3;
         fault_drills.push(DurabilityFaultDrill {
@@ -1748,7 +1759,7 @@ pub fn run_durability_bench(scale: f64, iterations: usize, seeds: &[u64]) -> Dur
         let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
         let t = Instant::now();
         let (mut recovered, report) =
-            FacetIndex::open_from(&store, extractors, resources, options.clone())
+            ShardedFacetIndex::open_from(&store, 1, extractors, resources, options.clone())
                 .expect("truncate the torn tail and recover");
         let recover_ms = t.elapsed().as_secs_f64() * 1e3;
         recovered

@@ -1,52 +1,18 @@
-//! The persistent, incrementally-updatable facet index.
+//! What the facet index hands out: snapshots, update statistics, and
+//! errors.
 //!
-//! The paper's MNYT experiment (Section V) is a *growing* archive: the
-//! corpus expands month by month, yet the one-shot pipeline recomputes
-//! Steps 1–4 from scratch on every run. [`FacetIndex`] keeps the full
-//! pipeline state alive between updates:
-//!
-//! * the appendable [`TextDatabase`] with its delta-maintained df table,
-//! * the shared [`Vocabulary`],
-//! * the per-document important terms `I(d)`,
-//! * the cross-batch [`ExpansionCache`] of resolved important terms,
-//! * the contextualized database `C(D)` with its delta-maintained `df_C`
-//!   table, and
-//! * the current [`FacetSnapshot`].
-//!
-//! [`FacetIndex::append`] ingests a batch of new documents by
-//! re-extracting *only the new documents*, resolving *only
-//! newly-distinct* important terms against the resources, delta-updating
-//! both frequency tables, and re-running selection + subsumption over the
-//! updated tables. Each append atomically swaps in a fresh
-//! [`FacetSnapshot`] — an immutable, `Arc`-shared view that browse
-//! engines and evaluation harnesses read lock-free while further appends
-//! proceed.
-//!
-//! **Equivalence invariant:** appending a corpus in any batch partition
-//! yields a snapshot whose facet terms, rankings, and hierarchies are
-//! identical (as strings) to one batch build of the whole corpus. Term
-//! *ids* may differ between partitions — context terms interleave with
-//! later batches' corpus terms — which is why ranking uses
-//! [`select_facet_terms_stable`] (string tie-breaks) and every other
-//! stage is id-order-independent by construction.
+//! The index itself is [`crate::shard::ShardedFacetIndex`]. Every append
+//! or repair publishes a fresh [`FacetSnapshot`] — an immutable,
+//! `Arc`-shared view that browse engines and evaluation harnesses read
+//! lock-free while further updates proceed — and reports what it did as
+//! [`AppendStats`] or [`RepairStats`]. A rejected update surfaces as a
+//! typed [`IndexError`] and leaves the published snapshot untouched.
 
 use crate::browse::BrowseEngine;
-use crate::config::PipelineOptions;
 use crate::hierarchy::FacetForest;
-use crate::selection::{
-    select_facet_terms_stable, FacetCandidate, SelectionInputs, SelectionStatistic,
-};
-use crate::subsumption::{build_subsumption_forest, SubsumptionParams};
-use facet_corpus::db::TermingOptions;
-use facet_corpus::{DocId, Document, TextDatabase};
-use facet_obs::Recorder;
-use facet_resources::{
-    expand_append_recorded, intern_important_terms, repair_degraded_recorded, ContextResource,
-    ContextualizedDatabase, ExpansionCache, ExpansionError,
-};
-use facet_termx::{extract_important_terms, TermExtractor};
-use facet_textkit::{FrozenVocabulary, InternStats, TermId, Vocabulary};
-use parking_lot::RwLock;
+use crate::selection::FacetCandidate;
+use facet_resources::ExpansionError;
+use facet_textkit::{FrozenVocabulary, TermId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -63,7 +29,7 @@ pub enum IndexError {
     /// index's contextualized state.
     Expansion(ExpansionError),
     /// A shard worker terminated without filling its result slot
-    /// (sharded appends only); the published snapshot is untouched.
+    /// (appends only); the published snapshot is untouched.
     ShardIncomplete {
         /// Index of the shard whose outcome never arrived.
         shard: usize,
@@ -142,14 +108,15 @@ pub struct FacetSnapshot {
     forest: FacetForest,
     /// Degraded-coverage provenance at this generation: important term →
     /// resources that failed while resolving it. Empty for a fault-free
-    /// build and after a complete [`FacetIndex::repair`].
+    /// build and after a complete
+    /// [`crate::shard::ShardedFacetIndex::repair`].
     // lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
     degraded: Arc<BTreeMap<String, Vec<String>>>,
 }
 
 impl FacetSnapshot {
     /// The append generation this snapshot was taken at (0 = empty index,
-    /// incremented once per [`FacetIndex::append`]).
+    /// incremented once per published append or repair).
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -260,8 +227,8 @@ impl FacetSnapshot {
         hash
     }
 
-    /// Assemble a snapshot from its parts. Crate-internal: the sharded
-    /// index publishes merged snapshots through the same type.
+    /// Assemble a snapshot from its parts. Crate-internal: only the
+    /// index's publish path and [`crate::persist`]'s restore build one.
     pub(crate) fn assemble(
         generation: u64,
         vocab: FrozenVocabulary,
@@ -282,74 +249,31 @@ impl FacetSnapshot {
     }
 }
 
-/// Re-run Steps 3–4 (selection + subsumption) over up-to-date frequency
-/// tables and materialize the ranked candidates and hierarchy forest.
-///
-/// This is the post-update half of every index publish, shared by
-/// [`FacetIndex::append`] and the sharded merge path
-/// ([`crate::shard::ShardedFacetIndex`]) so the two cannot drift apart:
-/// given string-equal tables (`df`, `df_c`, `n_docs`, per-document term
-/// sets), both produce string-identical candidates and forests
-/// regardless of term-id assignment.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rank_and_build_forest(
-    df: &[u64],
-    df_c: &[u64],
-    n_docs: u64,
-    doc_terms: &[Vec<TermId>],
-    vocab: &FrozenVocabulary,
-    statistic: SelectionStatistic,
-    options: &PipelineOptions,
-    recorder: &Recorder,
-) -> (Vec<FacetCandidate>, FacetForest) {
-    let candidates = {
-        let _span = recorder.span("select");
-        select_facet_terms_stable(
-            SelectionInputs { df, df_c, n_docs },
-            statistic,
-            options.top_k,
-            options.min_df_c,
-            vocab.as_vocabulary(),
-        )
-    };
-    let forest = {
-        let _span = recorder.span("subsumption");
-        let terms: Vec<TermId> = candidates.iter().map(|c| c.term).collect();
-        let sub = build_subsumption_forest(
-            &terms,
-            doc_terms,
-            SubsumptionParams {
-                threshold: options.subsumption_threshold,
-                ..Default::default()
-            },
-        );
-        FacetForest::from_subsumption(&sub, vocab, |t| df_c.get(t.index()).copied().unwrap_or(0))
-    };
-    (candidates, forest)
-}
-
-/// What one [`FacetIndex::append`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What one [`crate::shard::ShardedFacetIndex::append`] did.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppendStats {
-    /// Documents ingested by this append.
+    /// Documents ingested by this append (across all shards).
     pub docs: usize,
-    /// Important terms resolved against the resources for the first time.
+    /// Documents each shard received from the round-robin partition.
+    pub docs_per_shard: Vec<usize>,
+    /// Important terms resolved for the first time, summed over shards.
+    /// A term new to several shards in the same append counts once per
+    /// shard here; the shared resource cache still answers all but the
+    /// first shard from memory (see `resource_queries`).
     pub new_distinct_terms: usize,
-    /// Distinct important terms of this batch answered from the
-    /// cross-batch cache (resource queries saved per resource).
+    /// Distinct important terms answered from per-shard expansion caches,
+    /// summed over shards.
     pub reused_terms: usize,
-    /// Resource queries issued (`new_distinct_terms × resources`).
+    /// Queries that actually reached the wrapped resources during this
+    /// append: exactly one per globally-new distinct important term per
+    /// resource, however many shards asked.
     pub resource_queries: u64,
-    /// Freshly-resolved terms whose coverage is degraded (at least one
-    /// resource failed during resolution); see [`FacetSnapshot::degraded`]
-    /// and [`FacetIndex::repair`].
-    pub degraded_terms: usize,
     /// The generation of the snapshot this append published.
     pub generation: u64,
 }
 
-/// What one [`FacetIndex::repair`] (or
-/// [`crate::shard::ShardedFacetIndex::repair`]) backfill pass did.
+/// What one [`crate::shard::ShardedFacetIndex::repair`] backfill pass
+/// did. Counts sum over shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RepairStats {
     /// Degraded terms re-queried against the resources.
@@ -364,695 +288,4 @@ pub struct RepairStats {
     /// The generation of the published snapshot after the pass (unchanged
     /// when there was nothing to re-query).
     pub generation: u64,
-}
-
-impl AppendStats {
-    /// Fraction of this batch's distinct important terms served from the
-    /// cross-batch cache (0.0 for the first batch or an empty batch).
-    pub fn cache_reuse_ratio(&self) -> f64 {
-        let total = self.new_distinct_terms + self.reused_terms;
-        if total == 0 {
-            0.0
-        } else {
-            self.reused_terms as f64 / total as f64
-        }
-    }
-}
-
-/// The incrementally-updatable facet index.
-///
-/// Owns every piece of pipeline state; configured like a
-/// [`crate::pipeline::FacetPipeline`] with extractors, resources, and
-/// [`PipelineOptions`]. See the [module docs](self) for the lifecycle.
-///
-/// ```no_run
-/// # use facet_core::index::FacetIndex;
-/// # use facet_core::PipelineOptions;
-/// # fn demo(extractors: Vec<&dyn facet_termx::TermExtractor>,
-/// #         resources: Vec<&dyn facet_resources::ContextResource>,
-/// #         january: Vec<facet_corpus::Document>,
-/// #         february: Vec<facet_corpus::Document>)
-/// #     -> Result<(), facet_core::index::IndexError> {
-/// let mut index = FacetIndex::new(extractors, resources, PipelineOptions::default());
-/// index.append(january)?;               // initial build
-/// let snapshot = index.snapshot();      // Arc<FacetSnapshot>, lock-free reads
-/// let stats = index.append(february)?;  // incremental: only new terms resolved
-/// assert!(snapshot.generation() < index.snapshot().generation());
-/// # Ok(())
-/// # }
-/// ```
-pub struct FacetIndex<'a> {
-    extractors: Vec<&'a dyn TermExtractor>,
-    resources: Vec<&'a dyn ContextResource>,
-    options: PipelineOptions,
-    statistic: SelectionStatistic,
-    recorder: Recorder,
-    vocab: Vocabulary,
-    db: TextDatabase,
-    /// `I(d)` per document as interned symbols, aligned with `db`.
-    important: Vec<Vec<TermId>>,
-    /// Cross-batch memo of resolved important terms.
-    cache: ExpansionCache,
-    /// The contextualized database, delta-updated per append.
-    ctx: ContextualizedDatabase,
-    /// The current published snapshot, swapped atomically per append.
-    snapshot: RwLock<Arc<FacetSnapshot>>,
-    generation: u64,
-}
-
-impl<'a> FacetIndex<'a> {
-    /// An empty index with the paper's configuration (log-likelihood
-    /// ranking, default terming).
-    pub fn new(
-        extractors: Vec<&'a dyn TermExtractor>,
-        resources: Vec<&'a dyn ContextResource>,
-        options: PipelineOptions,
-    ) -> Self {
-        let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(Vec::new(), &mut vocab, TermingOptions::default());
-        let snapshot = Arc::new(FacetSnapshot {
-            generation: 0,
-            vocab: vocab.freeze(),
-            doc_terms: Arc::new(Vec::new()),
-            candidates: Vec::new(),
-            forest: FacetForest::default(),
-            degraded: Arc::new(BTreeMap::new()),
-        });
-        Self {
-            extractors,
-            resources,
-            options,
-            statistic: SelectionStatistic::LogLikelihood,
-            recorder: Recorder::disabled(),
-            vocab,
-            db,
-            important: Vec::new(),
-            cache: ExpansionCache::new(),
-            ctx: ContextualizedDatabase::empty(),
-            snapshot: RwLock::new(snapshot),
-            generation: 0,
-        }
-    }
-
-    /// Build an index over an initial corpus: [`FacetIndex::new`]
-    /// followed by one [`FacetIndex::append`].
-    pub fn build(
-        docs: Vec<Document>,
-        extractors: Vec<&'a dyn TermExtractor>,
-        resources: Vec<&'a dyn ContextResource>,
-        options: PipelineOptions,
-    ) -> Result<Self, IndexError> {
-        let mut index = Self::new(extractors, resources, options);
-        index.append(docs)?;
-        Ok(index)
-    }
-
-    /// Switch the ranking statistic (ablation). Only meaningful before
-    /// the first append.
-    pub fn with_statistic(mut self, statistic: SelectionStatistic) -> Self {
-        self.statistic = statistic;
-        self
-    }
-
-    /// Attach an observability recorder. Appends record `append.*` spans
-    /// (`ingest`, `extract`, `expand`, `select`, `subsumption`, `swap`)
-    /// and counters (`append.docs`, `append.new_distinct_terms`,
-    /// `append.reused_terms`, `append.snapshot_swaps`).
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> &PipelineOptions {
-        &self.options
-    }
-
-    /// The attached recorder.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// Number of documents currently indexed.
-    pub fn len(&self) -> usize {
-        self.db.len()
-    }
-
-    /// True if no documents have been appended yet.
-    pub fn is_empty(&self) -> bool {
-        self.db.is_empty()
-    }
-
-    /// The underlying text database.
-    pub fn database(&self) -> &TextDatabase {
-        &self.db
-    }
-
-    /// The live (mutable-side) vocabulary. Readers should prefer
-    /// [`FacetSnapshot::vocab`].
-    pub fn vocabulary(&self) -> &Vocabulary {
-        &self.vocab
-    }
-
-    /// The contextualized database `C(D)` in its current state.
-    pub fn contextualized(&self) -> &ContextualizedDatabase {
-        &self.ctx
-    }
-
-    /// Distinct important terms resolved so far (cache size).
-    pub fn resolved_terms(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Interner hit/miss/len counters of the live vocabulary (the
-    /// `intern.{hits,misses,len}` metrics the benchmarks report).
-    pub fn intern_stats(&self) -> InternStats {
-        self.vocab.stats()
-    }
-
-    /// The configured ranking statistic (persisted in snapshot `meta`).
-    pub(crate) fn statistic(&self) -> SelectionStatistic {
-        self.statistic
-    }
-
-    /// The generation of the currently published snapshot.
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// `I(d)` per document (persisted so a restored index can repair).
-    pub(crate) fn important_rows(&self) -> &[Vec<TermId>] {
-        &self.important
-    }
-
-    /// The cross-batch expansion cache (persisted so a restored index
-    /// re-queries nothing it already resolved).
-    pub(crate) fn expansion_cache(&self) -> &ExpansionCache {
-        &self.cache
-    }
-
-    /// Install decoded pipeline state wholesale ([`crate::persist`]'s
-    /// restore path). Replaces the snapshot lock outright — this is a
-    /// `&mut self` constructor step on an index no reader holds yet, not
-    /// a publication through the lock.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn install_state(
-        &mut self,
-        options: PipelineOptions,
-        statistic: SelectionStatistic,
-        vocab: Vocabulary,
-        db: TextDatabase,
-        important: Vec<Vec<TermId>>,
-        cache: ExpansionCache,
-        ctx: ContextualizedDatabase,
-        generation: u64,
-        snapshot: FacetSnapshot,
-    ) {
-        self.options = options;
-        self.statistic = statistic;
-        self.vocab = vocab;
-        self.db = db;
-        self.important = important;
-        self.cache = cache;
-        self.ctx = ctx;
-        self.generation = generation;
-        self.snapshot = RwLock::new(Arc::new(snapshot));
-    }
-
-    /// The current snapshot. An `Arc` clone under a short read lock:
-    /// callers keep the returned snapshot for as long as they like,
-    /// entirely unaffected by concurrent appends publishing newer
-    /// generations.
-    pub fn snapshot(&self) -> Arc<FacetSnapshot> {
-        self.snapshot.read().clone()
-    }
-
-    /// Append a batch of documents and publish a new snapshot.
-    ///
-    /// Only the new documents go through Step-1 extraction; only their
-    /// newly-distinct important terms are resolved against the resources
-    /// (Step 2); both df tables are delta-updated; selection and
-    /// subsumption (Steps 3–4) re-run over the updated tables. Documents
-    /// are renumbered to positional ids — the index owns id assignment,
-    /// so month batches whose ids restart from zero can be fed directly.
-    ///
-    /// # Errors
-    /// Returns [`IndexError`] if the index's internal append state is
-    /// corrupted (the expansion layer rejects the document range); the
-    /// published snapshot is left untouched, so a serving process can
-    /// log the error and keep answering from the previous generation.
-    pub fn append(&mut self, mut batch: Vec<Document>) -> Result<AppendStats, IndexError> {
-        let _append_span = self.recorder.span("append");
-        _append_span.attr("docs", batch.len() as u64);
-        let intern_before = self.vocab.stats();
-        let start = self.db.len();
-        for (i, d) in batch.iter_mut().enumerate() {
-            d.id = DocId((start + i) as u32);
-        }
-        let docs = batch.len();
-        {
-            let _span = self.recorder.span("ingest");
-            self.db.append(batch, &mut self.vocab);
-        }
-
-        let new_important: Vec<Vec<String>> = {
-            let _span = self.recorder.span("extract");
-            self.db.docs()[start..]
-                .iter()
-                .map(|d| extract_important_terms(&self.extractors, &d.full_text()))
-                .collect()
-        };
-
-        let new_important = intern_important_terms(&mut self.vocab, &new_important);
-        let outcome = {
-            let _span = self.recorder.span("expand");
-            expand_append_recorded(
-                &self.db,
-                start..self.db.len(),
-                &new_important,
-                &self.resources,
-                &mut self.vocab,
-                &self.options.expansion,
-                &self.recorder,
-                &mut self.cache,
-                &mut self.ctx,
-            )?
-        };
-        self.important.extend(new_important);
-
-        let df = self.db.df_table_resized(self.vocab.len());
-        // One freeze per publish: the ranking, the forest, and the
-        // snapshot all share this view's arena.
-        let frozen = self.vocab.freeze();
-        let (candidates, forest) = rank_and_build_forest(
-            &df,
-            self.ctx.df_table(),
-            self.db.len() as u64,
-            &self.ctx.doc_terms,
-            &frozen,
-            self.statistic,
-            &self.options,
-            &self.recorder,
-        );
-
-        self.generation += 1;
-        {
-            let _span = self.recorder.span("swap");
-            let snapshot = Arc::new(FacetSnapshot::assemble(
-                self.generation,
-                frozen,
-                Arc::new(self.ctx.doc_terms.clone()),
-                candidates,
-                forest,
-                Arc::new(self.ctx.degraded().clone()),
-            ));
-            *self.snapshot.write() = snapshot;
-        }
-
-        let intern_after = self.vocab.stats();
-        self.recorder
-            .add("intern.hits", intern_after.hits - intern_before.hits);
-        self.recorder
-            .add("intern.misses", intern_after.misses - intern_before.misses);
-        self.recorder
-            .add("intern.len", (intern_after.len - intern_before.len) as u64);
-        self.recorder.add("append.docs", docs as u64);
-        self.recorder.add(
-            "append.new_distinct_terms",
-            outcome.new_distinct_terms as u64,
-        );
-        self.recorder
-            .add("append.reused_terms", outcome.reused_terms as u64);
-        self.recorder.incr("append.snapshot_swaps");
-
-        Ok(AppendStats {
-            docs,
-            new_distinct_terms: outcome.new_distinct_terms,
-            reused_terms: outcome.reused_terms,
-            resource_queries: (outcome.new_distinct_terms * self.resources.len()) as u64,
-            degraded_terms: outcome.degraded_terms,
-            generation: self.generation,
-        })
-    }
-
-    /// Backfill pass over degraded-coverage terms: re-query exactly the
-    /// important terms recorded in [`FacetSnapshot::degraded`], recompute
-    /// the term rows and `df_C` contributions of the documents that use a
-    /// term whose resolution changed, re-rank, and publish a new
-    /// snapshot.
-    ///
-    /// Once the failing resources have recovered (e.g. a circuit breaker
-    /// has closed), the repaired snapshot is string-identical — facet
-    /// terms, frequencies, score bits, forest edges, and (empty)
-    /// degradation — to a build that never saw a fault. Terms whose
-    /// resources are still failing keep their provenance and stay
-    /// eligible for the next pass. With no degradation outstanding this
-    /// is a no-op: nothing is re-queried and no snapshot is published.
-    ///
-    /// # Errors
-    /// Returns [`IndexError`] if the index's internal state is corrupted
-    /// (document/term alignment); the published snapshot is untouched.
-    pub fn repair(&mut self) -> Result<RepairStats, IndexError> {
-        let _span = self.recorder.span("repair");
-        let outcome = repair_degraded_recorded(
-            &self.db,
-            &self.important,
-            &self.resources,
-            &mut self.vocab,
-            &self.recorder,
-            &mut self.cache,
-            &mut self.ctx,
-        )?;
-        if outcome.requeried_terms == 0 {
-            return Ok(RepairStats {
-                generation: self.generation,
-                ..RepairStats::default()
-            });
-        }
-
-        let df = self.db.df_table_resized(self.vocab.len());
-        let frozen = self.vocab.freeze();
-        let (candidates, forest) = rank_and_build_forest(
-            &df,
-            self.ctx.df_table(),
-            self.db.len() as u64,
-            &self.ctx.doc_terms,
-            &frozen,
-            self.statistic,
-            &self.options,
-            &self.recorder,
-        );
-
-        self.generation += 1;
-        {
-            let _span = self.recorder.span("swap");
-            let snapshot = Arc::new(FacetSnapshot::assemble(
-                self.generation,
-                frozen,
-                Arc::new(self.ctx.doc_terms.clone()),
-                candidates,
-                forest,
-                Arc::new(self.ctx.degraded().clone()),
-            ));
-            *self.snapshot.write() = snapshot;
-        }
-        self.recorder.incr("repair.snapshot_swaps");
-
-        Ok(RepairStats {
-            requeried_terms: outcome.requeried_terms,
-            repaired_terms: outcome.repaired_terms,
-            still_degraded: outcome.still_degraded,
-            changed_docs: outcome.changed_docs,
-            generation: self.generation,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::HashMap;
-
-    struct FixedExtractor;
-    impl TermExtractor for FixedExtractor {
-        fn name(&self) -> &'static str {
-            "Fixed"
-        }
-        fn extract(&self, text: &str) -> Vec<String> {
-            let mut out = Vec::new();
-            if text.contains("Jacques Chirac") {
-                out.push("jacques chirac".into());
-            }
-            if text.contains("Angela Merkel") {
-                out.push("angela merkel".into());
-            }
-            out
-        }
-    }
-
-    struct FixedResource(HashMap<&'static str, Vec<&'static str>>);
-    impl ContextResource for FixedResource {
-        fn name(&self) -> &'static str {
-            "Fixed"
-        }
-        fn context_terms(&self, term: &str) -> Vec<String> {
-            self.0
-                .get(term)
-                .map(|v| v.iter().map(|s| s.to_string()).collect())
-                .unwrap_or_default()
-        }
-    }
-
-    fn resource() -> FixedResource {
-        let mut map = HashMap::new();
-        map.insert("jacques chirac", vec!["political leaders", "france"]);
-        map.insert("angela merkel", vec!["political leaders", "germany"]);
-        FixedResource(map)
-    }
-
-    fn doc(id: u32, text: &str) -> Document {
-        Document {
-            id: DocId(id),
-            source: 0,
-            day: 0,
-            title: "Story".into(),
-            text: text.into(),
-        }
-    }
-
-    fn chirac_docs(n: usize) -> Vec<Document> {
-        (0..n as u32)
-            .map(|i| {
-                doc(
-                    i,
-                    "Jacques Chirac discussed matters with advisers in the capital.",
-                )
-            })
-            .collect()
-    }
-
-    fn merkel_docs(n: usize) -> Vec<Document> {
-        (0..n as u32)
-            .map(|i| doc(i, "Angela Merkel spoke with ministers about the budget."))
-            .collect()
-    }
-
-    fn options() -> PipelineOptions {
-        PipelineOptions {
-            top_k: 10,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn empty_index_has_generation_zero() {
-        let e = FixedExtractor;
-        let r = resource();
-        let index = FacetIndex::new(vec![&e], vec![&r], options());
-        let snap = index.snapshot();
-        assert_eq!(snap.generation(), 0);
-        assert_eq!(snap.n_docs(), 0);
-        assert!(snap.facet_terms().is_empty());
-        assert!(index.is_empty());
-    }
-
-    #[test]
-    fn build_selects_context_facets() {
-        let e = FixedExtractor;
-        let r = resource();
-        let index = FacetIndex::build(chirac_docs(12), vec![&e], vec![&r], options()).unwrap();
-        let snap = index.snapshot();
-        assert_eq!(snap.generation(), 1);
-        assert_eq!(snap.n_docs(), 12);
-        let terms = snap.facet_terms();
-        assert!(terms.contains(&"political leaders"), "{terms:?}");
-        assert!(terms.contains(&"france"), "{terms:?}");
-    }
-
-    #[test]
-    fn append_reuses_resolved_terms() {
-        let e = FixedExtractor;
-        let r = resource();
-        let mut index = FacetIndex::new(vec![&e], vec![&r], options());
-        let first = index.append(chirac_docs(8)).unwrap();
-        assert_eq!(first.docs, 8);
-        assert_eq!(first.new_distinct_terms, 1);
-        assert_eq!(first.reused_terms, 0);
-        assert_eq!(first.resource_queries, 1);
-
-        // Same entity again: fully served from the cache.
-        let second = index.append(chirac_docs(4)).unwrap();
-        assert_eq!(second.new_distinct_terms, 0);
-        assert_eq!(second.reused_terms, 1);
-        assert_eq!(second.resource_queries, 0);
-        assert!((second.cache_reuse_ratio() - 1.0).abs() < 1e-12);
-
-        // A new entity costs exactly one resolution.
-        let third = index.append(merkel_docs(6)).unwrap();
-        assert_eq!(third.new_distinct_terms, 1);
-        assert_eq!(third.generation, 3);
-        assert_eq!(index.len(), 18);
-        assert_eq!(index.resolved_terms(), 2);
-    }
-
-    #[test]
-    fn snapshots_are_isolated_from_later_appends() {
-        let e = FixedExtractor;
-        let r = resource();
-        let mut index = FacetIndex::build(chirac_docs(12), vec![&e], vec![&r], options()).unwrap();
-        let old = index.snapshot();
-        let old_terms: Vec<String> = old.facet_terms().iter().map(|s| s.to_string()).collect();
-        index.append(merkel_docs(12)).unwrap();
-        // The old snapshot still answers from its frozen state.
-        assert_eq!(old.n_docs(), 12);
-        assert_eq!(
-            old.facet_terms()
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>(),
-            old_terms
-        );
-        assert_eq!(old.vocab().get("germany"), None, "frozen before merkel");
-        // The new snapshot sees the new entity.
-        let new = index.snapshot();
-        assert_eq!(new.n_docs(), 24);
-        assert!(new.facet_terms().contains(&"germany"));
-        assert!(new.generation() > old.generation());
-    }
-
-    #[test]
-    fn snapshot_browse_is_read_only_and_shared() {
-        let e = FixedExtractor;
-        let r = resource();
-        let mut index = FacetIndex::build(chirac_docs(12), vec![&e], vec![&r], options()).unwrap();
-        index.append(merkel_docs(12)).unwrap();
-        let snap = index.snapshot();
-        let engine = snap.browse();
-        assert_eq!(engine.n_docs(), 24);
-        let leaders = snap.vocab().get("political leaders").unwrap();
-        assert_eq!(engine.docs_with(leaders).len(), 24);
-        let france = snap.vocab().get("france").unwrap();
-        assert_eq!(engine.docs_with(france).len(), 12);
-        // Reads work from plain `&` across threads (Arc-shared state).
-        let snap2 = Arc::clone(&snap);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let engine = snap2.browse();
-                assert_eq!(engine.select(&[france]).len(), 12);
-            });
-        });
-    }
-
-    /// String-level view: (term, df, df_c, score bits) rows, forest
-    /// edges, and degraded provenance — comparable across build paths
-    /// whose TermId assignments differ.
-    #[allow(clippy::type_complexity)]
-    fn view(
-        snap: &FacetSnapshot,
-    ) -> (
-        Vec<(String, u64, u64, String)>,
-        Vec<(String, String)>,
-        Vec<(String, Vec<String>)>,
-    ) {
-        let rows = snap
-            .candidates()
-            .iter()
-            .map(|c| {
-                (
-                    snap.vocab().term(c.term).to_string(),
-                    c.df,
-                    c.df_c,
-                    format!("{:x}", c.score.to_bits()),
-                )
-            })
-            .collect();
-        let degraded = snap
-            .degraded()
-            .iter()
-            .map(|(t, f)| (t.clone(), f.clone()))
-            .collect();
-        (rows, snap.forest().edges(), degraded)
-    }
-
-    #[test]
-    fn degraded_append_records_provenance_in_snapshot() {
-        let e = FixedExtractor;
-        let faulty = facet_resources::FaultyResource::new(
-            resource(),
-            facet_resources::FaultPlan::seeded(2, 1000),
-            facet_resources::VirtualClock::new(),
-        );
-        let mut index = FacetIndex::new(vec![&e], vec![&faulty], options());
-        let stats = index.append(chirac_docs(8)).unwrap();
-        assert_eq!(stats.degraded_terms, 1);
-        let snap = index.snapshot();
-        assert!(!snap.is_fully_covered());
-        assert_eq!(
-            snap.degraded().get("jacques chirac"),
-            Some(&vec!["Fixed".to_string()]),
-            "provenance names the failed resource by its real name"
-        );
-        // Context facets are missing while degraded.
-        assert!(!snap.facet_terms().contains(&"france"));
-    }
-
-    #[test]
-    fn repair_converges_to_the_fault_free_snapshot() {
-        let e = FixedExtractor;
-        let r = resource();
-        let clean = FacetIndex::build(chirac_docs(12), vec![&e], vec![&r], options()).unwrap();
-
-        let faulty = facet_resources::FaultyResource::new(
-            resource(),
-            facet_resources::FaultPlan::seeded(2, 1000),
-            facet_resources::VirtualClock::new(),
-        );
-        let mut index = FacetIndex::new(vec![&e], vec![&faulty], options());
-        index.append(chirac_docs(12)).unwrap();
-
-        // Repair while the resource is still down: degradation persists,
-        // no spurious snapshot churn beyond the re-query.
-        let stats = index.repair().unwrap();
-        assert_eq!(stats.repaired_terms, 0);
-        assert_eq!(stats.still_degraded, 1);
-        assert!(!index.snapshot().is_fully_covered());
-
-        // The backend recovers; repair backfills and converges.
-        faulty.heal();
-        let stats = index.repair().unwrap();
-        assert_eq!(stats.requeried_terms, 1);
-        assert_eq!(stats.repaired_terms, 1);
-        assert_eq!(stats.changed_docs, 12);
-        let repaired = index.snapshot();
-        assert!(repaired.is_fully_covered());
-        assert_eq!(view(&repaired), view(&clean.snapshot()));
-
-        // Nothing left to do: no re-query, no new generation.
-        let stats = index.repair().unwrap();
-        assert_eq!(stats.requeried_terms, 0);
-        assert_eq!(stats.generation, repaired.generation());
-        assert_eq!(index.snapshot().generation(), repaired.generation());
-    }
-
-    #[test]
-    fn append_counters_recorded() {
-        let e = FixedExtractor;
-        let r = resource();
-        let recorder = Recorder::enabled();
-        let mut index =
-            FacetIndex::new(vec![&e], vec![&r], options()).with_recorder(recorder.clone());
-        index.append(chirac_docs(8)).unwrap();
-        index.append(chirac_docs(4)).unwrap();
-        let counts = recorder.snapshot_counts_only();
-        assert_eq!(counts["counter.append.docs"], 12);
-        assert_eq!(counts["counter.append.new_distinct_terms"], 1);
-        assert_eq!(counts["counter.append.reused_terms"], 1);
-        assert_eq!(counts["counter.append.snapshot_swaps"], 2);
-        assert_eq!(counts["span.append.count"], 2);
-        assert_eq!(counts["span.append.expand.count"], 2);
-        assert_eq!(counts["span.append.select.count"], 2);
-        assert_eq!(counts["span.append.subsumption.count"], 2);
-        // Resource queried exactly once across both appends.
-        assert_eq!(counts["counter.resource.Fixed.queries"], 1);
-    }
 }

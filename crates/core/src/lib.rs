@@ -24,9 +24,10 @@
 //!    faceted browsing engine.
 //!
 //! [`pipeline::FacetPipeline`] ties everything together behind one call
-//! for one-shot batch runs; [`index::FacetIndex`] is the persistent,
-//! incrementally-updatable form of the same engine, serving reads
-//! through atomically-swapped [`index::FacetSnapshot`]s; [`baseline`]
+//! for one-shot batch runs; [`shard::ShardedFacetIndex`] is the
+//! persistent, incrementally-updatable form of the same engine over one
+//! or more shards, serving reads through atomically-swapped
+//! [`index::FacetSnapshot`]s; [`baseline`]
 //! holds the comparison systems (the raw-subsumption hierarchy of the
 //! paper's Figure 5, and a chi-square selection variant for the
 //! ablation study).
@@ -49,7 +50,7 @@ pub use browse::BrowseEngine;
 pub use config::PipelineOptions;
 pub use evidence::{build_evidence_forest, EvidenceParams, HypernymHints};
 pub use hierarchy::{FacetForest, FacetTree, TreeNode};
-pub use index::{AppendStats, FacetIndex, FacetSnapshot, IndexError, RepairStats};
+pub use index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
 pub use persist::STATE_VERSION;
 pub use pipeline::{FacetExtraction, FacetPipeline};
 pub use selection::{
@@ -60,5 +61,5 @@ pub use serve::{
     fanout_browse, normalize_query, BrowseResult, FacetServer, ServeCacheStats, ServeHandle,
     ServeSnapshot, ShardView,
 };
-pub use shard::{ShardedAppendStats, ShardedFacetIndex};
+pub use shard::ShardedFacetIndex;
 pub use subsumption::{build_subsumption_forest, SubsumptionForest, SubsumptionParams};

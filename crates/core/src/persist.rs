@@ -1,22 +1,25 @@
-//! Crash-safe persistence for the facet indexes (DESIGN.md §18).
+//! Crash-safe persistence for the facet index (DESIGN.md §18).
 //!
 //! This module is the bridge between the byte-level durability subsystem
 //! (`facet-store`: versioned snapshots, append-ahead WAL, recovery with
-//! corruption fallback) and the pipeline state the indexes actually
-//! hold. It defines what the opaque snapshot *sections* and WAL *record
+//! corruption fallback) and the pipeline state the index actually holds.
+//! It defines what the opaque snapshot *sections* and WAL *record
 //! payloads* contain:
 //!
-//! * [`FacetIndex::persist_to`] encodes every piece of index state —
-//!   interner arena, document store, df/`df_C` tables, per-document term
-//!   rows, expansion cache, degradation provenance, ranked candidates,
-//!   and the subsumption forest — into named, individually checksummed
+//! * [`ShardedFacetIndex::persist_to`] encodes every piece of index
+//!   state — the merged interner arena, df/`df_C` tables, per-document
+//!   term rows, ranked candidates, and subsumption forest, plus per
+//!   shard (`shard3.vocab`, `shard3.cache`, …) the private vocabulary,
+//!   document store, expansion cache, contextualized rows, degradation
+//!   provenance, and id mapping — into named, individually checksummed
 //!   sections and publishes them as one snapshot generation.
-//! * [`FacetIndex::append_logged`] / [`FacetIndex::repair_logged`] wrap
-//!   the live update paths with WAL records: an append is logged
-//!   *before* it is applied (log-ahead — once the record is durable the
-//!   batch survives a crash), a repair is logged *after* it publishes
-//!   (a no-op repair publishes nothing and logs nothing).
-//! * [`FacetIndex::open_from`] recovers: load the newest snapshot
+//! * [`ShardedFacetIndex::append_logged`] /
+//!   [`ShardedFacetIndex::repair_logged`] wrap the live update paths
+//!   with WAL records: an append is logged *before* it is applied
+//!   (log-ahead — once the record is durable the batch survives a
+//!   crash), a repair is logged *after* it publishes (a no-op repair
+//!   publishes nothing and logs nothing).
+//! * [`ShardedFacetIndex::open_from`] recovers: load the newest snapshot
 //!   generation that verifies, decode the sections back into pipeline
 //!   state, and replay the WAL tail through the ordinary
 //!   `append`/`repair` code paths. Because the pipeline is
@@ -24,11 +27,6 @@
 //!   **string-identical** ([`FacetSnapshot::digest`]) to an index that
 //!   never crashed — `tests/recovery.rs` proves it under injected
 //!   corruption.
-//!
-//! [`ShardedFacetIndex`] persists through the same store with per-shard
-//! sections (`shard3.vocab`, `shard3.cache`, …) alongside the merged
-//! tables, so a recovered sharded index resumes with every shard's
-//! private vocabulary, cache, and id mapping intact.
 //!
 //! ## Replay discipline
 //!
@@ -41,9 +39,9 @@
 
 use crate::config::PipelineOptions;
 use crate::hierarchy::{FacetForest, FacetTree, TreeNode};
-use crate::index::{AppendStats, FacetIndex, FacetSnapshot, IndexError, RepairStats};
+use crate::index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
 use crate::selection::{FacetCandidate, SelectionStatistic};
-use crate::shard::{ShardState, ShardedAppendStats, ShardedFacetIndex};
+use crate::shard::{merged_degraded, Shard, ShardedFacetIndex};
 use facet_corpus::db::TermingOptions;
 use facet_corpus::{DocId, Document, TextDatabase};
 use facet_resources::{
@@ -52,13 +50,15 @@ use facet_resources::{
 use facet_store::bytes::{ByteReader, ByteWriter};
 use facet_store::{FacetStore, RecoveryReport, SnapshotPayload, StoreError, WalRecord};
 use facet_termx::TermExtractor;
-use facet_textkit::{Interner, TermId, Vocabulary};
+use facet_textkit::{FrozenVocabulary, Interner, TermId, Vocabulary};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Version of the section *contents* (the store's `FORMAT_VERSION`
-/// covers the framing). Bump when any section codec changes shape.
-pub const STATE_VERSION: u32 = 1;
+/// covers the framing). Bump when any section codec changes shape; a
+/// snapshot of any other version is refused as a corrupt `meta`
+/// section, never decoded.
+pub const STATE_VERSION: u32 = 2;
 
 fn corrupt(section: &str) -> StoreError {
     StoreError::CorruptSection {
@@ -74,12 +74,33 @@ fn replay_failed(seq: u64, detail: impl Into<String>) -> StoreError {
 }
 
 // ---------------------------------------------------------------------
-// Primitive codecs. Encoders write into a ByteWriter; decoders return
-// Option so a truncated or drifted section surfaces as CorruptSection
-// through one `.ok_or_else` at the section boundary (the store already
-// checksums sections, so reaching a decode failure means format drift,
-// not bit rot — but it must still never panic).
+// Primitive codecs. Encoders write into a ByteWriter; decoders read from
+// a ByteReader and return Option, so a truncated or drifted section
+// surfaces as CorruptSection through `decode` at the section boundary
+// (the store already checksums sections, so reaching a decode failure
+// means format drift, not bit rot — but it must still never panic).
 // ---------------------------------------------------------------------
+
+/// Run `enc` on a fresh writer: one section payload or WAL record.
+fn encode(enc: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    enc(&mut w);
+    w.finish()
+}
+
+/// Decode section `name` of `payload` with `dec`. A missing section, a
+/// decode failure, or trailing bytes after the decoded value all surface
+/// as [`StoreError::CorruptSection`] naming the section.
+fn decode<T>(
+    payload: &SnapshotPayload,
+    name: &str,
+    dec: impl FnOnce(&mut ByteReader<'_>) -> Option<T>,
+) -> Result<T, StoreError> {
+    let mut r = ByteReader::new(payload.section(name).ok_or_else(|| corrupt(name))?);
+    dec(&mut r)
+        .filter(|_| r.is_empty())
+        .ok_or_else(|| corrupt(name))
+}
 
 fn enc_u64s(w: &mut ByteWriter, values: &[u64]) {
     w.u64(values.len() as u64);
@@ -163,10 +184,9 @@ fn dec_docs(r: &mut ByteReader<'_>) -> Option<Vec<Document>> {
 /// The interner round-trips through its raw parts; `Interner::from_parts`
 /// replays the exact progressive table growth, so a restored vocabulary
 /// interns future terms byte-identically to the live one it mirrors.
-fn enc_vocab(vocab: &Vocabulary) -> Vec<u8> {
+fn enc_vocab(w: &mut ByteWriter, vocab: &Vocabulary) {
     let interner = vocab.as_interner();
     let stats = vocab.stats();
-    let mut w = ByteWriter::new();
     w.str(interner.arena());
     w.u64(interner.spans().len() as u64);
     for (s, e) in interner.spans() {
@@ -175,11 +195,9 @@ fn enc_vocab(vocab: &Vocabulary) -> Vec<u8> {
     }
     w.u64(stats.hits);
     w.u64(stats.misses);
-    w.finish()
 }
 
-fn dec_vocab(bytes: &[u8]) -> Option<Vocabulary> {
-    let mut r = ByteReader::new(bytes);
+fn dec_vocab(r: &mut ByteReader<'_>) -> Option<Vocabulary> {
     let arena = r.str()?.to_string();
     let n = r.u64()? as usize;
     let mut spans = Vec::with_capacity(n.min(arena.len() + 1));
@@ -190,9 +208,6 @@ fn dec_vocab(bytes: &[u8]) -> Option<Vocabulary> {
     }
     let hits = r.u64()?;
     let misses = r.u64()?;
-    if !r.is_empty() {
-        return None;
-    }
     let interner = Interner::from_parts(arena, spans, hits, misses)?;
     Some(Vocabulary::from_interner(interner))
 }
@@ -200,29 +215,26 @@ fn dec_vocab(bytes: &[u8]) -> Option<Vocabulary> {
 /// Cache entries are encoded in term-id order — the backing map does not
 /// guarantee an iteration order, and a canonical byte stream keeps
 /// snapshots of equal state byte-identical.
-fn enc_cache(cache: &ExpansionCache) -> Vec<u8> {
+fn enc_cache(w: &mut ByteWriter, cache: &ExpansionCache) {
     let mut entries: Vec<(TermId, &ResolvedTerm)> = cache.entries().collect();
     entries.sort_unstable_by_key(|(t, _)| t.0);
-    let mut w = ByteWriter::new();
     w.u64(entries.len() as u64);
     for (term, resolution) in entries {
         w.u32(term.0);
-        enc_terms(&mut w, &resolution.terms);
+        enc_terms(w, &resolution.terms);
         w.u64(resolution.failed.len() as u64);
         for f in &resolution.failed {
             w.str(f);
         }
     }
-    w.finish()
 }
 
-fn dec_cache(bytes: &[u8]) -> Option<ExpansionCache> {
-    let mut r = ByteReader::new(bytes);
+fn dec_cache(r: &mut ByteReader<'_>) -> Option<ExpansionCache> {
     let n = r.u64()? as usize;
     let mut cache = ExpansionCache::new();
     for _ in 0..n {
         let term = TermId(r.u32()?);
-        let terms = dec_terms(&mut r)?;
+        let terms = dec_terms(r)?;
         let n_failed = r.u64()? as usize;
         let mut failed = Vec::with_capacity(n_failed.min(r.remaining() / 8 + 1));
         for _ in 0..n_failed {
@@ -230,11 +242,7 @@ fn dec_cache(bytes: &[u8]) -> Option<ExpansionCache> {
         }
         cache.restore(term, ResolvedTerm { terms, failed });
     }
-    if r.is_empty() {
-        Some(cache)
-    } else {
-        None
-    }
+    Some(cache)
 }
 
 // lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
@@ -265,8 +273,7 @@ fn dec_degraded(r: &mut ByteReader<'_>) -> Option<BTreeMap<String, Vec<String>>>
     Some(out)
 }
 
-fn enc_candidates(candidates: &[FacetCandidate]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn enc_candidates(w: &mut ByteWriter, candidates: &[FacetCandidate]) {
     w.u64(candidates.len() as u64);
     for c in candidates {
         w.u32(c.term.0);
@@ -276,11 +283,9 @@ fn enc_candidates(candidates: &[FacetCandidate]) -> Vec<u8> {
         w.u64(c.shift_r as u64);
         w.f64(c.score);
     }
-    w.finish()
 }
 
-fn dec_candidates(bytes: &[u8]) -> Option<Vec<FacetCandidate>> {
-    let mut r = ByteReader::new(bytes);
+fn dec_candidates(r: &mut ByteReader<'_>) -> Option<Vec<FacetCandidate>> {
     let n = r.u64()? as usize;
     let mut out = Vec::with_capacity(n.min(r.remaining() / 44 + 1));
     for _ in 0..n {
@@ -293,18 +298,13 @@ fn dec_candidates(bytes: &[u8]) -> Option<Vec<FacetCandidate>> {
             score: r.f64()?,
         });
     }
-    if r.is_empty() {
-        Some(out)
-    } else {
-        None
-    }
+    Some(out)
 }
 
 /// Trees encode preorder — `(term, doc_count, n_children)` per node —
 /// and decode with an explicit stack, so arbitrarily deep hierarchies
 /// round-trip without recursion.
-fn enc_forest(forest: &FacetForest) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn enc_forest(w: &mut ByteWriter, forest: &FacetForest) {
     w.u64(forest.trees.len() as u64);
     for tree in &forest.trees {
         let mut stack = vec![&tree.root];
@@ -317,7 +317,6 @@ fn enc_forest(forest: &FacetForest) -> Vec<u8> {
             }
         }
     }
-    w.finish()
 }
 
 fn dec_tree(r: &mut ByteReader<'_>) -> Option<TreeNode> {
@@ -358,31 +357,20 @@ fn dec_tree(r: &mut ByteReader<'_>) -> Option<TreeNode> {
     }
 }
 
-fn dec_forest(bytes: &[u8], vocab: facet_textkit::FrozenVocabulary) -> Option<FacetForest> {
-    let mut r = ByteReader::new(bytes);
+fn dec_forest(r: &mut ByteReader<'_>, vocab: FrozenVocabulary) -> Option<FacetForest> {
     let n = r.u64()? as usize;
     let mut trees = Vec::with_capacity(n.min(r.remaining() / 16 + 1));
     for _ in 0..n {
-        trees.push(FacetTree {
-            root: dec_tree(&mut r)?,
-        });
+        trees.push(FacetTree { root: dec_tree(r)? });
     }
-    if r.is_empty() {
-        Some(FacetForest::new(trees, vocab))
-    } else {
-        None
-    }
+    Some(FacetForest::new(trees, vocab))
 }
 
 // ---------------------------------------------------------------------
 // Meta section: the one section every snapshot must carry.
 // ---------------------------------------------------------------------
 
-const KIND_INDEX: u8 = 0;
-const KIND_SHARDED: u8 = 1;
-
 struct Meta {
-    kind: u8,
     generation: u64,
     statistic: SelectionStatistic,
     options: PipelineOptions,
@@ -391,10 +379,8 @@ struct Meta {
     n_docs: u64,
 }
 
-fn enc_meta(meta: &Meta) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn enc_meta(w: &mut ByteWriter, meta: &Meta) {
     w.u32(STATE_VERSION);
-    w.u8(meta.kind);
     w.u64(meta.generation);
     w.u8(match meta.statistic {
         SelectionStatistic::LogLikelihood => 0,
@@ -408,16 +394,10 @@ fn enc_meta(meta: &Meta) -> Vec<u8> {
     w.u64(meta.terming.min_len as u64);
     w.u32(meta.n_shards);
     w.u64(meta.n_docs);
-    w.finish()
 }
 
-fn dec_meta(bytes: &[u8], expected_kind: u8) -> Option<Meta> {
-    let mut r = ByteReader::new(bytes);
+fn dec_meta(r: &mut ByteReader<'_>) -> Option<Meta> {
     if r.u32()? != STATE_VERSION {
-        return None;
-    }
-    let kind = r.u8()?;
-    if kind != expected_kind {
         return None;
     }
     let generation = r.u64()?;
@@ -438,46 +418,22 @@ fn dec_meta(bytes: &[u8], expected_kind: u8) -> Option<Meta> {
         bigrams: r.u8()? != 0,
         min_len: r.u64()? as usize,
     };
-    let n_shards = r.u32()?;
-    let n_docs = r.u64()?;
-    if r.is_empty() {
-        Some(Meta {
-            kind,
-            generation,
-            statistic,
-            options,
-            terming,
-            n_shards,
-            n_docs,
-        })
-    } else {
-        None
-    }
-}
-
-fn section<'p>(payload: &'p SnapshotPayload, name: &str) -> Result<&'p [u8], StoreError> {
-    payload.section(name).ok_or_else(|| corrupt(name))
+    Some(Meta {
+        generation,
+        statistic,
+        options,
+        terming,
+        n_shards: r.u32()?,
+        n_docs: r.u64()?,
+    })
 }
 
 // ---------------------------------------------------------------------
-// WAL record payloads, shared by both index flavors.
+// WAL record payloads.
 // ---------------------------------------------------------------------
 
 const RECORD_APPEND: u8 = 0;
 const RECORD_REPAIR: u8 = 1;
-
-fn enc_append_payload(batch: &[Document]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u8(RECORD_APPEND);
-    enc_docs(&mut w, batch);
-    w.finish()
-}
-
-fn enc_repair_payload() -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u8(RECORD_REPAIR);
-    w.finish()
-}
 
 /// What one WAL record asks a replaying index to do.
 enum ReplayOp {
@@ -511,160 +467,151 @@ fn check_replayed_generation(seq: u64, landed: u64) -> Result<(), StoreError> {
 }
 
 // ---------------------------------------------------------------------
-// FacetIndex sections.
+// Snapshot sections: merged tables + per-shard state.
 // ---------------------------------------------------------------------
 
-fn encode_index(index: &FacetIndex<'_>) -> SnapshotPayload {
-    let ctx = index.contextualized();
-    let db = index.database();
+fn encode_index(index: &ShardedFacetIndex<'_>) -> SnapshotPayload {
     let snapshot = index.snapshot();
-    let sections = vec![
+    let meta = Meta {
+        generation: index.generation,
+        statistic: index.statistic,
+        options: index.options.clone(),
+        terming: index.shards[0].db.options().clone(),
+        n_shards: index.shards.len() as u32,
+        n_docs: index.n_docs as u64,
+    };
+    let merged = [
+        ("meta", encode(|w| enc_meta(w, &meta))),
         (
-            "meta".to_string(),
-            enc_meta(&Meta {
-                kind: KIND_INDEX,
-                generation: index.generation(),
-                statistic: index.statistic(),
-                options: index.options().clone(),
-                terming: db.options().clone(),
-                n_shards: 0,
-                n_docs: db.len() as u64,
-            }),
+            "merged.vocab",
+            encode(|w| enc_vocab(w, &index.merged_vocab)),
         ),
-        ("vocab".to_string(), enc_vocab(index.vocabulary())),
-        ("docs".to_string(), {
-            let mut w = ByteWriter::new();
-            enc_docs(&mut w, db.docs());
-            w.finish()
-        }),
-        ("doc_terms".to_string(), {
-            let mut w = ByteWriter::new();
-            enc_rows(&mut w, db.doc_terms_rows());
-            w.finish()
-        }),
-        ("df".to_string(), {
-            let mut w = ByteWriter::new();
-            enc_u64s(&mut w, db.df_table());
-            w.finish()
-        }),
-        ("important".to_string(), {
-            let mut w = ByteWriter::new();
-            enc_rows(&mut w, index.important_rows());
-            w.finish()
-        }),
-        ("cache".to_string(), enc_cache(index.expansion_cache())),
-        ("ctx_rows".to_string(), {
-            let mut w = ByteWriter::new();
-            enc_rows(&mut w, &ctx.doc_terms);
-            w.finish()
-        }),
-        ("ctx_df".to_string(), {
-            let mut w = ByteWriter::new();
-            enc_u64s(&mut w, ctx.df_table());
-            w.finish()
-        }),
-        ("ctx_context".to_string(), {
-            let mut w = ByteWriter::new();
-            enc_rows(&mut w, &ctx.doc_context_terms);
-            w.finish()
-        }),
-        ("degraded".to_string(), {
-            let mut w = ByteWriter::new();
-            enc_degraded(&mut w, ctx.degraded());
-            w.finish()
-        }),
+        ("merged.df", encode(|w| enc_u64s(w, &index.merged_df))),
+        ("merged.df_c", encode(|w| enc_u64s(w, &index.merged_df_c))),
         (
-            "candidates".to_string(),
-            enc_candidates(snapshot.candidates()),
+            "merged.doc_terms",
+            encode(|w| enc_rows(w, &index.merged_doc_terms)),
         ),
-        ("forest".to_string(), enc_forest(snapshot.forest())),
+        (
+            "candidates",
+            encode(|w| enc_candidates(w, snapshot.candidates())),
+        ),
+        ("forest", encode(|w| enc_forest(w, snapshot.forest()))),
     ];
+    let mut sections: Vec<(String, Vec<u8>)> = merged
+        .into_iter()
+        .map(|(name, bytes)| (name.to_string(), bytes))
+        .collect();
+    for (i, s) in index.shards.iter().enumerate() {
+        let shard_sections = [
+            ("vocab", encode(|w| enc_vocab(w, &s.vocab))),
+            ("docs", encode(|w| enc_docs(w, s.db.docs()))),
+            ("doc_terms", encode(|w| enc_rows(w, s.db.doc_terms_rows()))),
+            ("df", encode(|w| enc_u64s(w, s.db.df_table()))),
+            ("cache", encode(|w| enc_cache(w, &s.cache))),
+            ("ctx_rows", encode(|w| enc_rows(w, &s.ctx.doc_terms))),
+            ("ctx_df", encode(|w| enc_u64s(w, s.ctx.df_table()))),
+            (
+                "ctx_context",
+                encode(|w| enc_rows(w, &s.ctx.doc_context_terms)),
+            ),
+            ("degraded", encode(|w| enc_degraded(w, s.ctx.degraded()))),
+            ("important", encode(|w| enc_rows(w, &s.important))),
+            ("to_merged", encode(|w| enc_terms(w, &s.to_merged))),
+        ];
+        sections.extend(
+            shard_sections
+                .into_iter()
+                .map(|(suffix, bytes)| (format!("shard{i}.{suffix}"), bytes)),
+        );
+    }
     SnapshotPayload {
-        generation: index.generation(),
+        generation: index.generation,
         sections,
     }
 }
 
-fn restore_index(index: &mut FacetIndex<'_>, payload: &SnapshotPayload) -> Result<(), StoreError> {
-    let meta = dec_meta(section(payload, "meta")?, KIND_INDEX).ok_or_else(|| corrupt("meta"))?;
-    let vocab = dec_vocab(section(payload, "vocab")?).ok_or_else(|| corrupt("vocab"))?;
-
-    let mut r = ByteReader::new(section(payload, "docs")?);
-    let docs = dec_docs(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt("docs"))?;
-    let mut r = ByteReader::new(section(payload, "doc_terms")?);
-    let doc_terms = dec_rows(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt("doc_terms"))?;
-    let mut r = ByteReader::new(section(payload, "df")?);
-    let df = dec_u64s(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt("df"))?;
-    let db = TextDatabase::from_parts(docs, doc_terms, df, meta.terming)
-        .ok_or_else(|| corrupt("docs"))?;
-
-    let mut r = ByteReader::new(section(payload, "important")?);
-    let important = dec_rows(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt("important"))?;
-    let cache = dec_cache(section(payload, "cache")?).ok_or_else(|| corrupt("cache"))?;
-
-    let mut r = ByteReader::new(section(payload, "ctx_rows")?);
-    let ctx_rows = dec_rows(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt("ctx_rows"))?;
-    let mut r = ByteReader::new(section(payload, "ctx_df")?);
-    let ctx_df = dec_u64s(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt("ctx_df"))?;
-    let mut r = ByteReader::new(section(payload, "ctx_context")?);
-    let ctx_context = dec_rows(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt("ctx_context"))?;
-    let mut r = ByteReader::new(section(payload, "degraded")?);
-    let degraded = dec_degraded(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt("degraded"))?;
+fn restore_shard(
+    payload: &SnapshotPayload,
+    i: usize,
+    terming: TermingOptions,
+) -> Result<Shard, StoreError> {
+    let name = |suffix: &str| format!("shard{i}.{suffix}");
+    let vocab = decode(payload, &name("vocab"), dec_vocab)?;
+    let docs = decode(payload, &name("docs"), dec_docs)?;
+    let doc_terms = decode(payload, &name("doc_terms"), dec_rows)?;
+    let df = decode(payload, &name("df"), dec_u64s)?;
+    let db = TextDatabase::from_parts(docs, doc_terms, df, terming)
+        .ok_or_else(|| corrupt(&name("docs")))?;
+    let cache = decode(payload, &name("cache"), dec_cache)?;
+    let ctx_rows = decode(payload, &name("ctx_rows"), dec_rows)?;
+    let ctx_df = decode(payload, &name("ctx_df"), dec_u64s)?;
+    let ctx_context = decode(payload, &name("ctx_context"), dec_rows)?;
+    let degraded = decode(payload, &name("degraded"), dec_degraded)?;
     let ctx = ContextualizedDatabase::from_parts(ctx_rows, ctx_df, ctx_context, degraded)
-        .ok_or_else(|| corrupt("ctx_rows"))?;
+        .ok_or_else(|| corrupt(&name("ctx_rows")))?;
+    Ok(Shard {
+        vocab,
+        db,
+        cache,
+        ctx,
+        important: decode(payload, &name("important"), dec_rows)?,
+        to_merged: decode(payload, &name("to_merged"), dec_terms)?,
+    })
+}
 
-    let candidates =
-        dec_candidates(section(payload, "candidates")?).ok_or_else(|| corrupt("candidates"))?;
-    let frozen = vocab.freeze();
-    let forest =
-        dec_forest(section(payload, "forest")?, frozen.clone()).ok_or_else(|| corrupt("forest"))?;
-
-    if payload.generation != meta.generation || db.len() as u64 != meta.n_docs {
+/// Decode a snapshot into `index` (fresh from [`ShardedFacetIndex::new`]
+/// with the persisted shard count). Installs the restored snapshot
+/// through `&mut` access to the lock — a constructor step on an index
+/// no reader holds yet, not a publication.
+fn restore_index(
+    index: &mut ShardedFacetIndex<'_>,
+    payload: &SnapshotPayload,
+) -> Result<(), StoreError> {
+    let meta = decode(payload, "meta", dec_meta)?;
+    if meta.n_shards as usize != index.n_shards() || payload.generation != meta.generation {
         return Err(corrupt("meta"));
     }
+    let merged_vocab = decode(payload, "merged.vocab", dec_vocab)?;
+    let merged_df = decode(payload, "merged.df", dec_u64s)?;
+    let merged_df_c = decode(payload, "merged.df_c", dec_u64s)?;
+    let merged_doc_terms = decode(payload, "merged.doc_terms", dec_rows)?;
+    if merged_doc_terms.len() as u64 != meta.n_docs {
+        return Err(corrupt("merged.doc_terms"));
+    }
+    let candidates = decode(payload, "candidates", dec_candidates)?;
+    let frozen = merged_vocab.freeze();
+    let forest = decode(payload, "forest", |r| dec_forest(r, frozen.clone()))?;
+    let shards = (0..index.n_shards())
+        .map(|i| restore_shard(payload, i, meta.terming.clone()))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let snapshot = FacetSnapshot::assemble(
         meta.generation,
         frozen,
-        Arc::new(ctx.doc_terms.clone()),
+        Arc::new(merged_doc_terms.clone()),
         candidates,
         forest,
-        Arc::new(ctx.degraded().clone()),
+        Arc::new(merged_degraded(&shards)),
     );
-    index.install_state(
-        meta.options,
-        meta.statistic,
-        vocab,
-        db,
-        important,
-        cache,
-        ctx,
-        meta.generation,
-        snapshot,
-    );
+    index.options = meta.options;
+    index.statistic = meta.statistic;
+    index.shards = shards;
+    index.merged_vocab = merged_vocab;
+    index.merged_df = merged_df;
+    index.merged_df_c = merged_df_c;
+    index.merged_doc_terms = merged_doc_terms;
+    index.n_docs = meta.n_docs as usize;
+    index.generation = meta.generation;
+    *index.snapshot.get_mut() = Arc::new(snapshot);
     Ok(())
 }
 
-impl<'a> FacetIndex<'a> {
-    /// Publish the index's entire state as one snapshot generation
-    /// (atomic write, retention, WAL pruning). Returns the generation
-    /// written.
+impl<'a> ShardedFacetIndex<'a> {
+    /// Publish the index's entire state — merged tables plus every
+    /// shard's private vocabulary, cache, contextualized rows, and id
+    /// mapping — as one snapshot generation (atomic write, retention,
+    /// WAL pruning). Returns the generation written.
     ///
     /// # Errors
     /// Any [`StoreError`] from the store; the index itself is untouched.
@@ -675,46 +622,43 @@ impl<'a> FacetIndex<'a> {
     }
 
     /// Recover an index from a store: newest verified snapshot, then
-    /// replay of the WAL tail through the live [`FacetIndex::append`] /
-    /// [`FacetIndex::repair`] paths. `options` applies only when the
-    /// store is empty (a fresh directory); a persisted snapshot restores
-    /// the options it was built with.
+    /// replay of the WAL tail through the live
+    /// [`ShardedFacetIndex::append`] / [`ShardedFacetIndex::repair`]
+    /// paths. `n_shards` must match the persisted shard count (the
+    /// partition function is part of document identity); `options`
+    /// applies only when the store is empty (a fresh directory) — a
+    /// persisted snapshot restores the options it was built with.
     ///
     /// # Errors
-    /// [`StoreError`] from recovery, decoding, or a replayed publication
-    /// that diverges from its record ([`StoreError::ReplayFailed`]).
+    /// [`StoreError`] from recovery, decoding (including a shard-count
+    /// mismatch or a snapshot of another [`STATE_VERSION`]), or a
+    /// replayed publication that diverges from its record
+    /// ([`StoreError::ReplayFailed`]).
     pub fn open_from(
         store: &FacetStore,
+        n_shards: usize,
         extractors: Vec<&'a dyn TermExtractor>,
         resources: Vec<&'a dyn ContextResource>,
         options: PipelineOptions,
     ) -> Result<(Self, RecoveryReport), StoreError> {
         let recovery = store.recover()?;
-        let mut index = FacetIndex::new(extractors, resources, options);
+        let mut index = ShardedFacetIndex::new(n_shards, extractors, resources, options);
         if recovery.snapshot.generation > 0 || !recovery.snapshot.sections.is_empty() {
             restore_index(&mut index, &recovery.snapshot)?;
         }
         for record in &recovery.tail {
-            match dec_record(record)? {
-                ReplayOp::Append(docs) => {
-                    let stats = index
-                        .append(docs)
-                        .map_err(|e| replay_failed(record.seq, e.to_string()))?;
-                    check_replayed_generation(record.seq, stats.generation)?;
-                }
-                ReplayOp::Repair => {
-                    let stats = index
-                        .repair()
-                        .map_err(|e| replay_failed(record.seq, e.to_string()))?;
-                    check_replayed_generation(record.seq, stats.generation)?;
-                }
+            let landed = match dec_record(record)? {
+                ReplayOp::Append(docs) => index.append(docs).map(|s| s.generation),
+                ReplayOp::Repair => index.repair().map(|s| s.generation),
             }
+            .map_err(|e| replay_failed(record.seq, e.to_string()))?;
+            check_replayed_generation(record.seq, landed)?;
         }
         Ok((index, recovery.report))
     }
 
-    /// [`FacetIndex::append`] with log-ahead durability: the batch is
-    /// written to the WAL (sequence = the generation the append will
+    /// [`ShardedFacetIndex::append`] with log-ahead durability: the batch
+    /// is written to the WAL (sequence = the generation the append will
     /// publish) *before* it is applied, so a crash at any point replays
     /// to a state that includes every acknowledged batch.
     ///
@@ -727,326 +671,29 @@ impl<'a> FacetIndex<'a> {
         batch: Vec<Document>,
         store: &FacetStore,
     ) -> Result<AppendStats, IndexError> {
-        store.log_record(self.generation() + 1, &enc_append_payload(&batch))?;
+        let record = encode(|w| {
+            w.u8(RECORD_APPEND);
+            enc_docs(w, &batch);
+        });
+        store.log_record(self.generation + 1, &record)?;
         self.append(batch)
     }
 
-    /// [`FacetIndex::repair`] with durability: a pass that published a
-    /// new generation appends a repair record *after* applying (a no-op
-    /// pass logs nothing — it published nothing to recover).
+    /// [`ShardedFacetIndex::repair`] with durability: a pass that
+    /// published a new generation appends a repair record *after*
+    /// applying (a no-op pass logs nothing — it published nothing to
+    /// recover).
     ///
     /// # Errors
     /// Any [`IndexError`] from the repair; [`IndexError::Store`] if the
     /// repair published but its record could not be logged (the caller
-    /// should [`FacetIndex::persist_to`] promptly — until then the
+    /// should [`ShardedFacetIndex::persist_to`] promptly — until then the
     /// on-disk history ends one generation early).
     pub fn repair_logged(&mut self, store: &FacetStore) -> Result<RepairStats, IndexError> {
-        let before = self.generation();
+        let before = self.generation;
         let stats = self.repair()?;
         if stats.generation > before {
-            store.log_record(stats.generation, &enc_repair_payload())?;
-        }
-        Ok(stats)
-    }
-}
-
-// ---------------------------------------------------------------------
-// ShardedFacetIndex sections: merged tables + per-shard state.
-// ---------------------------------------------------------------------
-
-fn encode_sharded(index: &ShardedFacetIndex<'_>) -> SnapshotPayload {
-    let (merged_vocab, merged_df, merged_df_c, merged_doc_terms) = index.merged_state();
-    let snapshot = index.snapshot();
-    let mut sections = vec![
-        (
-            "meta".to_string(),
-            enc_meta(&Meta {
-                kind: KIND_SHARDED,
-                generation: index.generation(),
-                statistic: index.statistic(),
-                options: index.options().clone(),
-                terming: TermingOptions::default(),
-                n_shards: index.n_shards() as u32,
-                n_docs: index.len() as u64,
-            }),
-        ),
-        ("merged.vocab".to_string(), enc_vocab(merged_vocab)),
-        ("merged.df".to_string(), {
-            let mut w = ByteWriter::new();
-            enc_u64s(&mut w, merged_df);
-            w.finish()
-        }),
-        ("merged.df_c".to_string(), {
-            let mut w = ByteWriter::new();
-            enc_u64s(&mut w, merged_df_c);
-            w.finish()
-        }),
-        ("merged.doc_terms".to_string(), {
-            let mut w = ByteWriter::new();
-            enc_rows(&mut w, merged_doc_terms);
-            w.finish()
-        }),
-        (
-            "candidates".to_string(),
-            enc_candidates(snapshot.candidates()),
-        ),
-        ("forest".to_string(), enc_forest(snapshot.forest())),
-    ];
-    for i in 0..index.n_shards() {
-        let s = index.shard_state(i);
-        sections.push((format!("shard{i}.vocab"), enc_vocab(s.vocab)));
-        sections.push((format!("shard{i}.docs"), {
-            let mut w = ByteWriter::new();
-            enc_docs(&mut w, s.db.docs());
-            w.finish()
-        }));
-        sections.push((format!("shard{i}.doc_terms"), {
-            let mut w = ByteWriter::new();
-            enc_rows(&mut w, s.db.doc_terms_rows());
-            w.finish()
-        }));
-        sections.push((format!("shard{i}.df"), {
-            let mut w = ByteWriter::new();
-            enc_u64s(&mut w, s.db.df_table());
-            w.finish()
-        }));
-        sections.push((format!("shard{i}.cache"), enc_cache(s.cache)));
-        sections.push((format!("shard{i}.ctx_rows"), {
-            let mut w = ByteWriter::new();
-            enc_rows(&mut w, &s.ctx.doc_terms);
-            w.finish()
-        }));
-        sections.push((format!("shard{i}.ctx_df"), {
-            let mut w = ByteWriter::new();
-            enc_u64s(&mut w, s.ctx.df_table());
-            w.finish()
-        }));
-        sections.push((format!("shard{i}.ctx_context"), {
-            let mut w = ByteWriter::new();
-            enc_rows(&mut w, &s.ctx.doc_context_terms);
-            w.finish()
-        }));
-        sections.push((format!("shard{i}.degraded"), {
-            let mut w = ByteWriter::new();
-            enc_degraded(&mut w, s.ctx.degraded());
-            w.finish()
-        }));
-        sections.push((format!("shard{i}.important"), {
-            let mut w = ByteWriter::new();
-            enc_rows(&mut w, s.important);
-            w.finish()
-        }));
-        sections.push((format!("shard{i}.to_merged"), {
-            let mut w = ByteWriter::new();
-            enc_terms(&mut w, s.to_merged);
-            w.finish()
-        }));
-    }
-    SnapshotPayload {
-        generation: index.generation(),
-        sections,
-    }
-}
-
-fn restore_shard(
-    payload: &SnapshotPayload,
-    i: usize,
-    terming: TermingOptions,
-) -> Result<ShardState, StoreError> {
-    let name = |suffix: &str| format!("shard{i}.{suffix}");
-    let vocab =
-        dec_vocab(section(payload, &name("vocab"))?).ok_or_else(|| corrupt(&name("vocab")))?;
-    let mut r = ByteReader::new(section(payload, &name("docs"))?);
-    let docs = dec_docs(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt(&name("docs")))?;
-    let mut r = ByteReader::new(section(payload, &name("doc_terms"))?);
-    let doc_terms = dec_rows(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt(&name("doc_terms")))?;
-    let mut r = ByteReader::new(section(payload, &name("df"))?);
-    let df = dec_u64s(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt(&name("df")))?;
-    // Shard databases grow via `append_detached`: documents keep their
-    // global archive ids, so the detached (strictly-increasing-id)
-    // validation applies rather than the positional one.
-    let db = TextDatabase::from_parts_detached(docs, doc_terms, df, terming)
-        .ok_or_else(|| corrupt(&name("docs")))?;
-    let cache =
-        dec_cache(section(payload, &name("cache"))?).ok_or_else(|| corrupt(&name("cache")))?;
-    let mut r = ByteReader::new(section(payload, &name("ctx_rows"))?);
-    let ctx_rows = dec_rows(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt(&name("ctx_rows")))?;
-    let mut r = ByteReader::new(section(payload, &name("ctx_df"))?);
-    let ctx_df = dec_u64s(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt(&name("ctx_df")))?;
-    let mut r = ByteReader::new(section(payload, &name("ctx_context"))?);
-    let ctx_context = dec_rows(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt(&name("ctx_context")))?;
-    let mut r = ByteReader::new(section(payload, &name("degraded"))?);
-    let degraded = dec_degraded(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt(&name("degraded")))?;
-    let ctx = ContextualizedDatabase::from_parts(ctx_rows, ctx_df, ctx_context, degraded)
-        .ok_or_else(|| corrupt(&name("ctx_rows")))?;
-    let mut r = ByteReader::new(section(payload, &name("important"))?);
-    let important = dec_rows(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt(&name("important")))?;
-    let mut r = ByteReader::new(section(payload, &name("to_merged"))?);
-    let to_merged = dec_terms(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt(&name("to_merged")))?;
-    Ok(ShardState {
-        vocab,
-        db,
-        cache,
-        ctx,
-        important,
-        to_merged,
-    })
-}
-
-fn restore_sharded(
-    index: &mut ShardedFacetIndex<'_>,
-    payload: &SnapshotPayload,
-) -> Result<(), StoreError> {
-    let meta = dec_meta(section(payload, "meta")?, KIND_SHARDED).ok_or_else(|| corrupt("meta"))?;
-    if meta.n_shards as usize != index.n_shards() || payload.generation != meta.generation {
-        return Err(corrupt("meta"));
-    }
-    let merged_vocab =
-        dec_vocab(section(payload, "merged.vocab")?).ok_or_else(|| corrupt("merged.vocab"))?;
-    let mut r = ByteReader::new(section(payload, "merged.df")?);
-    let merged_df = dec_u64s(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt("merged.df"))?;
-    let mut r = ByteReader::new(section(payload, "merged.df_c")?);
-    let merged_df_c = dec_u64s(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt("merged.df_c"))?;
-    let mut r = ByteReader::new(section(payload, "merged.doc_terms")?);
-    let merged_doc_terms = dec_rows(&mut r)
-        .filter(|_| r.is_empty())
-        .ok_or_else(|| corrupt("merged.doc_terms"))?;
-    if merged_doc_terms.len() as u64 != meta.n_docs {
-        return Err(corrupt("merged.doc_terms"));
-    }
-    let candidates =
-        dec_candidates(section(payload, "candidates")?).ok_or_else(|| corrupt("candidates"))?;
-    let frozen = merged_vocab.freeze();
-    let forest =
-        dec_forest(section(payload, "forest")?, frozen.clone()).ok_or_else(|| corrupt("forest"))?;
-
-    for i in 0..index.n_shards() {
-        let state = restore_shard(payload, i, meta.terming.clone())?;
-        index.install_shard_state(i, state);
-    }
-    let snapshot = FacetSnapshot::assemble(
-        meta.generation,
-        frozen,
-        Arc::new(merged_doc_terms.clone()),
-        candidates,
-        forest,
-        Arc::new(index.merged_degraded_map()),
-    );
-    index.install_merged_state(
-        meta.options,
-        meta.statistic,
-        merged_vocab,
-        merged_df,
-        merged_df_c,
-        merged_doc_terms,
-        meta.n_docs as usize,
-        meta.generation,
-        snapshot,
-    );
-    Ok(())
-}
-
-impl<'a> ShardedFacetIndex<'a> {
-    /// Publish the sharded index's entire state — merged tables plus
-    /// every shard's private vocabulary, cache, contextualized rows, and
-    /// id mapping — as one snapshot generation. Returns the generation
-    /// written.
-    ///
-    /// # Errors
-    /// Any [`StoreError`] from the store; the index itself is untouched.
-    pub fn persist_to(&self, store: &FacetStore) -> Result<u64, StoreError> {
-        let payload = encode_sharded(self);
-        store.publish_snapshot(&payload)?;
-        Ok(payload.generation)
-    }
-
-    /// Recover a sharded index from a store; the sharded counterpart of
-    /// [`FacetIndex::open_from`]. `n_shards` must match the persisted
-    /// shard count (the partition function is part of document
-    /// identity); `options` applies only when the store is empty.
-    ///
-    /// # Errors
-    /// [`StoreError`] from recovery, decoding (including a shard-count
-    /// mismatch), or a diverging replay.
-    pub fn open_from(
-        store: &FacetStore,
-        n_shards: usize,
-        extractors: Vec<&'a dyn TermExtractor>,
-        resources: Vec<&'a dyn ContextResource>,
-        options: PipelineOptions,
-    ) -> Result<(Self, RecoveryReport), StoreError> {
-        let recovery = store.recover()?;
-        let mut index = ShardedFacetIndex::new(n_shards, extractors, resources, options);
-        if recovery.snapshot.generation > 0 || !recovery.snapshot.sections.is_empty() {
-            restore_sharded(&mut index, &recovery.snapshot)?;
-        }
-        for record in &recovery.tail {
-            match dec_record(record)? {
-                ReplayOp::Append(docs) => {
-                    let stats = index
-                        .append(docs)
-                        .map_err(|e| replay_failed(record.seq, e.to_string()))?;
-                    check_replayed_generation(record.seq, stats.generation)?;
-                }
-                ReplayOp::Repair => {
-                    let stats = index
-                        .repair()
-                        .map_err(|e| replay_failed(record.seq, e.to_string()))?;
-                    check_replayed_generation(record.seq, stats.generation)?;
-                }
-            }
-        }
-        Ok((index, recovery.report))
-    }
-
-    /// [`ShardedFacetIndex::append`] with log-ahead durability; see
-    /// [`FacetIndex::append_logged`].
-    ///
-    /// # Errors
-    /// [`IndexError::Store`] if the WAL write fails (nothing applied),
-    /// or any [`IndexError`] from the append.
-    pub fn append_logged(
-        &mut self,
-        batch: Vec<Document>,
-        store: &FacetStore,
-    ) -> Result<ShardedAppendStats, IndexError> {
-        store.log_record(self.generation() + 1, &enc_append_payload(&batch))?;
-        self.append(batch)
-    }
-
-    /// [`ShardedFacetIndex::repair`] with durability; see
-    /// [`FacetIndex::repair_logged`].
-    ///
-    /// # Errors
-    /// Any [`IndexError`] from the repair; [`IndexError::Store`] if the
-    /// published pass could not be logged.
-    pub fn repair_logged(&mut self, store: &FacetStore) -> Result<RepairStats, IndexError> {
-        let before = self.generation();
-        let stats = self.repair()?;
-        if stats.generation > before {
-            store.log_record(stats.generation, &enc_repair_payload())?;
+            store.log_record(stats.generation, &encode(|w| w.u8(RECORD_REPAIR)))?;
         }
         Ok(stats)
     }

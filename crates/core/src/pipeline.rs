@@ -4,8 +4,8 @@
 //! [`TextDatabase`] and runs the stages once. It shares its building
 //! blocks — the append-based expansion engine and the interning-order
 //! independent [`select_facet_terms_stable`] ranking — with the
-//! incremental [`crate::index::FacetIndex`], so a batch run and a
-//! sequence of index appends over the same corpus produce identical
+//! incremental [`crate::shard::ShardedFacetIndex`], so a batch run and
+//! a sequence of index appends over the same corpus produce identical
 //! facet terms, rankings, and hierarchies.
 
 use crate::config::PipelineOptions;

@@ -122,7 +122,7 @@ pub fn select_facet_terms(
 /// score ties break on the term *string* (then id, unreachable for
 /// distinct strings in one vocabulary).
 ///
-/// This is the ordering the incremental [`crate::index::FacetIndex`] and
+/// This is the ordering the incremental [`crate::shard::ShardedFacetIndex`] and
 /// the one-shot [`crate::pipeline::FacetPipeline`] share: appending a
 /// corpus in batches interleaves context-term interning with later
 /// batches' corpus terms, so ids differ from a one-shot build, but the

@@ -35,8 +35,8 @@
 //! cross-thread interleaving covered by this module's tests and
 //! `tests/serving.rs`.
 
-use crate::index::{FacetSnapshot, IndexError, RepairStats};
-use crate::shard::{ShardedAppendStats, ShardedFacetIndex};
+use crate::index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
+use crate::shard::ShardedFacetIndex;
 use facet_corpus::Document;
 use facet_obs::Recorder;
 use facet_textkit::{FrozenVocabulary, TermId};
@@ -540,7 +540,7 @@ impl<'a> FacetServer<'a> {
     /// # Errors
     /// Propagates [`IndexError`] from the index; the published serving
     /// snapshot is left untouched on error.
-    pub fn append(&mut self, batch: Vec<Document>) -> Result<ShardedAppendStats, IndexError> {
+    pub fn append(&mut self, batch: Vec<Document>) -> Result<AppendStats, IndexError> {
         let stats = self.index.append(batch)?;
         let docs_per_shard = stats.docs_per_shard.clone();
         self.republish(|shard| docs_per_shard.get(shard).is_some_and(|&d| d > 0));
@@ -624,12 +624,20 @@ impl<'a> FacetServer<'a> {
     }
 }
 
+/// One shard's frozen read-side state: the shard's vocabulary at this
+/// instant and its contextualized per-document term rows, sorted so
+/// membership tests binary-search. Rows carry *shard-local* ids, valid
+/// only against the frozen vocabulary.
 fn build_view(index: &ShardedFacetIndex<'_>, shard: usize) -> ShardView {
-    let (vocab, doc_terms) = index.shard_read_state(shard);
+    let s = &index.shards[shard];
+    let mut doc_terms = s.ctx.doc_terms.clone();
+    for row in &mut doc_terms {
+        row.sort_unstable();
+    }
     ShardView {
         shard,
         n_shards: index.n_shards(),
-        vocab,
+        vocab: s.vocab.freeze(),
         doc_terms,
     }
 }

@@ -1,12 +1,20 @@
-//! The sharded facet index: parallel per-shard appends, one merged
-//! snapshot.
+//! The facet index: parallel per-shard appends, one merged snapshot.
 //!
-//! [`crate::index::FacetIndex`] runs its append pipeline on one thread.
-//! For archive-scale ingest the expensive half of an append — Step-1
-//! extraction, Step-2 expansion, and the df delta updates — is
-//! embarrassingly parallel across documents, while Steps 3–4 (selection
-//! and subsumption) are global computations over the full frequency
-//! tables. [`ShardedFacetIndex`] exploits exactly that split:
+//! The paper's MNYT experiment (Section V) is a *growing* archive: the
+//! corpus expands month by month, yet a one-shot pipeline recomputes
+//! Steps 1–4 from scratch on every run. [`ShardedFacetIndex`] keeps the
+//! full pipeline state alive between updates and re-extracts only new
+//! documents, resolves only newly-distinct important terms, delta-updates
+//! both frequency tables, and re-runs selection + subsumption over the
+//! updated tables. Each update atomically swaps in a fresh
+//! [`FacetSnapshot`] that readers hold lock-free while further appends
+//! proceed.
+//!
+//! The expensive half of an append — Step-1 extraction, Step-2
+//! expansion, and the df delta updates — is embarrassingly parallel
+//! across documents, while Steps 3–4 (selection and subsumption) are
+//! global computations over the full frequency tables. The index
+//! exploits exactly that split:
 //!
 //! 1. **Partition.** Documents are assigned round-robin by global
 //!    [`DocId`]: document `g` lives in shard `g % N` at shard-local
@@ -27,27 +35,29 @@
 //!    documents, in global id order, into the merged df/`df_C` tables and
 //!    per-document term sets — O(new documents), not O(corpus).
 //! 4. **Global ranking.** Selection and subsumption run over the merged
-//!    tables through the same [`rank_and_build_forest`] code path the
-//!    unsharded index uses, and the result is published through the same
-//!    atomically-swapped [`FacetSnapshot`].
+//!    tables, and the result is published through one atomically-swapped
+//!    [`FacetSnapshot`].
 //!
-//! **Equivalence invariant:** for every shard count N and thread count,
-//! the published snapshot is string-identical — facet terms, df/`df_C`
-//! statistics, score bits, and forest edges — to a
-//! [`crate::index::FacetIndex`] build of the same corpus. Term ids may
-//! differ (each path interns in its own order), which is why every
-//! ranking decision downstream of the tables is id-order-independent.
+//! **Equivalence invariant:** for every shard count N, thread count, and
+//! batch partition of the corpus, the published snapshot is
+//! string-identical — facet terms, df/`df_C` statistics, score bits, and
+//! forest edges — to one batch run of
+//! [`crate::pipeline::FacetPipeline`] over the same corpus. Term ids may
+//! differ (each path interns in its own order, and context terms
+//! interleave with later batches' corpus terms), which is why ranking
+//! uses [`select_facet_terms_stable`] (string tie-breaks) and every other
+//! stage is id-order-independent by construction.
 //!
 //! The merge is serial and the shard workers are OS threads, so the
 //! speedup ceiling is the parallel fraction of an append (extraction +
-//! expansion + ingest) times the host's core count; on a single-core
-//! host the sharded index degrades to the batch path plus a small
-//! partition/merge overhead.
+//! expansion + ingest) times the host's core count; at one shard the
+//! index is the batch path plus a small partition/merge overhead.
 
 use crate::config::PipelineOptions;
 use crate::hierarchy::FacetForest;
-use crate::index::{rank_and_build_forest, FacetSnapshot, IndexError, RepairStats};
-use crate::selection::SelectionStatistic;
+use crate::index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
+use crate::selection::{select_facet_terms_stable, SelectionInputs, SelectionStatistic};
+use crate::subsumption::{build_subsumption_forest, SubsumptionParams};
 use facet_corpus::db::TermingOptions;
 use facet_corpus::{DocId, Document, TextDatabase};
 use facet_obs::Recorder;
@@ -60,45 +70,24 @@ use facet_termx::{extract_important_terms, TermExtractor};
 use facet_textkit::{InternStats, TermId, Vocabulary};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
-
-/// What one [`ShardedFacetIndex::append`] did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedAppendStats {
-    /// Documents ingested by this append (across all shards).
-    pub docs: usize,
-    /// Documents each shard received from the round-robin partition.
-    pub docs_per_shard: Vec<usize>,
-    /// Important terms resolved for the first time, summed over shards.
-    /// A term new to several shards in the same append counts once per
-    /// shard here; the shared resource cache still answers all but the
-    /// first shard from memory (see `resource_queries`).
-    pub new_distinct_terms: usize,
-    /// Distinct important terms answered from per-shard expansion caches,
-    /// summed over shards.
-    pub reused_terms: usize,
-    /// Queries that actually reached the wrapped resources during this
-    /// append: exactly one per globally-new distinct important term per
-    /// resource, however many shards asked.
-    pub resource_queries: u64,
-    /// The generation of the snapshot this append published.
-    pub generation: u64,
-}
 
 /// One shard's private pipeline state. Term ids in here are meaningful
 /// only against this shard's vocabulary; `to_merged` translates them.
-struct Shard {
-    vocab: Vocabulary,
-    db: TextDatabase,
-    cache: ExpansionCache,
-    ctx: ContextualizedDatabase,
+/// [`crate::persist`] encodes and decodes it field by field.
+pub(crate) struct Shard {
+    pub(crate) vocab: Vocabulary,
+    pub(crate) db: TextDatabase,
+    pub(crate) cache: ExpansionCache,
+    pub(crate) ctx: ContextualizedDatabase,
     /// `I(d)` per shard-local document as shard-local symbols, aligned
     /// with `db` — kept so a repair pass can recompute exactly the
     /// documents that use a re-resolved term.
-    important: Vec<Vec<TermId>>,
+    pub(crate) important: Vec<Vec<TermId>>,
     /// `shard TermId → merged TermId`, extended (never rewritten) at each
     /// merge.
-    to_merged: Vec<TermId>,
+    pub(crate) to_merged: Vec<TermId>,
 }
 
 impl Shard {
@@ -116,34 +105,12 @@ impl Shard {
     }
 }
 
-/// One shard's owned pipeline state, decoded by [`crate::persist`] for
-/// [`ShardedFacetIndex::install_shard_state`]. Mirrors [`Shard`] field
-/// for field; a separate type only because `Shard` stays private.
-pub(crate) struct ShardState {
-    pub vocab: Vocabulary,
-    pub db: TextDatabase,
-    pub cache: ExpansionCache,
-    pub ctx: ContextualizedDatabase,
-    pub important: Vec<Vec<TermId>>,
-    pub to_merged: Vec<TermId>,
-}
-
-/// Borrowed view of one shard's state for [`crate::persist`]'s encoder.
-pub(crate) struct ShardStateRef<'s> {
-    pub vocab: &'s Vocabulary,
-    pub db: &'s TextDatabase,
-    pub cache: &'s ExpansionCache,
-    pub ctx: &'s ContextualizedDatabase,
-    pub important: &'s [Vec<TermId>],
-    pub to_merged: &'s [TermId],
-}
-
 /// Union of the shards' degraded-coverage maps. A term degraded in
 /// several shards appears once; its failed-resource list is identical in
 /// every shard because resources fail (or answer) deterministically per
 /// term.
 // lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
-fn merged_degraded(shards: &[Shard]) -> BTreeMap<String, Vec<String>> {
+pub(crate) fn merged_degraded(shards: &[Shard]) -> BTreeMap<String, Vec<String>> {
     let mut merged = BTreeMap::new();
     for shard in shards {
         for (term, failed) in shard.ctx.degraded() {
@@ -153,35 +120,58 @@ fn merged_degraded(shards: &[Shard]) -> BTreeMap<String, Vec<String>> {
     merged
 }
 
-/// The sharded, incrementally-updatable facet index. See the
+/// The incrementally-updatable facet index over `N ≥ 1` shards. See the
 /// [module docs](self) for the partition/merge design and the
-/// equivalence invariant against [`crate::index::FacetIndex`].
+/// equivalence invariant. The `pub(crate)` fields are the state
+/// [`crate::persist`] encodes and restores; outside this impl, only the
+/// restore path writes them.
+///
+/// ```no_run
+/// # use facet_core::ShardedFacetIndex;
+/// # use facet_core::PipelineOptions;
+/// # fn demo(extractors: Vec<&dyn facet_termx::TermExtractor>,
+/// #         resources: Vec<&dyn facet_resources::ContextResource>,
+/// #         january: Vec<facet_corpus::Document>,
+/// #         february: Vec<facet_corpus::Document>)
+/// #     -> Result<(), facet_core::IndexError> {
+/// let mut index = ShardedFacetIndex::new(1, extractors, resources, PipelineOptions::default());
+/// index.append(january)?;               // initial build
+/// let snapshot = index.snapshot();      // Arc<FacetSnapshot>, lock-free reads
+/// let stats = index.append(february)?;  // incremental: only new terms resolved
+/// assert!(snapshot.generation() < index.snapshot().generation());
+/// # Ok(())
+/// # }
+/// ```
 pub struct ShardedFacetIndex<'a> {
     extractors: Vec<&'a dyn TermExtractor>,
     /// One shared memo per external resource; all shards query through
     /// these, so the wrapped resource sees each distinct term once.
     shared: Vec<CachedResource<&'a dyn ContextResource>>,
-    options: PipelineOptions,
-    statistic: SelectionStatistic,
+    pub(crate) options: PipelineOptions,
+    pub(crate) statistic: SelectionStatistic,
     recorder: Recorder,
-    shards: Vec<Shard>,
+    pub(crate) shards: Vec<Shard>,
     /// The merge-side vocabulary: the union of all shard vocabularies,
     /// interned in merge order.
-    merged_vocab: Vocabulary,
+    pub(crate) merged_vocab: Vocabulary,
     /// df over `D` in merged ids, delta-updated per append.
-    merged_df: Vec<u64>,
+    pub(crate) merged_df: Vec<u64>,
     /// df over `C(D)` in merged ids, delta-updated per append.
-    merged_df_c: Vec<u64>,
+    pub(crate) merged_df_c: Vec<u64>,
     /// Contextualized term sets per document, in global id order.
-    merged_doc_terms: Vec<Vec<TermId>>,
-    n_docs: usize,
-    snapshot: RwLock<Arc<FacetSnapshot>>,
-    generation: u64,
+    pub(crate) merged_doc_terms: Vec<Vec<TermId>>,
+    pub(crate) n_docs: usize,
+    /// The current published snapshot. [`crate::persist`]'s restore
+    /// installs one through `&mut` on an index no reader holds yet; every
+    /// other update goes through [`ShardedFacetIndex::publish`].
+    pub(crate) snapshot: RwLock<Arc<FacetSnapshot>>,
+    pub(crate) generation: u64,
 }
 
 impl<'a> ShardedFacetIndex<'a> {
     /// An empty index over `n_shards` shards (clamped to at least 1) with
-    /// the paper's configuration.
+    /// the paper's configuration (log-likelihood ranking, default
+    /// terming).
     pub fn new(
         n_shards: usize,
         extractors: Vec<&'a dyn TermExtractor>,
@@ -236,11 +226,12 @@ impl<'a> ShardedFacetIndex<'a> {
         self
     }
 
-    /// Attach an observability recorder. Appends record the same
-    /// `append.*` counters as [`crate::index::FacetIndex`], plus
-    /// per-shard span timers (`append.shard0`, `append.shard1`, …; the
-    /// shard workers run on their own threads, so their spans are roots)
-    /// and `append.partition` / `append.merge` around the serial halves.
+    /// Attach an observability recorder. Appends record `append.*` spans
+    /// (`partition`, per-shard `shard0`, `shard1`, …, `merge`, `select`,
+    /// `subsumption`, `swap`; the shard workers run on their own threads
+    /// and carry the full dotted name) and counters (`append.docs`,
+    /// `append.new_distinct_terms`, `append.reused_terms`,
+    /// `append.snapshot_swaps`).
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -271,6 +262,13 @@ impl<'a> ShardedFacetIndex<'a> {
         self.n_docs == 0
     }
 
+    /// Distinct important terms resolved so far, summed over the shards'
+    /// expansion caches (a term resolved in `k` shards counts `k` times;
+    /// at one shard this is the cache size).
+    pub fn resolved_terms(&self) -> usize {
+        self.shards.iter().map(|s| s.cache.len()).sum()
+    }
+
     /// Hit/miss totals of the shared per-resource caches, in resource
     /// order. The miss counts are exactly the queries that reached the
     /// wrapped resources.
@@ -284,126 +282,43 @@ impl<'a> ShardedFacetIndex<'a> {
         self.merged_vocab.stats()
     }
 
-    /// The current snapshot. An `Arc` clone under a short read lock,
-    /// exactly as for [`crate::index::FacetIndex::snapshot`].
+    /// Interner hit/miss/len counters of each shard's private vocabulary,
+    /// in shard order. A shard vocabulary interns every corpus token,
+    /// important term, and context term of its documents, so its hit
+    /// rate measures symbol reuse on the ingest path; at one shard it
+    /// covers the whole corpus.
+    pub fn shard_intern_stats(&self) -> Vec<InternStats> {
+        self.shards.iter().map(|s| s.vocab.stats()).collect()
+    }
+
+    /// The current snapshot. An `Arc` clone under a short read lock:
+    /// callers keep the returned snapshot for as long as they like,
+    /// entirely unaffected by concurrent appends publishing newer
+    /// generations.
     pub fn snapshot(&self) -> Arc<FacetSnapshot> {
         self.snapshot.read().clone()
     }
 
-    /// The configured ranking statistic (persisted in snapshot `meta`).
-    pub(crate) fn statistic(&self) -> SelectionStatistic {
-        self.statistic
-    }
-
-    /// The generation of the currently published snapshot.
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Borrowed persistence view of shard `i`'s private state.
-    pub(crate) fn shard_state(&self, i: usize) -> ShardStateRef<'_> {
-        let s = &self.shards[i];
-        ShardStateRef {
-            vocab: &s.vocab,
-            db: &s.db,
-            cache: &s.cache,
-            ctx: &s.ctx,
-            important: &s.important,
-            to_merged: &s.to_merged,
-        }
-    }
-
-    /// Borrowed persistence view of the merge-side tables:
-    /// `(merged_vocab, merged_df, merged_df_c, merged_doc_terms)`.
-    pub(crate) fn merged_state(&self) -> (&Vocabulary, &[u64], &[u64], &[Vec<TermId>]) {
-        (
-            &self.merged_vocab,
-            &self.merged_df,
-            &self.merged_df_c,
-            &self.merged_doc_terms,
-        )
-    }
-
-    /// Install decoded state for shard `i` ([`crate::persist`] restore).
-    pub(crate) fn install_shard_state(&mut self, i: usize, state: ShardState) {
-        self.shards[i] = Shard {
-            vocab: state.vocab,
-            db: state.db,
-            cache: state.cache,
-            ctx: state.ctx,
-            important: state.important,
-            to_merged: state.to_merged,
-        };
-    }
-
-    /// Install decoded merge-side state and the restored snapshot
-    /// ([`crate::persist`] restore). Replaces the snapshot lock outright
-    /// — a `&mut self` constructor step on an index no reader holds yet,
-    /// not a publication through the lock.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn install_merged_state(
-        &mut self,
-        options: PipelineOptions,
-        statistic: SelectionStatistic,
-        merged_vocab: Vocabulary,
-        merged_df: Vec<u64>,
-        merged_df_c: Vec<u64>,
-        merged_doc_terms: Vec<Vec<TermId>>,
-        n_docs: usize,
-        generation: u64,
-        snapshot: FacetSnapshot,
-    ) {
-        self.options = options;
-        self.statistic = statistic;
-        self.merged_vocab = merged_vocab;
-        self.merged_df = merged_df;
-        self.merged_df_c = merged_df_c;
-        self.merged_doc_terms = merged_doc_terms;
-        self.n_docs = n_docs;
-        self.generation = generation;
-        self.snapshot = RwLock::new(Arc::new(snapshot));
-    }
-
-    /// The union of the shards' degraded maps (what a published merged
-    /// snapshot carries); [`crate::persist`] recomputes it on restore so
-    /// snapshot provenance can never drift from shard state.
-    // lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
-    pub(crate) fn merged_degraded_map(&self) -> BTreeMap<String, Vec<String>> {
-        merged_degraded(&self.shards)
-    }
-
-    /// One shard's frozen read-side state for the serving tier
-    /// ([`crate::serve`]): the shard's vocabulary at this instant and
-    /// its contextualized per-document term rows, sorted so membership
-    /// tests binary-search. Rows carry *shard-local* ids, valid only
-    /// against the returned vocabulary.
-    pub(crate) fn shard_read_state(
-        &self,
-        shard: usize,
-    ) -> (facet_textkit::FrozenVocabulary, Vec<Vec<TermId>>) {
-        let s = &self.shards[shard];
-        let mut rows: Vec<Vec<TermId>> = s.ctx.doc_terms.clone();
-        for row in &mut rows {
-            row.sort_unstable();
-        }
-        (s.vocab.freeze(), rows)
-    }
-
     /// Append a batch of documents and publish a new merged snapshot.
     ///
-    /// Documents get global ids `len()..len()+batch.len()` and are
-    /// round-robined to the shards; the per-shard pipelines (ingest,
-    /// extract, expand) run in parallel, then the serial merge folds only
-    /// the new documents into the merged tables before selection and
-    /// subsumption re-run globally.
+    /// Documents get global ids `len()..len()+batch.len()` — the index
+    /// owns id assignment, so month batches whose ids restart from zero
+    /// can be fed directly — and are round-robined to the shards; the
+    /// per-shard pipelines (ingest, extract, expand) run in parallel,
+    /// then the serial merge folds only the new documents into the
+    /// merged tables before selection and subsumption re-run globally.
     ///
     /// # Errors
     /// Returns [`IndexError`] if a shard's expansion state is corrupted.
-    /// The published snapshot is left untouched; the index itself should
-    /// be discarded, since the failing shard may have ingested documents
-    /// it could not expand.
-    pub fn append(&mut self, mut batch: Vec<Document>) -> Result<ShardedAppendStats, IndexError> {
-        let _append_span = self.recorder.span("append");
+    /// The published snapshot is left untouched, so a serving process
+    /// can keep answering from the previous generation; the index itself
+    /// should be discarded, since the failing shard may have ingested
+    /// documents it could not expand.
+    pub fn append(&mut self, mut batch: Vec<Document>) -> Result<AppendStats, IndexError> {
+        // The span guard borrows its recorder; a clone (one `Arc` bump)
+        // leaves `self` free for the merge and publish steps.
+        let recorder = self.recorder.clone();
+        let _append_span = recorder.span("append");
         _append_span.attr("docs", batch.len() as u64);
         _append_span.attr("shards", self.shards.len() as u64);
         // Capture the trace context here so worker threads (fresh span
@@ -437,7 +352,7 @@ impl<'a> ShardedFacetIndex<'a> {
         };
         let extractors = &self.extractors;
         let shared = &self.shared;
-        let recorder = &self.recorder;
+        let recorder = &recorder;
         let mut results: Vec<Option<Result<AppendOutcome, ExpansionError>>> =
             (0..n).map(|_| None).collect();
         rayon::scope(|s| {
@@ -487,65 +402,10 @@ impl<'a> ShardedFacetIndex<'a> {
             reused_terms += outcome.reused_terms;
         }
 
-        // ---- serial merge: replay the new documents in global order -----
-        {
-            let _span = self.recorder.span("merge");
-            // Extend the id mappings for terms the shards interned in this
-            // append. Shard-order extension is deterministic because each
-            // shard's interning order depends only on its own documents.
-            for shard in &mut self.shards {
-                self.merged_vocab
-                    .extend_remap(&shard.vocab, &mut shard.to_merged);
-            }
-            self.merged_df.resize(self.merged_vocab.len(), 0);
-            self.merged_df_c.resize(self.merged_vocab.len(), 0);
-            for g in start..start + docs {
-                let shard = &self.shards[g % n];
-                let pos = g / n;
-                for t in shard.db.doc_terms(DocId(pos as u32)) {
-                    self.merged_df[shard.to_merged[t.index()].index()] += 1;
-                }
-                // The shard→merged mapping is injective (distinct strings
-                // map to distinct merged ids), so sorting suffices.
-                let mut terms: Vec<TermId> = shard.ctx.doc_terms[pos]
-                    .iter()
-                    .map(|t| shard.to_merged[t.index()])
-                    .collect();
-                terms.sort_unstable();
-                for t in &terms {
-                    self.merged_df_c[t.index()] += 1;
-                }
-                self.merged_doc_terms.push(terms);
-            }
-            self.n_docs += docs;
-        }
-
-        // ---- global ranking + publish -----------------------------------
-        // One freeze per publish: ranking, forest, and snapshot share it.
-        let frozen = self.merged_vocab.freeze();
-        let (candidates, forest) = rank_and_build_forest(
-            &self.merged_df,
-            &self.merged_df_c,
-            self.n_docs as u64,
-            &self.merged_doc_terms,
-            &frozen,
-            self.statistic,
-            &self.options,
-            &self.recorder,
-        );
-        self.generation += 1;
-        {
-            let _span = self.recorder.span("swap");
-            let snapshot = Arc::new(FacetSnapshot::assemble(
-                self.generation,
-                frozen,
-                Arc::new(self.merged_doc_terms.clone()),
-                candidates,
-                forest,
-                Arc::new(merged_degraded(&self.shards)),
-            ));
-            *self.snapshot.write() = snapshot;
-        }
+        // ---- serial merge of the new documents, then publish ------------
+        self.merge_docs(start..start + docs, true);
+        self.n_docs += docs;
+        self.publish();
 
         let queries_after: u64 = self.shared.iter().map(|c| c.stats().misses).sum();
         let intern_after = self.merged_vocab.stats();
@@ -562,7 +422,7 @@ impl<'a> ShardedFacetIndex<'a> {
             .add("append.reused_terms", reused_terms as u64);
         self.recorder.incr("append.snapshot_swaps");
 
-        Ok(ShardedAppendStats {
+        Ok(AppendStats {
             docs,
             docs_per_shard,
             new_distinct_terms,
@@ -572,8 +432,10 @@ impl<'a> ShardedFacetIndex<'a> {
         })
     }
 
-    /// Backfill pass over degraded-coverage terms, the sharded
-    /// counterpart of [`crate::index::FacetIndex::repair`].
+    /// Backfill pass over degraded-coverage terms: re-query exactly the
+    /// important terms recorded in [`FacetSnapshot::degraded`], recompute
+    /// the documents that use a term whose resolution changed, re-rank,
+    /// and publish a new snapshot.
     ///
     /// Each shard re-queries its own degraded terms serially in shard
     /// order (through the shared per-resource caches, so a term degraded
@@ -581,20 +443,25 @@ impl<'a> ShardedFacetIndex<'a> {
     /// recomputes exactly the shard-local documents that use a
     /// re-resolved term. The merged `df_C` table and per-document rows
     /// are then rebuilt by replaying every document in global id order —
-    /// O(corpus), acceptable for a rare backfill — and selection and
-    /// subsumption re-run globally before a new snapshot is published.
-    /// The merged df table over `D` is untouched: repair never changes
-    /// the corpus itself.
+    /// O(corpus), acceptable for a rare backfill. The merged df table
+    /// over `D` is untouched: repair never changes the corpus itself.
     ///
-    /// Stats sum over shards, so a term degraded in `k` shards
-    /// contributes `k` to `requeried_terms`. With no degradation
-    /// outstanding this is a no-op and no snapshot is published.
+    /// Once the failing resources have recovered (e.g. a circuit breaker
+    /// has closed), the repaired snapshot is string-identical — facet
+    /// terms, frequencies, score bits, forest edges, and (empty)
+    /// degradation — to a build that never saw a fault. Terms whose
+    /// resources are still failing keep their provenance and stay
+    /// eligible for the next pass. Stats sum over shards, so a term
+    /// degraded in `k` shards contributes `k` to `requeried_terms`. With
+    /// no degradation outstanding this is a no-op: nothing is re-queried
+    /// and no snapshot is published.
     ///
     /// # Errors
     /// Returns [`IndexError`] if a shard's repair state is corrupted; the
     /// published snapshot is untouched.
     pub fn repair(&mut self) -> Result<RepairStats, IndexError> {
-        let _span = self.recorder.span("repair");
+        let recorder = self.recorder.clone();
+        let _span = recorder.span("repair");
         let resources: Vec<&dyn ContextResource> = self
             .shared
             .iter()
@@ -607,7 +474,7 @@ impl<'a> ShardedFacetIndex<'a> {
                 &shard.important,
                 &resources,
                 &mut shard.vocab,
-                &self.recorder,
+                &recorder,
                 &mut shard.cache,
                 &mut shard.ctx,
             )?;
@@ -616,73 +483,111 @@ impl<'a> ShardedFacetIndex<'a> {
             totals.still_degraded += outcome.still_degraded;
             totals.changed_docs += outcome.changed_docs;
         }
-        if totals.requeried_terms == 0 {
-            totals.generation = self.generation;
-            return Ok(totals);
-        }
-
-        // ---- rebuild merged C(D) state by global-order replay ------------
-        {
-            let _span = self.recorder.span("merge");
-            for shard in &mut self.shards {
-                self.merged_vocab
-                    .extend_remap(&shard.vocab, &mut shard.to_merged);
-            }
-            self.merged_df.resize(self.merged_vocab.len(), 0);
+        if totals.requeried_terms > 0 {
             self.merged_df_c.clear();
-            self.merged_df_c.resize(self.merged_vocab.len(), 0);
             self.merged_doc_terms.clear();
-            let n = self.shards.len();
-            for g in 0..self.n_docs {
-                let shard = &self.shards[g % n];
-                let pos = g / n;
-                let mut terms: Vec<TermId> = shard.ctx.doc_terms[pos]
-                    .iter()
-                    .map(|t| shard.to_merged[t.index()])
-                    .collect();
-                terms.sort_unstable();
-                for t in &terms {
-                    self.merged_df_c[t.index()] += 1;
-                }
-                self.merged_doc_terms.push(terms);
-            }
+            self.merge_docs(0..self.n_docs, false);
+            self.publish();
+            self.recorder.incr("repair.snapshot_swaps");
         }
-
-        // ---- global ranking + publish -----------------------------------
-        let frozen = self.merged_vocab.freeze();
-        let (candidates, forest) = rank_and_build_forest(
-            &self.merged_df,
-            &self.merged_df_c,
-            self.n_docs as u64,
-            &self.merged_doc_terms,
-            &frozen,
-            self.statistic,
-            &self.options,
-            &self.recorder,
-        );
-        self.generation += 1;
-        {
-            let _span = self.recorder.span("swap");
-            let snapshot = Arc::new(FacetSnapshot::assemble(
-                self.generation,
-                frozen,
-                Arc::new(self.merged_doc_terms.clone()),
-                candidates,
-                forest,
-                Arc::new(merged_degraded(&self.shards)),
-            ));
-            *self.snapshot.write() = snapshot;
-        }
-        self.recorder.incr("repair.snapshot_swaps");
         totals.generation = self.generation;
         Ok(totals)
+    }
+
+    /// Fold the documents with global ids in `docs` into the merged
+    /// tables, in global id order: extend every shard's id mapping for
+    /// the terms it interned since the last merge, then add each
+    /// document's contextualized row to `merged_df_c` and
+    /// `merged_doc_terms`. `count_df` also adds the documents' corpus
+    /// terms to `merged_df` (new documents only — repair never changes
+    /// `D`). Recorded as the `merge` span.
+    fn merge_docs(&mut self, docs: Range<usize>, count_df: bool) {
+        let _span = self.recorder.span("merge");
+        // Shard-order extension is deterministic because each shard's
+        // interning order depends only on its own documents.
+        for shard in &mut self.shards {
+            self.merged_vocab
+                .extend_remap(&shard.vocab, &mut shard.to_merged);
+        }
+        self.merged_df.resize(self.merged_vocab.len(), 0);
+        self.merged_df_c.resize(self.merged_vocab.len(), 0);
+        let n = self.shards.len();
+        for g in docs {
+            let shard = &self.shards[g % n];
+            let pos = g / n;
+            if count_df {
+                for t in shard.db.doc_terms(DocId(pos as u32)) {
+                    self.merged_df[shard.to_merged[t.index()].index()] += 1;
+                }
+            }
+            // The shard→merged mapping is injective (distinct strings
+            // map to distinct merged ids), so sorting suffices.
+            let mut terms: Vec<TermId> = shard.ctx.doc_terms[pos]
+                .iter()
+                .map(|t| shard.to_merged[t.index()])
+                .collect();
+            terms.sort_unstable();
+            for t in &terms {
+                self.merged_df_c[t.index()] += 1;
+            }
+            self.merged_doc_terms.push(terms);
+        }
+    }
+
+    /// Re-run Steps 3–4 (selection + subsumption) over the merged tables,
+    /// bump the generation, and atomically swap in the new snapshot —
+    /// the index's one publication point (`Lint.toml` C2). Records the
+    /// `select`, `subsumption`, and `swap` spans.
+    fn publish(&mut self) {
+        // One freeze per publish: ranking, forest, and snapshot share it.
+        let frozen = self.merged_vocab.freeze();
+        let candidates = {
+            let _span = self.recorder.span("select");
+            select_facet_terms_stable(
+                SelectionInputs {
+                    df: &self.merged_df,
+                    df_c: &self.merged_df_c,
+                    n_docs: self.n_docs as u64,
+                },
+                self.statistic,
+                self.options.top_k,
+                self.options.min_df_c,
+                frozen.as_vocabulary(),
+            )
+        };
+        let forest = {
+            let _span = self.recorder.span("subsumption");
+            let terms: Vec<TermId> = candidates.iter().map(|c| c.term).collect();
+            let sub = build_subsumption_forest(
+                &terms,
+                &self.merged_doc_terms,
+                SubsumptionParams {
+                    threshold: self.options.subsumption_threshold,
+                    ..Default::default()
+                },
+            );
+            let df_c = &self.merged_df_c;
+            FacetForest::from_subsumption(&sub, &frozen, |t| {
+                df_c.get(t.index()).copied().unwrap_or(0)
+            })
+        };
+        self.generation += 1;
+        let _span = self.recorder.span("swap");
+        let snapshot = Arc::new(FacetSnapshot::assemble(
+            self.generation,
+            frozen,
+            Arc::new(self.merged_doc_terms.clone()),
+            candidates,
+            forest,
+            Arc::new(merged_degraded(&self.shards)),
+        ));
+        *self.snapshot.write() = snapshot;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::FacetIndex;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -742,13 +647,11 @@ mod tests {
         }
     }
 
-    fn corpus(n: usize) -> Vec<Document> {
-        let texts = [
-            "Jacques Chirac discussed matters with advisers in the capital.",
-            "Angela Merkel spoke with ministers about the budget.",
-            "Tony Blair met union leaders over the strike.",
-            "Jacques Chirac and Angela Merkel held a joint summit briefing.",
-        ];
+    const CHIRAC: &str = "Jacques Chirac discussed matters with advisers in the capital.";
+    const MERKEL: &str = "Angela Merkel spoke with ministers about the budget.";
+
+    /// `n` documents cycling through `texts`, with ids `0..n`.
+    fn docs_of(texts: &[&str], n: usize) -> Vec<Document> {
         (0..n)
             .map(|i| Document {
                 id: DocId(i as u32),
@@ -758,6 +661,18 @@ mod tests {
                 text: texts[i % texts.len()].into(),
             })
             .collect()
+    }
+
+    fn corpus(n: usize) -> Vec<Document> {
+        docs_of(
+            &[
+                CHIRAC,
+                MERKEL,
+                "Tony Blair met union leaders over the strike.",
+                "Jacques Chirac and Angela Merkel held a joint summit briefing.",
+            ],
+            n,
+        )
     }
 
     fn options() -> PipelineOptions {
@@ -823,17 +738,17 @@ mod tests {
     fn sharded_matches_unsharded_for_all_shard_counts() {
         let e = FixedExtractor;
         let r = CountingResource::new();
-        let batch = FacetIndex::build(corpus(24), vec![&e], vec![&r], options()).unwrap();
+        let batch = ShardedFacetIndex::build(corpus(24), 1, vec![&e], vec![&r], options()).unwrap();
         let expected = outputs(&batch.snapshot());
         assert!(!expected.0.is_empty(), "the corpus must yield facet terms");
-        for n in [1, 2, 3, 4, 8] {
+        for n in [2, 3, 4, 8] {
             let r = CountingResource::new();
             let sharded =
                 ShardedFacetIndex::build(corpus(24), n, vec![&e], vec![&r], options()).unwrap();
             assert_eq!(
                 outputs(&sharded.snapshot()),
                 expected,
-                "{n} shards must match the unsharded index"
+                "{n} shards must match the 1-shard index"
             );
         }
     }
@@ -888,7 +803,7 @@ mod tests {
     fn sharded_repair_converges_across_shard_counts() {
         let e = FixedExtractor;
         let r = CountingResource::new();
-        let clean = FacetIndex::build(corpus(24), vec![&e], vec![&r], options()).unwrap();
+        let clean = ShardedFacetIndex::build(corpus(24), 1, vec![&e], vec![&r], options()).unwrap();
         let expected = outputs(&clean.snapshot());
         for n in [1, 2, 3, 4] {
             let faulty = facet_resources::FaultyResource::new(
@@ -1013,5 +928,78 @@ mod tests {
         let docs = engine.docs_with(france);
         let ids: Vec<u32> = docs.iter().map(|d| d.0).collect();
         assert_eq!(ids, vec![0, 3, 4, 7, 8, 11]);
+    }
+
+    #[test]
+    fn append_reuses_resolved_terms() {
+        let e = FixedExtractor;
+        let r = CountingResource::new();
+        let mut index = ShardedFacetIndex::new(1, vec![&e], vec![&r], options());
+        let first = index.append(docs_of(&[CHIRAC], 8)).unwrap();
+        assert_eq!(first.docs, 8);
+        assert_eq!(first.new_distinct_terms, 1);
+        assert_eq!(first.reused_terms, 0);
+        assert_eq!(first.resource_queries, 1);
+
+        // Same entity again: fully served from the cache.
+        let second = index.append(docs_of(&[CHIRAC], 4)).unwrap();
+        assert_eq!(second.new_distinct_terms, 0);
+        assert_eq!(second.reused_terms, 1);
+        assert_eq!(second.resource_queries, 0);
+
+        // A new entity costs exactly one resolution.
+        let third = index.append(docs_of(&[MERKEL], 6)).unwrap();
+        assert_eq!(third.new_distinct_terms, 1);
+        assert_eq!(third.resource_queries, 1);
+        assert_eq!(third.generation, 3);
+        assert_eq!(index.len(), 18);
+        assert_eq!(index.resolved_terms(), 2);
+        assert_eq!(r.queries.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn snapshot_browse_is_read_only_and_shared() {
+        let e = FixedExtractor;
+        let r = CountingResource::new();
+        let mut index =
+            ShardedFacetIndex::build(corpus(12), 1, vec![&e], vec![&r], options()).unwrap();
+        index.append(corpus(12)).unwrap();
+        let snap = index.snapshot();
+        let engine = snap.browse();
+        assert_eq!(engine.n_docs(), 24);
+        let leaders = snap.vocab().get("political leaders").unwrap();
+        assert_eq!(engine.docs_with(leaders).len(), 24);
+        let france = snap.vocab().get("france").unwrap();
+        assert_eq!(engine.docs_with(france).len(), 12);
+        // Reads work from plain `&` across threads (Arc-shared state).
+        let snap2 = Arc::clone(&snap);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let engine = snap2.browse();
+                assert_eq!(engine.select(&[france]).len(), 12);
+            });
+        });
+    }
+
+    #[test]
+    fn degraded_append_records_provenance_in_snapshot() {
+        let e = FixedExtractor;
+        let faulty = facet_resources::FaultyResource::new(
+            CountingResource::new(),
+            facet_resources::FaultPlan::seeded(2, 1000),
+            facet_resources::VirtualClock::new(),
+        );
+        let mut index = ShardedFacetIndex::new(1, vec![&e], vec![&faulty], options());
+        index.append(docs_of(&[CHIRAC], 8)).unwrap();
+        let snap = index.snapshot();
+        assert!(!snap.is_fully_covered());
+        assert_eq!(snap.degraded().len(), 1);
+        assert_eq!(
+            snap.degraded().get("jacques chirac"),
+            Some(&vec!["Counting".to_string()]),
+            "provenance names the failed resource by its real name"
+        );
+        // Context facets are missing while degraded.
+        assert!(!snap.facet_terms().contains(&"france"));
     }
 }

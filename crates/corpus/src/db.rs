@@ -217,34 +217,13 @@ impl TextDatabase {
     /// Rebuild a database from serialized parts.
     ///
     /// Returns `None` when the parts are inconsistent: row count not
-    /// matching the document count, or a document id not matching its
-    /// position (ids are positional by construction).
+    /// matching the document count, or document ids that are not
+    /// strictly increasing. Databases grown with
+    /// [`TextDatabase::append_detached`] keep external ids (e.g. the
+    /// global archive ids of a sharded index), so strict increase — the
+    /// order `append_detached` preserves — is the invariant rather than
+    /// positional ids.
     pub fn from_parts(
-        docs: Vec<Document>,
-        doc_terms: Vec<Vec<TermId>>,
-        df: Vec<u64>,
-        options: TermingOptions,
-    ) -> Option<Self> {
-        if docs.len() != doc_terms.len() {
-            return None;
-        }
-        if docs.iter().enumerate().any(|(i, d)| d.id.index() != i) {
-            return None;
-        }
-        Some(Self {
-            docs,
-            doc_terms,
-            df,
-            options,
-        })
-    }
-
-    /// [`TextDatabase::from_parts`] for databases grown with
-    /// [`TextDatabase::append_detached`]: documents carry external ids
-    /// (e.g. the global archive ids of a sharded index), so instead of
-    /// the positional invariant the ids must be strictly increasing —
-    /// the order `append_detached` preserves.
-    pub fn from_parts_detached(
         docs: Vec<Document>,
         doc_terms: Vec<Vec<TermId>>,
         df: Vec<u64>,

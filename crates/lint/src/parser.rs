@@ -35,7 +35,7 @@ pub struct FnDef {
     /// The bare function name (`append`).
     pub name: String,
     /// Qualified path: module path, enclosing `impl` type if any, and
-    /// the name (`core::index::FacetIndex::append`).
+    /// the name (`core::shard::ShardedFacetIndex::append`).
     pub qual: String,
     /// Parameter names per position; `self` (in any form) is parameter
     /// 0 of methods. Destructured patterns contribute every bound name.

@@ -29,7 +29,7 @@
 //! meaningful), which is why the chaos determinism sweeps either run the
 //! breaker single-threaded or disable it with a high threshold — see
 //! DESIGN.md §14. Degradation recorded either way is repaired by
-//! `FacetIndex::repair` once the breaker closes, and that convergence
+//! `ShardedFacetIndex::repair` once the breaker closes, and that convergence
 //! *is* interleaving-independent.
 
 use crate::clock::VirtualClock;

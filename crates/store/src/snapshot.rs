@@ -95,7 +95,9 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotPayload, StoreError> {
     }
     let generation = r.u64().ok_or_else(|| corrupt("missing generation"))?;
     let count = r.u32().ok_or_else(|| corrupt("missing section count"))?;
-    let mut sections = Vec::with_capacity(count as usize);
+    // A damaged count must not size the allocation: every section frame
+    // takes at least 24 bytes (name length, payload length, checksum).
+    let mut sections = Vec::with_capacity((count as usize).min(r.remaining() / 24));
     for _ in 0..count {
         let name = r
             .str()

@@ -20,10 +20,10 @@
 //! quota is exhausted it returns a typed [`ResourceError`] instead of
 //! answering. The index keeps building with the surviving resources,
 //! records which terms lost coverage (and to which resource), and
-//! [`FacetIndex::repair`] backfills exactly those terms once the quota
+//! [`ShardedFacetIndex::repair`] backfills exactly those terms once the quota
 //! window resets.
 
-use facet_hierarchies::core::{FacetIndex, PipelineOptions};
+use facet_hierarchies::core::{PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{DatasetRecipe, RecipeKind};
 use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::resources::{
@@ -125,8 +125,9 @@ fn main() {
 
     let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
     let resources: Vec<&dyn ContextResource> = vec![&graph_res, &thesaurus];
-    let mut index = FacetIndex::build(
+    let mut index = ShardedFacetIndex::build(
         corpus.db.docs().to_vec(),
+        1,
         extractors,
         resources,
         PipelineOptions {

@@ -1,5 +1,6 @@
 //! A growing news archive: index a month of news day by day with
-//! `FacetIndex::append` instead of rebuilding the pipeline every day.
+//! `ShardedFacetIndex::append` instead of rebuilding the pipeline every
+//! day.
 //!
 //! ```sh
 //! cargo run --release --example incremental_archive
@@ -12,7 +13,7 @@
 //! Readers browse whatever snapshot they hold — appends never block or
 //! invalidate them.
 
-use facet_hierarchies::core::{FacetIndex, PipelineOptions};
+use facet_hierarchies::core::{PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{DatasetRecipe, Document, RecipeKind};
 use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::resources::{CachedResource, ContextResource, WikiGraphResource};
@@ -42,8 +43,9 @@ fn main() {
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
     let resources: Vec<&dyn ContextResource> = vec![&graph_res];
 
-    // One persistent index for the whole month.
-    let mut index = FacetIndex::new(
+    // One persistent single-shard index for the whole month.
+    let mut index = ShardedFacetIndex::new(
+        1,
         extractors,
         resources,
         PipelineOptions {

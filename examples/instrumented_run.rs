@@ -14,7 +14,7 @@
 //! wrapped in a seeded [`FaultyResource`] and a [`ResilientResource`]
 //! (retries + circuit breaker), and the recorder shows the retry and
 //! breaker counters alongside the degraded-coverage provenance and the
-//! [`FacetIndex::repair`] backfill.
+//! [`ShardedFacetIndex::repair`] backfill.
 //!
 //! ```sh
 //! cargo run --release --example instrumented_run -- --trace out.json
@@ -28,7 +28,7 @@
 //! byte-identical across runs. `--folded <path>` additionally writes
 //! folded flamegraph stacks. See DESIGN.md section 15.
 
-use facet_hierarchies::core::{FacetIndex, FacetPipeline, PipelineOptions, ShardedFacetIndex};
+use facet_hierarchies::core::{FacetPipeline, PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{DatasetRecipe, RecipeKind};
 use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::obs::Recorder;
@@ -250,8 +250,9 @@ fn main() {
         expansion: ExpansionOptions { threads: 1 },
         ..Default::default()
     };
-    let mut index = FacetIndex::build(
+    let mut index = ShardedFacetIndex::build(
         corpus.db.docs().to_vec(),
+        1,
         chaos_extractors,
         chaos_resources,
         options.clone(),
@@ -293,8 +294,9 @@ fn main() {
     let graph_res3 = CachedResource::new(WikiGraphResource::new(&graph));
     let clean_extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
     let clean_resources: Vec<&dyn ContextResource> = vec![&graph_res3, &wn_clean];
-    let clean = FacetIndex::build(
+    let clean = ShardedFacetIndex::build(
         corpus.db.docs().to_vec(),
+        1,
         clean_extractors,
         clean_resources,
         options,

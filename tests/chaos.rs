@@ -2,8 +2,8 @@
 //! accurate degraded-coverage provenance, and `repair()` must converge
 //! byte-identically (at the string level — term strings, df/df_C,
 //! score bits, forest edges, provenance) to a build that never saw a
-//! fault, for both `FacetIndex` and `ShardedFacetIndex` across shard
-//! and thread counts.
+//! fault, for `ShardedFacetIndex` across shard and thread counts, with
+//! the 1-shard index as the baseline.
 //!
 //! All fault plans here are **phase mode** ([`FaultPlan`] with
 //! `failures_per_term: None`): whether a term fails is a pure function
@@ -15,7 +15,7 @@
 //! `facet-resources`' unit tests and in the breaker smoke test at the
 //! bottom.
 
-use facet_hierarchies::core::{FacetIndex, FacetSnapshot, PipelineOptions, ShardedFacetIndex};
+use facet_hierarchies::core::{FacetSnapshot, PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::RecipeKind;
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::ner::NerTagger;
@@ -90,14 +90,14 @@ fn faulty_wordnet<'a>(
     )
 }
 
-/// Build an unsharded index over the bundle's corpus with the given
+/// Build a 1-shard index over the bundle's corpus with the given
 /// resources; returns (view, index is dropped).
 fn build_index(b: &DatasetBundle, resources: Vec<&dyn ContextResource>, threads: usize) -> View {
     let tagger = NerTagger::from_world(&b.world);
     let ne = NamedEntityExtractor::new(tagger);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
     let docs = b.corpus.db.docs().to_vec();
-    let index = FacetIndex::build(docs, extractors, resources, options(threads)).unwrap();
+    let index = ShardedFacetIndex::build(docs, 1, extractors, resources, options(threads)).unwrap();
     view(&index.snapshot())
 }
 
@@ -111,16 +111,21 @@ fn same_fault_seed_is_byte_identical_across_threads_shards_and_runs() {
 
     for seed in FAULT_SEEDS {
         let mut reference: Option<View> = None;
-        // Unsharded across thread counts (twice at threads=1 to catch
-        // run-to-run nondeterminism), sharded across shard × thread
-        // grids: one degraded view per seed, everywhere.
+        // One shard across thread counts (twice at threads=1 to catch
+        // run-to-run nondeterminism), then shard × thread grids: one
+        // degraded view per seed, everywhere.
         for threads in [1, 1, 4] {
             let wiki = WikiGraphResource::new(&graph);
             let wn = faulty_wordnet(&b.wordnet, seed, 400);
             let extractors: Vec<&dyn TermExtractor> = vec![&ne];
-            let index =
-                FacetIndex::build(docs.clone(), extractors, vec![&wiki, &wn], options(threads))
-                    .unwrap();
+            let index = ShardedFacetIndex::build(
+                docs.clone(),
+                1,
+                extractors,
+                vec![&wiki, &wn],
+                options(threads),
+            )
+            .unwrap();
             let v = view(&index.snapshot());
             match &reference {
                 None => reference = Some(v),
@@ -208,14 +213,19 @@ fn repair_converges_byte_identical_for_both_index_kinds() {
     assert!(clean.degraded.is_empty());
 
     for seed in FAULT_SEEDS {
-        // Unsharded, across thread counts.
+        // One shard, across thread counts.
         for threads in [1, 4] {
             let wiki = WikiGraphResource::new(&graph);
             let wn = faulty_wordnet(&b.wordnet, seed, 400);
             let extractors: Vec<&dyn TermExtractor> = vec![&ne];
-            let mut index =
-                FacetIndex::build(docs.clone(), extractors, vec![&wiki, &wn], options(threads))
-                    .unwrap();
+            let mut index = ShardedFacetIndex::build(
+                docs.clone(),
+                1,
+                extractors,
+                vec![&wiki, &wn],
+                options(threads),
+            )
+            .unwrap();
             let degraded_count = index.snapshot().degraded().len();
             assert!(degraded_count > 0);
 
@@ -233,7 +243,7 @@ fn repair_converges_byte_identical_for_both_index_kinds() {
             let again = index.repair().unwrap();
             assert_eq!(again.requeried_terms, 0);
         }
-        // Sharded, across shard × thread counts.
+        // Shard × thread counts.
         for (shards, threads) in [(1, 1), (2, 4), (3, 2), (4, 4)] {
             let wiki = WikiGraphResource::new(&graph);
             let wn = faulty_wordnet(&b.wordnet, seed, 400);
@@ -299,7 +309,7 @@ fn resilient_policy_layer_composes_with_the_index() {
             half_open_probes: 1,
         });
     let mut index =
-        FacetIndex::build(docs, extractors, vec![&wiki, &resilient], options(1)).unwrap();
+        ShardedFacetIndex::build(docs, 1, extractors, vec![&wiki, &resilient], options(1)).unwrap();
     let snap = index.snapshot();
     assert!(!snap.is_fully_covered());
     // Provenance names the real resource even through two wrappers.

@@ -1,6 +1,6 @@
 //! Snapshot-serving concurrency: readers hold `Arc<FacetSnapshot>` clones
 //! while a writer appends and swaps in new generations. The contract
-//! (crates/core/src/index.rs) is that a handed-out snapshot is immutable —
+//! (crates/core/src/shard.rs) is that a handed-out snapshot is immutable —
 //! appends never mutate it, they only publish a fresh `Arc` — so a serving
 //! process answers from generation N while generation N+1 is being built.
 
@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
-use facet_hierarchies::core::{FacetIndex, FacetSnapshot, PipelineOptions};
+use facet_hierarchies::core::{FacetSnapshot, PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{Document, RecipeKind};
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::ner::NerTagger;
@@ -47,7 +47,8 @@ fn readers_keep_generation_while_appends_publish_new_ones() {
     let batches: Vec<Vec<Document>> = docs.chunks(30).map(<[Document]>::to_vec).collect();
     assert!(batches.len() >= 3, "need several generations");
 
-    let mut index = FacetIndex::new(
+    let mut index = ShardedFacetIndex::new(
+        1,
         extractors,
         resources,
         PipelineOptions {
@@ -114,7 +115,7 @@ fn snapshot_reads_are_stable_between_appends() {
     let resources: Vec<&dyn ContextResource> = vec![&graph_res];
     let docs: Vec<Document> = bundle.corpus.db.docs().to_vec();
 
-    let mut index = FacetIndex::new(extractors, resources, PipelineOptions::default());
+    let mut index = ShardedFacetIndex::new(1, extractors, resources, PipelineOptions::default());
     index.append(docs[..30].to_vec()).unwrap();
 
     // Without an intervening append, snapshot() hands out the same

@@ -2,9 +2,7 @@
 //! — must be bit-stable given the recipe seeds, including under different
 //! expansion thread counts and index shard counts.
 
-use facet_hierarchies::core::{
-    FacetIndex, FacetPipeline, FacetSnapshot, PipelineOptions, ShardedFacetIndex,
-};
+use facet_hierarchies::core::{FacetPipeline, FacetSnapshot, PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::RecipeKind;
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::ner::NerTagger;
@@ -188,10 +186,10 @@ impl ContextResource for CountedInner<'_> {
 
 #[test]
 fn shard_and_thread_sweep_matches_batch_pipeline() {
-    // The sharded index must reproduce the unsharded build exactly — all
-    // candidate statistics bit-for-bit and all forest edges — for every
-    // shard count and expansion thread count, whether the corpus arrives
-    // in one batch or many.
+    // The index must reproduce the batch pipeline and its own one-shot
+    // 1-shard build exactly — all candidate statistics bit-for-bit and
+    // all forest edges — for every shard count and expansion thread
+    // count, whether the corpus arrives in one batch or many.
     let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
     let tagger = NerTagger::from_world(&bundle.world);
@@ -204,11 +202,17 @@ fn shard_and_thread_sweep_matches_batch_pipeline() {
     };
 
     let batch_res = CachedResource::new(WikiGraphResource::new(&graph));
-    let batch = FacetIndex::build(docs.clone(), vec![&ne], vec![&batch_res], options(1)).unwrap();
+    let batch =
+        ShardedFacetIndex::build(docs.clone(), 1, vec![&ne], vec![&batch_res], options(1)).unwrap();
     let expected = snapshot_rows(&batch.snapshot());
     assert!(!expected.0.is_empty(), "the corpus must yield facet terms");
+    assert_eq!(
+        expected,
+        pipeline_outputs(facet_hierarchies::obs::Recorder::disabled()),
+        "the 1-shard build diverged from the batch pipeline"
+    );
 
-    for n_shards in [1, 2, 4, 8] {
+    for n_shards in [1, 2, 3, 4, 8] {
         for threads in [1, 4] {
             let res = CachedResource::new(WikiGraphResource::new(&graph));
             let extractors: Vec<&dyn TermExtractor> = vec![&ne];
@@ -350,7 +354,6 @@ fn persist_and_reopen_round_trip_is_bit_identical() {
     // candidate statistics bit-for-bit, forest edges, and the snapshot
     // digest — and the reopened index must keep evolving identically
     // (its vocabulary, caches, and frequency tables all survived).
-    use facet_hierarchies::core::{FacetIndex, ShardedFacetIndex};
     use facet_hierarchies::store::FacetStore;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -376,23 +379,24 @@ fn persist_and_reopen_round_trip_is_bit_identical() {
         ..Default::default()
     };
 
-    // Unsharded round trip.
+    // 1-shard round trip.
     {
         let dir = test_dir("flat");
         let store = FacetStore::open(&dir).expect("open store");
         let res = CachedResource::new(WikiGraphResource::new(&graph));
-        let mut live = FacetIndex::build(head.to_vec(), vec![&ne], vec![&res], options.clone())
-            .expect("build");
+        let mut live =
+            ShardedFacetIndex::build(head.to_vec(), 1, vec![&ne], vec![&res], options.clone())
+                .expect("build");
         live.persist_to(&store).expect("persist");
         let res2 = CachedResource::new(WikiGraphResource::new(&graph));
         let (mut reopened, report) =
-            FacetIndex::open_from(&store, vec![&ne], vec![&res2], options.clone())
+            ShardedFacetIndex::open_from(&store, 1, vec![&ne], vec![&res2], options.clone())
                 .expect("open_from");
         assert!(!report.fell_back && !report.tail_truncated);
         assert_eq!(
             snapshot_rows(&reopened.snapshot()),
             snapshot_rows(&live.snapshot()),
-            "reopened flat index diverged from the live one"
+            "reopened 1-shard index diverged from the live one"
         );
         assert_eq!(reopened.snapshot().digest(), live.snapshot().digest());
         live.append(tail.to_vec()).expect("append live");
@@ -400,7 +404,7 @@ fn persist_and_reopen_round_trip_is_bit_identical() {
         assert_eq!(
             snapshot_rows(&reopened.snapshot()),
             snapshot_rows(&live.snapshot()),
-            "the reopened flat index must keep evolving identically"
+            "the reopened 1-shard index must keep evolving identically"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,5 +1,5 @@
 //! Incremental-vs-batch equivalence: a growing archive indexed with
-//! `FacetIndex::append` must produce exactly the facets a one-shot batch
+//! `ShardedFacetIndex::append` must produce exactly the facets a one-shot batch
 //! run produces — the MNYT "month of news" scenario (Section V-A) where
 //! the corpus arrives day by day.
 //!
@@ -8,7 +8,7 @@
 //! is at the string level: facet terms in rank order with their
 //! statistics, and forest edges by label.
 
-use facet_hierarchies::core::{FacetIndex, FacetPipeline, FacetSnapshot, PipelineOptions};
+use facet_hierarchies::core::{FacetPipeline, FacetSnapshot, PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{DatasetRecipe, Document, RecipeKind};
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::ner::NerTagger;
@@ -116,8 +116,9 @@ fn run_all(enabled: bool, n_batches: usize) -> (Outputs, Outputs, IncrementalRun
     };
 
     // Path 2: one-shot index build.
-    let one_shot = FacetIndex::build(
+    let one_shot = ShardedFacetIndex::build(
         docs.clone(),
+        1,
         extractors.clone(),
         resources.clone(),
         options(),
@@ -127,8 +128,8 @@ fn run_all(enabled: bool, n_batches: usize) -> (Outputs, Outputs, IncrementalRun
 
     // Path 3: incremental appends.
     let inc_recorder = recorder(enabled);
-    let mut index =
-        FacetIndex::new(extractors, resources, options()).with_recorder(inc_recorder.clone());
+    let mut index = ShardedFacetIndex::new(1, extractors, resources, options())
+        .with_recorder(inc_recorder.clone());
     let mut appends = Vec::new();
     let mut last_queries = 0u64;
     for batch in batches(&docs, n_batches) {

@@ -14,19 +14,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use facet_hierarchies::core::{
-    FacetIndex, FacetServer, FacetSnapshot, PipelineOptions, ShardedFacetIndex,
+    FacetServer, FacetSnapshot, PipelineOptions, ShardedFacetIndex, STATE_VERSION,
 };
 use facet_hierarchies::corpus::{Document, RecipeKind};
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::resources::{
-    CachedResource, ContextResource, FaultSchedule, VirtualClock, WikiGraphResource,
+    CachedResource, FaultSchedule, VirtualClock, WikiGraphResource,
 };
 use facet_hierarchies::store::{
-    snapshot_file_name, DiskStorage, FacetStore, FaultyStorage, RecoveryReport, Storage,
-    StoreError, WAL_FILE,
+    snapshot_file_name, DiskStorage, FacetStore, FaultyStorage, Storage, StoreError, WAL_FILE,
 };
-use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor};
+use facet_hierarchies::termx::NamedEntityExtractor;
 use facet_hierarchies::wikipedia::WikipediaGraph;
 
 /// Wall-clock-free unique test directory (pid + process-local counter).
@@ -70,82 +69,6 @@ fn snapshot_rows(snap: &FacetSnapshot) -> (Vec<CandidateRow>, Vec<(String, Strin
     (rows, snap.forest().edges())
 }
 
-/// Unifies the two index flavors so the damage matrix runs one script
-/// per topology; `n_shards == 0` means the unsharded [`FacetIndex`].
-enum AnyIndex<'a> {
-    Flat(Box<FacetIndex<'a>>),
-    Sharded(Box<ShardedFacetIndex<'a>>),
-}
-
-impl<'a> AnyIndex<'a> {
-    fn new(
-        n_shards: usize,
-        extractors: Vec<&'a dyn TermExtractor>,
-        resources: Vec<&'a dyn ContextResource>,
-        options: PipelineOptions,
-    ) -> Self {
-        if n_shards == 0 {
-            AnyIndex::Flat(Box::new(FacetIndex::new(extractors, resources, options)))
-        } else {
-            AnyIndex::Sharded(Box::new(ShardedFacetIndex::new(
-                n_shards, extractors, resources, options,
-            )))
-        }
-    }
-
-    fn open_from(
-        store: &FacetStore,
-        n_shards: usize,
-        extractors: Vec<&'a dyn TermExtractor>,
-        resources: Vec<&'a dyn ContextResource>,
-        options: PipelineOptions,
-    ) -> Result<(Self, RecoveryReport), StoreError> {
-        if n_shards == 0 {
-            FacetIndex::open_from(store, extractors, resources, options)
-                .map(|(i, r)| (AnyIndex::Flat(Box::new(i)), r))
-        } else {
-            ShardedFacetIndex::open_from(store, n_shards, extractors, resources, options)
-                .map(|(i, r)| (AnyIndex::Sharded(Box::new(i)), r))
-        }
-    }
-
-    fn append(&mut self, batch: Vec<Document>) {
-        match self {
-            AnyIndex::Flat(i) => {
-                i.append(batch).expect("append");
-            }
-            AnyIndex::Sharded(i) => {
-                i.append(batch).expect("append");
-            }
-        }
-    }
-
-    fn append_logged(&mut self, batch: Vec<Document>, store: &FacetStore) {
-        match self {
-            AnyIndex::Flat(i) => {
-                i.append_logged(batch, store).expect("append_logged");
-            }
-            AnyIndex::Sharded(i) => {
-                i.append_logged(batch, store).expect("append_logged");
-            }
-        }
-    }
-
-    fn persist_to(&self, store: &FacetStore) -> u64 {
-        match self {
-            AnyIndex::Flat(i) => i.persist_to(store).expect("persist_to"),
-            AnyIndex::Sharded(i) => i.persist_to(store).expect("persist_to"),
-        }
-    }
-
-    fn snapshot(&self) -> Arc<FacetSnapshot> {
-        match self {
-            AnyIndex::Flat(i) => i.snapshot(),
-            AnyIndex::Sharded(i) => i.snapshot(),
-        }
-    }
-}
-
 fn options() -> PipelineOptions {
     PipelineOptions {
         top_k: 300,
@@ -154,7 +77,7 @@ fn options() -> PipelineOptions {
 }
 
 /// The acceptance matrix: 3 fault seeds × {clean, torn-tail,
-/// corrupt-section} × {unsharded, 2 shards, 4 shards}. Every cell
+/// corrupt-section} × {1, 2, 4 shards}. Every cell
 /// writes snapshot generations 1 and 2, leaves generation 3 only in the
 /// WAL, damages the files per the scenario, recovers, and must converge
 /// to the reference build's digest and candidate rows.
@@ -171,14 +94,14 @@ fn recovery_matrix_converges_across_seeds_scenarios_and_shards() {
         .collect();
     assert_eq!(chunks.len(), 3, "the matrix script needs three batches");
 
-    for n_shards in [0usize, 2, 4] {
+    for n_shards in [1usize, 2, 4] {
         // The reference: the same three batches applied purely in
         // memory, same topology, no store in the loop.
         let reference = {
             let res = CachedResource::new(WikiGraphResource::new(&graph));
-            let mut idx = AnyIndex::new(n_shards, vec![&ne], vec![&res], options());
+            let mut idx = ShardedFacetIndex::new(n_shards, vec![&ne], vec![&res], options());
             for chunk in &chunks {
-                idx.append(chunk.clone());
+                idx.append(chunk.clone()).expect("append");
             }
             let snap = idx.snapshot();
             (snap.digest(), snapshot_rows(&snap), snap.generation())
@@ -194,13 +117,17 @@ fn recovery_matrix_converges_across_seeds_scenarios_and_shards() {
                 let wal_boundary = {
                     let store = FacetStore::open(&dir).expect("open store");
                     let res = CachedResource::new(WikiGraphResource::new(&graph));
-                    let mut live = AnyIndex::new(n_shards, vec![&ne], vec![&res], options());
-                    live.append_logged(chunks[0].clone(), &store); // gen 1
-                    live.persist_to(&store); // snap-1; WAL pruned
-                    live.append_logged(chunks[1].clone(), &store); // gen 2, record 2
-                    live.persist_to(&store); // snap-2; record 2 retained
+                    let mut live =
+                        ShardedFacetIndex::new(n_shards, vec![&ne], vec![&res], options());
+                    live.append_logged(chunks[0].clone(), &store)
+                        .expect("append_logged"); // gen 1
+                    live.persist_to(&store).expect("persist_to"); // snap-1; WAL pruned
+                    live.append_logged(chunks[1].clone(), &store)
+                        .expect("append_logged"); // gen 2, record 2
+                    live.persist_to(&store).expect("persist_to"); // snap-2; record 2 retained
                     let boundary = fs::metadata(dir.join(WAL_FILE)).expect("wal meta").len();
-                    live.append_logged(chunks[2].clone(), &store); // gen 3, record 3
+                    live.append_logged(chunks[2].clone(), &store)
+                        .expect("append_logged"); // gen 3, record 3
                     assert_eq!(
                         live.snapshot().digest(),
                         reference.0,
@@ -238,9 +165,14 @@ fn recovery_matrix_converges_across_seeds_scenarios_and_shards() {
 
                 let store = FacetStore::open(&dir).expect("reopen store");
                 let res = CachedResource::new(WikiGraphResource::new(&graph));
-                let (mut recovered, report) =
-                    AnyIndex::open_from(&store, n_shards, vec![&ne], vec![&res], options())
-                        .expect("recovery must not error in the matrix");
+                let (mut recovered, report) = ShardedFacetIndex::open_from(
+                    &store,
+                    n_shards,
+                    vec![&ne],
+                    vec![&res],
+                    options(),
+                )
+                .expect("recovery must not error in the matrix");
                 let cell = format!("shards={n_shards} seed={seed:x} scenario={scenario}");
                 match scenario {
                     "clean" => {
@@ -256,7 +188,9 @@ fn recovery_matrix_converges_across_seeds_scenarios_and_shards() {
                         assert_eq!(report.replayed_records, 0, "{cell}");
                         // The torn batch was never durably acknowledged;
                         // the writer retries it after recovery.
-                        recovered.append_logged(chunks[2].clone(), &store);
+                        recovered
+                            .append_logged(chunks[2].clone(), &store)
+                            .expect("append_logged");
                     }
                     "corrupt-section" => {
                         assert!(report.fell_back, "{cell}: fallback expected");
@@ -294,7 +228,7 @@ fn torn_wal_tail_truncates_cleanly_at_every_byte_offset() {
     let dir = test_dir("torn-exhaustive");
     let store = FacetStore::open(&dir).expect("open store");
     let res = CachedResource::new(WikiGraphResource::new(&graph));
-    let mut live = FacetIndex::new(vec![&ne], vec![&res], options());
+    let mut live = ShardedFacetIndex::new(1, vec![&ne], vec![&res], options());
     live.append_logged(head.to_vec(), &store)
         .expect("append head");
     live.persist_to(&store).expect("persist snap-1"); // WAL pruned empty
@@ -303,7 +237,7 @@ fn torn_wal_tail_truncates_cleanly_at_every_byte_offset() {
     let digest_full = live.snapshot().digest();
     let digest_head = {
         let res = CachedResource::new(WikiGraphResource::new(&graph));
-        let mut idx = FacetIndex::new(vec![&ne], vec![&res], options());
+        let mut idx = ShardedFacetIndex::new(1, vec![&ne], vec![&res], options());
         idx.append(head.to_vec()).expect("append head");
         idx.snapshot().digest()
     };
@@ -361,7 +295,8 @@ fn torn_wal_tail_truncates_cleanly_at_every_byte_offset() {
         let s = FacetStore::open(&scratch).expect("open scratch");
         let res = CachedResource::new(WikiGraphResource::new(&graph));
         let (mut recovered, report) =
-            FacetIndex::open_from(&s, vec![&ne], vec![&res], options()).expect("open_from");
+            ShardedFacetIndex::open_from(&s, 1, vec![&ne], vec![&res], options())
+                .expect("open_from");
         if cut == wal.len() {
             assert_eq!(report.replayed_records, 1, "cut={cut}");
             assert_eq!(recovered.snapshot().digest(), digest_full, "cut={cut}");
@@ -420,7 +355,7 @@ fn flipped_byte_in_each_snapshot_section_falls_back_and_converges() {
     {
         let store = FacetStore::open(&dir).expect("open store");
         let res = CachedResource::new(WikiGraphResource::new(&graph));
-        let mut live = FacetIndex::new(vec![&ne], vec![&res], options());
+        let mut live = ShardedFacetIndex::new(1, vec![&ne], vec![&res], options());
         live.append_logged(chunks[0].clone(), &store)
             .expect("append");
         live.persist_to(&store).expect("persist snap-1");
@@ -459,8 +394,9 @@ fn flipped_byte_in_each_snapshot_section_falls_back_and_converges() {
 
         let s = FacetStore::open(&scratch).expect("open scratch");
         let res = CachedResource::new(WikiGraphResource::new(&graph));
-        let (recovered, report) = FacetIndex::open_from(&s, vec![&ne], vec![&res], options())
-            .unwrap_or_else(|e| panic!("section {name}: fallback recovery failed: {e}"));
+        let (recovered, report) =
+            ShardedFacetIndex::open_from(&s, 1, vec![&ne], vec![&res], options())
+                .unwrap_or_else(|e| panic!("section {name}: fallback recovery failed: {e}"));
         assert!(report.fell_back, "section {name}: no fallback");
         assert_eq!(report.generation, 1, "section {name}: wrong generation");
         assert_eq!(report.replayed_records, 2, "section {name}: wrong replay");
@@ -482,6 +418,57 @@ fn flipped_byte_in_each_snapshot_section_falls_back_and_converges() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A snapshot in the previous section layout — `STATE_VERSION` 1, whose
+/// `meta` carried an index-kind byte — is refused with a typed error
+/// naming `meta`: never decoded as current state, never a panic.
+#[test]
+fn version_one_snapshot_is_refused_as_corrupt_meta() {
+    let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+    let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
+    let tagger = NerTagger::from_world(&bundle.world);
+    let ne = NamedEntityExtractor::new(tagger);
+    let docs = bundle.corpus.db.docs().to_vec();
+
+    let dir = test_dir("v1-source");
+    let store = FacetStore::open(&dir).expect("open store");
+    let res = CachedResource::new(WikiGraphResource::new(&graph));
+    let live = ShardedFacetIndex::build(docs, 1, vec![&ne], vec![&res], options()).expect("build");
+    live.persist_to(&store).expect("persist");
+    let mut payload = store.recover().expect("recover").snapshot;
+
+    // Rewrite `meta` into the version-1 layout: version 1, the kind byte
+    // (1 = sharded), then the version-2 fields unchanged.
+    let meta = &mut payload
+        .sections
+        .iter_mut()
+        .find(|(name, _)| name == "meta")
+        .expect("meta section")
+        .1;
+    assert_eq!(
+        meta[..4],
+        STATE_VERSION.to_le_bytes(),
+        "meta leads with the version"
+    );
+    let mut v1 = 1u32.to_le_bytes().to_vec();
+    v1.push(1);
+    v1.extend_from_slice(&meta[4..]);
+    *meta = v1;
+
+    let old_dir = test_dir("v1-snapshot");
+    let old_store = FacetStore::open(&old_dir).expect("open store");
+    old_store
+        .publish_snapshot(&payload)
+        .expect("publish v1 snapshot");
+    let res = CachedResource::new(WikiGraphResource::new(&graph));
+    match ShardedFacetIndex::open_from(&old_store, 1, vec![&ne], vec![&res], options()) {
+        Err(StoreError::CorruptSection { section }) => assert_eq!(section, "meta"),
+        Err(e) => panic!("a version-1 snapshot must be refused as corrupt meta, got: {e}"),
+        Ok(_) => panic!("a version-1 snapshot must be refused"),
+    }
+    fs::remove_dir_all(&dir).ok();
+    fs::remove_dir_all(&old_dir).ok();
+}
+
 /// Seeded [`FaultyStorage`] crash points: the WAL append for batch 2 is
 /// silently damaged (short write, bit flip, or file tear, per seed).
 /// Recovery must either converge after retrying the unacknowledged
@@ -499,7 +486,7 @@ fn seeded_storage_faults_lose_only_unacknowledged_batches() {
         .collect();
     let reference_digest = {
         let res = CachedResource::new(WikiGraphResource::new(&graph));
-        let mut idx = FacetIndex::new(vec![&ne], vec![&res], options());
+        let mut idx = ShardedFacetIndex::new(1, vec![&ne], vec![&res], options());
         for chunk in &chunks {
             idx.append(chunk.clone()).expect("append");
         }
@@ -518,7 +505,7 @@ fn seeded_storage_faults_lose_only_unacknowledged_batches() {
             let store =
                 FacetStore::open_with(faulty.clone() as Arc<dyn Storage>).expect("open store");
             let res = CachedResource::new(WikiGraphResource::new(&graph));
-            let mut live = FacetIndex::new(vec![&ne], vec![&res], options());
+            let mut live = ShardedFacetIndex::new(1, vec![&ne], vec![&res], options());
             live.append_logged(chunks[0].clone(), &store)
                 .expect("append");
             live.persist_to(&store).expect("persist snap-1");
@@ -539,32 +526,38 @@ fn seeded_storage_faults_lose_only_unacknowledged_batches() {
         let store = FacetStore::open(&dir).expect("reopen store");
         let res = CachedResource::new(WikiGraphResource::new(&graph));
         let res_fallback = CachedResource::new(WikiGraphResource::new(&graph));
-        let mut recovered = match FacetIndex::open_from(&store, vec![&ne], vec![&res], options()) {
-            Ok((idx, report)) => {
-                assert_eq!(
-                    report.generation, 1,
-                    "seed={seed:x}: only snap-1 was durable"
-                );
-                assert_eq!(
-                    report.replayed_records, 0,
-                    "seed={seed:x}: the damaged record must not replay"
-                );
-                idx
-            }
-            // A zero-byte short write leaves record 3 contiguous in
-            // the file but non-contiguous in sequence: a typed gap,
-            // never silent loss. The operator discards the WAL.
-            Err(StoreError::WalGap { expected, found }) => {
-                assert_eq!((expected, found), (2, 3), "seed={seed:x}");
-                fs::remove_file(dir.join(WAL_FILE)).expect("discard wal");
-                let (idx, report) =
-                    FacetIndex::open_from(&store, vec![&ne], vec![&res_fallback], options())
-                        .expect("recovery after discarding the WAL");
-                assert_eq!(report.generation, 1, "seed={seed:x}");
-                idx
-            }
-            Err(e) => panic!("seed={seed:x}: unexpected recovery error: {e}"),
-        };
+        let mut recovered =
+            match ShardedFacetIndex::open_from(&store, 1, vec![&ne], vec![&res], options()) {
+                Ok((idx, report)) => {
+                    assert_eq!(
+                        report.generation, 1,
+                        "seed={seed:x}: only snap-1 was durable"
+                    );
+                    assert_eq!(
+                        report.replayed_records, 0,
+                        "seed={seed:x}: the damaged record must not replay"
+                    );
+                    idx
+                }
+                // A zero-byte short write leaves record 3 contiguous in
+                // the file but non-contiguous in sequence: a typed gap,
+                // never silent loss. The operator discards the WAL.
+                Err(StoreError::WalGap { expected, found }) => {
+                    assert_eq!((expected, found), (2, 3), "seed={seed:x}");
+                    fs::remove_file(dir.join(WAL_FILE)).expect("discard wal");
+                    let (idx, report) = ShardedFacetIndex::open_from(
+                        &store,
+                        1,
+                        vec![&ne],
+                        vec![&res_fallback],
+                        options(),
+                    )
+                    .expect("recovery after discarding the WAL");
+                    assert_eq!(report.generation, 1, "seed={seed:x}");
+                    idx
+                }
+                Err(e) => panic!("seed={seed:x}: unexpected recovery error: {e}"),
+            };
 
         // Retry the batches the crash swallowed; the result must be the
         // exact reference state, and a clean round-trip must now work.
@@ -582,7 +575,8 @@ fn seeded_storage_faults_lose_only_unacknowledged_batches() {
         recovered.persist_to(&store).expect("persist recovered");
         let res = CachedResource::new(WikiGraphResource::new(&graph));
         let (reopened, report) =
-            FacetIndex::open_from(&store, vec![&ne], vec![&res], options()).expect("clean reopen");
+            ShardedFacetIndex::open_from(&store, 1, vec![&ne], vec![&res], options())
+                .expect("clean reopen");
         assert!(!report.fell_back, "seed={seed:x}");
         assert_eq!(
             reopened.snapshot().digest(),
