@@ -277,18 +277,9 @@ impl<'a> ShardedFacetIndex<'a> {
     }
 
     /// Interner hit/miss/len counters of the merge-side vocabulary (the
-    /// `intern.{hits,misses,len}` metrics the benchmarks report).
+    /// `textkit.intern.*` metrics `perfbench` reports).
     pub fn intern_stats(&self) -> InternStats {
         self.merged_vocab.stats()
-    }
-
-    /// Interner hit/miss/len counters of each shard's private vocabulary,
-    /// in shard order. A shard vocabulary interns every corpus token,
-    /// important term, and context term of its documents, so its hit
-    /// rate measures symbol reuse on the ingest path; at one shard it
-    /// covers the whole corpus.
-    pub fn shard_intern_stats(&self) -> Vec<InternStats> {
-        self.shards.iter().map(|s| s.vocab.stats()).collect()
     }
 
     /// The current snapshot. An `Arc` clone under a short read lock:

@@ -10,9 +10,9 @@
 //! current directory), prints the text report, optionally writes the
 //! JSON report, and exits non-zero when any `deny` finding exists.
 //! `--verify-report` re-parses a previously written JSON report and
-//! checks its structural invariants (used by `check.sh --lint` and
-//! `--bench-smoke`). `--explain` prints one rule's catalogue entry plus
-//! an example finding produced from the embedded fixtures.
+//! checks its structural invariants (used by `check.sh --lint`).
+//! `--explain` prints one rule's catalogue entry plus an example
+//! finding produced from the embedded fixtures.
 
 use facet_jsonio::JsonValue;
 use facet_lint::config::Severity;

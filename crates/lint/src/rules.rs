@@ -4,7 +4,7 @@
 //! | code | name            | invariant |
 //! |------|-----------------|-----------|
 //! | D1   | `unordered-iter`| no iteration over `HashMap`/`HashSet` unless the result is order-insensitive or sorted |
-//! | D2   | `wall-clock`    | no `Instant::now`/`SystemTime::now`/`std::time` outside obs/bench/eval |
+//! | D2   | `wall-clock`    | no `Instant::now`/`SystemTime::now`/`std::time` outside obs/eval |
 //! | D3   | `unseeded-rng`  | no entropy-seeded RNG construction |
 //! | D4   | `string-keyed-map` | advisory: `String`-keyed `HashMap`/`BTreeMap` in hot paths — intern and index a dense table instead |
 //! | C1   | `concurrency`   | no threading/locking/`unsafe` outside sanctioned sites |
@@ -449,8 +449,7 @@ fn wall_clock(tokens: &[Token], out: &mut Vec<(&'static str, u32, u32, String)>)
                     "wall-clock",
                     tokens[i].line,
                     tokens[i].col,
-                    "`std::time` (beyond `Duration`) is off-limits outside obs/bench/eval"
-                        .to_string(),
+                    "`std::time` (beyond `Duration`) is off-limits outside obs/eval".to_string(),
                 ));
             }
         }

@@ -26,7 +26,11 @@
 //! [`VirtualClock`]) and writes a Chrome trace-event JSON file —
 //! loadable in `chrome://tracing` or <https://ui.perfetto.dev> — that is
 //! byte-identical across runs. `--folded <path>` additionally writes
-//! folded flamegraph stacks. See DESIGN.md section 15.
+//! folded flamegraph stacks. The written trace is then read back, parsed
+//! through `facet-jsonio`, and checked for the expected span tree
+//! (`run` → `append` → `append.shard0` → `resource.query` → `attempt`,
+//! depth ≥ 4); the example exits non-zero if the check fails. See
+//! DESIGN.md section 15.
 
 use facet_hierarchies::core::{FacetPipeline, PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{DatasetRecipe, RecipeKind};
@@ -112,6 +116,80 @@ fn traced_run(trace_out: &str, folded_out: Option<&str>) {
         std::fs::write(folded, tracer.folded_stacks()).expect("write folded stacks");
         println!("wrote {folded} (folded flamegraph stacks)");
     }
+    let written = std::fs::read_to_string(trace_out).expect("read the trace back");
+    match verify_trace(&written) {
+        Ok(depth) => println!("trace verified: required spans present, span-tree depth {depth}"),
+        Err(e) => {
+            eprintln!("trace verification failed: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Spans the traced scenario must export: the causal chain from the
+/// run through one shard's append down to a retried resource query.
+const REQUIRED_SPANS: [&str; 5] = [
+    "run",
+    "append",
+    "append.shard0",
+    "resource.query",
+    "attempt",
+];
+
+/// The minimum depth of the exported span tree.
+const MIN_TRACE_DEPTH: usize = 4;
+
+/// Re-parse a Chrome trace-event export through `facet-jsonio` and check
+/// that it holds every [`REQUIRED_SPANS`] entry as a complete (`"X"`)
+/// event and that its parent chains reach [`MIN_TRACE_DEPTH`]. Returns
+/// the depth of the deepest chain.
+fn verify_trace(json: &str) -> Result<usize, String> {
+    use facet_hierarchies::jsonio::{parse_json, JsonValue};
+    use std::collections::HashMap;
+
+    let trace = parse_json(json).map_err(|e| format!("not valid JSON: {e:?}"))?;
+    let events = trace
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .ok_or("no traceEvents array")?;
+    let mut names = Vec::new();
+    let mut parent_of: HashMap<&str, &str> = HashMap::new();
+    for ev in events {
+        if ev.get("ph").and_then(JsonValue::as_str) != Some("X") {
+            continue;
+        }
+        names.push(ev.get("name").and_then(JsonValue::as_str).unwrap_or(""));
+        let args = ev.get("args");
+        let arg = |key| {
+            args.and_then(|a| a.get(key))
+                .and_then(JsonValue::as_str)
+                .unwrap_or("")
+        };
+        if !arg("span_id").is_empty() {
+            parent_of.insert(arg("span_id"), arg("parent_id"));
+        }
+    }
+    let missing: Vec<&str> = REQUIRED_SPANS
+        .into_iter()
+        .filter(|want| !names.iter().any(|n| n == want))
+        .collect();
+    if !missing.is_empty() {
+        return Err(format!("missing required spans {missing:?}"));
+    }
+    // Roots have an empty parent id; the bound guards against a cycle.
+    let mut depth = 0;
+    for &leaf in parent_of.keys() {
+        let (mut id, mut chain) = (leaf, 0);
+        while !id.is_empty() && chain <= parent_of.len() {
+            chain += 1;
+            id = parent_of.get(id).copied().unwrap_or("");
+        }
+        depth = depth.max(chain);
+    }
+    if depth < MIN_TRACE_DEPTH {
+        return Err(format!("span-tree depth {depth} < {MIN_TRACE_DEPTH}"));
+    }
+    Ok(depth)
 }
 
 fn main() {

@@ -1,42 +1,23 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, and the full test suite.
 #
-# Usage: scripts/check.sh [--tier1|--bench-smoke|--serve-smoke|--store-smoke|--trace-smoke|--lint|--chaos]
+# Usage: scripts/check.sh [--tier1|--trace-smoke|--lint|--chaos]
 #
 #   --tier1        Run exactly the tier-1 gate (release build + tests), the
 #                  command CI and the roadmap treat as the must-stay-green
 #                  bar, plus the sharded-index determinism sweep, the chaos
-#                  (fault-injection) suite, the durability (snapshot + WAL
-#                  recovery) smoke, the trace-export determinism smoke, and
-#                  the facet-lint workspace gate.
-#   --bench-smoke  Run the shard benchmark on a tiny recipe with its
-#                  invariant assertions on (equivalence to the batch build,
-#                  rate arithmetic), and the resilience benchmark with its
-#                  assertions on (fault-free overhead bar, repair
-#                  convergence), then the bench_diff regression gate over
-#                  both smoke reports (per-metric thresholds from
-#                  BENCH_BASELINES.json), so bench-math regressions fail
-#                  fast; also assert the facet-lint JSON report parses, is
-#                  span-sorted, and is byte-identical across runs.
-#   --store-smoke  Run the durability benchmark on a tiny recipe with its
-#                  invariant assertions on (recovery-vs-rebuild speedup
-#                  floor, digest identity of every recovery, fallback on a
-#                  corrupt snapshot, truncation of a torn WAL tail), then
-#                  the bench_diff store-smoke regression gate over the
-#                  smoke report. See DESIGN.md section 18.
-#   --serve-smoke  Run the serving-tier load bench twice on a tiny recipe
-#                  with its invariant assertions on (zero cached-vs-
-#                  uncached byte-identity mismatches, >=2x cached speedup,
-#                  hit-rate arithmetic) and assert the two runs' timing-
-#                  free digest sidecars are byte-identical — the
-#                  deterministic fan-out + merge-at-read contract of
-#                  DESIGN.md section 17.
+#                  (fault-injection) suite, the trace-export determinism
+#                  smoke, the facet-lint workspace gate, and a release
+#                  build of the perfbench workspace (its own Cargo
+#                  workspace, so neither the root build nor the tests
+#                  compile it).
 #   --trace-smoke  Run the seeded `instrumented_run --trace` scenario
-#                  twice, assert the Chrome trace-event exports are
-#                  byte-identical, and verify via bench_diff that the
-#                  trace parses (facet-jsonio) and contains the expected
-#                  span tree (run → append.shard0 → resource.query →
-#                  attempt, depth ≥ 4). See DESIGN.md section 15.
+#                  twice and assert the Chrome trace-event exports are
+#                  byte-identical. Each run re-parses its trace through
+#                  facet-jsonio and exits non-zero unless it holds the
+#                  expected span tree (run → append → append.shard0 →
+#                  resource.query → attempt, depth ≥ 4). See DESIGN.md
+#                  section 15.
 #   --lint         Run the facet-lint workspace gate only: two lint runs
 #                  whose v2 JSON reports must be byte-identical, then the
 #                  tool's --verify-report structural check (non-zero exit
@@ -78,49 +59,7 @@ run_trace_smoke() {
     # The seeded scenario must export byte-identical artifacts.
     cmp target/TRACE_A.json target/TRACE_B.json
     cmp target/TRACE_A.folded target/TRACE_B.folded
-    # The export must parse through facet-jsonio and contain the causal
-    # chain the instrumentation promises, at least 4 levels deep.
-    cargo run -q --release -p facet-bench --bin bench_diff -- \
-        --verify-trace target/TRACE_A.json \
-        --require-span run --require-span append --require-span append.shard0 \
-        --require-span resource.query --require-span attempt \
-        --min-depth 4
 }
-
-run_serve_smoke() {
-    echo "== serve smoke: load_bench --smoke twice + digest determinism"
-    mkdir -p target
-    cargo run -q --release -p facet-bench --bin load_bench -- \
-        --scale 0.1 --queries 120 --smoke \
-        --out target/BENCH_5.smoke.json --digest target/SERVE_A.digest
-    cargo run -q --release -p facet-bench --bin load_bench -- \
-        --scale 0.1 --queries 120 --smoke \
-        --out target/BENCH_5.smoke.json --digest target/SERVE_B.digest
-    # Same configuration => byte-identical browse output digests.
-    cmp target/SERVE_A.digest target/SERVE_B.digest
-}
-
-run_store_smoke() {
-    echo "== store smoke: durability_bench --smoke + bench_diff store-smoke gate"
-    mkdir -p target
-    cargo run -q --release -p facet-bench --bin durability_bench -- \
-        --scale 0.05 --iters 3 --smoke \
-        --out target/BENCH_6.smoke.json
-    cargo run -q --release -p facet-bench --bin bench_diff -- \
-        --spec BENCH_BASELINES.json --profile store-smoke
-}
-
-if [[ "${1:-}" == "--serve-smoke" ]]; then
-    run_serve_smoke
-    echo "Serve smoke passed."
-    exit 0
-fi
-
-if [[ "${1:-}" == "--store-smoke" ]]; then
-    run_store_smoke
-    echo "Store smoke passed."
-    exit 0
-fi
 
 if [[ "${1:-}" == "--lint" ]]; then
     run_lint
@@ -148,41 +87,11 @@ if [[ "${1:-}" == "--tier1" ]]; then
     cargo test -q --test determinism shard
     cargo test -q -p facet-core shard::
     run_chaos
-    run_store_smoke
-    run_serve_smoke
     run_trace_smoke
     run_lint
+    echo "== tier-1: perfbench build"
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
     echo "Tier-1 gate passed."
-    exit 0
-fi
-
-if [[ "${1:-}" == "--bench-smoke" ]]; then
-    echo "== bench smoke: shard_bench --smoke on a tiny recipe"
-    cargo run --release -p facet-bench --bin shard_bench -- \
-        --scale 0.05 --batches 3 --shards 1,2 --smoke \
-        --out target/BENCH_3.smoke.json
-    echo "== bench smoke: resilience_bench --smoke (overhead bar + repair convergence)"
-    # Builds at this scale are ~15 ms, so the mean-with-noise-band needs
-    # more samples than the default to be robust to scheduler noise.
-    cargo run --release -p facet-bench --bin resilience_bench -- \
-        --scale 0.05 --iters 10 --smoke \
-        --out target/BENCH_4.smoke.json
-    echo "== bench smoke: load_bench --smoke (cache identity + speedup bars)"
-    cargo run --release -p facet-bench --bin load_bench -- \
-        --scale 0.1 --queries 120 --smoke \
-        --out target/BENCH_5.smoke.json
-    echo "== bench smoke: bench_diff per-metric regression gate"
-    cargo run -q --release -p facet-bench --bin bench_diff -- \
-        --spec BENCH_BASELINES.json --profile smoke
-    echo "== bench smoke: facet-lint report determinism"
-    # Two runs must produce byte-identical JSON, and the report must parse
-    # and be sorted by (file, line, col, code) — verified by the tool's
-    # own jsonio-backed --verify-report mode.
-    cargo run -q --release -p facet-lint -- --root . --json target/LINT_A.json
-    cargo run -q --release -p facet-lint -- --root . --json target/LINT_B.json
-    cmp target/LINT_A.json target/LINT_B.json
-    cargo run -q --release -p facet-lint -- --verify-report target/LINT_A.json
-    echo "Bench smoke passed."
     exit 0
 fi
 

@@ -12,13 +12,14 @@
 //! "same fault seed ⇒ byte-identical snapshot" a testable invariant.
 //! Attempt-mode schedules and the circuit breaker (whose shed set is
 //! interleaving-dependent by nature) are exercised single-threaded in
-//! `facet-resources`' unit tests and in the breaker smoke test at the
-//! bottom.
+//! `facet-resources`' unit tests and in the breaker smoke test
+//! `resilient_policy_layer_composes_with_the_index`.
 
 use facet_hierarchies::core::{FacetSnapshot, PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::RecipeKind;
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::ner::NerTagger;
+use facet_hierarchies::obs::Recorder;
 use facet_hierarchies::resources::{
     BreakerConfig, ContextResource, ExpansionOptions, FaultPlan, FaultyResource, ResilientResource,
     RetryPolicy, VirtualClock, WikiGraphResource, WordNetHypernymsResource,
@@ -323,4 +324,41 @@ fn resilient_policy_layer_composes_with_the_index() {
     let stats = index.repair().unwrap();
     assert_eq!(stats.still_degraded, 0);
     assert_eq!(view(&index.snapshot()), clean);
+}
+
+#[test]
+fn fault_free_resilience_is_transparent() {
+    // A zero-failure plan with zero simulated latency behind the policy
+    // layer, around the Wikipedia graph (the resource that shapes this
+    // corpus's facets): the wrapped build must equal the raw-resource
+    // build, with no retry, shed or failure counted and no backoff
+    // taken on the shared virtual clock.
+    let b = bundle();
+    let graph = WikipediaGraph::new(&b.wiki.wiki, &b.wiki.redirects);
+
+    let wiki = WikiGraphResource::new(&graph);
+    let wn = WordNetHypernymsResource::new(&b.wordnet);
+    let raw = build_index(&b, vec![&wiki, &wn], 4);
+
+    let clock = VirtualClock::new();
+    let recorder = Recorder::enabled();
+    let plan = FaultPlan {
+        latency_us: (0, 0),
+        ..FaultPlan::seeded(FAULT_SEEDS[0], 0)
+    };
+    let faulty = FaultyResource::new(WikiGraphResource::new(&graph), plan, clock.clone());
+    let resilient = ResilientResource::new(faulty, clock.clone()).with_recorder(&recorder);
+    let wn = WordNetHypernymsResource::new(&b.wordnet);
+    let wrapped = build_index(&b, vec![&resilient, &wn], 4);
+
+    assert_eq!(
+        wrapped, raw,
+        "the policy-wrapped build diverged from the raw build"
+    );
+    let counts = recorder.snapshot_counts_only();
+    for counter in ["retries", "shed", "failures"] {
+        let name = format!("counter.resilient.Wikipedia Graph.{counter}");
+        assert_eq!(counts.get(&name), Some(&0), "{name}");
+    }
+    assert_eq!(clock.now_us(), 0, "a fault-free build must take no backoff");
 }

@@ -212,6 +212,10 @@ fn shard_and_thread_sweep_matches_batch_pipeline() {
         "the 1-shard build diverged from the batch pipeline"
     );
 
+    // The merged vocabulary is content-determined: the same documents in
+    // the same chunks intern the same number of symbols at every shard
+    // count.
+    let mut vocab_len = None;
     for n_shards in [1, 2, 3, 4, 8] {
         for threads in [1, 4] {
             let res = CachedResource::new(WikiGraphResource::new(&graph));
@@ -226,6 +230,12 @@ fn shard_and_thread_sweep_matches_batch_pipeline() {
                 snapshot_rows(&index.snapshot()),
                 expected,
                 "shards={n_shards} threads={threads} diverged from the batch build"
+            );
+            let len = index.intern_stats().len;
+            assert_eq!(
+                *vocab_len.get_or_insert(len),
+                len,
+                "shards={n_shards} threads={threads}: merged vocabulary size changed"
             );
         }
     }

@@ -10,7 +10,7 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use facet_hierarchies::core::{
@@ -25,7 +25,7 @@ use facet_hierarchies::resources::{
 use facet_hierarchies::store::{
     snapshot_file_name, DiskStorage, FacetStore, FaultyStorage, Storage, StoreError, WAL_FILE,
 };
-use facet_hierarchies::termx::NamedEntityExtractor;
+use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor};
 use facet_hierarchies::wikipedia::WikipediaGraph;
 
 /// Wall-clock-free unique test directory (pid + process-local counter).
@@ -207,6 +207,77 @@ fn recovery_matrix_converges_across_seeds_scenarios_and_shards() {
                 fs::remove_dir_all(&dir).ok();
             }
         }
+    }
+}
+
+/// A [`TermExtractor`] wrapper that counts `extract` calls; the index
+/// extracts once per ingested document, so the count is the number of
+/// documents it (re-)extracted.
+struct CountedExtractor<'a> {
+    inner: &'a dyn TermExtractor,
+    calls: AtomicUsize,
+}
+
+impl TermExtractor for CountedExtractor<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn extract(&self, text: &str) -> Vec<String> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.inner.extract(text)
+    }
+}
+
+/// Recovery costs the WAL tail, not the archive: after a snapshot at
+/// generation 3 and `k` more logged batches, `open_from` must run the
+/// extractor on exactly the documents of those `k` batches (none when
+/// `k = 0`) and land on the live index's digest.
+#[test]
+fn recovery_extracts_only_the_wal_tail_documents() {
+    let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+    let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
+    let tagger = NerTagger::from_world(&bundle.world);
+    let ne = NamedEntityExtractor::new(tagger);
+    let docs = bundle.corpus.db.docs().to_vec();
+    let batches: Vec<&[Document]> = docs.chunks(docs.len().div_ceil(6)).collect();
+    let (archive, tail) = batches.split_at(3);
+
+    for k in 0..=tail.len() {
+        let dir = test_dir(&format!("tail-work-{k}"));
+        let store = FacetStore::open(&dir).expect("open store");
+        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let mut live = ShardedFacetIndex::new(2, vec![&ne], vec![&res], options());
+        for batch in archive {
+            live.append_logged(batch.to_vec(), &store)
+                .expect("append_logged");
+        }
+        live.persist_to(&store).expect("persist_to");
+        for batch in &tail[..k] {
+            live.append_logged(batch.to_vec(), &store)
+                .expect("append_logged");
+        }
+
+        let counted = CountedExtractor {
+            inner: &ne,
+            calls: AtomicUsize::new(0),
+        };
+        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let (recovered, report) =
+            ShardedFacetIndex::open_from(&store, 2, vec![&counted], vec![&res], options())
+                .expect("open_from");
+        let tail_docs: usize = tail[..k].iter().map(|b| b.len()).sum();
+        assert_eq!(report.replayed_records, k, "k={k}");
+        assert_eq!(
+            counted.calls.load(Ordering::SeqCst),
+            tail_docs,
+            "k={k}: recovery must extract exactly the WAL-tail documents"
+        );
+        assert_eq!(
+            recovered.snapshot().digest(),
+            live.snapshot().digest(),
+            "k={k}: recovered state diverged from the live index"
+        );
+        fs::remove_dir_all(&dir).ok();
     }
 }
 
