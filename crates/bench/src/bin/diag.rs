@@ -82,11 +82,8 @@ fn main() {
     // Show a web search for the person.
     println!("\nweb search hits for {}:", person.name);
     for h in bundle.web.search(&person.name, 3) {
-        println!(
-            "  [{:.2}] {}",
-            h.score,
-            &h.snippet[..h.snippet.len().min(200)]
-        );
+        let snippet = bundle.web.snippet_text(&h);
+        println!("  [{:.2}] {}", h.score, &snippet[..snippet.len().min(200)]);
     }
 
     // ---- per-cell analysis ---------------------------------------------

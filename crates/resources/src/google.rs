@@ -9,9 +9,8 @@
 //! context terms alongside the true facet terms.
 
 use crate::resource::ContextResource;
-use facet_textkit::{is_stopword, normalize_term, tokens, TokenKind};
+use facet_textkit::{Sym, TokenKind};
 use facet_websearch::SearchEngine;
-use std::collections::BTreeMap;
 
 /// Frequent-snippet-term mining over the web-search substrate.
 pub struct GoogleResource<'a> {
@@ -46,64 +45,67 @@ impl ContextResource for GoogleResource<'_> {
         if hits.is_empty() {
             return Vec::new();
         }
-        let query_words: Vec<String> = term
+        let index = self.engine.index();
+        // A query word no page contains can never equal a snippet word.
+        let query_words: Vec<Sym> = term
             .to_lowercase()
             .split_whitespace()
-            .map(str::to_string)
+            .filter_map(|w| index.sym(w))
             .collect();
-        // Count distinct snippet occurrences per candidate term. A BTreeMap
-        // keeps the phrase-absorption and ranking passes below iterating in
-        // a fixed (lexicographic) order, independent of hasher seeding.
-        // lint:allow(string-keyed-map, reason="backend-internal snippet counting below the resource boundary")
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+        // Every distinct unigram and bigram of each snippet, as u64 keys
+        // over the engine's symbols: a unigram is its symbol, a bigram
+        // `p w` is `(p + 1) << 32 | w`, so all unigram keys sort before
+        // all bigram keys.
+        let mut keys: Vec<u64> = Vec::new();
+        let mut hit_keys: Vec<u64> = Vec::new();
         for hit in &hits {
-            let mut seen: Vec<String> = Vec::new();
-            let toks = tokens(&hit.snippet);
-            let mut prev: Option<String> = None;
-            for t in &toks {
-                if t.kind != TokenKind::Word {
+            hit_keys.clear();
+            let mut prev: Option<Sym> = None;
+            for (w, kind) in self.engine.snippet_tokens(hit) {
+                if kind != TokenKind::Word || !index.is_index_term(w) || query_words.contains(&w) {
                     prev = None;
                     continue;
                 }
-                let w = normalize_term(t.text);
-                if is_stopword(&w) || w.len() < 2 || query_words.contains(&w) {
-                    prev = None;
-                    continue;
-                }
-                if !seen.contains(&w) {
-                    seen.push(w.clone());
-                }
-                if let Some(p) = &prev {
-                    let bigram = format!("{p} {w}");
-                    if !seen.contains(&bigram) {
-                        seen.push(bigram);
-                    }
+                hit_keys.push(u64::from(w.0));
+                if let Some(p) = prev {
+                    hit_keys.push((u64::from(p.0) + 1) << 32 | u64::from(w.0));
                 }
                 prev = Some(w);
             }
-            for s in seen {
-                *counts.entry(s).or_insert(0) += 1;
+            hit_keys.sort_unstable();
+            hit_keys.dedup();
+            keys.extend_from_slice(&hit_keys);
+        }
+        // Snippet counts per key: sort, then run-length.
+        keys.sort_unstable();
+        let mut counts: Vec<(u64, usize)> = Vec::new();
+        for key in keys {
+            match counts.last_mut() {
+                Some((last, c)) if *last == key => *c += 1,
+                _ => counts.push((key, 1)),
             }
         }
         // Phrase absorption: a unigram that only ever occurs inside a
         // counted phrase ("organizations" inside "international
         // organizations") is subtracted away, so fragments do not shadow
         // the phrases they belong to.
-        let phrase_counts: Vec<(String, usize)> = counts
-            .iter()
-            .filter(|(t, _)| t.contains(' '))
-            .map(|(t, c)| (t.clone(), *c))
-            .collect();
-        for (phrase, c) in &phrase_counts {
-            for word in phrase.split(' ') {
-                if let Some(u) = counts.get_mut(word) {
-                    *u = u.saturating_sub(*c);
+        let n_unigrams = counts.partition_point(|(k, _)| k >> 32 == 0);
+        let (unigrams, bigrams) = counts.split_at_mut(n_unigrams);
+        for &(key, c) in bigrams.iter() {
+            for word in [(key >> 32) - 1, key & 0xffff_ffff] {
+                if let Ok(i) = unigrams.binary_search_by_key(&word, |&(k, _)| k) {
+                    unigrams[i].1 = unigrams[i].1.saturating_sub(c);
                 }
             }
         }
+        let text = |word: u64| index.resolve(Sym(word as u32));
         let mut ranked: Vec<(String, usize)> = counts
             .into_iter()
-            .filter(|(_, c)| *c >= self.min_snippet_count)
+            .filter(|&(_, c)| c >= self.min_snippet_count)
+            .map(|(key, c)| match key >> 32 {
+                0 => (text(key).to_string(), c),
+                p => (format!("{} {}", text(p - 1), text(key & 0xffff_ffff)), c),
+            })
             .collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         ranked
@@ -180,9 +182,8 @@ mod tests {
 
     #[test]
     fn ranking_is_deterministic_across_runs() {
-        // Guards the BTreeMap-backed counting: the ranked term list must
-        // come out identical on every run (count descending, then
-        // lexicographic), independent of hasher seeding.
+        // The ranked term list must come out identical on every run
+        // (count descending, then lexicographic).
         let e = engine();
         let first = GoogleResource::new(&e).context_terms("Chirac");
         for _ in 0..5 {

@@ -3,7 +3,8 @@
 use crate::index::{index_terms, InvertedIndex, WebDocId, WebPage};
 use crate::rank::{bm25_rank, Bm25Params};
 use facet_obs::{Counter, HistogramHandle, Recorder};
-use facet_textkit::tokens;
+use facet_textkit::{tokens, Sym, TokenKind};
+use std::ops::Range;
 
 /// One search result.
 #[derive(Debug, Clone)]
@@ -12,8 +13,10 @@ pub struct SearchHit {
     pub doc: WebDocId,
     /// BM25 score.
     pub score: f64,
-    /// Result snippet (a token window around the first query hit).
-    pub snippet: String,
+    /// Result snippet: a window of the engine's token table around the
+    /// first query hit, read through [`SearchEngine::snippet_tokens`] and
+    /// [`SearchEngine::snippet_text`].
+    snippet: Range<u32>,
 }
 
 /// A search engine over a fixed web corpus.
@@ -31,7 +34,7 @@ pub struct SearchEngine {
 }
 
 impl SearchEngine {
-    /// Index `pages` and return the engine.
+    /// Tokenize and index `pages` and return the engine.
     pub fn new(pages: Vec<WebPage>) -> Self {
         let index = InvertedIndex::build(&pages);
         Self {
@@ -78,41 +81,67 @@ impl SearchEngine {
         // The wall clock stays inside facet-obs: a live latency handle
         // times the query, a noop handle runs it untimed.
         self.latency.time_if(|| {
-            let q_terms = index_terms(query);
-            let ranked = bm25_rank(&self.index, &q_terms, self.params);
-            ranked
+            // A query term no page contains can neither score nor hit.
+            let q_syms: Vec<Sym> = index_terms(query)
+                .iter()
+                .filter_map(|t| self.index.sym(t))
+                .collect();
+            bm25_rank(&self.index, &q_syms, self.params, k)
                 .into_iter()
-                .take(k)
                 .map(|(doc, score)| SearchHit {
                     doc,
                     score,
-                    snippet: self.snippet(doc, &q_terms),
+                    snippet: self.snippet(doc, &q_syms),
                 })
                 .collect()
         })
     }
 
-    /// Build a snippet for `doc`: a window of `snippet_radius` tokens on
-    /// each side of the first occurrence of any query term; the page start
-    /// if nothing matches.
-    fn snippet(&self, doc: WebDocId, q_terms: &[String]) -> String {
-        let text = self.pages[doc.index()].full_text();
-        let toks = tokens(&text);
-        let hit = toks
-            .iter()
-            .position(|t| {
-                let w = t.text.to_lowercase();
-                q_terms.contains(&w)
-            })
+    /// The snippet window for `doc`: `snippet_radius` tokens on each side
+    /// of the first token whose lowercase text is a query term; the page
+    /// start if nothing matches.
+    fn snippet(&self, doc: WebDocId, q_syms: &[Sym]) -> Range<u32> {
+        let page = self.index.page_tokens(doc);
+        let hit = page
+            .clone()
+            .position(|t| q_syms.contains(&self.index.token_sym(t)))
             .unwrap_or(0);
         let start = hit.saturating_sub(self.snippet_radius);
-        let end = (hit + self.snippet_radius + 1).min(toks.len());
-        if start >= end {
+        let end = hit
+            .saturating_add(self.snippet_radius)
+            .saturating_add(1)
+            .min(page.len());
+        // Both bounds lie within the page, so they fit its u32 positions;
+        // an empty page gives an empty window.
+        let at = |i: usize| page.start + i as u32;
+        at(start)..at(end)
+    }
+
+    /// The tokens of `hit`'s snippet as `(symbol, class)`, where a word's
+    /// symbol is that of its [`facet_textkit::normalize_term`] text (look
+    /// it up with [`InvertedIndex::resolve`] and
+    /// [`InvertedIndex::is_index_term`]).
+    pub fn snippet_tokens(&self, hit: &SearchHit) -> impl Iterator<Item = (Sym, TokenKind)> + '_ {
+        self.index.folded_tokens(hit.snippet.clone())
+    }
+
+    /// The text of `hit`'s snippet, as it appears on the page.
+    ///
+    /// The token table keeps no byte offsets, so this re-tokenizes the
+    /// page; the hot path (the snippet miner) reads
+    /// [`SearchEngine::snippet_tokens`] instead.
+    pub fn snippet_text(&self, hit: &SearchHit) -> String {
+        let page = self.index.page_tokens(hit.doc).start;
+        let (first, end) = (
+            (hit.snippet.start - page) as usize,
+            (hit.snippet.end - page) as usize,
+        );
+        if first == end {
             return String::new();
         }
-        let byte_start = toks[start].start;
-        let byte_end = toks[end - 1].end;
-        text[byte_start..byte_end].to_string()
+        let text = self.page(hit.doc).full_text();
+        let toks = tokens(&text);
+        text[toks[first].start..toks[end - 1].end].to_string()
     }
 }
 
@@ -142,7 +171,7 @@ mod tests {
         let e = engine();
         let hits = e.search("France summit", 5);
         assert_eq!(hits[0].doc, WebDocId(0));
-        assert!(hits[0].snippet.to_lowercase().contains("summit"));
+        assert!(e.snippet_text(&hits[0]).to_lowercase().contains("summit"));
     }
 
     #[test]
@@ -172,11 +201,34 @@ mod tests {
     }
 
     #[test]
+    fn snippet_text_is_the_token_window_around_the_first_hit() {
+        let mut e = engine();
+        e.snippet_radius = 1;
+        let hits = e.search("France", 5);
+        assert_eq!(hits[0].doc, WebDocId(0));
+        // The first hit is the title word, so the window spans the title
+        // and the ". " that joins it to the body.
+        assert_eq!(e.snippet_text(&hits[0]), "France summit");
+        e.snippet_radius = 3;
+        let hits = e.search("trade", 5);
+        assert_eq!(e.snippet_text(&hits[0]), "France to discuss trade.");
+        let words: Vec<&str> = e
+            .snippet_tokens(&hits[0])
+            .map(|(s, _)| e.index().resolve(s))
+            .collect();
+        assert_eq!(words, vec!["france", "to", "discuss", "trade", "."]);
+        e.snippet_radius = 0;
+        let hits = e.search("summit", 5);
+        assert_eq!(e.snippet_text(&hits[0]), "summit");
+    }
+
+    #[test]
     fn snippet_window_bounded() {
         let mut e = engine();
         e.snippet_radius = 2;
         let hits = e.search("trade", 1);
-        let words = hits[0].snippet.split_whitespace().count();
-        assert!(words <= 6, "snippet too long: {}", hits[0].snippet);
+        let snippet = e.snippet_text(&hits[0]);
+        let words = snippet.split_whitespace().count();
+        assert!(words <= 6, "snippet too long: {snippet}");
     }
 }

@@ -1,7 +1,7 @@
-//! Web pages and the inverted index.
+//! Web pages, their token tables, and the inverted index.
 
-use facet_textkit::{is_stopword, tokens, Interner, TokenKind};
-use std::collections::BTreeMap;
+use facet_textkit::{is_stopword, normalize_term, tokens, Interner, Sym, TokenKind};
+use std::ops::Range;
 
 /// Index of a page in the web corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,6 +42,12 @@ pub struct Posting {
     pub tf: u32,
 }
 
+/// True if the lowercase `word` of a word token is an index term: two
+/// bytes or longer and not a stopword.
+fn is_index_word(word: &str) -> bool {
+    word.len() >= 2 && !is_stopword(word)
+}
+
 /// Tokenize text into lowercase index terms (words only, stopwords and
 /// single characters dropped).
 pub fn index_terms(text: &str) -> Vec<String> {
@@ -49,20 +55,50 @@ pub fn index_terms(text: &str) -> Vec<String> {
         .iter()
         .filter(|t| t.kind == TokenKind::Word)
         .map(|t| t.text.to_lowercase())
-        .filter(|w| w.len() >= 2 && !is_stopword(w))
+        .filter(|w| is_index_word(w))
         .collect()
 }
 
-/// An inverted index over web pages.
+/// What the index knows about a symbol's text.
+#[derive(Debug, Clone, Copy)]
+struct SymInfo {
+    /// The lexical class of every token with this text. A token's class
+    /// is a function of its lowercase text: words start with a letter
+    /// (lowercasing keeps letters letters), numbers with an ASCII digit,
+    /// and punctuation is one character that lowercasing leaves alone.
+    kind: TokenKind,
+    /// A word of two or more bytes that is not a stopword.
+    index_term: bool,
+}
+
+/// An inverted index over web pages, plus every page's token table.
 ///
-/// Terms are interned into an arena [`Interner`] and posting lists live
-/// in a dense symbol-indexed table — no per-term `String` keys and no
-/// hash-map iteration order anywhere near the read path.
+/// Each page's full text is tokenized once, at build. Every token's
+/// lowercase text — stopwords, numbers and punctuation included — is
+/// interned into one arena [`Interner`]; the token table keeps each
+/// token's symbol (the i-th entry of a page is the i-th token of
+/// [`tokens`] over its [`WebPage::full_text`]), and the posting lists
+/// live in a dense symbol-indexed table built from the same pass. Only
+/// index terms have postings, and only they count towards
+/// [`InvertedIndex::vocabulary_size`] and [`InvertedIndex::iter`].
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
     terms: Interner,
-    /// Posting lists indexed by the term's symbol.
+    /// Per symbol: class and index-term flag.
+    info: Vec<SymInfo>,
+    /// Posting lists indexed by symbol (empty unless an index term).
     postings: Vec<Vec<Posting>>,
+    /// Symbols with a non-empty posting list.
+    vocabulary: usize,
+    /// The lowercase symbol of every page's tokens, page after page.
+    tokens: Vec<Sym>,
+    /// Page `d`'s tokens are `tokens[page_start[d]..page_start[d + 1]]`.
+    page_start: Vec<u32>,
+    /// `(token, symbol)` for the word tokens whose [`normalize_term`]
+    /// text differs from their lowercase text, sorted by token. The two
+    /// lowercasings disagree only on a word-final capital sigma, which
+    /// `str::to_lowercase` maps to `ς` and a per-character fold to `σ`.
+    folded: Vec<(u32, Sym)>,
     doc_len: Vec<u32>,
     total_len: u64,
 }
@@ -70,47 +106,120 @@ pub struct InvertedIndex {
 impl InvertedIndex {
     /// Build the index over `pages` (ids must be dense from zero).
     pub fn build(pages: &[WebPage]) -> Self {
-        let mut terms_tab = Interner::new();
-        let mut postings: Vec<Vec<Posting>> = Vec::new();
-        let mut doc_len = Vec::with_capacity(pages.len());
-        let mut total_len = 0u64;
+        let mut idx = Self {
+            page_start: vec![0],
+            ..Self::default()
+        };
+        let mut text = String::new();
+        let mut lower = String::new();
+        // Per-symbol term frequency on the current page, and the index
+        // terms it has touched so far (reset after each page).
+        let mut tf: Vec<u32> = Vec::new();
+        let mut touched: Vec<Sym> = Vec::new();
         for page in pages {
-            debug_assert_eq!(page.id.index(), doc_len.len(), "dense page ids required");
-            let terms = index_terms(&page.full_text());
-            // BTreeMap so per-document term frequencies replay in sorted
-            // term order — postings construction is fully deterministic.
-            let mut counts: BTreeMap<&str, u32> = BTreeMap::new();
-            for t in &terms {
-                *counts.entry(t.as_str()).or_insert(0) += 1;
-            }
-            for (term, tf) in counts {
-                let sym = terms_tab.intern(term);
-                if sym.index() == postings.len() {
-                    postings.push(Vec::new());
+            debug_assert_eq!(
+                page.id.index(),
+                idx.doc_len.len(),
+                "dense page ids required"
+            );
+            text.clear();
+            text.push_str(&page.title);
+            text.push_str(". ");
+            text.push_str(&page.text);
+            for t in tokens(&text) {
+                lower.clear();
+                let ascii = t.text.is_ascii();
+                if ascii {
+                    lower.push_str(t.text);
+                    lower.make_ascii_lowercase();
+                } else {
+                    lower.push_str(&t.text.to_lowercase());
                 }
-                postings[sym.index()].push(Posting { doc: page.id, tf });
+                let sym = idx.intern(&lower, t.kind);
+                if idx.info[sym.index()].index_term {
+                    if sym.index() >= tf.len() {
+                        tf.resize(sym.index() + 1, 0);
+                    }
+                    if tf[sym.index()] == 0 {
+                        touched.push(sym);
+                    }
+                    tf[sym.index()] += 1;
+                }
+                if t.kind == TokenKind::Word && !ascii {
+                    let folded = normalize_term(t.text);
+                    if folded != lower {
+                        let token = to_u32(idx.tokens.len());
+                        let sym = idx.intern(&folded, TokenKind::Word);
+                        idx.folded.push((token, sym));
+                    }
+                }
+                idx.tokens.push(sym);
             }
-            doc_len.push(terms.len() as u32);
-            total_len += terms.len() as u64;
+            // Each page pushes at most one posting per term, in dense id
+            // order, so every posting list comes out doc-ordered (asserted
+            // by the `postings_sorted_by_doc` regression test).
+            let mut len = 0u32;
+            for sym in touched.drain(..) {
+                let count = std::mem::take(&mut tf[sym.index()]);
+                idx.postings[sym.index()].push(Posting {
+                    doc: page.id,
+                    tf: count,
+                });
+                len += count;
+            }
+            idx.doc_len.push(len);
+            idx.total_len += u64::from(len);
+            idx.page_start.push(to_u32(idx.tokens.len()));
         }
-        // Posting lists are doc-ordered by construction: the outer loop
-        // visits pages in dense id order and pushes each (doc, tf) pair
-        // at most once per list, so no re-sort is needed (asserted by the
-        // `postings_sorted_by_doc` regression test).
-        Self {
-            terms: terms_tab,
-            postings,
-            doc_len,
-            total_len,
+        idx.vocabulary = idx.postings.iter().filter(|p| !p.is_empty()).count();
+        idx
+    }
+
+    /// Intern `text` (a token's lowercase or folded text) of class `kind`.
+    fn intern(&mut self, text: &str, kind: TokenKind) -> Sym {
+        let sym = self.terms.intern(text);
+        if sym.index() == self.info.len() {
+            self.info.push(SymInfo {
+                kind,
+                index_term: kind == TokenKind::Word && is_index_word(text),
+            });
+            self.postings.push(Vec::new());
         }
+        debug_assert_eq!(self.info[sym.index()].kind, kind, "class of {text:?}");
+        sym
+    }
+
+    /// The symbol of a token's lowercase (or folded) text, if any page
+    /// has such a token.
+    pub fn sym(&self, text: &str) -> Option<Sym> {
+        self.terms.get(text)
+    }
+
+    /// The text of a symbol from this index.
+    pub fn resolve(&self, sym: Sym) -> &str {
+        self.terms.resolve(sym)
+    }
+
+    /// The lexical class of a symbol from this index.
+    fn kind(&self, sym: Sym) -> TokenKind {
+        self.info[sym.index()].kind
+    }
+
+    /// True if `sym` is a word of two or more bytes that is not a
+    /// stopword: the terms the index keeps postings for and the snippet
+    /// miner counts.
+    pub fn is_index_term(&self, sym: Sym) -> bool {
+        self.info[sym.index()].index_term
     }
 
     /// Postings for a term (empty if unseen).
     pub fn postings(&self, term: &str) -> &[Posting] {
-        self.terms
-            .get(term)
-            .map(|s| self.postings[s.index()].as_slice())
-            .unwrap_or(&[])
+        self.sym(term).map(|s| self.postings_of(s)).unwrap_or(&[])
+    }
+
+    /// Postings for a symbol (empty unless it is an index term).
+    pub(crate) fn postings_of(&self, sym: Sym) -> &[Posting] {
+        &self.postings[sym.index()]
     }
 
     /// Document frequency of a term.
@@ -137,17 +246,56 @@ impl InvertedIndex {
         }
     }
 
-    /// Number of distinct terms.
+    /// Number of distinct index terms.
     pub fn vocabulary_size(&self) -> usize {
-        self.terms.len()
+        self.vocabulary
     }
 
-    /// Iterate over `(term, postings)` pairs in symbol (first-seen) order.
+    /// Iterate over `(term, postings)` pairs of the index terms in symbol
+    /// (first-seen) order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[Posting])> {
         self.terms
             .iter()
-            .map(|(s, t)| (t, self.postings[s.index()].as_slice()))
+            .map(|(s, t)| (t, self.postings_of(s)))
+            .filter(|(_, p)| !p.is_empty())
     }
+
+    /// The range of token-table positions holding `doc`'s tokens.
+    pub(crate) fn page_tokens(&self, doc: WebDocId) -> Range<u32> {
+        self.page_start[doc.index()]..self.page_start[doc.index() + 1]
+    }
+
+    /// The lowercase symbol of the token at table position `token`.
+    pub(crate) fn token_sym(&self, token: u32) -> Sym {
+        self.tokens[token as usize]
+    }
+
+    /// `(symbol, class)` of the tokens at table positions `window`, with
+    /// each word's [`normalize_term`] symbol (which differs from its
+    /// lowercase symbol only on a word-final capital sigma).
+    pub(crate) fn folded_tokens(
+        &self,
+        window: Range<u32>,
+    ) -> impl Iterator<Item = (Sym, TokenKind)> + '_ {
+        let mut folded = &self.folded[self.folded.partition_point(|&(t, _)| t < window.start)..];
+        window.map(move |token| {
+            let lower = self.token_sym(token);
+            let sym = match folded.first() {
+                Some(&(t, sym)) if t == token => {
+                    folded = &folded[1..];
+                    sym
+                }
+                _ => lower,
+            };
+            (sym, self.kind(lower))
+        })
+    }
+}
+
+/// A token-table position as `u32`.
+fn to_u32(n: usize) -> u32 {
+    // lint:allow(panic, reason="a web corpus of 4B tokens is unreachable for supported corpora and unrecoverable if hit")
+    u32::try_from(n).expect("web corpus exceeds u32 token positions")
 }
 
 #[cfg(test)]
@@ -227,6 +375,60 @@ mod tests {
             );
         }
         assert_eq!(idx.df("summit"), 30);
+    }
+
+    #[test]
+    fn only_index_terms_count_as_vocabulary() {
+        // Stopwords, single letters, numbers and punctuation are interned
+        // for the token table but carry no postings.
+        let pages = vec![WebPage {
+            id: WebDocId(0),
+            title: "The G8".into(),
+            text: "A summit, the summit of 1,000 leaders!".into(),
+        }];
+        let idx = InvertedIndex::build(&pages);
+        let terms: Vec<&str> = idx.iter().map(|(t, _)| t).collect();
+        assert_eq!(terms, vec!["summit", "leaders"]);
+        assert_eq!(idx.vocabulary_size(), 2);
+        assert!(idx.sym("the").is_some_and(|s| !idx.is_index_term(s)));
+        assert!(idx
+            .sym("1,000")
+            .is_some_and(|s| idx.postings_of(s).is_empty()));
+        assert_eq!(idx.doc_len(WebDocId(0)), 3);
+    }
+
+    #[test]
+    fn folded_tokens_carry_the_normalize_term_symbol() {
+        // A word-final capital sigma lowercases to `ς` in context but
+        // folds to `σ` character by character; the token table keeps the
+        // lowercase symbol and the miner's view gets the folded one.
+        let pages = vec![WebPage {
+            id: WebDocId(0),
+            title: "ΟΔΟΣ".into(),
+            text: "οδος Trade".into(),
+        }];
+        let idx = InvertedIndex::build(&pages);
+        let page = idx.page_tokens(WebDocId(0));
+        let lower: Vec<&str> = page
+            .clone()
+            .map(|t| idx.resolve(idx.token_sym(t)))
+            .collect();
+        assert_eq!(lower, vec!["οδος", ".", "οδος", "trade"]);
+        let folded: Vec<(&str, TokenKind)> = idx
+            .folded_tokens(page)
+            .map(|(s, k)| (idx.resolve(s), k))
+            .collect();
+        assert_eq!(
+            folded,
+            vec![
+                ("οδοσ", TokenKind::Word),
+                (".", TokenKind::Punct),
+                ("οδος", TokenKind::Word),
+                ("trade", TokenKind::Word),
+            ]
+        );
+        assert_eq!(idx.df("οδος"), 1, "title and body share one posting");
+        assert_eq!(idx.vocabulary_size(), 2, "the folded form has no postings");
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //!   plus off-topic chatter pages and noisy co-occurrences. The noise is
 //!   what reproduces the paper's finding that Google expansion has the
 //!   highest recall but the lowest precision of the four resources.
-//! * [`index`] — an inverted index with document and term statistics.
-//! * [`rank`] — BM25 ranking (k1 = 1.2, b = 0.75).
-//! * [`engine`] — the query API: ranked retrieval plus snippet extraction
-//!   (a token window around the first query hit, like a result page).
+//! * [`index`] — every page tokenized once into a token table of
+//!   interned lowercase terms, plus an inverted index with document and
+//!   term statistics built from the same pass.
+//! * [`rank`] — top-k BM25 ranking (k1 = 1.2, b = 0.75).
+//! * [`engine`] — the query API: ranked retrieval plus snippets (a window
+//!   of the page's token table around the first query hit, like a result
+//!   page).
 
 pub mod engine;
 pub mod index;

@@ -1,7 +1,7 @@
 //! BM25 ranking over the inverted index.
 
 use crate::index::{InvertedIndex, WebDocId};
-use std::collections::HashMap;
+use facet_textkit::Sym;
 
 /// BM25 parameters.
 #[derive(Debug, Clone, Copy)]
@@ -25,18 +25,40 @@ fn idf(n_docs: usize, df: usize) -> f64 {
     (((n - df + 0.5) / (df + 0.5)) + 1.0).ln()
 }
 
-/// Score all documents matching any of `query_terms`; returns
-/// `(doc, score)` sorted by descending score (ties by doc id for
-/// determinism).
+/// Score the documents matching any of `query` and return the top `k` as
+/// `(doc, score)`, by descending score with ties by ascending doc id.
+///
+/// Scores accumulate in a dense per-call array indexed by doc, each doc
+/// summing its terms' contributions in query order (a repeated query
+/// term counts once per occurrence); the `k` best are then selected
+/// without sorting the rest.
 pub fn bm25_rank(
     index: &InvertedIndex,
-    query_terms: &[String],
+    query: &[Sym],
     params: Bm25Params,
+    k: usize,
 ) -> Vec<(WebDocId, f64)> {
+    // Posting lists are doc-ordered, so the docs the query can touch lie
+    // between the lowest first and the highest last doc of its lists; the
+    // accumulator covers only that range.
+    let (lo, hi) = query
+        .iter()
+        .filter_map(|&sym| {
+            let postings = index.postings_of(sym);
+            Some((postings.first()?.doc.index(), postings.last()?.doc.index()))
+        })
+        .fold((usize::MAX, 0), |(lo, hi), (first, last)| {
+            (lo.min(first), hi.max(last))
+        });
+    if lo > hi {
+        return Vec::new();
+    }
     let avg_len = index.avg_doc_len().max(1.0);
-    let mut scores: HashMap<WebDocId, f64> = HashMap::new();
-    for term in query_terms {
-        let postings = index.postings(term);
+    let mut scores = vec![0.0f64; hi - lo + 1];
+    let mut matched = vec![false; hi - lo + 1];
+    let mut docs: Vec<WebDocId> = Vec::new();
+    for &sym in query {
+        let postings = index.postings_of(sym);
         if postings.is_empty() {
             continue;
         }
@@ -45,11 +67,24 @@ pub fn bm25_rank(
             let tf = p.tf as f64;
             let len_norm = 1.0 - params.b + params.b * index.doc_len(p.doc) as f64 / avg_len;
             let contrib = w * (tf * (params.k1 + 1.0)) / (tf + params.k1 * len_norm);
-            *scores.entry(p.doc).or_insert(0.0) += contrib;
+            let slot = p.doc.index() - lo;
+            if !std::mem::replace(&mut matched[slot], true) {
+                docs.push(p.doc);
+            }
+            scores[slot] += contrib;
         }
     }
-    let mut out: Vec<(WebDocId, f64)> = scores.into_iter().collect();
-    out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let mut out: Vec<(WebDocId, f64)> = docs
+        .into_iter()
+        .map(|d| (d, scores[d.index() - lo]))
+        .collect();
+    let by_rank =
+        |a: &(WebDocId, f64), b: &(WebDocId, f64)| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0));
+    if k < out.len() {
+        out.select_nth_unstable_by(k, by_rank);
+        out.truncate(k);
+    }
+    out.sort_unstable_by(by_rank);
     out
 }
 
@@ -57,50 +92,47 @@ pub fn bm25_rank(
 mod tests {
     use super::*;
     use crate::index::{InvertedIndex, WebPage};
+    use std::collections::HashMap;
+
+    fn page(id: u32, text: &str) -> WebPage {
+        WebPage {
+            id: WebDocId(id),
+            title: format!("P{id}"),
+            text: text.into(),
+        }
+    }
 
     fn index() -> InvertedIndex {
         InvertedIndex::build(&[
-            WebPage {
-                id: WebDocId(0),
-                title: "A".into(),
-                text: "summit summit summit in France".into(),
-            },
-            WebPage {
-                id: WebDocId(1),
-                title: "B".into(),
-                text: "summit once, about markets and trade".into(),
-            },
-            WebPage {
-                id: WebDocId(2),
-                title: "C".into(),
-                text: "nothing relevant here at all".into(),
-            },
+            page(0, "summit summit summit in France"),
+            page(1, "summit once, about markets and trade"),
+            page(2, "nothing relevant here at all"),
         ])
+    }
+
+    /// Rank the (string) query terms; unknown terms are dropped, as the
+    /// engine does.
+    fn rank(idx: &InvertedIndex, terms: &[&str], k: usize) -> Vec<(WebDocId, f64)> {
+        let syms: Vec<Sym> = terms.iter().filter_map(|t| idx.sym(t)).collect();
+        bm25_rank(idx, &syms, Bm25Params::default(), k)
     }
 
     #[test]
     fn matching_docs_only() {
-        let idx = index();
-        let hits = bm25_rank(&idx, &["summit".into()], Bm25Params::default());
+        let hits = rank(&index(), &["summit"], 10);
         assert_eq!(hits.len(), 2);
     }
 
     #[test]
     fn higher_tf_ranks_higher() {
-        let idx = index();
-        let hits = bm25_rank(&idx, &["summit".into()], Bm25Params::default());
+        let hits = rank(&index(), &["summit"], 10);
         assert_eq!(hits[0].0, WebDocId(0));
         assert!(hits[0].1 > hits[1].1);
     }
 
     #[test]
     fn multi_term_union() {
-        let idx = index();
-        let hits = bm25_rank(
-            &idx,
-            &["summit".into(), "markets".into()],
-            Bm25Params::default(),
-        );
+        let hits = rank(&index(), &["summit", "markets"], 10);
         // Doc 1 matches both terms; despite lower tf on "summit" the extra
         // term can lift it — just verify both docs present and scores
         // positive.
@@ -116,7 +148,89 @@ mod tests {
 
     #[test]
     fn empty_query() {
-        let idx = index();
-        assert!(bm25_rank(&idx, &[], Bm25Params::default()).is_empty());
+        assert!(rank(&index(), &[], 10).is_empty());
+        assert!(rank(&index(), &["zebra"], 10).is_empty());
+    }
+
+    #[test]
+    fn equal_scores_across_the_k_boundary_keep_the_lowest_doc_ids() {
+        // Docs 1..=6 tie exactly; doc 0 beats them all and doc 7 trails.
+        let mut pages = vec![page(0, "summit summit summit talks")];
+        for id in 1..=6 {
+            pages.push(page(id, "summit talks"));
+        }
+        pages.push(page(7, "summit talks and many other unrelated words here"));
+        let idx = InvertedIndex::build(&pages);
+        let hits = rank(&idx, &["summit"], 4);
+        let docs: Vec<u32> = hits.iter().map(|h| h.0 .0).collect();
+        assert_eq!(docs, vec![0, 1, 2, 3]);
+        assert_eq!(hits[1].1.to_bits(), hits[3].1.to_bits(), "a real tie");
+        let all = rank(&idx, &["summit"], 8);
+        assert_eq!(all[4].1.to_bits(), hits[3].1.to_bits(), "tie spans k");
+    }
+
+    #[test]
+    fn k_zero_returns_nothing() {
+        assert!(rank(&index(), &["summit"], 0).is_empty());
+    }
+
+    #[test]
+    fn k_beyond_the_matches_returns_every_match_in_rank_order() {
+        let hits = rank(&index(), &["summit", "markets"], 1000);
+        assert_eq!(hits.len(), 2);
+        assert!(hits[0].1 >= hits[1].1);
+    }
+
+    #[test]
+    fn scores_are_bit_equal_to_a_naive_hash_map_accumulation() {
+        let texts = [
+            "summit leaders trade summit",
+            "markets rallied after trade talks",
+            "leaders of markets and summit hosts",
+            "trade trade trade",
+            "nothing to see",
+            "summit markets leaders trade talks hosts rallied",
+        ];
+        let pages: Vec<WebPage> = (0..40u32)
+            .map(|i| {
+                page(
+                    i,
+                    &format!("{} {}", texts[i as usize % 6], texts[i as usize * 7 % 6]),
+                )
+            })
+            .collect();
+        let idx = InvertedIndex::build(&pages);
+        let params = Bm25Params::default();
+        // Repeated and unknown terms included: each occurrence adds again.
+        let query = ["trade", "summit", "zebra", "leaders", "trade", "talks"];
+        let avg_len = idx.avg_doc_len().max(1.0);
+        let mut naive: HashMap<WebDocId, f64> = HashMap::new();
+        for term in query {
+            let postings = idx.postings(term);
+            if postings.is_empty() {
+                continue;
+            }
+            let w = idf(idx.n_docs(), postings.len());
+            for p in postings {
+                let tf = p.tf as f64;
+                let len_norm = 1.0 - params.b + params.b * idx.doc_len(p.doc) as f64 / avg_len;
+                *naive.entry(p.doc).or_insert(0.0) +=
+                    w * (tf * (params.k1 + 1.0)) / (tf + params.k1 * len_norm);
+            }
+        }
+        let mut want: Vec<(WebDocId, u64)> =
+            naive.into_iter().map(|(d, s)| (d, s.to_bits())).collect();
+        want.sort_by(|a, b| {
+            f64::from_bits(b.1)
+                .total_cmp(&f64::from_bits(a.1))
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        for k in [1, 5, 17, want.len(), want.len() + 3] {
+            let got: Vec<(WebDocId, u64)> = rank(&idx, &query, k)
+                .into_iter()
+                .map(|(d, s)| (d, s.to_bits()))
+                .collect();
+            assert_eq!(got, want[..k.min(want.len())], "k = {k}");
+        }
     }
 }
