@@ -87,14 +87,14 @@ impl FacetForest {
         fn build(
             i: usize,
             forest: &SubsumptionForest,
+            kids: &[Vec<usize>],
             vocab: &FrozenVocabulary,
             doc_count: &impl Fn(TermId) -> u64,
         ) -> TreeNode {
             let term = forest.terms[i];
-            let mut children: Vec<TreeNode> = forest
-                .children(i)
-                .into_iter()
-                .map(|c| build(c, forest, vocab, doc_count))
+            let mut children: Vec<TreeNode> = kids[i]
+                .iter()
+                .map(|&c| build(c, forest, kids, vocab, doc_count))
                 .collect();
             children.sort_by(|a, b| {
                 b.doc_count
@@ -107,11 +107,21 @@ impl FacetForest {
                 children,
             }
         }
-        let mut trees: Vec<FacetTree> = forest
-            .roots()
+        // Children of every node, bucketed in one pass in ascending index
+        // order (the order of `SubsumptionForest::children`), which the
+        // stable sort below keeps for ties.
+        let mut kids: Vec<Vec<usize>> = vec![Vec::new(); forest.terms.len()];
+        let mut roots: Vec<usize> = Vec::new();
+        for (i, p) in forest.parent.iter().enumerate() {
+            match *p {
+                Some(p) => kids[p].push(i),
+                None => roots.push(i),
+            }
+        }
+        let mut trees: Vec<FacetTree> = roots
             .into_iter()
             .map(|r| FacetTree {
-                root: build(r, forest, vocab, &doc_count),
+                root: build(r, forest, &kids, vocab, &doc_count),
             })
             .collect();
         trees.sort_by(|a, b| {

@@ -41,7 +41,7 @@ use crate::config::PipelineOptions;
 use crate::hierarchy::{FacetForest, FacetTree, TreeNode};
 use crate::index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
 use crate::selection::{FacetCandidate, SelectionStatistic};
-use crate::shard::{merged_degraded, Shard, ShardedFacetIndex};
+use crate::shard::{merged_degraded, postings_of, Shard, ShardedFacetIndex};
 use facet_corpus::db::TermingOptions;
 use facet_corpus::{DocId, Document, TextDatabase};
 use facet_resources::{
@@ -579,6 +579,8 @@ fn restore_index(
     if merged_doc_terms.len() as u64 != meta.n_docs {
         return Err(corrupt("merged.doc_terms"));
     }
+    let postings = postings_of(&merged_doc_terms, merged_vocab.len())
+        .ok_or_else(|| corrupt("merged.doc_terms"))?;
     let candidates = decode(payload, "candidates", dec_candidates)?;
     let frozen = merged_vocab.freeze();
     let forest = decode(payload, "forest", |r| dec_forest(r, frozen.clone()))?;
@@ -601,6 +603,8 @@ fn restore_index(
     index.merged_df = merged_df;
     index.merged_df_c = merged_df_c;
     index.merged_doc_terms = merged_doc_terms;
+    index.postings = postings;
+    index.co_counts = None;
     index.n_docs = meta.n_docs as usize;
     index.generation = meta.generation;
     *index.snapshot.get_mut() = Arc::new(snapshot);

@@ -5,8 +5,9 @@
 //! Steps 1–4 from scratch on every run. [`ShardedFacetIndex`] keeps the
 //! full pipeline state alive between updates and re-extracts only new
 //! documents, resolves only newly-distinct important terms, delta-updates
-//! both frequency tables, and re-runs selection + subsumption over the
-//! updated tables. Each update atomically swaps in a fresh
+//! both frequency tables, re-runs selection over the updated tables, and
+//! advances the subsumption counts by the new documents and the terms
+//! that enter the top k. Each update atomically swaps in a fresh
 //! [`FacetSnapshot`] that readers hold lock-free while further appends
 //! proceed.
 //!
@@ -32,10 +33,17 @@
 //! 3. **Deterministic merge.** Per-shard term ids are private, so the
 //!    merge keeps one `shard id → merged id` mapping per shard
 //!    (append-only, extended in shard order) and replays only the *new*
-//!    documents, in global id order, into the merged df/`df_C` tables and
-//!    per-document term sets — O(new documents), not O(corpus).
-//! 4. **Global ranking.** Selection and subsumption run over the merged
-//!    tables, and the result is published through one atomically-swapped
+//!    documents, in global id order, into the merged df/`df_C` tables,
+//!    per-document term sets, and per-term postings — O(new documents),
+//!    not O(corpus).
+//! 4. **Global ranking.** Selection reranks the merged tables. Subsumption
+//!    keeps one [`CoCounts`] table for the current candidate set across
+//!    appends: a publish frees the terms that left the top k, counts the
+//!    new documents' pairs among the terms that stayed, and fills the
+//!    entering terms' rows from their postings, so its counting scales
+//!    with the batch and the churn, not the corpus. A fresh, restored, or
+//!    repaired index rebuilds the table by one scan at its next publish.
+//!    The result is published through one atomically-swapped
 //!    [`FacetSnapshot`].
 //!
 //! **Equivalence invariant:** for every shard count N, thread count, and
@@ -57,7 +65,7 @@ use crate::config::PipelineOptions;
 use crate::hierarchy::FacetForest;
 use crate::index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
 use crate::selection::{select_facet_terms_stable, SelectionInputs, SelectionStatistic};
-use crate::subsumption::{build_subsumption_forest, SubsumptionParams};
+use crate::subsumption::{choose_parents, CoCounts, SubsumptionParams};
 use facet_corpus::db::TermingOptions;
 use facet_corpus::{DocId, Document, TextDatabase};
 use facet_obs::Recorder;
@@ -120,6 +128,24 @@ pub(crate) fn merged_degraded(shards: &[Shard]) -> BTreeMap<String, Vec<String>>
     merged
 }
 
+/// Postings of merged rows over `n_terms` merged symbols: for each
+/// symbol, the rows containing it, ascending. `None` if a row names a
+/// symbol outside `0..n_terms`.
+pub(crate) fn postings_of(rows: &[Vec<TermId>], n_terms: usize) -> Option<Vec<Vec<u32>>> {
+    // Sized exactly: a restored index holds these for its lifetime.
+    let mut lens = vec![0usize; n_terms];
+    for t in rows.iter().flatten() {
+        *lens.get_mut(t.index())? += 1;
+    }
+    let mut postings: Vec<Vec<u32>> = lens.into_iter().map(Vec::with_capacity).collect();
+    for (d, row) in rows.iter().enumerate() {
+        for t in row {
+            postings[t.index()].push(d as u32);
+        }
+    }
+    Some(postings)
+}
+
 /// The incrementally-updatable facet index over `N ≥ 1` shards. See the
 /// [module docs](self) for the partition/merge design and the
 /// equivalence invariant. The `pub(crate)` fields are the state
@@ -160,6 +186,13 @@ pub struct ShardedFacetIndex<'a> {
     pub(crate) merged_df_c: Vec<u64>,
     /// Contextualized term sets per document, in global id order.
     pub(crate) merged_doc_terms: Vec<Vec<TermId>>,
+    /// `postings[sym]`: the rows of `merged_doc_terms` containing merged
+    /// term `sym`, ascending; extended with the rows in `merge_docs`.
+    pub(crate) postings: Vec<Vec<u32>>,
+    /// Subsumption counts for the last published candidate set, advanced
+    /// by each publish. `None` on a fresh, restored, or repaired index:
+    /// the next publish rebuilds it by scan. Never persisted.
+    pub(crate) co_counts: Option<CoCounts>,
     pub(crate) n_docs: usize,
     /// The current published snapshot. [`crate::persist`]'s restore
     /// installs one through `&mut` on an index no reader holds yet; every
@@ -199,6 +232,8 @@ impl<'a> ShardedFacetIndex<'a> {
             merged_df: Vec::new(),
             merged_df_c: Vec::new(),
             merged_doc_terms: Vec::new(),
+            postings: Vec::new(),
+            co_counts: None,
             n_docs: 0,
             snapshot: RwLock::new(snapshot),
             generation: 0,
@@ -432,8 +467,9 @@ impl<'a> ShardedFacetIndex<'a> {
     /// order (through the shared per-resource caches, so a term degraded
     /// in several shards reaches the wrapped resource once) and
     /// recomputes exactly the shard-local documents that use a
-    /// re-resolved term. The merged `df_C` table and per-document rows
-    /// are then rebuilt by replaying every document in global id order —
+    /// re-resolved term. The merged `df_C` table, per-document rows, and
+    /// postings are then rebuilt by replaying every document in global id
+    /// order, and the subsumption counts by one scan at publish —
     /// O(corpus), acceptable for a rare backfill. The merged df table
     /// over `D` is untouched: repair never changes the corpus itself.
     ///
@@ -477,6 +513,8 @@ impl<'a> ShardedFacetIndex<'a> {
         if totals.requeried_terms > 0 {
             self.merged_df_c.clear();
             self.merged_doc_terms.clear();
+            self.postings.clear();
+            self.co_counts = None;
             self.merge_docs(0..self.n_docs, false);
             self.publish();
             self.recorder.incr("repair.snapshot_swaps");
@@ -488,8 +526,8 @@ impl<'a> ShardedFacetIndex<'a> {
     /// Fold the documents with global ids in `docs` into the merged
     /// tables, in global id order: extend every shard's id mapping for
     /// the terms it interned since the last merge, then add each
-    /// document's contextualized row to `merged_df_c` and
-    /// `merged_doc_terms`. `count_df` also adds the documents' corpus
+    /// document's contextualized row to `merged_df_c`, `merged_doc_terms`,
+    /// and `postings`. `count_df` also adds the documents' corpus
     /// terms to `merged_df` (new documents only — repair never changes
     /// `D`). Recorded as the `merge` span.
     fn merge_docs(&mut self, docs: Range<usize>, count_df: bool) {
@@ -502,6 +540,7 @@ impl<'a> ShardedFacetIndex<'a> {
         }
         self.merged_df.resize(self.merged_vocab.len(), 0);
         self.merged_df_c.resize(self.merged_vocab.len(), 0);
+        self.postings.resize_with(self.merged_vocab.len(), Vec::new);
         let n = self.shards.len();
         for g in docs {
             let shard = &self.shards[g % n];
@@ -518,16 +557,26 @@ impl<'a> ShardedFacetIndex<'a> {
                 .map(|t| shard.to_merged[t.index()])
                 .collect();
             terms.sort_unstable();
+            // Subsumption reads a term's df off its postings: each row
+            // must name a term at most once.
+            debug_assert!(
+                terms.windows(2).all(|w| w[0] < w[1]),
+                "duplicate term in row {g}"
+            );
+            let row = self.merged_doc_terms.len() as u32;
             for t in &terms {
                 self.merged_df_c[t.index()] += 1;
+                self.postings[t.index()].push(row);
             }
             self.merged_doc_terms.push(terms);
         }
     }
 
-    /// Re-run Steps 3–4 (selection + subsumption) over the merged tables,
-    /// bump the generation, and atomically swap in the new snapshot —
-    /// the index's one publication point (`Lint.toml` C2). Records the
+    /// Re-run Step 3 (selection) over the merged tables, bring the
+    /// subsumption counts up to the new candidate set and rows (a scan if
+    /// there are none yet) and run Step 4's parent choice over them, bump
+    /// the generation, and atomically swap in the new snapshot — the
+    /// index's one publication point (`Lint.toml` C2). Records the
     /// `select`, `subsumption`, and `swap` spans.
     fn publish(&mut self) {
         // One freeze per publish: ranking, forest, and snapshot share it.
@@ -549,9 +598,18 @@ impl<'a> ShardedFacetIndex<'a> {
         let forest = {
             let _span = self.recorder.span("subsumption");
             let terms: Vec<TermId> = candidates.iter().map(|c| c.term).collect();
-            let sub = build_subsumption_forest(
+            let counts = match &mut self.co_counts {
+                Some(counts) => {
+                    counts.advance(&terms, &self.merged_doc_terms, &self.postings);
+                    counts
+                }
+                None => self
+                    .co_counts
+                    .insert(CoCounts::scan(&terms, &self.merged_doc_terms)),
+            };
+            let sub = choose_parents(
                 &terms,
-                &self.merged_doc_terms,
+                counts,
                 SubsumptionParams {
                     threshold: self.options.subsumption_threshold,
                     ..Default::default()

@@ -6,6 +6,13 @@
 //! df(x ∧ y) / df(y)`. Each term is attached under its *most specific*
 //! subsumer (the subsumer with the smallest document frequency), which
 //! yields a forest.
+//!
+//! Construction is two pieces: a [`CoCounts`] table of document and
+//! co-document frequencies over the terms, and [`choose_parents`], which
+//! reads only that table. [`build_subsumption_forest`] is a scan followed
+//! by parent choice; the incremental index instead advances one table per
+//! publish by the new documents and the terms that enter the top k, and
+//! runs the same parent choice over it.
 
 use facet_textkit::TermId;
 
@@ -76,54 +83,235 @@ impl SubsumptionForest {
     }
 }
 
+/// Slot-table sentinel: the symbol is not a member of the table.
+const ABSENT: u32 = u32::MAX;
+
+/// Co-document counts for a set of terms: per-term document frequency
+/// and pairwise co-document frequency, slot-indexed, with a dense
+/// symbol→slot table.
+///
+/// A table is built by one scan over the document rows
+/// ([`CoCounts::scan`]) or advanced by a delta ([`CoCounts::advance`]):
+/// a growing index keeps one table for its current candidate set and, on
+/// each publish, frees the slots of terms that left it, counts only the
+/// new documents' pairs among the terms that stayed, and fills the rows
+/// of entering terms from their postings. Either way the table holds,
+/// for its members, exactly what a fresh scan over the same rows would
+/// count, so [`choose_parents`] cannot tell the two apart.
+#[derive(Debug, Clone)]
+pub struct CoCounts {
+    /// `slot_of[sym]`: the term's slot, or [`ABSENT`].
+    slot_of: Vec<u32>,
+    /// `term_of[slot]`: the member term, or `None` for a free slot.
+    term_of: Vec<Option<TermId>>,
+    /// Free slots. Their `df` and row are zero; their column is stale
+    /// until the slot is reused, which rewrites it.
+    free: Vec<u32>,
+    /// Slot capacity; `co` is `cap × cap`.
+    cap: usize,
+    /// Documents containing each slot's term.
+    df: Vec<u32>,
+    /// Symmetric co-document counts: `co[a * cap + b]` is the number of
+    /// documents containing both slot `a`'s and slot `b`'s terms (for
+    /// member slots `a` and `b`).
+    co: Vec<u32>,
+    /// Document rows the counts cover (the prefix `0..n_docs`).
+    n_docs: usize,
+}
+
+impl CoCounts {
+    /// Count `terms` (distinct) over every row of `doc_terms`, the
+    /// distinct terms of each document. Slot `i` holds `terms[i]`.
+    pub fn scan(terms: &[TermId], doc_terms: &[Vec<TermId>]) -> Self {
+        let n = terms.len();
+        let max_sym = terms.iter().map(|t| t.index()).max().map_or(0, |m| m + 1);
+        let mut slot_of = vec![ABSENT; max_sym];
+        for (i, t) in terms.iter().enumerate() {
+            debug_assert_eq!(slot_of[t.index()], ABSENT, "duplicate term {t:?}");
+            slot_of[t.index()] = i as u32;
+        }
+        let mut counts = Self {
+            slot_of,
+            term_of: terms.iter().copied().map(Some).collect(),
+            free: Vec::new(),
+            cap: n,
+            df: vec![0; n],
+            co: vec![0; n * n],
+            n_docs: doc_terms.len(),
+        };
+        // Upper triangle only, mirrored once at the end: half the writes
+        // of counting both orientations per document.
+        let mut present: Vec<usize> = Vec::new();
+        for d in doc_terms {
+            counts.present_slots(d, &mut present);
+            for (a, &i) in present.iter().enumerate() {
+                counts.df[i] += 1;
+                for &j in &present[a + 1..] {
+                    let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+                    counts.co[lo * n + hi] += 1;
+                }
+            }
+        }
+        for lo in 0..n {
+            for hi in lo + 1..n {
+                counts.co[hi * n + lo] = counts.co[lo * n + hi];
+            }
+        }
+        counts
+    }
+
+    /// Advance the table to count `terms` (distinct) over every row of
+    /// `doc_terms`, whose prefix up to the last scan or advance it already
+    /// covers for its current members (rows are only ever appended).
+    /// `postings[sym]` lists the rows (ascending) that contain symbol
+    /// `sym`, for every row of `doc_terms`.
+    ///
+    /// Costs O(new rows' member pairs + entering terms' postings rows +
+    /// churn · capacity), independent of the rows already counted for
+    /// terms that stay.
+    pub fn advance(&mut self, terms: &[TermId], doc_terms: &[Vec<TermId>], postings: &[Vec<u32>]) {
+        // Leave: free every member that is not in the new set.
+        let mut keep = vec![false; self.cap];
+        let mut entering: Vec<TermId> = Vec::new();
+        for &t in terms {
+            match self.slot(t) {
+                Some(s) => keep[s] = true,
+                None => entering.push(t),
+            }
+        }
+        for (s, kept) in keep.into_iter().enumerate() {
+            if !kept && self.term_of[s].is_some() {
+                self.release(s);
+            }
+        }
+        if terms.len() > self.cap {
+            self.grow(terms.len());
+        }
+        if let Some(max_sym) = entering.iter().map(|t| t.index() + 1).max() {
+            if max_sym > self.slot_of.len() {
+                self.slot_of.resize(max_sym, ABSENT);
+            }
+        }
+
+        // Stay: the new rows' pairs among the remaining members.
+        let cap = self.cap;
+        let mut present: Vec<usize> = Vec::new();
+        for d in &doc_terms[self.n_docs..] {
+            self.present_slots(d, &mut present);
+            for (a, &i) in present.iter().enumerate() {
+                self.df[i] += 1;
+                for &j in &present[a + 1..] {
+                    self.co[i * cap + j] += 1;
+                    self.co[j * cap + i] += 1;
+                }
+            }
+        }
+        self.n_docs = doc_terms.len();
+
+        // Enter: one at a time, each counted against the members present
+        // when it joins, so a pair of entering terms is counted once (by
+        // the later one) and mirrored into the earlier one's row.
+        for t in entering {
+            let Some(s) = self.free.pop().map(|s| s as usize) else {
+                unreachable!("grow() reserved a slot for every term");
+            };
+            self.slot_of[t.index()] = s as u32;
+            self.term_of[s] = Some(t);
+            let rows = postings.get(t.index()).map_or(&[][..], Vec::as_slice);
+            self.df[s] = rows.len() as u32;
+            for &d in rows {
+                for &u in &doc_terms[d as usize] {
+                    match self.slot(u) {
+                        Some(o) if o != s => self.co[s * cap + o] += 1,
+                        _ => {}
+                    }
+                }
+            }
+            for r in 0..cap {
+                self.co[r * cap + s] = self.co[s * cap + r];
+            }
+        }
+    }
+
+    fn slot(&self, t: TermId) -> Option<usize> {
+        self.slot_of
+            .get(t.index())
+            .copied()
+            .filter(|&s| s != ABSENT)
+            .map(|s| s as usize)
+    }
+
+    /// The member slots of one document row, into `present`.
+    fn present_slots(&self, row: &[TermId], present: &mut Vec<usize>) {
+        present.clear();
+        present.extend(row.iter().filter_map(|&t| self.slot(t)));
+    }
+
+    /// Free slot `s`: zero its `df` and row. Nothing reads a free slot's
+    /// column, and the entering term that reuses the slot overwrites it.
+    fn release(&mut self, s: usize) {
+        if let Some(t) = self.term_of[s].take() {
+            self.slot_of[t.index()] = ABSENT;
+        }
+        self.df[s] = 0;
+        self.co[s * self.cap..(s + 1) * self.cap].fill(0);
+        self.free.push(s as u32);
+    }
+
+    /// Widen the matrix to `cap` slots, keeping every count.
+    fn grow(&mut self, cap: usize) {
+        let old = self.cap;
+        let mut co = vec![0u32; cap * cap];
+        for r in 0..old {
+            co[r * cap..r * cap + old].copy_from_slice(&self.co[r * old..(r + 1) * old]);
+        }
+        self.co = co;
+        self.df.resize(cap, 0);
+        self.term_of.resize(cap, None);
+        // Lowest new slot pops first.
+        self.free.extend((old..cap).rev().map(|s| s as u32));
+        self.cap = cap;
+    }
+}
+
 /// Build the subsumption forest for `terms`, where `doc_terms[d]` lists
 /// the distinct (sorted) terms of document `d` — typically from the
-/// contextualized database, as in the paper.
+/// contextualized database, as in the paper. One [`CoCounts::scan`]
+/// followed by [`choose_parents`].
 pub fn build_subsumption_forest(
     terms: &[TermId],
     doc_terms: &[Vec<TermId>],
     params: SubsumptionParams,
 ) -> SubsumptionForest {
-    let n = terms.len();
-    // Dense symbol-indexed position table: `term_pos[sym]` is the term's
-    // index in the candidate list, or the sentinel for non-candidates.
-    // Candidate sets are small (top-k selection output), so the table is
-    // bounded by the vocabulary size and probes are a single index.
-    const ABSENT: u32 = u32::MAX;
-    let max_sym = terms.iter().map(|t| t.index()).max().map_or(0, |m| m + 1);
-    let mut term_pos = vec![ABSENT; max_sym];
-    for (i, t) in terms.iter().enumerate() {
-        term_pos[t.index()] = i as u32;
-    }
+    choose_parents(terms, &CoCounts::scan(terms, doc_terms), params)
+}
 
-    // Document frequency and pairwise co-document frequency restricted to
-    // the candidate terms, in a dense n×n matrix (upper triangle used).
-    let mut df = vec![0u64; n];
-    let mut co = vec![0u64; n * n];
-    let mut present: Vec<usize> = Vec::new();
-    for d in doc_terms {
-        present.clear();
-        present.extend(d.iter().filter_map(|t| {
-            term_pos
-                .get(t.index())
-                .copied()
-                .filter(|&p| p != ABSENT)
-                .map(|p| p as usize)
-        }));
-        for &i in &present {
-            df[i] += 1;
-        }
-        for (a, &i) in present.iter().enumerate() {
-            for &j in present.iter().skip(a + 1) {
-                let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-                co[lo * n + hi] += 1;
-            }
-        }
-    }
-    let co_df = |i: usize, j: usize| -> u64 {
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        co[lo * n + hi]
-    };
+/// Attach each of `terms` (in ranked order) under its best subsumer,
+/// reading document and co-document frequencies from `counts` (which must
+/// count every one of `terms`), then break any cycles. Ties go to the
+/// earlier term in `terms`, so the order is part of the result.
+pub fn choose_parents(
+    terms: &[TermId],
+    counts: &CoCounts,
+    params: SubsumptionParams,
+) -> SubsumptionForest {
+    let n = terms.len();
+    let n_docs = counts.n_docs;
+    let slots: Vec<Option<usize>> = terms.iter().map(|&t| counts.slot(t)).collect();
+    let df: Vec<u64> = slots
+        .iter()
+        .map(|s| s.map_or(0, |s| u64::from(counts.df[s])))
+        .collect();
+    let max_parent_df = (params.max_parent_df_fraction * n_docs as f64).ceil() as u64;
+    let base_rate: Vec<f64> = df
+        .iter()
+        .map(|&d| d as f64 / n_docs.max(1) as f64)
+        .collect();
+    // The terms that may parent anything, as (index, slot), in order.
+    let eligible: Vec<(usize, usize)> = (0..n)
+        .filter(|&x| df[x] != 0 && df[x] <= max_parent_df)
+        .filter_map(|x| slots[x].map(|s| (x, s)))
+        .collect();
 
     // For each term y, find subsumers and attach to the best one. Two
     // forces must balance: subsumption *strength* (a parent present in all
@@ -134,25 +322,34 @@ pub fn build_subsumption_forest(
     // and pick the most specific subsumer within the strongest band.
     let mut parent: Vec<Option<usize>> = vec![None; n];
     for y in 0..n {
-        if df[y] == 0 {
+        let Some(sy) = slots[y].filter(|_| df[y] != 0) else {
             continue;
+        };
+        let row = &counts.co[sy * counts.cap..(sy + 1) * counts.cap];
+        let min_parent_df = params.min_generality_ratio * df[y] as f64;
+        // The least co-document count that clears the threshold. P(x|y)
+        // is monotone in the count, so a smaller count fails the float
+        // test below and is skipped without evaluating it.
+        let clears = |c: u64| c as f64 / df[y] as f64 >= params.threshold;
+        let mut min_co = ((params.threshold * df[y] as f64).ceil() as u64).min(df[y] + 1);
+        while min_co > 0 && clears(min_co - 1) {
+            min_co -= 1;
+        }
+        while min_co <= df[y] && !clears(min_co) {
+            min_co += 1;
         }
         // (index, confidence bucket) of the current best parent.
         let mut best: Option<(usize, u32)> = None;
-        let max_parent_df = (params.max_parent_df_fraction * doc_terms.len() as f64).ceil() as u64;
-        for x in 0..n {
-            if x == y || df[x] == 0 || df[x] > max_parent_df {
+        for &(x, sx) in &eligible {
+            // Most pairs barely co-occur: test the count first.
+            let cxy = u64::from(row[sx]);
+            if cxy < min_co || x == y || (df[x] as f64) < min_parent_df {
                 continue;
             }
-            if (df[x] as f64) < params.min_generality_ratio * df[y] as f64 {
-                continue;
-            }
-            let cxy = co_df(x, y);
             let p_x_given_y = cxy as f64 / df[y] as f64;
             let p_y_given_x = cxy as f64 / df[x] as f64;
-            let base_rate = df[x] as f64 / doc_terms.len().max(1) as f64;
-            let lift = if base_rate > 0.0 {
-                p_x_given_y / base_rate
+            let lift = if base_rate[x] > 0.0 {
+                p_x_given_y / base_rate[x]
             } else {
                 f64::INFINITY
             };
@@ -171,16 +368,18 @@ pub fn build_subsumption_forest(
     }
 
     // Break any cycles (possible with mutual near-subsumption): walk each
-    // chain; on revisit, cut the closing edge.
+    // chain; on revisit, cut the closing edge. `stamp[t] == start` marks
+    // the terms seen on the current walk, so no per-walk set is needed.
+    let mut stamp = vec![u32::MAX; n];
     for start in 0..n {
-        let mut seen = vec![false; n];
+        let mark = start as u32;
         let mut cur = start;
         while let Some(p) = parent[cur] {
-            if seen[p] {
+            if stamp[p] == mark {
                 parent[cur] = None;
                 break;
             }
-            seen[cur] = true;
+            stamp[cur] = mark;
             cur = p;
         }
     }
@@ -345,6 +544,222 @@ mod tests {
             },
         );
         assert_eq!(f.parent[1], None, "chance co-occurrence must not subsume");
+    }
+
+    /// A table advanced through random enter/leave/append steps counts
+    /// exactly what a fresh scan counts, and parent choice over it is
+    /// identical. Sizes swing between 2 and 14 terms so the table both
+    /// grows and reuses freed slots, and terms leave and re-enter.
+    #[test]
+    fn advanced_table_equals_fresh_scan() {
+        use proptest::test_runner::TestRng;
+        const VOCAB: u32 = 24;
+        let mut rng = TestRng::deterministic("advanced_table_equals_fresh_scan");
+        for _ in 0..40 {
+            let mut rows: Vec<Vec<TermId>> = Vec::new();
+            let mut postings: Vec<Vec<u32>> = vec![Vec::new(); VOCAB as usize];
+            let mut table: Option<CoCounts> = None;
+            let mut reused = 0;
+            for _ in 0..12 {
+                // Append 0–5 rows, each a sorted set over a skewed
+                // vocabulary (low symbols are frequent).
+                for _ in 0..rng.below(6) {
+                    let row: Vec<TermId> = (0..VOCAB)
+                        .filter(|&t| rng.below(u64::from(t) + 2) == 0)
+                        .map(TermId)
+                        .collect();
+                    for t in &row {
+                        postings[t.index()].push(rows.len() as u32);
+                    }
+                    rows.push(row);
+                }
+                // A fresh candidate set in a random order.
+                let size = 2 + rng.below(13) as usize;
+                let mut terms: Vec<TermId> = (0..VOCAB).map(TermId).collect();
+                for i in (1..terms.len()).rev() {
+                    terms.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                terms.truncate(size);
+                let advanced = match &mut table {
+                    Some(t) => {
+                        // Entering terms without growth took freed slots.
+                        let entering = terms.iter().any(|&x| t.slot(x).is_none());
+                        let cap = t.cap;
+                        t.advance(&terms, &rows, &postings);
+                        reused += usize::from(entering && t.cap == cap);
+                        t
+                    }
+                    None => table.insert(CoCounts::scan(&terms, &rows)),
+                };
+                let fresh = CoCounts::scan(&terms, &rows);
+                // (df, co-df) of a pair of members; a == b gives df.
+                let count = |c: &CoCounts, a: TermId, b: TermId| {
+                    let (i, j) = (c.slot(a).unwrap(), c.slot(b).unwrap());
+                    if i == j {
+                        c.df[i]
+                    } else {
+                        c.co[i * c.cap + j]
+                    }
+                };
+                assert_eq!(advanced.n_docs, fresh.n_docs);
+                for &a in &terms {
+                    for &b in &terms {
+                        assert_eq!(count(advanced, a, b), count(&fresh, a, b), "({a:?},{b:?})");
+                    }
+                }
+                for params in [SubsumptionParams::default(), relaxed()] {
+                    assert_eq!(
+                        choose_parents(&terms, advanced, params).parent,
+                        choose_parents(&terms, &fresh, params).parent
+                    );
+                }
+            }
+            assert!(reused > 0, "freed slots must be reused");
+        }
+    }
+
+    /// A verbatim copy of the single-function builder that predates the
+    /// count table, kept as the reference parent choice must reproduce.
+    fn reference_build(
+        terms: &[TermId],
+        doc_terms: &[Vec<TermId>],
+        params: SubsumptionParams,
+    ) -> Vec<Option<usize>> {
+        let n = terms.len();
+        const ABSENT: u32 = u32::MAX;
+        let max_sym = terms.iter().map(|t| t.index()).max().map_or(0, |m| m + 1);
+        let mut term_pos = vec![ABSENT; max_sym];
+        for (i, t) in terms.iter().enumerate() {
+            term_pos[t.index()] = i as u32;
+        }
+        let mut df = vec![0u64; n];
+        let mut co = vec![0u64; n * n];
+        let mut present: Vec<usize> = Vec::new();
+        for d in doc_terms {
+            present.clear();
+            present.extend(d.iter().filter_map(|t| {
+                term_pos
+                    .get(t.index())
+                    .copied()
+                    .filter(|&p| p != ABSENT)
+                    .map(|p| p as usize)
+            }));
+            for &i in &present {
+                df[i] += 1;
+            }
+            for (a, &i) in present.iter().enumerate() {
+                for &j in present.iter().skip(a + 1) {
+                    let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+                    co[lo * n + hi] += 1;
+                }
+            }
+        }
+        let co_df = |i: usize, j: usize| -> u64 {
+            let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+            co[lo * n + hi]
+        };
+        let mut parent: Vec<Option<usize>> = vec![None; n];
+        for y in 0..n {
+            if df[y] == 0 {
+                continue;
+            }
+            let mut best: Option<(usize, u32)> = None;
+            let max_parent_df =
+                (params.max_parent_df_fraction * doc_terms.len() as f64).ceil() as u64;
+            for x in 0..n {
+                if x == y || df[x] == 0 || df[x] > max_parent_df {
+                    continue;
+                }
+                if (df[x] as f64) < params.min_generality_ratio * df[y] as f64 {
+                    continue;
+                }
+                let cxy = co_df(x, y);
+                let p_x_given_y = cxy as f64 / df[y] as f64;
+                let p_y_given_x = cxy as f64 / df[x] as f64;
+                let base_rate = df[x] as f64 / doc_terms.len().max(1) as f64;
+                let lift = if base_rate > 0.0 {
+                    p_x_given_y / base_rate
+                } else {
+                    f64::INFINITY
+                };
+                if p_x_given_y >= params.threshold && p_y_given_x < 1.0 && lift >= params.min_lift {
+                    let bucket = (p_x_given_y * 20.0).floor() as u32;
+                    let better = match best {
+                        None => true,
+                        Some((b, bb)) => bucket > bb || (bucket == bb && df[x] < df[b]),
+                    };
+                    if better {
+                        best = Some((x, bucket));
+                    }
+                }
+            }
+            parent[y] = best.map(|(x, _)| x);
+        }
+        for start in 0..n {
+            let mut seen = vec![false; n];
+            let mut cur = start;
+            while let Some(p) = parent[cur] {
+                if seen[p] {
+                    parent[cur] = None;
+                    break;
+                }
+                seen[cur] = true;
+                cur = p;
+            }
+        }
+        parent
+    }
+
+    /// Parent choice over a scanned table reproduces the reference
+    /// builder edge for edge, across thresholds (including ones no count
+    /// can clear), density guards, and term orders.
+    #[test]
+    fn parent_choice_matches_reference_builder() {
+        use proptest::test_runner::TestRng;
+        let mut rng = TestRng::deterministic("parent_choice_matches_reference_builder");
+        for _ in 0..300 {
+            let vocab = 4 + rng.below(28) as u32;
+            let rows: Vec<Vec<TermId>> = (0..1 + rng.below(80))
+                .map(|_| {
+                    (0..vocab)
+                        .filter(|&t| rng.below(u64::from(t % 9) + 2) == 0)
+                        .map(TermId)
+                        .collect()
+                })
+                .collect();
+            // Candidates in a random order, some absent from every row.
+            let mut terms: Vec<TermId> = (0..vocab + 2).map(TermId).collect();
+            for i in (1..terms.len()).rev() {
+                terms.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            terms.truncate(1 + rng.below(terms.len() as u64) as usize);
+            let params = SubsumptionParams {
+                threshold: [0.0, 0.3, 0.5, 0.55, 0.8, 0.85, 1.0, 1.2][rng.below(8) as usize],
+                min_generality_ratio: [1.0, 1.5][rng.below(2) as usize],
+                max_parent_df_fraction: [0.5, 0.8, 1.0][rng.below(3) as usize],
+                min_lift: [0.0, 1.15][rng.below(2) as usize],
+            };
+            assert_eq!(
+                build_subsumption_forest(&terms, &rows, params).parent,
+                reference_build(&terms, &rows, params),
+                "{params:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cycle_breaking_cuts_the_closing_edge() {
+        // Every term ≥ 2 docs, mutually near-subsuming under relaxed
+        // params with a 0.5 threshold: a and b each clear P ≥ 0.5 of the
+        // other, so both pick each other and the walk from a cuts b → a.
+        let (a, b) = (TermId(0), TermId(1));
+        let docs = vec![vec![a, b], vec![a], vec![b]];
+        let params = SubsumptionParams {
+            threshold: 0.5,
+            ..relaxed()
+        };
+        let f = build_subsumption_forest(&[a, b], &docs, params);
+        assert_eq!(f.parent, vec![Some(1), None]);
     }
 
     #[test]
