@@ -6,63 +6,83 @@
 //! facet terms (dimensions values), get the matching documents plus the
 //! refinement counts for every other facet term — the numbers a faceted
 //! UI shows next to each link.
+//!
+//! It is the one browse implementation. A published
+//! [`crate::index::FacetSnapshot`] carries its engine, gathered from the
+//! index's per-term postings at publish, and the serving tier
+//! ([`crate::serve::fanout_browse`]) answers every query through it;
+//! [`BrowseEngine::new`] builds the same engine from document rows for
+//! one-shot pipeline runs. The engine holds one ascending document list
+//! per facet term in CSR form (one offsets array, one document array).
+//! Selection intersects the lists smallest first; refinement and pivot
+//! counts intersect sorted lists. Only facet terms — the forest's nodes
+//! — select: any other term matches no document.
 
 use crate::hierarchy::{FacetForest, TreeNode};
+use crate::shard::postings_of;
 use facet_corpus::DocId;
-use facet_textkit::{TermId, Vocabulary};
-use std::collections::HashMap;
-use std::sync::Arc;
+use facet_textkit::TermId;
 
 /// A browsing engine over one database and its facet forest.
 ///
-/// The per-document term sets are held behind an [`Arc`], so an engine
-/// built from a [`crate::index::FacetSnapshot`] shares the snapshot's
-/// frozen state instead of copying it — the read path never needs a
-/// `&mut` anything.
+/// Immutable once built: the read path never needs a `&mut` anything.
 #[derive(Debug)]
 pub struct BrowseEngine {
     forest: FacetForest,
-    /// Per-document term sets (contextualized), sorted.
-    doc_terms: Arc<Vec<Vec<TermId>>>,
-    /// Inverted: facet term → documents carrying it.
-    postings: HashMap<TermId, Vec<DocId>>,
+    n_docs: usize,
+    /// The facet terms, ascending. The documents carrying `terms[i]` are
+    /// `docs[offsets[i]..offsets[i + 1]]`, ascending.
+    terms: Vec<TermId>,
+    offsets: Vec<usize>,
+    docs: Vec<DocId>,
 }
 
 impl BrowseEngine {
     /// Build the engine. `doc_terms[d]` are the (sorted, distinct) terms
     /// of document `d` in the contextualized database.
     pub fn new(forest: FacetForest, doc_terms: Vec<Vec<TermId>>) -> Self {
-        Self::from_shared(forest, Arc::new(doc_terms))
+        let n_terms = doc_terms
+            .iter()
+            .flatten()
+            .map(|t| t.index() + 1)
+            .max()
+            .unwrap_or(0);
+        // Every row names a symbol below `n_terms`, so this never falls
+        // back to empty postings.
+        let postings = postings_of(&doc_terms, n_terms).unwrap_or_default();
+        Self::from_postings(forest, doc_terms.len(), &postings)
     }
 
-    /// Build the engine over already-shared per-document term sets
-    /// (zero-copy from a snapshot).
-    pub fn from_shared(forest: FacetForest, doc_terms: Arc<Vec<Vec<TermId>>>) -> Self {
-        let mut postings: HashMap<TermId, Vec<DocId>> = HashMap::new();
-        let facet_terms: Vec<TermId> = {
-            fn collect(n: &TreeNode, out: &mut Vec<TermId>) {
-                out.push(n.term);
-                for c in &n.children {
-                    collect(c, out);
-                }
+    /// Gather the engine from per-term postings over `n_docs` documents:
+    /// `postings[t]` holds the documents carrying term `t`, ascending.
+    /// Terms beyond `postings` carry no documents.
+    pub(crate) fn from_postings(forest: FacetForest, n_docs: usize, postings: &[Vec<u32>]) -> Self {
+        fn collect(n: &TreeNode, out: &mut Vec<TermId>) {
+            out.push(n.term);
+            for c in &n.children {
+                collect(c, out);
             }
-            let mut v = Vec::new();
-            for t in &forest.trees {
-                collect(&t.root, &mut v);
-            }
-            v
-        };
-        for (d, terms) in doc_terms.iter().enumerate() {
-            for &t in &facet_terms {
-                if terms.binary_search(&t).is_ok() {
-                    postings.entry(t).or_default().push(DocId(d as u32));
-                }
-            }
+        }
+        let mut terms = Vec::new();
+        for t in &forest.trees {
+            collect(&t.root, &mut terms);
+        }
+        terms.sort_unstable();
+        terms.dedup();
+        let list = |t: &TermId| postings.get(t.index()).map_or(&[][..], Vec::as_slice);
+        let mut offsets = Vec::with_capacity(terms.len() + 1);
+        offsets.push(0);
+        let mut docs = Vec::with_capacity(terms.iter().map(|t| list(t).len()).sum());
+        for t in &terms {
+            docs.extend(list(t).iter().map(|&d| DocId(d)));
+            offsets.push(docs.len());
         }
         Self {
             forest,
-            doc_terms,
-            postings,
+            n_docs,
+            terms,
+            offsets,
+            docs,
         }
     }
 
@@ -73,30 +93,35 @@ impl BrowseEngine {
 
     /// Number of documents.
     pub fn n_docs(&self) -> usize {
-        self.doc_terms.len()
+        self.n_docs
     }
 
-    /// Documents carrying a facet term.
+    /// Documents carrying a facet term, ascending. Empty for a term that
+    /// is not a facet term.
     pub fn docs_with(&self, term: TermId) -> &[DocId] {
-        self.postings.get(&term).map(Vec::as_slice).unwrap_or(&[])
+        match self.terms.binary_search(&term) {
+            Ok(i) => &self.docs[self.offsets[i]..self.offsets[i + 1]],
+            Err(_) => &[],
+        }
     }
 
     /// Documents matching *all* selected facet terms (the slice/dice
-    /// operation). An empty selection matches every document.
+    /// operation), ascending. An empty selection matches every document.
     pub fn select(&self, selection: &[TermId]) -> Vec<DocId> {
         if selection.is_empty() {
-            return (0..self.doc_terms.len() as u32).map(DocId).collect();
+            return (0..self.n_docs as u32).map(DocId).collect();
         }
         // Intersect postings, smallest list first.
         let mut lists: Vec<&[DocId]> = selection.iter().map(|&t| self.docs_with(t)).collect();
         lists.sort_by_key(|l| l.len());
         let mut result: Vec<DocId> = lists[0].to_vec();
         for l in &lists[1..] {
-            let set: std::collections::HashSet<DocId> = l.iter().copied().collect();
-            result.retain(|d| set.contains(d));
             if result.is_empty() {
                 break;
             }
+            let mut kept = Vec::with_capacity(result.len());
+            for_each_common(&result, l, |d| kept.push(d));
+            result = kept;
         }
         result
     }
@@ -110,19 +135,30 @@ impl BrowseEngine {
         selection: &[TermId],
         node: Option<&TreeNode>,
     ) -> Vec<(TermId, String, usize)> {
-        let current = self.select(selection);
-        let current_set: std::collections::HashSet<DocId> = current.into_iter().collect();
+        self.refinements_within(&self.select(selection), node)
+    }
+
+    /// [`BrowseEngine::refinements`] over an already selected, ascending
+    /// document list `docs`: candidates in the forest's order, zero counts
+    /// omitted, sorted by count descending then label ascending.
+    pub(crate) fn refinements_within(
+        &self,
+        docs: &[DocId],
+        node: Option<&TreeNode>,
+    ) -> Vec<(TermId, String, usize)> {
         let candidates: Vec<&TreeNode> = match node {
             Some(n) => n.children.iter().collect(),
             None => self.forest.trees.iter().map(|t| &t.root).collect(),
         };
         let mut out = Vec::new();
         for c in candidates {
-            let count = self
-                .docs_with(c.term)
-                .iter()
-                .filter(|d| current_set.contains(d))
-                .count();
+            let list = self.docs_with(c.term);
+            // Every document selected: the intersection is the list.
+            let count = if docs.len() == self.n_docs {
+                list.len()
+            } else {
+                count_common(docs, list)
+            };
             if count > 0 {
                 out.push((c.term, self.forest.label(c).to_string(), count));
             }
@@ -137,38 +173,51 @@ impl BrowseEngine {
     /// envisions exposing to OLAP users ("show profit-margin distribution
     /// for users with this type of complaints").
     pub fn pivot(&self, rows: &[TermId], cols: &[TermId]) -> Vec<Vec<usize>> {
-        let col_sets: Vec<std::collections::HashSet<DocId>> = cols
-            .iter()
-            .map(|&c| self.docs_with(c).iter().copied().collect())
-            .collect();
         rows.iter()
             .map(|&r| {
-                let row_docs = self.docs_with(r);
-                col_sets
-                    .iter()
-                    .map(|cs| row_docs.iter().filter(|d| cs.contains(d)).count())
+                cols.iter()
+                    .map(|&c| count_common(self.docs_with(r), self.docs_with(c)))
                     .collect()
             })
             .collect()
     }
+}
 
-    /// Convenience: select by facet-term labels.
-    pub fn select_by_labels(&self, vocab: &Vocabulary, labels: &[&str]) -> Vec<DocId> {
-        let terms: Vec<TermId> = labels
-            .iter()
-            .filter_map(|l| vocab.get(&l.to_lowercase()))
-            .collect();
-        if terms.len() != labels.len() {
-            return Vec::new();
+/// Call `f` on every document in both ascending lists, in order. Each
+/// element of the shorter list gallops through the longer one, so the
+/// cost is O(short · log(long / short)).
+fn for_each_common(a: &[DocId], b: &[DocId], mut f: impl FnMut(DocId)) {
+    let (short, mut long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    for &d in short {
+        if long.is_empty() {
+            break;
         }
-        self.select(&terms)
+        let mut bound = 1;
+        while bound < long.len() && long[bound] < d {
+            bound *= 2;
+        }
+        match long[..(bound + 1).min(long.len())].binary_search(&d) {
+            Ok(i) => {
+                f(d);
+                long = &long[i + 1..];
+            }
+            Err(i) => long = &long[i..],
+        }
     }
+}
+
+/// Number of documents in both ascending lists.
+fn count_common(a: &[DocId], b: &[DocId]) -> usize {
+    let mut n = 0;
+    for_each_common(a, b, |_| n += 1);
+    n
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hierarchy::FacetTree;
+    use facet_textkit::Vocabulary;
 
     fn engine() -> (BrowseEngine, Vocabulary) {
         let mut vocab = Vocabulary::new();
@@ -279,9 +328,35 @@ mod tests {
     }
 
     #[test]
-    fn select_by_labels_unknown_label_empty() {
-        let (e, vocab) = engine();
-        assert!(e.select_by_labels(&vocab, &["nonexistent"]).is_empty());
-        assert_eq!(e.select_by_labels(&vocab, &["france"]).len(), 2);
+    fn only_facet_terms_select() {
+        let (e, mut vocab) = engine();
+        let outside = vocab.intern("weather");
+        let france = vocab.get("france").unwrap();
+        assert!(e.docs_with(outside).is_empty());
+        assert!(e.select(&[outside]).is_empty());
+        assert!(e.select(&[france, outside]).is_empty());
+    }
+
+    #[test]
+    fn sorted_list_intersection_matches_a_filter() {
+        let ids = |v: &[u32]| v.iter().map(|&d| DocId(d)).collect::<Vec<_>>();
+        let cases: [(&[u32], &[u32]); 6] = [
+            (&[], &[1, 2]),
+            (&[3], &[0, 1, 2, 3]),
+            (&[0, 5, 9], &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]),
+            (&[1, 3, 5, 7], &[2, 4, 6, 8]),
+            (&[2, 4, 6, 8, 100], &[4, 8, 99, 100, 101]),
+            (&[0, 1, 2, 3], &[0, 1, 2, 3]),
+        ];
+        for (a, b) in cases {
+            let (a, b) = (ids(a), ids(b));
+            let want: Vec<DocId> = a.iter().copied().filter(|d| b.contains(d)).collect();
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let mut got = Vec::new();
+                for_each_common(x, y, |d| got.push(d));
+                assert_eq!(got, want, "{x:?} ∩ {y:?}");
+                assert_eq!(count_common(x, y), want.len());
+            }
+        }
     }
 }

@@ -143,19 +143,15 @@ impl FacetForest {
 
     /// Find a node anywhere in the forest by label.
     pub fn find(&self, label: &str) -> Option<&TreeNode> {
-        fn walk<'a>(
-            node: &'a TreeNode,
-            label: &str,
-            vocab: &FrozenVocabulary,
-        ) -> Option<&'a TreeNode> {
-            if vocab.try_term(node.term) == Some(label) {
+        fn walk(node: &TreeNode, term: TermId) -> Option<&TreeNode> {
+            if node.term == term {
                 return Some(node);
             }
-            node.children.iter().find_map(|c| walk(c, label, vocab))
+            node.children.iter().find_map(|c| walk(c, term))
         }
-        self.trees
-            .iter()
-            .find_map(|t| walk(&t.root, label, &self.vocab))
+        // Interning is one-to-one, so the label's symbol names its node.
+        let term = self.vocab.get(label)?;
+        self.trees.iter().find_map(|t| walk(&t.root, term))
     }
 
     /// All `(parent label, child label)` edges in the forest.

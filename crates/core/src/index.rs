@@ -95,17 +95,18 @@ impl From<facet_store::StoreError> for IndexError {
 ///
 /// Snapshots are what readers hold: obtaining one is an `Arc` clone under
 /// a short read lock, and everything inside is frozen — the vocabulary is
-/// a [`FrozenVocabulary`], the per-document term sets are `Arc`-shared
-/// with any [`BrowseEngine`] built from the snapshot, and no method takes
-/// `&mut`. A snapshot stays valid (and cheap to query) no matter how many
-/// appends land after it was taken.
+/// a [`FrozenVocabulary`], the forest and its facet-term postings live in
+/// the snapshot's [`BrowseEngine`], and no method takes `&mut`. A
+/// snapshot stays valid (and cheap to query) no matter how many appends
+/// land after it was taken.
 #[derive(Debug)]
 pub struct FacetSnapshot {
     generation: u64,
     vocab: FrozenVocabulary,
     doc_terms: Arc<Vec<Vec<TermId>>>,
     candidates: Vec<FacetCandidate>,
-    forest: FacetForest,
+    /// The forest and its facet terms' postings.
+    engine: BrowseEngine,
     /// Degraded-coverage provenance at this generation: important term →
     /// resources that failed while resolving it. Empty for a fault-free
     /// build and after a complete
@@ -147,7 +148,7 @@ impl FacetSnapshot {
 
     /// The facet hierarchies.
     pub fn forest(&self) -> &FacetForest {
-        &self.forest
+        self.engine.forest()
     }
 
     /// Degraded-coverage provenance: for every important term whose
@@ -164,18 +165,16 @@ impl FacetSnapshot {
         self.degraded.is_empty()
     }
 
-    /// The contextualized per-document term sets (sorted, distinct),
-    /// shared with any browse engine built from this snapshot.
+    /// The contextualized per-document term sets (sorted, distinct).
     pub fn doc_terms(&self) -> &Arc<Vec<Vec<TermId>>> {
         &self.doc_terms
     }
 
-    /// Build a [`BrowseEngine`] over this snapshot. The engine shares the
-    /// snapshot's document state (no copy of the term sets) and is
-    /// entirely read-only — the OLAP-style slice/dice/pivot path never
-    /// sees a `&mut Vocabulary`.
-    pub fn browse(&self) -> BrowseEngine {
-        BrowseEngine::from_shared(self.forest.clone(), Arc::clone(&self.doc_terms))
+    /// The [`BrowseEngine`] over this snapshot, built at publish: nothing
+    /// is computed here, and the OLAP-style slice/dice/pivot path is
+    /// entirely read-only.
+    pub fn browse(&self) -> &BrowseEngine {
+        &self.engine
     }
 
     /// An FNV-1a digest over the snapshot's canonical *string* view:
@@ -203,7 +202,7 @@ impl FacetSnapshot {
             eat(&c.df_c.to_le_bytes());
             eat(&c.score.to_bits().to_le_bytes());
         }
-        for (parent, child) in self.forest.edges() {
+        for (parent, child) in self.forest().edges() {
             eat(b"e\x1f");
             eat(parent.as_bytes());
             eat(b"\x1f");
@@ -227,23 +226,27 @@ impl FacetSnapshot {
         hash
     }
 
-    /// Assemble a snapshot from its parts. Crate-internal: only the
-    /// index's publish path and [`crate::persist`]'s restore build one.
+    /// Assemble a snapshot from its parts, gathering the browse engine's
+    /// facet-term postings from `postings` (the index's per-term rows,
+    /// ascending). Crate-internal: only the index's publish path and
+    /// [`crate::persist`]'s restore build one.
     pub(crate) fn assemble(
         generation: u64,
         vocab: FrozenVocabulary,
         doc_terms: Arc<Vec<Vec<TermId>>>,
         candidates: Vec<FacetCandidate>,
         forest: FacetForest,
+        postings: &[Vec<u32>],
         // lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
         degraded: Arc<BTreeMap<String, Vec<String>>>,
     ) -> Self {
+        let engine = BrowseEngine::from_postings(forest, doc_terms.len(), postings);
         Self {
             generation,
             vocab,
             doc_terms,
             candidates,
-            forest,
+            engine,
             degraded,
         }
     }

@@ -59,7 +59,7 @@ pub use selection::{
 };
 pub use serve::{
     fanout_browse, normalize_query, BrowseResult, FacetServer, ServeCacheStats, ServeHandle,
-    ServeSnapshot, ShardView,
+    ServeSnapshot,
 };
 pub use shard::ShardedFacetIndex;
 pub use subsumption::{build_subsumption_forest, SubsumptionForest, SubsumptionParams};

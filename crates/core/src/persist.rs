@@ -594,6 +594,7 @@ fn restore_index(
         Arc::new(merged_doc_terms.clone()),
         candidates,
         forest,
+        &postings,
         Arc::new(merged_degraded(&shards)),
     );
     index.options = meta.options;

@@ -1,26 +1,20 @@
-//! The snapshot serving tier: per-shard frozen views, deterministic
-//! fan-out browse with merge-at-read, and a query-signature cache.
+//! The snapshot serving tier: browse over the published snapshot's
+//! engine and a query-signature cache.
 //!
 //! [`crate::shard::ShardedFacetIndex`] publishes one merged
-//! [`FacetSnapshot`] per append, which is correct but couples readers to
-//! every write: a batch landing on shard 3 republishes state that
-//! readers of shards 0–2 never needed to drop. The serving tier
-//! decouples them:
+//! [`FacetSnapshot`] per append or repair. The snapshot carries its
+//! [`crate::browse::BrowseEngine`]: sorted postings for every facet term,
+//! gathered from the index's per-term postings at publish. The serving
+//! tier puts a cache and a publication point in front of it:
 //!
-//! * **Per-shard frozen views.** Each publish carries one
-//!   [`ShardView`] per shard — the shard's frozen vocabulary plus its
-//!   sorted per-document contextualized term rows — behind its own
-//!   `Arc`. A publish after an append rebuilds *only* the views of
-//!   shards that received documents; untouched shards' views are reused
-//!   by `Arc` identity, so a write on one shard never invalidates what
-//!   readers hold for another.
-//! * **Fan-out browse with merge-at-read.** [`fanout_browse`] answers a
-//!   query by scanning every shard view independently and merging at
-//!   read time: matching documents merge ascending by global id, and
-//!   refinement counts merge by element-wise sum over a candidate list
-//!   fixed (in term order) by the *global* forest before any shard is
-//!   consulted — the same order-discipline as the shard merge, so the
-//!   result is identical for every shard count and arrival order.
+//! * **One browse path.** [`fanout_browse`] answers a query through the
+//!   engine: it intersects the selected facet terms' postings smallest
+//!   first and counts each refinement candidate's postings against the
+//!   result. The candidates are fixed by the forest — the children of
+//!   the first selected label that names a forest node, or the facet
+//!   roots — and a label that names no facet term matches nothing.
+//!   Matching documents are global ids, ascending, so the answer is the
+//!   same for every shard count and arrival order.
 //! * **Query-signature cache.** [`ServeHandle::browse`] hashes the
 //!   normalized query terms — keyed by [`TermId`] through the snapshot's
 //!   frozen interner — together with the snapshot generation, and serves
@@ -44,81 +38,15 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// One shard's frozen read-side state: the shard-local vocabulary and
-/// the shard's contextualized term rows (sorted, shard-local ids).
+/// One published serving generation: the merged global snapshot, whose
+/// browse engine answers every query.
 ///
-/// A view is immutable; the server publishes a fresh one only for
-/// shards whose state changed, so readers comparing `Arc::ptr_eq`
-/// across generations can see exactly which shards a write touched.
-#[derive(Debug)]
-pub struct ShardView {
-    shard: usize,
-    n_shards: usize,
-    vocab: FrozenVocabulary,
-    doc_terms: Vec<Vec<TermId>>,
-}
-
-impl ShardView {
-    /// Number of documents in this shard.
-    pub fn n_docs(&self) -> usize {
-        self.doc_terms.len()
-    }
-
-    /// The round-robin global id of shard-local position `pos`
-    /// (documents are partitioned `g % n_shards`, so
-    /// `global = pos * n_shards + shard`).
-    pub fn global_id(&self, pos: usize) -> u32 {
-        (pos * self.n_shards + self.shard) as u32
-    }
-
-    /// Scan this shard for documents matching every `selection` label,
-    /// appending their global ids to `docs` and adding each matching
-    /// document's candidate-term memberships into `counts` (aligned
-    /// with `candidates`). A selection label absent from this shard's
-    /// vocabulary matches no document here; candidate labels absent
-    /// from the shard contribute zero counts.
-    fn scan(
-        &self,
-        selection: &[String],
-        candidates: &[String],
-        docs: &mut Vec<u32>,
-        counts: &mut [u64],
-    ) {
-        let mut sel: Vec<TermId> = Vec::with_capacity(selection.len());
-        for label in selection {
-            match self.vocab.get(label) {
-                Some(t) => sel.push(t),
-                None => return,
-            }
-        }
-        let cand: Vec<Option<TermId>> = candidates.iter().map(|c| self.vocab.get(c)).collect();
-        for (pos, row) in self.doc_terms.iter().enumerate() {
-            if !sel.iter().all(|t| row.binary_search(t).is_ok()) {
-                continue;
-            }
-            docs.push(self.global_id(pos));
-            for (k, c) in cand.iter().enumerate() {
-                if let Some(t) = c {
-                    if row.binary_search(t).is_ok() {
-                        counts[k] += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One published serving generation: the merged global snapshot
-/// (forest, vocabulary, ranking) plus the per-shard frozen views.
-///
-/// This is the single atomic publication point — readers obtain the
-/// merged state and every shard view in one `Arc` clone, so a browse
-/// can never observe the forest of one generation against the shard
-/// rows of another.
+/// This is the single atomic publication point — readers obtain it in
+/// one `Arc` clone, so a browse never mixes the forest of one generation
+/// with the postings of another.
 #[derive(Debug)]
 pub struct ServeSnapshot {
     merged: Arc<FacetSnapshot>,
-    shards: Vec<Arc<ShardView>>,
 }
 
 impl ServeSnapshot {
@@ -132,20 +60,9 @@ impl ServeSnapshot {
         &self.merged
     }
 
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total documents across all shards.
     pub fn n_docs(&self) -> usize {
         self.merged.n_docs()
-    }
-
-    /// The frozen view of one shard. The `Arc` identity is stable
-    /// across publishes that did not touch the shard.
-    pub fn shard_view(&self, shard: usize) -> &Arc<ShardView> {
-        &self.shards[shard]
     }
 }
 
@@ -249,62 +166,42 @@ fn signature(generation: u64, normalized: &[String], vocab: &FrozenVocabulary) -
     hash
 }
 
-/// The refinement candidates for a normalized selection, fixed by the
-/// *global* forest before any shard is consulted (merge-at-read rule
-/// 1): the children of the first selected term that names a forest
-/// node, or the facet roots when no selected term does (including the
-/// empty selection). Candidate order is the forest's deterministic
-/// child order; the per-shard counts merge into this fixed list.
-fn refinement_candidates(merged: &FacetSnapshot, normalized: &[String]) -> Vec<String> {
-    let forest = merged.forest();
-    for term in normalized {
-        if let Some(node) = forest.find(term) {
-            return node
-                .children
-                .iter()
-                .map(|c| forest.label(c).to_string())
-                .collect();
-        }
-    }
-    forest
-        .trees
-        .iter()
-        .map(|t| forest.label(&t.root).to_string())
-        .collect()
-}
-
-/// Answer a query by fan-out over the snapshot's shard views and
-/// merge-at-read, bypassing the cache.
+/// Answer a query through the snapshot's browse engine, bypassing the
+/// cache.
 ///
-/// The merge rules that make the result independent of shard count and
-/// scan order:
-///
-/// 1. the refinement candidate list is fixed by the global forest
-///    before the fan-out ([`refinement_candidates`]);
-/// 2. per-shard refinement counts merge by element-wise sum into that
-///    list (sums commute, so shard arrival order cannot matter), and
-///    the final ordering — count descending, label ascending, zero
-///    counts omitted — is applied once, after the merge;
-/// 3. matching documents merge ascending by round-robin *global* id,
-///    which is a pure function of (shard, position).
+/// The query is normalized ([`normalize_query`]). Every label must name a
+/// facet term, or nothing matches: no documents and no refinements. The
+/// refinement candidates are the children of the first selected label's
+/// forest node, or the facet roots for the empty selection, in the
+/// forest's order; each counts the matching documents carrying it.
+/// Refinements are ordered count descending, label ascending, with zero
+/// counts omitted (the [`crate::browse::BrowseEngine::refinements`]
+/// rule).
 pub fn fanout_browse(snapshot: &ServeSnapshot, query: &[&str]) -> BrowseResult {
     fanout_browse_normalized(snapshot, normalize_query(query))
 }
 
 fn fanout_browse_normalized(snapshot: &ServeSnapshot, normalized: Vec<String>) -> BrowseResult {
-    let candidates = refinement_candidates(&snapshot.merged, &normalized);
-    let mut docs: Vec<u32> = Vec::new();
-    let mut counts = vec![0u64; candidates.len()];
-    for view in &snapshot.shards {
-        view.scan(&normalized, &candidates, &mut docs, &mut counts);
-    }
-    docs.sort_unstable();
-    let mut refinements: Vec<(String, u64)> = candidates
-        .into_iter()
-        .zip(counts)
-        .filter(|(_, c)| *c > 0)
+    let engine = snapshot.merged.browse();
+    // A vocabulary term outside the forest has no postings, so it
+    // selects nothing, like a label the vocabulary never saw.
+    let selection: Option<Vec<TermId>> = normalized
+        .iter()
+        .map(|l| snapshot.merged.vocab().get(l))
         .collect();
-    refinements.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let (docs, refinements) = match selection {
+        Some(selection) => {
+            let docs = engine.select(&selection);
+            let node = normalized.first().and_then(|l| engine.forest().find(l));
+            let refinements = engine
+                .refinements_within(&docs, node)
+                .into_iter()
+                .map(|(_, label, count)| (label, count as u64))
+                .collect();
+            (docs.into_iter().map(|d| d.0).collect(), refinements)
+        }
+        None => (Vec::new(), Vec::new()),
+    };
     BrowseResult {
         generation: snapshot.generation(),
         query: normalized,
@@ -328,15 +225,15 @@ pub struct ServeCacheStats {
     pub len: usize,
 }
 
+/// Cached results with the full normalized query each answers (the
+/// collision guard: a signature match alone is not an answer).
+type CacheBucket = Vec<(Vec<String>, Arc<BrowseResult>)>;
+
 /// The query-signature cache. Keyed `(generation, signature)` in a
 /// `BTreeMap` so pruning old generations is a deterministic range
 /// split; each bucket stores the full normalized query alongside the
 /// result, so a signature collision degrades to a miss instead of a
 /// wrong answer. FIFO-bounded.
-/// One cached result with the full normalized query it answers (the
-/// collision guard: a signature match alone is not an answer).
-type CacheBucket = Vec<(Vec<String>, Arc<BrowseResult>)>;
-
 #[derive(Debug)]
 struct QueryCache {
     entries: BTreeMap<(u64, u64), CacheBucket>,
@@ -471,8 +368,8 @@ impl ServeHandle {
         result
     }
 
-    /// Answer a query by a fresh fan-out browse over the current
-    /// snapshot, never touching the cache (the re-selection path the
+    /// Answer a query by a fresh browse over the current snapshot,
+    /// never touching the cache (the re-selection path the
     /// cache is measured against). Records `serve.fanout`.
     pub fn browse_uncached(&self, query: &[&str]) -> BrowseResult {
         self.shared.recorder.incr("serve.fanout");
@@ -481,8 +378,8 @@ impl ServeHandle {
 }
 
 /// The serving tier over a [`ShardedFacetIndex`]: owns the writer,
-/// republishes per-shard views after each append/repair, and hands out
-/// [`ServeHandle`]s for concurrent readers.
+/// republishes the index's snapshot after each append/repair, and hands
+/// out [`ServeHandle`]s for concurrent readers.
 pub struct FacetServer<'a> {
     index: ShardedFacetIndex<'a>,
     shared: Arc<ServeShared>,
@@ -498,12 +395,8 @@ impl<'a> FacetServer<'a> {
     /// Wrap an index with an explicit cache capacity (clamped ≥ 1).
     pub fn with_cache_capacity(index: ShardedFacetIndex<'a>, capacity: usize) -> Self {
         let recorder = index.recorder().clone();
-        let shards = (0..index.n_shards())
-            .map(|i| Arc::new(build_view(&index, i)))
-            .collect();
         let snapshot = Arc::new(ServeSnapshot {
             merged: index.snapshot(),
-            shards,
         });
         Self {
             index,
@@ -532,25 +425,21 @@ impl<'a> FacetServer<'a> {
         self.shared.current.read().clone()
     }
 
-    /// Append a batch through the index, then republish: only the views
-    /// of shards that received documents are rebuilt; every other
-    /// shard's view is carried over by `Arc` identity. Cache entries of
-    /// older generations are pruned.
+    /// Append a batch through the index, then republish its snapshot.
+    /// Cache entries of older generations are pruned.
     ///
     /// # Errors
     /// Propagates [`IndexError`] from the index; the published serving
     /// snapshot is left untouched on error.
     pub fn append(&mut self, batch: Vec<Document>) -> Result<AppendStats, IndexError> {
         let stats = self.index.append(batch)?;
-        let docs_per_shard = stats.docs_per_shard.clone();
-        self.republish(|shard| docs_per_shard.get(shard).is_some_and(|&d| d > 0));
+        self.republish();
         Ok(stats)
     }
 
     /// Run a repair pass through the index. A pass that re-queried
-    /// nothing publishes nothing; otherwise every shard view is rebuilt
-    /// (repair can rewrite any shard's term rows) and old cache
-    /// generations are pruned.
+    /// nothing publishes nothing; otherwise the repaired snapshot is
+    /// republished and old cache generations are pruned.
     ///
     /// # Errors
     /// Propagates [`IndexError`] from the index; the published serving
@@ -558,7 +447,7 @@ impl<'a> FacetServer<'a> {
     pub fn repair(&mut self) -> Result<RepairStats, IndexError> {
         let stats = self.index.repair()?;
         if stats.requeried_terms > 0 {
-            self.republish(|_| true);
+            self.republish();
         }
         Ok(stats)
     }
@@ -567,8 +456,8 @@ impl<'a> FacetServer<'a> {
     /// the live reader handles. The recovered index's generation must be
     /// at or past the published one — determinism makes equal
     /// generations equal content, so readers can only move forward —
-    /// and the swap republishes every shard view and prunes cache
-    /// entries of older generations, exactly like an append's publish.
+    /// and the swap publishes its snapshot and prunes cache entries of
+    /// older generations, exactly like an append's publish.
     /// Records `serve.reopen`.
     ///
     /// This is a sanctioned publication point (`Lint.toml` C2); the
@@ -589,12 +478,8 @@ impl<'a> FacetServer<'a> {
             });
         }
         self.index = recovered;
-        let shards = (0..self.index.n_shards())
-            .map(|i| Arc::new(build_view(&self.index, i)))
-            .collect();
         let snapshot = Arc::new(ServeSnapshot {
             merged: self.index.snapshot(),
-            shards,
         });
         *self.shared.current.write() = snapshot;
         self.shared.cache.lock().prune_below(generation);
@@ -602,43 +487,14 @@ impl<'a> FacetServer<'a> {
         Ok(generation)
     }
 
-    fn republish(&self, changed: impl Fn(usize) -> bool) {
-        let previous = self.shared.current.read().clone();
-        let shards = (0..self.index.n_shards())
-            .map(|i| {
-                if i < previous.shards.len() && !changed(i) {
-                    Arc::clone(&previous.shards[i])
-                } else {
-                    Arc::new(build_view(&self.index, i))
-                }
-            })
-            .collect();
+    fn republish(&self) {
         let snapshot = Arc::new(ServeSnapshot {
             merged: self.index.snapshot(),
-            shards,
         });
         let generation = snapshot.generation();
         *self.shared.current.write() = snapshot;
         self.shared.cache.lock().prune_below(generation);
         self.shared.recorder.incr("serve.publish");
-    }
-}
-
-/// One shard's frozen read-side state: the shard's vocabulary at this
-/// instant and its contextualized per-document term rows, sorted so
-/// membership tests binary-search. Rows carry *shard-local* ids, valid
-/// only against the frozen vocabulary.
-fn build_view(index: &ShardedFacetIndex<'_>, shard: usize) -> ShardView {
-    let s = &index.shards[shard];
-    let mut doc_terms = s.ctx.doc_terms.clone();
-    for row in &mut doc_terms {
-        row.sort_unstable();
-    }
-    ShardView {
-        shard,
-        n_shards: index.n_shards(),
-        vocab: s.vocab.freeze(),
-        doc_terms,
     }
 }
 
@@ -756,31 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_matches_browse_engine_on_the_merged_snapshot() {
-        let e = FixedExtractor;
-        let r = FixedResource::new();
-        let srv = server(3, 24, &e, &r);
-        let snap = srv.snapshot();
-        let merged = snap.merged();
-        let engine = merged.browse();
-        for query in [vec![], vec!["political leaders"], vec!["france"]] {
-            let result = fanout_browse(&snap, &query);
-            // Documents match the engine's selection.
-            let sel: Vec<TermId> = query.iter().filter_map(|l| merged.vocab().get(l)).collect();
-            let expected: Vec<u32> = engine.select(&sel).iter().map(|d| d.0).collect();
-            assert_eq!(result.docs, expected, "query {query:?}");
-            // Refinements match the engine's counts under the same rule.
-            let node = query.iter().find_map(|l| merged.forest().find(l));
-            let expected_refs: Vec<(String, u64)> = engine
-                .refinements(&sel, node)
-                .into_iter()
-                .map(|(_, label, count)| (label, count as u64))
-                .collect();
-            assert_eq!(result.refinements, expected_refs, "query {query:?}");
-        }
-    }
-
-    #[test]
     fn fanout_is_identical_across_shard_counts() {
         let e = FixedExtractor;
         let r = FixedResource::new();
@@ -846,29 +677,6 @@ mod tests {
         assert_eq!(h.cache_stats().misses, 2, "the re-ask was a miss");
         // The pinned pre-append result is untouched (frozen views).
         assert_eq!(before.total(), 12);
-    }
-
-    #[test]
-    fn append_reuses_views_of_untouched_shards() {
-        let e = FixedExtractor;
-        let r = FixedResource::new();
-        // 3 shards, 9 docs: appending 1 doc lands on shard 9 % 3 = 0.
-        let index = ShardedFacetIndex::build(corpus(9), 3, vec![&e], vec![&r], options()).unwrap();
-        let mut srv = FacetServer::new(index);
-        let old = srv.snapshot();
-        let stats = srv.append(corpus(1)).unwrap();
-        assert_eq!(stats.docs_per_shard, vec![1, 0, 0]);
-        let new = srv.snapshot();
-        assert!(
-            !Arc::ptr_eq(old.shard_view(0), new.shard_view(0)),
-            "the written shard republished its view"
-        );
-        for shard in [1, 2] {
-            assert!(
-                Arc::ptr_eq(old.shard_view(shard), new.shard_view(shard)),
-                "shard {shard} was untouched; its view must be reused"
-            );
-        }
     }
 
     #[test]

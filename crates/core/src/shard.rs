@@ -219,6 +219,7 @@ impl<'a> ShardedFacetIndex<'a> {
             Arc::new(Vec::new()),
             Vec::new(),
             FacetForest::default(),
+            &[],
             Arc::new(BTreeMap::new()),
         ));
         Self {
@@ -628,6 +629,7 @@ impl<'a> ShardedFacetIndex<'a> {
             Arc::new(self.merged_doc_terms.clone()),
             candidates,
             forest,
+            &self.postings,
             Arc::new(merged_degraded(&self.shards)),
         ));
         *self.snapshot.write() = snapshot;

@@ -1,5 +1,5 @@
 //! Query-time facets through the serving tier: build the index ONCE,
-//! answer every browse query from frozen per-shard snapshots.
+//! answer every browse query from the published snapshot.
 //!
 //! ```sh
 //! cargo run --release --example query_time_facets
@@ -17,10 +17,10 @@
 //! revisions of this example re-ran term selection and forest
 //! construction on every query — interactive latency paid the full
 //! pipeline each time. The serving tier (`core::serve`, DESIGN.md
-//! section 17) fixes that: `FacetServer` publishes frozen per-shard
-//! snapshots, answers each browse by deterministic fan-out + merge-at-
-//! read, and a query-signature cache serves repeated queries with zero
-//! re-selection until an append bumps the generation.
+//! section 17) fixes that: `FacetServer` publishes a frozen snapshot
+//! whose browse engine holds sorted postings for every facet term, each
+//! browse intersects them, and a query-signature cache serves repeated
+//! queries with zero re-selection until an append bumps the generation.
 
 use facet_hierarchies::core::{fanout_browse, FacetServer, PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{DatasetRecipe, RecipeKind};
@@ -114,7 +114,7 @@ fn main() {
     print!("{}", forest.render(4));
 
     // The user drills into the most prominent facets. Each query is
-    // answered by fan-out browse over the frozen shard views; asking it
+    // answered from the snapshot's facet-term postings; asking it
     // again hits the signature cache — zero re-selection, and the
     // cached answer is byte-identical to a fresh one.
     let queries: Vec<String> = forest

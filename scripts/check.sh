@@ -5,7 +5,8 @@
 #
 #   --tier1        Run exactly the tier-1 gate (release build + tests), the
 #                  command CI and the roadmap treat as the must-stay-green
-#                  bar, plus the sharded-index determinism sweep, the chaos
+#                  bar, plus the sharded-index determinism sweep, the
+#                  facet-core serving and browse unit tests, the chaos
 #                  (fault-injection) suite, the trace-export determinism
 #                  smoke, the facet-lint workspace gate, and a release
 #                  build of the perfbench workspace (its own Cargo
@@ -86,6 +87,11 @@ if [[ "${1:-}" == "--tier1" ]]; then
     # so a filtered or partial test run cannot silently skip them.
     cargo test -q --test determinism shard
     cargo test -q -p facet-core shard::
+    echo "== tier-1: serving and browse unit tests"
+    # Root `cargo test -q` skips crate unit tests; these hold the
+    # interleaving tests the `core::serve` sanction in Lint.toml cites.
+    cargo test -q -p facet-core serve::
+    cargo test -q -p facet-core browse::
     run_chaos
     run_trace_smoke
     run_lint
