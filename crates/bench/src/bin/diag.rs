@@ -284,7 +284,7 @@ fn main() {
     {
         use facet_ner::NerTagger;
         use facet_resources::{expand_database, ExpansionOptions, WikiSynonymsResource};
-        use facet_stats::rank_bins;
+        use facet_stats::bins_by_frequency;
         use facet_termx::{NamedEntityExtractor, TermExtractor};
         use facet_wikipedia::WikipediaSynonyms;
         let world = &bundle.world;
@@ -311,8 +311,9 @@ fn main() {
             &ExpansionOptions::default(),
         );
         let df = bundle.corpus.db.df_table_resized(bundle.vocab.len());
-        let bins_d = rank_bins(&df);
-        let bins_c = rank_bins(c.df_table());
+        let n_docs = bundle.corpus.db.len() as u64;
+        let bins_d = bins_by_frequency(&df, n_docs);
+        let bins_c = bins_by_frequency(c.df_table(), n_docs);
         println!(
             "
 WikiSyn shift probe (gold country terms):"
@@ -331,8 +332,8 @@ WikiSyn shift probe (gold country terms):"
                 "  {term}: df={} df_c={} bin_d={} bin_c={} variants={:?}",
                 df[id.index()],
                 c.df_c(id),
-                bins_d[id.index()],
-                bins_c[id.index()],
+                bins_d[df[id.index()] as usize],
+                bins_c[c.df_c(id) as usize],
                 e.variants,
             );
             shown += 1;

@@ -581,6 +581,19 @@ fn restore_index(
     }
     let postings = postings_of(&merged_doc_terms, merged_vocab.len())
         .ok_or_else(|| corrupt("merged.doc_terms"))?;
+    // Selection assumes both tables cover the vocabulary and count at
+    // most `n_docs` documents; rows define `df_C`.
+    if merged_df.len() != merged_vocab.len() || merged_df.iter().any(|&f| f > meta.n_docs) {
+        return Err(corrupt("merged.df"));
+    }
+    if merged_df_c.len() != merged_vocab.len()
+        || merged_df_c
+            .iter()
+            .zip(&postings)
+            .any(|(&f, rows)| f > meta.n_docs || f != rows.len() as u64)
+    {
+        return Err(corrupt("merged.df_c"));
+    }
     let candidates = decode(payload, "candidates", dec_candidates)?;
     let frozen = merged_vocab.freeze();
     let forest = decode(payload, "forest", |r| dec_forest(r, frozen.clone()))?;

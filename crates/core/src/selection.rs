@@ -7,9 +7,26 @@
 //!
 //! and candidates are ranked by the log-likelihood statistic `−log λ_t`
 //! (or, for the ablation study, by chi-square).
+//!
+//! Selection is linear in the vocabulary, with no sort over it:
+//!
+//! * **Bins are counted, not sorted.** Competition rank depends on a term
+//!   only through its frequency, `Rank(f) = 1 + #{terms with frequency
+//!   > f}`, and an absent term gets `nonzero + 1`, the same formula at
+//!   `f = 0`. So each table is counted into a histogram over frequency
+//!   values, one suffix sum turns it into a bin per value
+//!   ([`bins_by_frequency`]), and each term looks its bin up by its
+//!   frequency. Terms past the end of the shorter table read as `f = 0`;
+//!   no padded copy is made. This needs every `df` and `df_C` to be at
+//!   most `n_docs` — a document frequency counts documents — which
+//!   [`SelectionInputs`] states and selection asserts once per call.
+//! * **Only the top k are sorted.** The ranking comparators are total,
+//!   so partial selection of the best `top_k` followed by a sort of
+//!   those alone returns exactly what a full sort and truncation would.
 
-use facet_stats::{chi_square_df, log_likelihood_ratio, rank_bins};
+use facet_stats::{bins_by_frequency, chi_square_df, log_likelihood_ratio};
 use facet_textkit::{TermId, Vocabulary};
+use std::cmp::Ordering;
 
 /// Which significance statistic ranks the candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +56,9 @@ pub struct FacetCandidate {
 }
 
 /// Inputs to the selection step.
+///
+/// Every entry of both tables must be at most `n_docs`: selection panics
+/// otherwise, as [`log_likelihood_ratio`] does.
 #[derive(Debug, Clone, Copy)]
 pub struct SelectionInputs<'a> {
     /// Document-frequency table of `D`, indexed by term id.
@@ -51,46 +71,67 @@ pub struct SelectionInputs<'a> {
 }
 
 /// Collect every candidate passing the shift and `min_df_c` filters,
-/// unranked. The candidate *set* depends only on the frequency tables
-/// (rank bins use competition ranking, so ties share a bin), never on
-/// term-id assignment order.
-fn collect_candidates(
+/// unranked, in term-id order. The candidate *set* depends only on the
+/// frequency tables (rank bins use competition ranking, so ties share a
+/// bin), never on term-id assignment order.
+///
+/// # Panics
+/// Panics if a table entry exceeds `inputs.n_docs`.
+pub(crate) fn collect_candidates(
     inputs: SelectionInputs<'_>,
     statistic: SelectionStatistic,
     min_df_c: u64,
 ) -> Vec<FacetCandidate> {
-    let vocab_len = inputs.df_c.len().max(inputs.df.len());
-    // Frequency tables padded to the full vocabulary.
-    let mut df = inputs.df.to_vec();
-    df.resize(vocab_len, 0);
-    let mut df_c = inputs.df_c.to_vec();
-    df_c.resize(vocab_len, 0);
-
-    let bins_d = rank_bins(&df);
-    let bins_c = rank_bins(&df_c);
+    let SelectionInputs { df, df_c, n_docs } = inputs;
+    let max_freq = df.iter().chain(df_c).copied().max().unwrap_or(0);
+    assert!(max_freq <= n_docs, "frequency {max_freq} > n_docs {n_docs}");
+    let bins_d = bins_by_frequency(df, max_freq);
+    let bins_c = bins_by_frequency(df_c, max_freq);
 
     let mut candidates: Vec<FacetCandidate> = Vec::new();
-    for i in 0..vocab_len {
-        let shift_f = df_c[i] as i64 - df[i] as i64;
-        let shift_r = bins_d[i] as i64 - bins_c[i] as i64;
-        if shift_f <= 0 || shift_r <= 0 || df_c[i] < min_df_c {
+    for i in 0..df.len().max(df_c.len()) {
+        let d = df.get(i).copied().unwrap_or(0);
+        let c = df_c.get(i).copied().unwrap_or(0);
+        let shift_f = c as i64 - d as i64;
+        if shift_f <= 0 || c < min_df_c {
+            continue;
+        }
+        let shift_r = bins_d[d as usize] as i64 - bins_c[c as usize] as i64;
+        if shift_r <= 0 {
             continue;
         }
         let score = match statistic {
-            SelectionStatistic::LogLikelihood => {
-                log_likelihood_ratio(df[i], df_c[i], inputs.n_docs)
-            }
-            SelectionStatistic::ChiSquare => chi_square_df(df[i], df_c[i], inputs.n_docs),
+            SelectionStatistic::LogLikelihood => log_likelihood_ratio(d, c, n_docs),
+            SelectionStatistic::ChiSquare => chi_square_df(d, c, n_docs),
         };
         candidates.push(FacetCandidate {
             term: TermId(i as u32),
-            df: df[i],
-            df_c: df_c[i],
+            df: d,
+            df_c: c,
             shift_f,
             shift_r,
             score,
         });
     }
+    candidates
+}
+
+/// The first `top_k` candidates under the total order `cmp`, sorted: the
+/// result of a full sort and truncation, found by partial selection so
+/// that only the kept `top_k` are sorted.
+fn top_k_by(
+    mut candidates: Vec<FacetCandidate>,
+    top_k: usize,
+    cmp: impl Fn(&FacetCandidate, &FacetCandidate) -> Ordering,
+) -> Vec<FacetCandidate> {
+    if top_k == 0 {
+        return Vec::new();
+    }
+    if top_k < candidates.len() {
+        candidates.select_nth_unstable_by(top_k - 1, &cmp);
+        candidates.truncate(top_k);
+    }
+    candidates.sort_unstable_by(cmp);
     candidates
 }
 
@@ -102,20 +143,24 @@ fn collect_candidates(
 /// corpus can be reached through different interning histories (batch
 /// build vs incremental appends), use [`select_facet_terms_stable`],
 /// whose ordering is independent of id assignment.
+///
+/// # Panics
+/// Panics if a table entry exceeds `inputs.n_docs`.
 pub fn select_facet_terms(
     inputs: SelectionInputs<'_>,
     statistic: SelectionStatistic,
     top_k: usize,
     min_df_c: u64,
 ) -> Vec<FacetCandidate> {
-    let mut candidates = collect_candidates(inputs, statistic, min_df_c);
-    candidates.sort_by(|a, b| {
-        b.score
-            .total_cmp(&a.score)
-            .then_with(|| a.term.cmp(&b.term))
-    });
-    candidates.truncate(top_k);
-    candidates
+    top_k_by(
+        collect_candidates(inputs, statistic, min_df_c),
+        top_k,
+        |a, b| {
+            b.score
+                .total_cmp(&a.score)
+                .then_with(|| a.term.cmp(&b.term))
+        },
+    )
 }
 
 /// [`select_facet_terms`] with an interning-order-independent ranking:
@@ -127,6 +172,9 @@ pub fn select_facet_terms(
 /// corpus in batches interleaves context-term interning with later
 /// batches' corpus terms, so ids differ from a one-shot build, but the
 /// string-ranked candidate list comes out identical.
+///
+/// # Panics
+/// Panics if a table entry exceeds `inputs.n_docs`.
 pub fn select_facet_terms_stable(
     inputs: SelectionInputs<'_>,
     statistic: SelectionStatistic,
@@ -134,8 +182,21 @@ pub fn select_facet_terms_stable(
     min_df_c: u64,
     vocab: &Vocabulary,
 ) -> Vec<FacetCandidate> {
-    let mut candidates = collect_candidates(inputs, statistic, min_df_c);
-    candidates.sort_by(|a, b| {
+    rank_stable(
+        collect_candidates(inputs, statistic, min_df_c),
+        top_k,
+        vocab,
+    )
+}
+
+/// The ranking half of [`select_facet_terms_stable`], for a caller that
+/// reports how many candidates [`collect_candidates`] found.
+pub(crate) fn rank_stable(
+    candidates: Vec<FacetCandidate>,
+    top_k: usize,
+    vocab: &Vocabulary,
+) -> Vec<FacetCandidate> {
+    top_k_by(candidates, top_k, |a, b| {
         b.score
             .total_cmp(&a.score)
             .then_with(|| {
@@ -145,9 +206,7 @@ pub fn select_facet_terms_stable(
                     .cmp(vocab.try_term(b.term).unwrap_or(""))
             })
             .then_with(|| a.term.cmp(&b.term))
-    });
-    candidates.truncate(top_k);
-    candidates
+    })
 }
 
 #[cfg(test)]
@@ -327,5 +386,180 @@ mod tests {
         assert!(facet.shift_r > 0);
         assert_eq!(facet.df, 0);
         assert_eq!(facet.df_c, 420);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_docs")]
+    fn frequency_above_n_docs_panics() {
+        let _ = select_facet_terms(
+            SelectionInputs {
+                df: &[1],
+                df_c: &[0, 11],
+                n_docs: 10,
+            },
+            SelectionStatistic::LogLikelihood,
+            10,
+            1,
+        );
+    }
+
+    /// The selection path before bins were counted, verbatim: padded
+    /// copies, sort-based `rank_bins`, a full sort with the plain (`None`)
+    /// or stable (`Some(vocab)`) comparator, then `truncate`.
+    fn reference_select(
+        inputs: SelectionInputs<'_>,
+        statistic: SelectionStatistic,
+        top_k: usize,
+        min_df_c: u64,
+        stable: Option<&Vocabulary>,
+    ) -> Vec<FacetCandidate> {
+        use facet_stats::rank_bins;
+        let vocab_len = inputs.df_c.len().max(inputs.df.len());
+        let mut df = inputs.df.to_vec();
+        df.resize(vocab_len, 0);
+        let mut df_c = inputs.df_c.to_vec();
+        df_c.resize(vocab_len, 0);
+
+        let bins_d = rank_bins(&df);
+        let bins_c = rank_bins(&df_c);
+
+        let mut candidates: Vec<FacetCandidate> = Vec::new();
+        for i in 0..vocab_len {
+            let shift_f = df_c[i] as i64 - df[i] as i64;
+            let shift_r = bins_d[i] as i64 - bins_c[i] as i64;
+            if shift_f <= 0 || shift_r <= 0 || df_c[i] < min_df_c {
+                continue;
+            }
+            let score = match statistic {
+                SelectionStatistic::LogLikelihood => {
+                    log_likelihood_ratio(df[i], df_c[i], inputs.n_docs)
+                }
+                SelectionStatistic::ChiSquare => chi_square_df(df[i], df_c[i], inputs.n_docs),
+            };
+            candidates.push(FacetCandidate {
+                term: TermId(i as u32),
+                df: df[i],
+                df_c: df_c[i],
+                shift_f,
+                shift_r,
+                score,
+            });
+        }
+        match stable {
+            None => candidates.sort_by(|a, b| {
+                b.score
+                    .total_cmp(&a.score)
+                    .then_with(|| a.term.cmp(&b.term))
+            }),
+            Some(vocab) => candidates.sort_by(|a, b| {
+                b.score
+                    .total_cmp(&a.score)
+                    .then_with(|| {
+                        vocab
+                            .try_term(a.term)
+                            .unwrap_or("")
+                            .cmp(vocab.try_term(b.term).unwrap_or(""))
+                    })
+                    .then_with(|| a.term.cmp(&b.term))
+            }),
+        }
+        candidates.truncate(top_k);
+        candidates
+    }
+
+    /// Everything a candidate carries, with the score as bits.
+    fn bits(out: &[FacetCandidate]) -> Vec<(u32, u64, u64, i64, i64, u64)> {
+        out.iter()
+            .map(|c| {
+                (
+                    c.term.0,
+                    c.df,
+                    c.df_c,
+                    c.shift_f,
+                    c.shift_r,
+                    c.score.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// Counted bins with partial top-k reproduce the sort-based path
+    /// candidate for candidate — order, statistics and score bits — for
+    /// both rankings, over tables drawn from small value ranges (so
+    /// scores tie and string tie-breaks fire), tables of unequal length,
+    /// all-zero tables, both statistics, several `min_df_c`, and `top_k`
+    /// of 0, 1, a random count inside the candidates, exactly the
+    /// candidate count, and beyond it.
+    #[test]
+    fn selection_matches_sort_based_reference() {
+        use proptest::test_runner::TestRng;
+        let mut rng = TestRng::deterministic("selection_matches_sort_based_reference");
+        for case in 0..600 {
+            let n_docs = 1 + rng.below(60);
+            let max_value = [1, 2, 4, 8, n_docs][rng.below(5) as usize].min(n_docs);
+            let all_zero = case % 10 == 0;
+            let df_len = rng.below(40);
+            // Mostly a longer df_c (context terms extend the vocabulary),
+            // sometimes the other way round.
+            let df_c_len = if rng.below(4) == 0 {
+                rng.below(df_len + 1)
+            } else {
+                df_len + rng.below(12)
+            };
+            let mut draw = |len: u64| -> Vec<u64> {
+                (0..len)
+                    .map(|_| {
+                        if all_zero {
+                            0
+                        } else {
+                            rng.below(max_value + 1)
+                        }
+                    })
+                    .collect()
+            };
+            let df = draw(df_len);
+            let df_c = draw(df_c_len);
+            // Short words over a small alphabet, made distinct by a
+            // suffix, so string order disagrees with id order.
+            let mut vocab = Vocabulary::new();
+            for i in 0..df_len.max(df_c_len) {
+                let word: String = (0..1 + rng.below(3))
+                    .map(|_| char::from(b'a' + rng.below(3) as u8))
+                    .collect();
+                vocab.intern(&format!("{word}{i}"));
+            }
+            let inputs = SelectionInputs {
+                df: &df,
+                df_c: &df_c,
+                n_docs,
+            };
+            let statistic = [
+                SelectionStatistic::LogLikelihood,
+                SelectionStatistic::ChiSquare,
+            ][rng.below(2) as usize];
+            let min_df_c = [0, 1, 2, 5][rng.below(4) as usize];
+            let found = reference_select(inputs, statistic, usize::MAX, min_df_c, None).len();
+            let inside = 1 + rng.below(found.max(1) as u64) as usize;
+            for top_k in [0, 1, inside, found, found + 1 + rng.below(5) as usize] {
+                assert_eq!(
+                    bits(&select_facet_terms(inputs, statistic, top_k, min_df_c)),
+                    bits(&reference_select(inputs, statistic, top_k, min_df_c, None)),
+                    "plain, case {case}, top_k {top_k}"
+                );
+                assert_eq!(
+                    bits(&select_facet_terms_stable(
+                        inputs, statistic, top_k, min_df_c, &vocab
+                    )),
+                    bits(&reference_select(
+                        inputs,
+                        statistic,
+                        top_k,
+                        min_df_c,
+                        Some(&vocab)
+                    )),
+                    "stable, case {case}, top_k {top_k}"
+                );
+            }
+        }
     }
 }

@@ -36,9 +36,11 @@
 //!    documents, in global id order, into the merged df/`df_C` tables,
 //!    per-document term sets, and per-term postings — O(new documents),
 //!    not O(corpus).
-//! 4. **Global ranking.** Selection reranks the merged tables. Subsumption
-//!    keeps one [`CoCounts`] table for the current candidate set across
-//!    appends: a publish frees the terms that left the top k, counts the
+//! 4. **Global ranking.** Selection reranks the merged tables in time
+//!    linear in the vocabulary: rank bins come from one frequency
+//!    histogram per table, not a sort, and only the top k are sorted (see
+//!    [`crate::selection`]). Subsumption keeps one [`CoCounts`] table for
+//!    the current candidate set across appends: a publish frees the terms that left the top k, counts the
 //!    new documents' pairs among the terms that stayed, and fills the
 //!    entering terms' rows from their postings, so its counting scales
 //!    with the batch and the churn, not the corpus. A fresh, restored, or
@@ -53,8 +55,9 @@
 //! [`crate::pipeline::FacetPipeline`] over the same corpus. Term ids may
 //! differ (each path interns in its own order, and context terms
 //! interleave with later batches' corpus terms), which is why ranking
-//! uses [`select_facet_terms_stable`] (string tie-breaks) and every other
-//! stage is id-order-independent by construction.
+//! uses [`crate::selection::select_facet_terms_stable`]'s string
+//! tie-breaks and every other stage is id-order-independent by
+//! construction.
 //!
 //! The merge is serial and the shard workers are OS threads, so the
 //! speedup ceiling is the parallel fraction of an append (extraction +
@@ -64,7 +67,7 @@
 use crate::config::PipelineOptions;
 use crate::hierarchy::FacetForest;
 use crate::index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
-use crate::selection::{select_facet_terms_stable, SelectionInputs, SelectionStatistic};
+use crate::selection::{collect_candidates, rank_stable, SelectionInputs, SelectionStatistic};
 use crate::subsumption::{choose_parents, CoCounts, SubsumptionParams};
 use facet_corpus::db::TermingOptions;
 use facet_corpus::{DocId, Document, TextDatabase};
@@ -578,23 +581,25 @@ impl<'a> ShardedFacetIndex<'a> {
     /// there are none yet) and run Step 4's parent choice over them, bump
     /// the generation, and atomically swap in the new snapshot — the
     /// index's one publication point (`Lint.toml` C2). Records the
-    /// `select`, `subsumption`, and `swap` spans.
+    /// `select` span (attributes: `terms` scanned, `candidates` passing
+    /// the shift filters), then the `subsumption` and `swap` spans.
     fn publish(&mut self) {
         // One freeze per publish: ranking, forest, and snapshot share it.
         let frozen = self.merged_vocab.freeze();
         let candidates = {
-            let _span = self.recorder.span("select");
-            select_facet_terms_stable(
+            let span = self.recorder.span("select");
+            let found = collect_candidates(
                 SelectionInputs {
                     df: &self.merged_df,
                     df_c: &self.merged_df_c,
                     n_docs: self.n_docs as u64,
                 },
                 self.statistic,
-                self.options.top_k,
                 self.options.min_df_c,
-                frozen.as_vocabulary(),
-            )
+            );
+            span.attr("terms", self.merged_vocab.len() as u64);
+            span.attr("candidates", found.len() as u64);
+            rank_stable(found, self.options.top_k, frozen.as_vocabulary())
         };
         let forest = {
             let _span = self.recorder.span("subsumption");
@@ -949,6 +954,16 @@ mod tests {
                 "{stage} span missing"
             );
         }
+        // The select span says what selection iterated over.
+        let select = t.spans.iter().find(|s| s.name == "select").unwrap();
+        let attr = |key: &str| match select.attrs.iter().find(|(k, _)| k == key) {
+            Some((_, facet_obs::AttrValue::U64(v))) => *v,
+            other => panic!("select attribute {key}: {other:?}"),
+        };
+        let snap = index.snapshot();
+        assert_eq!(attr("terms"), snap.vocab().len() as u64);
+        assert!(attr("candidates") >= snap.candidates().len() as u64);
+        assert!(attr("candidates") <= attr("terms"));
     }
 
     #[test]

@@ -64,12 +64,48 @@ pub fn ranks_by_frequency(freqs: &[u64]) -> Vec<u64> {
 }
 
 /// Compute the rank bin of every term in a frequency table:
-/// `bins[i] = ⌈log2(Rank(term i))⌉`.
+/// `bins[i] = ⌈log2(Rank(term i))⌉`, by sorting the table. The reference
+/// that [`bins_by_frequency`] is tested against.
 pub fn rank_bins(freqs: &[u64]) -> Vec<RankBin> {
     ranks_by_frequency(freqs)
         .into_iter()
         .map(rank_bin)
         .collect()
+}
+
+/// The rank bin of every frequency *value* in a table whose entries are
+/// all at most `max_freq`: `bins[f] = ⌈log2 Rank(f)⌉` with
+/// `Rank(f) = 1 + #{entries > f}`, so a term with frequency `f` has bin
+/// `bins[f]`. `bins[0]` is the bin of an absent term (`nonzero + 1`, as
+/// in [`ranks_by_frequency`]), which also covers entries beyond the end
+/// of a shorter table: zeros never count towards any rank.
+///
+/// One counting pass into a `max_freq + 1` histogram and one suffix sum,
+/// so `O(freqs.len() + max_freq)`.
+///
+/// ```
+/// use facet_stats::bins_by_frequency;
+/// // freqs 7, 7, 3, 1 → ranks 1, 1, 3, 4 → bins 0, 0, 2, 2; absent → rank 5.
+/// let bins = bins_by_frequency(&[7, 7, 3, 1], 7);
+/// assert_eq!((bins[7], bins[3], bins[1], bins[0]), (0, 2, 2, 3));
+/// ```
+///
+/// # Panics
+/// Panics if an entry exceeds `max_freq`.
+pub fn bins_by_frequency(freqs: &[u64], max_freq: u64) -> Vec<RankBin> {
+    let mut hist = vec![0u64; max_freq as usize + 1];
+    for &f in freqs {
+        hist[f as usize] += 1;
+    }
+    // Walk frequencies downwards, `above` counting the entries seen so
+    // far, i.e. those with a strictly larger frequency.
+    let mut above = 0u64;
+    let mut bins = vec![0; hist.len()];
+    for (bin, count) in bins.iter_mut().zip(&hist).rev() {
+        *bin = rank_bin(above + 1);
+        above += count;
+    }
+    bins
 }
 
 #[cfg(test)]
@@ -125,6 +161,28 @@ mod tests {
     fn empty_table() {
         assert!(ranks_by_frequency(&[]).is_empty());
         assert!(rank_bins(&[]).is_empty());
+    }
+
+    #[test]
+    fn counted_bins_match_sorted_bins() {
+        let freqs = [7, 0, 7, 3, 3, 3, 1, 0, 12];
+        let counted = bins_by_frequency(&freqs, 12);
+        let sorted = rank_bins(&freqs);
+        for (f, b) in freqs.iter().zip(&sorted) {
+            assert_eq!(counted[*f as usize], *b, "freq {f}");
+        }
+    }
+
+    #[test]
+    fn counted_bins_of_empty_and_zero_tables() {
+        assert_eq!(bins_by_frequency(&[], 0), vec![0]);
+        assert_eq!(bins_by_frequency(&[0, 0], 3), vec![0; 4]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn counted_bins_reject_entries_above_the_bound() {
+        let _ = bins_by_frequency(&[5], 4);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * [`chisq`] — the chi-square statistic, implemented for the ablation
 //!   study (the paper argues it is *unsuitable* for power-law term
 //!   frequencies; we reproduce that comparison),
-//! * [`binning`] — the rank-binning function `B(t) = ⌈log2(Rank(t))⌉` and
-//!   rank computation over frequency tables,
+//! * [`binning`] — the rank-binning function `B(t) = ⌈log2(Rank(t))⌉`,
+//!   counted per frequency value in linear time, and the sort-based rank
+//!   computation kept as its reference,
 //! * [`shift`] — the frequency- and rank-based shift functions `Shift_f`
 //!   and `Shift_r`.
 
@@ -22,7 +23,7 @@ pub mod divergence;
 pub mod loglik;
 pub mod shift;
 
-pub use binning::{rank_bin, rank_bins, ranks_by_frequency, RankBin};
+pub use binning::{bins_by_frequency, rank_bin, rank_bins, ranks_by_frequency, RankBin};
 pub use chisq::{chi_square_2x2, chi_square_df};
 pub use divergence::{corpus_skew_divergence, kl_divergence, normalize, skew_divergence};
 pub use loglik::{binomial_log_likelihood, log_likelihood_ratio};

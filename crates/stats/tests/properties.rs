@@ -3,8 +3,8 @@
 //! Property-based tests for the statistics substrate.
 
 use facet_stats::{
-    chi_square_df, is_candidate, log_likelihood_ratio, rank_bin, rank_bins, ranks_by_frequency,
-    shift_f, shift_r,
+    bins_by_frequency, chi_square_df, is_candidate, log_likelihood_ratio, rank_bin, rank_bins,
+    ranks_by_frequency, shift_f, shift_r,
 };
 use proptest::prelude::*;
 
@@ -103,6 +103,25 @@ proptest! {
         let ranks = ranks_by_frequency(&freqs);
         for (b, r) in bins.iter().zip(&ranks) {
             prop_assert_eq!(*b, rank_bin(*r));
+        }
+    }
+
+    /// Counted bins equal the sort-based reference term by term, and
+    /// zero-padding the table (terms absent from this database) moves no
+    /// bin: a padded entry reads `bins[0]`.
+    #[test]
+    fn counted_bins_match_rank_bins(
+        freqs in proptest::collection::vec(0u64..40, 0..80),
+        pad in 0usize..6,
+        slack in 0u64..5,
+    ) {
+        let max = freqs.iter().copied().max().unwrap_or(0) + slack;
+        let counted = bins_by_frequency(&freqs, max);
+        prop_assert_eq!(counted.len() as u64, max + 1);
+        let mut padded = freqs.clone();
+        padded.resize(freqs.len() + pad, 0);
+        for (f, b) in padded.iter().zip(rank_bins(&padded)) {
+            prop_assert_eq!(counted[*f as usize], b);
         }
     }
 }

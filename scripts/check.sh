@@ -6,8 +6,10 @@
 #   --tier1        Run exactly the tier-1 gate (release build + tests), the
 #                  command CI and the roadmap treat as the must-stay-green
 #                  bar, plus the sharded-index determinism sweep, the
-#                  facet-core serving and browse unit tests, the chaos
-#                  (fault-injection) suite, the trace-export determinism
+#                  facet-core serving and browse unit tests, the
+#                  facet-stats tests and the facet-core selection unit
+#                  tests (counted rank bins and partial top-k against the
+#                  sort-based reference), the chaos (fault-injection) suite, the trace-export determinism
 #                  smoke, the facet-lint workspace gate, and a release
 #                  build of the perfbench workspace (its own Cargo
 #                  workspace, so neither the root build nor the tests
@@ -92,6 +94,11 @@ if [[ "${1:-}" == "--tier1" ]]; then
     # interleaving tests the `core::serve` sanction in Lint.toml cites.
     cargo test -q -p facet-core serve::
     cargo test -q -p facet-core browse::
+    echo "== tier-1: statistics and selection unit tests"
+    # Counted rank bins and partial top-k against the sort-based
+    # reference (crate unit tests, also skipped by the root run).
+    cargo test -q -p facet-stats
+    cargo test -q -p facet-core selection::
     run_chaos
     run_trace_smoke
     run_lint

@@ -540,6 +540,74 @@ fn version_one_snapshot_is_refused_as_corrupt_meta() {
     fs::remove_dir_all(&old_dir).ok();
 }
 
+/// Checksum-valid snapshots whose merged frequency tables break what
+/// selection relies on — a `df_C` above `n_docs`, a `df_C` the rows
+/// disagree with, a `df` above `n_docs`, a table shorter than the
+/// vocabulary — are refused with a typed error naming the section, never
+/// restored into an index whose next publish would panic.
+#[test]
+fn merged_tables_breaking_selection_bounds_are_refused_as_corrupt() {
+    let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+    let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
+    let tagger = NerTagger::from_world(&bundle.world);
+    let ne = NamedEntityExtractor::new(tagger);
+    let docs = bundle.corpus.db.docs().to_vec();
+
+    let dir = test_dir("bounds-source");
+    let store = FacetStore::open(&dir).expect("open store");
+    let res = CachedResource::new(WikiGraphResource::new(&graph));
+    let live = ShardedFacetIndex::build(docs, 1, vec![&ne], vec![&res], options()).expect("build");
+    live.persist_to(&store).expect("persist");
+    let payload = store.recover().expect("recover").snapshot;
+    let n_docs = live.snapshot().n_docs() as u64;
+
+    type Damage = fn(&mut Vec<u64>, u64);
+    let cases: [(&str, &str, Damage); 4] = [
+        ("df_c above n_docs", "merged.df_c", |t, n| t[0] = n + 1),
+        ("df_c off its rows", "merged.df_c", |t, _| {
+            let i = t.iter().position(|&f| f > 0).expect("a counted term");
+            t[i] -= 1;
+        }),
+        ("df above n_docs", "merged.df", |t, n| t[0] = n + 1),
+        ("df shorter than the vocabulary", "merged.df", |t, _| {
+            t.pop();
+        }),
+    ];
+    for (what, section, damage) in cases {
+        let mut bad = payload.clone();
+        let bytes = &mut bad
+            .sections
+            .iter_mut()
+            .find(|(name, _)| name == section)
+            .expect("merged table section")
+            .1;
+        // Layout: a u64 length, then the u64 entries, little-endian.
+        let mut table: Vec<u64> = bytes[8..]
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        damage(&mut table, n_docs);
+        *bytes = (table.len() as u64).to_le_bytes().to_vec();
+        for v in &table {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+
+        let bad_dir = test_dir("bounds-snapshot");
+        let bad_store = FacetStore::open(&bad_dir).expect("open store");
+        bad_store
+            .publish_snapshot(&bad)
+            .expect("publish damaged snapshot");
+        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        match ShardedFacetIndex::open_from(&bad_store, 1, vec![&ne], vec![&res], options()) {
+            Err(StoreError::CorruptSection { section: got }) => assert_eq!(got, section, "{what}"),
+            Err(e) => panic!("{what}: expected corrupt {section}, got: {e}"),
+            Ok(_) => panic!("{what}: the snapshot must be refused"),
+        }
+        fs::remove_dir_all(&bad_dir).ok();
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// Seeded [`FaultyStorage`] crash points: the WAL append for batch 2 is
 /// silently damaged (short write, bit flip, or file tear, per seed).
 /// Recovery must either converge after retrying the unacknowledged
