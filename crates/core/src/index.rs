@@ -10,9 +10,10 @@
 
 use crate::browse::BrowseEngine;
 use crate::hierarchy::FacetForest;
+use crate::rows::RowStore;
 use crate::selection::FacetCandidate;
 use facet_resources::ExpansionError;
-use facet_textkit::{FrozenVocabulary, TermId};
+use facet_textkit::FrozenVocabulary;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -95,15 +96,17 @@ impl From<facet_store::StoreError> for IndexError {
 ///
 /// Snapshots are what readers hold: obtaining one is an `Arc` clone under
 /// a short read lock, and everything inside is frozen — the vocabulary is
-/// a [`FrozenVocabulary`], the forest and its facet-term postings live in
-/// the snapshot's [`BrowseEngine`], and no method takes `&mut`. A
-/// snapshot stays valid (and cheap to query) no matter how many appends
-/// land after it was taken.
+/// a [`FrozenVocabulary`], the document rows are a [`RowStore`] whose
+/// chunks the snapshot shares with the index (later appends write only
+/// to the index's own copy of the open chunk), the forest and its
+/// facet-term postings live in the snapshot's [`BrowseEngine`], and no
+/// method takes `&mut`. A snapshot stays valid (and cheap to query) no
+/// matter how many appends land after it was taken.
 #[derive(Debug)]
 pub struct FacetSnapshot {
     generation: u64,
     vocab: FrozenVocabulary,
-    doc_terms: Arc<Vec<Vec<TermId>>>,
+    doc_terms: RowStore,
     candidates: Vec<FacetCandidate>,
     /// The forest and its facet terms' postings.
     engine: BrowseEngine,
@@ -165,8 +168,12 @@ impl FacetSnapshot {
         self.degraded.is_empty()
     }
 
-    /// The contextualized per-document term sets (sorted, distinct).
-    pub fn doc_terms(&self) -> &Arc<Vec<Vec<TermId>>> {
+    /// The contextualized per-document term sets (sorted, distinct), one
+    /// row per document in id order: `doc_terms()[d]` is document `d`'s
+    /// row, and `iter()` yields every row as a `&[TermId]`. The store
+    /// shares its chunks with the index that published this snapshot, so
+    /// handing it out copies nothing.
+    pub fn doc_terms(&self) -> &RowStore {
         &self.doc_terms
     }
 
@@ -233,7 +240,7 @@ impl FacetSnapshot {
     pub(crate) fn assemble(
         generation: u64,
         vocab: FrozenVocabulary,
-        doc_terms: Arc<Vec<Vec<TermId>>>,
+        doc_terms: RowStore,
         candidates: Vec<FacetCandidate>,
         forest: FacetForest,
         postings: &[Vec<u32>],

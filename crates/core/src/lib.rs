@@ -40,6 +40,7 @@ pub mod hierarchy;
 pub mod index;
 pub mod persist;
 pub mod pipeline;
+pub mod rows;
 pub mod selection;
 pub mod serve;
 pub mod shard;
@@ -53,6 +54,7 @@ pub use hierarchy::{FacetForest, FacetTree, TreeNode};
 pub use index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
 pub use persist::STATE_VERSION;
 pub use pipeline::{FacetExtraction, FacetPipeline};
+pub use rows::RowStore;
 pub use selection::{
     select_facet_terms, select_facet_terms_stable, FacetCandidate, SelectionInputs,
     SelectionStatistic,

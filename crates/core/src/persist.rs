@@ -40,6 +40,7 @@
 use crate::config::PipelineOptions;
 use crate::hierarchy::{FacetForest, FacetTree, TreeNode};
 use crate::index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
+use crate::rows::RowStore;
 use crate::selection::{FacetCandidate, SelectionStatistic};
 use crate::shard::{merged_degraded, postings_of, Shard, ShardedFacetIndex};
 use facet_corpus::db::TermingOptions;
@@ -134,10 +135,14 @@ fn dec_terms(r: &mut ByteReader<'_>) -> Option<Vec<TermId>> {
     Some(out)
 }
 
-fn enc_rows(w: &mut ByteWriter, rows: &[Vec<TermId>]) {
+fn enc_rows<R: AsRef<[TermId]>>(
+    w: &mut ByteWriter,
+    rows: impl IntoIterator<Item = R, IntoIter: ExactSizeIterator>,
+) {
+    let rows = rows.into_iter();
     w.u64(rows.len() as u64);
     for row in rows {
-        enc_terms(w, row);
+        enc_terms(w, row.as_ref());
     }
 }
 
@@ -148,6 +153,22 @@ fn dec_rows(r: &mut ByteReader<'_>) -> Option<Vec<Vec<TermId>>> {
         out.push(dec_terms(r)?);
     }
     Some(out)
+}
+
+/// [`dec_rows`] straight into a [`RowStore`], through one reused row
+/// buffer: the merged rows are held once, by the store.
+fn dec_row_store(r: &mut ByteReader<'_>) -> Option<RowStore> {
+    let n = r.u64()?;
+    let mut store = RowStore::new();
+    let mut row = Vec::new();
+    for _ in 0..n {
+        row.clear();
+        for _ in 0..r.u64()? {
+            row.push(TermId(r.u32()?));
+        }
+        store.push(&row);
+    }
+    Some(store)
 }
 
 fn enc_docs(w: &mut ByteWriter, docs: &[Document]) {
@@ -575,7 +596,7 @@ fn restore_index(
     let merged_vocab = decode(payload, "merged.vocab", dec_vocab)?;
     let merged_df = decode(payload, "merged.df", dec_u64s)?;
     let merged_df_c = decode(payload, "merged.df_c", dec_u64s)?;
-    let merged_doc_terms = decode(payload, "merged.doc_terms", dec_rows)?;
+    let merged_doc_terms = decode(payload, "merged.doc_terms", dec_row_store)?;
     if merged_doc_terms.len() as u64 != meta.n_docs {
         return Err(corrupt("merged.doc_terms"));
     }
@@ -604,7 +625,7 @@ fn restore_index(
     let snapshot = FacetSnapshot::assemble(
         meta.generation,
         frozen,
-        Arc::new(merged_doc_terms.clone()),
+        merged_doc_terms.clone(),
         candidates,
         forest,
         &postings,
@@ -714,5 +735,52 @@ impl<'a> ShardedFacetIndex<'a> {
             store.log_record(stats.generation, &encode(|w| w.u8(RECORD_REPAIR)))?;
         }
         Ok(stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rows::CHUNK_ROWS;
+    use crate::shard::tests::{corpus, options, CountingResource, FixedExtractor};
+
+    /// A verbatim copy of the row encoder over `Vec` rows that predates
+    /// the row store: the bytes `merged.doc_terms` must keep.
+    fn enc_rows_vec(w: &mut ByteWriter, rows: &[Vec<TermId>]) {
+        w.u64(rows.len() as u64);
+        for row in rows {
+            enc_terms(w, row);
+        }
+    }
+
+    /// The persisted `merged.doc_terms` section is byte for byte the old
+    /// encoding of the same rows, and restore decodes it into one store
+    /// that the index and the restored snapshot share.
+    #[test]
+    fn merged_rows_keep_their_bytes_and_restore_as_one_copy() {
+        let e = FixedExtractor;
+        let r = CountingResource::new();
+        let mut index = ShardedFacetIndex::new(2, vec![&e], vec![&r], options());
+        for n in [CHUNK_ROWS - 5, 9, CHUNK_ROWS + 40] {
+            index.append(corpus(n)).unwrap();
+        }
+        let rows: Vec<Vec<TermId>> = index
+            .merged_doc_terms
+            .iter()
+            .map(<[TermId]>::to_vec)
+            .collect();
+        assert!(rows.len() > 2 * CHUNK_ROWS && rows.iter().all(|r| !r.is_empty()));
+        let payload = encode_index(&index);
+        let section = payload.section("merged.doc_terms").unwrap();
+        assert_eq!(section, encode(|w| enc_rows_vec(w, &rows)).as_slice());
+
+        let mut restored = ShardedFacetIndex::new(2, vec![&e], vec![&r], options());
+        restore_index(&mut restored, &payload).unwrap();
+        assert_eq!(restored.merged_doc_terms, index.merged_doc_terms);
+        let snap = restored.snapshot();
+        assert!(snap
+            .doc_terms()
+            .shares_chunks_with(&restored.merged_doc_terms));
+        assert_eq!(snap.digest(), index.snapshot().digest());
     }
 }

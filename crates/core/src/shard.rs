@@ -45,8 +45,13 @@
 //!    entering terms' rows from their postings, so its counting scales
 //!    with the batch and the churn, not the corpus. A fresh, restored, or
 //!    repaired index rebuilds the table by one scan at its next publish.
-//!    The result is published through one atomically-swapped
-//!    [`FacetSnapshot`].
+//!    Parent choice then walks each term's count row in slot order. The
+//!    result is published through one atomically-swapped
+//!    [`FacetSnapshot`], which shares the document rows with the index:
+//!    the rows live in one append-only [`RowStore`] of `Arc`-shared
+//!    chunks, so a publish clones the chunk list, and the next merge
+//!    copies at most the one open chunk the snapshot still shares
+//!    ([`crate::rows::CHUNK_ROWS`] rows) before appending to it.
 //!
 //! **Equivalence invariant:** for every shard count N, thread count, and
 //! batch partition of the corpus, the published snapshot is
@@ -67,8 +72,9 @@
 use crate::config::PipelineOptions;
 use crate::hierarchy::FacetForest;
 use crate::index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
+use crate::rows::RowStore;
 use crate::selection::{collect_candidates, rank_stable, SelectionInputs, SelectionStatistic};
-use crate::subsumption::{choose_parents, CoCounts, SubsumptionParams};
+use crate::subsumption::{choose_parents_scanned, CoCounts, SubsumptionParams};
 use facet_corpus::db::TermingOptions;
 use facet_corpus::{DocId, Document, TextDatabase};
 use facet_obs::Recorder;
@@ -134,15 +140,20 @@ pub(crate) fn merged_degraded(shards: &[Shard]) -> BTreeMap<String, Vec<String>>
 /// Postings of merged rows over `n_terms` merged symbols: for each
 /// symbol, the rows containing it, ascending. `None` if a row names a
 /// symbol outside `0..n_terms`.
-pub(crate) fn postings_of(rows: &[Vec<TermId>], n_terms: usize) -> Option<Vec<Vec<u32>>> {
+pub(crate) fn postings_of<R: AsRef<[TermId]>>(
+    rows: impl IntoIterator<Item = R> + Copy,
+    n_terms: usize,
+) -> Option<Vec<Vec<u32>>> {
     // Sized exactly: a restored index holds these for its lifetime.
     let mut lens = vec![0usize; n_terms];
-    for t in rows.iter().flatten() {
-        *lens.get_mut(t.index())? += 1;
+    for row in rows {
+        for t in row.as_ref() {
+            *lens.get_mut(t.index())? += 1;
+        }
     }
     let mut postings: Vec<Vec<u32>> = lens.into_iter().map(Vec::with_capacity).collect();
-    for (d, row) in rows.iter().enumerate() {
-        for t in row {
+    for (d, row) in rows.into_iter().enumerate() {
+        for t in row.as_ref() {
             postings[t.index()].push(d as u32);
         }
     }
@@ -187,8 +198,9 @@ pub struct ShardedFacetIndex<'a> {
     pub(crate) merged_df: Vec<u64>,
     /// df over `C(D)` in merged ids, delta-updated per append.
     pub(crate) merged_df_c: Vec<u64>,
-    /// Contextualized term sets per document, in global id order.
-    pub(crate) merged_doc_terms: Vec<Vec<TermId>>,
+    /// Contextualized term sets per document, in global id order. Each
+    /// published snapshot holds a clone sharing every chunk.
+    pub(crate) merged_doc_terms: RowStore,
     /// `postings[sym]`: the rows of `merged_doc_terms` containing merged
     /// term `sym`, ascending; extended with the rows in `merge_docs`.
     pub(crate) postings: Vec<Vec<u32>>,
@@ -219,7 +231,7 @@ impl<'a> ShardedFacetIndex<'a> {
         let snapshot = Arc::new(FacetSnapshot::assemble(
             0,
             vocab.freeze(),
-            Arc::new(Vec::new()),
+            RowStore::new(),
             Vec::new(),
             FacetForest::default(),
             &[],
@@ -235,7 +247,7 @@ impl<'a> ShardedFacetIndex<'a> {
             merged_vocab: vocab,
             merged_df: Vec::new(),
             merged_df_c: Vec::new(),
-            merged_doc_terms: Vec::new(),
+            merged_doc_terms: RowStore::new(),
             postings: Vec::new(),
             co_counts: None,
             n_docs: 0,
@@ -266,9 +278,9 @@ impl<'a> ShardedFacetIndex<'a> {
     }
 
     /// Attach an observability recorder. Appends record `append.*` spans
-    /// (`partition`, per-shard `shard0`, `shard1`, …, `merge`, `select`,
-    /// `subsumption`, `swap`; the shard workers run on their own threads
-    /// and carry the full dotted name) and counters (`append.docs`,
+    /// (`partition`, per-shard `shard0`, `shard1`, …, `merge`, `freeze`,
+    /// `select`, `subsumption`, `swap`; the shard workers run on their own
+    /// threads and carry the full dotted name) and counters (`append.docs`,
     /// `append.new_distinct_terms`, `append.reused_terms`,
     /// `append.snapshot_swaps`).
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
@@ -433,9 +445,9 @@ impl<'a> ShardedFacetIndex<'a> {
         }
 
         // ---- serial merge of the new documents, then publish ------------
-        self.merge_docs(start..start + docs, true);
+        let rows_copied = self.merge_docs(start..start + docs, true);
         self.n_docs += docs;
-        self.publish();
+        self.publish(rows_copied);
 
         let queries_after: u64 = self.shared.iter().map(|c| c.stats().misses).sum();
         let intern_after = self.merged_vocab.stats();
@@ -519,8 +531,8 @@ impl<'a> ShardedFacetIndex<'a> {
             self.merged_doc_terms.clear();
             self.postings.clear();
             self.co_counts = None;
-            self.merge_docs(0..self.n_docs, false);
-            self.publish();
+            let rows_copied = self.merge_docs(0..self.n_docs, false);
+            self.publish(rows_copied);
             self.recorder.incr("repair.snapshot_swaps");
         }
         totals.generation = self.generation;
@@ -533,8 +545,10 @@ impl<'a> ShardedFacetIndex<'a> {
     /// document's contextualized row to `merged_df_c`, `merged_doc_terms`,
     /// and `postings`. `count_df` also adds the documents' corpus
     /// terms to `merged_df` (new documents only — repair never changes
-    /// `D`). Recorded as the `merge` span.
-    fn merge_docs(&mut self, docs: Range<usize>, count_df: bool) {
+    /// `D`). Returns the rows copied out of the published snapshot's
+    /// open chunk to append (fewer than a chunk). Recorded as the `merge`
+    /// span.
+    fn merge_docs(&mut self, docs: Range<usize>, count_df: bool) -> usize {
         let _span = self.recorder.span("merge");
         // Shard-order extension is deterministic because each shard's
         // interning order depends only on its own documents.
@@ -546,6 +560,8 @@ impl<'a> ShardedFacetIndex<'a> {
         self.merged_df_c.resize(self.merged_vocab.len(), 0);
         self.postings.resize_with(self.merged_vocab.len(), Vec::new);
         let n = self.shards.len();
+        let mut terms: Vec<TermId> = Vec::new();
+        let mut rows_copied = 0;
         for g in docs {
             let shard = &self.shards[g % n];
             let pos = g / n;
@@ -556,10 +572,12 @@ impl<'a> ShardedFacetIndex<'a> {
             }
             // The shard→merged mapping is injective (distinct strings
             // map to distinct merged ids), so sorting suffices.
-            let mut terms: Vec<TermId> = shard.ctx.doc_terms[pos]
-                .iter()
-                .map(|t| shard.to_merged[t.index()])
-                .collect();
+            terms.clear();
+            terms.extend(
+                shard.ctx.doc_terms[pos]
+                    .iter()
+                    .map(|t| shard.to_merged[t.index()]),
+            );
             terms.sort_unstable();
             // Subsumption reads a term's df off its postings: each row
             // must name a term at most once.
@@ -572,20 +590,27 @@ impl<'a> ShardedFacetIndex<'a> {
                 self.merged_df_c[t.index()] += 1;
                 self.postings[t.index()].push(row);
             }
-            self.merged_doc_terms.push(terms);
+            rows_copied += self.merged_doc_terms.push(&terms);
         }
+        rows_copied
     }
 
     /// Re-run Step 3 (selection) over the merged tables, bring the
     /// subsumption counts up to the new candidate set and rows (a scan if
     /// there are none yet) and run Step 4's parent choice over them, bump
     /// the generation, and atomically swap in the new snapshot — the
-    /// index's one publication point (`Lint.toml` C2). Records the
+    /// index's one publication point (`Lint.toml` C2). The snapshot
+    /// shares the rows' chunks with the index; `rows_copied` is what the
+    /// merge before it copied to append. Records the `freeze` span, the
     /// `select` span (attributes: `terms` scanned, `candidates` passing
-    /// the shift filters), then the `subsumption` and `swap` spans.
-    fn publish(&mut self) {
+    /// the shift filters), the `subsumption` span (`pairs_scanned`: count
+    /// entries parent choice walked) and the `swap` span (`rows_copied`).
+    fn publish(&mut self, rows_copied: usize) {
         // One freeze per publish: ranking, forest, and snapshot share it.
-        let frozen = self.merged_vocab.freeze();
+        let frozen = {
+            let _span = self.recorder.span("freeze");
+            self.merged_vocab.freeze()
+        };
         let candidates = {
             let span = self.recorder.span("select");
             let found = collect_candidates(
@@ -602,7 +627,7 @@ impl<'a> ShardedFacetIndex<'a> {
             rank_stable(found, self.options.top_k, frozen.as_vocabulary())
         };
         let forest = {
-            let _span = self.recorder.span("subsumption");
+            let span = self.recorder.span("subsumption");
             let terms: Vec<TermId> = candidates.iter().map(|c| c.term).collect();
             let counts = match &mut self.co_counts {
                 Some(counts) => {
@@ -613,7 +638,7 @@ impl<'a> ShardedFacetIndex<'a> {
                     .co_counts
                     .insert(CoCounts::scan(&terms, &self.merged_doc_terms)),
             };
-            let sub = choose_parents(
+            let (sub, pairs_scanned) = choose_parents_scanned(
                 &terms,
                 counts,
                 SubsumptionParams {
@@ -621,17 +646,19 @@ impl<'a> ShardedFacetIndex<'a> {
                     ..Default::default()
                 },
             );
+            span.attr("pairs_scanned", pairs_scanned);
             let df_c = &self.merged_df_c;
             FacetForest::from_subsumption(&sub, &frozen, |t| {
                 df_c.get(t.index()).copied().unwrap_or(0)
             })
         };
         self.generation += 1;
-        let _span = self.recorder.span("swap");
+        let span = self.recorder.span("swap");
+        span.attr("rows_copied", rows_copied as u64);
         let snapshot = Arc::new(FacetSnapshot::assemble(
             self.generation,
             frozen,
-            Arc::new(self.merged_doc_terms.clone()),
+            self.merged_doc_terms.clone(),
             candidates,
             forest,
             &self.postings,
@@ -641,13 +668,14 @@ impl<'a> ShardedFacetIndex<'a> {
     }
 }
 
+/// Fixtures shared with the other modules' index tests.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    struct FixedExtractor;
+    pub(crate) struct FixedExtractor;
     impl TermExtractor for FixedExtractor {
         fn name(&self) -> &'static str {
             "Fixed"
@@ -674,12 +702,12 @@ mod tests {
         }
     }
 
-    struct CountingResource {
+    pub(crate) struct CountingResource {
         map: HashMap<&'static str, Vec<&'static str>>,
         queries: AtomicUsize,
     }
     impl CountingResource {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             let mut map = HashMap::new();
             map.insert("jacques chirac", vec!["political leaders", "france"]);
             map.insert("angela merkel", vec!["political leaders", "germany"]);
@@ -719,7 +747,7 @@ mod tests {
             .collect()
     }
 
-    fn corpus(n: usize) -> Vec<Document> {
+    pub(crate) fn corpus(n: usize) -> Vec<Document> {
         docs_of(
             &[
                 CHIRAC,
@@ -731,7 +759,7 @@ mod tests {
         )
     }
 
-    fn options() -> PipelineOptions {
+    pub(crate) fn options() -> PipelineOptions {
         PipelineOptions {
             top_k: 20,
             ..Default::default()
@@ -947,23 +975,46 @@ mod tests {
                 .unwrap_or_else(|| panic!("{shard} span missing"));
             assert_eq!(s.parent, Some(root.id), "{shard} parented under append");
         }
-        // The serial stages nest in the same trace.
-        for stage in ["partition", "merge", "select", "subsumption", "swap"] {
+        // Every serial step nests in the same trace.
+        for stage in [
+            "partition",
+            "merge",
+            "freeze",
+            "select",
+            "subsumption",
+            "swap",
+        ] {
             assert!(
                 t.spans.iter().any(|s| s.name == stage),
                 "{stage} span missing"
             );
         }
-        // The select span says what selection iterated over.
-        let select = t.spans.iter().find(|s| s.name == "select").unwrap();
-        let attr = |key: &str| match select.attrs.iter().find(|(k, _)| k == key) {
-            Some((_, facet_obs::AttrValue::U64(v))) => *v,
-            other => panic!("select attribute {key}: {other:?}"),
+        let attr = |t: &facet_obs::FinishedTrace, span: &str, key: &str| {
+            let s = t.spans.iter().find(|s| s.name == span).unwrap();
+            match s.attrs.iter().find(|(k, _)| k == key) {
+                Some((_, facet_obs::AttrValue::U64(v))) => *v,
+                other => panic!("{span} attribute {key}: {other:?}"),
+            }
         };
+        // The select span says what selection iterated over.
         let snap = index.snapshot();
-        assert_eq!(attr("terms"), snap.vocab().len() as u64);
-        assert!(attr("candidates") >= snap.candidates().len() as u64);
-        assert!(attr("candidates") <= attr("terms"));
+        assert_eq!(attr(t, "select", "terms"), snap.vocab().len() as u64);
+        assert!(attr(t, "select", "candidates") >= snap.candidates().len() as u64);
+        assert!(attr(t, "select", "candidates") <= attr(t, "select", "terms"));
+        // A first publish scans a fresh table, one slot per candidate, and
+        // shares rows with no earlier snapshot.
+        let k = snap.candidates().len() as u64;
+        assert!(k > 0);
+        assert_eq!(attr(t, "subsumption", "pairs_scanned"), k * k);
+        assert_eq!(attr(t, "swap", "rows_copied"), 0);
+
+        // The next append copies the open chunk the published snapshot
+        // shares, once: its 8 rows.
+        index.append(corpus(8)).unwrap();
+        let traces = recorder.tracer().unwrap().finished();
+        assert_eq!(traces.len(), 2);
+        assert_eq!(attr(&traces[1], "swap", "rows_copied"), 8);
+        assert!(attr(&traces[1], "subsumption", "pairs_scanned") > 0);
     }
 
     #[test]
@@ -973,11 +1024,25 @@ mod tests {
         let mut index =
             ShardedFacetIndex::build(corpus(8), 2, vec![&e], vec![&r], options()).unwrap();
         let old = index.snapshot();
-        let old_rows = outputs(&old);
+        let old_outputs = outputs(&old);
+        let old_rows: Vec<Vec<TermId>> = old.doc_terms().iter().map(<[TermId]>::to_vec).collect();
+        let old_digest = old.digest();
+        // Enough documents to fill the open chunk the snapshot shares
+        // and spill into fresh ones.
         index.append(corpus(8)).unwrap();
-        assert_eq!(outputs(&old), old_rows, "frozen snapshot unchanged");
+        index.append(corpus(crate::rows::CHUNK_ROWS + 3)).unwrap();
+        assert_eq!(outputs(&old), old_outputs, "frozen snapshot unchanged");
+        assert_eq!(old.n_docs(), 8);
+        assert!(old
+            .doc_terms()
+            .iter()
+            .eq(old_rows.iter().map(Vec::as_slice)));
+        assert_eq!(old.digest(), old_digest);
         assert!(index.snapshot().generation() > old.generation());
-        assert_eq!(index.snapshot().n_docs(), 16);
+        assert_eq!(index.snapshot().n_docs(), 16 + crate::rows::CHUNK_ROWS + 3);
+        // The live rows extend the old ones.
+        let live = index.snapshot();
+        assert!(live.doc_terms().iter().take(8).eq(old.doc_terms().iter()));
     }
 
     #[test]

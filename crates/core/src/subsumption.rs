@@ -13,7 +13,17 @@
 //! by parent choice; the incremental index instead advances one table per
 //! publish by the new documents and the terms that enter the top k, and
 //! runs the same parent choice over it.
+//!
+//! Parent choice walks each term's count row contiguously, in slot order,
+//! through one `slot → eligible term` table built per call: free slots
+//! (whose column entries are stale) and slots of terms that may not parent
+//! map to none. Most counts fail the threshold, so the walk tests the raw
+//! count first. Because slot order is not input order, the tie-break is
+//! explicit: the strongest confidence bucket wins, then the smaller
+//! document frequency, then the earlier input term — exactly the subsumer
+//! an input-order walk keeps.
 
+use crate::rows::RowStore;
 use facet_textkit::TermId;
 
 /// Parameters for subsumption.
@@ -122,7 +132,10 @@ pub struct CoCounts {
 impl CoCounts {
     /// Count `terms` (distinct) over every row of `doc_terms`, the
     /// distinct terms of each document. Slot `i` holds `terms[i]`.
-    pub fn scan(terms: &[TermId], doc_terms: &[Vec<TermId>]) -> Self {
+    pub fn scan<R: AsRef<[TermId]>>(
+        terms: &[TermId],
+        doc_terms: impl IntoIterator<Item = R>,
+    ) -> Self {
         let n = terms.len();
         let max_sym = terms.iter().map(|t| t.index()).max().map_or(0, |m| m + 1);
         let mut slot_of = vec![ABSENT; max_sym];
@@ -137,13 +150,14 @@ impl CoCounts {
             cap: n,
             df: vec![0; n],
             co: vec![0; n * n],
-            n_docs: doc_terms.len(),
+            n_docs: 0,
         };
         // Upper triangle only, mirrored once at the end: half the writes
         // of counting both orientations per document.
         let mut present: Vec<usize> = Vec::new();
         for d in doc_terms {
-            counts.present_slots(d, &mut present);
+            counts.n_docs += 1;
+            counts.present_slots(d.as_ref(), &mut present);
             for (a, &i) in present.iter().enumerate() {
                 counts.df[i] += 1;
                 for &j in &present[a + 1..] {
@@ -169,7 +183,7 @@ impl CoCounts {
     /// Costs O(new rows' member pairs + entering terms' postings rows +
     /// churn · capacity), independent of the rows already counted for
     /// terms that stay.
-    pub fn advance(&mut self, terms: &[TermId], doc_terms: &[Vec<TermId>], postings: &[Vec<u32>]) {
+    pub fn advance(&mut self, terms: &[TermId], doc_terms: &RowStore, postings: &[Vec<u32>]) {
         // Leave: free every member that is not in the new set.
         let mut keep = vec![false; self.cap];
         let mut entering: Vec<TermId> = Vec::new();
@@ -196,7 +210,7 @@ impl CoCounts {
         // Stay: the new rows' pairs among the remaining members.
         let cap = self.cap;
         let mut present: Vec<usize> = Vec::new();
-        for d in &doc_terms[self.n_docs..] {
+        for d in doc_terms.iter_from(self.n_docs) {
             self.present_slots(d, &mut present);
             for (a, &i) in present.iter().enumerate() {
                 self.df[i] += 1;
@@ -220,7 +234,10 @@ impl CoCounts {
             let rows = postings.get(t.index()).map_or(&[][..], Vec::as_slice);
             self.df[s] = rows.len() as u32;
             for &d in rows {
-                for &u in &doc_terms[d as usize] {
+                let Some(row) = doc_terms.get(d as usize) else {
+                    continue;
+                };
+                for &u in row {
                     match self.slot(u) {
                         Some(o) if o != s => self.co[s * cap + o] += 1,
                         _ => {}
@@ -278,9 +295,9 @@ impl CoCounts {
 /// the distinct (sorted) terms of document `d` — typically from the
 /// contextualized database, as in the paper. One [`CoCounts::scan`]
 /// followed by [`choose_parents`].
-pub fn build_subsumption_forest(
+pub fn build_subsumption_forest<R: AsRef<[TermId]>>(
     terms: &[TermId],
-    doc_terms: &[Vec<TermId>],
+    doc_terms: impl IntoIterator<Item = R>,
     params: SubsumptionParams,
 ) -> SubsumptionForest {
     choose_parents(terms, &CoCounts::scan(terms, doc_terms), params)
@@ -295,6 +312,19 @@ pub fn choose_parents(
     counts: &CoCounts,
     params: SubsumptionParams,
 ) -> SubsumptionForest {
+    choose_parents_scanned(terms, counts, params).0
+}
+
+/// Table entry of a slot that no term may be attached under.
+const NO_PARENT: u32 = u32::MAX;
+
+/// [`choose_parents`], also returning the count entries it walked (one
+/// per slot of every row it scanned).
+pub(crate) fn choose_parents_scanned(
+    terms: &[TermId],
+    counts: &CoCounts,
+    params: SubsumptionParams,
+) -> (SubsumptionForest, u64) {
     let n = terms.len();
     let n_docs = counts.n_docs;
     let slots: Vec<Option<usize>> = terms.iter().map(|&t| counts.slot(t)).collect();
@@ -307,11 +337,17 @@ pub fn choose_parents(
         .iter()
         .map(|&d| d as f64 / n_docs.max(1) as f64)
         .collect();
-    // The terms that may parent anything, as (index, slot), in order.
-    let eligible: Vec<(usize, usize)> = (0..n)
-        .filter(|&x| df[x] != 0 && df[x] <= max_parent_df)
-        .filter_map(|x| slots[x].map(|s| (x, s)))
-        .collect();
+    // `eligible[slot]`: the index of the term in that slot if it may
+    // parent anything, else NO_PARENT — as for free slots, whose column
+    // entries are stale, and for members outside `terms`.
+    let mut eligible = vec![NO_PARENT; counts.cap];
+    for (x, s) in slots.iter().enumerate() {
+        if let Some(s) = *s {
+            if df[x] != 0 && df[x] <= max_parent_df {
+                eligible[s] = x as u32;
+            }
+        }
+    }
 
     // For each term y, find subsumers and attach to the best one. Two
     // forces must balance: subsumption *strength* (a parent present in all
@@ -321,11 +357,11 @@ pub fn choose_parents(
     // specific subsumer). We bucket P(x|y) into 5%-wide confidence bands
     // and pick the most specific subsumer within the strongest band.
     let mut parent: Vec<Option<usize>> = vec![None; n];
+    let mut scanned = 0u64;
     for y in 0..n {
         let Some(sy) = slots[y].filter(|_| df[y] != 0) else {
             continue;
         };
-        let row = &counts.co[sy * counts.cap..(sy + 1) * counts.cap];
         let min_parent_df = params.min_generality_ratio * df[y] as f64;
         // The least co-document count that clears the threshold. P(x|y)
         // is monotone in the count, so a smaller count fails the float
@@ -338,14 +374,24 @@ pub fn choose_parents(
         while min_co <= df[y] && !clears(min_co) {
             min_co += 1;
         }
+        // Counts are u32: a least count past that range clears nothing.
+        let Ok(min_co) = u32::try_from(min_co) else {
+            continue;
+        };
+        let row = &counts.co[sy * counts.cap..(sy + 1) * counts.cap];
+        scanned += row.len() as u64;
         // (index, confidence bucket) of the current best parent.
         let mut best: Option<(usize, u32)> = None;
-        for &(x, sx) in &eligible {
+        for (&c, &x) in row.iter().zip(&eligible) {
             // Most pairs barely co-occur: test the count first.
-            let cxy = u64::from(row[sx]);
-            if cxy < min_co || x == y || (df[x] as f64) < min_parent_df {
+            if c < min_co || x == NO_PARENT {
                 continue;
             }
+            let x = x as usize;
+            if x == y || (df[x] as f64) < min_parent_df {
+                continue;
+            }
+            let cxy = u64::from(c);
             let p_x_given_y = cxy as f64 / df[y] as f64;
             let p_y_given_x = cxy as f64 / df[x] as f64;
             let lift = if base_rate[x] > 0.0 {
@@ -355,9 +401,13 @@ pub fn choose_parents(
             };
             if p_x_given_y >= params.threshold && p_y_given_x < 1.0 && lift >= params.min_lift {
                 let bucket = (p_x_given_y * 20.0).floor() as u32;
+                // Strongest bucket, then most specific, then earliest.
                 let better = match best {
                     None => true,
-                    Some((b, bb)) => bucket > bb || (bucket == bb && df[x] < df[b]),
+                    Some((b, bb)) => {
+                        bucket > bb
+                            || (bucket == bb && (df[x] < df[b] || (df[x] == df[b] && x < b)))
+                    }
                 };
                 if better {
                     best = Some((x, bucket));
@@ -384,10 +434,13 @@ pub fn choose_parents(
         }
     }
 
-    SubsumptionForest {
-        terms: terms.to_vec(),
-        parent,
-    }
+    (
+        SubsumptionForest {
+            terms: terms.to_vec(),
+            parent,
+        },
+        scanned,
+    )
 }
 
 #[cfg(test)]
@@ -425,7 +478,7 @@ mod tests {
     #[test]
     fn chain_structure_recovered() {
         let terms = vec![TermId(0), TermId(1), TermId(2), TermId(3)];
-        let f = build_subsumption_forest(&terms, &docs(), relaxed());
+        let f = build_subsumption_forest(&terms, docs(), relaxed());
         // ballot → election (most specific subsumer), election → politics.
         assert_eq!(f.parent[2], Some(1));
         assert_eq!(f.parent[1], Some(0));
@@ -436,7 +489,7 @@ mod tests {
     #[test]
     fn roots_and_children() {
         let terms = vec![TermId(0), TermId(1), TermId(2), TermId(3)];
-        let f = build_subsumption_forest(&terms, &docs(), relaxed());
+        let f = build_subsumption_forest(&terms, docs(), relaxed());
         assert_eq!(f.roots(), vec![0, 3]);
         assert_eq!(f.children(0), vec![1]);
         assert_eq!(f.children(1), vec![2]);
@@ -556,7 +609,7 @@ mod tests {
         const VOCAB: u32 = 24;
         let mut rng = TestRng::deterministic("advanced_table_equals_fresh_scan");
         for _ in 0..40 {
-            let mut rows: Vec<Vec<TermId>> = Vec::new();
+            let mut rows = RowStore::new();
             let mut postings: Vec<Vec<u32>> = vec![Vec::new(); VOCAB as usize];
             let mut table: Option<CoCounts> = None;
             let mut reused = 0;
@@ -571,7 +624,7 @@ mod tests {
                     for t in &row {
                         postings[t.index()].push(rows.len() as u32);
                     }
-                    rows.push(row);
+                    rows.push(&row);
                 }
                 // A fresh candidate set in a random order.
                 let size = 2 + rng.below(13) as usize;
@@ -710,6 +763,251 @@ mod tests {
         parent
     }
 
+    /// A verbatim copy of the parent choice that walked an `eligible:
+    /// Vec<(index, slot)>` list in input order, kept as the second
+    /// reference for the slot-order scan.
+    fn eligible_list_parents(
+        terms: &[TermId],
+        counts: &CoCounts,
+        params: SubsumptionParams,
+    ) -> Vec<Option<usize>> {
+        let n = terms.len();
+        let n_docs = counts.n_docs;
+        let slots: Vec<Option<usize>> = terms.iter().map(|&t| counts.slot(t)).collect();
+        let df: Vec<u64> = slots
+            .iter()
+            .map(|s| s.map_or(0, |s| u64::from(counts.df[s])))
+            .collect();
+        let max_parent_df = (params.max_parent_df_fraction * n_docs as f64).ceil() as u64;
+        let base_rate: Vec<f64> = df
+            .iter()
+            .map(|&d| d as f64 / n_docs.max(1) as f64)
+            .collect();
+        // The terms that may parent anything, as (index, slot), in order.
+        let eligible: Vec<(usize, usize)> = (0..n)
+            .filter(|&x| df[x] != 0 && df[x] <= max_parent_df)
+            .filter_map(|x| slots[x].map(|s| (x, s)))
+            .collect();
+
+        // For each term y, find subsumers and attach to the best one. Two
+        // forces must balance: subsumption *strength* (a parent present in all
+        // of y's documents beats one that barely clears the threshold — this
+        // rejects frequent terms that co-occur by chance) and *specificity*
+        // (Sanderson & Croft's transitive reduction: attach to the most
+        // specific subsumer). We bucket P(x|y) into 5%-wide confidence bands
+        // and pick the most specific subsumer within the strongest band.
+        let mut parent: Vec<Option<usize>> = vec![None; n];
+        for y in 0..n {
+            let Some(sy) = slots[y].filter(|_| df[y] != 0) else {
+                continue;
+            };
+            let row = &counts.co[sy * counts.cap..(sy + 1) * counts.cap];
+            let min_parent_df = params.min_generality_ratio * df[y] as f64;
+            // The least co-document count that clears the threshold. P(x|y)
+            // is monotone in the count, so a smaller count fails the float
+            // test below and is skipped without evaluating it.
+            let clears = |c: u64| c as f64 / df[y] as f64 >= params.threshold;
+            let mut min_co = ((params.threshold * df[y] as f64).ceil() as u64).min(df[y] + 1);
+            while min_co > 0 && clears(min_co - 1) {
+                min_co -= 1;
+            }
+            while min_co <= df[y] && !clears(min_co) {
+                min_co += 1;
+            }
+            // (index, confidence bucket) of the current best parent.
+            let mut best: Option<(usize, u32)> = None;
+            for &(x, sx) in &eligible {
+                // Most pairs barely co-occur: test the count first.
+                let cxy = u64::from(row[sx]);
+                if cxy < min_co || x == y || (df[x] as f64) < min_parent_df {
+                    continue;
+                }
+                let p_x_given_y = cxy as f64 / df[y] as f64;
+                let p_y_given_x = cxy as f64 / df[x] as f64;
+                let lift = if base_rate[x] > 0.0 {
+                    p_x_given_y / base_rate[x]
+                } else {
+                    f64::INFINITY
+                };
+                if p_x_given_y >= params.threshold && p_y_given_x < 1.0 && lift >= params.min_lift {
+                    let bucket = (p_x_given_y * 20.0).floor() as u32;
+                    let better = match best {
+                        None => true,
+                        Some((b, bb)) => bucket > bb || (bucket == bb && df[x] < df[b]),
+                    };
+                    if better {
+                        best = Some((x, bucket));
+                    }
+                }
+            }
+            parent[y] = best.map(|(x, _)| x);
+        }
+
+        // Break any cycles (possible with mutual near-subsumption): walk each
+        // chain; on revisit, cut the closing edge. `stamp[t] == start` marks
+        // the terms seen on the current walk, so no per-walk set is needed.
+        let mut stamp = vec![u32::MAX; n];
+        for start in 0..n {
+            let mark = start as u32;
+            let mut cur = start;
+            while let Some(p) = parent[cur] {
+                if stamp[p] == mark {
+                    parent[cur] = None;
+                    break;
+                }
+                stamp[cur] = mark;
+                cur = p;
+            }
+        }
+
+        parent
+    }
+
+    /// Every valid subsumer of term `y` under `params`, as (index,
+    /// confidence bucket, df), read off `counts` with the reference
+    /// builder's rules. Test coverage meter only.
+    fn subsumers(
+        terms: &[TermId],
+        counts: &CoCounts,
+        params: SubsumptionParams,
+        y: usize,
+    ) -> Vec<(usize, u32, u64)> {
+        let df = |i: usize| counts.slot(terms[i]).map_or(0, |s| u64::from(counts.df[s]));
+        let n_docs = counts.n_docs.max(1) as f64;
+        let max_parent_df = (params.max_parent_df_fraction * counts.n_docs as f64).ceil() as u64;
+        let (Some(sy), dy) = (counts.slot(terms[y]), df(y)) else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        for (x, &tx) in terms.iter().enumerate() {
+            let (Some(sx), dx) = (counts.slot(tx), df(x)) else {
+                continue;
+            };
+            if x == y || dy == 0 || dx == 0 || dx > max_parent_df {
+                continue;
+            }
+            if (dx as f64) < params.min_generality_ratio * dy as f64 {
+                continue;
+            }
+            let c = u64::from(counts.co[sy * counts.cap + sx]);
+            let p = c as f64 / dy as f64;
+            let lift = p / (dx as f64 / n_docs);
+            if p >= params.threshold && (c as f64 / dx as f64) < 1.0 && lift >= params.min_lift {
+                out.push((x, (p * 20.0).floor() as u32, dx));
+            }
+        }
+        out
+    }
+
+    /// The slot-order scan picks, term by term, the parent both references
+    /// pick — the reference builder over the rows and the input-order
+    /// `eligible`-list walk over the same table — on tables advanced
+    /// through growth, slot reuse and churn. The fixtures are checked to
+    /// cover the cases the scan must get right: free slots whose stale
+    /// column entries clear the threshold, and (bucket, df) ties among a
+    /// term's best subsumers whose slot order differs from their input
+    /// order, so only the explicit index tie-break picks the right one.
+    #[test]
+    fn slot_order_scan_matches_both_references_on_churned_tables() {
+        use proptest::test_runner::TestRng;
+        const BASES: u32 = 16;
+        let mut rng = TestRng::deterministic("slot_order_scan_matches_both_references");
+        let (mut stale_clears, mut index_ties, mut grown, mut reused) = (0, 0, 0, 0);
+        for _ in 0..60 {
+            let mut rows = RowStore::new();
+            let mut postings: Vec<Vec<u32>> = vec![Vec::new(); 2 * BASES as usize];
+            let mut table: Option<CoCounts> = None;
+            for _ in 0..14 {
+                // Append 0–7 rows over a skewed vocabulary (low bases are
+                // frequent). Symbol 2b+1 twins base 2b exactly when b is
+                // even, so such twins share df and every co-count.
+                for _ in 0..rng.below(8) {
+                    let mut row: Vec<TermId> = Vec::new();
+                    for b in 0..BASES {
+                        if rng.below(u64::from(b) / 2 + 2) == 0 {
+                            row.push(TermId(2 * b));
+                            if b % 2 == 0 {
+                                row.push(TermId(2 * b + 1));
+                            }
+                        } else if b % 2 == 1 && rng.below(u64::from(b) + 2) == 0 {
+                            row.push(TermId(2 * b + 1));
+                        }
+                    }
+                    for t in &row {
+                        postings[t.index()].push(rows.len() as u32);
+                    }
+                    rows.push(&row);
+                }
+                // A fresh candidate set of 2–20 terms in a random order.
+                let size = 2 + rng.below(19) as usize;
+                let mut terms: Vec<TermId> = (0..2 * BASES).map(TermId).collect();
+                for i in (1..terms.len()).rev() {
+                    terms.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                terms.truncate(size);
+                let counts = match &mut table {
+                    Some(t) => {
+                        let entering = terms.iter().any(|&x| t.slot(x).is_none());
+                        let cap = t.cap;
+                        t.advance(&terms, &rows, &postings);
+                        grown += usize::from(t.cap > cap);
+                        reused += usize::from(entering && t.cap == cap);
+                        t
+                    }
+                    None => table.insert(CoCounts::scan(&terms, &rows)),
+                };
+                let row_vecs: Vec<Vec<TermId>> = rows.iter().map(<[TermId]>::to_vec).collect();
+                for params in [SubsumptionParams::default(), relaxed()] {
+                    let got = choose_parents(&terms, counts, params).parent;
+                    let built = reference_build(&terms, &row_vecs, params);
+                    let listed = eligible_list_parents(&terms, counts, params);
+                    for y in 0..terms.len() {
+                        assert_eq!(got[y], built[y], "term {y} {:?} {params:?}", terms[y]);
+                        assert_eq!(got[y], listed[y], "term {y} {:?} {params:?}", terms[y]);
+                    }
+                    for (y, &t) in terms.iter().enumerate() {
+                        let (Some(sy), Some(dy)) =
+                            (counts.slot(t), counts.slot(t).map(|s| counts.df[s]))
+                        else {
+                            continue;
+                        };
+                        let row = &counts.co[sy * counts.cap..(sy + 1) * counts.cap];
+                        stale_clears += counts
+                            .free
+                            .iter()
+                            .filter(|&&s| {
+                                let c = row[s as usize];
+                                dy > 0 && c > 0 && f64::from(c) / f64::from(dy) >= params.threshold
+                            })
+                            .count();
+                        let subs = subsumers(&terms, counts, params, y);
+                        let Some(&(_, bucket, df)) = subs
+                            .iter()
+                            .min_by_key(|&&(x, bucket, df)| (std::cmp::Reverse(bucket), df, x))
+                        else {
+                            continue;
+                        };
+                        let tied: Vec<usize> = subs
+                            .iter()
+                            .filter(|s| s.1 == bucket && s.2 == df)
+                            .map(|s| s.0)
+                            .collect();
+                        let slot = |x: usize| counts.slot(terms[x]);
+                        let first_slot = tied.iter().copied().min_by_key(|&x| slot(x));
+                        index_ties +=
+                            usize::from(tied.len() > 1 && first_slot != tied.first().copied());
+                    }
+                }
+            }
+        }
+        assert!(grown > 0 && reused > 0, "grown {grown}, reused {reused}");
+        assert!(
+            stale_clears > 0,
+            "no stale free-slot entry cleared the threshold"
+        );
+        assert!(index_ties > 0, "no tie needed the index tie-break");
+    }
+
     /// Parent choice over a scanned table reproduces the reference
     /// builder edge for edge, across thresholds (including ones no count
     /// can clear), density guards, and term orders.
@@ -764,7 +1062,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let f = build_subsumption_forest(&[], &[], SubsumptionParams::default());
+        let f = build_subsumption_forest(&[], &RowStore::new(), SubsumptionParams::default());
         assert!(f.terms.is_empty());
         assert!(f.roots().is_empty());
     }

@@ -9,7 +9,10 @@
 #                  facet-core serving and browse unit tests, the
 #                  facet-stats tests and the facet-core selection unit
 #                  tests (counted rank bins and partial top-k against the
-#                  sort-based reference), the chaos (fault-injection) suite, the trace-export determinism
+#                  sort-based reference), the facet-core subsumption and
+#                  row-store unit tests (slot-order parent choice against
+#                  two references on churned count tables; chunked rows
+#                  against a Vec model), the chaos (fault-injection) suite, the trace-export determinism
 #                  smoke, the facet-lint workspace gate, and a release
 #                  build of the perfbench workspace (its own Cargo
 #                  workspace, so neither the root build nor the tests
@@ -99,6 +102,12 @@ if [[ "${1:-}" == "--tier1" ]]; then
     # reference (crate unit tests, also skipped by the root run).
     cargo test -q -p facet-stats
     cargo test -q -p facet-core selection::
+    echo "== tier-1: subsumption and row-store unit tests"
+    # Slot-order parent choice against the reference builder and the
+    # input-order walk on churned tables; the chunked row store against
+    # a Vec model (crate unit tests, also skipped by the root run).
+    cargo test -q -p facet-core subsumption::
+    cargo test -q -p facet-core rows::
     run_chaos
     run_trace_smoke
     run_lint
