@@ -220,7 +220,7 @@ fn main() {
 
     // ---- subsumption sanity probe ----------------------------------------
     {
-        use facet_core::{FacetPipeline, PipelineOptions};
+        use facet_core::{PipelineOptions, ShardedFacetIndex};
         use facet_resources::{CachedResource, ContextResource, WikiGraphResource};
         use facet_termx::{TermExtractor, WikipediaTitleExtractor};
         use facet_wikipedia::{TitleIndex, WikipediaGraph};
@@ -229,20 +229,28 @@ fn main() {
         let wiki_x = WikipediaTitleExtractor::new(&bundle.wiki.wiki, title_index);
         let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
         let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
-        let extractors: Vec<&dyn TermExtractor> = vec![&wiki_x];
+        let docs = bundle.corpus.db.docs();
+        let important: Vec<Vec<String>> = docs
+            .iter()
+            .map(|d| wiki_x.extract(&d.full_text()))
+            .collect();
         let resources: Vec<&dyn ContextResource> = vec![&graph_res];
-        let pipeline = FacetPipeline::new(
-            extractors,
+        let mut index = ShardedFacetIndex::new(
+            1,
+            Vec::new(),
             resources,
             PipelineOptions {
                 top_k: 1500,
                 ..Default::default()
             },
         );
-        let out = pipeline.run(&bundle.corpus.db, &mut bundle.vocab);
+        index
+            .append_extracted(docs.to_vec(), important.clone())
+            .expect("one I(d) per document");
+        let snapshot = index.snapshot();
         // Which important term drags "railways" into every document?
         let mut culprits: std::collections::HashMap<String, usize> = Default::default();
-        for terms in out.important_terms.iter().take(200) {
+        for terms in important.iter().take(200) {
             for t in terms {
                 if graph_res.context_terms(t).iter().any(|c| c == "railways") {
                     *culprits.entry(t.clone()).or_default() += 1;
@@ -250,16 +258,16 @@ fn main() {
             }
         }
         println!("railways culprits (first 200 docs): {culprits:?}");
-        println!("sample I(d) of doc 0: {:?}", &out.important_terms[0]);
-        let forest = pipeline.build_hierarchies(&out, &bundle.vocab);
+        println!("sample I(d) of doc 0: {:?}", &important[0]);
         // Verify the subsumption invariant on actual data for a few edges.
-        for (parent_label, child_label) in forest.edges().into_iter().take(400) {
-            let p = bundle.vocab.get(&parent_label).unwrap();
-            let c = bundle.vocab.get(&child_label).unwrap();
+        let vocab = snapshot.vocab();
+        for (parent_label, child_label) in snapshot.forest().edges().into_iter().take(400) {
+            let p = vocab.get(&parent_label).unwrap();
+            let c = vocab.get(&child_label).unwrap();
             let mut df_p = 0u64;
             let mut df_c_ = 0u64;
             let mut co = 0u64;
-            for terms in &out.contextualized.doc_terms {
+            for terms in snapshot.doc_terms().iter() {
                 let has_p = terms.binary_search(&p).is_ok();
                 let has_c = terms.binary_search(&c).is_ok();
                 df_p += has_p as u64;

@@ -187,7 +187,7 @@ pub fn run_ablation(scale: f64, top_k: usize) -> Table {
     // ranking decides inclusion; cap it so the comparison is informative.
     let top_k = top_k.min(500);
     use facet_core::{
-        build_evidence_forest, EvidenceParams, FacetPipeline, HypernymHints, SelectionStatistic,
+        build_evidence_forest, EvidenceParams, HypernymHints, SelectionStatistic, ShardedFacetIndex,
     };
     use facet_eval::harness::default_gold;
     use facet_eval::judge_model::JudgeModel;
@@ -201,7 +201,7 @@ pub fn run_ablation(scale: f64, top_k: usize) -> Table {
     };
     use facet_wikipedia::{TitleIndex, WikipediaGraph};
 
-    let mut bundle = scaled_bundle(RecipeKind::Snyt, scale);
+    let bundle = scaled_bundle(RecipeKind::Snyt, scale);
     let gold = default_gold(&bundle, 1000);
     let gold_terms: Vec<String> = gold
         .gold_terms(&bundle.world)
@@ -243,7 +243,8 @@ pub fn run_ablation(scale: f64, top_k: usize) -> Table {
     ] {
         let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo, &wiki_x];
         let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
-        let pipeline = FacetPipeline::new(
+        let mut index = ShardedFacetIndex::new(
+            1,
             extractors,
             resources,
             facet_core::PipelineOptions {
@@ -252,14 +253,16 @@ pub fn run_ablation(scale: f64, top_k: usize) -> Table {
             },
         )
         .with_statistic(statistic);
-        let extraction = pipeline.run(&bundle.corpus.db, &mut bundle.vocab);
+        index
+            .append(bundle.corpus.db.docs().to_vec())
+            .expect("a fresh index accepts any batch");
+        let snapshot = index.snapshot();
+        let vocab = snapshot.vocab();
+        let candidates = snapshot.candidates();
 
         // Recall.
-        let selected: std::collections::HashSet<&str> = extraction
-            .candidates
-            .iter()
-            .map(|c| bundle.vocab.term(c.term))
-            .collect();
+        let selected: std::collections::HashSet<&str> =
+            candidates.iter().map(|c| vocab.term(c.term)).collect();
         let recall = gold_terms
             .iter()
             .filter(|g| selected.contains(g.as_str()))
@@ -267,64 +270,51 @@ pub fn run_ablation(scale: f64, top_k: usize) -> Table {
             / gold_terms.len().max(1) as f64;
 
         // Hierarchy: plain subsumption or evidence combination.
-        let terms: Vec<_> = extraction.candidates.iter().map(|c| c.term).collect();
-        let parents: Vec<(String, Option<String>)> = if evidence {
+        let terms: Vec<_> = candidates.iter().map(|c| c.term).collect();
+        let forest = if evidence {
             // Hints from the WordNet resource: a candidate's hypernyms
             // that are themselves candidates.
             let mut hints = HypernymHints::new();
             let selected_ids: std::collections::HashMap<&str, facet_textkit::TermId> =
-                terms.iter().map(|&t| (bundle.vocab.term(t), t)).collect();
+                terms.iter().map(|&t| (vocab.term(t), t)).collect();
             for &t in &terms {
-                let term_str = bundle.vocab.term(t).to_string();
-                for h in wn_res.context_terms(&term_str) {
+                for h in wn_res.context_terms(vocab.term(t)) {
                     if let Some(&p) = selected_ids.get(h.as_str()) {
                         hints.add(t, p);
                     }
                 }
             }
-            let forest = build_evidence_forest(
+            build_evidence_forest(
                 &terms,
-                &extraction.contextualized.doc_terms,
+                snapshot.doc_terms().iter(),
                 &hints,
                 EvidenceParams::default(),
-            );
-            forest
-                .terms
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| {
-                    let parent =
-                        forest.parent[i].map(|p| bundle.vocab.term(forest.terms[p]).to_string());
-                    (bundle.vocab.term(t).to_string(), parent)
-                })
-                .collect()
+            )
         } else {
             use facet_core::{build_subsumption_forest, SubsumptionParams};
-            let forest = build_subsumption_forest(
+            build_subsumption_forest(
                 &terms,
-                &extraction.contextualized.doc_terms,
+                snapshot.doc_terms().iter(),
                 SubsumptionParams::default(),
-            );
-            forest
-                .terms
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| {
-                    let parent =
-                        forest.parent[i].map(|p| bundle.vocab.term(forest.terms[p]).to_string());
-                    (bundle.vocab.term(t).to_string(), parent)
-                })
-                .collect()
+            )
         };
+        let parents: Vec<(String, Option<String>)> = forest
+            .terms
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| {
+                let parent = forest.parent[i].map(|p| vocab.term(forest.terms[p]).to_string());
+                (vocab.term(t).to_string(), parent)
+            })
+            .collect();
 
         let cell = facet_eval::harness::GridCell {
             extractor: "All".into(),
             resource: label.into(),
-            candidates: extraction
-                .candidates
+            candidates: candidates
                 .iter()
                 .map(|c| facet_eval::harness::CandidateOut {
-                    term: bundle.vocab.term(c.term).to_string(),
+                    term: vocab.term(c.term).to_string(),
                     df: c.df,
                     df_c: c.df_c,
                     score: c.score,

@@ -10,16 +10,14 @@
 //! It is the one browse implementation. A published
 //! [`crate::index::FacetSnapshot`] carries its engine, gathered from the
 //! index's per-term postings at publish, and the serving tier
-//! ([`crate::serve::fanout_browse`]) answers every query through it;
-//! [`BrowseEngine::new`] builds the same engine from document rows for
-//! one-shot pipeline runs. The engine holds one ascending document list
+//! ([`crate::serve::fanout_browse`]) answers every query through it. The
+//! engine holds one ascending document list
 //! per facet term in CSR form (one offsets array, one document array).
 //! Selection intersects the lists smallest first; refinement and pivot
 //! counts intersect sorted lists. Only facet terms — the forest's nodes
 //! — select: any other term matches no document.
 
 use crate::hierarchy::{FacetForest, TreeNode};
-use crate::shard::postings_of;
 use facet_corpus::DocId;
 use facet_textkit::TermId;
 
@@ -38,21 +36,6 @@ pub struct BrowseEngine {
 }
 
 impl BrowseEngine {
-    /// Build the engine. `doc_terms[d]` are the (sorted, distinct) terms
-    /// of document `d` in the contextualized database.
-    pub fn new(forest: FacetForest, doc_terms: Vec<Vec<TermId>>) -> Self {
-        let n_terms = doc_terms
-            .iter()
-            .flatten()
-            .map(|t| t.index() + 1)
-            .max()
-            .unwrap_or(0);
-        // Every row names a symbol below `n_terms`, so this never falls
-        // back to empty postings.
-        let postings = postings_of(&doc_terms, n_terms).unwrap_or_default();
-        Self::from_postings(forest, doc_terms.len(), &postings)
-    }
-
     /// Gather the engine from per-term postings over `n_docs` documents:
     /// `postings[t]` holds the documents carrying term `t`, ascending.
     /// Terms beyond `postings` carry no documents.
@@ -217,6 +200,7 @@ fn count_common(a: &[DocId], b: &[DocId]) -> usize {
 mod tests {
     use super::*;
     use crate::hierarchy::FacetTree;
+    use crate::shard::postings_of;
     use facet_textkit::Vocabulary;
 
     fn engine() -> (BrowseEngine, Vocabulary) {
@@ -255,7 +239,8 @@ mod tests {
             vec![politics],                   // doc 2
             vec![france],                     // doc 3
         ];
-        (BrowseEngine::new(forest, doc_terms), vocab)
+        let postings = postings_of(&doc_terms, vocab.len()).unwrap();
+        (BrowseEngine::from_postings(forest, 4, &postings), vocab)
     }
 
     #[test]

@@ -81,10 +81,11 @@ impl HypernymHints {
 }
 
 /// Build a hierarchy over `terms` combining co-occurrence subsumption
-/// with resource hints.
-pub fn build_evidence_forest(
+/// with resource hints, where `doc_terms` yields the distinct terms of
+/// each document (as for [`crate::build_subsumption_forest`]).
+pub fn build_evidence_forest<R: AsRef<[TermId]>>(
     terms: &[TermId],
-    doc_terms: &[Vec<TermId>],
+    doc_terms: impl IntoIterator<Item = R>,
     hints: &HypernymHints,
     params: EvidenceParams,
 ) -> SubsumptionForest {
@@ -93,8 +94,14 @@ pub fn build_evidence_forest(
 
     let mut df = vec![0u64; n];
     let mut co: HashMap<(usize, usize), u64> = HashMap::new();
+    let mut n_docs = 0usize;
     for d in doc_terms {
-        let present: Vec<usize> = d.iter().filter_map(|t| term_pos.get(t).copied()).collect();
+        n_docs += 1;
+        let present: Vec<usize> = d
+            .as_ref()
+            .iter()
+            .filter_map(|t| term_pos.get(t).copied())
+            .collect();
         for &i in &present {
             df[i] += 1;
         }
@@ -111,7 +118,7 @@ pub fn build_evidence_forest(
     };
 
     let sp = params.subsumption;
-    let max_parent_df = (sp.max_parent_df_fraction * doc_terms.len() as f64).ceil() as u64;
+    let max_parent_df = (sp.max_parent_df_fraction * n_docs as f64).ceil() as u64;
     let mut parent: Vec<Option<usize>> = vec![None; n];
     for y in 0..n {
         if df[y] == 0 {
@@ -131,7 +138,7 @@ pub fn build_evidence_forest(
             if p_y_given_x >= 1.0 {
                 continue;
             }
-            let base_rate = df[x] as f64 / doc_terms.len().max(1) as f64;
+            let base_rate = df[x] as f64 / n_docs.max(1) as f64;
             let lift = if base_rate > 0.0 {
                 p_x_given_y / base_rate
             } else {
@@ -254,8 +261,12 @@ mod tests {
 
     #[test]
     fn empty_everything() {
-        let forest =
-            build_evidence_forest(&[], &[], &HypernymHints::new(), EvidenceParams::default());
+        let forest = build_evidence_forest(
+            &[],
+            Vec::<Vec<TermId>>::new(),
+            &HypernymHints::new(),
+            EvidenceParams::default(),
+        );
         assert!(forest.terms.is_empty());
     }
 }

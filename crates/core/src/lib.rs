@@ -23,11 +23,11 @@
 //!    per-facet trees; [`browse`] exposes the resulting OLAP-style
 //!    faceted browsing engine.
 //!
-//! [`pipeline::FacetPipeline`] ties everything together behind one call
-//! for one-shot batch runs; [`shard::ShardedFacetIndex`] is the
-//! persistent, incrementally-updatable form of the same engine over one
-//! or more shards, serving reads through atomically-swapped
-//! [`index::FacetSnapshot`]s; [`baseline`]
+//! [`shard::ShardedFacetIndex`] runs all four steps, for a one-shot
+//! build as for a growing archive, over one or more shards, and serves
+//! reads through atomically-swapped [`index::FacetSnapshot`]s; a caller
+//! that has already run Step 1 hands its `I(d)` to
+//! [`shard::ShardedFacetIndex::append_extracted`]. [`baseline`]
 //! holds the comparison systems (the raw-subsumption hierarchy of the
 //! paper's Figure 5, and a chi-square selection variant for the
 //! ablation study).
@@ -39,7 +39,6 @@ pub mod evidence;
 pub mod hierarchy;
 pub mod index;
 pub mod persist;
-pub mod pipeline;
 pub mod rows;
 pub mod selection;
 pub mod serve;
@@ -53,12 +52,8 @@ pub use evidence::{build_evidence_forest, EvidenceParams, HypernymHints};
 pub use hierarchy::{FacetForest, FacetTree, TreeNode};
 pub use index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
 pub use persist::STATE_VERSION;
-pub use pipeline::{FacetExtraction, FacetPipeline};
 pub use rows::RowStore;
-pub use selection::{
-    select_facet_terms, select_facet_terms_stable, FacetCandidate, SelectionInputs,
-    SelectionStatistic,
-};
+pub use selection::{select_facet_terms, FacetCandidate, SelectionInputs, SelectionStatistic};
 pub use serve::{
     fanout_browse, normalize_query, BrowseResult, FacetServer, ServeCacheStats, ServeHandle,
     ServeSnapshot,

@@ -139,10 +139,8 @@ fn top_k_by(
 /// ranked by `statistic` descending, truncated to `top_k`.
 /// `min_df_c` filters terms too rare in `C(D)` to be meaningful facets.
 ///
-/// Score ties break on [`TermId`], i.e. interning order. When the same
-/// corpus can be reached through different interning histories (batch
-/// build vs incremental appends), use [`select_facet_terms_stable`],
-/// whose ordering is independent of id assignment.
+/// Score ties break on [`TermId`], i.e. interning order. The index ranks
+/// by term string instead, an order independent of id assignment.
 ///
 /// # Panics
 /// Panics if a table entry exceeds `inputs.n_docs`.
@@ -163,34 +161,16 @@ pub fn select_facet_terms(
     )
 }
 
-/// [`select_facet_terms`] with an interning-order-independent ranking:
-/// score ties break on the term *string* (then id, unreachable for
-/// distinct strings in one vocabulary).
+/// Rank `candidates` (from [`collect_candidates`]) with an
+/// interning-order-independent order and keep the first `top_k`: score
+/// descending, ties broken by the term *string* (then id, unreachable
+/// for distinct strings in one vocabulary).
 ///
-/// This is the ordering the incremental [`crate::shard::ShardedFacetIndex`] and
-/// the one-shot [`crate::pipeline::FacetPipeline`] share: appending a
-/// corpus in batches interleaves context-term interning with later
-/// batches' corpus terms, so ids differ from a one-shot build, but the
-/// string-ranked candidate list comes out identical.
-///
-/// # Panics
-/// Panics if a table entry exceeds `inputs.n_docs`.
-pub fn select_facet_terms_stable(
-    inputs: SelectionInputs<'_>,
-    statistic: SelectionStatistic,
-    top_k: usize,
-    min_df_c: u64,
-    vocab: &Vocabulary,
-) -> Vec<FacetCandidate> {
-    rank_stable(
-        collect_candidates(inputs, statistic, min_df_c),
-        top_k,
-        vocab,
-    )
-}
-
-/// The ranking half of [`select_facet_terms_stable`], for a caller that
-/// reports how many candidates [`collect_candidates`] found.
+/// This is the order [`crate::shard::ShardedFacetIndex`] publishes:
+/// appending a corpus in batches, or over different shard counts,
+/// interleaves context-term interning with later batches' corpus terms,
+/// so ids differ between runs, but the string-ranked candidate list
+/// comes out identical.
 pub(crate) fn rank_stable(
     candidates: Vec<FacetCandidate>,
     top_k: usize,
@@ -337,8 +317,11 @@ mod tests {
             n_docs: 1000,
         };
         let plain = select_facet_terms(inputs, SelectionStatistic::LogLikelihood, 100, 1);
-        let stable =
-            select_facet_terms_stable(inputs, SelectionStatistic::LogLikelihood, 100, 1, &vocab);
+        let stable = rank_stable(
+            collect_candidates(inputs, SelectionStatistic::LogLikelihood, 1),
+            100,
+            &vocab,
+        );
         // Same candidate set either way.
         let mut p: Vec<u32> = plain.iter().map(|c| c.term.0).collect();
         let mut s: Vec<u32> = stable.iter().map(|c| c.term.0).collect();
@@ -547,8 +530,10 @@ mod tests {
                     "plain, case {case}, top_k {top_k}"
                 );
                 assert_eq!(
-                    bits(&select_facet_terms_stable(
-                        inputs, statistic, top_k, min_df_c, &vocab
+                    bits(&rank_stable(
+                        collect_candidates(inputs, statistic, min_df_c),
+                        top_k,
+                        &vocab
                     )),
                     bits(&reference_select(
                         inputs,

@@ -56,12 +56,15 @@
 //! **Equivalence invariant:** for every shard count N, thread count, and
 //! batch partition of the corpus, the published snapshot is
 //! string-identical — facet terms, df/`df_C` statistics, score bits, and
-//! forest edges — to one batch run of
-//! [`crate::pipeline::FacetPipeline`] over the same corpus. Term ids may
-//! differ (each path interns in its own order, and context terms
-//! interleave with later batches' corpus terms), which is why ranking
-//! uses [`crate::selection::select_facet_terms_stable`]'s string
-//! tie-breaks and every other stage is id-order-independent by
+//! forest edges — to a 1-shard index that received the corpus in one
+//! append, and it matches Steps 1–4 computed straight from the paper's
+//! formulas over strings (`tests/pipeline_oracle.rs`): the same facet
+//! terms with the same df/`df_C`, the same forest edges, scores within a
+//! relative 1e-9, and the same order up to candidates whose scores lie
+//! within that tolerance of each other. Term ids may differ (each
+//! history interns in its own order, and context terms interleave with
+//! later batches' corpus terms), which is why ranking breaks score ties
+//! by term string and every other stage is id-order-independent by
 //! construction.
 //!
 //! The merge is serial and the shard workers are OS threads, so the
@@ -159,6 +162,10 @@ pub(crate) fn postings_of<R: AsRef<[TermId]>>(
     }
     Some(postings)
 }
+
+/// One shard's part of an append: its documents, and their `I(d)` when
+/// the caller supplied it.
+type ShardBatch = (Vec<Document>, Option<Vec<Vec<String>>>);
 
 /// The incrementally-updatable facet index over `N ≥ 1` shards. See the
 /// [module docs](self) for the partition/merge design and the
@@ -356,7 +363,46 @@ impl<'a> ShardedFacetIndex<'a> {
     /// can keep answering from the previous generation; the index itself
     /// should be discarded, since the failing shard may have ingested
     /// documents it could not expand.
-    pub fn append(&mut self, mut batch: Vec<Document>) -> Result<AppendStats, IndexError> {
+    pub fn append(&mut self, batch: Vec<Document>) -> Result<AppendStats, IndexError> {
+        self.append_with(batch, None)
+    }
+
+    /// [`ShardedFacetIndex::append`] with Step 1 already done:
+    /// `important[i]` is `I(d)` for `batch[i]`, used in place of the
+    /// configured extractors' output. Lets a caller share one extraction
+    /// across several indexes (the evaluation grid builds one index per
+    /// resource configuration over the same `I(d)`).
+    ///
+    /// # Errors
+    /// [`IndexError::Expansion`] with
+    /// [`ExpansionError::DocumentCountMismatch`] when `important` does not
+    /// hold one list per document; this is checked before any shard
+    /// ingests a document, so the index, its length, generation and
+    /// published snapshot are unchanged. Otherwise as
+    /// [`ShardedFacetIndex::append`].
+    pub fn append_extracted(
+        &mut self,
+        batch: Vec<Document>,
+        important: Vec<Vec<String>>,
+    ) -> Result<AppendStats, IndexError> {
+        if important.len() != batch.len() {
+            return Err(IndexError::Expansion(
+                ExpansionError::DocumentCountMismatch {
+                    documents: batch.len(),
+                    important: important.len(),
+                },
+            ));
+        }
+        self.append_with(batch, Some(important))
+    }
+
+    /// The one append path: `important` is `I(d)` per document, or `None`
+    /// to have each shard worker extract it from its own documents.
+    fn append_with(
+        &mut self,
+        mut batch: Vec<Document>,
+        important: Option<Vec<Vec<String>>>,
+    ) -> Result<AppendStats, IndexError> {
         // The span guard borrows its recorder; a clone (one `Arc` bump)
         // leaves `self` free for the merge and publish steps.
         let recorder = self.recorder.clone();
@@ -372,17 +418,26 @@ impl<'a> ShardedFacetIndex<'a> {
         let docs = batch.len();
 
         // ---- partition: round-robin by global id ------------------------
-        let mut per_shard: Vec<Vec<Document>> = {
+        let mut per_shard: Vec<ShardBatch> = {
             let _span = self.recorder.span("partition");
-            let mut per_shard: Vec<Vec<Document>> = (0..n).map(|_| Vec::new()).collect();
+            let given = important.is_some();
+            let mut per_shard: Vec<ShardBatch> =
+                (0..n).map(|_| (Vec::new(), given.then(Vec::new))).collect();
+            let mut important = important.into_iter().flatten();
             for (i, mut d) in batch.drain(..).enumerate() {
                 let g = start + i;
                 d.id = DocId(g as u32);
-                per_shard[g % n].push(d);
+                let (docs, shard_important) = &mut per_shard[g % n];
+                docs.push(d);
+                // The next document's list; `append_extracted` checked
+                // there is one per document.
+                if let Some(lists) = shard_important {
+                    lists.extend(important.next());
+                }
             }
             per_shard
         };
-        let docs_per_shard: Vec<usize> = per_shard.iter().map(Vec::len).collect();
+        let docs_per_shard: Vec<usize> = per_shard.iter().map(|(d, _)| d.len()).collect();
         let queries_before: u64 = self.shared.iter().map(|c| c.stats().misses).sum();
 
         // ---- parallel per-shard ingest + extract + expand ---------------
@@ -412,13 +467,15 @@ impl<'a> ShardedFacetIndex<'a> {
                     // it under the append span across the thread hop.
                     let _span = recorder.span_under(trace_parent, &format!("append.shard{i}"));
                     _span.attr("shard", i as u64);
+                    let (docs, important) = docs;
                     _span.attr("docs", docs.len() as u64);
+                    let important = important.unwrap_or_else(|| {
+                        docs.iter()
+                            .map(|d| extract_important_terms(extractors, &d.full_text()))
+                            .collect()
+                    });
                     let range = shard.db.append_detached(docs, &mut shard.vocab);
-                    let new_important: Vec<Vec<String>> = shard.db.docs()[range.clone()]
-                        .iter()
-                        .map(|d| extract_important_terms(extractors, &d.full_text()))
-                        .collect();
-                    let new_important = intern_important_terms(&mut shard.vocab, &new_important);
+                    let new_important = intern_important_terms(&mut shard.vocab, &important);
                     let resources: Vec<&dyn ContextResource> =
                         shared.iter().map(|c| c as &dyn ContextResource).collect();
                     *slot = Some(expand_append_recorded(
@@ -1086,6 +1143,56 @@ pub(crate) mod tests {
         assert_eq!(index.len(), 18);
         assert_eq!(index.resolved_terms(), 2);
         assert_eq!(r.queries.load(Ordering::SeqCst), 2);
+    }
+
+    /// `append_extracted` checks its input before any shard ingests a
+    /// document, and given the extractors' own `I(d)` it is exactly
+    /// `append`: the same snapshot, with the context facets selected, the
+    /// background words left out and a forest over the candidates.
+    #[test]
+    fn append_extracted_validates_then_matches_append() {
+        let e = FixedExtractor;
+        let r = CountingResource::new();
+        let mut index =
+            ShardedFacetIndex::build(corpus(8), 2, vec![&e], vec![&r], options()).unwrap();
+        let before = index.snapshot();
+        let docs = corpus(6);
+        let err = index
+            .append_extracted(docs.clone(), vec![Vec::new(); 5])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            IndexError::Expansion(ExpansionError::DocumentCountMismatch {
+                documents: 6,
+                important: 5,
+            })
+        );
+        assert!(Arc::ptr_eq(&before, &index.snapshot()), "snapshot kept");
+        assert_eq!(index.snapshot().generation(), before.generation());
+        assert_eq!(index.len(), 8);
+        assert_eq!(index.shards.iter().map(|s| s.db.len()).sum::<usize>(), 8);
+        assert_eq!(index.shards.iter().map(|s| s.ctx.len()).sum::<usize>(), 8);
+
+        let extractors: [&dyn TermExtractor; 1] = [&e];
+        let important: Vec<Vec<String>> = docs
+            .iter()
+            .map(|d| extract_important_terms(&extractors, &d.full_text()))
+            .collect();
+        index.append_extracted(docs.clone(), important).unwrap();
+        let r2 = CountingResource::new();
+        let mut reference =
+            ShardedFacetIndex::build(corpus(8), 2, vec![&e], vec![&r2], options()).unwrap();
+        reference.append(docs).unwrap();
+        let snap = index.snapshot();
+        assert_eq!(outputs(&snap), outputs(&reference.snapshot()));
+        assert_eq!(snap.digest(), reference.snapshot().digest());
+        assert_eq!(snap.generation(), before.generation() + 1);
+
+        let terms = snap.facet_terms();
+        assert!(terms.contains(&"political leaders"), "{terms:?}");
+        assert!(terms.contains(&"france"), "{terms:?}");
+        assert!(!terms.contains(&"discussed"), "{terms:?}");
+        assert!(snap.forest().total_terms() >= 2);
     }
 
     #[test]

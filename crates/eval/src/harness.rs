@@ -1,7 +1,7 @@
 //! The experiment harness: builds a dataset bundle (world + corpus + all
 //! substrates) and runs the extractor × resource grid of Tables II–VII.
 
-use facet_core::{FacetPipeline, PipelineOptions};
+use facet_core::{FacetSnapshot, PipelineOptions, ShardedFacetIndex};
 use facet_corpus::{DatasetRecipe, GeneratedCorpus, RecipeKind};
 use facet_knowledge::World;
 use facet_ner::NerTagger;
@@ -25,7 +25,7 @@ pub struct DatasetBundle {
     pub recipe: DatasetRecipe,
     /// The generated world.
     pub world: World,
-    /// Shared term vocabulary (grows during expansion).
+    /// The corpus vocabulary: the terms of `corpus`' documents.
     pub vocab: Vocabulary,
     /// The news corpus with gold labels.
     pub corpus: GeneratedCorpus,
@@ -97,7 +97,7 @@ pub struct GridOptions {
     /// stride when the corpus is larger; keeps hierarchy construction
     /// tractable at MNYT scale).
     pub subsumption_doc_cap: usize,
-    /// Observability recorder threaded into every pipeline run, the web
+    /// Observability recorder threaded into every cell's index, the web
     /// search engine, and the resource caches (disabled by default).
     pub recorder: facet_obs::Recorder,
 }
@@ -231,22 +231,27 @@ pub fn run_grid(bundle: &mut DatasetBundle, options: &GridOptions) -> Vec<GridCe
                     .collect()
             };
             let _cell_span = recorder.span("cell");
-            let pipeline = FacetPipeline::new(vec![], resources.clone(), options.pipeline.clone())
-                .with_recorder(recorder.clone());
-            let extraction =
-                pipeline.run_with_important(&bundle.corpus.db, &mut bundle.vocab, important);
-            let candidates: Vec<CandidateOut> = extraction
-                .candidates
+            // Step 1 is shared across the grid, so each cell's 1-shard
+            // index starts from the precomputed I(d).
+            let mut index =
+                ShardedFacetIndex::new(1, Vec::new(), resources.clone(), options.pipeline.clone())
+                    .with_recorder(recorder.clone());
+            index
+                .append_extracted(bundle.corpus.db.docs().to_vec(), important)
+                .expect("one I(d) per document by construction");
+            let snapshot = index.snapshot();
+            let candidates: Vec<CandidateOut> = snapshot
+                .candidates()
                 .iter()
                 .map(|c| CandidateOut {
-                    term: bundle.vocab.term(c.term).to_string(),
+                    term: snapshot.vocab().term(c.term).to_string(),
                     df: c.df,
                     df_c: c.df_c,
                     score: c.score,
                 })
                 .collect();
             let parents = if options.build_hierarchies {
-                hierarchy_parents(&pipeline, &extraction, &bundle.vocab, options)
+                hierarchy_parents(&snapshot, options)
             } else {
                 Vec::new()
             };
@@ -275,34 +280,26 @@ pub fn run_grid(bundle: &mut DatasetBundle, options: &GridOptions) -> Vec<GridCe
 
 /// Build the hierarchy for a cell and export `(term, parent)` pairs.
 /// Subsumption co-occurrence is computed over a stride sample of at most
-/// `subsumption_doc_cap` documents.
+/// `subsumption_doc_cap` of the snapshot's contextualized documents.
 fn hierarchy_parents(
-    pipeline: &FacetPipeline<'_>,
-    extraction: &facet_core::FacetExtraction,
-    vocab: &Vocabulary,
+    snapshot: &FacetSnapshot,
     options: &GridOptions,
 ) -> Vec<(String, Option<String>)> {
     use facet_core::{build_subsumption_forest, SubsumptionParams};
-    let _span = pipeline.recorder().span("subsumption");
-    let terms: Vec<_> = extraction.candidates.iter().map(|c| c.term).collect();
-    let n = extraction.contextualized.doc_terms.len();
+    let _span = options.recorder.span("subsumption");
+    let terms: Vec<_> = snapshot.candidates().iter().map(|c| c.term).collect();
+    let rows = snapshot.doc_terms();
     let cap = options.subsumption_doc_cap.max(1);
-    let stride = n.div_ceil(cap).max(1);
-    let sampled: Vec<Vec<facet_textkit::TermId>> = extraction
-        .contextualized
-        .doc_terms
-        .iter()
-        .step_by(stride)
-        .cloned()
-        .collect();
+    let stride = rows.len().div_ceil(cap).max(1);
     let forest = build_subsumption_forest(
         &terms,
-        &sampled,
+        rows.iter().step_by(stride),
         SubsumptionParams {
-            threshold: pipeline.options().subsumption_threshold,
+            threshold: options.pipeline.subsumption_threshold,
             ..Default::default()
         },
     );
+    let vocab = snapshot.vocab();
     forest
         .terms
         .iter()

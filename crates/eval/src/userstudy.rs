@@ -20,7 +20,7 @@
 
 use crate::harness::DatasetBundle;
 use crate::report::Table;
-use facet_core::{BrowseEngine, FacetForest, FacetPipeline, PipelineOptions};
+use facet_core::{FacetSnapshot, PipelineOptions, ShardedFacetIndex};
 use facet_ner::NerTagger;
 use facet_resources::{
     CachedResource, ContextResource, WikiGraphResource, WordNetHypernymsResource,
@@ -94,10 +94,15 @@ pub fn run_user_study(bundle: &mut DatasetBundle, config: &UserStudyConfig) -> V
     let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
     let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo, &wiki_x];
     let resources: Vec<&dyn ContextResource> = vec![&wn_res, &graph_res];
-    let pipeline = FacetPipeline::new(extractors, resources, PipelineOptions::default());
-    let extraction = pipeline.run(&bundle.corpus.db, &mut bundle.vocab);
-    let forest: FacetForest = pipeline.build_hierarchies(&extraction, &bundle.vocab);
-    let browse = BrowseEngine::new(forest, extraction.contextualized.doc_terms.clone());
+    let index = ShardedFacetIndex::build(
+        bundle.corpus.db.docs().to_vec(),
+        1,
+        extractors,
+        resources,
+        PipelineOptions::default(),
+    )
+    .expect("a fresh index accepts any batch");
+    let snapshot = index.snapshot();
 
     // ---- keyword interface ------------------------------------------------
     let news_pages: Vec<WebPage> = bundle
@@ -127,9 +132,8 @@ pub fn run_user_study(bundle: &mut DatasetBundle, config: &UserStudyConfig) -> V
         for _user in 0..config.users {
             let task = simulate_task(
                 bundle,
-                &browse,
+                &snapshot,
                 &news_search,
-                &extraction.contextualized.doc_terms,
                 facet_affinity,
                 config.targets_per_task,
                 &mut rng,
@@ -154,9 +158,8 @@ pub fn run_user_study(bundle: &mut DatasetBundle, config: &UserStudyConfig) -> V
 /// Simulate one task; returns (queries, clicks, seconds, satisfaction).
 fn simulate_task(
     bundle: &DatasetBundle,
-    browse: &BrowseEngine,
+    snapshot: &FacetSnapshot,
     news_search: &SearchEngine,
-    doc_terms: &[Vec<facet_textkit::TermId>],
     facet_affinity: f64,
     targets: usize,
     rng: &mut StdRng,
@@ -196,7 +199,7 @@ fn simulate_task(
         nodes.sort_by_key(|&n| std::cmp::Reverse(bundle.world.ontology.node(n).depth));
         nodes
             .iter()
-            .filter_map(|&n| bundle.vocab.get(&bundle.world.ontology.node(n).term))
+            .filter_map(|&n| snapshot.vocab().get(&bundle.world.ontology.node(n).term))
             .collect()
     };
     let mut facet_selection: Vec<facet_textkit::TermId> = Vec::new();
@@ -207,13 +210,13 @@ fn simulate_task(
         if rng.gen_bool(facet_affinity) && facet_selection.len() < facet_terms.len() {
             // Facet move: add the next facet term, narrowing the list.
             facet_selection.push(facet_terms[facet_selection.len()]);
-            let narrowed = browse.select(&facet_selection);
+            let narrowed = snapshot.browse().select(&facet_selection);
             clicks += 1.0;
             time += FACET_CLICK_COST;
             results = narrowed.into_iter().map(|d| d.0).collect();
             // Results sharing more facet terms with the target first.
             results.sort_by_key(|&d| {
-                let terms = &doc_terms[d as usize];
+                let terms = &snapshot.doc_terms()[d as usize];
                 std::cmp::Reverse(
                     facet_terms
                         .iter()

@@ -952,7 +952,8 @@ mod tests {
     #[should_panic(expected = "one I(d) per document")]
     fn mismatched_lengths_panicking_wrapper() {
         // The infallible wrapper keeps the historical panic for callers
-        // (FacetPipeline) that treat the mismatch as a programming error.
+        // (the efficiency study, `diag`) that treat the mismatch as a
+        // programming error.
         let (db, mut vocab, _) = fixture();
         let _ = expand_database(&db, &[], &[], &mut vocab, &ExpansionOptions::default());
     }

@@ -32,7 +32,7 @@
 //! depth ≥ 4); the example exits non-zero if the check fails. See
 //! DESIGN.md section 15.
 
-use facet_hierarchies::core::{FacetPipeline, PipelineOptions, ShardedFacetIndex};
+use facet_hierarchies::core::{PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{DatasetRecipe, RecipeKind};
 use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::obs::Recorder;
@@ -237,7 +237,8 @@ fn main() {
 
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
     let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
-    let pipeline = FacetPipeline::new(
+    let mut index = ShardedFacetIndex::new(
+        1,
         extractors,
         resources,
         PipelineOptions {
@@ -246,14 +247,15 @@ fn main() {
         },
     )
     .with_recorder(recorder.clone());
-
-    let extraction = pipeline.run(&corpus.db, &mut vocab);
-    let forest = pipeline.build_hierarchies(&extraction, &vocab);
+    index
+        .append(corpus.db.docs().to_vec())
+        .expect("a fresh index accepts any batch");
+    let snapshot = index.snapshot();
     println!(
         "{} documents -> {} candidates -> {} facet trees\n",
         corpus.db.len(),
-        extraction.candidates.len(),
-        forest.trees.len()
+        snapshot.candidates().len(),
+        snapshot.forest().trees.len()
     );
 
     // Where the time went, per stage.

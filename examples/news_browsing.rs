@@ -10,7 +10,7 @@
 //! and walks a drill-down: start broad, narrow by two facet terms, and
 //! show the refinement counts a faceted UI would render at each step.
 
-use facet_hierarchies::core::{BrowseEngine, FacetPipeline, PipelineOptions};
+use facet_hierarchies::core::{PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{DatasetRecipe, RecipeKind};
 use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::resources::{CachedResource, ContextResource, WikiGraphResource};
@@ -34,17 +34,19 @@ fn main() {
 
     let extractors: Vec<&dyn TermExtractor> = vec![&ne, &wiki_x];
     let resources: Vec<&dyn ContextResource> = vec![&graph_res];
-    let pipeline = FacetPipeline::new(
+    let index = ShardedFacetIndex::build(
+        corpus.db.docs().to_vec(),
+        1,
         extractors,
         resources,
         PipelineOptions {
             top_k: 600,
             ..Default::default()
         },
-    );
-    let extraction = pipeline.run(&corpus.db, &mut vocab);
-    let forest = pipeline.build_hierarchies(&extraction, &vocab);
-    let engine = BrowseEngine::new(forest, extraction.contextualized.doc_terms.clone());
+    )
+    .expect("a fresh index accepts any batch");
+    let snapshot = index.snapshot();
+    let engine = snapshot.browse();
 
     println!("archive: {} stories, {} facet terms\n", engine.n_docs(), {
         engine.forest().total_terms()

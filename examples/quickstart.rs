@@ -10,7 +10,7 @@
 //! whose document frequency and rank both improve, and organize the
 //! selected terms into browsable hierarchies.
 
-use facet_hierarchies::core::{FacetPipeline, PipelineOptions};
+use facet_hierarchies::core::{PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{DatasetRecipe, RecipeKind};
 use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::resources::{
@@ -43,35 +43,39 @@ fn main() {
     let ne = NamedEntityExtractor::new(tagger);
     let yahoo = YahooTermExtractor::fit(&corpus.db, &vocab);
 
-    // 4. Run the pipeline.
+    // 4. Run the pipeline: a 1-shard index runs Steps 1–4 over the
+    //    corpus and publishes the result as a snapshot.
     let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
     let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
-    let pipeline = FacetPipeline::new(
+    let index = ShardedFacetIndex::build(
+        corpus.db.docs().to_vec(),
+        1,
         extractors,
         resources,
         PipelineOptions {
             top_k: 400,
             ..Default::default()
         },
-    );
-    let extraction = pipeline.run(&corpus.db, &mut vocab);
+    )
+    .expect("a fresh index accepts any batch");
+    let snapshot = index.snapshot();
     println!(
         "selected {} candidate facet terms",
-        extraction.candidates.len()
+        snapshot.candidates().len()
     );
     println!("top 15 by log-likelihood:");
-    for c in extraction.candidates.iter().take(15) {
+    for c in snapshot.candidates().iter().take(15) {
         println!(
             "  {:<28} df={:<4} df_C={:<5} -logλ={:.1}",
-            vocab.term(c.term),
+            snapshot.vocab().term(c.term),
             c.df,
             c.df_c,
             c.score
         );
     }
 
-    // 5. Build the hierarchies and show the top facets.
-    let forest = pipeline.build_hierarchies(&extraction, &vocab);
+    // 5. The hierarchies: show the top facets.
+    let forest = snapshot.forest();
     println!("\nfacet hierarchy (top 3 facets, 5 children each):");
     for tree in forest.trees.iter().take(3) {
         let mini =

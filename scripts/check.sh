@@ -12,7 +12,9 @@
 #                  sort-based reference), the facet-core subsumption and
 #                  row-store unit tests (slot-order parent choice against
 #                  two references on churned count tables; chunked rows
-#                  against a Vec model), the chaos (fault-injection) suite, the trace-export determinism
+#                  against a Vec model), the Steps 1–4 paper-formula oracle
+#                  and the paper-fidelity quality gate (QUALITY.json), the
+#                  chaos (fault-injection) suite, the trace-export determinism
 #                  smoke, the facet-lint workspace gate, and a release
 #                  build of the perfbench workspace (its own Cargo
 #                  workspace, so neither the root build nor the tests
@@ -108,6 +110,12 @@ if [[ "${1:-}" == "--tier1" ]]; then
     # a Vec model (crate unit tests, also skipped by the root run).
     cargo test -q -p facet-core subsumption::
     cargo test -q -p facet-core rows::
+    echo "== tier-1: pipeline oracle and quality gate"
+    # The index against Steps 1–4 written from the paper's formulas, and
+    # the recall/precision grids against QUALITY.json, named explicitly
+    # so a filtered or partial test run cannot silently skip them.
+    cargo test -q --test pipeline_oracle
+    cargo test -q --test quality_gate
     run_chaos
     run_trace_smoke
     run_lint

@@ -1,7 +1,7 @@
 //! Integration tests for the faceted browsing engine and the user-study
-//! simulation over a real (small) pipeline run.
+//! simulation over a real (small) index build.
 
-use facet_hierarchies::core::{BrowseEngine, FacetPipeline, PipelineOptions};
+use facet_hierarchies::core::{FacetSnapshot, PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::RecipeKind;
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::eval::userstudy::{run_user_study, UserStudyConfig};
@@ -9,35 +9,34 @@ use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::resources::{CachedResource, ContextResource, WikiGraphResource};
 use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor};
 use facet_hierarchies::wikipedia::WikipediaGraph;
+use std::sync::Arc;
 
-fn engine() -> (BrowseEngine, usize) {
-    let mut bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+fn snapshot() -> (Arc<FacetSnapshot>, usize) {
+    let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
     let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
     let tagger = NerTagger::from_world(&bundle.world);
     let ne = NamedEntityExtractor::new(tagger);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
     let resources: Vec<&dyn ContextResource> = vec![&graph_res];
-    let pipeline = FacetPipeline::new(
+    let index = ShardedFacetIndex::build(
+        bundle.corpus.db.docs().to_vec(),
+        1,
         extractors,
         resources,
         PipelineOptions {
             top_k: 300,
             ..Default::default()
         },
-    );
-    let out = pipeline.run(&bundle.corpus.db, &mut bundle.vocab);
-    let forest = pipeline.build_hierarchies(&out, &bundle.vocab);
-    let n = bundle.corpus.db.len();
-    (
-        BrowseEngine::new(forest, out.contextualized.doc_terms.clone()),
-        n,
     )
+    .unwrap();
+    (index.snapshot(), bundle.corpus.db.len())
 }
 
 #[test]
 fn selection_narrows_monotonically() {
-    let (engine, n_docs) = engine();
+    let (snapshot, n_docs) = snapshot();
+    let engine = snapshot.browse();
     let top = engine.refinements(&[], None);
     assert!(!top.is_empty(), "browse engine must expose facets");
     let mut selection = Vec::new();
@@ -57,7 +56,8 @@ fn selection_narrows_monotonically() {
 
 #[test]
 fn refinement_counts_match_actual_selection() {
-    let (engine, _) = engine();
+    let (snapshot, _) = snapshot();
+    let engine = snapshot.browse();
     let top = engine.refinements(&[], None);
     for (term, _, count) in top.iter().take(5) {
         let docs = engine.select(&[*term]);

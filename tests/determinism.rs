@@ -2,7 +2,7 @@
 //! — must be bit-stable given the recipe seeds, including under different
 //! expansion thread counts and index shard counts.
 
-use facet_hierarchies::core::{FacetPipeline, FacetSnapshot, PipelineOptions, ShardedFacetIndex};
+use facet_hierarchies::core::{FacetSnapshot, PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::RecipeKind;
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::ner::NerTagger;
@@ -13,14 +13,16 @@ use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor};
 use facet_hierarchies::wikipedia::WikipediaGraph;
 
 fn facet_terms_with_threads(threads: usize) -> Vec<String> {
-    let mut bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+    let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
     let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
     let tagger = NerTagger::from_world(&bundle.world);
     let ne = NamedEntityExtractor::new(tagger);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
     let resources: Vec<&dyn ContextResource> = vec![&graph_res];
-    let pipeline = FacetPipeline::new(
+    let index = ShardedFacetIndex::build(
+        bundle.corpus.db.docs().to_vec(),
+        1,
         extractors,
         resources,
         PipelineOptions {
@@ -28,9 +30,11 @@ fn facet_terms_with_threads(threads: usize) -> Vec<String> {
             expansion: ExpansionOptions { threads },
             ..Default::default()
         },
-    );
-    let out = pipeline.run(&bundle.corpus.db, &mut bundle.vocab);
-    out.facet_terms(&bundle.vocab)
+    )
+    .unwrap();
+    index
+        .snapshot()
+        .facet_terms()
         .into_iter()
         .map(str::to_string)
         .collect()
@@ -79,20 +83,22 @@ fn bundles_are_reproducible() {
 /// One candidate as bytes-comparable data: (term, df, df_c, score bits).
 type CandidateRow = (String, u64, u64, String);
 
-/// Run the full pipeline (including hierarchy construction) under the
-/// given recorder and export every output as plain bytes-comparable
-/// data: candidates with their statistics, plus the forest edges.
+/// Run the full pipeline (including hierarchy construction) through a
+/// 1-shard index under the given recorder and export every output as
+/// plain bytes-comparable data: candidates with their statistics, plus
+/// the forest edges.
 fn pipeline_outputs(
     recorder: facet_hierarchies::obs::Recorder,
 ) -> (Vec<CandidateRow>, Vec<(String, String)>) {
-    let mut bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+    let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
     let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
     let tagger = NerTagger::from_world(&bundle.world);
     let ne = NamedEntityExtractor::new(tagger);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
     let resources: Vec<&dyn ContextResource> = vec![&graph_res];
-    let pipeline = FacetPipeline::new(
+    let mut index = ShardedFacetIndex::new(
+        1,
         extractors,
         resources,
         PipelineOptions {
@@ -101,22 +107,8 @@ fn pipeline_outputs(
         },
     )
     .with_recorder(recorder);
-    let out = pipeline.run(&bundle.corpus.db, &mut bundle.vocab);
-    let forest = pipeline.build_hierarchies(&out, &bundle.vocab);
-    let candidates = out
-        .candidates
-        .iter()
-        .map(|c| {
-            // Compare the float score by its exact bit pattern.
-            (
-                bundle.vocab.term(c.term).to_string(),
-                c.df,
-                c.df_c,
-                format!("{:x}", c.score.to_bits()),
-            )
-        })
-        .collect();
-    (candidates, forest.edges())
+    index.append(bundle.corpus.db.docs().to_vec()).unwrap();
+    snapshot_rows(&index.snapshot())
 }
 
 #[test]
@@ -131,10 +123,10 @@ fn recorder_does_not_change_results() {
     );
     // And the recorder did observe the run.
     let counts = enabled.snapshot_counts_only();
-    assert_eq!(counts["span.extract.count"], 1);
-    assert_eq!(counts["span.expand.count"], 1);
-    assert_eq!(counts["span.select.count"], 1);
-    assert_eq!(counts["span.subsumption.count"], 1);
+    assert_eq!(counts["span.append.count"], 1);
+    assert_eq!(counts["span.append.shard0.count"], 1);
+    assert_eq!(counts["span.append.select.count"], 1);
+    assert_eq!(counts["span.append.subsumption.count"], 1);
     assert!(counts["counter.resource.Wikipedia Graph.queries"] >= 1);
 }
 
@@ -186,10 +178,12 @@ impl ContextResource for CountedInner<'_> {
 
 #[test]
 fn shard_and_thread_sweep_matches_batch_pipeline() {
-    // The index must reproduce the batch pipeline and its own one-shot
-    // 1-shard build exactly — all candidate statistics bit-for-bit and
-    // all forest edges — for every shard count and expansion thread
-    // count, whether the corpus arrives in one batch or many.
+    // The index must reproduce its own one-shot 1-shard build exactly —
+    // all candidate statistics bit-for-bit and all forest edges — for
+    // every shard count and expansion thread count, whether the corpus
+    // arrives in one batch or many. (tests/pipeline_oracle.rs checks the
+    // 1-shard build against Steps 1–4 computed from the paper's
+    // formulas.)
     let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
     let tagger = NerTagger::from_world(&bundle.world);
@@ -206,11 +200,6 @@ fn shard_and_thread_sweep_matches_batch_pipeline() {
         ShardedFacetIndex::build(docs.clone(), 1, vec![&ne], vec![&batch_res], options(1)).unwrap();
     let expected = snapshot_rows(&batch.snapshot());
     assert!(!expected.0.is_empty(), "the corpus must yield facet terms");
-    assert_eq!(
-        expected,
-        pipeline_outputs(facet_hierarchies::obs::Recorder::disabled()),
-        "the 1-shard build diverged from the batch pipeline"
-    );
 
     // The merged vocabulary is content-determined: the same documents in
     // the same chunks intern the same number of symbols at every shard

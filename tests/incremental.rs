@@ -1,14 +1,15 @@
 //! Incremental-vs-batch equivalence: a growing archive indexed with
-//! `ShardedFacetIndex::append` must produce exactly the facets a one-shot batch
-//! run produces — the MNYT "month of news" scenario (Section V-A) where
-//! the corpus arrives day by day.
+//! `ShardedFacetIndex::append` must produce exactly the facets a one-shot
+//! build produces — the MNYT "month of news" scenario (Section V-A) where
+//! the corpus arrives day by day. (tests/pipeline_oracle.rs checks both
+//! against Steps 1–4 computed from the paper's formulas.)
 //!
 //! Term *ids* legitimately differ between the two paths (context terms
 //! interleave with later batches' corpus terms), so every comparison here
 //! is at the string level: facet terms in rank order with their
 //! statistics, and forest edges by label.
 
-use facet_hierarchies::core::{FacetPipeline, FacetSnapshot, PipelineOptions, ShardedFacetIndex};
+use facet_hierarchies::core::{FacetSnapshot, PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{DatasetRecipe, Document, RecipeKind};
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::ner::NerTagger;
@@ -74,10 +75,10 @@ struct IncrementalRun {
     appends: Vec<(usize, usize, u64, usize)>,
 }
 
-/// Run the three paths over the same corpus under `recorder`-style
-/// instrumentation: the batch pipeline facade, a one-shot index build,
-/// and `n_batches` incremental appends.
-fn run_all(enabled: bool, n_batches: usize) -> (Outputs, Outputs, IncrementalRun) {
+/// Run the two paths over the same corpus under `recorder`-style
+/// instrumentation: a one-shot index build and `n_batches` incremental
+/// appends.
+fn run_all(enabled: bool, n_batches: usize) -> (Outputs, IncrementalRun) {
     let recorder = |on: bool| {
         if on {
             Recorder::enabled()
@@ -85,7 +86,7 @@ fn run_all(enabled: bool, n_batches: usize) -> (Outputs, Outputs, IncrementalRun
             Recorder::disabled()
         }
     };
-    let mut bundle = DatasetBundle::build_with(mnyt_recipe());
+    let bundle = DatasetBundle::build_with(mnyt_recipe());
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
     let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
     let tagger = NerTagger::from_world(&bundle.world);
@@ -94,39 +95,13 @@ fn run_all(enabled: bool, n_batches: usize) -> (Outputs, Outputs, IncrementalRun
     let resources: Vec<&dyn ContextResource> = vec![&graph_res];
     let docs = bundle.corpus.db.docs().to_vec();
 
-    // Path 1: the one-shot batch pipeline facade.
-    let pipeline = FacetPipeline::new(extractors.clone(), resources.clone(), options())
+    // Path 1: one-shot index build.
+    let mut one_shot = ShardedFacetIndex::new(1, extractors.clone(), resources.clone(), options())
         .with_recorder(recorder(enabled));
-    let out = pipeline.run(&bundle.corpus.db, &mut bundle.vocab);
-    let forest = pipeline.build_hierarchies(&out, &bundle.vocab);
-    let pipeline_outputs = Outputs {
-        rows: out
-            .candidates
-            .iter()
-            .map(|c| {
-                (
-                    bundle.vocab.term(c.term).to_string(),
-                    c.df,
-                    c.df_c,
-                    format!("{:x}", c.score.to_bits()),
-                )
-            })
-            .collect(),
-        edges: forest.edges(),
-    };
-
-    // Path 2: one-shot index build.
-    let one_shot = ShardedFacetIndex::build(
-        docs.clone(),
-        1,
-        extractors.clone(),
-        resources.clone(),
-        options(),
-    )
-    .unwrap();
+    one_shot.append(docs.clone()).unwrap();
     let one_shot_outputs = snapshot_outputs(&one_shot.snapshot());
 
-    // Path 3: incremental appends.
+    // Path 2: incremental appends.
     let inc_recorder = recorder(enabled);
     let mut index = ShardedFacetIndex::new(1, extractors, resources, options())
         .with_recorder(inc_recorder.clone());
@@ -152,19 +127,15 @@ fn run_all(enabled: bool, n_batches: usize) -> (Outputs, Outputs, IncrementalRun
         appends,
     };
 
-    (pipeline_outputs, one_shot_outputs, incremental)
+    (one_shot_outputs, incremental)
 }
 
 #[test]
 fn incremental_appends_match_batch_build() {
-    let (pipeline, one_shot, incremental) = run_all(false, 4);
+    let (one_shot, incremental) = run_all(false, 4);
     assert!(
-        !pipeline.rows.is_empty(),
+        !one_shot.rows.is_empty(),
         "the corpus must yield facet terms"
-    );
-    assert_eq!(
-        pipeline, one_shot,
-        "one-shot index build must match the pipeline facade"
     );
     assert_eq!(
         one_shot, incremental.outputs,
@@ -176,24 +147,23 @@ fn incremental_appends_match_batch_build() {
 fn equivalence_holds_under_recorder() {
     // Instrumentation must be observation-only, and the equivalence must
     // hold with counters/spans live on every path.
-    let (pipeline, one_shot, incremental) = run_all(true, 4);
-    assert_eq!(pipeline, one_shot);
+    let (one_shot, incremental) = run_all(true, 4);
     assert_eq!(one_shot, incremental.outputs);
-    let (plain_pipeline, _, plain_incremental) = run_all(false, 4);
-    assert_eq!(pipeline, plain_pipeline);
+    let (plain_one_shot, plain_incremental) = run_all(false, 4);
+    assert_eq!(one_shot, plain_one_shot);
     assert_eq!(incremental.outputs, plain_incremental.outputs);
 }
 
 #[test]
 fn batch_partition_does_not_matter() {
-    let (_, _, four) = run_all(false, 4);
-    let (_, _, six) = run_all(false, 6);
+    let (_, four) = run_all(false, 4);
+    let (_, six) = run_all(false, 6);
     assert_eq!(four.outputs, six.outputs);
 }
 
 #[test]
 fn appends_query_resources_strictly_less_than_rebuild() {
-    let (_, _, incremental) = run_all(true, 4);
+    let (_, incremental) = run_all(true, 4);
     assert_eq!(incremental.appends.len(), 4);
     for (i, &(new_distinct, reused, query_delta, cumulative)) in
         incremental.appends.iter().enumerate()
