@@ -200,7 +200,6 @@ fn count_common(a: &[DocId], b: &[DocId]) -> usize {
 mod tests {
     use super::*;
     use crate::hierarchy::FacetTree;
-    use crate::shard::postings_of;
     use facet_textkit::Vocabulary;
 
     fn engine() -> (BrowseEngine, Vocabulary) {
@@ -233,13 +232,9 @@ mod tests {
             ],
             vocab.freeze(),
         );
-        let doc_terms = vec![
-            vec![politics, election, france], // doc 0
-            vec![politics, election],         // doc 1
-            vec![politics],                   // doc 2
-            vec![france],                     // doc 3
-        ];
-        let postings = postings_of(&doc_terms, vocab.len()).unwrap();
+        // Docs 0–3 carry {politics, election, france}, {politics,
+        // election}, {politics} and {france}; postings by interned id.
+        let postings = [vec![0, 1, 2], vec![0, 1], vec![0, 3]];
         (BrowseEngine::from_postings(forest, 4, &postings), vocab)
     }
 

@@ -186,12 +186,12 @@ impl FacetSnapshot {
 
     /// An FNV-1a digest over the snapshot's canonical *string* view:
     /// the generation, every candidate row (term, df, `df_C`, score
-    /// bits), every forest edge, the degraded-coverage map, and every
-    /// per-document contextualized term set rendered through the frozen
-    /// vocabulary. Term *ids* never enter the hash, so two snapshots
-    /// digest equal exactly when they are string-identical — the
-    /// byte-identity criterion `tests/recovery.rs` holds crash recovery
-    /// to, regardless of interning order.
+    /// bits) in rank order, every forest edge, the degraded-coverage map,
+    /// and every per-document contextualized term set as its term strings
+    /// in sorted order. Neither term ids nor their order enter the hash,
+    /// so snapshots that are string-identical digest equal whatever order
+    /// their terms were interned in — across shard counts, thread counts
+    /// and append splits, and across crash recovery (`tests/recovery.rs`).
     pub fn digest(&self) -> u64 {
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -223,11 +223,15 @@ impl FacetSnapshot {
                 eat(f.as_bytes());
             }
         }
+        let mut strings: Vec<&str> = Vec::new();
         for row in self.doc_terms.iter() {
+            strings.clear();
+            strings.extend(row.iter().map(|t| self.vocab.try_term(*t).unwrap_or("")));
+            strings.sort_unstable();
             eat(b"r");
-            for t in row {
+            for t in &strings {
                 eat(b"\x1f");
-                eat(self.vocab.try_term(*t).unwrap_or("").as_bytes());
+                eat(t.as_bytes());
             }
         }
         hash
@@ -235,8 +239,9 @@ impl FacetSnapshot {
 
     /// Assemble a snapshot from its parts, gathering the browse engine's
     /// facet-term postings from `postings` (the index's per-term rows,
-    /// ascending). Crate-internal: only the index's publish path and
-    /// [`crate::persist`]'s restore build one.
+    /// ascending). Crate-internal: the index's publish path builds every
+    /// non-empty snapshot — after an append, a repair, or a restore — and
+    /// [`crate::shard::ShardedFacetIndex::new`] the empty one.
     pub(crate) fn assemble(
         generation: u64,
         vocab: FrozenVocabulary,

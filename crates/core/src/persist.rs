@@ -6,13 +6,14 @@
 //! It defines what the opaque snapshot *sections* and WAL *record
 //! payloads* contain:
 //!
-//! * [`ShardedFacetIndex::persist_to`] encodes every piece of index
-//!   state — the merged interner arena, df/`df_C` tables, per-document
-//!   term rows, ranked candidates, and subsumption forest, plus per
-//!   shard (`shard3.vocab`, `shard3.cache`, …) the private vocabulary,
-//!   document store, expansion cache, contextualized rows, degradation
-//!   provenance, and id mapping — into named, individually checksummed
-//!   sections and publishes them as one snapshot generation.
+//! * [`ShardedFacetIndex::persist_to`] encodes the index's *source*
+//!   state — the merged interner arena, plus per shard (`shard3.vocab`,
+//!   `shard3.cache`, …) the private vocabulary, documents and their term
+//!   rows, expansion cache, contextualized rows, degradation provenance,
+//!   and `I(d)` lists — into named, individually checksummed sections
+//!   and publishes them as one snapshot generation. Everything else —
+//!   df and `df_C` tables, merged rows, id mappings, ranking, forest —
+//!   restore recomputes.
 //! * [`ShardedFacetIndex::append_logged`] /
 //!   [`ShardedFacetIndex::repair_logged`] wrap the live update paths
 //!   with WAL records: an append is logged *before* it is applied
@@ -20,11 +21,14 @@
 //!   crash), a repair is logged *after* it publishes (a no-op repair
 //!   publishes nothing and logs nothing).
 //! * [`ShardedFacetIndex::open_from`] recovers: load the newest snapshot
-//!   generation that verifies, decode the sections back into pipeline
-//!   state, and replay the WAL tail through the ordinary
-//!   `append`/`repair` code paths. Because the pipeline is
-//!   deterministic end-to-end, the replayed index converges
-//!   **string-identical** ([`FacetSnapshot::digest`]) to an index that
+//!   generation that verifies, decode the sections back into each
+//!   shard's state (counting its df and `df_C` from its rows, looking its
+//!   strings up in the merged vocabulary), rebuild the merged tables with
+//!   the merge an append runs, publish them through the index's one
+//!   publish path at the persisted generation, then replay the WAL tail
+//!   through the ordinary `append`/`repair` code paths. Because the
+//!   pipeline is deterministic end-to-end, the replayed index converges
+//!   **string-identical** ([`crate::FacetSnapshot::digest`]) to an index that
 //!   never crashed — `tests/recovery.rs` proves it under injected
 //!   corruption.
 //!
@@ -38,11 +42,9 @@
 //! history or fails loudly; it never silently skips or reorders a batch.
 
 use crate::config::PipelineOptions;
-use crate::hierarchy::{FacetForest, FacetTree, TreeNode};
-use crate::index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
-use crate::rows::RowStore;
-use crate::selection::{FacetCandidate, SelectionStatistic};
-use crate::shard::{merged_degraded, postings_of, Shard, ShardedFacetIndex};
+use crate::index::{AppendStats, IndexError, RepairStats};
+use crate::selection::SelectionStatistic;
+use crate::shard::{Shard, ShardedFacetIndex};
 use facet_corpus::db::TermingOptions;
 use facet_corpus::{DocId, Document, TextDatabase};
 use facet_resources::{
@@ -51,15 +53,14 @@ use facet_resources::{
 use facet_store::bytes::{ByteReader, ByteWriter};
 use facet_store::{FacetStore, RecoveryReport, SnapshotPayload, StoreError, WalRecord};
 use facet_termx::TermExtractor;
-use facet_textkit::{FrozenVocabulary, Interner, TermId, Vocabulary};
+use facet_textkit::{Interner, TermId, Vocabulary};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Version of the section *contents* (the store's `FORMAT_VERSION`
 /// covers the framing). Bump when any section codec changes shape; a
 /// snapshot of any other version is refused as a corrupt `meta`
 /// section, never decoded.
-pub const STATE_VERSION: u32 = 2;
+pub const STATE_VERSION: u32 = 3;
 
 fn corrupt(section: &str) -> StoreError {
     StoreError::CorruptSection {
@@ -103,22 +104,6 @@ fn decode<T>(
         .ok_or_else(|| corrupt(name))
 }
 
-fn enc_u64s(w: &mut ByteWriter, values: &[u64]) {
-    w.u64(values.len() as u64);
-    for v in values {
-        w.u64(*v);
-    }
-}
-
-fn dec_u64s(r: &mut ByteReader<'_>) -> Option<Vec<u64>> {
-    let n = r.u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-    for _ in 0..n {
-        out.push(r.u64()?);
-    }
-    Some(out)
-}
-
 fn enc_terms(w: &mut ByteWriter, terms: &[TermId]) {
     w.u64(terms.len() as u64);
     for t in terms {
@@ -153,22 +138,6 @@ fn dec_rows(r: &mut ByteReader<'_>) -> Option<Vec<Vec<TermId>>> {
         out.push(dec_terms(r)?);
     }
     Some(out)
-}
-
-/// [`dec_rows`] straight into a [`RowStore`], through one reused row
-/// buffer: the merged rows are held once, by the store.
-fn dec_row_store(r: &mut ByteReader<'_>) -> Option<RowStore> {
-    let n = r.u64()?;
-    let mut store = RowStore::new();
-    let mut row = Vec::new();
-    for _ in 0..n {
-        row.clear();
-        for _ in 0..r.u64()? {
-            row.push(TermId(r.u32()?));
-        }
-        store.push(&row);
-    }
-    Some(store)
 }
 
 fn enc_docs(w: &mut ByteWriter, docs: &[Document]) {
@@ -294,99 +263,6 @@ fn dec_degraded(r: &mut ByteReader<'_>) -> Option<BTreeMap<String, Vec<String>>>
     Some(out)
 }
 
-fn enc_candidates(w: &mut ByteWriter, candidates: &[FacetCandidate]) {
-    w.u64(candidates.len() as u64);
-    for c in candidates {
-        w.u32(c.term.0);
-        w.u64(c.df);
-        w.u64(c.df_c);
-        w.u64(c.shift_f as u64);
-        w.u64(c.shift_r as u64);
-        w.f64(c.score);
-    }
-}
-
-fn dec_candidates(r: &mut ByteReader<'_>) -> Option<Vec<FacetCandidate>> {
-    let n = r.u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(r.remaining() / 44 + 1));
-    for _ in 0..n {
-        out.push(FacetCandidate {
-            term: TermId(r.u32()?),
-            df: r.u64()?,
-            df_c: r.u64()?,
-            shift_f: r.u64()? as i64,
-            shift_r: r.u64()? as i64,
-            score: r.f64()?,
-        });
-    }
-    Some(out)
-}
-
-/// Trees encode preorder — `(term, doc_count, n_children)` per node —
-/// and decode with an explicit stack, so arbitrarily deep hierarchies
-/// round-trip without recursion.
-fn enc_forest(w: &mut ByteWriter, forest: &FacetForest) {
-    w.u64(forest.trees.len() as u64);
-    for tree in &forest.trees {
-        let mut stack = vec![&tree.root];
-        while let Some(node) = stack.pop() {
-            w.u32(node.term.0);
-            w.u64(node.doc_count);
-            w.u32(node.children.len() as u32);
-            for child in node.children.iter().rev() {
-                stack.push(child);
-            }
-        }
-    }
-}
-
-fn dec_tree(r: &mut ByteReader<'_>) -> Option<TreeNode> {
-    struct Pending {
-        node: TreeNode,
-        remaining: u32,
-    }
-    let read_one = |r: &mut ByteReader<'_>| -> Option<(TreeNode, u32)> {
-        let term = TermId(r.u32()?);
-        let doc_count = r.u64()?;
-        let n_children = r.u32()?;
-        Some((
-            TreeNode {
-                term,
-                doc_count,
-                children: Vec::new(),
-            },
-            n_children,
-        ))
-    };
-    let (node, remaining) = read_one(r)?;
-    let mut stack = vec![Pending { node, remaining }];
-    loop {
-        let top_done = stack.last().map(|p| p.remaining == 0)?;
-        if top_done {
-            let done = stack.pop()?;
-            match stack.last_mut() {
-                Some(parent) => {
-                    parent.node.children.push(done.node);
-                    parent.remaining -= 1;
-                }
-                None => return Some(done.node),
-            }
-        } else {
-            let (node, remaining) = read_one(r)?;
-            stack.push(Pending { node, remaining });
-        }
-    }
-}
-
-fn dec_forest(r: &mut ByteReader<'_>, vocab: FrozenVocabulary) -> Option<FacetForest> {
-    let n = r.u64()? as usize;
-    let mut trees = Vec::with_capacity(n.min(r.remaining() / 16 + 1));
-    for _ in 0..n {
-        trees.push(FacetTree { root: dec_tree(r)? });
-    }
-    Some(FacetForest::new(trees, vocab))
-}
-
 // ---------------------------------------------------------------------
 // Meta section: the one section every snapshot must carry.
 // ---------------------------------------------------------------------
@@ -488,11 +364,10 @@ fn check_replayed_generation(seq: u64, landed: u64) -> Result<(), StoreError> {
 }
 
 // ---------------------------------------------------------------------
-// Snapshot sections: merged tables + per-shard state.
+// Snapshot sections: the merged vocabulary + per-shard source state.
 // ---------------------------------------------------------------------
 
 fn encode_index(index: &ShardedFacetIndex<'_>) -> SnapshotPayload {
-    let snapshot = index.snapshot();
     let meta = Meta {
         generation: index.generation,
         statistic: index.statistic,
@@ -501,44 +376,26 @@ fn encode_index(index: &ShardedFacetIndex<'_>) -> SnapshotPayload {
         n_shards: index.shards.len() as u32,
         n_docs: index.n_docs as u64,
     };
-    let merged = [
-        ("meta", encode(|w| enc_meta(w, &meta))),
+    let mut sections = vec![
+        ("meta".to_string(), encode(|w| enc_meta(w, &meta))),
         (
-            "merged.vocab",
+            "merged.vocab".to_string(),
             encode(|w| enc_vocab(w, &index.merged_vocab)),
         ),
-        ("merged.df", encode(|w| enc_u64s(w, &index.merged_df))),
-        ("merged.df_c", encode(|w| enc_u64s(w, &index.merged_df_c))),
-        (
-            "merged.doc_terms",
-            encode(|w| enc_rows(w, &index.merged_doc_terms)),
-        ),
-        (
-            "candidates",
-            encode(|w| enc_candidates(w, snapshot.candidates())),
-        ),
-        ("forest", encode(|w| enc_forest(w, snapshot.forest()))),
     ];
-    let mut sections: Vec<(String, Vec<u8>)> = merged
-        .into_iter()
-        .map(|(name, bytes)| (name.to_string(), bytes))
-        .collect();
     for (i, s) in index.shards.iter().enumerate() {
         let shard_sections = [
             ("vocab", encode(|w| enc_vocab(w, &s.vocab))),
             ("docs", encode(|w| enc_docs(w, s.db.docs()))),
             ("doc_terms", encode(|w| enc_rows(w, s.db.doc_terms_rows()))),
-            ("df", encode(|w| enc_u64s(w, s.db.df_table()))),
             ("cache", encode(|w| enc_cache(w, &s.cache))),
             ("ctx_rows", encode(|w| enc_rows(w, &s.ctx.doc_terms))),
-            ("ctx_df", encode(|w| enc_u64s(w, s.ctx.df_table()))),
             (
                 "ctx_context",
                 encode(|w| enc_rows(w, &s.ctx.doc_context_terms)),
             ),
             ("degraded", encode(|w| enc_degraded(w, s.ctx.degraded()))),
             ("important", encode(|w| enc_rows(w, &s.important))),
-            ("to_merged", encode(|w| enc_terms(w, &s.to_merged))),
         ];
         sections.extend(
             shard_sections
@@ -552,105 +409,108 @@ fn encode_index(index: &ShardedFacetIndex<'_>) -> SnapshotPayload {
     }
 }
 
+/// Decode shard `i` of `n` and check what the rebuild indexes into: the
+/// shard holds exactly the documents `g < n_docs` with `g % n == i`, in
+/// order; every row names a symbol of the shard's own vocabulary, and the
+/// rows the merge counts are strictly ascending, as ingest and expansion
+/// write them; every shard string is in `merged`. `to_merged` comes from
+/// lookups in `merged`, never interning, so the merged interner's
+/// counters stay those of the live index.
 fn restore_shard(
     payload: &SnapshotPayload,
     i: usize,
-    terming: TermingOptions,
+    n: usize,
+    n_docs: usize,
+    terming: &TermingOptions,
+    merged: &Vocabulary,
 ) -> Result<Shard, StoreError> {
     let name = |suffix: &str| format!("shard{i}.{suffix}");
     let vocab = decode(payload, &name("vocab"), dec_vocab)?;
-    let docs = decode(payload, &name("docs"), dec_docs)?;
-    let doc_terms = decode(payload, &name("doc_terms"), dec_rows)?;
-    let df = decode(payload, &name("df"), dec_u64s)?;
-    let db = TextDatabase::from_parts(docs, doc_terms, df, terming)
+    let n_own = n_docs / n + usize::from(i < n_docs % n);
+    let docs = decode(payload, &name("docs"), |r| {
+        dec_docs(r).filter(|docs| {
+            docs.len() == n_own
+                && docs
+                    .iter()
+                    .enumerate()
+                    .all(|(k, d)| d.id.index() == i + k * n)
+        })
+    })?;
+    let known = |t: &TermId| t.index() < vocab.len();
+    let rows = |suffix: &str, ascending: bool| {
+        decode(payload, &name(suffix), |r| {
+            dec_rows(r).filter(|rows| {
+                rows.len() == n_own
+                    && rows.iter().all(|row| {
+                        row.iter().all(known) && (!ascending || row.windows(2).all(|w| w[0] < w[1]))
+                    })
+            })
+        })
+    };
+    let db = TextDatabase::from_parts(docs, rows("doc_terms", true)?, terming.clone())
         .ok_or_else(|| corrupt(&name("docs")))?;
-    let cache = decode(payload, &name("cache"), dec_cache)?;
-    let ctx_rows = decode(payload, &name("ctx_rows"), dec_rows)?;
-    let ctx_df = decode(payload, &name("ctx_df"), dec_u64s)?;
-    let ctx_context = decode(payload, &name("ctx_context"), dec_rows)?;
-    let degraded = decode(payload, &name("degraded"), dec_degraded)?;
-    let ctx = ContextualizedDatabase::from_parts(ctx_rows, ctx_df, ctx_context, degraded)
-        .ok_or_else(|| corrupt(&name("ctx_rows")))?;
+    let cache = decode(payload, &name("cache"), |r| {
+        dec_cache(r).filter(|c| {
+            c.entries()
+                .all(|(t, res)| known(&t) && res.terms.iter().all(known))
+        })
+    })?;
+    let ctx = ContextualizedDatabase::from_parts(
+        rows("ctx_rows", true)?,
+        rows("ctx_context", false)?,
+        decode(payload, &name("degraded"), dec_degraded)?,
+    )
+    .ok_or_else(|| corrupt(&name("ctx_rows")))?;
+    let to_merged = vocab
+        .iter()
+        .map(|(_, term)| merged.get(term))
+        .collect::<Option<Vec<TermId>>>()
+        .ok_or_else(|| corrupt("merged.vocab"))?;
     Ok(Shard {
+        important: rows("important", false)?,
         vocab,
         db,
         cache,
         ctx,
-        important: decode(payload, &name("important"), dec_rows)?,
-        to_merged: decode(payload, &name("to_merged"), dec_terms)?,
+        to_merged,
     })
 }
 
-/// Decode a snapshot into `index` (fresh from [`ShardedFacetIndex::new`]
-/// with the persisted shard count). Installs the restored snapshot
-/// through `&mut` access to the lock — a constructor step on an index
-/// no reader holds yet, not a publication.
+/// Decode a snapshot's sources into `index` (fresh from
+/// [`ShardedFacetIndex::new`] with the persisted shard count), then
+/// rebuild everything else the way an append does: the merge folds every
+/// document into the merged tables, and the one publish path ranks,
+/// scans the subsumption counts and publishes at the persisted
+/// generation.
 fn restore_index(
     index: &mut ShardedFacetIndex<'_>,
     payload: &SnapshotPayload,
 ) -> Result<(), StoreError> {
     let meta = decode(payload, "meta", dec_meta)?;
-    if meta.n_shards as usize != index.n_shards() || payload.generation != meta.generation {
+    let n = index.n_shards();
+    if meta.n_shards as usize != n || payload.generation != meta.generation {
         return Err(corrupt("meta"));
     }
+    let n_docs = usize::try_from(meta.n_docs).map_err(|_| corrupt("meta"))?;
     let merged_vocab = decode(payload, "merged.vocab", dec_vocab)?;
-    let merged_df = decode(payload, "merged.df", dec_u64s)?;
-    let merged_df_c = decode(payload, "merged.df_c", dec_u64s)?;
-    let merged_doc_terms = decode(payload, "merged.doc_terms", dec_row_store)?;
-    if merged_doc_terms.len() as u64 != meta.n_docs {
-        return Err(corrupt("merged.doc_terms"));
-    }
-    let postings = postings_of(&merged_doc_terms, merged_vocab.len())
-        .ok_or_else(|| corrupt("merged.doc_terms"))?;
-    // Selection assumes both tables cover the vocabulary and count at
-    // most `n_docs` documents; rows define `df_C`.
-    if merged_df.len() != merged_vocab.len() || merged_df.iter().any(|&f| f > meta.n_docs) {
-        return Err(corrupt("merged.df"));
-    }
-    if merged_df_c.len() != merged_vocab.len()
-        || merged_df_c
-            .iter()
-            .zip(&postings)
-            .any(|(&f, rows)| f > meta.n_docs || f != rows.len() as u64)
-    {
-        return Err(corrupt("merged.df_c"));
-    }
-    let candidates = decode(payload, "candidates", dec_candidates)?;
-    let frozen = merged_vocab.freeze();
-    let forest = decode(payload, "forest", |r| dec_forest(r, frozen.clone()))?;
-    let shards = (0..index.n_shards())
-        .map(|i| restore_shard(payload, i, meta.terming.clone()))
+    let shards = (0..n)
+        .map(|i| restore_shard(payload, i, n, n_docs, &meta.terming, &merged_vocab))
         .collect::<Result<Vec<_>, _>>()?;
-
-    let snapshot = FacetSnapshot::assemble(
-        meta.generation,
-        frozen,
-        merged_doc_terms.clone(),
-        candidates,
-        forest,
-        &postings,
-        Arc::new(merged_degraded(&shards)),
-    );
     index.options = meta.options;
     index.statistic = meta.statistic;
     index.shards = shards;
     index.merged_vocab = merged_vocab;
-    index.merged_df = merged_df;
-    index.merged_df_c = merged_df_c;
-    index.merged_doc_terms = merged_doc_terms;
-    index.postings = postings;
-    index.co_counts = None;
-    index.n_docs = meta.n_docs as usize;
-    index.generation = meta.generation;
-    *index.snapshot.get_mut() = Arc::new(snapshot);
+    index.n_docs = n_docs;
+    let rows_copied = index.merge_docs(0..n_docs, true);
+    index.publish(meta.generation, rows_copied);
     Ok(())
 }
 
 impl<'a> ShardedFacetIndex<'a> {
-    /// Publish the index's entire state — merged tables plus every
-    /// shard's private vocabulary, cache, contextualized rows, and id
-    /// mapping — as one snapshot generation (atomic write, retention,
-    /// WAL pruning). Returns the generation written.
+    /// Publish the index's source state — the merged vocabulary plus
+    /// every shard's private vocabulary, documents, cache, rows, and
+    /// degradation provenance — as one snapshot generation (atomic write,
+    /// retention, WAL pruning). Returns the generation written.
     ///
     /// # Errors
     /// Any [`StoreError`] from the store; the index itself is untouched.
@@ -744,35 +604,19 @@ mod tests {
     use crate::rows::CHUNK_ROWS;
     use crate::shard::tests::{corpus, options, CountingResource, FixedExtractor};
 
-    /// A verbatim copy of the row encoder over `Vec` rows that predates
-    /// the row store: the bytes `merged.doc_terms` must keep.
-    fn enc_rows_vec(w: &mut ByteWriter, rows: &[Vec<TermId>]) {
-        w.u64(rows.len() as u64);
-        for row in rows {
-            enc_terms(w, row);
-        }
-    }
-
-    /// The persisted `merged.doc_terms` section is byte for byte the old
-    /// encoding of the same rows, and restore decodes it into one store
-    /// that the index and the restored snapshot share.
+    /// Restore rebuilds the merged rows into one store that the index and
+    /// the restored snapshot share, and publishes the live digest.
     #[test]
-    fn merged_rows_keep_their_bytes_and_restore_as_one_copy() {
+    fn merged_rows_restore_as_one_copy() {
         let e = FixedExtractor;
         let r = CountingResource::new();
         let mut index = ShardedFacetIndex::new(2, vec![&e], vec![&r], options());
         for n in [CHUNK_ROWS - 5, 9, CHUNK_ROWS + 40] {
             index.append(corpus(n)).unwrap();
         }
-        let rows: Vec<Vec<TermId>> = index
-            .merged_doc_terms
-            .iter()
-            .map(<[TermId]>::to_vec)
-            .collect();
+        let rows = &index.merged_doc_terms;
         assert!(rows.len() > 2 * CHUNK_ROWS && rows.iter().all(|r| !r.is_empty()));
         let payload = encode_index(&index);
-        let section = payload.section("merged.doc_terms").unwrap();
-        assert_eq!(section, encode(|w| enc_rows_vec(w, &rows)).as_slice());
 
         let mut restored = ShardedFacetIndex::new(2, vec![&e], vec![&r], options());
         restore_index(&mut restored, &payload).unwrap();

@@ -43,8 +43,9 @@
 //!    the current candidate set across appends: a publish frees the terms that left the top k, counts the
 //!    new documents' pairs among the terms that stayed, and fills the
 //!    entering terms' rows from their postings, so its counting scales
-//!    with the batch and the churn, not the corpus. A fresh, restored, or
-//!    repaired index rebuilds the table by one scan at its next publish.
+//!    with the batch and the churn, not the corpus. A fresh or repaired
+//!    index rebuilds the table by one scan at its next publish; a restored
+//!    one scans at the publish that restore itself runs.
 //!    Parent choice then walks each term's count row in slot order. The
 //!    result is published through one atomically-swapped
 //!    [`FacetSnapshot`], which shares the document rows with the index:
@@ -95,7 +96,8 @@ use std::sync::Arc;
 
 /// One shard's private pipeline state. Term ids in here are meaningful
 /// only against this shard's vocabulary; `to_merged` translates them.
-/// [`crate::persist`] encodes and decodes it field by field.
+/// [`crate::persist`] encodes every field but `to_merged`, which restore
+/// looks up in the merged vocabulary.
 pub(crate) struct Shard {
     pub(crate) vocab: Vocabulary,
     pub(crate) db: TextDatabase,
@@ -130,7 +132,7 @@ impl Shard {
 /// every shard because resources fail (or answer) deterministically per
 /// term.
 // lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
-pub(crate) fn merged_degraded(shards: &[Shard]) -> BTreeMap<String, Vec<String>> {
+fn merged_degraded(shards: &[Shard]) -> BTreeMap<String, Vec<String>> {
     let mut merged = BTreeMap::new();
     for shard in shards {
         for (term, failed) in shard.ctx.degraded() {
@@ -138,29 +140,6 @@ pub(crate) fn merged_degraded(shards: &[Shard]) -> BTreeMap<String, Vec<String>>
         }
     }
     merged
-}
-
-/// Postings of merged rows over `n_terms` merged symbols: for each
-/// symbol, the rows containing it, ascending. `None` if a row names a
-/// symbol outside `0..n_terms`.
-pub(crate) fn postings_of<R: AsRef<[TermId]>>(
-    rows: impl IntoIterator<Item = R> + Copy,
-    n_terms: usize,
-) -> Option<Vec<Vec<u32>>> {
-    // Sized exactly: a restored index holds these for its lifetime.
-    let mut lens = vec![0usize; n_terms];
-    for row in rows {
-        for t in row.as_ref() {
-            *lens.get_mut(t.index())? += 1;
-        }
-    }
-    let mut postings: Vec<Vec<u32>> = lens.into_iter().map(Vec::with_capacity).collect();
-    for (d, row) in rows.into_iter().enumerate() {
-        for t in row.as_ref() {
-            postings[t.index()].push(d as u32);
-        }
-    }
-    Some(postings)
 }
 
 /// One shard's part of an append: its documents, and their `I(d)` when
@@ -171,7 +150,8 @@ type ShardBatch = (Vec<Document>, Option<Vec<Vec<String>>>);
 /// [module docs](self) for the partition/merge design and the
 /// equivalence invariant. The `pub(crate)` fields are the state
 /// [`crate::persist`] encodes and restores; outside this impl, only the
-/// restore path writes them.
+/// restore path writes them, before it rebuilds the merged tables through
+/// the append path's `merge_docs` and `publish`.
 ///
 /// ```no_run
 /// # use facet_core::ShardedFacetIndex;
@@ -202,24 +182,24 @@ pub struct ShardedFacetIndex<'a> {
     /// interned in merge order.
     pub(crate) merged_vocab: Vocabulary,
     /// df over `D` in merged ids, delta-updated per append.
-    pub(crate) merged_df: Vec<u64>,
+    merged_df: Vec<u64>,
     /// df over `C(D)` in merged ids, delta-updated per append.
-    pub(crate) merged_df_c: Vec<u64>,
+    merged_df_c: Vec<u64>,
     /// Contextualized term sets per document, in global id order. Each
     /// published snapshot holds a clone sharing every chunk.
     pub(crate) merged_doc_terms: RowStore,
     /// `postings[sym]`: the rows of `merged_doc_terms` containing merged
     /// term `sym`, ascending; extended with the rows in `merge_docs`.
-    pub(crate) postings: Vec<Vec<u32>>,
+    postings: Vec<Vec<u32>>,
     /// Subsumption counts for the last published candidate set, advanced
-    /// by each publish. `None` on a fresh, restored, or repaired index:
-    /// the next publish rebuilds it by scan. Never persisted.
-    pub(crate) co_counts: Option<CoCounts>,
+    /// by each publish. `None` on a fresh or repaired index until its
+    /// next publish rebuilds it by scan; restore's publish scans it too.
+    /// Never persisted.
+    co_counts: Option<CoCounts>,
     pub(crate) n_docs: usize,
-    /// The current published snapshot. [`crate::persist`]'s restore
-    /// installs one through `&mut` on an index no reader holds yet; every
-    /// other update goes through [`ShardedFacetIndex::publish`].
-    pub(crate) snapshot: RwLock<Arc<FacetSnapshot>>,
+    /// The current published snapshot. Every update, restore's included,
+    /// goes through [`ShardedFacetIndex::publish`].
+    snapshot: RwLock<Arc<FacetSnapshot>>,
     pub(crate) generation: u64,
 }
 
@@ -504,7 +484,7 @@ impl<'a> ShardedFacetIndex<'a> {
         // ---- serial merge of the new documents, then publish ------------
         let rows_copied = self.merge_docs(start..start + docs, true);
         self.n_docs += docs;
-        self.publish(rows_copied);
+        self.publish(self.generation + 1, rows_copied);
 
         let queries_after: u64 = self.shared.iter().map(|c| c.stats().misses).sum();
         let intern_after = self.merged_vocab.stats();
@@ -589,7 +569,7 @@ impl<'a> ShardedFacetIndex<'a> {
             self.postings.clear();
             self.co_counts = None;
             let rows_copied = self.merge_docs(0..self.n_docs, false);
-            self.publish(rows_copied);
+            self.publish(self.generation + 1, rows_copied);
             self.recorder.incr("repair.snapshot_swaps");
         }
         totals.generation = self.generation;
@@ -605,7 +585,7 @@ impl<'a> ShardedFacetIndex<'a> {
     /// `D`). Returns the rows copied out of the published snapshot's
     /// open chunk to append (fewer than a chunk). Recorded as the `merge`
     /// span.
-    fn merge_docs(&mut self, docs: Range<usize>, count_df: bool) -> usize {
+    pub(crate) fn merge_docs(&mut self, docs: Range<usize>, count_df: bool) -> usize {
         let _span = self.recorder.span("merge");
         // Shard-order extension is deterministic because each shard's
         // interning order depends only on its own documents.
@@ -654,15 +634,16 @@ impl<'a> ShardedFacetIndex<'a> {
 
     /// Re-run Step 3 (selection) over the merged tables, bring the
     /// subsumption counts up to the new candidate set and rows (a scan if
-    /// there are none yet) and run Step 4's parent choice over them, bump
-    /// the generation, and atomically swap in the new snapshot — the
-    /// index's one publication point (`Lint.toml` C2). The snapshot
+    /// there are none yet) and run Step 4's parent choice over them, set
+    /// the generation to `generation`, and atomically swap in the new
+    /// snapshot — the index's one publication point (`Lint.toml` C2),
+    /// shared by append, repair and restore. The snapshot
     /// shares the rows' chunks with the index; `rows_copied` is what the
     /// merge before it copied to append. Records the `freeze` span, the
     /// `select` span (attributes: `terms` scanned, `candidates` passing
     /// the shift filters), the `subsumption` span (`pairs_scanned`: count
     /// entries parent choice walked) and the `swap` span (`rows_copied`).
-    fn publish(&mut self, rows_copied: usize) {
+    pub(crate) fn publish(&mut self, generation: u64, rows_copied: usize) {
         // One freeze per publish: ranking, forest, and snapshot share it.
         let frozen = {
             let _span = self.recorder.span("freeze");
@@ -709,7 +690,7 @@ impl<'a> ShardedFacetIndex<'a> {
                 df_c.get(t.index()).copied().unwrap_or(0)
             })
         };
-        self.generation += 1;
+        self.generation = generation;
         let span = self.recorder.span("swap");
         span.attr("rows_copied", rows_copied as u64);
         let snapshot = Arc::new(FacetSnapshot::assemble(
@@ -729,6 +710,8 @@ impl<'a> ShardedFacetIndex<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1239,5 +1222,88 @@ pub(crate) mod tests {
         );
         // Context facets are missing while degraded.
         assert!(!snap.facet_terms().contains(&"france"));
+    }
+
+    /// `n` documents mixing the fixture's entities with background words,
+    /// so shard vocabularies intern terms in id-dependent orders.
+    fn random_corpus(rng: &mut TestRng, n: usize) -> Vec<Document> {
+        const WORDS: [&str; 10] = [
+            "Jacques Chirac",
+            "Angela Merkel",
+            "Tony Blair",
+            "budget",
+            "summit",
+            "harbor",
+            "strike",
+            "winter",
+            "ministers",
+            "council",
+        ];
+        (0..n)
+            .map(|i| {
+                let words: Vec<&str> = (0..2 + rng.below(6))
+                    .map(|_| WORDS[rng.below(WORDS.len() as u64) as usize])
+                    .collect();
+                Document {
+                    id: DocId(i as u32),
+                    source: 0,
+                    day: 0,
+                    title: "Story".into(),
+                    text: words.join(" ") + ".",
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// String-identical snapshots digest equal: any shard count 1–4,
+        /// expansion thread count 1–2 and random append split publishes
+        /// the digest of a 1-shard, 1-thread build that took the corpus in
+        /// one append and then as many empty appends as reach the same
+        /// generation.
+        #[test]
+        fn digest_is_equal_across_shards_threads_and_splits(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::deterministic(&format!("digest {seed}"));
+            let n_docs = 4 + rng.below(36) as usize;
+            let docs = random_corpus(&mut rng, n_docs);
+            let mut cuts: Vec<usize> = (0..rng.below(4))
+                .map(|_| rng.below(docs.len() as u64) as usize)
+                .collect();
+            cuts.sort_unstable();
+            let e = FixedExtractor;
+            let with_threads = |threads| PipelineOptions {
+                expansion: ExpansionOptions { threads },
+                ..options()
+            };
+            let r = CountingResource::new();
+            let mut reference = ShardedFacetIndex::new(1, vec![&e], vec![&r], with_threads(1));
+            reference.append(docs.clone()).unwrap();
+            for _ in &cuts {
+                reference.append(Vec::new()).unwrap();
+            }
+            let want = reference.snapshot().digest();
+            for shards in 1..=4 {
+                for threads in 1..=2 {
+                    let r = CountingResource::new();
+                    let mut index =
+                        ShardedFacetIndex::new(shards, vec![&e], vec![&r], with_threads(threads));
+                    let mut start = 0;
+                    for &end in cuts.iter().chain([&docs.len()]) {
+                        index.append(docs[start..end].to_vec()).unwrap();
+                        start = end;
+                    }
+                    prop_assert_eq!(
+                        index.snapshot().digest(),
+                        want,
+                        "{} shards, {} threads, cuts {:?}",
+                        shards,
+                        threads,
+                        &cuts
+                    );
+                }
+            }
+        }
     }
 }

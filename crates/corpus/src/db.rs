@@ -214,7 +214,8 @@ impl TextDatabase {
         &self.doc_terms
     }
 
-    /// Rebuild a database from serialized parts.
+    /// Rebuild a database from serialized parts, counting the df table
+    /// from the rows.
     ///
     /// Returns `None` when the parts are inconsistent: row count not
     /// matching the document count, or document ids that are not
@@ -226,7 +227,6 @@ impl TextDatabase {
     pub fn from_parts(
         docs: Vec<Document>,
         doc_terms: Vec<Vec<TermId>>,
-        df: Vec<u64>,
         options: TermingOptions,
     ) -> Option<Self> {
         if docs.len() != doc_terms.len() {
@@ -234,6 +234,11 @@ impl TextDatabase {
         }
         if docs.windows(2).any(|w| w[0].id.index() >= w[1].id.index()) {
             return None;
+        }
+        let terms = doc_terms.iter().flatten();
+        let mut df = vec![0; terms.clone().map(|t| t.index() + 1).max().unwrap_or(0)];
+        for t in terms {
+            df[t.index()] += 1;
         }
         Some(Self {
             docs,

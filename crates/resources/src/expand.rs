@@ -268,17 +268,22 @@ impl ContextualizedDatabase {
         self.doc_terms.is_empty()
     }
 
-    /// Rebuild a contextualized database from serialized parts. Returns
-    /// `None` when the per-document row counts disagree.
+    /// Rebuild a contextualized database from serialized parts, counting
+    /// the `df_C` table from the rows. Returns `None` when the
+    /// per-document row counts disagree.
     pub fn from_parts(
         doc_terms: Vec<Vec<TermId>>,
-        df_c: Vec<u64>,
         doc_context_terms: Vec<Vec<TermId>>,
         // lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
         degraded: BTreeMap<String, Vec<String>>,
     ) -> Option<Self> {
         if doc_terms.len() != doc_context_terms.len() {
             return None;
+        }
+        let terms = doc_terms.iter().flatten();
+        let mut df_c = vec![0; terms.clone().map(|t| t.index() + 1).max().unwrap_or(0)];
+        for t in terms {
+            df_c[t.index()] += 1;
         }
         Some(Self {
             doc_terms,

@@ -12,7 +12,10 @@
 #                  sort-based reference), the facet-core subsumption and
 #                  row-store unit tests (slot-order parent choice against
 #                  two references on churned count tables; chunked rows
-#                  against a Vec model), the Steps 1–4 paper-formula oracle
+#                  against a Vec model), the recovery suite, the facet-core
+#                  persist unit tests and the snapshot-digest property
+#                  (equal digests across shard counts, thread counts and
+#                  append splits), the Steps 1–4 paper-formula oracle
 #                  and the paper-fidelity quality gate (QUALITY.json), the
 #                  chaos (fault-injection) suite, the trace-export determinism
 #                  smoke, the facet-lint workspace gate, and a release
@@ -110,6 +113,13 @@ if [[ "${1:-}" == "--tier1" ]]; then
     # a Vec model (crate unit tests, also skipped by the root run).
     cargo test -q -p facet-core subsumption::
     cargo test -q -p facet-core rows::
+    echo "== tier-1: recovery, persist unit tests and the digest property"
+    # Restore rebuilds the merged tables from persisted sources; the
+    # persist unit tests are crate unit tests, also skipped by the root
+    # run, and the digest property is what recovery's digest checks mean.
+    cargo test -q --test recovery
+    cargo test -q -p facet-core persist::
+    cargo test -q -p facet-core digest_is_equal_across_shards_threads_and_splits
     echo "== tier-1: pipeline oracle and quality gate"
     # The index against Steps 1–4 written from the paper's formulas, and
     # the recall/precision grids against QUALITY.json, named explicitly

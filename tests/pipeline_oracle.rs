@@ -570,3 +570,131 @@ fn repaired_index_matches_the_oracle() {
     }
     assert!(degraded_seen > 0, "the schedule must degrade some builds");
 }
+
+/// Answers each document's `I(d)` from a list keyed by its full text:
+/// the oracle's view of lists handed to `append_extracted`.
+struct Listed(BTreeMap<String, Vec<String>>);
+impl TermExtractor for Listed {
+    fn name(&self) -> &'static str {
+        "Listed"
+    }
+    fn extract(&self, text: &str) -> Vec<String> {
+        self.0.get(text).cloned().unwrap_or_default()
+    }
+}
+
+/// `case`'s documents made hostile: an empty one, one of at least 1 MiB,
+/// one of non-ASCII and control characters, and every input id repeated.
+fn hostile_docs(rng: &mut TestRng, case: &Case) -> Vec<Document> {
+    let mut docs = case.docs.clone();
+    docs[0].title.clear();
+    docs[0].text.clear();
+    let mut big = String::new();
+    while big.len() < 1 << 20 {
+        big.push_str(&pick(rng, &case.docs).text);
+        big.push(' ');
+    }
+    let name = pick(rng, &case.names);
+    let odd = format!(
+        "Ünïcödé {name} \u{0}\u{7}\u{1b}[31m Grüße aus Zürich — 東京 naïve café\t\r\n{}",
+        pick(rng, &BACKGROUND)
+    );
+    for (title, text) in [("Big", big), ("\u{feff}Odd\u{200b}", odd)] {
+        let at = rng.below(docs.len() as u64 + 1) as usize;
+        docs.insert(
+            at,
+            Document {
+                id: DocId(0),
+                source: 0,
+                day: 0,
+                title: title.into(),
+                text,
+            },
+        );
+    }
+    for d in &mut docs {
+        d.id = DocId(rng.below(3) as u32);
+    }
+    docs
+}
+
+/// One hostile `I(d)` per distinct full text: empty entries, repeated
+/// entries, 10,000 entries, or none.
+fn hostile_lists(rng: &mut TestRng, case: &Case, docs: &[Document]) -> Listed {
+    let mut lists = BTreeMap::new();
+    for d in docs {
+        let list = match rng.below(4) {
+            0 => vec![String::new(), pick(rng, &case.names), String::new()],
+            1 => vec![pick(rng, &case.names); 3],
+            2 => (0..10_000)
+                .map(|k| match k % 3 {
+                    0 => case.names[k % case.names.len()].clone(),
+                    _ => format!("unknown {}", k % 50),
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        lists.entry(d.full_text()).or_insert(list);
+    }
+    Listed(lists)
+}
+
+/// Legal but hostile input never panics. Documents with empty text, a
+/// text of at least 1 MiB, non-ASCII and control characters, and repeated
+/// input ids go through `append`; `I(d)` lists with empty, repeated and
+/// 10,000 entries through `append_extracted`. Every call returns `Ok`
+/// and the index then matches the oracle, or returns a typed
+/// [`IndexError`].
+#[test]
+fn hostile_documents_and_lists_match_the_oracle_or_fail_typed() {
+    let mut rng = TestRng::deterministic("hostile_documents_and_lists");
+    let mut matched = 0;
+    for case_no in 0..3 {
+        let case = random_case(&mut rng);
+        let docs = hostile_docs(&mut rng, &case);
+        assert!(docs.iter().any(|d| d.text.len() >= 1 << 20));
+        let listed = hostile_lists(&mut rng, &case, &docs);
+        let lists: Vec<Vec<String>> = docs
+            .iter()
+            .map(|d| listed.extract(&d.full_text()))
+            .collect();
+        assert!(lists.iter().any(|l| l.len() == 10_000));
+        let pairs = CapitalizedPairs;
+        let gazetteer = Gazetteer(case.names.iter().take(2).cloned().collect());
+        let resources: Vec<&dyn ContextResource> = vec![&case.specific, &case.general];
+        let extracting: Vec<&dyn TermExtractor> = vec![&pairs, &gazetteer];
+        let want_extracted = oracle(&docs, &extracting, &resources, &case.options);
+        let want_listed = oracle(&docs, &[&listed], &resources, &case.options);
+
+        for shards in [1, 3] {
+            let label = format!("case {case_no}, {shards} shards");
+            let mut extracted = ShardedFacetIndex::new(
+                shards,
+                extracting.clone(),
+                resources.clone(),
+                case.options.clone(),
+            );
+            let mut given =
+                ShardedFacetIndex::new(shards, Vec::new(), resources.clone(), case.options.clone());
+            let mut offset = 0;
+            let fed = random_split(&mut rng, &docs).into_iter().try_for_each(
+                |batch| -> Result<(), IndexError> {
+                    let batch_lists = lists[offset..offset + batch.len()].to_vec();
+                    offset += batch.len();
+                    given.append_extracted(batch.clone(), batch_lists)?;
+                    extracted.append(batch)?;
+                    Ok(())
+                },
+            );
+            match fed {
+                Ok(()) => {
+                    assert_matches(&extracted.snapshot(), &want_extracted, &label);
+                    assert_matches(&given.snapshot(), &want_listed, &format!("{label}, listed"));
+                    matched += 1;
+                }
+                Err(e) => eprintln!("{label}: typed refusal: {e}"),
+            }
+        }
+    }
+    assert!(matched > 0, "no hostile build completed");
+}

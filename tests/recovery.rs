@@ -22,6 +22,7 @@ use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::resources::{
     CachedResource, FaultSchedule, VirtualClock, WikiGraphResource,
 };
+use facet_hierarchies::store::bytes::{ByteReader, ByteWriter};
 use facet_hierarchies::store::{
     snapshot_file_name, DiskStorage, FacetStore, FaultyStorage, Storage, StoreError, WAL_FILE,
 };
@@ -540,37 +541,171 @@ fn version_one_snapshot_is_refused_as_corrupt_meta() {
     fs::remove_dir_all(&old_dir).ok();
 }
 
-/// Checksum-valid snapshots whose merged frequency tables break what
-/// selection relies on — a `df_C` above `n_docs`, a `df_C` the rows
-/// disagree with, a `df` above `n_docs`, a table shorter than the
-/// vocabulary — are refused with a typed error naming the section, never
-/// restored into an index whose next publish would panic.
+/// A rows section: a `u64` count, then per row a `u64` length and `u32`
+/// symbols.
+fn rows_of(bytes: &[u8]) -> Vec<Vec<u32>> {
+    let mut r = ByteReader::new(bytes);
+    let n = r.u64().expect("row count");
+    (0..n)
+        .map(|_| {
+            let len = r.u64().expect("row length");
+            (0..len).map(|_| r.u32().expect("symbol")).collect()
+        })
+        .collect()
+}
+
+fn rows_bytes(rows: &[Vec<u32>]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u64(rows.len() as u64);
+    for row in rows {
+        w.u64(row.len() as u64);
+        for &t in row {
+            w.u32(t);
+        }
+    }
+    w.finish()
+}
+
+/// A documents section as `(id, source, day, title, text)`.
+type DocFields = (u32, u32, u32, String, String);
+
+fn docs_of(bytes: &[u8]) -> Vec<DocFields> {
+    let mut r = ByteReader::new(bytes);
+    let n = r.u64().expect("document count");
+    (0..n)
+        .map(|_| {
+            let mut u32_ = || r.u32().expect("field");
+            let (id, source, day) = (u32_(), u32_(), u32_());
+            let title = r.str().expect("title").to_string();
+            (id, source, day, title, r.str().expect("text").to_string())
+        })
+        .collect()
+}
+
+fn docs_bytes(docs: &[DocFields]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u64(docs.len() as u64);
+    for (id, source, day, title, text) in docs {
+        w.u32(*id);
+        w.u32(*source);
+        w.u32(*day);
+        w.str(title);
+        w.str(text);
+    }
+    w.finish()
+}
+
+/// `merged.vocab` without its last term: the arena, the spans, and the
+/// interner's hit/miss counters, with the last span and its text cut.
+fn drop_last_term(bytes: &[u8]) -> Vec<u8> {
+    let mut r = ByteReader::new(bytes);
+    let mut arena = r.str().expect("arena").to_string();
+    let n = r.u64().expect("span count");
+    let mut spans: Vec<(u32, u32)> = (0..n)
+        .map(|_| (r.u32().expect("start"), r.u32().expect("end")))
+        .collect();
+    let (start, _) = spans.pop().expect("a term");
+    arena.truncate(start as usize);
+    let mut w = ByteWriter::new();
+    w.str(&arena);
+    w.u64(spans.len() as u64);
+    for (s, e) in spans {
+        w.u32(s);
+        w.u32(e);
+    }
+    w.u64(r.u64().expect("hits"));
+    w.u64(r.u64().expect("misses"));
+    w.finish()
+}
+
+/// Checksum-valid snapshots whose sources break what restore's rebuild
+/// indexes into — a row naming a symbol past its shard's vocabulary, a
+/// counted row naming a term twice, a shard holding one document too
+/// many or too few or another shard's document, a shard string missing
+/// from `merged.vocab` — or that carry the previous `STATE_VERSION`, are
+/// refused with a typed error naming the section, never restored into an
+/// index whose merge or publish would panic.
 #[test]
-fn merged_tables_breaking_selection_bounds_are_refused_as_corrupt() {
+fn shard_sources_breaking_the_rebuild_are_refused_as_corrupt() {
     let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
     let tagger = NerTagger::from_world(&bundle.world);
     let ne = NamedEntityExtractor::new(tagger);
     let docs = bundle.corpus.db.docs().to_vec();
 
-    let dir = test_dir("bounds-source");
+    let dir = test_dir("sources-source");
     let store = FacetStore::open(&dir).expect("open store");
     let res = CachedResource::new(WikiGraphResource::new(&graph));
-    let live = ShardedFacetIndex::build(docs, 1, vec![&ne], vec![&res], options()).expect("build");
+    let live = ShardedFacetIndex::build(docs, 2, vec![&ne], vec![&res], options()).expect("build");
     live.persist_to(&store).expect("persist");
     let payload = store.recover().expect("recover").snapshot;
-    let n_docs = live.snapshot().n_docs() as u64;
 
-    type Damage = fn(&mut Vec<u64>, u64);
-    let cases: [(&str, &str, Damage); 4] = [
-        ("df_c above n_docs", "merged.df_c", |t, n| t[0] = n + 1),
-        ("df_c off its rows", "merged.df_c", |t, _| {
-            let i = t.iter().position(|&f| f > 0).expect("a counted term");
-            t[i] -= 1;
+    type Damage = fn(&[u8]) -> Vec<u8>;
+    let past_vocabulary: Damage = |b| {
+        let mut rows = rows_of(b);
+        let row = rows
+            .iter_mut()
+            .find(|r| !r.is_empty())
+            .expect("a non-empty row");
+        // The last symbol of a row: the row stays ascending.
+        *row.last_mut().expect("non-empty") = u32::MAX;
+        rows_bytes(&rows)
+    };
+    let cases: [(&str, &str, Damage); 9] = [
+        (
+            "contextualized row past the vocabulary",
+            "shard1.ctx_rows",
+            past_vocabulary,
+        ),
+        (
+            "term row past the vocabulary",
+            "shard0.doc_terms",
+            past_vocabulary,
+        ),
+        (
+            "contextualized row naming a term twice",
+            "shard0.ctx_rows",
+            |b| {
+                let mut rows = rows_of(b);
+                let row = rows
+                    .iter_mut()
+                    .find(|r| !r.is_empty())
+                    .expect("a non-empty row");
+                row.insert(0, row[0]);
+                rows_bytes(&rows)
+            },
+        ),
+        (
+            "I(d) list past the vocabulary",
+            "shard0.important",
+            past_vocabulary,
+        ),
+        ("one document too many", "shard0.docs", |b| {
+            let mut docs = docs_of(b);
+            let mut extra = docs.last().expect("a document").clone();
+            extra.0 += 2;
+            docs.push(extra);
+            docs_bytes(&docs)
         }),
-        ("df above n_docs", "merged.df", |t, n| t[0] = n + 1),
-        ("df shorter than the vocabulary", "merged.df", |t, _| {
-            t.pop();
+        ("a document of another shard", "shard0.docs", |b| {
+            let mut docs = docs_of(b);
+            docs.last_mut().expect("a document").0 += 1;
+            docs_bytes(&docs)
+        }),
+        ("one document too few", "shard1.docs", |b| {
+            let mut docs = docs_of(b);
+            docs.pop();
+            docs_bytes(&docs)
+        }),
+        (
+            "shard string missing from merged.vocab",
+            "merged.vocab",
+            drop_last_term,
+        ),
+        ("a version-2 snapshot", "meta", |b| {
+            let mut v2 = 2u32.to_le_bytes().to_vec();
+            v2.extend_from_slice(&b[4..]);
+            v2
         }),
     ];
     for (what, section, damage) in cases {
@@ -579,26 +714,17 @@ fn merged_tables_breaking_selection_bounds_are_refused_as_corrupt() {
             .sections
             .iter_mut()
             .find(|(name, _)| name == section)
-            .expect("merged table section")
+            .unwrap_or_else(|| panic!("{what}: no section {section}"))
             .1;
-        // Layout: a u64 length, then the u64 entries, little-endian.
-        let mut table: Vec<u64> = bytes[8..]
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        damage(&mut table, n_docs);
-        *bytes = (table.len() as u64).to_le_bytes().to_vec();
-        for v in &table {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
+        *bytes = damage(bytes);
 
-        let bad_dir = test_dir("bounds-snapshot");
+        let bad_dir = test_dir("sources-snapshot");
         let bad_store = FacetStore::open(&bad_dir).expect("open store");
         bad_store
             .publish_snapshot(&bad)
             .expect("publish damaged snapshot");
         let res = CachedResource::new(WikiGraphResource::new(&graph));
-        match ShardedFacetIndex::open_from(&bad_store, 1, vec![&ne], vec![&res], options()) {
+        match ShardedFacetIndex::open_from(&bad_store, 2, vec![&ne], vec![&res], options()) {
             Err(StoreError::CorruptSection { section: got }) => assert_eq!(got, section, "{what}"),
             Err(e) => panic!("{what}: expected corrupt {section}, got: {e}"),
             Ok(_) => panic!("{what}: the snapshot must be refused"),
