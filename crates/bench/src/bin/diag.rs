@@ -317,7 +317,9 @@ fn main() {
             &[&syn_res],
             &mut bundle.vocab,
             &ExpansionOptions::default(),
-        );
+            facet_obs::Recorder::disabled_ref(),
+        )
+        .expect("one I(d) list per document");
         let df = bundle.corpus.db.df_table_resized(bundle.vocab.len());
         let n_docs = bundle.corpus.db.len() as u64;
         let bins_d = bins_by_frequency(&df, n_docs);

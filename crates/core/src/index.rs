@@ -10,10 +10,9 @@
 
 use crate::browse::BrowseEngine;
 use crate::hierarchy::FacetForest;
-use crate::rows::RowStore;
 use crate::selection::FacetCandidate;
 use facet_resources::ExpansionError;
-use facet_textkit::FrozenVocabulary;
+use facet_textkit::{FrozenVocabulary, RowStore};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -29,12 +28,6 @@ pub enum IndexError {
     /// the per-document important-term lists do not line up with the
     /// index's contextualized state.
     Expansion(ExpansionError),
-    /// A shard worker terminated without filling its result slot
-    /// (appends only); the published snapshot is untouched.
-    ShardIncomplete {
-        /// Index of the shard whose outcome never arrived.
-        shard: usize,
-    },
     /// The durability layer rejected a persistence operation (see
     /// [`crate::persist`]): a snapshot publish or WAL append failed, so
     /// the in-memory index and the on-disk state may have diverged.
@@ -54,9 +47,6 @@ impl std::fmt::Display for IndexError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IndexError::Expansion(e) => write!(f, "index append rejected: {e}"),
-            IndexError::ShardIncomplete { shard } => {
-                write!(f, "index append aborted: shard {shard} produced no outcome")
-            }
             IndexError::Store(e) => write!(f, "index persistence failed: {e}"),
             IndexError::StaleReopen {
                 published,
@@ -75,7 +65,7 @@ impl std::error::Error for IndexError {
         match self {
             IndexError::Expansion(e) => Some(e),
             IndexError::Store(e) => Some(e),
-            IndexError::ShardIncomplete { .. } | IndexError::StaleReopen { .. } => None,
+            IndexError::StaleReopen { .. } => None,
         }
     }
 }
@@ -190,8 +180,8 @@ impl FacetSnapshot {
     /// and every per-document contextualized term set as its term strings
     /// in sorted order. Neither term ids nor their order enter the hash,
     /// so snapshots that are string-identical digest equal whatever order
-    /// their terms were interned in — across shard counts, thread counts
-    /// and append splits, and across crash recovery (`tests/recovery.rs`).
+    /// their terms were interned in — across worker counts and append
+    /// splits, and across crash recovery (`tests/recovery.rs`).
     pub fn digest(&self) -> u64 {
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -267,28 +257,24 @@ impl FacetSnapshot {
 /// What one [`crate::shard::ShardedFacetIndex::append`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppendStats {
-    /// Documents ingested by this append (across all shards).
+    /// Documents ingested by this append.
     pub docs: usize,
-    /// Documents each shard received from the round-robin partition.
-    pub docs_per_shard: Vec<usize>,
-    /// Important terms resolved for the first time, summed over shards.
-    /// A term new to several shards in the same append counts once per
-    /// shard here; the shared resource cache still answers all but the
-    /// first shard from memory (see `resource_queries`).
+    /// Distinct important terms of this append resolved for the first
+    /// time.
     pub new_distinct_terms: usize,
-    /// Distinct important terms answered from per-shard expansion caches,
-    /// summed over shards.
+    /// Distinct important terms of this append answered from the
+    /// expansion cache.
     pub reused_terms: usize,
     /// Queries that actually reached the wrapped resources during this
-    /// append: exactly one per globally-new distinct important term per
-    /// resource, however many shards asked.
+    /// append: one per new distinct important term per resource that
+    /// answered.
     pub resource_queries: u64,
     /// The generation of the snapshot this append published.
     pub generation: u64,
 }
 
 /// What one [`crate::shard::ShardedFacetIndex::repair`] backfill pass
-/// did. Counts sum over shards.
+/// did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RepairStats {
     /// Degraded terms re-queried against the resources.

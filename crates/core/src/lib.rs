@@ -24,7 +24,8 @@
 //!    faceted browsing engine.
 //!
 //! [`shard::ShardedFacetIndex`] runs all four steps, for a one-shot
-//! build as for a growing archive, over one or more shards, and serves
+//! build as for a growing archive, with its per-document stages spread
+//! over worker threads, and serves
 //! reads through atomically-swapped [`index::FacetSnapshot`]s; a caller
 //! that has already run Step 1 hands its `I(d)` to
 //! [`shard::ShardedFacetIndex::append_extracted`]. [`baseline`]
@@ -39,7 +40,6 @@ pub mod evidence;
 pub mod hierarchy;
 pub mod index;
 pub mod persist;
-pub mod rows;
 pub mod selection;
 pub mod serve;
 pub mod shard;
@@ -49,10 +49,10 @@ pub use baseline::raw_subsumption_terms;
 pub use browse::BrowseEngine;
 pub use config::PipelineOptions;
 pub use evidence::{build_evidence_forest, EvidenceParams, HypernymHints};
+pub use facet_textkit::RowStore;
 pub use hierarchy::{FacetForest, FacetTree, TreeNode};
 pub use index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
 pub use persist::STATE_VERSION;
-pub use rows::RowStore;
 pub use selection::{select_facet_terms, FacetCandidate, SelectionInputs, SelectionStatistic};
 pub use serve::{
     fanout_browse, normalize_query, BrowseResult, FacetServer, ServeCacheStats, ServeHandle,

@@ -7,13 +7,13 @@
 //! payloads* contain:
 //!
 //! * [`ShardedFacetIndex::persist_to`] encodes the index's *source*
-//!   state — the merged interner arena, plus per shard (`shard3.vocab`,
-//!   `shard3.cache`, …) the private vocabulary, documents and their term
-//!   rows, expansion cache, contextualized rows, degradation provenance,
-//!   and `I(d)` lists — into named, individually checksummed sections
-//!   and publishes them as one snapshot generation. Everything else —
-//!   df and `df_C` tables, merged rows, id mappings, ranking, forest —
-//!   restore recomputes.
+//!   state — the vocabulary (`vocab`), the documents (`docs`) and their
+//!   term rows (`doc_terms`), the expansion cache (`cache`), the
+//!   contextualized rows (`ctx_rows`), degradation provenance
+//!   (`degraded`) and the `I(d)` lists (`important`), plus `meta` — into
+//!   named, individually checksummed sections and publishes them as one
+//!   snapshot generation. Everything else — df and `df_C` tables,
+//!   postings, ranking, forest — restore recomputes.
 //! * [`ShardedFacetIndex::append_logged`] /
 //!   [`ShardedFacetIndex::repair_logged`] wrap the live update paths
 //!   with WAL records: an append is logged *before* it is applied
@@ -21,12 +21,12 @@
 //!   crash), a repair is logged *after* it publishes (a no-op repair
 //!   publishes nothing and logs nothing).
 //! * [`ShardedFacetIndex::open_from`] recovers: load the newest snapshot
-//!   generation that verifies, decode the sections back into each
-//!   shard's state (counting its df and `df_C` from its rows, looking its
-//!   strings up in the merged vocabulary), rebuild the merged tables with
-//!   the merge an append runs, publish them through the index's one
-//!   publish path at the persisted generation, then replay the WAL tail
-//!   through the ordinary `append`/`repair` code paths. Because the
+//!   generation that verifies, decode the sections back into the index's
+//!   state (counting df and `df_C` from the rows), rebuild the postings
+//!   and publish through the index's one publish path at the persisted
+//!   generation, then replay the WAL tail through the ordinary
+//!   `append`/`repair` code paths. Nothing in a snapshot depends on the
+//!   worker count, so it reopens at any count. Because the
 //!   pipeline is deterministic end-to-end, the replayed index converges
 //!   **string-identical** ([`crate::FacetSnapshot::digest`]) to an index that
 //!   never crashed — `tests/recovery.rs` proves it under injected
@@ -44,7 +44,7 @@
 use crate::config::PipelineOptions;
 use crate::index::{AppendStats, IndexError, RepairStats};
 use crate::selection::SelectionStatistic;
-use crate::shard::{Shard, ShardedFacetIndex};
+use crate::shard::ShardedFacetIndex;
 use facet_corpus::db::TermingOptions;
 use facet_corpus::{DocId, Document, TextDatabase};
 use facet_resources::{
@@ -53,14 +53,14 @@ use facet_resources::{
 use facet_store::bytes::{ByteReader, ByteWriter};
 use facet_store::{FacetStore, RecoveryReport, SnapshotPayload, StoreError, WalRecord};
 use facet_termx::TermExtractor;
-use facet_textkit::{Interner, TermId, Vocabulary};
+use facet_textkit::{Interner, RowStore, TermId, Vocabulary};
 use std::collections::BTreeMap;
 
 /// Version of the section *contents* (the store's `FORMAT_VERSION`
 /// covers the framing). Bump when any section codec changes shape; a
 /// snapshot of any other version is refused as a corrupt `meta`
 /// section, never decoded.
-pub const STATE_VERSION: u32 = 3;
+pub const STATE_VERSION: u32 = 4;
 
 fn corrupt(section: &str) -> StoreError {
     StoreError::CorruptSection {
@@ -272,7 +272,6 @@ struct Meta {
     statistic: SelectionStatistic,
     options: PipelineOptions,
     terming: TermingOptions,
-    n_shards: u32,
     n_docs: u64,
 }
 
@@ -289,7 +288,6 @@ fn enc_meta(w: &mut ByteWriter, meta: &Meta) {
     w.u64(meta.options.min_df_c);
     w.u8(u8::from(meta.terming.bigrams));
     w.u64(meta.terming.min_len as u64);
-    w.u32(meta.n_shards);
     w.u64(meta.n_docs);
 }
 
@@ -320,7 +318,6 @@ fn dec_meta(r: &mut ByteReader<'_>) -> Option<Meta> {
         statistic,
         options,
         terming,
-        n_shards: r.u32()?,
         n_docs: r.u64()?,
     })
 }
@@ -364,7 +361,7 @@ fn check_replayed_generation(seq: u64, landed: u64) -> Result<(), StoreError> {
 }
 
 // ---------------------------------------------------------------------
-// Snapshot sections: the merged vocabulary + per-shard source state.
+// Snapshot sections: the index's source state.
 // ---------------------------------------------------------------------
 
 fn encode_index(index: &ShardedFacetIndex<'_>) -> SnapshotPayload {
@@ -372,84 +369,78 @@ fn encode_index(index: &ShardedFacetIndex<'_>) -> SnapshotPayload {
         generation: index.generation,
         statistic: index.statistic,
         options: index.options.clone(),
-        terming: index.shards[0].db.options().clone(),
-        n_shards: index.shards.len() as u32,
-        n_docs: index.n_docs as u64,
+        terming: index.db.options().clone(),
+        n_docs: index.db.len() as u64,
     };
-    let mut sections = vec![
-        ("meta".to_string(), encode(|w| enc_meta(w, &meta))),
+    let sections = [
+        ("meta", encode(|w| enc_meta(w, &meta))),
+        ("vocab", encode(|w| enc_vocab(w, &index.vocab))),
+        ("docs", encode(|w| enc_docs(w, index.db.docs()))),
         (
-            "merged.vocab".to_string(),
-            encode(|w| enc_vocab(w, &index.merged_vocab)),
+            "doc_terms",
+            encode(|w| enc_rows(w, index.db.doc_terms_rows())),
         ),
+        ("cache", encode(|w| enc_cache(w, &index.cache))),
+        ("ctx_rows", encode(|w| enc_rows(w, index.ctx.rows()))),
+        (
+            "degraded",
+            encode(|w| enc_degraded(w, index.ctx.degraded())),
+        ),
+        ("important", encode(|w| enc_rows(w, &index.important))),
     ];
-    for (i, s) in index.shards.iter().enumerate() {
-        let shard_sections = [
-            ("vocab", encode(|w| enc_vocab(w, &s.vocab))),
-            ("docs", encode(|w| enc_docs(w, s.db.docs()))),
-            ("doc_terms", encode(|w| enc_rows(w, s.db.doc_terms_rows()))),
-            ("cache", encode(|w| enc_cache(w, &s.cache))),
-            ("ctx_rows", encode(|w| enc_rows(w, &s.ctx.doc_terms))),
-            (
-                "ctx_context",
-                encode(|w| enc_rows(w, &s.ctx.doc_context_terms)),
-            ),
-            ("degraded", encode(|w| enc_degraded(w, s.ctx.degraded()))),
-            ("important", encode(|w| enc_rows(w, &s.important))),
-        ];
-        sections.extend(
-            shard_sections
-                .into_iter()
-                .map(|(suffix, bytes)| (format!("shard{i}.{suffix}"), bytes)),
-        );
-    }
     SnapshotPayload {
         generation: index.generation,
-        sections,
+        sections: sections
+            .into_iter()
+            .map(|(name, bytes)| (name.to_string(), bytes))
+            .collect(),
     }
 }
 
-/// Decode shard `i` of `n` and check what the rebuild indexes into: the
-/// shard holds exactly the documents `g < n_docs` with `g % n == i`, in
-/// order; every row names a symbol of the shard's own vocabulary, and the
-/// rows the merge counts are strictly ascending, as ingest and expansion
-/// write them; every shard string is in `merged`. `to_merged` comes from
-/// lookups in `merged`, never interning, so the merged interner's
-/// counters stay those of the live index.
-fn restore_shard(
+/// Decode a snapshot's sources into `index` (fresh from
+/// [`ShardedFacetIndex::new`]), checking what the rebuild indexes into:
+/// the documents carry their positions as ids, one per `meta` document;
+/// every row names a symbol of the vocabulary, and the rows df and `df_C`
+/// count are strictly ascending, as ingest and expansion write them.
+/// Then rebuild everything else the way repair does: the postings from
+/// the rows, and the one publish path ranks, scans the subsumption counts
+/// and publishes at the persisted generation.
+fn restore_index(
+    index: &mut ShardedFacetIndex<'_>,
     payload: &SnapshotPayload,
-    i: usize,
-    n: usize,
-    n_docs: usize,
-    terming: &TermingOptions,
-    merged: &Vocabulary,
-) -> Result<Shard, StoreError> {
-    let name = |suffix: &str| format!("shard{i}.{suffix}");
-    let vocab = decode(payload, &name("vocab"), dec_vocab)?;
-    let n_own = n_docs / n + usize::from(i < n_docs % n);
-    let docs = decode(payload, &name("docs"), |r| {
+) -> Result<(), StoreError> {
+    let meta = decode(payload, "meta", dec_meta)?;
+    if payload.generation != meta.generation {
+        return Err(corrupt("meta"));
+    }
+    let n_docs = usize::try_from(meta.n_docs).map_err(|_| corrupt("meta"))?;
+    let vocab = decode(payload, "vocab", dec_vocab)?;
+    let known = |t: &TermId| t.index() < vocab.len();
+    let docs = decode(payload, "docs", |r| {
         dec_docs(r).filter(|docs| {
-            docs.len() == n_own
-                && docs
-                    .iter()
-                    .enumerate()
-                    .all(|(k, d)| d.id.index() == i + k * n)
+            docs.len() == n_docs && docs.iter().enumerate().all(|(i, d)| d.id.index() == i)
         })
     })?;
-    let known = |t: &TermId| t.index() < vocab.len();
-    let rows = |suffix: &str, ascending: bool| {
-        decode(payload, &name(suffix), |r| {
+    let rows = |name: &str, ascending: bool| {
+        decode(payload, name, |r| {
             dec_rows(r).filter(|rows| {
-                rows.len() == n_own
+                rows.len() == n_docs
                     && rows.iter().all(|row| {
                         row.iter().all(known) && (!ascending || row.windows(2).all(|w| w[0] < w[1]))
                     })
             })
         })
+        .map(|rows| {
+            let mut store = RowStore::new();
+            for row in &rows {
+                store.push(row);
+            }
+            store
+        })
     };
-    let db = TextDatabase::from_parts(docs, rows("doc_terms", true)?, terming.clone())
-        .ok_or_else(|| corrupt(&name("docs")))?;
-    let cache = decode(payload, &name("cache"), |r| {
+    let db = TextDatabase::from_parts(docs, rows("doc_terms", true)?, meta.terming)
+        .ok_or_else(|| corrupt("docs"))?;
+    let cache = decode(payload, "cache", |r| {
         dec_cache(r).filter(|c| {
             c.entries()
                 .all(|(t, res)| known(&t) && res.terms.iter().all(known))
@@ -457,60 +448,24 @@ fn restore_shard(
     })?;
     let ctx = ContextualizedDatabase::from_parts(
         rows("ctx_rows", true)?,
-        rows("ctx_context", false)?,
-        decode(payload, &name("degraded"), dec_degraded)?,
-    )
-    .ok_or_else(|| corrupt(&name("ctx_rows")))?;
-    let to_merged = vocab
-        .iter()
-        .map(|(_, term)| merged.get(term))
-        .collect::<Option<Vec<TermId>>>()
-        .ok_or_else(|| corrupt("merged.vocab"))?;
-    Ok(Shard {
-        important: rows("important", false)?,
-        vocab,
-        db,
-        cache,
-        ctx,
-        to_merged,
-    })
-}
-
-/// Decode a snapshot's sources into `index` (fresh from
-/// [`ShardedFacetIndex::new`] with the persisted shard count), then
-/// rebuild everything else the way an append does: the merge folds every
-/// document into the merged tables, and the one publish path ranks,
-/// scans the subsumption counts and publishes at the persisted
-/// generation.
-fn restore_index(
-    index: &mut ShardedFacetIndex<'_>,
-    payload: &SnapshotPayload,
-) -> Result<(), StoreError> {
-    let meta = decode(payload, "meta", dec_meta)?;
-    let n = index.n_shards();
-    if meta.n_shards as usize != n || payload.generation != meta.generation {
-        return Err(corrupt("meta"));
-    }
-    let n_docs = usize::try_from(meta.n_docs).map_err(|_| corrupt("meta"))?;
-    let merged_vocab = decode(payload, "merged.vocab", dec_vocab)?;
-    let shards = (0..n)
-        .map(|i| restore_shard(payload, i, n, n_docs, &meta.terming, &merged_vocab))
-        .collect::<Result<Vec<_>, _>>()?;
+        decode(payload, "degraded", dec_degraded)?,
+    );
+    index.important = rows("important", false)?;
     index.options = meta.options;
     index.statistic = meta.statistic;
-    index.shards = shards;
-    index.merged_vocab = merged_vocab;
-    index.n_docs = n_docs;
-    let rows_copied = index.merge_docs(0..n_docs, true);
-    index.publish(meta.generation, rows_copied);
+    index.vocab = vocab;
+    index.db = db;
+    index.cache = cache;
+    index.ctx = ctx;
+    index.reindex_and_publish(meta.generation);
     Ok(())
 }
 
 impl<'a> ShardedFacetIndex<'a> {
-    /// Publish the index's source state — the merged vocabulary plus
-    /// every shard's private vocabulary, documents, cache, rows, and
-    /// degradation provenance — as one snapshot generation (atomic write,
-    /// retention, WAL pruning). Returns the generation written.
+    /// Publish the index's source state — vocabulary, documents, cache,
+    /// rows, `I(d)` lists and degradation provenance — as one snapshot
+    /// generation (atomic write, retention, WAL pruning). Returns the
+    /// generation written.
     ///
     /// # Errors
     /// Any [`StoreError`] from the store; the index itself is untouched.
@@ -523,25 +478,25 @@ impl<'a> ShardedFacetIndex<'a> {
     /// Recover an index from a store: newest verified snapshot, then
     /// replay of the WAL tail through the live
     /// [`ShardedFacetIndex::append`] / [`ShardedFacetIndex::repair`]
-    /// paths. `n_shards` must match the persisted shard count (the
-    /// partition function is part of document identity); `options`
-    /// applies only when the store is empty (a fresh directory) — a
-    /// persisted snapshot restores the options it was built with.
+    /// paths. `n` floors the worker count as in
+    /// [`ShardedFacetIndex::new`]; any count reopens any snapshot.
+    /// `options` applies only when the store is empty (a fresh
+    /// directory) — a persisted snapshot restores the options it was
+    /// built with.
     ///
     /// # Errors
-    /// [`StoreError`] from recovery, decoding (including a shard-count
-    /// mismatch or a snapshot of another [`STATE_VERSION`]), or a
-    /// replayed publication that diverges from its record
-    /// ([`StoreError::ReplayFailed`]).
+    /// [`StoreError`] from recovery, decoding (including a snapshot of
+    /// another [`STATE_VERSION`]), or a replayed publication that
+    /// diverges from its record ([`StoreError::ReplayFailed`]).
     pub fn open_from(
         store: &FacetStore,
-        n_shards: usize,
+        n: usize,
         extractors: Vec<&'a dyn TermExtractor>,
         resources: Vec<&'a dyn ContextResource>,
         options: PipelineOptions,
     ) -> Result<(Self, RecoveryReport), StoreError> {
         let recovery = store.recover()?;
-        let mut index = ShardedFacetIndex::new(n_shards, extractors, resources, options);
+        let mut index = ShardedFacetIndex::new(n, extractors, resources, options);
         if recovery.snapshot.generation > 0 || !recovery.snapshot.sections.is_empty() {
             restore_index(&mut index, &recovery.snapshot)?;
         }
@@ -601,30 +556,29 @@ impl<'a> ShardedFacetIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::CHUNK_ROWS;
     use crate::shard::tests::{corpus, options, CountingResource, FixedExtractor};
+    use facet_textkit::rows::CHUNK_ROWS;
 
-    /// Restore rebuilds the merged rows into one store that the index and
-    /// the restored snapshot share, and publishes the live digest.
+    /// Restore rebuilds the rows into one store that the index and the
+    /// restored snapshot share, and publishes the live digest, at a worker
+    /// count other than the one that persisted.
     #[test]
-    fn merged_rows_restore_as_one_copy() {
+    fn rows_restore_as_one_copy() {
         let e = FixedExtractor;
         let r = CountingResource::new();
         let mut index = ShardedFacetIndex::new(2, vec![&e], vec![&r], options());
         for n in [CHUNK_ROWS - 5, 9, CHUNK_ROWS + 40] {
             index.append(corpus(n)).unwrap();
         }
-        let rows = &index.merged_doc_terms;
+        let rows = index.ctx.rows();
         assert!(rows.len() > 2 * CHUNK_ROWS && rows.iter().all(|r| !r.is_empty()));
         let payload = encode_index(&index);
 
-        let mut restored = ShardedFacetIndex::new(2, vec![&e], vec![&r], options());
+        let mut restored = ShardedFacetIndex::new(3, vec![&e], vec![&r], options());
         restore_index(&mut restored, &payload).unwrap();
-        assert_eq!(restored.merged_doc_terms, index.merged_doc_terms);
+        assert_eq!(restored.ctx.rows(), index.ctx.rows());
         let snap = restored.snapshot();
-        assert!(snap
-            .doc_terms()
-            .shares_chunks_with(&restored.merged_doc_terms));
+        assert!(snap.doc_terms().shares_chunks_with(restored.ctx.rows()));
         assert_eq!(snap.digest(), index.snapshot().digest());
     }
 }

@@ -167,10 +167,9 @@ pub fn select_facet_terms(
 /// for distinct strings in one vocabulary).
 ///
 /// This is the order [`crate::shard::ShardedFacetIndex`] publishes:
-/// appending a corpus in batches, or over different shard counts,
-/// interleaves context-term interning with later batches' corpus terms,
-/// so ids differ between runs, but the string-ranked candidate list
-/// comes out identical.
+/// appending a corpus in batches interleaves context-term interning
+/// with later batches' corpus terms, so ids differ between runs, but
+/// the string-ranked candidate list comes out identical.
 pub(crate) fn rank_stable(
     candidates: Vec<FacetCandidate>,
     top_k: usize,

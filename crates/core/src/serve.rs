@@ -13,8 +13,8 @@
 //!   result. The candidates are fixed by the forest — the children of
 //!   the first selected label that names a forest node, or the facet
 //!   roots — and a label that names no facet term matches nothing.
-//!   Matching documents are global ids, ascending, so the answer is the
-//!   same for every shard count and arrival order.
+//!   Matching documents are ids, ascending, so the answer is the same
+//!   for every worker count and arrival order.
 //! * **Query-signature cache.** [`ServeHandle::browse`] hashes the
 //!   normalized query terms — keyed by [`TermId`] through the snapshot's
 //!   frozen interner — together with the snapshot generation, and serves
@@ -60,7 +60,7 @@ impl ServeSnapshot {
         &self.merged
     }
 
-    /// Total documents across all shards.
+    /// Total documents in the snapshot.
     pub fn n_docs(&self) -> usize {
         self.merged.n_docs()
     }

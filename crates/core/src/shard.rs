@@ -1,4 +1,4 @@
-//! The facet index: parallel per-shard appends, one merged snapshot.
+//! The facet index: one pipeline state, data-parallel stages per batch.
 //!
 //! The paper's MNYT experiment (Section V) is a *growing* archive: the
 //! corpus expands month by month, yet a one-shot pipeline recomputes
@@ -11,147 +11,101 @@
 //! [`FacetSnapshot`] that readers hold lock-free while further appends
 //! proceed.
 //!
-//! The expensive half of an append — Step-1 extraction, Step-2
-//! expansion, and the df delta updates — is embarrassingly parallel
-//! across documents, while Steps 3–4 (selection and subsumption) are
-//! global computations over the full frequency tables. The index
-//! exploits exactly that split:
+//! Steps 1–2 work one document at a time; Steps 3–4 (selection and
+//! subsumption) are global passes over the frequency tables. The index
+//! holds every table once — one [`Vocabulary`], one [`TextDatabase`]
+//! with `df`, one [`ExpansionCache`], one [`ContextualizedDatabase`] with
+//! `df_C` and the contextualized rows, the `I(d)` lists and one postings
+//! table; the per-document rows all live in chunked [`RowStore`]s — and
+//! runs an append as stages over the batch, on `workers` threads where
+//! the work is per document:
 //!
-//! 1. **Partition.** Documents are assigned round-robin by global
-//!    [`DocId`]: document `g` lives in shard `g % N` at shard-local
-//!    position `g / N`. The key is a pure function of the id, so a
-//!    document's shard never changes as the archive grows and any batch
-//!    partition of the corpus lands every document in the same shard.
-//! 2. **Parallel shard appends.** Each shard owns a full private copy of
-//!    the per-document pipeline state — [`Vocabulary`], [`TextDatabase`]
-//!    with its df slice, [`ExpansionCache`], and
-//!    [`ContextualizedDatabase`] with its `df_C` slice — so the per-shard
-//!    appends run with zero locking via `rayon::scope`. The shards share
-//!    one [`CachedResource`] wrapper per external resource: its per-term
-//!    latch guarantees each distinct important term hits the wrapped
-//!    resource exactly once no matter how many shards race on it.
-//! 3. **Deterministic merge.** Per-shard term ids are private, so the
-//!    merge keeps one `shard id → merged id` mapping per shard
-//!    (append-only, extended in shard order) and replays only the *new*
-//!    documents, in global id order, into the merged df/`df_C` tables,
-//!    per-document term sets, and per-term postings — O(new documents),
-//!    not O(corpus).
-//! 4. **Global ranking.** Selection reranks the merged tables in time
-//!    linear in the vocabulary: rank bins come from one frequency
-//!    histogram per table, not a sort, and only the top k are sorted (see
+//! 1. **Extract (parallel).** In windows of `WINDOW_DOCS` (256) documents,
+//!    each worker takes a contiguous slice of the window and computes,
+//!    per document, its counted term strings ([`term_strings`]) and,
+//!    unless the caller supplied it, its `I(d)` from the configured
+//!    extractors. Workers touch no index state.
+//! 2. **Ingest (serial).** The window's term strings are interned into
+//!    the vocabulary in document order and the documents appended to the
+//!    database, delta-updating `df`; windowing bounds the strings held at
+//!    once. After the last window the batch's `I(d)` lists are interned,
+//!    in document order.
+//! 3. **Expand.** Important terms the cache has not seen are resolved on
+//!    `workers` threads, through one shared [`CachedResource`] per
+//!    resource; their context terms are interned serially in symbol
+//!    order, and each new document's contextualized row is appended,
+//!    delta-updating `df_C` and the postings.
+//! 4. **Publish.** Selection reranks the tables in time linear in the
+//!    vocabulary: rank bins come from one frequency histogram per table,
+//!    not a sort, and only the top k are sorted (see
 //!    [`crate::selection`]). Subsumption keeps one [`CoCounts`] table for
-//!    the current candidate set across appends: a publish frees the terms that left the top k, counts the
-//!    new documents' pairs among the terms that stayed, and fills the
-//!    entering terms' rows from their postings, so its counting scales
-//!    with the batch and the churn, not the corpus. A fresh or repaired
-//!    index rebuilds the table by one scan at its next publish; a restored
-//!    one scans at the publish that restore itself runs.
-//!    Parent choice then walks each term's count row in slot order. The
-//!    result is published through one atomically-swapped
-//!    [`FacetSnapshot`], which shares the document rows with the index:
-//!    the rows live in one append-only [`RowStore`] of `Arc`-shared
-//!    chunks, so a publish clones the chunk list, and the next merge
-//!    copies at most the one open chunk the snapshot still shares
-//!    ([`crate::rows::CHUNK_ROWS`] rows) before appending to it.
+//!    the current candidate set across appends: a publish frees the terms
+//!    that left the top k, counts the new documents' pairs among the
+//!    terms that stayed, and fills the entering terms' rows from their
+//!    postings, so its counting scales with the batch and the churn, not
+//!    the corpus. A fresh, repaired or restored index rebuilds the table
+//!    by one scan at its next publish. Parent choice then walks each
+//!    term's count row in slot order. The result is published through
+//!    one atomically-swapped [`FacetSnapshot`], which shares the rows
+//!    with the index: they live in an append-only [`RowStore`] of
+//!    `Arc`-shared chunks, so a publish clones the chunk list, and the
+//!    next append copies at most the one open chunk the snapshot still
+//!    shares ([`facet_textkit::rows::CHUNK_ROWS`] rows) before appending to it.
 //!
-//! **Equivalence invariant:** for every shard count N, thread count, and
-//! batch partition of the corpus, the published snapshot is
-//! string-identical — facet terms, df/`df_C` statistics, score bits, and
-//! forest edges — to a 1-shard index that received the corpus in one
-//! append, and it matches Steps 1–4 computed straight from the paper's
-//! formulas over strings (`tests/pipeline_oracle.rs`): the same facet
-//! terms with the same df/`df_C`, the same forest edges, scores within a
-//! relative 1e-9, and the same order up to candidates whose scores lie
-//! within that tolerance of each other. Term ids may differ (each
-//! history interns in its own order, and context terms interleave with
-//! later batches' corpus terms), which is why ranking breaks score ties
-//! by term string and every other stage is id-order-independent by
-//! construction.
+//! Interning happens on one thread in one order — a batch's corpus terms,
+//! then its `I(d)` lists, then its new context terms — so no term id
+//! depends on the worker count.
 //!
-//! The merge is serial and the shard workers are OS threads, so the
-//! speedup ceiling is the parallel fraction of an append (extraction +
-//! expansion + ingest) times the host's core count; at one shard the
-//! index is the batch path plus a small partition/merge overhead.
+//! **Equivalence invariant:** for every worker count and batch partition
+//! of the corpus, the published snapshot is string-identical — facet
+//! terms, df/`df_C` statistics, score bits, and forest edges — to an
+//! index that received the corpus in one append, and it matches Steps 1–4
+//! computed straight from the paper's formulas over strings
+//! (`tests/pipeline_oracle.rs`): the same facet terms with the same
+//! df/`df_C`, the same forest edges, scores within a relative 1e-9, and
+//! the same order up to candidates whose scores lie within that tolerance
+//! of each other. Term ids may differ across batch partitions (context
+//! terms interleave with later batches' corpus terms), which is why
+//! ranking breaks score ties by term string and every other stage is
+//! id-order-independent by construction.
+//!
+//! `workers` is `max(n, options.expansion.threads)`, where `n` is the
+//! count [`ShardedFacetIndex::new`] takes; the type keeps its name and
+//! that argument for existing callers, and `n` sets nothing but that
+//! floor.
 
 use crate::config::PipelineOptions;
 use crate::hierarchy::FacetForest;
 use crate::index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
-use crate::rows::RowStore;
 use crate::selection::{collect_candidates, rank_stable, SelectionInputs, SelectionStatistic};
 use crate::subsumption::{choose_parents_scanned, CoCounts, SubsumptionParams};
-use facet_corpus::db::TermingOptions;
+use facet_corpus::db::{term_strings, TermStrings, TermingOptions};
 use facet_corpus::{DocId, Document, TextDatabase};
-use facet_obs::Recorder;
+use facet_obs::{Recorder, SpanContext};
 use facet_resources::{
-    expand_append_recorded, intern_important_terms, repair_degraded_recorded, AppendOutcome,
-    CacheStats, CachedResource, ContextResource, ContextualizedDatabase, ExpansionCache,
-    ExpansionError, ExpansionOptions,
+    expand_append_recorded, intern_important_terms, repair_degraded_recorded, CacheStats,
+    CachedResource, ContextResource, ContextualizedDatabase, ExpansionCache, ExpansionOptions,
 };
 use facet_termx::{extract_important_terms, TermExtractor};
-use facet_textkit::{InternStats, TermId, Vocabulary};
+use facet_textkit::{InternStats, RowStore, TermId, Vocabulary};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::sync::Arc;
 
-/// One shard's private pipeline state. Term ids in here are meaningful
-/// only against this shard's vocabulary; `to_merged` translates them.
-/// [`crate::persist`] encodes every field but `to_merged`, which restore
-/// looks up in the merged vocabulary.
-pub(crate) struct Shard {
-    pub(crate) vocab: Vocabulary,
-    pub(crate) db: TextDatabase,
-    pub(crate) cache: ExpansionCache,
-    pub(crate) ctx: ContextualizedDatabase,
-    /// `I(d)` per shard-local document as shard-local symbols, aligned
-    /// with `db` — kept so a repair pass can recompute exactly the
-    /// documents that use a re-resolved term.
-    pub(crate) important: Vec<Vec<TermId>>,
-    /// `shard TermId → merged TermId`, extended (never rewritten) at each
-    /// merge.
-    pub(crate) to_merged: Vec<TermId>,
-}
+/// Documents per extraction window: the extract stage holds the term
+/// strings of at most this many documents before ingest interns them.
+pub(crate) const WINDOW_DOCS: usize = 256;
 
-impl Shard {
-    fn new() -> Self {
-        let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(Vec::new(), &mut vocab, TermingOptions::default());
-        Self {
-            vocab,
-            db,
-            cache: ExpansionCache::new(),
-            ctx: ContextualizedDatabase::empty(),
-            important: Vec::new(),
-            to_merged: Vec::new(),
-        }
-    }
-}
+/// One document's extract-stage output: its counted term strings, and
+/// its `I(d)` (empty when the caller supplied the lists).
+type Termed = (TermStrings, Vec<String>);
 
-/// Union of the shards' degraded-coverage maps. A term degraded in
-/// several shards appears once; its failed-resource list is identical in
-/// every shard because resources fail (or answer) deterministically per
-/// term.
-// lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
-fn merged_degraded(shards: &[Shard]) -> BTreeMap<String, Vec<String>> {
-    let mut merged = BTreeMap::new();
-    for shard in shards {
-        for (term, failed) in shard.ctx.degraded() {
-            merged.insert(term.clone(), failed.clone());
-        }
-    }
-    merged
-}
-
-/// One shard's part of an append: its documents, and their `I(d)` when
-/// the caller supplied it.
-type ShardBatch = (Vec<Document>, Option<Vec<Vec<String>>>);
-
-/// The incrementally-updatable facet index over `N ≥ 1` shards. See the
-/// [module docs](self) for the partition/merge design and the
-/// equivalence invariant. The `pub(crate)` fields are the state
-/// [`crate::persist`] encodes and restores; outside this impl, only the
-/// restore path writes them, before it rebuilds the merged tables through
-/// the append path's `merge_docs` and `publish`.
+/// The incrementally-updatable facet index. See the [module docs](self)
+/// for the stages of an append and the equivalence invariant. The
+/// `pub(crate)` fields are the state [`crate::persist`] encodes and
+/// restores; outside this impl, only the restore path writes them,
+/// before it rebuilds the postings and publishes through
+/// [`ShardedFacetIndex::reindex_and_publish`].
 ///
 /// ```no_run
 /// # use facet_core::ShardedFacetIndex;
@@ -171,32 +125,32 @@ type ShardBatch = (Vec<Document>, Option<Vec<Vec<String>>>);
 /// ```
 pub struct ShardedFacetIndex<'a> {
     extractors: Vec<&'a dyn TermExtractor>,
-    /// One shared memo per external resource; all shards query through
-    /// these, so the wrapped resource sees each distinct term once.
+    /// One shared memo per external resource, in front of the expansion
+    /// workers; its miss counts are the queries that reached the
+    /// resource.
     shared: Vec<CachedResource<&'a dyn ContextResource>>,
     pub(crate) options: PipelineOptions,
     pub(crate) statistic: SelectionStatistic,
     recorder: Recorder,
-    pub(crate) shards: Vec<Shard>,
-    /// The merge-side vocabulary: the union of all shard vocabularies,
-    /// interned in merge order.
-    pub(crate) merged_vocab: Vocabulary,
-    /// df over `D` in merged ids, delta-updated per append.
-    merged_df: Vec<u64>,
-    /// df over `C(D)` in merged ids, delta-updated per append.
-    merged_df_c: Vec<u64>,
-    /// Contextualized term sets per document, in global id order. Each
-    /// published snapshot holds a clone sharing every chunk.
-    pub(crate) merged_doc_terms: RowStore,
-    /// `postings[sym]`: the rows of `merged_doc_terms` containing merged
-    /// term `sym`, ascending; extended with the rows in `merge_docs`.
+    /// The floor on the worker count, from [`ShardedFacetIndex::new`].
+    min_workers: usize,
+    pub(crate) vocab: Vocabulary,
+    /// `D`: the documents, their term rows and `df`.
+    pub(crate) db: TextDatabase,
+    pub(crate) cache: ExpansionCache,
+    /// `C(D)`: the contextualized rows and `df_C`. Each published
+    /// snapshot holds a clone of the rows sharing every chunk.
+    pub(crate) ctx: ContextualizedDatabase,
+    /// `I(d)` per document, kept so a repair pass can recompute exactly
+    /// the documents that use a re-resolved term.
+    pub(crate) important: RowStore,
+    /// `postings[sym]`: the rows of `ctx` containing term `sym`,
+    /// ascending; extended with each append's rows.
     postings: Vec<Vec<u32>>,
     /// Subsumption counts for the last published candidate set, advanced
-    /// by each publish. `None` on a fresh or repaired index until its
-    /// next publish rebuilds it by scan; restore's publish scans it too.
-    /// Never persisted.
+    /// by each publish. `None` on a fresh, repaired or restored index
+    /// until its next publish rebuilds it by scan. Never persisted.
     co_counts: Option<CoCounts>,
-    pub(crate) n_docs: usize,
     /// The current published snapshot. Every update, restore's included,
     /// goes through [`ShardedFacetIndex::publish`].
     snapshot: RwLock<Arc<FacetSnapshot>>,
@@ -204,17 +158,17 @@ pub struct ShardedFacetIndex<'a> {
 }
 
 impl<'a> ShardedFacetIndex<'a> {
-    /// An empty index over `n_shards` shards (clamped to at least 1) with
-    /// the paper's configuration (log-likelihood ranking, default
-    /// terming).
+    /// An empty index with the paper's configuration (log-likelihood
+    /// ranking, default terming). Appends run their per-document stages
+    /// on `max(n, options.expansion.threads)` threads (at least one).
     pub fn new(
-        n_shards: usize,
+        n: usize,
         extractors: Vec<&'a dyn TermExtractor>,
         resources: Vec<&'a dyn ContextResource>,
         options: PipelineOptions,
     ) -> Self {
-        let n_shards = n_shards.max(1);
-        let vocab = Vocabulary::new();
+        let mut vocab = Vocabulary::new();
+        let db = TextDatabase::build(Vec::new(), &mut vocab, TermingOptions::default());
         let snapshot = Arc::new(FacetSnapshot::assemble(
             0,
             vocab.freeze(),
@@ -230,14 +184,14 @@ impl<'a> ShardedFacetIndex<'a> {
             options,
             statistic: SelectionStatistic::LogLikelihood,
             recorder: Recorder::disabled(),
-            shards: (0..n_shards).map(|_| Shard::new()).collect(),
-            merged_vocab: vocab,
-            merged_df: Vec::new(),
-            merged_df_c: Vec::new(),
-            merged_doc_terms: RowStore::new(),
+            min_workers: n,
+            vocab,
+            db,
+            cache: ExpansionCache::new(),
+            ctx: ContextualizedDatabase::empty(),
+            important: RowStore::new(),
             postings: Vec::new(),
             co_counts: None,
-            n_docs: 0,
             snapshot: RwLock::new(snapshot),
             generation: 0,
         }
@@ -247,12 +201,12 @@ impl<'a> ShardedFacetIndex<'a> {
     /// followed by one [`ShardedFacetIndex::append`].
     pub fn build(
         docs: Vec<Document>,
-        n_shards: usize,
+        n: usize,
         extractors: Vec<&'a dyn TermExtractor>,
         resources: Vec<&'a dyn ContextResource>,
         options: PipelineOptions,
     ) -> Result<Self, IndexError> {
-        let mut index = Self::new(n_shards, extractors, resources, options);
+        let mut index = Self::new(n, extractors, resources, options);
         index.append(docs)?;
         Ok(index)
     }
@@ -265,19 +219,19 @@ impl<'a> ShardedFacetIndex<'a> {
     }
 
     /// Attach an observability recorder. Appends record `append.*` spans
-    /// (`partition`, per-shard `shard0`, `shard1`, …, `merge`, `freeze`,
-    /// `select`, `subsumption`, `swap`; the shard workers run on their own
-    /// threads and carry the full dotted name) and counters (`append.docs`,
-    /// `append.new_distinct_terms`, `append.reused_terms`,
-    /// `append.snapshot_swaps`).
+    /// (`extract` per worker and window — the workers run on their own
+    /// threads and carry the full dotted name — then `ingest`, `expand`,
+    /// `freeze`, `select`, `subsumption` and `swap`) and counters
+    /// (`append.docs`, `append.new_distinct_terms`,
+    /// `append.reused_terms`, `append.snapshot_swaps`).
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
     }
 
-    /// The configured shard count.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
+    /// The threads an append's per-document stages run on.
+    fn workers(&self) -> usize {
+        self.min_workers.max(self.options.expansion.threads).max(1)
     }
 
     /// The configured options.
@@ -290,21 +244,20 @@ impl<'a> ShardedFacetIndex<'a> {
         &self.recorder
     }
 
-    /// Number of documents currently indexed (across all shards).
+    /// Number of documents currently indexed.
     pub fn len(&self) -> usize {
-        self.n_docs
+        self.db.len()
     }
 
     /// True if no documents have been appended yet.
     pub fn is_empty(&self) -> bool {
-        self.n_docs == 0
+        self.db.is_empty()
     }
 
-    /// Distinct important terms resolved so far, summed over the shards'
-    /// expansion caches (a term resolved in `k` shards counts `k` times;
-    /// at one shard this is the cache size).
+    /// Distinct important terms resolved so far (the expansion cache's
+    /// size).
     pub fn resolved_terms(&self) -> usize {
-        self.shards.iter().map(|s| s.cache.len()).sum()
+        self.cache.len()
     }
 
     /// Hit/miss totals of the shared per-resource caches, in resource
@@ -314,10 +267,11 @@ impl<'a> ShardedFacetIndex<'a> {
         self.shared.iter().map(CachedResource::stats).collect()
     }
 
-    /// Interner hit/miss/len counters of the merge-side vocabulary (the
-    /// `textkit.intern.*` metrics `perfbench` reports).
+    /// Interner hit/miss/len counters of the index's vocabulary (the
+    /// `textkit.intern.*` metrics `perfbench` reports): every corpus,
+    /// `I(d)` and context term the index interned.
     pub fn intern_stats(&self) -> InternStats {
-        self.merged_vocab.stats()
+        self.vocab.stats()
     }
 
     /// The current snapshot. An `Arc` clone under a short read lock:
@@ -328,21 +282,20 @@ impl<'a> ShardedFacetIndex<'a> {
         self.snapshot.read().clone()
     }
 
-    /// Append a batch of documents and publish a new merged snapshot.
+    /// Append a batch of documents and publish a new snapshot.
     ///
-    /// Documents get global ids `len()..len()+batch.len()` — the index
-    /// owns id assignment, so month batches whose ids restart from zero
-    /// can be fed directly — and are round-robined to the shards; the
-    /// per-shard pipelines (ingest, extract, expand) run in parallel,
-    /// then the serial merge folds only the new documents into the
-    /// merged tables before selection and subsumption re-run globally.
+    /// Documents get ids `len()..len()+batch.len()` — the index owns id
+    /// assignment, so month batches whose ids restart from zero can be
+    /// fed directly — and go through the extract, ingest and expand
+    /// stages before selection and subsumption re-run over the updated
+    /// tables (see the [module docs](self)).
     ///
     /// # Errors
-    /// Returns [`IndexError`] if a shard's expansion state is corrupted.
-    /// The published snapshot is left untouched, so a serving process
-    /// can keep answering from the previous generation; the index itself
-    /// should be discarded, since the failing shard may have ingested
-    /// documents it could not expand.
+    /// Returns [`IndexError`] if the expansion state is corrupted. The
+    /// published snapshot is left untouched, so a serving process can
+    /// keep answering from the previous generation; the index itself
+    /// should be discarded, since it may have ingested documents it
+    /// could not expand.
     pub fn append(&mut self, batch: Vec<Document>) -> Result<AppendStats, IndexError> {
         self.append_with(batch, None)
     }
@@ -355,10 +308,10 @@ impl<'a> ShardedFacetIndex<'a> {
     ///
     /// # Errors
     /// [`IndexError::Expansion`] with
-    /// [`ExpansionError::DocumentCountMismatch`] when `important` does not
-    /// hold one list per document; this is checked before any shard
-    /// ingests a document, so the index, its length, generation and
-    /// published snapshot are unchanged. Otherwise as
+    /// [`facet_resources::ExpansionError::DocumentCountMismatch`] when
+    /// `important` does not hold one list per document; this is checked
+    /// before any document is ingested, so the index, its length,
+    /// generation and published snapshot are unchanged. Otherwise as
     /// [`ShardedFacetIndex::append`].
     pub fn append_extracted(
         &mut self,
@@ -367,7 +320,7 @@ impl<'a> ShardedFacetIndex<'a> {
     ) -> Result<AppendStats, IndexError> {
         if important.len() != batch.len() {
             return Err(IndexError::Expansion(
-                ExpansionError::DocumentCountMismatch {
+                facet_resources::ExpansionError::DocumentCountMismatch {
                     documents: batch.len(),
                     important: important.len(),
                 },
@@ -377,117 +330,83 @@ impl<'a> ShardedFacetIndex<'a> {
     }
 
     /// The one append path: `important` is `I(d)` per document, or `None`
-    /// to have each shard worker extract it from its own documents.
+    /// to have the extract stage compute it.
     fn append_with(
         &mut self,
-        mut batch: Vec<Document>,
+        batch: Vec<Document>,
         important: Option<Vec<Vec<String>>>,
     ) -> Result<AppendStats, IndexError> {
         // The span guard borrows its recorder; a clone (one `Arc` bump)
-        // leaves `self` free for the merge and publish steps.
+        // leaves `self` free for the stages below.
         let recorder = self.recorder.clone();
         let _append_span = recorder.span("append");
+        let workers = self.workers();
         _append_span.attr("docs", batch.len() as u64);
-        _append_span.attr("shards", self.shards.len() as u64);
-        // Capture the trace context here so worker threads (fresh span
-        // stacks) can parent their shard spans under this append span.
+        _append_span.attr("workers", workers as u64);
+        // Captured here so worker threads (fresh span stacks) can parent
+        // their spans under this append span.
         let trace_parent = facet_obs::current_context();
-        let intern_before = self.merged_vocab.stats();
-        let n = self.shards.len();
-        let start = self.n_docs;
+        let intern_before = self.vocab.stats();
+        let start = self.db.len();
         let docs = batch.len();
-
-        // ---- partition: round-robin by global id ------------------------
-        let mut per_shard: Vec<ShardBatch> = {
-            let _span = self.recorder.span("partition");
-            let given = important.is_some();
-            let mut per_shard: Vec<ShardBatch> =
-                (0..n).map(|_| (Vec::new(), given.then(Vec::new))).collect();
-            let mut important = important.into_iter().flatten();
-            for (i, mut d) in batch.drain(..).enumerate() {
-                let g = start + i;
-                d.id = DocId(g as u32);
-                let (docs, shard_important) = &mut per_shard[g % n];
-                docs.push(d);
-                // The next document's list; `append_extracted` checked
-                // there is one per document.
-                if let Some(lists) = shard_important {
-                    lists.extend(important.next());
-                }
-            }
-            per_shard
-        };
-        let docs_per_shard: Vec<usize> = per_shard.iter().map(|(d, _)| d.len()).collect();
         let queries_before: u64 = self.shared.iter().map(|c| c.stats().misses).sum();
 
-        // ---- parallel per-shard ingest + extract + expand ---------------
-        // Splitting the configured expansion threads across shards keeps
-        // the total worker count at the configured level instead of
-        // multiplying it by the shard count.
-        let exp = ExpansionOptions {
-            threads: (self.options.expansion.threads / n).max(1),
-        };
-        let extractors = &self.extractors;
-        let shared = &self.shared;
-        let recorder = &recorder;
-        let mut results: Vec<Option<Result<AppendOutcome, ExpansionError>>> =
-            (0..n).map(|_| None).collect();
-        rayon::scope(|s| {
-            for ((i, shard), (docs, slot)) in self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .zip(per_shard.drain(..).zip(results.iter_mut()))
-            {
-                let exp = exp.clone();
-                s.spawn(move |_| {
-                    // The worker runs on its own thread (fresh span
-                    // stack), so the shard span carries the full dotted
-                    // name explicitly; the captured trace context links
-                    // it under the append span across the thread hop.
-                    let _span = recorder.span_under(trace_parent, &format!("append.shard{i}"));
-                    _span.attr("shard", i as u64);
-                    let (docs, important) = docs;
-                    _span.attr("docs", docs.len() as u64);
-                    let important = important.unwrap_or_else(|| {
-                        docs.iter()
-                            .map(|d| extract_important_terms(extractors, &d.full_text()))
-                            .collect()
-                    });
-                    let range = shard.db.append_detached(docs, &mut shard.vocab);
-                    let new_important = intern_important_terms(&mut shard.vocab, &important);
-                    let resources: Vec<&dyn ContextResource> =
-                        shared.iter().map(|c| c as &dyn ContextResource).collect();
-                    *slot = Some(expand_append_recorded(
-                        &shard.db,
-                        range,
-                        &new_important,
-                        &resources,
-                        &mut shard.vocab,
-                        &exp,
-                        recorder,
-                        &mut shard.cache,
-                        &mut shard.ctx,
-                    ));
-                    shard.important.extend(new_important);
-                });
+        // ---- extract (parallel) and ingest (serial), window by window ---
+        let extract = important.is_none();
+        let mut lists = important.unwrap_or_else(|| Vec::with_capacity(docs));
+        let mut batch = batch.into_iter();
+        loop {
+            let mut window: Vec<Document> = batch.by_ref().take(WINDOW_DOCS).collect();
+            if window.is_empty() {
+                break;
             }
-        });
-        let mut new_distinct_terms = 0;
-        let mut reused_terms = 0;
-        for (shard, outcome) in results.into_iter().enumerate() {
-            let outcome = outcome.ok_or(IndexError::ShardIncomplete { shard })??;
-            new_distinct_terms += outcome.new_distinct_terms;
-            reused_terms += outcome.reused_terms;
+            for (i, d) in window.iter_mut().enumerate() {
+                d.id = DocId((self.db.len() + i) as u32);
+            }
+            let termed = self.extract_window(&window, extract, workers, trace_parent);
+            let _span = recorder.span("ingest");
+            for (d, (terms, found)) in window.into_iter().zip(termed) {
+                self.db.push(d, &terms, &mut self.vocab);
+                if extract {
+                    lists.push(found);
+                }
+            }
         }
+        let new_important = {
+            let _span = recorder.span("ingest");
+            intern_important_terms(&mut self.vocab, &lists)
+        };
+        // Interned: the strings need not outlive expansion's allocations.
+        drop(lists);
 
-        // ---- serial merge of the new documents, then publish ------------
-        let rows_copied = self.merge_docs(start..start + docs, true);
-        self.n_docs += docs;
-        self.publish(self.generation + 1, rows_copied);
+        // ---- expand ------------------------------------------------------
+        let outcome = {
+            let _span = recorder.span("expand");
+            let resources: Vec<&dyn ContextResource> = self
+                .shared
+                .iter()
+                .map(|c| c as &dyn ContextResource)
+                .collect();
+            expand_append_recorded(
+                &self.db,
+                start..start + docs,
+                &new_important,
+                &resources,
+                &mut self.vocab,
+                &ExpansionOptions { threads: workers },
+                &recorder,
+                &mut self.cache,
+                &mut self.ctx,
+            )?
+        };
+        for terms in &new_important {
+            self.important.push(terms);
+        }
+        self.index_rows(start);
+        self.publish(self.generation + 1, outcome.rows_copied);
 
         let queries_after: u64 = self.shared.iter().map(|c| c.stats().misses).sum();
-        let intern_after = self.merged_vocab.stats();
+        let intern_after = self.vocab.stats();
         self.recorder
             .add("intern.hits", intern_after.hits - intern_before.hits);
         self.recorder
@@ -495,49 +414,88 @@ impl<'a> ShardedFacetIndex<'a> {
         self.recorder
             .add("intern.len", (intern_after.len - intern_before.len) as u64);
         self.recorder.add("append.docs", docs as u64);
+        self.recorder.add(
+            "append.new_distinct_terms",
+            outcome.new_distinct_terms as u64,
+        );
         self.recorder
-            .add("append.new_distinct_terms", new_distinct_terms as u64);
-        self.recorder
-            .add("append.reused_terms", reused_terms as u64);
+            .add("append.reused_terms", outcome.reused_terms as u64);
         self.recorder.incr("append.snapshot_swaps");
 
         Ok(AppendStats {
             docs,
-            docs_per_shard,
-            new_distinct_terms,
-            reused_terms,
+            new_distinct_terms: outcome.new_distinct_terms,
+            reused_terms: outcome.reused_terms,
             resource_queries: queries_after - queries_before,
             generation: self.generation,
         })
     }
 
+    /// The extract stage over one window: per document, its counted term
+    /// strings and, when `extract`, its `I(d)`, in window order. The
+    /// window is cut into `workers` contiguous slices; the first runs on
+    /// this thread, the rest on scoped worker threads, each under an
+    /// `append.extract` span.
+    fn extract_window(
+        &self,
+        window: &[Document],
+        extract: bool,
+        workers: usize,
+        trace_parent: Option<SpanContext>,
+    ) -> Vec<Termed> {
+        let mut termed: Vec<Termed> = Vec::new();
+        termed.resize_with(window.len(), Default::default);
+        let extractors = &self.extractors;
+        let terming = self.db.options();
+        let recorder = &self.recorder;
+        let work = |docs: &[Document], out: &mut [Termed], parent, span: &str| {
+            let _span = recorder.span_under(parent, span);
+            _span.attr("docs", docs.len() as u64);
+            for (d, slot) in docs.iter().zip(out) {
+                let text = d.full_text();
+                if extract {
+                    slot.1 = extract_important_terms(extractors, &text);
+                }
+                slot.0 = term_strings(&text, terming);
+            }
+        };
+        let per = window.len().div_ceil(workers).max(1);
+        rayon::scope(|s| {
+            let mut parts = window.chunks(per).zip(termed.chunks_mut(per));
+            let first = parts.next();
+            for (docs, out) in parts {
+                let work = &work;
+                // A worker thread has a fresh span stack: its span carries
+                // the full dotted name and the captured trace parent.
+                s.spawn(move |_| work(docs, out, trace_parent, "append.extract"));
+            }
+            if let Some((docs, out)) = first {
+                work(docs, out, None, "extract");
+            }
+        });
+        termed
+    }
+
     /// Backfill pass over degraded-coverage terms: re-query exactly the
-    /// important terms recorded in [`FacetSnapshot::degraded`], recompute
-    /// the documents that use a term whose resolution changed, re-rank,
-    /// and publish a new snapshot.
+    /// important terms recorded in [`FacetSnapshot::degraded`] (serially,
+    /// in term order), recompute the documents that use a term whose
+    /// resolution changed, re-rank, and publish a new snapshot.
     ///
-    /// Each shard re-queries its own degraded terms serially in shard
-    /// order (through the shared per-resource caches, so a term degraded
-    /// in several shards reaches the wrapped resource once) and
-    /// recomputes exactly the shard-local documents that use a
-    /// re-resolved term. The merged `df_C` table, per-document rows, and
-    /// postings are then rebuilt by replaying every document in global id
-    /// order, and the subsumption counts by one scan at publish —
-    /// O(corpus), acceptable for a rare backfill. The merged df table
-    /// over `D` is untouched: repair never changes the corpus itself.
+    /// The postings are then rebuilt from every row, and the subsumption
+    /// counts by one scan at publish — O(corpus), acceptable for a rare
+    /// backfill. The df table over `D` is untouched: repair never changes
+    /// the corpus itself.
     ///
     /// Once the failing resources have recovered (e.g. a circuit breaker
     /// has closed), the repaired snapshot is string-identical — facet
     /// terms, frequencies, score bits, forest edges, and (empty)
     /// degradation — to a build that never saw a fault. Terms whose
     /// resources are still failing keep their provenance and stay
-    /// eligible for the next pass. Stats sum over shards, so a term
-    /// degraded in `k` shards contributes `k` to `requeried_terms`. With
-    /// no degradation outstanding this is a no-op: nothing is re-queried
-    /// and no snapshot is published.
+    /// eligible for the next pass. With no degradation outstanding this
+    /// is a no-op: nothing is re-queried and no snapshot is published.
     ///
     /// # Errors
-    /// Returns [`IndexError`] if a shard's repair state is corrupted; the
+    /// Returns [`IndexError`] if the repair state is corrupted; the
     /// published snapshot is untouched.
     pub fn repair(&mut self) -> Result<RepairStats, IndexError> {
         let recorder = self.recorder.clone();
@@ -547,134 +505,90 @@ impl<'a> ShardedFacetIndex<'a> {
             .iter()
             .map(|c| c as &dyn ContextResource)
             .collect();
-        let mut totals = RepairStats::default();
-        for shard in self.shards.iter_mut() {
-            let outcome = repair_degraded_recorded(
-                &shard.db,
-                &shard.important,
-                &resources,
-                &mut shard.vocab,
-                &recorder,
-                &mut shard.cache,
-                &mut shard.ctx,
-            )?;
-            totals.requeried_terms += outcome.requeried_terms;
-            totals.repaired_terms += outcome.repaired_terms;
-            totals.still_degraded += outcome.still_degraded;
-            totals.changed_docs += outcome.changed_docs;
-        }
-        if totals.requeried_terms > 0 {
-            self.merged_df_c.clear();
-            self.merged_doc_terms.clear();
-            self.postings.clear();
-            self.co_counts = None;
-            let rows_copied = self.merge_docs(0..self.n_docs, false);
-            self.publish(self.generation + 1, rows_copied);
+        let outcome = repair_degraded_recorded(
+            &self.db,
+            &self.important,
+            &resources,
+            &mut self.vocab,
+            &recorder,
+            &mut self.cache,
+            &mut self.ctx,
+        )?;
+        if outcome.requeried_terms > 0 {
+            self.reindex_and_publish(self.generation + 1);
             self.recorder.incr("repair.snapshot_swaps");
         }
-        totals.generation = self.generation;
-        Ok(totals)
+        Ok(RepairStats {
+            requeried_terms: outcome.requeried_terms,
+            repaired_terms: outcome.repaired_terms,
+            still_degraded: outcome.still_degraded,
+            changed_docs: outcome.changed_docs,
+            generation: self.generation,
+        })
     }
 
-    /// Fold the documents with global ids in `docs` into the merged
-    /// tables, in global id order: extend every shard's id mapping for
-    /// the terms it interned since the last merge, then add each
-    /// document's contextualized row to `merged_df_c`, `merged_doc_terms`,
-    /// and `postings`. `count_df` also adds the documents' corpus
-    /// terms to `merged_df` (new documents only — repair never changes
-    /// `D`). Returns the rows copied out of the published snapshot's
-    /// open chunk to append (fewer than a chunk). Recorded as the `merge`
-    /// span.
-    pub(crate) fn merge_docs(&mut self, docs: Range<usize>, count_df: bool) -> usize {
-        let _span = self.recorder.span("merge");
-        // Shard-order extension is deterministic because each shard's
-        // interning order depends only on its own documents.
-        for shard in &mut self.shards {
-            self.merged_vocab
-                .extend_remap(&shard.vocab, &mut shard.to_merged);
-        }
-        self.merged_df.resize(self.merged_vocab.len(), 0);
-        self.merged_df_c.resize(self.merged_vocab.len(), 0);
-        self.postings.resize_with(self.merged_vocab.len(), Vec::new);
-        let n = self.shards.len();
-        let mut terms: Vec<TermId> = Vec::new();
-        let mut rows_copied = 0;
-        for g in docs {
-            let shard = &self.shards[g % n];
-            let pos = g / n;
-            if count_df {
-                for t in shard.db.doc_terms(DocId(pos as u32)) {
-                    self.merged_df[shard.to_merged[t.index()].index()] += 1;
-                }
+    /// Add the rows of `ctx` from `start` on to the postings.
+    fn index_rows(&mut self, start: usize) {
+        self.postings.resize_with(self.vocab.len(), Vec::new);
+        for (row, terms) in self.ctx.rows().iter_from(start).enumerate() {
+            for t in terms {
+                self.postings[t.index()].push((start + row) as u32);
             }
-            // The shard→merged mapping is injective (distinct strings
-            // map to distinct merged ids), so sorting suffices.
-            terms.clear();
-            terms.extend(
-                shard.ctx.doc_terms[pos]
-                    .iter()
-                    .map(|t| shard.to_merged[t.index()]),
-            );
-            terms.sort_unstable();
-            // Subsumption reads a term's df off its postings: each row
-            // must name a term at most once.
-            debug_assert!(
-                terms.windows(2).all(|w| w[0] < w[1]),
-                "duplicate term in row {g}"
-            );
-            let row = self.merged_doc_terms.len() as u32;
-            for t in &terms {
-                self.merged_df_c[t.index()] += 1;
-                self.postings[t.index()].push(row);
-            }
-            rows_copied += self.merged_doc_terms.push(&terms);
         }
-        rows_copied
     }
 
-    /// Re-run Step 3 (selection) over the merged tables, bring the
-    /// subsumption counts up to the new candidate set and rows (a scan if
-    /// there are none yet) and run Step 4's parent choice over them, set
-    /// the generation to `generation`, and atomically swap in the new
+    /// Rebuild the postings from every row, drop the subsumption counts,
+    /// and publish at `generation`: what repair runs after rewriting rows
+    /// and restore runs after decoding them.
+    pub(crate) fn reindex_and_publish(&mut self, generation: u64) {
+        self.postings.clear();
+        self.index_rows(0);
+        self.co_counts = None;
+        self.publish(generation, 0);
+    }
+
+    /// Re-run Step 3 (selection) over the tables, bring the subsumption
+    /// counts up to the new candidate set and rows (a scan if there are
+    /// none yet) and run Step 4's parent choice over them, set the
+    /// generation to `generation`, and atomically swap in the new
     /// snapshot — the index's one publication point (`Lint.toml` C2),
-    /// shared by append, repair and restore. The snapshot
-    /// shares the rows' chunks with the index; `rows_copied` is what the
-    /// merge before it copied to append. Records the `freeze` span, the
+    /// shared by append, repair and restore. The snapshot shares the
+    /// rows' chunks with the index; `rows_copied` is what the append
+    /// before it copied to push its rows. Records the `freeze` span, the
     /// `select` span (attributes: `terms` scanned, `candidates` passing
     /// the shift filters), the `subsumption` span (`pairs_scanned`: count
     /// entries parent choice walked) and the `swap` span (`rows_copied`).
-    pub(crate) fn publish(&mut self, generation: u64, rows_copied: usize) {
+    fn publish(&mut self, generation: u64, rows_copied: usize) {
         // One freeze per publish: ranking, forest, and snapshot share it.
         let frozen = {
             let _span = self.recorder.span("freeze");
-            self.merged_vocab.freeze()
+            self.vocab.freeze()
         };
         let candidates = {
             let span = self.recorder.span("select");
             let found = collect_candidates(
                 SelectionInputs {
-                    df: &self.merged_df,
-                    df_c: &self.merged_df_c,
-                    n_docs: self.n_docs as u64,
+                    df: self.db.df_table(),
+                    df_c: self.ctx.df_table(),
+                    n_docs: self.db.len() as u64,
                 },
                 self.statistic,
                 self.options.min_df_c,
             );
-            span.attr("terms", self.merged_vocab.len() as u64);
+            span.attr("terms", self.vocab.len() as u64);
             span.attr("candidates", found.len() as u64);
             rank_stable(found, self.options.top_k, frozen.as_vocabulary())
         };
+        let rows = self.ctx.rows();
         let forest = {
             let span = self.recorder.span("subsumption");
             let terms: Vec<TermId> = candidates.iter().map(|c| c.term).collect();
             let counts = match &mut self.co_counts {
                 Some(counts) => {
-                    counts.advance(&terms, &self.merged_doc_terms, &self.postings);
+                    counts.advance(&terms, rows, &self.postings);
                     counts
                 }
-                None => self
-                    .co_counts
-                    .insert(CoCounts::scan(&terms, &self.merged_doc_terms)),
+                None => self.co_counts.insert(CoCounts::scan(&terms, rows)),
             };
             let (sub, pairs_scanned) = choose_parents_scanned(
                 &terms,
@@ -685,7 +599,7 @@ impl<'a> ShardedFacetIndex<'a> {
                 },
             );
             span.attr("pairs_scanned", pairs_scanned);
-            let df_c = &self.merged_df_c;
+            let df_c = self.ctx.df_table();
             FacetForest::from_subsumption(&sub, &frozen, |t| {
                 df_c.get(t.index()).copied().unwrap_or(0)
             })
@@ -696,11 +610,11 @@ impl<'a> ShardedFacetIndex<'a> {
         let snapshot = Arc::new(FacetSnapshot::assemble(
             self.generation,
             frozen,
-            self.merged_doc_terms.clone(),
+            rows.clone(),
             candidates,
             forest,
             &self.postings,
-            Arc::new(merged_degraded(&self.shards)),
+            Arc::new(self.ctx.degraded().clone()),
         ));
         *self.snapshot.write() = snapshot;
     }
@@ -710,6 +624,8 @@ impl<'a> ShardedFacetIndex<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use facet_resources::ExpansionError;
+    use facet_textkit::rows::CHUNK_ROWS;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
     use std::collections::HashMap;
@@ -826,54 +742,75 @@ pub(crate) mod tests {
         (rows, snap.forest().edges())
     }
 
+    fn with_threads(threads: usize) -> PipelineOptions {
+        PipelineOptions {
+            expansion: ExpansionOptions { threads },
+            ..options()
+        }
+    }
+
     #[test]
     fn empty_index_has_generation_zero() {
         let e = FixedExtractor;
         let r = CountingResource::new();
         let index = ShardedFacetIndex::new(4, vec![&e], vec![&r], options());
         assert!(index.is_empty());
-        assert_eq!(index.n_shards(), 4);
         assert_eq!(index.snapshot().generation(), 0);
     }
 
+    /// The count `new` takes floors the expansion threads; zero of both
+    /// still leaves one worker.
     #[test]
-    fn zero_shards_clamped_to_one() {
+    fn workers_are_the_larger_of_count_and_threads() {
         let e = FixedExtractor;
         let r = CountingResource::new();
-        let index = ShardedFacetIndex::new(0, vec![&e], vec![&r], options());
-        assert_eq!(index.n_shards(), 1);
+        for (n, threads, workers) in [(0, 0, 1), (0, 1, 1), (3, 2, 3), (1, 4, 4)] {
+            let index = ShardedFacetIndex::new(n, vec![&e], vec![&r], with_threads(threads));
+            assert_eq!(index.workers(), workers, "n {n}, threads {threads}");
+        }
     }
 
+    /// Appends assign positional ids whatever ids the batch carries.
     #[test]
-    fn round_robin_partition_is_even() {
+    fn appends_assign_positional_ids() {
         let e = FixedExtractor;
         let r = CountingResource::new();
         let mut index = ShardedFacetIndex::new(3, vec![&e], vec![&r], options());
         let stats = index.append(corpus(8)).unwrap();
         assert_eq!(stats.docs, 8);
-        assert_eq!(stats.docs_per_shard, vec![3, 3, 2]);
-        assert_eq!(index.len(), 8);
-        // A second append keeps the global round-robin going: doc 8 → shard 2.
-        let stats = index.append(corpus(1)).unwrap();
-        assert_eq!(stats.docs_per_shard, vec![0, 0, 1]);
+        index.append(corpus(WINDOW_DOCS + 1)).unwrap();
+        assert_eq!(index.len(), WINDOW_DOCS + 9);
+        assert!(index
+            .db
+            .docs()
+            .iter()
+            .enumerate()
+            .all(|(i, d)| d.id.index() == i));
     }
 
+    /// Every worker count interns the same terms in the same order, so
+    /// the snapshots agree on ids and rows, not only on strings.
     #[test]
-    fn sharded_matches_unsharded_for_all_shard_counts() {
+    fn worker_counts_do_not_change_ids() {
         let e = FixedExtractor;
         let r = CountingResource::new();
-        let batch = ShardedFacetIndex::build(corpus(24), 1, vec![&e], vec![&r], options()).unwrap();
-        let expected = outputs(&batch.snapshot());
+        let docs = corpus(WINDOW_DOCS + 24);
+        let one =
+            ShardedFacetIndex::build(docs.clone(), 1, vec![&e], vec![&r], with_threads(1)).unwrap();
+        let expected = outputs(&one.snapshot());
         assert!(!expected.0.is_empty(), "the corpus must yield facet terms");
+        let terms = |index: &ShardedFacetIndex<'_>| -> Vec<String> {
+            index.vocab.iter().map(|(_, t)| t.to_string()).collect()
+        };
         for n in [2, 3, 4, 8] {
             let r = CountingResource::new();
-            let sharded =
-                ShardedFacetIndex::build(corpus(24), n, vec![&e], vec![&r], options()).unwrap();
-            assert_eq!(
-                outputs(&sharded.snapshot()),
-                expected,
-                "{n} shards must match the 1-shard index"
-            );
+            let index =
+                ShardedFacetIndex::build(docs.clone(), n, vec![&e], vec![&r], with_threads(1))
+                    .unwrap();
+            assert_eq!(outputs(&index.snapshot()), expected, "{n} workers");
+            assert_eq!(terms(&index), terms(&one), "{n} workers: interning order");
+            assert_eq!(index.ctx.rows(), one.ctx.rows(), "{n} workers: rows");
+            assert_eq!(index.important, one.important, "{n} workers: I(d)");
         }
     }
 
@@ -897,24 +834,22 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn shared_cache_deduplicates_across_shards() {
-        // All three entities appear in documents of every shard, yet the
-        // wrapped resource must be queried exactly once per entity.
+    fn each_distinct_term_is_queried_once() {
+        // All three entities recur across the batch, yet the wrapped
+        // resource must be queried exactly once per entity.
         let e = FixedExtractor;
         let r = CountingResource::new();
         let mut index = ShardedFacetIndex::new(4, vec![&e], vec![&r], options());
         let stats = index.append(corpus(16)).unwrap();
         assert_eq!(r.queries.load(Ordering::SeqCst), 3);
         assert_eq!(stats.resource_queries, 3);
-        // Per-shard caches each discovered the terms independently…
-        assert!(stats.new_distinct_terms >= 3);
-        // …and the shared cache absorbed every duplicate.
+        assert_eq!(stats.new_distinct_terms, 3);
         let cache = &index.resource_cache_stats()[0];
         assert_eq!(cache.misses, 3);
         assert_eq!(
             cache.hits + cache.misses,
             stats.new_distinct_terms as u64,
-            "every per-shard resolution went through the shared cache"
+            "every resolution went through the shared cache"
         );
 
         // A later append re-resolves nothing.
@@ -924,7 +859,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn sharded_repair_converges_across_shard_counts() {
+    fn repair_converges_across_worker_counts() {
         let e = FixedExtractor;
         let r = CountingResource::new();
         let clean = ShardedFacetIndex::build(corpus(24), 1, vec![&e], vec![&r], options()).unwrap();
@@ -935,46 +870,47 @@ pub(crate) mod tests {
                 facet_resources::FaultPlan::seeded(7, 1000),
                 facet_resources::VirtualClock::new(),
             );
-            let mut sharded =
+            let mut index =
                 ShardedFacetIndex::build(corpus(24), n, vec![&e], vec![&faulty], options())
                     .unwrap();
-            let snap = sharded.snapshot();
-            assert!(!snap.is_fully_covered(), "{n} shards: build saw faults");
+            let snap = index.snapshot();
+            assert!(!snap.is_fully_covered(), "{n} workers: build saw faults");
             assert_eq!(snap.degraded().len(), 3, "all three entities degraded");
 
             faulty.heal();
-            let stats = sharded.repair().unwrap();
-            assert!(stats.repaired_terms >= 3, "{n} shards: {stats:?}");
+            let stats = index.repair().unwrap();
+            assert_eq!(stats.repaired_terms, 3, "{n} workers: {stats:?}");
             assert_eq!(stats.still_degraded, 0);
-            let repaired = sharded.snapshot();
+            let repaired = index.snapshot();
             assert!(repaired.is_fully_covered());
             assert_eq!(
                 outputs(&repaired),
                 expected,
-                "{n} shards: repaired snapshot must match the fault-free build"
+                "{n} workers: repaired snapshot must match the fault-free build"
             );
 
             // Idempotent once converged.
-            let stats = sharded.repair().unwrap();
+            let stats = index.repair().unwrap();
             assert_eq!(stats.requeried_terms, 0);
             assert_eq!(stats.generation, repaired.generation());
         }
     }
 
     #[test]
-    fn append_records_per_shard_spans() {
+    fn append_records_stage_spans() {
         let e = FixedExtractor;
         let r = CountingResource::new();
         let recorder = Recorder::enabled();
-        let mut index = ShardedFacetIndex::new(2, vec![&e], vec![&r], options())
+        let mut index = ShardedFacetIndex::new(2, vec![&e], vec![&r], with_threads(1))
             .with_recorder(recorder.clone());
         index.append(corpus(8)).unwrap();
         let counts = recorder.snapshot_counts_only();
         assert_eq!(counts["span.append.count"], 1);
-        assert_eq!(counts["span.append.partition.count"], 1);
-        assert_eq!(counts["span.append.shard0.count"], 1);
-        assert_eq!(counts["span.append.shard1.count"], 1);
-        assert_eq!(counts["span.append.merge.count"], 1);
+        // One window over two workers; ingest once for it and once for
+        // the I(d) lists.
+        assert_eq!(counts["span.append.extract.count"], 2);
+        assert_eq!(counts["span.append.ingest.count"], 2);
+        assert_eq!(counts["span.append.expand.count"], 1);
         assert_eq!(counts["span.append.select.count"], 1);
         assert_eq!(counts["span.append.subsumption.count"], 1);
         assert_eq!(counts["span.append.swap.count"], 1);
@@ -982,12 +918,12 @@ pub(crate) mod tests {
         assert_eq!(counts["counter.append.snapshot_swaps"], 1);
     }
 
-    /// Tracing across the rayon thread hop: shard worker spans must be
+    /// Tracing across the rayon thread hop: extract worker spans must be
     /// parented under the `append` root span via the captured
     /// [`facet_obs::SpanContext`], so the trace tree is structurally
     /// deterministic even though workers run on their own threads.
     #[test]
-    fn traced_append_parents_shard_spans_under_append() {
+    fn traced_append_parents_worker_spans_under_append() {
         use facet_obs::{TickClock, Tracer, TracerConfig};
         let e = FixedExtractor;
         let r = CountingResource::new();
@@ -996,7 +932,7 @@ pub(crate) mod tests {
             std::sync::Arc::new(TickClock::new()),
         );
         let recorder = Recorder::traced(tracer);
-        let mut index = ShardedFacetIndex::new(2, vec![&e], vec![&r], options())
+        let mut index = ShardedFacetIndex::new(3, vec![&e], vec![&r], with_threads(1))
             .with_recorder(recorder.clone());
         index.append(corpus(8)).unwrap();
         let traces = recorder.tracer().unwrap().finished();
@@ -1007,18 +943,22 @@ pub(crate) mod tests {
             .iter()
             .find(|s| s.name == "append" && s.parent.is_none())
             .expect("append root span");
-        for shard in ["append.shard0", "append.shard1"] {
-            let s = t
-                .spans
-                .iter()
-                .find(|s| s.name == shard)
-                .unwrap_or_else(|| panic!("{shard} span missing"));
-            assert_eq!(s.parent, Some(root.id), "{shard} parented under append");
+        // The first of three slices runs on the appending thread, the
+        // other two on workers.
+        let workers: Vec<_> = t
+            .spans
+            .iter()
+            .filter(|s| s.name == "append.extract")
+            .collect();
+        assert_eq!(workers.len(), 2);
+        for s in workers {
+            assert_eq!(s.parent, Some(root.id), "worker span parented under append");
         }
         // Every serial step nests in the same trace.
         for stage in [
-            "partition",
-            "merge",
+            "extract",
+            "ingest",
+            "expand",
             "freeze",
             "select",
             "subsumption",
@@ -1070,7 +1010,7 @@ pub(crate) mod tests {
         // Enough documents to fill the open chunk the snapshot shares
         // and spill into fresh ones.
         index.append(corpus(8)).unwrap();
-        index.append(corpus(crate::rows::CHUNK_ROWS + 3)).unwrap();
+        index.append(corpus(CHUNK_ROWS + 3)).unwrap();
         assert_eq!(outputs(&old), old_outputs, "frozen snapshot unchanged");
         assert_eq!(old.n_docs(), 8);
         assert!(old
@@ -1079,7 +1019,7 @@ pub(crate) mod tests {
             .eq(old_rows.iter().map(Vec::as_slice)));
         assert_eq!(old.digest(), old_digest);
         assert!(index.snapshot().generation() > old.generation());
-        assert_eq!(index.snapshot().n_docs(), 16 + crate::rows::CHUNK_ROWS + 3);
+        assert_eq!(index.snapshot().n_docs(), 16 + CHUNK_ROWS + 3);
         // The live rows extend the old ones.
         let live = index.snapshot();
         assert!(live.doc_terms().iter().take(8).eq(old.doc_terms().iter()));
@@ -1128,8 +1068,7 @@ pub(crate) mod tests {
         assert_eq!(r.queries.load(Ordering::SeqCst), 2);
     }
 
-    /// `append_extracted` checks its input before any shard ingests a
-    /// document, and given the extractors' own `I(d)` it is exactly
+    /// `append_extracted` checks its input before it ingests a document, and given the extractors' own `I(d)` it is exactly
     /// `append`: the same snapshot, with the context facets selected, the
     /// background words left out and a forest over the candidates.
     #[test]
@@ -1153,8 +1092,9 @@ pub(crate) mod tests {
         assert!(Arc::ptr_eq(&before, &index.snapshot()), "snapshot kept");
         assert_eq!(index.snapshot().generation(), before.generation());
         assert_eq!(index.len(), 8);
-        assert_eq!(index.shards.iter().map(|s| s.db.len()).sum::<usize>(), 8);
-        assert_eq!(index.shards.iter().map(|s| s.ctx.len()).sum::<usize>(), 8);
+        assert_eq!(index.db.len(), 8);
+        assert_eq!(index.ctx.len(), 8);
+        assert_eq!(index.important.len(), 8);
 
         let extractors: [&dyn TermExtractor; 1] = [&e];
         let important: Vec<Vec<String>> = docs
@@ -1225,7 +1165,7 @@ pub(crate) mod tests {
     }
 
     /// `n` documents mixing the fixture's entities with background words,
-    /// so shard vocabularies intern terms in id-dependent orders.
+    /// so append splits intern terms in different orders.
     fn random_corpus(rng: &mut TestRng, n: usize) -> Vec<Document> {
         const WORDS: [&str; 10] = [
             "Jacques Chirac",
@@ -1258,10 +1198,10 @@ pub(crate) mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// String-identical snapshots digest equal: any shard count 1–4,
+        /// String-identical snapshots digest equal: any worker floor 1–4,
         /// expansion thread count 1–2 and random append split publishes
-        /// the digest of a 1-shard, 1-thread build that took the corpus in
-        /// one append and then as many empty appends as reach the same
+        /// the digest of a 1-worker build that took the corpus in one
+        /// append and then as many empty appends as reach the same
         /// generation.
         #[test]
         fn digest_is_equal_across_shards_threads_and_splits(seed in 0u64..u64::MAX) {
@@ -1273,10 +1213,6 @@ pub(crate) mod tests {
                 .collect();
             cuts.sort_unstable();
             let e = FixedExtractor;
-            let with_threads = |threads| PipelineOptions {
-                expansion: ExpansionOptions { threads },
-                ..options()
-            };
             let r = CountingResource::new();
             let mut reference = ShardedFacetIndex::new(1, vec![&e], vec![&r], with_threads(1));
             reference.append(docs.clone()).unwrap();

@@ -23,8 +23,7 @@
 //! document frequency, then the earlier input term — exactly the subsumer
 //! an input-order walk keeps.
 
-use crate::rows::RowStore;
-use facet_textkit::TermId;
+use facet_textkit::{RowStore, TermId};
 
 /// Parameters for subsumption.
 #[derive(Debug, Clone, Copy)]

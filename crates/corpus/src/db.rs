@@ -8,7 +8,10 @@
 //! as single terms in the shared vocabulary, exactly like these bigrams.
 
 use crate::document::{DocId, Document};
-use facet_textkit::{is_stopword, normalize_term, tokens, TermId, TokenKind, Vocabulary};
+use facet_textkit::{
+    is_stopword, normalize_term_into, tokens, RowStore, TermId, TokenKind, Vocabulary,
+};
+use std::ops::Range;
 
 /// Options controlling how documents are reduced to counted terms.
 #[derive(Debug, Clone)]
@@ -34,70 +37,85 @@ impl Default for TermingOptions {
 pub struct TextDatabase {
     docs: Vec<Document>,
     /// Distinct term ids per document, sorted.
-    doc_terms: Vec<Vec<TermId>>,
+    doc_terms: RowStore,
     /// Document frequency per term id (indexed by `TermId`); term ids
     /// interned after the build have frequency 0.
     df: Vec<u64>,
     options: TermingOptions,
 }
 
-/// Extract the distinct, normalized, counted terms of `text` into `out`
-/// (term ids via `vocab`). Shared by the database build and the
-/// contextualized-database build.
-pub fn extract_terms(
-    text: &str,
-    options: &TermingOptions,
-    vocab: &mut Vocabulary,
-    out: &mut Vec<TermId>,
-) {
-    let toks = tokens(text);
-    let mut prev_word: Option<String> = None;
-    for t in &toks {
+/// The counted terms of one text as strings, in the order the database
+/// interns them, repeats included (see [`term_strings`]). They share one
+/// string buffer, so a document's terms cost two allocations, not one
+/// per term.
+#[derive(Debug, Clone, Default)]
+pub struct TermStrings {
+    text: String,
+    /// End offset in `text` of each term; each term starts where the
+    /// previous one ends.
+    ends: Vec<usize>,
+}
+
+impl TermStrings {
+    /// The terms, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(s, &e)| &self.text[s..e])
+    }
+}
+
+/// The counted terms of `text`: each normalized word that is neither a
+/// stopword nor shorter than `min_len` bytes, followed (with bigrams on)
+/// by its bigram with the previous such word if the two were adjacent. A
+/// pure function of the text, so callers can run it on other threads and
+/// intern the result later with [`TextDatabase::push`].
+pub fn term_strings(text: &str, options: &TermingOptions) -> TermStrings {
+    let mut out = TermStrings::default();
+    // Where the previous counted word sits in `out.text`, if adjacent.
+    let mut prev: Option<Range<usize>> = None;
+    let mut bigram = String::new();
+    for t in tokens(text) {
         if t.kind != TokenKind::Word {
-            prev_word = None;
+            prev = None;
             continue;
         }
-        let w = normalize_term(t.text);
-        let stop = is_stopword(&w) || w.len() < options.min_len;
-        if !stop {
-            out.push(vocab.intern(&w));
+        let start = out.text.len();
+        normalize_term_into(t.text, &mut out.text);
+        let word = start..out.text.len();
+        if is_stopword(&out.text[word.clone()]) || word.len() < options.min_len {
+            out.text.truncate(start);
+            prev = None;
+            continue;
         }
-        if options.bigrams {
-            if let Some(p) = &prev_word {
-                if !stop {
-                    let bigram = format!("{p} {w}");
-                    out.push(vocab.intern(&bigram));
-                }
-            }
+        out.ends.push(word.end);
+        if let Some(p) = prev.filter(|_| options.bigrams) {
+            bigram.clear();
+            bigram.push_str(&out.text[p]);
+            bigram.push(' ');
+            bigram.push_str(&out.text[word.clone()]);
+            out.text.push_str(&bigram);
+            out.ends.push(out.text.len());
         }
-        prev_word = if stop { None } else { Some(w) };
+        prev = Some(word);
     }
-    out.sort_unstable();
-    out.dedup();
+    out
 }
 
 impl TextDatabase {
     /// Build a database from `docs`, interning terms into `vocab`.
     pub fn build(docs: Vec<Document>, vocab: &mut Vocabulary, options: TermingOptions) -> Self {
-        let mut doc_terms = Vec::with_capacity(docs.len());
-        let mut scratch = Vec::new();
-        for d in &docs {
-            scratch.clear();
-            extract_terms(&d.full_text(), &options, vocab, &mut scratch);
-            doc_terms.push(scratch.clone());
-        }
-        let mut df = vec![0u64; vocab.len()];
-        for terms in &doc_terms {
-            for t in terms {
-                df[t.index()] += 1;
-            }
-        }
-        Self {
-            docs,
-            doc_terms,
-            df,
+        let mut db = Self {
+            docs: Vec::with_capacity(docs.len()),
+            doc_terms: RowStore::new(),
+            df: Vec::new(),
             options,
+        };
+        for d in docs {
+            let terms = term_strings(&d.full_text(), &db.options);
+            db.push(d, &terms, vocab);
         }
+        db.df.resize(vocab.len(), 0);
+        db
     }
 
     /// Append `docs` to the database, interning their terms into `vocab`
@@ -110,49 +128,34 @@ impl TextDatabase {
     /// [`TermingOptions`] the database was built with. Documents are
     /// expected to carry positional ids (`docs[i].id == DocId(len + i)`),
     /// matching the invariant `build` establishes.
-    pub fn append(
-        &mut self,
-        docs: Vec<Document>,
-        vocab: &mut Vocabulary,
-    ) -> std::ops::Range<usize> {
+    pub fn append(&mut self, docs: Vec<Document>, vocab: &mut Vocabulary) -> Range<usize> {
         let start = self.docs.len();
-        for (offset, d) in docs.iter().enumerate() {
+        for d in docs {
             debug_assert_eq!(
                 d.id.index(),
-                start + offset,
+                self.docs.len(),
                 "appended documents must carry positional ids"
             );
+            let terms = term_strings(&d.full_text(), &self.options);
+            self.push(d, &terms, vocab);
         }
-        self.append_detached(docs, vocab)
+        start..self.docs.len()
     }
 
-    /// [`TextDatabase::append`] for documents whose `id` fields carry
-    /// *external* ids — e.g. the global archive ids of a sharded index,
-    /// where each shard stores every N-th document. The documents are
-    /// stored at the next positional slots (so positional accessors like
-    /// [`TextDatabase::doc_terms`] keep working shard-locally) while
-    /// `Document::id` keeps the caller's id; the df table is
-    /// delta-updated exactly as in [`TextDatabase::append`].
-    pub fn append_detached(
-        &mut self,
-        docs: Vec<Document>,
-        vocab: &mut Vocabulary,
-    ) -> std::ops::Range<usize> {
-        let start = self.docs.len();
-        let mut scratch = Vec::new();
-        for d in &docs {
-            scratch.clear();
-            extract_terms(&d.full_text(), &self.options, vocab, &mut scratch);
-            self.doc_terms.push(scratch.clone());
-        }
+    /// Append one document whose counted terms are `terms` — the
+    /// [`term_strings`] of its full text under this database's options —
+    /// interning them into `vocab` in order and delta-updating the df
+    /// table. [`TextDatabase::append`] is this after [`term_strings`].
+    pub fn push(&mut self, doc: Document, terms: &TermStrings, vocab: &mut Vocabulary) {
+        let mut row: Vec<TermId> = terms.iter().map(|t| vocab.intern(t)).collect();
+        row.sort_unstable();
+        row.dedup();
         self.df.resize(self.df.len().max(vocab.len()), 0);
-        for terms in &self.doc_terms[start..] {
-            for t in terms {
-                self.df[t.index()] += 1;
-            }
+        for t in &row {
+            self.df[t.index()] += 1;
         }
-        self.docs.extend(docs);
-        start..self.docs.len()
+        self.doc_terms.push(&row);
+        self.docs.push(doc);
     }
 
     /// Number of documents.
@@ -210,7 +213,7 @@ impl TextDatabase {
 
     /// All per-document term rows in id order (serialization surface;
     /// restore via [`TextDatabase::from_parts`]).
-    pub fn doc_terms_rows(&self) -> &[Vec<TermId>] {
+    pub fn doc_terms_rows(&self) -> &RowStore {
         &self.doc_terms
     }
 
@@ -219,20 +222,16 @@ impl TextDatabase {
     ///
     /// Returns `None` when the parts are inconsistent: row count not
     /// matching the document count, or document ids that are not
-    /// strictly increasing. Databases grown with
-    /// [`TextDatabase::append_detached`] keep external ids (e.g. the
-    /// global archive ids of a sharded index), so strict increase — the
-    /// order `append_detached` preserves — is the invariant rather than
-    /// positional ids.
+    /// positional (`docs[i].id == DocId(i)`).
     pub fn from_parts(
         docs: Vec<Document>,
-        doc_terms: Vec<Vec<TermId>>,
+        doc_terms: RowStore,
         options: TermingOptions,
     ) -> Option<Self> {
         if docs.len() != doc_terms.len() {
             return None;
         }
-        if docs.windows(2).any(|w| w[0].id.index() >= w[1].id.index()) {
+        if docs.iter().enumerate().any(|(i, d)| d.id.index() != i) {
             return None;
         }
         let terms = doc_terms.iter().flatten();
@@ -297,6 +296,31 @@ mod tests {
         assert!(vocab.get("estate market").is_some());
         // Bigrams never span a stopword.
         assert!(vocab.get("the real").is_none());
+    }
+
+    /// Each counted word, then its bigram with the previous counted word;
+    /// stopwords, short words and punctuation break the chain.
+    #[test]
+    fn term_strings_keep_interning_order() {
+        let terms = term_strings(
+            "The Real  estate market, a US-led x rally.",
+            &TermingOptions::default(),
+        );
+        let got: Vec<&str> = terms.iter().collect();
+        assert_eq!(
+            got,
+            [
+                "real",
+                "estate",
+                "real estate",
+                "market",
+                "estate market",
+                "us-led",
+                "rally"
+            ]
+        );
+        let none = term_strings("the a of", &TermingOptions::default());
+        assert_eq!(none.iter().count(), 0);
     }
 
     #[test]
@@ -385,32 +409,6 @@ mod tests {
             );
         }
         assert_eq!(inc.df_table(), batch.df_table());
-    }
-
-    #[test]
-    fn append_detached_keeps_external_ids_and_df_deltas() {
-        // Round-robin partition of 4 docs into 2 shards: each shard
-        // stores its docs at positions 0..2 while the ids stay global.
-        let all = [
-            doc(0, "A", "the war escalated in the capital"),
-            doc(1, "B", "peace talks resumed near the border"),
-            doc(2, "C", "markets rallied as war fears eased"),
-            doc(3, "D", "the border patrol reported calm"),
-        ];
-        let mut vocab = Vocabulary::new();
-        let mut shard = TextDatabase::build(vec![], &mut vocab, TermingOptions::default());
-        let r = shard.append_detached(vec![all[0].clone(), all[2].clone()], &mut vocab);
-        assert_eq!(r, 0..2);
-        // Positional accessors address shard slots; ids stay global.
-        assert_eq!(shard.docs()[1].id, DocId(2));
-        let war = vocab.get("war").unwrap();
-        assert_eq!(shard.df(war), 2, "df delta counts both shard docs");
-        assert!(!shard.doc_terms(DocId(1)).is_empty());
-        // A second detached append keeps delta-updating.
-        shard.append_detached(vec![all[1].clone()], &mut vocab);
-        let border = vocab.get("border").unwrap();
-        assert_eq!(shard.df(border), 1);
-        assert_eq!(shard.len(), 3);
     }
 
     #[test]

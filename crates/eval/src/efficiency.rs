@@ -19,6 +19,7 @@ use crate::report::Table;
 use facet_core::{build_subsumption_forest, SubsumptionParams};
 use facet_core::{select_facet_terms, SelectionInputs, SelectionStatistic};
 use facet_ner::NerTagger;
+use facet_obs::Recorder;
 use facet_resources::{
     expand_database, ContextResource, ExpansionOptions, GoogleResource, WikiGraphResource,
     WikiSynonymsResource, WordNetHypernymsResource,
@@ -134,7 +135,9 @@ pub fn measure_efficiency(bundle: &mut DatasetBundle, sample_docs: usize) -> Vec
             &[r],
             &mut bundle.vocab,
             &ExpansionOptions::default(),
-        );
+            Recorder::disabled_ref(),
+        )
+        .expect("one I(d) list per document");
         let local = throughput(start.elapsed().as_secs_f64(), n);
         let derived = if latency > 0.0 {
             with_latency(local, latency)
@@ -177,7 +180,7 @@ pub fn measure_efficiency(bundle: &mut DatasetBundle, sample_docs: usize) -> Vec
     let start = Instant::now();
     let _forest = build_subsumption_forest(
         &terms,
-        &contextualized.doc_terms[..n],
+        contextualized.rows().iter().take(n),
         SubsumptionParams::default(),
     );
     let hier_s = start.elapsed().as_secs_f64();

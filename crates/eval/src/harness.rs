@@ -231,8 +231,8 @@ pub fn run_grid(bundle: &mut DatasetBundle, options: &GridOptions) -> Vec<GridCe
                     .collect()
             };
             let _cell_span = recorder.span("cell");
-            // Step 1 is shared across the grid, so each cell's 1-shard
-            // index starts from the precomputed I(d).
+            // Step 1 is shared across the grid, so each cell's index
+            // starts from the precomputed I(d).
             let mut index =
                 ShardedFacetIndex::new(1, Vec::new(), resources.clone(), options.pipeline.clone())
                     .with_recorder(recorder.clone());

@@ -2,9 +2,9 @@
 //! deterministic identity.
 //!
 //! The flat [`crate::Recorder`] metrics answer *how much*; a
-//! [`Tracer`] answers *which query, which shard, which retry*. Every
+//! [`Tracer`] answers *which query, which stage, which retry*. Every
 //! span records its parent, so a traced run reconstructs as a tree
-//! (`run → append → append.shard0 → resource.query → attempt`), and
+//! (`run → append → expand → resource.query → attempt`), and
 //! spans carry typed key/value attributes ([`AttrValue`]) and point
 //! events ([`TraceEvent`]) such as cache hits or breaker transitions.
 //!

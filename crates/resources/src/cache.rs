@@ -7,8 +7,8 @@
 //! answered from memory. Resources are deterministic by contract
 //! ([`ContextResource`]), so caching is transparent.
 //!
-//! The memo is safe to share across threads — sharded index appends hang
-//! one `CachedResource` per resource in front of every shard — and it
+//! The memo is safe to share across threads — the index hangs one
+//! `CachedResource` per resource in front of its expansion workers — and it
 //! guarantees the wrapped resource is queried **exactly once per distinct
 //! term that resolves successfully** no matter how many threads race on
 //! it: each term owns a slot whose state machine (idle → in-flight →

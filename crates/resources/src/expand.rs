@@ -11,9 +11,9 @@
 //! a suffix of the database (newly-appended documents) into an existing
 //! [`ContextualizedDatabase`], resolving only the important terms that an
 //! [`ExpansionCache`] has not seen in any earlier batch. The one-shot
-//! [`expand_database`] entry points are the degenerate single-batch case
-//! of the same code path, which is what makes batch and incremental
-//! expansion produce identical results.
+//! [`expand_database`] is the degenerate single-batch case of the same
+//! code path, which is what makes batch and incremental expansion produce
+//! identical results.
 //!
 //! Since the global-interner refactor the whole engine speaks
 //! [`TermId`] symbols: important terms arrive pre-interned
@@ -28,7 +28,7 @@
 use crate::resource::ContextResource;
 use facet_corpus::TextDatabase;
 use facet_obs::{Counter, HistogramHandle, Recorder};
-use facet_textkit::{is_stopword, normalize_term, SymTable, TermId, Vocabulary};
+use facet_textkit::{is_stopword, normalize_term, RowStore, SymTable, TermId, Vocabulary};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
@@ -189,6 +189,10 @@ pub struct AppendOutcome {
     /// resource failed); their provenance is recorded in
     /// [`ContextualizedDatabase::degraded`].
     pub degraded_terms: usize,
+    /// Rows copied to append this batch's rows: the open chunk's rows
+    /// when a clone of [`ContextualizedDatabase::rows`] still shared it
+    /// (see [`RowStore::push`]), else 0.
+    pub rows_copied: usize,
 }
 
 /// Options for the expansion engine.
@@ -208,12 +212,11 @@ impl Default for ExpansionOptions {
 /// terms plus context terms) and the resulting document frequencies.
 #[derive(Debug)]
 pub struct ContextualizedDatabase {
-    /// Distinct term ids per document (sorted), original ∪ context.
-    pub doc_terms: Vec<Vec<TermId>>,
+    /// Distinct term ids per document (sorted), original ∪ context, in
+    /// `Arc`-shared chunks: a clone of the store shares every row.
+    rows: RowStore,
     /// Document frequency per term id in `C(D)`.
     df_c: Vec<u64>,
-    /// Context terms only, per document (for inspection/debugging).
-    pub doc_context_terms: Vec<Vec<TermId>>,
     /// Degraded-coverage provenance: important term → names of the
     /// resources that failed when it was resolved. String-keyed on
     /// purpose — this is the serving/reporting edge, cold by definition,
@@ -227,11 +230,16 @@ impl ContextualizedDatabase {
     /// [`expand_append_recorded`].
     pub fn empty() -> Self {
         Self {
-            doc_terms: Vec::new(),
+            rows: RowStore::new(),
             df_c: Vec::new(),
-            doc_context_terms: Vec::new(),
             degraded: BTreeMap::new(),
         }
+    }
+
+    /// The per-document term sets of `C(D)` (sorted, distinct), one row
+    /// per document in id order.
+    pub fn rows(&self) -> &RowStore {
+        &self.rows
     }
 
     /// Degraded-coverage provenance: for every important term whose
@@ -260,37 +268,39 @@ impl ContextualizedDatabase {
 
     /// Number of documents.
     pub fn len(&self) -> usize {
-        self.doc_terms.len()
+        self.rows.len()
     }
 
     /// True if there are no documents.
     pub fn is_empty(&self) -> bool {
-        self.doc_terms.is_empty()
+        self.rows.is_empty()
     }
 
     /// Rebuild a contextualized database from serialized parts, counting
-    /// the `df_C` table from the rows. Returns `None` when the
-    /// per-document row counts disagree.
+    /// the `df_C` table from the rows.
     pub fn from_parts(
-        doc_terms: Vec<Vec<TermId>>,
-        doc_context_terms: Vec<Vec<TermId>>,
+        rows: RowStore,
         // lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
         degraded: BTreeMap<String, Vec<String>>,
-    ) -> Option<Self> {
-        if doc_terms.len() != doc_context_terms.len() {
-            return None;
-        }
-        let terms = doc_terms.iter().flatten();
-        let mut df_c = vec![0; terms.clone().map(|t| t.index() + 1).max().unwrap_or(0)];
-        for t in terms {
-            df_c[t.index()] += 1;
-        }
-        Some(Self {
-            doc_terms,
+    ) -> Self {
+        let mut df_c = Vec::new();
+        add_counts(&mut df_c, rows.iter().flatten());
+        Self {
+            rows,
             df_c,
-            doc_context_terms,
             degraded,
-        })
+        }
+    }
+}
+
+/// Add one to `table[t]` for every `t` in `terms`, growing the table as
+/// needed.
+fn add_counts<'t>(table: &mut Vec<u64>, terms: impl IntoIterator<Item = &'t TermId>) {
+    for t in terms {
+        if t.index() >= table.len() {
+            table.resize(t.index() + 1, 0);
+        }
+        table[t.index()] += 1;
     }
 }
 
@@ -306,29 +316,6 @@ pub fn intern_important_terms(
         .iter()
         .map(|doc| doc.iter().map(|t| vocab.intern(t)).collect())
         .collect()
-}
-
-/// Expand `db` into a contextualized database.
-///
-/// * `important_terms[i]` is `I(d_i)` — the important terms of document
-///   `i` as produced by the Step-1 extractors.
-/// * `resources` are queried for every distinct important term.
-/// * New context terms are interned into `vocab`.
-pub fn expand_database(
-    db: &TextDatabase,
-    important_terms: &[Vec<String>],
-    resources: &[&dyn ContextResource],
-    vocab: &mut Vocabulary,
-    options: &ExpansionOptions,
-) -> ContextualizedDatabase {
-    expand_database_recorded(
-        db,
-        important_terms,
-        resources,
-        vocab,
-        options,
-        Recorder::disabled_ref(),
-    )
 }
 
 /// Per-resource instrumentation handles, pre-resolved so the per-query
@@ -352,39 +339,28 @@ impl ResourceMetrics {
     }
 }
 
-/// [`expand_database`] with observability: records per-resource query
-/// counts (`resource.<name>.queries`) and latency histograms
+/// Expand `db` into a contextualized database.
+///
+/// * `important_terms[i]` is `I(d_i)` — the important terms of document
+///   `i` as produced by the Step-1 extractors.
+/// * `resources` are queried for every distinct important term.
+/// * New context terms are interned into `vocab`.
+///
+/// `recorder` receives per-resource query counts
+/// (`resource.<name>.queries`) and latency histograms
 /// (`resource.<name>.latency_us`), the distribution of context terms
 /// produced per distinct important term
 /// (`expand.context_terms_per_query`), and summary counters
-/// (`expand.distinct_terms`). With a disabled recorder this is exactly
-/// [`expand_database`].
-///
-/// # Panics
-/// Panics if `important_terms` does not align with the documents. The
-/// fallible form is [`try_expand_database_recorded`].
-pub fn expand_database_recorded(
-    db: &TextDatabase,
-    important_terms: &[Vec<String>],
-    resources: &[&dyn ContextResource],
-    vocab: &mut Vocabulary,
-    options: &ExpansionOptions,
-    recorder: &Recorder,
-) -> ContextualizedDatabase {
-    match try_expand_database_recorded(db, important_terms, resources, vocab, options, recorder) {
-        Ok(ctx) => ctx,
-        // lint:allow(panic, reason="documented panicking convenience wrapper; callers needing a Result use try_expand_database_recorded")
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`expand_database_recorded`]: returns a typed
-/// [`ExpansionError`] instead of panicking on malformed input.
+/// (`expand.distinct_terms`); pass [`Recorder::disabled_ref`] for none.
 ///
 /// Implemented as a single [`expand_append_recorded`] batch over the whole
 /// database with a fresh [`ExpansionCache`], so the one-shot and
 /// incremental paths cannot drift apart.
-pub fn try_expand_database_recorded(
+///
+/// # Errors
+/// [`ExpansionError::DocumentCountMismatch`] when `important_terms` does
+/// not hold one list per document.
+pub fn expand_database(
     db: &TextDatabase,
     important_terms: &[Vec<String>],
     resources: &[&dyn ContextResource],
@@ -471,6 +447,7 @@ pub fn expand_append_recorded(
         new_distinct_terms: new_distinct.len(),
         reused_terms: batch_distinct - new_distinct.len(),
         degraded_terms: 0,
+        rows_copied: 0,
     };
     recorder.add("expand.distinct_terms", new_distinct.len() as u64);
     recorder.add("expand.reused_terms", outcome.reused_terms as u64);
@@ -530,27 +507,21 @@ pub fn expand_append_recorded(
     outcome.degraded_terms = degraded_terms;
 
     // ---- per-document union and frequency delta -----------------------------
+    let mut row = Vec::new();
     for (i, terms) in important_terms.iter().enumerate() {
-        let doc_index = doc_range.start + i;
-        let (all, context_ids) = contextualized_row(db, doc_index, terms, cache);
-        for &t in &all {
-            if t.index() >= ctx.df_c.len() {
-                ctx.df_c.resize(t.index() + 1, 0);
-            }
-            ctx.df_c[t.index()] += 1;
-        }
-        ctx.doc_terms.push(all);
-        ctx.doc_context_terms.push(context_ids);
+        contextualized_row(db, doc_range.start + i, terms, cache, &mut row);
+        add_counts(&mut ctx.df_c, &row);
+        outcome.rows_copied += ctx.rows.push(&row);
     }
     ctx.df_c.resize(ctx.df_c.len().max(vocab.len()), 0);
 
     Ok(outcome)
 }
 
-/// Rebuild one document's contextualized term row from the cache: the
-/// full sorted `original ∪ context` id set and the context-only ids.
-/// Shared by the append path and the repair pass so a repaired row is
-/// computed by exactly the code that built it.
+/// Rebuild one document's contextualized term row from the cache into
+/// `row`: the sorted, distinct `original ∪ context` id set. Shared by the
+/// append path and the repair pass so a repaired row is computed by
+/// exactly the code that built it.
 ///
 /// All symbols are copied straight out of the memo — the per-document
 /// loop does no hashing and no interning, which is the hot-path win of
@@ -560,21 +531,17 @@ fn contextualized_row(
     doc_index: usize,
     important: &[TermId],
     cache: &ExpansionCache,
-) -> (Vec<TermId>, Vec<TermId>) {
-    let mut context_ids: Vec<TermId> = Vec::new();
+    row: &mut Vec<TermId>,
+) {
+    row.clear();
+    row.extend_from_slice(db.doc_terms(facet_corpus::DocId(doc_index as u32)));
     for &t in important {
         if let Some(resolved) = cache.resolved.get(t) {
-            context_ids.extend(resolved.terms.iter().copied());
+            row.extend_from_slice(&resolved.terms);
         }
     }
-    context_ids.sort_unstable();
-    context_ids.dedup();
-
-    let mut all: Vec<TermId> = db.doc_terms(facet_corpus::DocId(doc_index as u32)).to_vec();
-    all.extend(context_ids.iter().copied());
-    all.sort_unstable();
-    all.dedup();
-    (all, context_ids)
+    row.sort_unstable();
+    row.dedup();
 }
 
 /// What one [`repair_degraded_recorded`] pass did.
@@ -602,18 +569,19 @@ pub struct RepairOutcome {
 /// no faults at all. Terms whose resources are still failing keep their
 /// updated provenance and remain eligible for the next pass.
 ///
-/// `important_terms[i]` must be `I(d_i)` for **all** documents of `db`
-/// (the same pre-interned lists every append batch supplied), and `ctx`
-/// must cover the whole database.
-pub fn repair_degraded_recorded(
+/// `important_terms` must yield `I(d_i)` for **all** documents of `db`,
+/// in order (the same pre-interned lists every append batch supplied),
+/// and `ctx` must cover the whole database.
+pub fn repair_degraded_recorded<R: AsRef<[TermId]>>(
     db: &TextDatabase,
-    important_terms: &[Vec<TermId>],
+    important_terms: impl IntoIterator<Item = R, IntoIter: ExactSizeIterator>,
     resources: &[&dyn ContextResource],
     vocab: &mut Vocabulary,
     recorder: &Recorder,
     cache: &mut ExpansionCache,
     ctx: &mut ContextualizedDatabase,
 ) -> Result<RepairOutcome, ExpansionError> {
+    let important_terms = important_terms.into_iter();
     if important_terms.len() != db.len() {
         return Err(ExpansionError::DocumentCountMismatch {
             documents: db.len(),
@@ -669,25 +637,26 @@ pub fn repair_degraded_recorded(
         );
     }
 
-    // Recompute exactly the documents that use a changed term, in
-    // document order (deterministic interning of backfilled context).
-    for (i, terms) in important_terms.iter().enumerate() {
-        if !terms.iter().any(|t| changed.contains(t)) {
-            continue;
-        }
-        outcome.changed_docs += 1;
-        for t in &ctx.doc_terms[i] {
-            ctx.df_c[t.index()] -= 1;
-        }
-        let (all, context_ids) = contextualized_row(db, i, terms, cache);
-        for &t in &all {
-            if t.index() >= ctx.df_c.len() {
-                ctx.df_c.resize(t.index() + 1, 0);
+    // Recompute exactly the documents that use a changed term into a
+    // fresh row store (rows are append-only), copying every other row.
+    if !changed.is_empty() {
+        let mut rows = RowStore::new();
+        let mut row = Vec::new();
+        for (i, terms) in important_terms.enumerate() {
+            let terms = terms.as_ref();
+            if !terms.iter().any(|t| changed.contains(t)) {
+                rows.push(&ctx.rows[i]);
+                continue;
             }
-            ctx.df_c[t.index()] += 1;
+            outcome.changed_docs += 1;
+            for t in &ctx.rows[i] {
+                ctx.df_c[t.index()] -= 1;
+            }
+            contextualized_row(db, i, terms, cache, &mut row);
+            add_counts(&mut ctx.df_c, &row);
+            rows.push(&row);
         }
-        ctx.doc_terms[i] = all;
-        ctx.doc_context_terms[i] = context_ids;
+        ctx.rows = rows;
     }
     ctx.df_c.resize(ctx.df_c.len().max(vocab.len()), 0);
 
@@ -816,7 +785,9 @@ mod tests {
             &[&r],
             &mut vocab,
             &ExpansionOptions::default(),
-        );
+            Recorder::disabled_ref(),
+        )
+        .unwrap();
         let leaders = vocab
             .get("political leaders")
             .expect("context term interned");
@@ -834,7 +805,9 @@ mod tests {
             &[&r],
             &mut vocab,
             &ExpansionOptions::default(),
-        );
+            Recorder::disabled_ref(),
+        )
+        .unwrap();
         assert!(vocab.get("the").is_none());
     }
 
@@ -848,10 +821,12 @@ mod tests {
             &[&r],
             &mut vocab,
             &ExpansionOptions::default(),
-        );
+            Recorder::disabled_ref(),
+        )
+        .unwrap();
         let summit = vocab.get("summit").unwrap();
         assert_eq!(c.df_c(summit), 1);
-        assert!(c.doc_terms[0].contains(&summit));
+        assert!(c.rows()[0].contains(&summit));
     }
 
     #[test]
@@ -869,7 +844,9 @@ mod tests {
             &[&r],
             &mut vocab1,
             &ExpansionOptions { threads: 1 },
-        );
+            Recorder::disabled_ref(),
+        )
+        .unwrap();
         let (db2, mut vocab2, important2) = fixture();
         let parallel = expand_database(
             &db2,
@@ -877,15 +854,16 @@ mod tests {
             &[&r],
             &mut vocab2,
             &ExpansionOptions { threads: 4 },
-        );
+            Recorder::disabled_ref(),
+        )
+        .unwrap();
         // Identical vocabularies: same terms assigned the same ids.
         assert_eq!(vocab1.len(), vocab2.len());
         for (id, term) in vocab1.iter() {
             assert_eq!(vocab2.term(id), term, "TermId {id:?} must agree");
         }
         // Identical per-document id sets and frequency tables, bit for bit.
-        assert_eq!(serial.doc_terms, parallel.doc_terms);
-        assert_eq!(serial.doc_context_terms, parallel.doc_context_terms);
+        assert_eq!(serial.rows(), parallel.rows());
         assert_eq!(serial.df_table(), parallel.df_table());
     }
 
@@ -898,10 +876,12 @@ mod tests {
             &[],
             &mut vocab,
             &ExpansionOptions::default(),
-        );
+            Recorder::disabled_ref(),
+        )
+        .unwrap();
+        // Every row is exactly the document's own terms: no context.
         for i in 0..db.len() {
-            assert_eq!(c.doc_terms[i], db.doc_terms(DocId(i as u32)));
-            assert!(c.doc_context_terms[i].is_empty());
+            assert_eq!(&c.rows()[i], db.doc_terms(DocId(i as u32)));
         }
     }
 
@@ -910,14 +890,15 @@ mod tests {
         let (db, mut vocab, important) = fixture();
         let r = chirac_resource();
         let rec = facet_obs::Recorder::enabled();
-        let c = expand_database_recorded(
+        let c = expand_database(
             &db,
             &important,
             &[&r],
             &mut vocab,
             &ExpansionOptions::default(),
             &rec,
-        );
+        )
+        .unwrap();
         let counts = rec.snapshot_counts_only();
         // One distinct important term, queried against one resource.
         assert_eq!(counts["counter.resource.F.queries"], 1);
@@ -934,7 +915,7 @@ mod tests {
     #[test]
     fn mismatched_lengths_typed_error() {
         let (db, mut vocab, _) = fixture();
-        let err = try_expand_database_recorded(
+        let err = expand_database(
             &db,
             &[],
             &[],
@@ -951,16 +932,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("one I(d) per document"));
-    }
-
-    #[test]
-    #[should_panic(expected = "one I(d) per document")]
-    fn mismatched_lengths_panicking_wrapper() {
-        // The infallible wrapper keeps the historical panic for callers
-        // (the efficiency study, `diag`) that treat the mismatch as a
-        // programming error.
-        let (db, mut vocab, _) = fixture();
-        let _ = expand_database(&db, &[], &[], &mut vocab, &ExpansionOptions::default());
     }
 
     #[test]
@@ -1080,10 +1051,12 @@ mod tests {
             &[&f2, &g2],
             &mut vocab2,
             &ExpansionOptions::default(),
-        );
+            Recorder::disabled_ref(),
+        )
+        .unwrap();
         // String-level identity: same term strings per document, same
         // frequencies (ids may differ — interning order differs).
-        let to_strings = |v: &Vocabulary, terms: &[Vec<TermId>]| -> Vec<Vec<String>> {
+        let to_strings = |v: &Vocabulary, terms: &RowStore| -> Vec<Vec<String>> {
             terms
                 .iter()
                 .map(|ts| {
@@ -1094,12 +1067,8 @@ mod tests {
                 .collect()
         };
         assert_eq!(
-            to_strings(&vocab, &ctx.doc_terms),
-            to_strings(&vocab2, &clean.doc_terms)
-        );
-        assert_eq!(
-            to_strings(&vocab, &ctx.doc_context_terms),
-            to_strings(&vocab2, &clean.doc_context_terms)
+            to_strings(&vocab, ctx.rows()),
+            to_strings(&vocab2, clean.rows())
         );
         for (id, term) in vocab2.iter() {
             let repaired_id = vocab.get(term).unwrap();
@@ -1237,10 +1206,12 @@ mod tests {
             &[&r],
             &mut vocab_batch,
             &ExpansionOptions::default(),
-        );
+            Recorder::disabled_ref(),
+        )
+        .unwrap();
         // Compare as per-document *string sets*: ids interleave differently
         // when context terms land between batches.
-        let to_strings = |v: &Vocabulary, terms: &[Vec<TermId>]| -> Vec<Vec<String>> {
+        let to_strings = |v: &Vocabulary, terms: &RowStore| -> Vec<Vec<String>> {
             terms
                 .iter()
                 .map(|ts| {
@@ -1251,8 +1222,8 @@ mod tests {
                 .collect()
         };
         assert_eq!(
-            to_strings(&vocab_inc, &ctx.doc_terms),
-            to_strings(&vocab_batch, &batch.doc_terms)
+            to_strings(&vocab_inc, ctx.rows()),
+            to_strings(&vocab_batch, batch.rows())
         );
         let leaders = vocab_inc.get("political leaders").unwrap();
         assert_eq!(ctx.df_c(leaders), 2);

@@ -14,7 +14,7 @@
 //! * **Phase mode** (`None`): an *affected* term — a pure function of
 //!   `(seed, term)` — fails on every attempt until [`FaultyResource::heal`]
 //!   is called. The degraded-term set is therefore independent of thread
-//!   interleaving, shard count, and arrival order, which is what the
+//!   interleaving, worker count, and arrival order, which is what the
 //!   chaos determinism sweep in `tests/chaos.rs` relies on.
 //! * **Attempt mode** (`Some(k)`): an affected term's first `k` attempts
 //!   fail, then every later attempt succeeds — the schedule for

@@ -5,6 +5,7 @@
 
 use facet_corpus::db::TermingOptions;
 use facet_corpus::{DocId, Document, TextDatabase};
+use facet_obs::Recorder;
 use facet_resources::{expand_database, ContextResource, ExpansionOptions};
 use facet_textkit::Vocabulary;
 use proptest::prelude::*;
@@ -86,12 +87,14 @@ proptest! {
             &[&resource],
             &mut vocab,
             &ExpansionOptions { threads: 2 },
-        );
+            Recorder::disabled_ref(),
+        )
+        .unwrap();
 
         prop_assert_eq!(c.len(), db.len());
         for i in 0..db.len() {
             let original = db.doc_terms(DocId(i as u32));
-            let expanded = &c.doc_terms[i];
+            let expanded = &c.rows()[i];
             for w in expanded.windows(2) {
                 prop_assert!(w[0] < w[1], "expanded terms must be sorted+distinct");
             }

@@ -18,12 +18,15 @@
 //!   [`FrozenInterner`], dense [`SymTable`] maps),
 //! * [`vocab`] — an interning vocabulary mapping terms to dense [`TermId`]s
 //!   (a facade over [`sym`]),
+//! * [`rows`] — append-only per-document term rows in `Arc`-shared
+//!   chunks ([`RowStore`]),
 //! * [`zipf`] — Zipfian samplers used by the synthetic corpus generators.
 //!
 //! Everything here is written from scratch with no external NLP
 //! dependencies, so the whole reproduction is self-contained.
 
 pub mod phrase;
+pub mod rows;
 pub mod stem;
 pub mod stopwords;
 pub mod sym;
@@ -32,6 +35,7 @@ pub mod vocab;
 pub mod zipf;
 
 pub use phrase::{ngrams, proper_noun_phrases};
+pub use rows::RowStore;
 pub use stem::porter_stem;
 pub use stopwords::is_stopword;
 pub use sym::{FrozenInterner, InternStats, Interner, Sym, SymTable};
@@ -44,6 +48,13 @@ pub use zipf::Zipf;
 /// becomes "jacques chirac").
 pub fn normalize_term(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
+    normalize_term_into(raw, &mut out);
+    out
+}
+
+/// [`normalize_term`] appended to `out`, keeping what `out` held before.
+pub fn normalize_term_into(raw: &str, out: &mut String) {
+    let start = out.len();
     let mut last_space = true;
     for ch in raw.chars() {
         if ch.is_whitespace() {
@@ -58,10 +69,9 @@ pub fn normalize_term(raw: &str) -> String {
             last_space = false;
         }
     }
-    while out.ends_with(' ') {
+    while out.len() > start && out.ends_with(' ') {
         out.pop();
     }
-    out
 }
 
 #[cfg(test)]
@@ -76,6 +86,15 @@ mod tests {
     #[test]
     fn normalize_collapses_whitespace() {
         assert_eq!(normalize_term("  G8\t Summit \n"), "g8 summit");
+    }
+
+    #[test]
+    fn normalize_into_appends() {
+        let mut out = String::from("kept ");
+        normalize_term_into("  G8\t Summit ", &mut out);
+        assert_eq!(out, "kept g8 summit");
+        normalize_term_into("   ", &mut out);
+        assert_eq!(out, "kept g8 summit");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The global arena-backed term interner.
 //!
-//! Every layer of the system — pipeline, index, shards, resource caches —
+//! Every layer of the system — pipeline, index, resource caches —
 //! speaks [`Sym`]: a dense `u32` symbol handed out by an [`Interner`] in
 //! first-seen order. Term text lives once, in a single contiguous byte
 //! arena, and a deterministic open-addressing table maps text → symbol,
@@ -20,9 +20,8 @@
 //!   misses,len}` observability metrics by the index layers.
 //!
 //! Symbols are append-only: once assigned, a symbol's meaning never
-//! changes, which is what lets frozen snapshots, shard remap tables
-//! ([`Interner::extend_remap`]), and dense frequency vectors all share
-//! ids without coordination.
+//! changes, which is what lets frozen snapshots and dense frequency
+//! vectors share ids without coordination.
 
 use std::sync::Arc;
 
@@ -242,24 +241,6 @@ impl Interner {
             hits: self.hits,
             misses: self.misses,
             len: self.spans.len(),
-        }
-    }
-
-    /// Merge `other`'s symbols into `self`, extending the `remap` table so
-    /// `remap[s.index()]` is the symbol in `self` whose text equals
-    /// `other.resolve(s)`.
-    ///
-    /// Only the suffix `remap.len()..other.len()` is processed — symbols
-    /// already remapped by an earlier call keep their entries untouched —
-    /// so repeated merges of a growing source interner do O(new terms)
-    /// work, not O(all terms). This is the shard-merge primitive: each
-    /// shard keeps a local interner plus its `remap` into the merged one,
-    /// and every merge replays only the shard's newly-interned suffix.
-    pub fn extend_remap(&mut self, other: &Interner, remap: &mut Vec<Sym>) {
-        debug_assert!(remap.len() <= other.len(), "remap longer than source");
-        for i in remap.len()..other.len() {
-            let sym = self.intern(other.span_text(Sym(i as u32)));
-            remap.push(sym);
         }
     }
 
@@ -627,65 +608,6 @@ mod tests {
             });
         });
         assert_eq!(frozen.len(), 100, "frozen view never observes growth");
-    }
-
-    #[test]
-    fn extend_remap_empty_duplicate_disjoint() {
-        // Empty source: no-op.
-        let mut merged = Interner::new();
-        let mut remap = Vec::new();
-        merged.extend_remap(&Interner::new(), &mut remap);
-        assert!(remap.is_empty());
-        assert!(merged.is_empty());
-
-        // Duplicate vocabularies: remap collapses onto existing symbols.
-        let mut a = Interner::new();
-        a.intern("x");
-        a.intern("y");
-        merged.intern("x");
-        merged.intern("y");
-        merged.extend_remap(&a, &mut remap);
-        assert_eq!(remap, vec![Sym(0), Sym(1)]);
-        assert_eq!(merged.len(), 2);
-
-        // Disjoint suffix: only the new tail is processed; earlier remap
-        // entries are untouched, new symbols appended in source order.
-        let mut b = a.clone();
-        b.intern("z");
-        b.intern("w");
-        merged.extend_remap(&b, &mut remap);
-        assert_eq!(remap, vec![Sym(0), Sym(1), Sym(2), Sym(3)]);
-        assert_eq!(merged.resolve(Sym(2)), "z");
-        assert_eq!(merged.resolve(Sym(3)), "w");
-        assert_eq!(merged.len(), 4);
-
-        // Identity: every remapped symbol resolves to the source text.
-        for (s, t) in b.iter() {
-            assert_eq!(merged.resolve(remap[s.index()]), t);
-        }
-    }
-
-    #[test]
-    fn extend_remap_interleaved_shards() {
-        // Two shards with overlapping vocabularies merged alternately:
-        // the merged interner assigns symbols in replay order and both
-        // remaps stay consistent.
-        let mut s0 = Interner::new();
-        let mut s1 = Interner::new();
-        let mut merged = Interner::new();
-        let (mut r0, mut r1) = (Vec::new(), Vec::new());
-        s0.intern("alpha");
-        s0.intern("shared");
-        merged.extend_remap(&s0, &mut r0);
-        s1.intern("shared");
-        s1.intern("beta");
-        merged.extend_remap(&s1, &mut r1);
-        assert_eq!(merged.len(), 3);
-        assert_eq!(
-            merged.resolve(r0[s0.get("shared").unwrap().index()]),
-            "shared"
-        );
-        assert_eq!(r0[1], r1[0], "shared term maps to one merged symbol");
     }
 
     #[test]

@@ -102,16 +102,6 @@ impl Vocabulary {
         self.interner.stats()
     }
 
-    /// Merge `other`'s terms into this vocabulary, extending `remap` so
-    /// `remap[id.index()]` is this vocabulary's id for `other.term(id)`.
-    ///
-    /// Only the unprocessed suffix `remap.len()..other.len()` is replayed,
-    /// so repeated merges of a growing shard vocabulary do O(new terms)
-    /// work. See [`Interner::extend_remap`](crate::Interner::extend_remap).
-    pub fn extend_remap(&mut self, other: &Vocabulary, remap: &mut Vec<TermId>) {
-        self.interner.extend_remap(&other.interner, remap);
-    }
-
     /// The backing interner (serialization surface; restore via
     /// [`Vocabulary::from_interner`]).
     pub fn as_interner(&self) -> &Interner {
@@ -279,19 +269,6 @@ mod tests {
         v.intern("b");
         let s = v.stats();
         assert_eq!((s.hits, s.misses, s.len), (1, 2, 2));
-    }
-
-    #[test]
-    fn extend_remap_delegates_to_interner() {
-        let mut merged = Vocabulary::new();
-        merged.intern("x");
-        let mut shard = Vocabulary::new();
-        shard.intern("y");
-        shard.intern("x");
-        let mut remap = Vec::new();
-        merged.extend_remap(&shard, &mut remap);
-        assert_eq!(remap, vec![TermId(1), TermId(0)]);
-        assert_eq!(merged.len(), 2);
     }
 
     #[test]

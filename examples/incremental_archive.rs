@@ -43,7 +43,7 @@ fn main() {
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
     let resources: Vec<&dyn ContextResource> = vec![&graph_res];
 
-    // One persistent single-shard index for the whole month.
+    // One persistent index for the whole month.
     let mut index = ShardedFacetIndex::new(
         1,
         extractors,

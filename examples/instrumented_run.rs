@@ -21,14 +21,14 @@
 //! ```
 //!
 //! With `--trace <path>` the example instead runs a compact, fully
-//! deterministic traced scenario (sharded append over a flaky resource
+//! deterministic traced scenario (appends over a flaky resource
 //! behind the resilience policy, everything on one shared
 //! [`VirtualClock`]) and writes a Chrome trace-event JSON file —
 //! loadable in `chrome://tracing` or <https://ui.perfetto.dev> — that is
 //! byte-identical across runs. `--folded <path>` additionally writes
 //! folded flamegraph stacks. The written trace is then read back, parsed
 //! through `facet-jsonio`, and checked for the expected span tree
-//! (`run` → `append` → `append.shard0` → `resource.query` → `attempt`,
+//! (`run` → `append` → `expand` → `resource.query` → `attempt`,
 //! depth ≥ 4); the example exits non-zero if the check fails. See
 //! DESIGN.md section 15.
 
@@ -45,12 +45,13 @@ use facet_hierarchies::textkit::Vocabulary;
 use facet_hierarchies::wikipedia::{build_wikipedia, WikipediaConfig, WikipediaGraph};
 use facet_hierarchies::wordnet::build_wordnet;
 
-/// The `--trace` scenario: a sharded build + incremental append over a
-/// flaky WordNet behind the resilience policy, traced end to end. The
-/// tracer's clock **is** the resilience layer's [`VirtualClock`], the
-/// sharded index runs a single shard, and expansion is serial, so the
-/// whole traced region is deterministic and two runs export identical
-/// bytes (the property `scripts/check.sh --trace-smoke` gates on).
+/// The `--trace` scenario: a build + incremental append over a flaky
+/// WordNet behind the resilience policy, traced end to end. The tracer's
+/// clock **is** the resilience layer's [`VirtualClock`], and the index
+/// runs one worker, so extraction and expansion stay on the appending
+/// thread: the whole traced region is deterministic and two runs export
+/// identical bytes (the property `scripts/check.sh --trace-smoke` gates
+/// on).
 fn traced_run(trace_out: &str, folded_out: Option<&str>) {
     use facet_hierarchies::obs::{Tracer, TracerConfig};
     use std::sync::Arc;
@@ -83,8 +84,8 @@ fn traced_run(trace_out: &str, folded_out: Option<&str>) {
     let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
     let resources: Vec<&dyn ContextResource> = vec![&graph_res, &resilient];
     let options = PipelineOptions {
-        // Serial expansion keeps resource queries on the shard worker's
-        // own thread, nested under its `append.shard0` span.
+        // One worker keeps resource queries on the appending thread,
+        // nested under its `expand` stage span.
         expansion: ExpansionOptions { threads: 1 },
         ..Default::default()
     };
@@ -127,14 +128,9 @@ fn traced_run(trace_out: &str, folded_out: Option<&str>) {
 }
 
 /// Spans the traced scenario must export: the causal chain from the
-/// run through one shard's append down to a retried resource query.
-const REQUIRED_SPANS: [&str; 5] = [
-    "run",
-    "append",
-    "append.shard0",
-    "resource.query",
-    "attempt",
-];
+/// run through an append's expand stage (the `append.expand` metric
+/// span) down to a retried resource query.
+const REQUIRED_SPANS: [&str; 5] = ["run", "append", "expand", "resource.query", "attempt"];
 
 /// The minimum depth of the exported span tree.
 const MIN_TRACE_DEPTH: usize = 4;

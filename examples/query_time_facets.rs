@@ -149,16 +149,15 @@ fn main() {
     }
 
     // A late batch arrives: the append bumps the generation, republishes
-    // only the shards that received documents, and invalidates the
-    // cache. The same queries now re-select against the new snapshot.
-    let stats = server.append(late_batch.to_vec()).expect("late batch");
+    // the snapshot, and invalidates the cache. The same queries now
+    // re-select against the new snapshot.
+    server.append(late_batch.to_vec()).expect("late batch");
     println!(
         "appended {} late docs (generation {} -> {})",
         late_batch.len(),
         snapshot.generation(),
         server.snapshot().generation()
     );
-    drop(stats);
     for label in &queries {
         let result = handle.browse(&[label.as_str()]);
         println!(

@@ -43,7 +43,7 @@ fn main() {
     let ne = NamedEntityExtractor::new(tagger);
     let yahoo = YahooTermExtractor::fit(&corpus.db, &vocab);
 
-    // 4. Run the pipeline: a 1-shard index runs Steps 1–4 over the
+    // 4. Run the pipeline: the index runs Steps 1–4 over the
     //    corpus and publishes the result as a snapshot.
     let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
     let resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];

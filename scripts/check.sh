@@ -5,17 +5,20 @@
 #
 #   --tier1        Run exactly the tier-1 gate (release build + tests), the
 #                  command CI and the roadmap treat as the must-stay-green
-#                  bar, plus the sharded-index determinism sweep, the
+#                  bar, plus the facet-resources, facet-corpus and
+#                  facet-textkit unit tests, the index determinism sweep
+#                  over worker counts, the
 #                  facet-core serving and browse unit tests, the
 #                  facet-stats tests and the facet-core selection unit
 #                  tests (counted rank bins and partial top-k against the
 #                  sort-based reference), the facet-core subsumption and
-#                  row-store unit tests (slot-order parent choice against
-#                  two references on churned count tables; chunked rows
-#                  against a Vec model), the recovery suite, the facet-core
-#                  persist unit tests and the snapshot-digest property
-#                  (equal digests across shard counts, thread counts and
-#                  append splits), the Steps 1–4 paper-formula oracle
+#                  facet-textkit row-store unit tests (slot-order parent
+#                  choice against two references on churned count tables;
+#                  chunked rows against a Vec model), the recovery suite,
+#                  the facet-core persist unit tests and the
+#                  snapshot-digest property (equal digests across worker
+#                  counts, thread counts and append splits), the Steps
+#                  1–4 paper-formula oracle
 #                  and the paper-fidelity quality gate (QUALITY.json), the
 #                  chaos (fault-injection) suite, the trace-export determinism
 #                  smoke, the facet-lint workspace gate, and a release
@@ -26,7 +29,7 @@
 #                  twice and assert the Chrome trace-event exports are
 #                  byte-identical. Each run re-parses its trace through
 #                  facet-jsonio and exits non-zero unless it holds the
-#                  expected span tree (run → append → append.shard0 →
+#                  expected span tree (run → append → expand →
 #                  resource.query → attempt, depth ≥ 4). See DESIGN.md
 #                  section 15.
 #   --lint         Run the facet-lint workspace gate only: two lint runs
@@ -92,8 +95,13 @@ if [[ "${1:-}" == "--tier1" ]]; then
     echo "== tier-1: cargo build --release && cargo test -q"
     cargo build --release
     cargo test -q
-    echo "== tier-1: sharded-index determinism sweep"
-    # The shard-count x thread-count equivalence tests, named explicitly
+    echo "== tier-1: expansion, corpus and text-kit unit tests"
+    # Crate unit tests the root run skips: the expansion engine (rows,
+    # repair, the one fallible expand_database), the text database's
+    # term strings, and the interner and row store.
+    cargo test -q -p facet-resources -p facet-corpus -p facet-textkit
+    echo "== tier-1: index determinism sweep"
+    # The worker-count x thread-count equivalence tests, named explicitly
     # so a filtered or partial test run cannot silently skip them.
     cargo test -q --test determinism shard
     cargo test -q -p facet-core shard::
@@ -112,11 +120,11 @@ if [[ "${1:-}" == "--tier1" ]]; then
     # input-order walk on churned tables; the chunked row store against
     # a Vec model (crate unit tests, also skipped by the root run).
     cargo test -q -p facet-core subsumption::
-    cargo test -q -p facet-core rows::
+    cargo test -q -p facet-textkit rows::
     echo "== tier-1: recovery, persist unit tests and the digest property"
-    # Restore rebuilds the merged tables from persisted sources; the
-    # persist unit tests are crate unit tests, also skipped by the root
-    # run, and the digest property is what recovery's digest checks mean.
+    # Restore rebuilds the tables from persisted sources; the persist
+    # unit tests are crate unit tests, also skipped by the root run, and
+    # the digest property is what recovery's digest checks mean.
     cargo test -q --test recovery
     cargo test -q -p facet-core persist::
     cargo test -q -p facet-core digest_is_equal_across_shards_threads_and_splits

@@ -124,7 +124,7 @@ fn recorder_does_not_change_results() {
     // And the recorder did observe the run.
     let counts = enabled.snapshot_counts_only();
     assert_eq!(counts["span.append.count"], 1);
-    assert_eq!(counts["span.append.shard0.count"], 1);
+    assert_eq!(counts["span.append.expand.count"], 1);
     assert_eq!(counts["span.append.select.count"], 1);
     assert_eq!(counts["span.append.subsumption.count"], 1);
     assert!(counts["counter.resource.Wikipedia Graph.queries"] >= 1);
@@ -201,7 +201,7 @@ fn shard_and_thread_sweep_matches_batch_pipeline() {
     let expected = snapshot_rows(&batch.snapshot());
     assert!(!expected.0.is_empty(), "the corpus must yield facet terms");
 
-    // The merged vocabulary is content-determined: the same documents in
+    // The vocabulary is content-determined: the same documents in
     // the same chunks intern the same number of symbols at every shard
     // count.
     let mut vocab_len = None;
@@ -224,7 +224,7 @@ fn shard_and_thread_sweep_matches_batch_pipeline() {
             assert_eq!(
                 *vocab_len.get_or_insert(len),
                 len,
-                "shards={n_shards} threads={threads}: merged vocabulary size changed"
+                "shards={n_shards} threads={threads}: vocabulary size changed"
             );
         }
     }

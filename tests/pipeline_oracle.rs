@@ -17,9 +17,10 @@
 //!    subject to every `SubsumptionParams` guard, and cycles are cut.
 //!
 //! A seeded property compares it with the index over small random
-//! corpora, shard counts 1–3 and several append splits, through both
+//! corpora, worker counts 1–3 and several append splits, through both
 //! `append` and `append_extracted`, and after a fault schedule that is
-//! healed and repaired. Facet terms, their `df`/`df_C` and the forest
+//! healed and repaired; hostile documents, `I(d)` lists and resource
+//! answers must match it too or fail typed. Facet terms, their `df`/`df_C` and the forest
 //! edges must match exactly; scores within a relative [`SCORE_TOL`]; the
 //! ranking exactly, except among candidates whose oracle scores lie
 //! within that tolerance of each other.
@@ -696,5 +697,144 @@ fn hostile_documents_and_lists_match_the_oracle_or_fail_typed() {
             }
         }
     }
+    assert!(matched > 0, "no hostile build completed");
+}
+
+/// Finds listed names like [`Gazetteer`], but returns each as an alias
+/// (`"<name> affair"`) that no document contains as a term, so an answer
+/// naming the queried alias itself would add a term to the row.
+struct Aliases(Vec<String>);
+impl TermExtractor for Aliases {
+    fn name(&self) -> &'static str {
+        "Aliases"
+    }
+    fn extract(&self, text: &str) -> Vec<String> {
+        let text = normalize_term(text);
+        self.0
+            .iter()
+            .filter(|n| text.contains(n.as_str()))
+            .map(|n| format!("{n} affair"))
+            .collect()
+    }
+}
+
+/// `case`'s specific-concept resource made hostile but legal, answering
+/// each name and its alias. Each name's answers are one of four kinds,
+/// returned with the kinds served: 0, empty; 1, its concept repeated; 2,
+/// at least 10,000 terms; 3, its concept among terms that need
+/// normalizing — case, padding, control characters, the queried term
+/// itself, stopwords, one-byte and blank terms.
+fn hostile_resource(rng: &mut TestRng, case: &Case) -> (MapResource, BTreeSet<usize>) {
+    let mut answers = BTreeMap::new();
+    let mut kinds = BTreeSet::new();
+    let offset = rng.below(4) as usize;
+    for (i, name) in case.names.iter().enumerate() {
+        let concept = case.specific.1[name][0].clone();
+        let kind = (i + offset) % 4;
+        kinds.insert(kind);
+        for key in [name.clone(), format!("{name} affair")] {
+            let answer = match kind {
+                0 => Vec::new(),
+                1 => std::iter::repeat_n(concept.clone(), 5)
+                    .chain([concept.to_uppercase(), format!(" {concept} ")])
+                    .collect(),
+                2 => (0..10_000)
+                    .map(|k| match k % 2 {
+                        0 => concept.clone(),
+                        _ => format!("facet {}", k % 3_000),
+                    })
+                    .collect(),
+                _ => vec![
+                    format!("\t  {}  \n", concept.to_uppercase()),
+                    "\u{7}Bell\u{0}Ring".to_string(),
+                    key.to_uppercase(),
+                    format!("  {key}"),
+                    "The".to_string(),
+                    "OF".to_string(),
+                    "x".to_string(),
+                    "Grüße  aus\tZürich".to_string(),
+                    String::new(),
+                    "   ".to_string(),
+                ],
+            };
+            answers.insert(key, answer);
+        }
+    }
+    (MapResource("Hostile", answers), kinds)
+}
+
+/// Hostile resource answers never panic: empty, duplicated, 10,000-term
+/// and non-normalized answers go through `append` at one and three
+/// workers, and through `repair()` once a fault schedule in front of the
+/// same resource heals. Every run matches the oracle over the healthy
+/// hostile resource, or returns a typed [`IndexError`].
+#[test]
+fn hostile_resource_answers_match_the_oracle_or_fail_typed() {
+    let mut rng = TestRng::deterministic("hostile_resource_answers");
+    let mut kinds = BTreeSet::new();
+    let (mut matched, mut degraded_seen) = (0, 0);
+    for case_no in 0..4 {
+        let case = random_case(&mut rng);
+        let (hostile, served) = hostile_resource(&mut rng, &case);
+        kinds.extend(served);
+        let pairs = CapitalizedPairs;
+        let gazetteer = Gazetteer(case.names.iter().take(2).cloned().collect());
+        let aliases = Aliases(case.names.clone());
+        let extractors: Vec<&dyn TermExtractor> = vec![&pairs, &gazetteer, &aliases];
+        let healthy: Vec<&dyn ContextResource> = vec![&hostile, &case.general];
+        let want = oracle(&case.docs, &extractors, &healthy, &case.options);
+
+        for workers in [1, 3] {
+            let label = format!("case {case_no}, {workers} workers");
+            let mut appended = ShardedFacetIndex::new(
+                workers,
+                extractors.clone(),
+                healthy.clone(),
+                case.options.clone(),
+            );
+            let fed = random_split(&mut rng, &case.docs)
+                .into_iter()
+                .try_for_each(|batch| appended.append(batch).map(drop));
+
+            let faulty = FaultyResource::new(
+                hostile.clone(),
+                FaultPlan::seeded(case_no, 500),
+                VirtualClock::new(),
+            );
+            let resources: Vec<&dyn ContextResource> = vec![&faulty, &case.general];
+            let mut repaired = ShardedFacetIndex::new(
+                workers,
+                extractors.clone(),
+                resources,
+                case.options.clone(),
+            );
+            let repaired_fed = random_split(&mut rng, &case.docs)
+                .into_iter()
+                .try_for_each(|batch| repaired.append(batch).map(drop))
+                .and_then(|()| {
+                    degraded_seen += usize::from(!repaired.snapshot().is_fully_covered());
+                    faulty.heal();
+                    repaired.repair().map(drop)
+                });
+
+            for (how, fed, index) in [
+                ("append", fed, &appended),
+                ("repair", repaired_fed, &repaired),
+            ] {
+                let label = format!("{label}, {how}");
+                match fed {
+                    Ok(()) => {
+                        let snap = index.snapshot();
+                        assert!(snap.is_fully_covered(), "{label}");
+                        assert_matches(&snap, &want, &label);
+                        matched += 1;
+                    }
+                    Err(e) => eprintln!("{label}: typed refusal: {e}"),
+                }
+            }
+        }
+    }
+    assert_eq!(kinds.len(), 4, "every kind of hostile answer was served");
+    assert!(degraded_seen > 0, "the schedule must degrade some builds");
     assert!(matched > 0, "no hostile build completed");
 }

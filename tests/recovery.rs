@@ -1,6 +1,6 @@
 //! Crash-safe durability: a snapshot + WAL store must recover to the
 //! exact state of the in-memory build — across fault seeds, damage
-//! scenarios, and shard counts — with typed errors and zero panics.
+//! scenarios, and worker counts — with typed errors and zero panics.
 //!
 //! The damage matrix mirrors the store's threat model: clean restarts,
 //! torn WAL tails (a crash mid-append), and corrupted snapshot sections
@@ -443,10 +443,20 @@ fn flipped_byte_in_each_snapshot_section_falls_back_and_converges() {
     let healthy = fs::read(dir.join(&snap2)).expect("read snap-2");
     let wal = fs::read(dir.join(WAL_FILE)).expect("read wal");
     let sections = section_payload_ranges(&healthy);
-    assert!(
-        sections.len() >= 10,
-        "the sweep must cover the real section inventory, got {}",
-        sections.len()
+    let names: Vec<&str> = sections.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "meta",
+            "vocab",
+            "docs",
+            "doc_terms",
+            "cache",
+            "ctx_rows",
+            "degraded",
+            "important"
+        ],
+        "the sweep must cover the real section inventory"
     );
 
     let scratch = test_dir("flip-scratch");
@@ -541,6 +551,52 @@ fn version_one_snapshot_is_refused_as_corrupt_meta() {
     fs::remove_dir_all(&old_dir).ok();
 }
 
+/// Nothing persisted depends on the worker count: a snapshot and WAL
+/// tail written at one count reopen at any other to the live digest, and
+/// the reopened index keeps evolving identically.
+#[test]
+fn snapshot_reopens_at_another_worker_count() {
+    let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+    let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
+    let tagger = NerTagger::from_world(&bundle.world);
+    let ne = NamedEntityExtractor::new(tagger);
+    let docs = bundle.corpus.db.docs().to_vec();
+    let chunks: Vec<Vec<Document>> = docs
+        .chunks(docs.len().div_ceil(3))
+        .map(<[Document]>::to_vec)
+        .collect();
+    for (n, m) in [(1, 3), (2, 1), (4, 2)] {
+        let dir = test_dir(&format!("workers-{n}-{m}"));
+        let store = FacetStore::open(&dir).expect("open store");
+        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let mut live = ShardedFacetIndex::new(n, vec![&ne], vec![&res], options());
+        live.append_logged(chunks[0].clone(), &store)
+            .expect("append");
+        live.persist_to(&store).expect("persist");
+        live.append_logged(chunks[1].clone(), &store)
+            .expect("append");
+
+        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let (mut reopened, report) =
+            ShardedFacetIndex::open_from(&store, m, vec![&ne], vec![&res], options())
+                .unwrap_or_else(|e| panic!("{n} → {m} workers: {e}"));
+        assert_eq!(report.replayed_records, 1, "{n} → {m} workers");
+        assert_eq!(
+            reopened.snapshot().digest(),
+            live.snapshot().digest(),
+            "{n} → {m} workers: reopened state diverged"
+        );
+        live.append(chunks[2].clone()).expect("append");
+        reopened.append(chunks[2].clone()).expect("append");
+        assert_eq!(
+            reopened.snapshot().digest(),
+            live.snapshot().digest(),
+            "{n} → {m} workers: the reopened index must keep evolving identically"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// A rows section: a `u64` count, then per row a `u64` length and `u32`
 /// symbols.
 fn rows_of(bytes: &[u8]) -> Vec<Vec<u32>> {
@@ -595,7 +651,7 @@ fn docs_bytes(docs: &[DocFields]) -> Vec<u8> {
     w.finish()
 }
 
-/// `merged.vocab` without its last term: the arena, the spans, and the
+/// `vocab` without its last term: the arena, the spans, and the
 /// interner's hit/miss counters, with the last span and its text cut.
 fn drop_last_term(bytes: &[u8]) -> Vec<u8> {
     let mut r = ByteReader::new(bytes);
@@ -619,12 +675,12 @@ fn drop_last_term(bytes: &[u8]) -> Vec<u8> {
 }
 
 /// Checksum-valid snapshots whose sources break what restore's rebuild
-/// indexes into — a row naming a symbol past its shard's vocabulary, a
-/// counted row naming a term twice, a shard holding one document too
-/// many or too few or another shard's document, a shard string missing
-/// from `merged.vocab` — or that carry the previous `STATE_VERSION`, are
-/// refused with a typed error naming the section, never restored into an
-/// index whose merge or publish would panic.
+/// indexes into — a row naming a symbol past the vocabulary, a counted
+/// row naming a term twice, one document too many or too few, document
+/// ids out of order, a vocabulary missing a term the cache names — or
+/// that carry the previous `STATE_VERSION`, are refused with a typed
+/// error naming the section, never restored into an index whose publish
+/// would panic.
 #[test]
 fn shard_sources_breaking_the_rebuild_are_refused_as_corrupt() {
     let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
@@ -654,58 +710,52 @@ fn shard_sources_breaking_the_rebuild_are_refused_as_corrupt() {
     let cases: [(&str, &str, Damage); 9] = [
         (
             "contextualized row past the vocabulary",
-            "shard1.ctx_rows",
+            "ctx_rows",
             past_vocabulary,
         ),
-        (
-            "term row past the vocabulary",
-            "shard0.doc_terms",
-            past_vocabulary,
-        ),
-        (
-            "contextualized row naming a term twice",
-            "shard0.ctx_rows",
-            |b| {
-                let mut rows = rows_of(b);
-                let row = rows
-                    .iter_mut()
-                    .find(|r| !r.is_empty())
-                    .expect("a non-empty row");
-                row.insert(0, row[0]);
-                rows_bytes(&rows)
-            },
-        ),
+        ("term row past the vocabulary", "doc_terms", past_vocabulary),
+        ("contextualized row naming a term twice", "ctx_rows", |b| {
+            let mut rows = rows_of(b);
+            let row = rows
+                .iter_mut()
+                .find(|r| !r.is_empty())
+                .expect("a non-empty row");
+            row.insert(0, row[0]);
+            rows_bytes(&rows)
+        }),
         (
             "I(d) list past the vocabulary",
-            "shard0.important",
+            "important",
             past_vocabulary,
         ),
-        ("one document too many", "shard0.docs", |b| {
+        ("one document too many", "docs", |b| {
             let mut docs = docs_of(b);
             let mut extra = docs.last().expect("a document").clone();
-            extra.0 += 2;
+            extra.0 += 1;
             docs.push(extra);
             docs_bytes(&docs)
         }),
-        ("a document of another shard", "shard0.docs", |b| {
+        ("document ids out of order", "docs", |b| {
             let mut docs = docs_of(b);
-            docs.last_mut().expect("a document").0 += 1;
+            let first = docs[0].0;
+            docs[0].0 = docs[1].0;
+            docs[1].0 = first;
             docs_bytes(&docs)
         }),
-        ("one document too few", "shard1.docs", |b| {
+        ("one document too few", "docs", |b| {
             let mut docs = docs_of(b);
             docs.pop();
             docs_bytes(&docs)
         }),
         (
-            "shard string missing from merged.vocab",
-            "merged.vocab",
+            "vocabulary missing a term the cache names",
+            "vocab",
             drop_last_term,
         ),
-        ("a version-2 snapshot", "meta", |b| {
-            let mut v2 = 2u32.to_le_bytes().to_vec();
-            v2.extend_from_slice(&b[4..]);
-            v2
+        ("a version-3 snapshot", "meta", |b| {
+            let mut v3 = 3u32.to_le_bytes().to_vec();
+            v3.extend_from_slice(&b[4..]);
+            v3
         }),
     ];
     for (what, section, damage) in cases {
@@ -723,10 +773,14 @@ fn shard_sources_breaking_the_rebuild_are_refused_as_corrupt() {
         bad_store
             .publish_snapshot(&bad)
             .expect("publish damaged snapshot");
+        // A truncated vocabulary is well-formed on its own: the first
+        // section to name its missing last term (a context term) is
+        // refused, and restore decodes the cache before any row naming it.
+        let refused = if section == "vocab" { "cache" } else { section };
         let res = CachedResource::new(WikiGraphResource::new(&graph));
         match ShardedFacetIndex::open_from(&bad_store, 2, vec![&ne], vec![&res], options()) {
-            Err(StoreError::CorruptSection { section: got }) => assert_eq!(got, section, "{what}"),
-            Err(e) => panic!("{what}: expected corrupt {section}, got: {e}"),
+            Err(StoreError::CorruptSection { section: got }) => assert_eq!(got, refused, "{what}"),
+            Err(e) => panic!("{what}: expected corrupt {refused}, got: {e}"),
             Ok(_) => panic!("{what}: the snapshot must be refused"),
         }
         fs::remove_dir_all(&bad_dir).ok();
