@@ -12,7 +12,7 @@ use crate::browse::BrowseEngine;
 use crate::hierarchy::FacetForest;
 use crate::selection::FacetCandidate;
 use facet_resources::ExpansionError;
-use facet_textkit::{FrozenVocabulary, RowStore};
+use facet_textkit::{Fnv1a, FrozenVocabulary, RowStore};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -183,34 +183,27 @@ impl FacetSnapshot {
     /// their terms were interned in — across worker counts and append
     /// splits, and across crash recovery (`tests/recovery.rs`).
     pub fn digest(&self) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(&self.generation.to_le_bytes());
+        let mut hash = Fnv1a::new();
+        hash.write(&self.generation.to_le_bytes());
         for c in &self.candidates {
-            eat(b"c\x1f");
-            eat(self.vocab.try_term(c.term).unwrap_or("").as_bytes());
-            eat(&c.df.to_le_bytes());
-            eat(&c.df_c.to_le_bytes());
-            eat(&c.score.to_bits().to_le_bytes());
+            hash.write(b"c\x1f");
+            hash.write(self.vocab.try_term(c.term).unwrap_or("").as_bytes());
+            hash.write(&c.df.to_le_bytes());
+            hash.write(&c.df_c.to_le_bytes());
+            hash.write(&c.score.to_bits().to_le_bytes());
         }
         for (parent, child) in self.forest().edges() {
-            eat(b"e\x1f");
-            eat(parent.as_bytes());
-            eat(b"\x1f");
-            eat(child.as_bytes());
+            hash.write(b"e\x1f");
+            hash.write(parent.as_bytes());
+            hash.write(b"\x1f");
+            hash.write(child.as_bytes());
         }
         for (term, failed) in self.degraded.iter() {
-            eat(b"d\x1f");
-            eat(term.as_bytes());
+            hash.write(b"d\x1f");
+            hash.write(term.as_bytes());
             for f in failed {
-                eat(b"\x1f");
-                eat(f.as_bytes());
+                hash.write(b"\x1f");
+                hash.write(f.as_bytes());
             }
         }
         let mut strings: Vec<&str> = Vec::new();
@@ -218,13 +211,13 @@ impl FacetSnapshot {
             strings.clear();
             strings.extend(row.iter().map(|t| self.vocab.try_term(*t).unwrap_or("")));
             strings.sort_unstable();
-            eat(b"r");
+            hash.write(b"r");
             for t in &strings {
-                eat(b"\x1f");
-                eat(t.as_bytes());
+                hash.write(b"\x1f");
+                hash.write(t.as_bytes());
             }
         }
-        hash
+        hash.finish()
     }
 
     /// Assemble a snapshot from its parts, gathering the browse engine's
@@ -265,9 +258,8 @@ pub struct AppendStats {
     /// Distinct important terms of this append answered from the
     /// expansion cache.
     pub reused_terms: usize,
-    /// Queries that actually reached the wrapped resources during this
-    /// append: one per new distinct important term per resource that
-    /// answered.
+    /// Queries this append sent the resources that they answered: one
+    /// per new distinct important term per resource that answered.
     pub resource_queries: u64,
     /// The generation of the snapshot this append published.
     pub generation: u64,

@@ -53,7 +53,7 @@ use facet_resources::{
 use facet_store::bytes::{ByteReader, ByteWriter};
 use facet_store::{FacetStore, RecoveryReport, SnapshotPayload, StoreError, WalRecord};
 use facet_termx::TermExtractor;
-use facet_textkit::{Interner, RowStore, TermId, Vocabulary};
+use facet_textkit::{RowStore, TermId, Vocabulary};
 use std::collections::BTreeMap;
 
 /// Version of the section *contents* (the store's `FORMAT_VERSION`
@@ -171,15 +171,15 @@ fn dec_docs(r: &mut ByteReader<'_>) -> Option<Vec<Document>> {
     Some(out)
 }
 
-/// The interner round-trips through its raw parts; `Interner::from_parts`
-/// replays the exact progressive table growth, so a restored vocabulary
-/// interns future terms byte-identically to the live one it mirrors.
+/// The vocabulary round-trips through its raw parts;
+/// [`Vocabulary::from_parts`] replays the exact progressive table growth,
+/// so a restored vocabulary interns future terms byte-identically to the
+/// live one it mirrors.
 fn enc_vocab(w: &mut ByteWriter, vocab: &Vocabulary) {
-    let interner = vocab.as_interner();
     let stats = vocab.stats();
-    w.str(interner.arena());
-    w.u64(interner.spans().len() as u64);
-    for (s, e) in interner.spans() {
+    w.str(vocab.arena());
+    w.u64(vocab.spans().len() as u64);
+    for (s, e) in vocab.spans() {
         w.u32(*s);
         w.u32(*e);
     }
@@ -198,8 +198,7 @@ fn dec_vocab(r: &mut ByteReader<'_>) -> Option<Vocabulary> {
     }
     let hits = r.u64()?;
     let misses = r.u64()?;
-    let interner = Interner::from_parts(arena, spans, hits, misses)?;
-    Some(Vocabulary::from_interner(interner))
+    Vocabulary::from_parts(arena, spans, hits, misses)
 }
 
 /// Cache entries are encoded in term-id order — the backing map does not

@@ -17,7 +17,7 @@
 //!   for every worker count and arrival order.
 //! * **Query-signature cache.** [`ServeHandle::browse`] hashes the
 //!   normalized query terms — keyed by [`TermId`] through the snapshot's
-//!   frozen interner — together with the snapshot generation, and serves
+//!   frozen vocabulary — together with the snapshot generation, and serves
 //!   repeated queries from the cached [`BrowseResult`] with zero
 //!   re-selection. A generation bump (append or repair) invalidates by
 //!   construction: old-generation entries can never match a new-
@@ -33,7 +33,7 @@ use crate::index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
 use crate::shard::ShardedFacetIndex;
 use facet_corpus::Document;
 use facet_obs::Recorder;
-use facet_textkit::{FrozenVocabulary, TermId};
+use facet_textkit::{Fnv1a, FrozenVocabulary, TermId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -133,37 +133,20 @@ pub fn normalize_query(query: &[&str]) -> Vec<String> {
     terms
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
 /// The query signature: FNV-1a over the snapshot generation and the
-/// normalized terms keyed by [`TermId`] through the frozen interner
+/// normalized terms keyed by [`TermId`] through the frozen vocabulary
 /// (terms unknown to the snapshot hash their bytes under a distinct
 /// tag, so "known id 7" can never collide with an unknown string).
 fn signature(generation: u64, normalized: &[String], vocab: &FrozenVocabulary) -> u64 {
-    let mut hash = FNV_OFFSET;
-    fnv1a(&mut hash, &generation.to_le_bytes());
+    let mut hash = Fnv1a::new();
+    hash.write(&generation.to_le_bytes());
     for term in normalized {
         match vocab.get(term) {
-            Some(id) => {
-                fnv1a(&mut hash, &[0x01]);
-                fnv1a(&mut hash, &id.0.to_le_bytes());
-            }
-            None => {
-                fnv1a(&mut hash, &[0x00]);
-                fnv1a(&mut hash, term.as_bytes());
-                fnv1a(&mut hash, &[0xff]);
-            }
-        }
+            Some(id) => hash.write(&[0x01]).write(&id.0.to_le_bytes()),
+            None => hash.write(&[0x00]).write(term.as_bytes()).write(&[0xff]),
+        };
     }
-    hash
+    hash.finish()
 }
 
 /// Answer a query through the snapshot's browse engine, bypassing the

@@ -31,10 +31,10 @@
 //!    once. After the last window the batch's `I(d)` lists are interned,
 //!    in document order.
 //! 3. **Expand.** Important terms the cache has not seen are resolved on
-//!    `workers` threads, through one shared [`CachedResource`] per
-//!    resource; their context terms are interned serially in symbol
-//!    order, and each new document's contextualized row is appended,
-//!    delta-updating `df_C` and the postings.
+//!    `workers` threads, each term by one query per resource; their
+//!    context terms are interned serially in id order, and each new
+//!    document's contextualized row is appended, delta-updating `df_C`
+//!    and the postings.
 //! 4. **Publish.** Selection reranks the tables in time linear in the
 //!    vocabulary: rank bins come from one frequency histogram per table,
 //!    not a sort, and only the top k are sorted (see
@@ -84,7 +84,7 @@ use facet_corpus::{DocId, Document, TextDatabase};
 use facet_obs::{Recorder, SpanContext};
 use facet_resources::{
     expand_append_recorded, intern_important_terms, repair_degraded_recorded, CacheStats,
-    CachedResource, ContextResource, ContextualizedDatabase, ExpansionCache, ExpansionOptions,
+    ContextResource, ContextualizedDatabase, ExpansionCache, ExpansionOptions,
 };
 use facet_termx::{extract_important_terms, TermExtractor};
 use facet_textkit::{InternStats, RowStore, TermId, Vocabulary};
@@ -125,10 +125,10 @@ type Termed = (TermStrings, Vec<String>);
 /// ```
 pub struct ShardedFacetIndex<'a> {
     extractors: Vec<&'a dyn TermExtractor>,
-    /// One shared memo per external resource, in front of the expansion
-    /// workers; its miss counts are the queries that reached the
-    /// resource.
-    shared: Vec<CachedResource<&'a dyn ContextResource>>,
+    resources: Vec<&'a dyn ContextResource>,
+    /// Per resource, the queries this index sent it (see
+    /// [`ShardedFacetIndex::resource_cache_stats`]). Never persisted.
+    queries: Vec<CacheStats>,
     pub(crate) options: PipelineOptions,
     pub(crate) statistic: SelectionStatistic,
     recorder: Recorder,
@@ -180,7 +180,15 @@ impl<'a> ShardedFacetIndex<'a> {
         ));
         Self {
             extractors,
-            shared: resources.into_iter().map(CachedResource::new).collect(),
+            queries: vec![
+                CacheStats {
+                    hits: 0,
+                    misses: 0,
+                    failures: 0
+                };
+                resources.len()
+            ],
+            resources,
             options,
             statistic: SelectionStatistic::LogLikelihood,
             recorder: Recorder::disabled(),
@@ -260,14 +268,41 @@ impl<'a> ShardedFacetIndex<'a> {
         self.cache.len()
     }
 
-    /// Hit/miss totals of the shared per-resource caches, in resource
-    /// order. The miss counts are exactly the queries that reached the
-    /// wrapped resources.
+    /// The queries this index sent each resource, in resource order:
+    /// `misses` counts the ones that succeeded and `failures` the ones
+    /// that failed. `hits` is always 0: the expansion cache resolves
+    /// each distinct term once, so no query is ever repeated to be
+    /// answered from a memo. A repair re-queries every resource of a
+    /// degraded term. The counts start at 0 on a restored index.
     pub fn resource_cache_stats(&self) -> Vec<CacheStats> {
-        self.shared.iter().map(CachedResource::stats).collect()
+        self.queries.clone()
     }
 
-    /// Interner hit/miss/len counters of the index's vocabulary (the
+    /// Per resource, the degraded terms whose provenance names it.
+    fn failing_terms(&self) -> Vec<u64> {
+        let degraded = self.ctx.degraded();
+        self.resources
+            .iter()
+            .map(|r| {
+                let names = |failed: &&Vec<String>| failed.iter().any(|f| f == r.name());
+                degraded.values().filter(names).count() as u64
+            })
+            .collect()
+    }
+
+    /// Count `terms` queries to every resource, `failed[i]` of which
+    /// failed on resource `i`; returns the successful ones.
+    fn count_queries(&mut self, terms: usize, failed: &[u64]) -> u64 {
+        let mut answered = 0;
+        for (q, &f) in self.queries.iter_mut().zip(failed) {
+            q.misses += terms as u64 - f;
+            q.failures += f;
+            answered += terms as u64 - f;
+        }
+        answered
+    }
+
+    /// Hit/miss/len counters of the index's vocabulary (the
     /// `textkit.intern.*` metrics `perfbench` reports): every corpus,
     /// `I(d)` and context term the index interned.
     pub fn intern_stats(&self) -> InternStats {
@@ -349,7 +384,7 @@ impl<'a> ShardedFacetIndex<'a> {
         let intern_before = self.vocab.stats();
         let start = self.db.len();
         let docs = batch.len();
-        let queries_before: u64 = self.shared.iter().map(|c| c.stats().misses).sum();
+        let failing_before = self.failing_terms();
 
         // ---- extract (parallel) and ingest (serial), window by window ---
         let extract = important.is_none();
@@ -382,16 +417,11 @@ impl<'a> ShardedFacetIndex<'a> {
         // ---- expand ------------------------------------------------------
         let outcome = {
             let _span = recorder.span("expand");
-            let resources: Vec<&dyn ContextResource> = self
-                .shared
-                .iter()
-                .map(|c| c as &dyn ContextResource)
-                .collect();
             expand_append_recorded(
                 &self.db,
                 start..start + docs,
                 &new_important,
-                &resources,
+                &self.resources,
                 &mut self.vocab,
                 &ExpansionOptions { threads: workers },
                 &recorder,
@@ -405,7 +435,15 @@ impl<'a> ShardedFacetIndex<'a> {
         self.index_rows(start);
         self.publish(self.generation + 1, outcome.rows_copied);
 
-        let queries_after: u64 = self.shared.iter().map(|c| c.stats().misses).sum();
+        // A fresh term is not degraded before its resolution, so the
+        // provenance this append added names exactly its failed queries.
+        let failed: Vec<u64> = self
+            .failing_terms()
+            .into_iter()
+            .zip(failing_before)
+            .map(|(after, before)| after.saturating_sub(before))
+            .collect();
+        let resource_queries = self.count_queries(outcome.new_distinct_terms, &failed);
         let intern_after = self.vocab.stats();
         self.recorder
             .add("intern.hits", intern_after.hits - intern_before.hits);
@@ -426,7 +464,7 @@ impl<'a> ShardedFacetIndex<'a> {
             docs,
             new_distinct_terms: outcome.new_distinct_terms,
             reused_terms: outcome.reused_terms,
-            resource_queries: queries_after - queries_before,
+            resource_queries,
             generation: self.generation,
         })
     }
@@ -500,20 +538,19 @@ impl<'a> ShardedFacetIndex<'a> {
     pub fn repair(&mut self) -> Result<RepairStats, IndexError> {
         let recorder = self.recorder.clone();
         let _span = recorder.span("repair");
-        let resources: Vec<&dyn ContextResource> = self
-            .shared
-            .iter()
-            .map(|c| c as &dyn ContextResource)
-            .collect();
         let outcome = repair_degraded_recorded(
             &self.db,
             &self.important,
-            &resources,
+            &self.resources,
             &mut self.vocab,
             &recorder,
             &mut self.cache,
             &mut self.ctx,
         )?;
+        // Every degraded term was re-queried, and only the ones still
+        // failing stay degraded, with the failures of this pass.
+        let failed = self.failing_terms();
+        self.count_queries(outcome.requeried_terms, &failed);
         if outcome.requeried_terms > 0 {
             self.reindex_and_publish(self.generation + 1);
             self.recorder.incr("repair.snapshot_swaps");
@@ -577,7 +614,7 @@ impl<'a> ShardedFacetIndex<'a> {
             );
             span.attr("terms", self.vocab.len() as u64);
             span.attr("candidates", found.len() as u64);
-            rank_stable(found, self.options.top_k, frozen.as_vocabulary())
+            rank_stable(found, self.options.top_k, &frozen)
         };
         let rows = self.ctx.rows();
         let forest = {
@@ -894,6 +931,50 @@ pub(crate) mod tests {
             assert_eq!(stats.requeried_terms, 0);
             assert_eq!(stats.generation, repaired.generation());
         }
+    }
+
+    /// [`CountingResource`] under another name.
+    struct Renamed(CountingResource);
+    impl ContextResource for Renamed {
+        fn name(&self) -> &'static str {
+            "Renamed"
+        }
+        fn context_terms(&self, term: &str) -> Vec<String> {
+            self.0.context_terms(term)
+        }
+    }
+
+    #[test]
+    fn query_counts_split_successes_from_failures() {
+        let e = FixedExtractor;
+        let faulty = facet_resources::FaultyResource::new(
+            CountingResource::new(),
+            facet_resources::FaultPlan::seeded(7, 1000),
+            facet_resources::VirtualClock::new(),
+        );
+        let other = Renamed(CountingResource::new());
+        let mut index = ShardedFacetIndex::new(2, vec![&e], vec![&faulty, &other], options());
+        let counts = |index: &ShardedFacetIndex<'_>| -> Vec<(u64, u64, u64)> {
+            let stats = index.resource_cache_stats();
+            stats
+                .iter()
+                .map(|s| (s.hits, s.misses, s.failures))
+                .collect()
+        };
+        // Three fresh entities: every query to the faulty resource fails.
+        let stats = index.append(corpus(8)).unwrap();
+        assert_eq!(stats.resource_queries, 3);
+        assert_eq!(counts(&index), vec![(0, 0, 3), (0, 3, 0)]);
+
+        // Repair re-queries every resource of each degraded term.
+        faulty.heal();
+        assert_eq!(index.repair().unwrap().repaired_terms, 3);
+        assert_eq!(counts(&index), vec![(0, 3, 3), (0, 6, 0)]);
+        assert_eq!(other.0.queries.load(Ordering::SeqCst), 6);
+
+        // Answered terms are not queried again.
+        assert_eq!(index.append(corpus(4)).unwrap().resource_queries, 0);
+        assert_eq!(counts(&index), vec![(0, 3, 3), (0, 6, 0)]);
     }
 
     #[test]

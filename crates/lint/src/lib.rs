@@ -204,8 +204,8 @@ pub fn explain(rule: &str) -> Option<String> {
         }
         "D4" => {
             "String-keyed maps in hot paths allocate on build-up and hash/compare \
-             byte-by-byte on every probe. Intern the keys (facet_textkit::Interner) \
-             and index a dense SymTable/Vec by symbol; serving-edge and \
+             byte-by-byte on every probe. Intern the keys (facet_textkit::Vocabulary) \
+             and index a dense SymTable/Vec by term id; serving-edge and \
              backend-boundary maps that intentionally materialize strings are \
              annotated instead."
         }

@@ -497,9 +497,9 @@ fn unseeded_rng(tokens: &[Token], out: &mut Vec<(&'static str, u32, u32, String)
 
 /// Flag `HashMap<String, _>` / `BTreeMap<String, _>` type positions in
 /// the determinism-critical crates. Owned-`String` map keys allocate on
-/// build-up and hash/compare byte-by-byte on every probe; the interner
-/// refactor (DESIGN.md §16) replaces them with `facet_textkit::Interner`
-/// plus a dense `SymTable`/`Vec` indexed by symbol. Advisory (warn) by
+/// build-up and hash/compare byte-by-byte on every probe; the interning
+/// refactor (DESIGN.md §16) replaces them with `facet_textkit::Vocabulary`
+/// plus a dense `SymTable`/`Vec` indexed by term id. Advisory (warn) by
 /// policy: serving-edge and backend-boundary maps that intentionally
 /// materialize strings stay as they are — the warning is the backlog,
 /// not a failure. Borrowed `&str` keys are not flagged (zero-copy,
@@ -526,8 +526,8 @@ fn string_keyed_map(tokens: &[Token], out: &mut Vec<(&'static str, u32, u32, Str
                 t.col,
                 format!(
                     "`{}<String, _>` in a hot path: intern the keys \
-                     (facet_textkit::Interner) and index a dense SymTable/Vec \
-                     by symbol, or annotate if this is a serving-edge or \
+                     (facet_textkit::Vocabulary) and index a dense SymTable/Vec \
+                     by term id, or annotate if this is a serving-edge or \
                      backend-boundary map",
                     t.text
                 ),

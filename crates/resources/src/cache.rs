@@ -7,9 +7,9 @@
 //! answered from memory. Resources are deterministic by contract
 //! ([`ContextResource`]), so caching is transparent.
 //!
-//! The memo is safe to share across threads — the index hangs one
-//! `CachedResource` per resource in front of its expansion workers — and it
-//! guarantees the wrapped resource is queried **exactly once per distinct
+//! The memo is safe to share across threads — the grid's 20 indexes
+//! share one per resource, each resolving terms on its own expansion
+//! workers — and it guarantees the wrapped resource is queried **exactly once per distinct
 //! term that resolves successfully** no matter how many threads race on
 //! it: each term owns a slot whose state machine (idle → in-flight →
 //! ready) admits one querying thread at a time, so concurrent callers of
@@ -28,12 +28,13 @@
 //! outage could permanently latch an empty result for a term.)
 
 use crate::resource::{ContextResource, ResourceError};
-use facet_textkit::Interner;
+use facet_textkit::Vocabulary;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Hit/miss/failure totals of a [`CachedResource`], as observed so far.
+/// Hit/miss/failure totals of a [`CachedResource`], as observed so far
+/// (also the per-resource query counts an index reports, with no hits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the memo (including callers that blocked on
@@ -85,13 +86,13 @@ impl TermSlot {
     }
 }
 
-/// The term → slot map: a deterministic [`Interner`] assigns each term a
-/// dense symbol, and `slots[sym.index()]` holds its resolution slot. One
+/// The term → slot map: a deterministic [`Vocabulary`] assigns each term
+/// a dense id, and `slots[id.index()]` holds its resolution slot. One
 /// arena and one `Vec` replace the old `HashMap<String, Arc<TermSlot>>`
 /// — no per-term key `String`s, and the latch is effectively keyed by
-/// symbol.
+/// term id.
 struct SlotMap {
-    interner: Interner,
+    terms: Vocabulary,
     slots: Vec<Arc<TermSlot>>,
 }
 
@@ -112,7 +113,7 @@ impl<R: ContextResource> CachedResource<R> {
         Self {
             inner,
             cache: RwLock::new(SlotMap {
-                interner: Interner::new(),
+                terms: Vocabulary::new(),
                 slots: Vec::new(),
             }),
             hits: AtomicU64::new(0),
@@ -124,7 +125,7 @@ impl<R: ContextResource> CachedResource<R> {
     /// Number of terms with a resolution slot (memoized, in flight, or
     /// awaiting retry after a failure).
     pub fn cached_queries(&self) -> usize {
-        self.cache.read().interner.len()
+        self.cache.read().terms.len()
     }
 
     /// Hit/miss/failure totals so far.
@@ -143,22 +144,22 @@ impl<R: ContextResource> CachedResource<R> {
 
     fn slot_for(&self, term: &str) -> Arc<TermSlot> {
         // Fast path: the term's slot already exists — a short read lock
-        // and a symbol lookup suffice.
+        // and an id lookup suffice.
         {
             let cache = self.cache.read();
-            if let Some(sym) = cache.interner.get(term) {
-                return Arc::clone(&cache.slots[sym.index()]);
+            if let Some(id) = cache.terms.get(term) {
+                return Arc::clone(&cache.slots[id.index()]);
             }
         }
         // Double-check under the write lock: another thread may have
         // interned the term between our read and write (then `intern`
         // is a hit and no slot is pushed).
         let mut cache = self.cache.write();
-        let sym = cache.interner.intern(term);
-        if sym.index() == cache.slots.len() {
+        let id = cache.terms.intern(term);
+        if id.index() == cache.slots.len() {
             cache.slots.push(Arc::new(TermSlot::new()));
         }
-        Arc::clone(&cache.slots[sym.index()])
+        Arc::clone(&cache.slots[id.index()])
     }
 }
 

@@ -16,7 +16,7 @@
 //! identical results.
 //!
 //! Since the global-interner refactor the whole engine speaks
-//! [`TermId`] symbols: important terms arrive pre-interned
+//! [`TermId`]s: important terms arrive pre-interned
 //! ([`intern_important_terms`]), the [`ExpansionCache`] is a dense
 //! symbol-indexed table, and memoized context terms are stored as symbols
 //! — so the per-document hot path copies `u32`s out of the cache instead

@@ -22,6 +22,7 @@
 
 use crate::clock::VirtualClock;
 use crate::resource::{ContextResource, FaultKind, ResourceError};
+use facet_textkit::Fnv1a;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -73,22 +74,6 @@ impl FaultPlan {
     }
 }
 
-/// FNV-1a over the seed and the term bytes: cheap, deterministic, and
-/// with enough diffusion to decorrelate nearby seeds.
-fn fnv1a(seed: u64, term: &str, salt: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in seed
-        .to_le_bytes()
-        .iter()
-        .chain(term.as_bytes())
-        .chain(salt.to_le_bytes().iter())
-    {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The seeded schedule machinery behind [`FaultyResource`], factored out
 /// so other injectors — notably `facet-store`'s `FaultyStorage` — reuse
 /// the exact same deterministic draws instead of duplicating the FNV
@@ -138,10 +123,16 @@ impl FaultSchedule {
         self.seed
     }
 
-    /// The raw seeded FNV-1a draw for `(key, salt)` — the primitive all
-    /// derived quantities come from.
+    /// The raw seeded FNV-1a draw for `(key, salt)`, over the seed, key
+    /// and salt bytes — the primitive all derived quantities come from:
+    /// cheap, deterministic, and with enough diffusion to decorrelate
+    /// nearby seeds.
     pub fn draw(&self, key: &str, salt: u64) -> u64 {
-        fnv1a(self.seed, key, salt)
+        Fnv1a::new()
+            .write(&self.seed.to_le_bytes())
+            .write(key.as_bytes())
+            .write(&salt.to_le_bytes())
+            .finish()
     }
 
     /// Whether the schedule targets `key` — a pure function of

@@ -9,7 +9,7 @@
 //! context terms alongside the true facet terms.
 
 use crate::resource::ContextResource;
-use facet_textkit::{Sym, TokenKind};
+use facet_textkit::{TermId, TokenKind};
 use facet_websearch::SearchEngine;
 
 /// Frequent-snippet-term mining over the web-search substrate.
@@ -47,7 +47,7 @@ impl ContextResource for GoogleResource<'_> {
         }
         let index = self.engine.index();
         // A query word no page contains can never equal a snippet word.
-        let query_words: Vec<Sym> = term
+        let query_words: Vec<TermId> = term
             .to_lowercase()
             .split_whitespace()
             .filter_map(|w| index.sym(w))
@@ -60,7 +60,7 @@ impl ContextResource for GoogleResource<'_> {
         let mut hit_keys: Vec<u64> = Vec::new();
         for hit in &hits {
             hit_keys.clear();
-            let mut prev: Option<Sym> = None;
+            let mut prev: Option<TermId> = None;
             for (w, kind) in self.engine.snippet_tokens(hit) {
                 if kind != TokenKind::Word || !index.is_index_term(w) || query_words.contains(&w) {
                     prev = None;
@@ -98,7 +98,7 @@ impl ContextResource for GoogleResource<'_> {
                 }
             }
         }
-        let text = |word: u64| index.resolve(Sym(word as u32));
+        let text = |word: u64| index.resolve(TermId(word as u32));
         let mut ranked: Vec<(String, usize)> = counts
             .into_iter()
             .filter(|&(_, c)| c >= self.min_snippet_count)

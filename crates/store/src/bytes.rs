@@ -9,13 +9,18 @@
 //! panicking) covers the whole format.
 
 /// FNV-1a over a byte slice: the checksum primitive of the snapshot and
-/// WAL formats. Same constants as the seeded fault schedule and the
-/// interner hash — cheap, deterministic, and plenty for detecting the
-/// corruption the fault injector produces (bit flips, truncation, short
-/// writes), which is accidental, not adversarial.
+/// WAL formats. Same constants as `facet_textkit::Fnv1a`, which this
+/// crate does not import — cheap, deterministic, and plenty for
+/// detecting the corruption the fault injector produces (bit flips,
+/// truncation, short writes), which is accidental, not adversarial.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_parts(&[bytes])
+}
+
+/// [`fnv1a`] over the concatenation of `parts`, hashed in place.
+pub(crate) fn fnv1a_parts(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in parts.iter().copied().flatten() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }

@@ -16,7 +16,7 @@
 //! framing damage between sections. The payloads themselves are opaque
 //! here — `facet-core`'s persistence layer defines what goes in them.
 
-use crate::bytes::{fnv1a, ByteReader, ByteWriter};
+use crate::bytes::{fnv1a, fnv1a_parts, ByteReader, ByteWriter};
 use crate::error::StoreError;
 use crate::storage::Storage;
 use parking_lot::Mutex;
@@ -58,10 +58,7 @@ pub fn encode_snapshot(payload: &SnapshotPayload) -> Vec<u8> {
     for (name, bytes) in &payload.sections {
         w.str(name);
         w.bytes(bytes);
-        let mut sum = ByteWriter::new();
-        sum.raw(name.as_bytes());
-        sum.raw(bytes);
-        w.u64(fnv1a(&sum.finish()));
+        w.u64(fnv1a_parts(&[name.as_bytes(), bytes]));
     }
     let mut buf = w.finish();
     let trailer = fnv1a(&buf);
@@ -103,22 +100,16 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotPayload, StoreError> {
             .str()
             .ok_or_else(|| corrupt("unreadable section name"))?
             .to_string();
-        let payload = r
-            .bytes()
-            .ok_or_else(|| StoreError::CorruptSection {
-                section: name.clone(),
-            })?
-            .to_vec();
+        let payload = r.bytes().ok_or_else(|| StoreError::CorruptSection {
+            section: name.clone(),
+        })?;
         let sum = r.u64().ok_or_else(|| StoreError::CorruptSection {
             section: name.clone(),
         })?;
-        let mut check = ByteWriter::new();
-        check.raw(name.as_bytes());
-        check.raw(&payload);
-        if fnv1a(&check.finish()) != sum {
+        if fnv1a_parts(&[name.as_bytes(), payload]) != sum {
             return Err(StoreError::CorruptSection { section: name });
         }
-        sections.push((name, payload));
+        sections.push((name, payload.to_vec()));
     }
     if !r.is_empty() {
         return Err(corrupt("trailing bytes after the last section"));
@@ -242,6 +233,23 @@ mod tests {
                 ("empty".to_string(), Vec::new()),
             ],
         }
+    }
+
+    #[test]
+    fn two_section_payload_encodes_to_golden_bytes() {
+        // The FNV-1a of the whole file was computed before the section
+        // checksums were hashed in place: the bytes must not change.
+        let p = SnapshotPayload {
+            generation: 3,
+            sections: vec![
+                ("vocab".to_string(), b"political leaders".to_vec()),
+                ("cache".to_string(), vec![0, 1, 2, 0xff]),
+            ],
+        };
+        let bytes = encode_snapshot(&p);
+        assert_eq!(bytes.len(), 107);
+        assert_eq!(fnv1a(&bytes), 0xde63_d5ec_86a7_5f18);
+        assert_eq!(decode_snapshot(&bytes).expect("golden decodes"), p);
     }
 
     #[test]

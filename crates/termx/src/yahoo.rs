@@ -10,14 +10,12 @@
 
 use crate::extractor::TermExtractor;
 use facet_corpus::TextDatabase;
-use facet_textkit::{
-    is_stopword, normalize_term, tokens, Interner, SymTable, TokenKind, Vocabulary,
-};
+use facet_textkit::{is_stopword, normalize_term, tokens, SymTable, TokenKind, Vocabulary};
 
 /// tf·idf keyphrase extractor.
 pub struct YahooTermExtractor {
     /// Normalized reference-corpus terms, interned once at fit time.
-    terms: Interner,
+    terms: Vocabulary,
     /// Document frequency per interned term (dense, symbol-indexed).
     df: SymTable<u64>,
     /// Number of documents in the reference corpus.
@@ -29,7 +27,7 @@ pub struct YahooTermExtractor {
 impl YahooTermExtractor {
     /// Fit the extractor's idf table on a database.
     pub fn fit(db: &TextDatabase, vocab: &Vocabulary) -> Self {
-        let mut terms = Interner::new();
+        let mut terms = Vocabulary::new();
         let mut df = SymTable::new();
         for (id, term) in vocab.iter() {
             let f = db.df(id);
@@ -47,7 +45,7 @@ impl YahooTermExtractor {
 
     /// Construct from an explicit df table (for tests).
     pub fn from_table(entries: &[(&str, u64)], n_docs: u64) -> Self {
-        let mut terms = Interner::new();
+        let mut terms = Vocabulary::new();
         let mut df = SymTable::new();
         for &(term, f) in entries {
             df.insert(terms.intern(term), f);
@@ -77,10 +75,10 @@ impl TermExtractor for YahooTermExtractor {
 
     fn extract(&self, text: &str) -> Vec<String> {
         // Count unigrams and stopword-free bigrams in a per-document
-        // interner + dense count table (no String-keyed map in the per-
+        // vocabulary + dense count table (no String-keyed map in the per-
         // document hot path).
         let toks = tokens(text);
-        let mut seen = Interner::new();
+        let mut seen = Vocabulary::new();
         let mut tf: SymTable<u32> = SymTable::new();
         let mut prev: Option<String> = None;
         for t in &toks {
@@ -104,7 +102,7 @@ impl TermExtractor for YahooTermExtractor {
         let mut scored: Vec<(String, f64)> = tf
             .iter()
             .map(|(sym, &f)| {
-                let term = seen.resolve(sym);
+                let term = seen.term(sym);
                 let phrase_boost = if term.contains(' ') { 1.35 } else { 1.0 };
                 let score = f as f64 * self.idf(term) * phrase_boost;
                 (term.to_string(), score)

@@ -14,13 +14,14 @@
 //! * [`stem`] — a full Porter stemmer,
 //! * [`stopwords`] — a standard English stopword list,
 //! * [`phrase`] — n-gram and capitalized-phrase iterators,
-//! * [`sym`] — the global arena-backed term interner ([`Sym`], [`Interner`],
-//!   [`FrozenInterner`], dense [`SymTable`] maps),
-//! * [`vocab`] — an interning vocabulary mapping terms to dense [`TermId`]s
-//!   (a facade over [`sym`]),
+//! * [`vocab`] — the arena-backed vocabulary mapping terms to dense
+//!   [`TermId`]s ([`Vocabulary`], its [`FrozenVocabulary`] snapshots,
+//!   dense [`SymTable`] maps),
 //! * [`rows`] — append-only per-document term rows in `Arc`-shared
 //!   chunks ([`RowStore`]),
-//! * [`zipf`] — Zipfian samplers used by the synthetic corpus generators.
+//! * [`zipf`] — Zipfian samplers used by the synthetic corpus generators,
+//! * [`Fnv1a`] — the streaming FNV-1a hash behind the vocabulary, the
+//!   snapshot digest, query signatures and fault schedules.
 //!
 //! Everything here is written from scratch with no external NLP
 //! dependencies, so the whole reproduction is self-contained.
@@ -29,7 +30,6 @@ pub mod phrase;
 pub mod rows;
 pub mod stem;
 pub mod stopwords;
-pub mod sym;
 pub mod tokenize;
 pub mod vocab;
 pub mod zipf;
@@ -38,10 +38,50 @@ pub use phrase::{ngrams, proper_noun_phrases};
 pub use rows::RowStore;
 pub use stem::porter_stem;
 pub use stopwords::is_stopword;
-pub use sym::{FrozenInterner, InternStats, Interner, Sym, SymTable};
 pub use tokenize::{sentences, tokens, Token, TokenKind};
-pub use vocab::{FrozenVocabulary, TermId, Vocabulary};
+pub use vocab::{FrozenVocabulary, InternStats, SymTable, TermId, Vocabulary};
 pub use zipf::Zipf;
+
+/// Streaming 64-bit FNV-1a: deterministic across processes and runs,
+/// unlike `std`'s seeded `RandomState`. Feeding bytes in pieces hashes
+/// exactly as feeding their concatenation.
+///
+/// ```
+/// use facet_textkit::Fnv1a;
+/// let mut h = Fnv1a::new();
+/// h.write(b"facet ").write(b"terms");
+/// assert_eq!(h.finish(), Fnv1a::new().write(b"facet terms").finish());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fnv1a {
+    /// The hash of no bytes (the 64-bit FNV offset basis).
+    pub const fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feed `bytes`.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// The hash of every byte fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Normalize a raw term for frequency counting: lowercase and collapse
 /// internal whitespace. Multi-word phrases stay phrases ("Jacques Chirac"
@@ -95,6 +135,19 @@ mod tests {
         assert_eq!(out, "kept g8 summit");
         normalize_term_into("   ", &mut out);
         assert_eq!(out, "kept g8 summit");
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv1a::new().write(b"a").finish(), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            Fnv1a::new().write(b"foobar").finish(),
+            0x8594_4171_f739_67e8
+        );
+        let mut pieces = Fnv1a::new();
+        pieces.write(b"foo").write(b"").write(b"bar");
+        assert_eq!(pieces, *Fnv1a::new().write(b"foobar"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::index::{index_terms, InvertedIndex, WebDocId, WebPage};
 use crate::rank::{bm25_rank, Bm25Params};
 use facet_obs::{Counter, HistogramHandle, Recorder};
-use facet_textkit::{tokens, Sym, TokenKind};
+use facet_textkit::{tokens, TermId, TokenKind};
 use std::ops::Range;
 
 /// One search result.
@@ -82,7 +82,7 @@ impl SearchEngine {
         // times the query, a noop handle runs it untimed.
         self.latency.time_if(|| {
             // A query term no page contains can neither score nor hit.
-            let q_syms: Vec<Sym> = index_terms(query)
+            let q_syms: Vec<TermId> = index_terms(query)
                 .iter()
                 .filter_map(|t| self.index.sym(t))
                 .collect();
@@ -100,7 +100,7 @@ impl SearchEngine {
     /// The snippet window for `doc`: `snippet_radius` tokens on each side
     /// of the first token whose lowercase text is a query term; the page
     /// start if nothing matches.
-    fn snippet(&self, doc: WebDocId, q_syms: &[Sym]) -> Range<u32> {
+    fn snippet(&self, doc: WebDocId, q_syms: &[TermId]) -> Range<u32> {
         let page = self.index.page_tokens(doc);
         let hit = page
             .clone()
@@ -121,7 +121,10 @@ impl SearchEngine {
     /// symbol is that of its [`facet_textkit::normalize_term`] text (look
     /// it up with [`InvertedIndex::resolve`] and
     /// [`InvertedIndex::is_index_term`]).
-    pub fn snippet_tokens(&self, hit: &SearchHit) -> impl Iterator<Item = (Sym, TokenKind)> + '_ {
+    pub fn snippet_tokens(
+        &self,
+        hit: &SearchHit,
+    ) -> impl Iterator<Item = (TermId, TokenKind)> + '_ {
         self.index.folded_tokens(hit.snippet.clone())
     }
 

@@ -1,6 +1,6 @@
 //! Web pages, their token tables, and the inverted index.
 
-use facet_textkit::{is_stopword, normalize_term, tokens, Interner, Sym, TokenKind};
+use facet_textkit::{is_stopword, normalize_term, tokens, TermId, TokenKind, Vocabulary};
 use std::ops::Range;
 
 /// Index of a page in the web corpus.
@@ -75,7 +75,7 @@ struct SymInfo {
 ///
 /// Each page's full text is tokenized once, at build. Every token's
 /// lowercase text — stopwords, numbers and punctuation included — is
-/// interned into one arena [`Interner`]; the token table keeps each
+/// interned into one arena [`Vocabulary`]; the token table keeps each
 /// token's symbol (the i-th entry of a page is the i-th token of
 /// [`tokens`] over its [`WebPage::full_text`]), and the posting lists
 /// live in a dense symbol-indexed table built from the same pass. Only
@@ -83,7 +83,7 @@ struct SymInfo {
 /// [`InvertedIndex::vocabulary_size`] and [`InvertedIndex::iter`].
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
-    terms: Interner,
+    terms: Vocabulary,
     /// Per symbol: class and index-term flag.
     info: Vec<SymInfo>,
     /// Posting lists indexed by symbol (empty unless an index term).
@@ -91,14 +91,14 @@ pub struct InvertedIndex {
     /// Symbols with a non-empty posting list.
     vocabulary: usize,
     /// The lowercase symbol of every page's tokens, page after page.
-    tokens: Vec<Sym>,
+    tokens: Vec<TermId>,
     /// Page `d`'s tokens are `tokens[page_start[d]..page_start[d + 1]]`.
     page_start: Vec<u32>,
     /// `(token, symbol)` for the word tokens whose [`normalize_term`]
     /// text differs from their lowercase text, sorted by token. The two
     /// lowercasings disagree only on a word-final capital sigma, which
     /// `str::to_lowercase` maps to `ς` and a per-character fold to `σ`.
-    folded: Vec<(u32, Sym)>,
+    folded: Vec<(u32, TermId)>,
     doc_len: Vec<u32>,
     total_len: u64,
 }
@@ -115,7 +115,7 @@ impl InvertedIndex {
         // Per-symbol term frequency on the current page, and the index
         // terms it has touched so far (reset after each page).
         let mut tf: Vec<u32> = Vec::new();
-        let mut touched: Vec<Sym> = Vec::new();
+        let mut touched: Vec<TermId> = Vec::new();
         for page in pages {
             debug_assert_eq!(
                 page.id.index(),
@@ -176,7 +176,7 @@ impl InvertedIndex {
     }
 
     /// Intern `text` (a token's lowercase or folded text) of class `kind`.
-    fn intern(&mut self, text: &str, kind: TokenKind) -> Sym {
+    fn intern(&mut self, text: &str, kind: TokenKind) -> TermId {
         let sym = self.terms.intern(text);
         if sym.index() == self.info.len() {
             self.info.push(SymInfo {
@@ -191,24 +191,24 @@ impl InvertedIndex {
 
     /// The symbol of a token's lowercase (or folded) text, if any page
     /// has such a token.
-    pub fn sym(&self, text: &str) -> Option<Sym> {
+    pub fn sym(&self, text: &str) -> Option<TermId> {
         self.terms.get(text)
     }
 
     /// The text of a symbol from this index.
-    pub fn resolve(&self, sym: Sym) -> &str {
-        self.terms.resolve(sym)
+    pub fn resolve(&self, sym: TermId) -> &str {
+        self.terms.term(sym)
     }
 
     /// The lexical class of a symbol from this index.
-    fn kind(&self, sym: Sym) -> TokenKind {
+    fn kind(&self, sym: TermId) -> TokenKind {
         self.info[sym.index()].kind
     }
 
     /// True if `sym` is a word of two or more bytes that is not a
     /// stopword: the terms the index keeps postings for and the snippet
     /// miner counts.
-    pub fn is_index_term(&self, sym: Sym) -> bool {
+    pub fn is_index_term(&self, sym: TermId) -> bool {
         self.info[sym.index()].index_term
     }
 
@@ -218,7 +218,7 @@ impl InvertedIndex {
     }
 
     /// Postings for a symbol (empty unless it is an index term).
-    pub(crate) fn postings_of(&self, sym: Sym) -> &[Posting] {
+    pub(crate) fn postings_of(&self, sym: TermId) -> &[Posting] {
         &self.postings[sym.index()]
     }
 
@@ -266,7 +266,7 @@ impl InvertedIndex {
     }
 
     /// The lowercase symbol of the token at table position `token`.
-    pub(crate) fn token_sym(&self, token: u32) -> Sym {
+    pub(crate) fn token_sym(&self, token: u32) -> TermId {
         self.tokens[token as usize]
     }
 
@@ -276,7 +276,7 @@ impl InvertedIndex {
     pub(crate) fn folded_tokens(
         &self,
         window: Range<u32>,
-    ) -> impl Iterator<Item = (Sym, TokenKind)> + '_ {
+    ) -> impl Iterator<Item = (TermId, TokenKind)> + '_ {
         let mut folded = &self.folded[self.folded.partition_point(|&(t, _)| t < window.start)..];
         window.map(move |token| {
             let lower = self.token_sym(token);

@@ -1,7 +1,7 @@
 //! BM25 ranking over the inverted index.
 
 use crate::index::{InvertedIndex, WebDocId};
-use facet_textkit::Sym;
+use facet_textkit::TermId;
 
 /// BM25 parameters.
 #[derive(Debug, Clone, Copy)]
@@ -34,7 +34,7 @@ fn idf(n_docs: usize, df: usize) -> f64 {
 /// without sorting the rest.
 pub fn bm25_rank(
     index: &InvertedIndex,
-    query: &[Sym],
+    query: &[TermId],
     params: Bm25Params,
     k: usize,
 ) -> Vec<(WebDocId, f64)> {
@@ -113,7 +113,7 @@ mod tests {
     /// Rank the (string) query terms; unknown terms are dropped, as the
     /// engine does.
     fn rank(idx: &InvertedIndex, terms: &[&str], k: usize) -> Vec<(WebDocId, f64)> {
-        let syms: Vec<Sym> = terms.iter().filter_map(|t| idx.sym(t)).collect();
+        let syms: Vec<TermId> = terms.iter().filter_map(|t| idx.sym(t)).collect();
         bm25_rank(idx, &syms, Bm25Params::default(), k)
     }
 

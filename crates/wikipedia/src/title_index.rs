@@ -12,18 +12,18 @@
 
 use crate::page::{PageId, Wikipedia};
 use crate::redirects::RedirectTable;
-use facet_textkit::{is_stopword, tokens, Interner, SymTable, TokenKind};
+use facet_textkit::{is_stopword, tokens, SymTable, TokenKind, Vocabulary};
 
 /// A dictionary of page titles supporting longest-match extraction.
 ///
 /// Both the full normalized title keys and their first words are interned
-/// into one arena [`Interner`]; the page mapping and the first-word
+/// into one arena [`Vocabulary`]; the page mapping and the first-word
 /// length bound live in dense symbol-indexed [`SymTable`]s instead of
 /// `String`-keyed hash maps, so the extraction scan probes by symbol.
 #[derive(Debug)]
 pub struct TitleIndex {
     /// Shared arena for title keys and first words.
-    terms: Interner,
+    terms: Vocabulary,
     /// Symbol of the normalized title key → canonical page.
     map: SymTable<PageId>,
     /// Symbol of a first word → maximum title length (in words) starting
@@ -35,7 +35,7 @@ impl TitleIndex {
     /// Build the index over all page titles plus all redirect titles
     /// (redirects map to their target page).
     pub fn build(wiki: &Wikipedia, redirects: &RedirectTable) -> Self {
-        let mut terms = Interner::new();
+        let mut terms = Vocabulary::new();
         let mut map: SymTable<PageId> = SymTable::new();
         let mut first_word_max: SymTable<usize> = SymTable::new();
         let mut insert = |title: &str, page: PageId| {

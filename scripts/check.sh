@@ -22,9 +22,9 @@
 #                  and the paper-fidelity quality gate (QUALITY.json), the
 #                  chaos (fault-injection) suite, the trace-export determinism
 #                  smoke, the facet-lint workspace gate, and a release
-#                  build of the perfbench workspace (its own Cargo
-#                  workspace, so neither the root build nor the tests
-#                  compile it).
+#                  build of the perfbench workspace with --locked (its
+#                  own Cargo workspace, so neither the root build nor the
+#                  tests compile it).
 #   --trace-smoke  Run the seeded `instrumented_run --trace` scenario
 #                  twice and assert the Chrome trace-event exports are
 #                  byte-identical. Each run re-parses its trace through
@@ -138,7 +138,9 @@ if [[ "${1:-}" == "--tier1" ]]; then
     run_trace_smoke
     run_lint
     echo "== tier-1: perfbench build"
-    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    # --locked: a dependency change that would rewrite perfbench's
+    # committed Cargo.lock fails the gate instead of editing the lock.
+    cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
     echo "Tier-1 gate passed."
     exit 0
 fi

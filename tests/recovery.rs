@@ -652,7 +652,7 @@ fn docs_bytes(docs: &[DocFields]) -> Vec<u8> {
 }
 
 /// `vocab` without its last term: the arena, the spans, and the
-/// interner's hit/miss counters, with the last span and its text cut.
+/// vocabulary's hit/miss counters, with the last span and its text cut.
 fn drop_last_term(bytes: &[u8]) -> Vec<u8> {
     let mut r = ByteReader::new(bytes);
     let mut arena = r.str().expect("arena").to_string();
