@@ -82,10 +82,15 @@ impl From<facet_store::StoreError> for IndexError {
     }
 }
 
+/// Degraded-coverage provenance by term string: important term →
+/// resources that failed while resolving it, in resource order.
+// lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
+pub(crate) type DegradedMap = BTreeMap<String, Vec<String>>;
+
 /// An immutable view of the index at one generation.
 ///
-/// Snapshots are what readers hold: obtaining one is an `Arc` clone under
-/// a short read lock, and everything inside is frozen — the vocabulary is
+/// Snapshots are what readers hold: obtaining one is an `Arc` clone,
+/// and everything inside is frozen — the vocabulary is
 /// a [`FrozenVocabulary`], the document rows are a [`RowStore`] whose
 /// chunks the snapshot shares with the index (later appends write only
 /// to the index's own copy of the open chunk), the forest and its
@@ -100,12 +105,12 @@ pub struct FacetSnapshot {
     candidates: Vec<FacetCandidate>,
     /// The forest and its facet terms' postings.
     engine: BrowseEngine,
-    /// Degraded-coverage provenance at this generation: important term →
-    /// resources that failed while resolving it. Empty for a fault-free
-    /// build and after a complete
-    /// [`crate::shard::ShardedFacetIndex::repair`].
-    // lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
-    degraded: Arc<BTreeMap<String, Vec<String>>>,
+    /// Degraded-coverage provenance at this generation, built at publish
+    /// from the expansion cache's failed resolutions. Empty for a
+    /// fault-free build and after a complete
+    /// [`crate::shard::ShardedFacetIndex::repair`]. The next append
+    /// shares it when it resolves no term degraded.
+    pub(crate) degraded: Arc<DegradedMap>,
 }
 
 impl FacetSnapshot {
@@ -232,8 +237,7 @@ impl FacetSnapshot {
         candidates: Vec<FacetCandidate>,
         forest: FacetForest,
         postings: &[Vec<u32>],
-        // lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
-        degraded: Arc<BTreeMap<String, Vec<String>>>,
+        degraded: Arc<DegradedMap>,
     ) -> Self {
         let engine = BrowseEngine::from_postings(forest, doc_terms.len(), postings);
         Self {

@@ -7,26 +7,30 @@
 //! payloads* contain:
 //!
 //! * [`ShardedFacetIndex::persist_to`] encodes the index's *source*
-//!   state — the vocabulary (`vocab`), the documents (`docs`) and their
-//!   term rows (`doc_terms`), the expansion cache (`cache`), the
-//!   contextualized rows (`ctx_rows`), degradation provenance
-//!   (`degraded`) and the `I(d)` lists (`important`), plus `meta` — into
-//!   named, individually checksummed sections and publishes them as one
-//!   snapshot generation. Everything else — df and `df_C` tables,
-//!   postings, ranking, forest — restore recomputes.
+//!   state — the vocabulary (`vocab`), the documents' term rows
+//!   (`doc_terms`), the expansion cache with its degradation provenance
+//!   (`cache`), the contextualized rows (`ctx_rows`) and the `I(d)` lists
+//!   (`important`), plus `meta` — into six named, individually
+//!   checksummed sections and publishes them as one snapshot generation.
+//!   Everything else — df and `df_C` tables, postings, ranking, the
+//!   degraded map, forest — restore recomputes. No document text is
+//!   written: the index keeps none, and the caller owns it.
 //! * [`ShardedFacetIndex::append_logged`] /
 //!   [`ShardedFacetIndex::repair_logged`] wrap the live update paths
 //!   with WAL records: an append is logged *before* it is applied
 //!   (log-ahead — once the record is durable the batch survives a
 //!   crash), a repair is logged *after* it publishes (a no-op repair
-//!   publishes nothing and logs nothing).
+//!   publishes nothing and logs nothing). An append record holds the
+//!   batch's documents, so the WAL keeps each batch until the oldest
+//!   retained snapshot covers it and pruning drops the record.
 //! * [`ShardedFacetIndex::open_from`] recovers: load the newest snapshot
 //!   generation that verifies, decode the sections back into the index's
 //!   state (counting df and `df_C` from the rows), rebuild the postings
 //!   and publish through the index's one publish path at the persisted
 //!   generation, then replay the WAL tail through the ordinary
 //!   `append`/`repair` code paths. Nothing in a snapshot depends on the
-//!   worker count, so it reopens at any count. Because the
+//!   worker count or the expansion threads, so it reopens at any count,
+//!   with the caller's threads. Because the
 //!   pipeline is deterministic end-to-end, the replayed index converges
 //!   **string-identical** ([`crate::FacetSnapshot::digest`]) to an index that
 //!   never crashed — `tests/recovery.rs` proves it under injected
@@ -45,8 +49,8 @@ use crate::config::PipelineOptions;
 use crate::index::{AppendStats, IndexError, RepairStats};
 use crate::selection::SelectionStatistic;
 use crate::shard::ShardedFacetIndex;
-use facet_corpus::db::TermingOptions;
-use facet_corpus::{DocId, Document, TextDatabase};
+use facet_corpus::db::{DocTerms, TermingOptions};
+use facet_corpus::{DocId, Document};
 use facet_resources::{
     ContextResource, ContextualizedDatabase, ExpansionCache, ExpansionOptions, ResolvedTerm,
 };
@@ -54,13 +58,12 @@ use facet_store::bytes::{ByteReader, ByteWriter};
 use facet_store::{FacetStore, RecoveryReport, SnapshotPayload, StoreError, WalRecord};
 use facet_termx::TermExtractor;
 use facet_textkit::{RowStore, TermId, Vocabulary};
-use std::collections::BTreeMap;
 
 /// Version of the section *contents* (the store's `FORMAT_VERSION`
 /// covers the framing). Bump when any section codec changes shape; a
 /// snapshot of any other version is refused as a corrupt `meta`
 /// section, never decoded.
-pub const STATE_VERSION: u32 = 4;
+pub const STATE_VERSION: u32 = 5;
 
 fn corrupt(section: &str) -> StoreError {
     StoreError::CorruptSection {
@@ -111,13 +114,15 @@ fn enc_terms(w: &mut ByteWriter, terms: &[TermId]) {
     }
 }
 
-fn dec_terms(r: &mut ByteReader<'_>) -> Option<Vec<TermId>> {
+/// Decode one term list into `out`, replacing what it held.
+fn dec_terms_into(r: &mut ByteReader<'_>, out: &mut Vec<TermId>) -> Option<()> {
     let n = r.u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(r.remaining() / 4 + 1));
+    out.clear();
+    out.reserve(n.min(r.remaining() / 4 + 1));
     for _ in 0..n {
         out.push(TermId(r.u32()?));
     }
-    Some(out)
+    Some(())
 }
 
 fn enc_rows<R: AsRef<[TermId]>>(
@@ -131,13 +136,33 @@ fn enc_rows<R: AsRef<[TermId]>>(
     }
 }
 
-fn dec_rows(r: &mut ByteReader<'_>) -> Option<Vec<Vec<TermId>>> {
-    let n = r.u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-    for _ in 0..n {
-        out.push(dec_terms(r)?);
-    }
-    Some(out)
+/// Decode rows section `name` of `payload`, which must hold exactly `n`
+/// rows, each naming only symbols below `vocab_len` and, when
+/// `ascending`, strictly ascending. Each row is decoded into one reused
+/// buffer, checked, and handed to `push`.
+fn decode_rows(
+    payload: &SnapshotPayload,
+    name: &str,
+    n: usize,
+    vocab_len: usize,
+    ascending: bool,
+    mut push: impl FnMut(&[TermId]),
+) -> Result<(), StoreError> {
+    decode(payload, name, |r| {
+        if r.u64()? != n as u64 {
+            return None;
+        }
+        let mut row = Vec::new();
+        for _ in 0..n {
+            dec_terms_into(r, &mut row)?;
+            let known = row.iter().all(|t| t.index() < vocab_len);
+            if !known || (ascending && row.windows(2).any(|w| w[0] >= w[1])) {
+                return None;
+            }
+            push(&row);
+        }
+        Some(())
+    })
 }
 
 fn enc_docs(w: &mut ByteWriter, docs: &[Document]) {
@@ -223,7 +248,8 @@ fn dec_cache(r: &mut ByteReader<'_>) -> Option<ExpansionCache> {
     let mut cache = ExpansionCache::new();
     for _ in 0..n {
         let term = TermId(r.u32()?);
-        let terms = dec_terms(r)?;
+        let mut terms = Vec::new();
+        dec_terms_into(r, &mut terms)?;
         let n_failed = r.u64()? as usize;
         let mut failed = Vec::with_capacity(n_failed.min(r.remaining() / 8 + 1));
         for _ in 0..n_failed {
@@ -234,36 +260,10 @@ fn dec_cache(r: &mut ByteReader<'_>) -> Option<ExpansionCache> {
     Some(cache)
 }
 
-// lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
-fn enc_degraded(w: &mut ByteWriter, degraded: &BTreeMap<String, Vec<String>>) {
-    w.u64(degraded.len() as u64);
-    for (term, failed) in degraded {
-        w.str(term);
-        w.u64(failed.len() as u64);
-        for f in failed {
-            w.str(f);
-        }
-    }
-}
-
-// lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
-fn dec_degraded(r: &mut ByteReader<'_>) -> Option<BTreeMap<String, Vec<String>>> {
-    let n = r.u64()? as usize;
-    let mut out = BTreeMap::new();
-    for _ in 0..n {
-        let term = r.str()?.to_string();
-        let n_failed = r.u64()? as usize;
-        let mut failed = Vec::with_capacity(n_failed.min(r.remaining() / 8 + 1));
-        for _ in 0..n_failed {
-            failed.push(r.str()?.to_string());
-        }
-        out.insert(term, failed);
-    }
-    Some(out)
-}
-
 // ---------------------------------------------------------------------
-// Meta section: the one section every snapshot must carry.
+// Meta section: the one section every snapshot must carry. The
+// expansion thread count is not in it: it sets a worker budget, not a
+// result, and a reopened index keeps the caller's.
 // ---------------------------------------------------------------------
 
 struct Meta {
@@ -282,7 +282,6 @@ fn enc_meta(w: &mut ByteWriter, meta: &Meta) {
         SelectionStatistic::ChiSquare => 1,
     });
     w.u64(meta.options.top_k as u64);
-    w.u64(meta.options.expansion.threads as u64);
     w.f64(meta.options.subsumption_threshold);
     w.u64(meta.options.min_df_c);
     w.u8(u8::from(meta.terming.bigrams));
@@ -290,7 +289,8 @@ fn enc_meta(w: &mut ByteWriter, meta: &Meta) {
     w.u64(meta.n_docs);
 }
 
-fn dec_meta(r: &mut ByteReader<'_>) -> Option<Meta> {
+/// Decode `meta`, taking the expansion options from `expansion`.
+fn dec_meta(r: &mut ByteReader<'_>, expansion: &ExpansionOptions) -> Option<Meta> {
     if r.u32()? != STATE_VERSION {
         return None;
     }
@@ -302,9 +302,7 @@ fn dec_meta(r: &mut ByteReader<'_>) -> Option<Meta> {
     };
     let options = PipelineOptions {
         top_k: r.u64()? as usize,
-        expansion: ExpansionOptions {
-            threads: (r.u64()? as usize).max(1),
-        },
+        expansion: expansion.clone(),
         subsumption_threshold: r.f64()?,
         min_df_c: r.u64()?,
     };
@@ -374,17 +372,9 @@ fn encode_index(index: &ShardedFacetIndex<'_>) -> SnapshotPayload {
     let sections = [
         ("meta", encode(|w| enc_meta(w, &meta))),
         ("vocab", encode(|w| enc_vocab(w, &index.vocab))),
-        ("docs", encode(|w| enc_docs(w, index.db.docs()))),
-        (
-            "doc_terms",
-            encode(|w| enc_rows(w, index.db.doc_terms_rows())),
-        ),
+        ("doc_terms", encode(|w| enc_rows(w, index.db.rows()))),
         ("cache", encode(|w| enc_cache(w, &index.cache))),
         ("ctx_rows", encode(|w| enc_rows(w, index.ctx.rows()))),
-        (
-            "degraded",
-            encode(|w| enc_degraded(w, index.ctx.degraded())),
-        ),
         ("important", encode(|w| enc_rows(w, &index.important))),
     ];
     SnapshotPayload {
@@ -398,72 +388,59 @@ fn encode_index(index: &ShardedFacetIndex<'_>) -> SnapshotPayload {
 
 /// Decode a snapshot's sources into `index` (fresh from
 /// [`ShardedFacetIndex::new`]), checking what the rebuild indexes into:
-/// the documents carry their positions as ids, one per `meta` document;
-/// every row names a symbol of the vocabulary, and the rows df and `df_C`
-/// count are strictly ascending, as ingest and expansion write them.
-/// Then rebuild everything else the way repair does: the postings from
-/// the rows, and the one publish path ranks, scans the subsumption counts
-/// and publishes at the persisted generation.
+/// every row section holds one row per `meta` document, every row names a
+/// symbol of the vocabulary, and the rows df and `df_C` count are
+/// strictly ascending, as ingest and expansion write them
+/// ([`decode_rows`], which pushes each row into its store as it checks
+/// it). Then rebuild everything else the way repair does: the postings
+/// from the rows, the degraded map from the cache, and the one publish
+/// path ranks, scans the subsumption counts and publishes at the
+/// persisted generation.
 fn restore_index(
     index: &mut ShardedFacetIndex<'_>,
     payload: &SnapshotPayload,
 ) -> Result<(), StoreError> {
-    let meta = decode(payload, "meta", dec_meta)?;
+    let meta = decode(payload, "meta", |r| dec_meta(r, &index.options.expansion))?;
     if payload.generation != meta.generation {
         return Err(corrupt("meta"));
     }
     let n_docs = usize::try_from(meta.n_docs).map_err(|_| corrupt("meta"))?;
     let vocab = decode(payload, "vocab", dec_vocab)?;
     let known = |t: &TermId| t.index() < vocab.len();
-    let docs = decode(payload, "docs", |r| {
-        dec_docs(r).filter(|docs| {
-            docs.len() == n_docs && docs.iter().enumerate().all(|(i, d)| d.id.index() == i)
-        })
+    let mut db = DocTerms::new(meta.terming);
+    decode_rows(payload, "doc_terms", n_docs, vocab.len(), true, |row| {
+        db.push_row(row)
     })?;
-    let rows = |name: &str, ascending: bool| {
-        decode(payload, name, |r| {
-            dec_rows(r).filter(|rows| {
-                rows.len() == n_docs
-                    && rows.iter().all(|row| {
-                        row.iter().all(known) && (!ascending || row.windows(2).all(|w| w[0] < w[1]))
-                    })
-            })
-        })
-        .map(|rows| {
-            let mut store = RowStore::new();
-            for row in &rows {
-                store.push(row);
-            }
-            store
-        })
-    };
-    let db = TextDatabase::from_parts(docs, rows("doc_terms", true)?, meta.terming)
-        .ok_or_else(|| corrupt("docs"))?;
     let cache = decode(payload, "cache", |r| {
         dec_cache(r).filter(|c| {
             c.entries()
                 .all(|(t, res)| known(&t) && res.terms.iter().all(known))
         })
     })?;
-    let ctx = ContextualizedDatabase::from_parts(
-        rows("ctx_rows", true)?,
-        decode(payload, "degraded", dec_degraded)?,
-    );
-    index.important = rows("important", false)?;
+    let mut ctx_rows = RowStore::new();
+    decode_rows(payload, "ctx_rows", n_docs, vocab.len(), true, |row| {
+        ctx_rows.push(row);
+    })?;
+    let mut important = RowStore::new();
+    decode_rows(payload, "important", n_docs, vocab.len(), false, |row| {
+        important.push(row);
+    })?;
     index.options = meta.options;
     index.statistic = meta.statistic;
     index.vocab = vocab;
     index.db = db;
     index.cache = cache;
-    index.ctx = ctx;
+    index.ctx = ContextualizedDatabase::from_parts(ctx_rows);
+    index.important = important;
     index.reindex_and_publish(meta.generation);
     Ok(())
 }
 
 impl<'a> ShardedFacetIndex<'a> {
-    /// Publish the index's source state — vocabulary, documents, cache,
-    /// rows, `I(d)` lists and degradation provenance — as one snapshot
-    /// generation (atomic write, retention, WAL pruning). Returns the
+    /// Publish the index's source state — vocabulary, term rows, the
+    /// expansion cache with its degradation provenance, contextualized
+    /// rows and `I(d)` lists — as one snapshot generation (atomic write,
+    /// retention, WAL pruning). No document text is written. Returns the
     /// generation written.
     ///
     /// # Errors
@@ -479,9 +456,11 @@ impl<'a> ShardedFacetIndex<'a> {
     /// [`ShardedFacetIndex::append`] / [`ShardedFacetIndex::repair`]
     /// paths. `n` floors the worker count as in
     /// [`ShardedFacetIndex::new`]; any count reopens any snapshot.
+    /// `options.expansion.threads` always applies: it is the caller's
+    /// worker budget, and results do not depend on it. The rest of
     /// `options` applies only when the store is empty (a fresh
-    /// directory) — a persisted snapshot restores the options it was
-    /// built with.
+    /// directory) — a persisted snapshot restores the ranking and
+    /// subsumption options it was built with.
     ///
     /// # Errors
     /// [`StoreError`] from recovery, decoding (including a snapshot of
@@ -555,8 +534,123 @@ impl<'a> ShardedFacetIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::tests::{corpus, options, CountingResource, FixedExtractor};
+    use crate::shard::tests::{corpus, options, with_threads, CountingResource, FixedExtractor};
+    use facet_resources::{FaultPlan, FaultyResource, VirtualClock};
+    use facet_store::{snapshot_file_name, WAL_FILE};
     use facet_textkit::rows::CHUNK_ROWS;
+    use std::path::PathBuf;
+
+    /// A fresh store directory unique to this process and call.
+    fn test_dir(tag: &str) -> PathBuf {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "facet-core-persist-{tag}-{}-{n}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    /// A degraded index persists its provenance in the cache alone: the
+    /// recovered index publishes the live degraded map and digest, and
+    /// once the resource heals, repairing the live index (logged), the
+    /// recovered one, and replaying the logged repair all converge.
+    #[test]
+    fn degraded_index_persists_and_repairs_like_the_live_one() {
+        let e = FixedExtractor;
+        let faulty = FaultyResource::new(
+            CountingResource::new(),
+            FaultPlan::seeded(7, 1000),
+            VirtualClock::new(),
+        );
+        let dir = test_dir("degraded");
+        let store = FacetStore::open(&dir).unwrap();
+        let open = || {
+            ShardedFacetIndex::open_from(&store, 1, vec![&e], vec![&faulty], options())
+                .unwrap()
+                .0
+        };
+        let mut live = ShardedFacetIndex::new(2, vec![&e], vec![&faulty], options());
+        live.append_logged(corpus(24), &store).unwrap();
+        live.persist_to(&store).unwrap();
+        let mut recovered = open();
+        let snap = live.snapshot();
+        assert_eq!(snap.degraded().len(), 3, "every entity degraded");
+        assert_eq!(recovered.snapshot().degraded(), snap.degraded());
+        assert_eq!(recovered.snapshot().digest(), snap.digest());
+
+        faulty.heal();
+        let stats = live.repair_logged(&store).unwrap();
+        assert_eq!((stats.repaired_terms, stats.still_degraded), (3, 0));
+        assert_eq!(recovered.repair().unwrap(), stats);
+        let mut replayed = open();
+        let healed = live.snapshot();
+        assert!(healed.is_fully_covered());
+        assert_eq!(recovered.snapshot().digest(), healed.digest());
+        assert_eq!(replayed.snapshot().digest(), healed.digest());
+        assert_eq!(replayed.repair().unwrap().requeried_terms, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Document text reaches the WAL, which keeps each batch until the
+    /// oldest retained snapshot covers it, and never a snapshot.
+    #[test]
+    fn snapshots_hold_no_document_text() {
+        const MARKER: &str = "QzXv-Marker";
+        let e = FixedExtractor;
+        let r = CountingResource::new();
+        let docs: Vec<Document> = corpus(12)
+            .into_iter()
+            .map(|mut d| {
+                d.title = format!("{} {MARKER}", d.title);
+                d.text = format!("{MARKER} {}", d.text);
+                d
+            })
+            .collect();
+        let holds = |path: PathBuf| {
+            let bytes = std::fs::read(path).unwrap();
+            bytes.windows(MARKER.len()).any(|w| w == MARKER.as_bytes())
+        };
+        let dir = test_dir("no-text");
+        let store = FacetStore::open(&dir).unwrap();
+        let mut index = ShardedFacetIndex::new(1, vec![&e], vec![&r], options());
+        index.append_logged(docs.clone(), &store).unwrap();
+        assert!(holds(dir.join(WAL_FILE)), "the WAL keeps the batch");
+        index.persist_to(&store).unwrap();
+        index.append_logged(docs, &store).unwrap();
+        index.persist_to(&store).unwrap();
+        for generation in [1, 2] {
+            let file = dir.join(snapshot_file_name(generation));
+            assert!(!holds(file), "snapshot {generation} holds document text");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A reopened index runs on the caller's expansion threads, not the
+    /// ones it was persisted with, and restores the persisted ranking
+    /// options.
+    #[test]
+    fn reopen_keeps_the_callers_threads() {
+        let e = FixedExtractor;
+        let r = CountingResource::new();
+        let dir = test_dir("threads");
+        let store = FacetStore::open(&dir).unwrap();
+        let mut live = ShardedFacetIndex::new(1, vec![&e], vec![&r], with_threads(4));
+        live.append(corpus(24)).unwrap();
+        live.persist_to(&store).unwrap();
+        let caller = PipelineOptions {
+            top_k: 5,
+            ..with_threads(1)
+        };
+        let (reopened, _) =
+            ShardedFacetIndex::open_from(&store, 1, vec![&e], vec![&r], caller).unwrap();
+        assert_eq!(reopened.options().expansion.threads, 1);
+        assert_eq!(reopened.options().top_k, live.options().top_k);
+        assert_eq!(reopened.snapshot().digest(), live.snapshot().digest());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     /// Restore rebuilds the rows into one store that the index and the
     /// restored snapshot share, and publishes the live digest, at a worker

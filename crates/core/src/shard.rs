@@ -13,12 +13,13 @@
 //!
 //! Steps 1–2 work one document at a time; Steps 3–4 (selection and
 //! subsumption) are global passes over the frequency tables. The index
-//! holds every table once — one [`Vocabulary`], one [`TextDatabase`]
-//! with `df`, one [`ExpansionCache`], one [`ContextualizedDatabase`] with
-//! `df_C` and the contextualized rows, the `I(d)` lists and one postings
-//! table; the per-document rows all live in chunked [`RowStore`]s — and
-//! runs an append as stages over the batch, on `workers` threads where
-//! the work is per document:
+//! holds every table once — one [`Vocabulary`], one [`DocTerms`] with
+//! `D`'s term rows and `df`, one [`ExpansionCache`] (which also records
+//! degraded coverage), one [`ContextualizedDatabase`] with `df_C` and the
+//! contextualized rows, the `I(d)` lists and one postings table; the
+//! per-document rows all live in chunked [`RowStore`]s — and runs an
+//! append as stages over the batch, on `workers` threads where the work
+//! is per document:
 //!
 //! 1. **Extract (parallel).** In windows of `WINDOW_DOCS` (256) documents,
 //!    each worker takes a contiguous slice of the window and computes,
@@ -26,10 +27,14 @@
 //!    unless the caller supplied it, its `I(d)` from the configured
 //!    extractors. Workers touch no index state.
 //! 2. **Ingest (serial).** The window's term strings are interned into
-//!    the vocabulary in document order and the documents appended to the
-//!    database, delta-updating `df`; windowing bounds the strings held at
-//!    once. After the last window the batch's `I(d)` lists are interned,
-//!    in document order.
+//!    the vocabulary in document order and each document's row appended
+//!    to `D`'s term rows, delta-updating `df`; windowing bounds the
+//!    strings held at once. After the last window the batch's `I(d)`
+//!    lists are interned, in document order. The documents themselves are
+//!    dropped here: no later step reads their text, so the index keeps
+//!    none of it, and the caller owns it
+//!    ([`ShardedFacetIndex::append_logged`] keeps each batch in the WAL
+//!    until the oldest retained snapshot covers it).
 //! 3. **Expand.** Important terms the cache has not seen are resolved on
 //!    `workers` threads, each term by one query per resource; their
 //!    context terms are interned serially in id order, and each new
@@ -45,8 +50,8 @@
 //!    postings, so its counting scales with the batch and the churn, not
 //!    the corpus. A fresh, repaired or restored index rebuilds the table
 //!    by one scan at its next publish. Parent choice then walks each
-//!    term's count row in slot order. The result is published through
-//!    one atomically-swapped [`FacetSnapshot`], which shares the rows
+//!    term's count row in slot order. The result is published as one
+//!    new [`FacetSnapshot`] behind an `Arc`, which shares the rows
 //!    with the index: they live in an append-only [`RowStore`] of
 //!    `Arc`-shared chunks, so a publish clones the chunk list, and the
 //!    next append copies at most the one open chunk the snapshot still
@@ -76,11 +81,11 @@
 
 use crate::config::PipelineOptions;
 use crate::hierarchy::FacetForest;
-use crate::index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
+use crate::index::{AppendStats, DegradedMap, FacetSnapshot, IndexError, RepairStats};
 use crate::selection::{collect_candidates, rank_stable, SelectionInputs, SelectionStatistic};
 use crate::subsumption::{choose_parents_scanned, CoCounts, SubsumptionParams};
-use facet_corpus::db::{term_strings, TermStrings, TermingOptions};
-use facet_corpus::{DocId, Document, TextDatabase};
+use facet_corpus::db::{term_strings, DocTerms, TermStrings, TermingOptions};
+use facet_corpus::Document;
 use facet_obs::{Recorder, SpanContext};
 use facet_resources::{
     expand_append_recorded, intern_important_terms, repair_degraded_recorded, CacheStats,
@@ -88,8 +93,6 @@ use facet_resources::{
 };
 use facet_termx::{extract_important_terms, TermExtractor};
 use facet_textkit::{InternStats, RowStore, TermId, Vocabulary};
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Documents per extraction window: the extract stage holds the term
@@ -135,8 +138,10 @@ pub struct ShardedFacetIndex<'a> {
     /// The floor on the worker count, from [`ShardedFacetIndex::new`].
     min_workers: usize,
     pub(crate) vocab: Vocabulary,
-    /// `D`: the documents, their term rows and `df`.
-    pub(crate) db: TextDatabase,
+    /// `D`'s counted terms: one row per document and `df`.
+    pub(crate) db: DocTerms,
+    /// Every resolved important term, with its degraded-coverage
+    /// provenance ([`facet_resources::ResolvedTerm::failed`]).
     pub(crate) cache: ExpansionCache,
     /// `C(D)`: the contextualized rows and `df_C`. Each published
     /// snapshot holds a clone of the rows sharing every chunk.
@@ -152,8 +157,9 @@ pub struct ShardedFacetIndex<'a> {
     /// until its next publish rebuilds it by scan. Never persisted.
     co_counts: Option<CoCounts>,
     /// The current published snapshot. Every update, restore's included,
-    /// goes through [`ShardedFacetIndex::publish`].
-    snapshot: RwLock<Arc<FacetSnapshot>>,
+    /// goes through [`ShardedFacetIndex::publish`]; it takes `&mut self`,
+    /// so no reader of this field can overlap it.
+    snapshot: Arc<FacetSnapshot>,
     pub(crate) generation: u64,
 }
 
@@ -167,8 +173,7 @@ impl<'a> ShardedFacetIndex<'a> {
         resources: Vec<&'a dyn ContextResource>,
         options: PipelineOptions,
     ) -> Self {
-        let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(Vec::new(), &mut vocab, TermingOptions::default());
+        let vocab = Vocabulary::new();
         let snapshot = Arc::new(FacetSnapshot::assemble(
             0,
             vocab.freeze(),
@@ -176,7 +181,7 @@ impl<'a> ShardedFacetIndex<'a> {
             Vec::new(),
             FacetForest::default(),
             &[],
-            Arc::new(BTreeMap::new()),
+            Arc::default(),
         ));
         Self {
             extractors,
@@ -194,13 +199,13 @@ impl<'a> ShardedFacetIndex<'a> {
             recorder: Recorder::disabled(),
             min_workers: n,
             vocab,
-            db,
+            db: DocTerms::new(TermingOptions::default()),
             cache: ExpansionCache::new(),
             ctx: ContextualizedDatabase::empty(),
             important: RowStore::new(),
             postings: Vec::new(),
             co_counts: None,
-            snapshot: RwLock::new(snapshot),
+            snapshot,
             generation: 0,
         }
     }
@@ -278,20 +283,9 @@ impl<'a> ShardedFacetIndex<'a> {
         self.queries.clone()
     }
 
-    /// Per resource, the degraded terms whose provenance names it.
-    fn failing_terms(&self) -> Vec<u64> {
-        let degraded = self.ctx.degraded();
-        self.resources
-            .iter()
-            .map(|r| {
-                let names = |failed: &&Vec<String>| failed.iter().any(|f| f == r.name());
-                degraded.values().filter(names).count() as u64
-            })
-            .collect()
-    }
-
     /// Count `terms` queries to every resource, `failed[i]` of which
-    /// failed on resource `i`; returns the successful ones.
+    /// failed on resource `i` (as the expansion outcome counted them);
+    /// returns the successful ones.
     fn count_queries(&mut self, terms: usize, failed: &[u64]) -> u64 {
         let mut answered = 0;
         for (q, &f) in self.queries.iter_mut().zip(failed) {
@@ -309,21 +303,21 @@ impl<'a> ShardedFacetIndex<'a> {
         self.vocab.stats()
     }
 
-    /// The current snapshot. An `Arc` clone under a short read lock:
-    /// callers keep the returned snapshot for as long as they like,
-    /// entirely unaffected by concurrent appends publishing newer
-    /// generations.
+    /// The current snapshot, as an `Arc` clone: callers keep the
+    /// returned snapshot for as long as they like, entirely unaffected
+    /// by later appends publishing newer generations.
     pub fn snapshot(&self) -> Arc<FacetSnapshot> {
-        self.snapshot.read().clone()
+        Arc::clone(&self.snapshot)
     }
 
     /// Append a batch of documents and publish a new snapshot.
     ///
-    /// Documents get ids `len()..len()+batch.len()` — the index owns id
-    /// assignment, so month batches whose ids restart from zero can be
-    /// fed directly — and go through the extract, ingest and expand
-    /// stages before selection and subsumption re-run over the updated
-    /// tables (see the [module docs](self)).
+    /// Documents get ids `len()..len()+batch.len()` whatever ids they
+    /// carry — a document's id is its position, so month batches whose
+    /// ids restart from zero can be fed directly — and go through the
+    /// extract, ingest and expand stages before selection and subsumption
+    /// re-run over the updated tables (see the [module docs](self)). The
+    /// index keeps the documents' counted terms, not the documents.
     ///
     /// # Errors
     /// Returns [`IndexError`] if the expansion state is corrupted. The
@@ -384,24 +378,21 @@ impl<'a> ShardedFacetIndex<'a> {
         let intern_before = self.vocab.stats();
         let start = self.db.len();
         let docs = batch.len();
-        let failing_before = self.failing_terms();
 
         // ---- extract (parallel) and ingest (serial), window by window ---
         let extract = important.is_none();
         let mut lists = important.unwrap_or_else(|| Vec::with_capacity(docs));
         let mut batch = batch.into_iter();
         loop {
-            let mut window: Vec<Document> = batch.by_ref().take(WINDOW_DOCS).collect();
+            let window: Vec<Document> = batch.by_ref().take(WINDOW_DOCS).collect();
             if window.is_empty() {
                 break;
             }
-            for (i, d) in window.iter_mut().enumerate() {
-                d.id = DocId((self.db.len() + i) as u32);
-            }
             let termed = self.extract_window(&window, extract, workers, trace_parent);
+            drop(window);
             let _span = recorder.span("ingest");
-            for (d, (terms, found)) in window.into_iter().zip(termed) {
-                self.db.push(d, &terms, &mut self.vocab);
+            for (terms, found) in termed {
+                self.db.push(&terms, &mut self.vocab);
                 if extract {
                     lists.push(found);
                 }
@@ -433,17 +424,10 @@ impl<'a> ShardedFacetIndex<'a> {
             self.important.push(terms);
         }
         self.index_rows(start);
-        self.publish(self.generation + 1, outcome.rows_copied);
+        let degraded = self.add_degraded(&self.snapshot.degraded, outcome.degraded);
+        self.publish(self.generation + 1, outcome.rows_copied, degraded);
 
-        // A fresh term is not degraded before its resolution, so the
-        // provenance this append added names exactly its failed queries.
-        let failed: Vec<u64> = self
-            .failing_terms()
-            .into_iter()
-            .zip(failing_before)
-            .map(|(after, before)| after.saturating_sub(before))
-            .collect();
-        let resource_queries = self.count_queries(outcome.new_distinct_terms, &failed);
+        let resource_queries = self.count_queries(outcome.new_distinct_terms, &outcome.failures);
         let intern_after = self.vocab.stats();
         self.recorder
             .add("intern.hits", intern_after.hits - intern_before.hits);
@@ -547,10 +531,7 @@ impl<'a> ShardedFacetIndex<'a> {
             &mut self.cache,
             &mut self.ctx,
         )?;
-        // Every degraded term was re-queried, and only the ones still
-        // failing stay degraded, with the failures of this pass.
-        let failed = self.failing_terms();
-        self.count_queries(outcome.requeried_terms, &failed);
+        self.count_queries(outcome.requeried_terms, &outcome.failures);
         if outcome.requeried_terms > 0 {
             self.reindex_and_publish(self.generation + 1);
             self.recorder.incr("repair.snapshot_swaps");
@@ -574,28 +555,46 @@ impl<'a> ShardedFacetIndex<'a> {
         }
     }
 
-    /// Rebuild the postings from every row, drop the subsumption counts,
-    /// and publish at `generation`: what repair runs after rewriting rows
-    /// and restore runs after decoding them.
+    /// Rebuild the postings from every row and the degraded map from the
+    /// cache, drop the subsumption counts, and publish at `generation`:
+    /// what repair runs after rewriting rows and restore runs after
+    /// decoding them.
     pub(crate) fn reindex_and_publish(&mut self, generation: u64) {
         self.postings.clear();
         self.index_rows(0);
         self.co_counts = None;
-        self.publish(generation, 0);
+        let degraded: Vec<TermId> = self.cache.degraded().map(|(t, _)| t).collect();
+        let degraded = self.add_degraded(&Arc::default(), degraded);
+        self.publish(generation, 0, degraded);
+    }
+
+    /// `base` plus the provenance the cache holds for `terms`, keyed by
+    /// term string: the degraded map a snapshot publishes. An append adds
+    /// the terms it resolved degraded to the published map (shared, not
+    /// copied, when there are none); repair and restore build it from
+    /// every degraded entry.
+    fn add_degraded(&self, base: &Arc<DegradedMap>, terms: Vec<TermId>) -> Arc<DegradedMap> {
+        let mut map = Arc::clone(base);
+        for t in terms {
+            let failed = self.cache.resolution(t).map(|r| r.failed.clone());
+            let term = self.vocab.term(t).to_string();
+            Arc::make_mut(&mut map).insert(term, failed.unwrap_or_default());
+        }
+        map
     }
 
     /// Re-run Step 3 (selection) over the tables, bring the subsumption
     /// counts up to the new candidate set and rows (a scan if there are
     /// none yet) and run Step 4's parent choice over them, set the
-    /// generation to `generation`, and atomically swap in the new
-    /// snapshot — the index's one publication point (`Lint.toml` C2),
-    /// shared by append, repair and restore. The snapshot shares the
-    /// rows' chunks with the index; `rows_copied` is what the append
-    /// before it copied to push its rows. Records the `freeze` span, the
+    /// generation to `generation`, and replace the published snapshot
+    /// with the new one, which carries `degraded` — the index's one
+    /// publish path, shared by append, repair and restore. The snapshot
+    /// shares the rows' chunks with the index; `rows_copied` is what the
+    /// append before it copied to push its rows. Records the `freeze` span, the
     /// `select` span (attributes: `terms` scanned, `candidates` passing
     /// the shift filters), the `subsumption` span (`pairs_scanned`: count
     /// entries parent choice walked) and the `swap` span (`rows_copied`).
-    fn publish(&mut self, generation: u64, rows_copied: usize) {
+    fn publish(&mut self, generation: u64, rows_copied: usize, degraded: Arc<DegradedMap>) {
         // One freeze per publish: ranking, forest, and snapshot share it.
         let frozen = {
             let _span = self.recorder.span("freeze");
@@ -644,16 +643,15 @@ impl<'a> ShardedFacetIndex<'a> {
         self.generation = generation;
         let span = self.recorder.span("swap");
         span.attr("rows_copied", rows_copied as u64);
-        let snapshot = Arc::new(FacetSnapshot::assemble(
+        self.snapshot = Arc::new(FacetSnapshot::assemble(
             self.generation,
             frozen,
             rows.clone(),
             candidates,
             forest,
             &self.postings,
-            Arc::new(self.ctx.degraded().clone()),
+            degraded,
         ));
-        *self.snapshot.write() = snapshot;
     }
 }
 
@@ -661,6 +659,7 @@ impl<'a> ShardedFacetIndex<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use facet_corpus::DocId;
     use facet_resources::ExpansionError;
     use facet_textkit::rows::CHUNK_ROWS;
     use proptest::prelude::*;
@@ -779,7 +778,7 @@ pub(crate) mod tests {
         (rows, snap.forest().edges())
     }
 
-    fn with_threads(threads: usize) -> PipelineOptions {
+    pub(crate) fn with_threads(threads: usize) -> PipelineOptions {
         PipelineOptions {
             expansion: ExpansionOptions { threads },
             ..options()
@@ -807,7 +806,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// Appends assign positional ids whatever ids the batch carries.
+    /// Appends assign positional ids whatever ids the batch carries: the
+    /// second batch restarts its ids at 0, and browsing still finds every
+    /// document under its position.
     #[test]
     fn appends_assign_positional_ids() {
         let e = FixedExtractor;
@@ -817,12 +818,16 @@ pub(crate) mod tests {
         assert_eq!(stats.docs, 8);
         index.append(corpus(WINDOW_DOCS + 1)).unwrap();
         assert_eq!(index.len(), WINDOW_DOCS + 9);
-        assert!(index
-            .db
-            .docs()
+        let snap = index.snapshot();
+        assert_eq!(snap.n_docs(), WINDOW_DOCS + 9);
+        let leaders = snap.vocab().get("political leaders").unwrap();
+        let ids: Vec<u32> = snap
+            .browse()
+            .docs_with(leaders)
             .iter()
-            .enumerate()
-            .all(|(i, d)| d.id.index() == i));
+            .map(|d| d.0)
+            .collect();
+        assert_eq!(ids, (0..(WINDOW_DOCS + 9) as u32).collect::<Vec<_>>());
     }
 
     /// Every worker count interns the same terms in the same order, so

@@ -1,10 +1,12 @@
 //! The text database: documents plus term/document-frequency statistics.
 //!
-//! This is the `D` of the paper. Term extraction for frequency counting
-//! uses lowercased word unigrams (minus stopwords and numbers) plus
-//! stopword-free word bigrams, so that both single-word terms ("war") and
-//! short phrases ("real estate") participate in the comparative frequency
-//! analysis. Multi-word *context* terms added during expansion are interned
+//! This is the `D` of the paper. [`DocTerms`] holds what Steps 2–4 read
+//! of it — the counted terms of each document and their document
+//! frequencies — and [`TextDatabase`] keeps the documents beside them.
+//! Term extraction for frequency counting uses lowercased word unigrams
+//! (minus stopwords and numbers) plus stopword-free word bigrams, so that
+//! both single-word terms ("war") and short phrases ("real estate")
+//! participate in the comparative frequency analysis. Multi-word *context* terms added during expansion are interned
 //! as single terms in the shared vocabulary, exactly like these bigrams.
 
 use crate::document::{DocId, Document};
@@ -31,17 +33,26 @@ impl Default for TermingOptions {
     }
 }
 
-/// A database of text documents with document-frequency statistics over a
-/// shared vocabulary.
+/// The counted terms of `D`: one sorted, distinct term-id row per
+/// document, in id order, and the document frequency of every term over
+/// those rows. This is all Steps 2–4 read of the corpus; the documents
+/// themselves are Step 1's input only.
+#[derive(Debug, Clone)]
+pub struct DocTerms {
+    /// Distinct term ids per document, sorted.
+    rows: RowStore,
+    /// Document frequency per term id (indexed by `TermId`); term ids
+    /// interned after the last push have frequency 0.
+    df: Vec<u64>,
+    options: TermingOptions,
+}
+
+/// A database of text documents beside their [`DocTerms`], which it
+/// dereferences to.
 #[derive(Debug, Clone)]
 pub struct TextDatabase {
     docs: Vec<Document>,
-    /// Distinct term ids per document, sorted.
-    doc_terms: RowStore,
-    /// Document frequency per term id (indexed by `TermId`); term ids
-    /// interned after the build have frequency 0.
-    df: Vec<u64>,
-    options: TermingOptions,
+    terms: DocTerms,
 }
 
 /// The counted terms of one text as strings, in the order the database
@@ -68,7 +79,7 @@ impl TermStrings {
 /// stopword nor shorter than `min_len` bytes, followed (with bigrams on)
 /// by its bigram with the previous such word if the two were adjacent. A
 /// pure function of the text, so callers can run it on other threads and
-/// intern the result later with [`TextDatabase::push`].
+/// intern the result later with [`DocTerms::push`].
 pub fn term_strings(text: &str, options: &TermingOptions) -> TermStrings {
     let mut out = TermStrings::default();
     // Where the previous counted word sits in `out.text`, if adjacent.
@@ -101,20 +112,100 @@ pub fn term_strings(text: &str, options: &TermingOptions) -> TermStrings {
     out
 }
 
+impl DocTerms {
+    /// No documents yet; documents will be reduced to terms by `options`.
+    pub fn new(options: TermingOptions) -> Self {
+        Self {
+            rows: RowStore::new(),
+            df: Vec::new(),
+            options,
+        }
+    }
+
+    /// Append one document whose counted terms are `terms` — the
+    /// [`term_strings`] of its full text under these options — interning
+    /// them into `vocab` in order.
+    pub fn push(&mut self, terms: &TermStrings, vocab: &mut Vocabulary) {
+        let mut row: Vec<TermId> = terms.iter().map(|t| vocab.intern(t)).collect();
+        row.sort_unstable();
+        row.dedup();
+        self.df.resize(self.df.len().max(vocab.len()), 0);
+        self.push_row(&row);
+    }
+
+    /// Append one document's row of term ids (sorted and distinct, as
+    /// [`DocTerms::push`] makes them), delta-updating the df table.
+    pub fn push_row(&mut self, row: &[TermId]) {
+        for t in row {
+            if t.index() >= self.df.len() {
+                self.df.resize(t.index() + 1, 0);
+            }
+            self.df[t.index()] += 1;
+        }
+        self.rows.push(row);
+    }
+
+    /// Number of documents.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True if there are no documents.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The distinct term ids of a document (sorted).
+    pub fn doc_terms(&self, id: DocId) -> &[TermId] {
+        &self.rows[id.index()]
+    }
+
+    /// Every document's row, in id order.
+    pub fn rows(&self) -> &RowStore {
+        &self.rows
+    }
+
+    /// Document frequency of a term (0 for terms never pushed).
+    pub fn df(&self, t: TermId) -> u64 {
+        self.df.get(t.index()).copied().unwrap_or(0)
+    }
+
+    /// The document-frequency table, indexed by term id. Terms interned
+    /// into the shared vocabulary after the last push are absent
+    /// (implicitly 0).
+    pub fn df_table(&self) -> &[u64] {
+        &self.df
+    }
+
+    /// A copy of the df table resized to `vocab_len` entries (new terms 0).
+    pub fn df_table_resized(&self, vocab_len: usize) -> Vec<u64> {
+        let mut t = self.df.clone();
+        t.resize(vocab_len.max(t.len()), 0);
+        t
+    }
+
+    /// The terming options documents are reduced by.
+    pub fn options(&self) -> &TermingOptions {
+        &self.options
+    }
+
+    /// True if the document contains the term (by id).
+    pub fn doc_contains(&self, id: DocId, t: TermId) -> bool {
+        self.doc_terms(id).binary_search(&t).is_ok()
+    }
+}
+
 impl TextDatabase {
     /// Build a database from `docs`, interning terms into `vocab`.
     pub fn build(docs: Vec<Document>, vocab: &mut Vocabulary, options: TermingOptions) -> Self {
         let mut db = Self {
             docs: Vec::with_capacity(docs.len()),
-            doc_terms: RowStore::new(),
-            df: Vec::new(),
-            options,
+            terms: DocTerms::new(options),
         };
         for d in docs {
-            let terms = term_strings(&d.full_text(), &db.options);
-            db.push(d, &terms, vocab);
+            db.push(d, vocab);
         }
-        db.df.resize(vocab.len(), 0);
+        db.terms.df.resize(vocab.len(), 0);
         db
     }
 
@@ -136,36 +227,15 @@ impl TextDatabase {
                 self.docs.len(),
                 "appended documents must carry positional ids"
             );
-            let terms = term_strings(&d.full_text(), &self.options);
-            self.push(d, &terms, vocab);
+            self.push(d, vocab);
         }
         start..self.docs.len()
     }
 
-    /// Append one document whose counted terms are `terms` — the
-    /// [`term_strings`] of its full text under this database's options —
-    /// interning them into `vocab` in order and delta-updating the df
-    /// table. [`TextDatabase::append`] is this after [`term_strings`].
-    pub fn push(&mut self, doc: Document, terms: &TermStrings, vocab: &mut Vocabulary) {
-        let mut row: Vec<TermId> = terms.iter().map(|t| vocab.intern(t)).collect();
-        row.sort_unstable();
-        row.dedup();
-        self.df.resize(self.df.len().max(vocab.len()), 0);
-        for t in &row {
-            self.df[t.index()] += 1;
-        }
-        self.doc_terms.push(&row);
+    fn push(&mut self, doc: Document, vocab: &mut Vocabulary) {
+        let terms = term_strings(&doc.full_text(), &self.terms.options);
+        self.terms.push(&terms, vocab);
         self.docs.push(doc);
-    }
-
-    /// Number of documents.
-    pub fn len(&self) -> usize {
-        self.docs.len()
-    }
-
-    /// True if the database holds no documents.
-    pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
     }
 
     /// The document with the given id.
@@ -177,74 +247,13 @@ impl TextDatabase {
     pub fn docs(&self) -> &[Document] {
         &self.docs
     }
+}
 
-    /// The distinct term ids of a document (sorted).
-    pub fn doc_terms(&self, id: DocId) -> &[TermId] {
-        &self.doc_terms[id.index()]
-    }
+impl std::ops::Deref for TextDatabase {
+    type Target = DocTerms;
 
-    /// Document frequency of a term (0 for terms unseen at build time).
-    pub fn df(&self, t: TermId) -> u64 {
-        self.df.get(t.index()).copied().unwrap_or(0)
-    }
-
-    /// The document-frequency table, indexed by term id. Terms interned
-    /// into the shared vocabulary after the build are absent (implicitly 0).
-    pub fn df_table(&self) -> &[u64] {
-        &self.df
-    }
-
-    /// A copy of the df table resized to `vocab_len` entries (new terms 0).
-    pub fn df_table_resized(&self, vocab_len: usize) -> Vec<u64> {
-        let mut t = self.df.clone();
-        t.resize(vocab_len.max(t.len()), 0);
-        t
-    }
-
-    /// The terming options the database was built with.
-    pub fn options(&self) -> &TermingOptions {
-        &self.options
-    }
-
-    /// True if the document contains the term (by id).
-    pub fn doc_contains(&self, id: DocId, t: TermId) -> bool {
-        self.doc_terms[id.index()].binary_search(&t).is_ok()
-    }
-
-    /// All per-document term rows in id order (serialization surface;
-    /// restore via [`TextDatabase::from_parts`]).
-    pub fn doc_terms_rows(&self) -> &RowStore {
-        &self.doc_terms
-    }
-
-    /// Rebuild a database from serialized parts, counting the df table
-    /// from the rows.
-    ///
-    /// Returns `None` when the parts are inconsistent: row count not
-    /// matching the document count, or document ids that are not
-    /// positional (`docs[i].id == DocId(i)`).
-    pub fn from_parts(
-        docs: Vec<Document>,
-        doc_terms: RowStore,
-        options: TermingOptions,
-    ) -> Option<Self> {
-        if docs.len() != doc_terms.len() {
-            return None;
-        }
-        if docs.iter().enumerate().any(|(i, d)| d.id.index() != i) {
-            return None;
-        }
-        let terms = doc_terms.iter().flatten();
-        let mut df = vec![0; terms.clone().map(|t| t.index() + 1).max().unwrap_or(0)];
-        for t in terms {
-            df[t.index()] += 1;
-        }
-        Some(Self {
-            docs,
-            doc_terms,
-            df,
-            options,
-        })
+    fn deref(&self) -> &DocTerms {
+        &self.terms
     }
 }
 

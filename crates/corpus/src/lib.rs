@@ -19,8 +19,9 @@
 //! in the story text) is an explicit, measurable property of the generator
 //! (see `facet-eval`'s pilot experiment).
 //!
-//! [`db`] holds the [`db::TextDatabase`]: documents plus the term/document
-//! frequency statistics the selection algorithm of Section IV-C consumes.
+//! [`db`] holds the [`db::DocTerms`] — per-document term rows plus the
+//! document frequencies the selection algorithm of Section IV-C consumes —
+//! and the [`db::TextDatabase`], which keeps the documents beside them.
 //! [`recipes`] pins the SNYT/SNB/MNYT dataset configurations.
 
 pub mod db;
@@ -29,7 +30,7 @@ pub mod generator;
 pub mod gold;
 pub mod recipes;
 
-pub use db::TextDatabase;
+pub use db::{DocTerms, TextDatabase};
 pub use document::{DocId, Document};
 pub use generator::{CorpusGenerator, GeneratedCorpus, GeneratorConfig};
 pub use gold::DocGold;

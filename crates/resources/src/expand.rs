@@ -22,15 +22,17 @@
 //! — so the per-document hot path copies `u32`s out of the cache instead
 //! of re-hashing and re-interning strings for every document. Term
 //! *strings* are materialized only at the resource backend boundary
-//! (queries go out as text) and at the serving edge (degraded-coverage
-//! provenance keys).
+//! (queries go out as text).
+//!
+//! The engine reads nothing of the corpus but its counted terms
+//! ([`DocTerms`]): document text is Step 1's input only.
 
 use crate::resource::ContextResource;
-use facet_corpus::TextDatabase;
+use facet_corpus::DocTerms;
 use facet_obs::{Counter, HistogramHandle, Recorder};
 use facet_textkit::{is_stopword, normalize_term, RowStore, SymTable, TermId, Vocabulary};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
 
 /// A structural mismatch between the expansion inputs.
@@ -99,8 +101,10 @@ pub struct ResolvedTerm {
     /// normalized and deduplicated in resource-priority order, interned
     /// into the expansion vocabulary.
     pub terms: Vec<TermId>,
-    /// Names of resources whose query failed; the resolution is
-    /// *degraded* when non-empty and a later repair pass re-queries it.
+    /// Names of resources whose query failed, in resource order; the
+    /// resolution is *degraded* when non-empty and a later repair pass
+    /// re-queries it. This is the index's one record of degraded
+    /// coverage.
     pub failed: Vec<String>,
 }
 
@@ -115,7 +119,31 @@ impl ResolvedTerm {
 /// what the parallel workers hand back to the serial commit loop.
 struct RawResolution {
     terms: Vec<String>,
-    failed: Vec<String>,
+    /// Positions of the resources whose query failed, ascending.
+    failed: Vec<usize>,
+}
+
+impl RawResolution {
+    /// Intern the context terms into `vocab` and name the failed
+    /// resources, counting each failure in `failures[i]` for resource `i`.
+    fn commit(
+        self,
+        resources: &[&dyn ContextResource],
+        vocab: &mut Vocabulary,
+        failures: &mut [u64],
+    ) -> ResolvedTerm {
+        for &i in &self.failed {
+            failures[i] += 1;
+        }
+        ResolvedTerm {
+            terms: self.terms.iter().map(|c| vocab.intern(c)).collect(),
+            failed: self
+                .failed
+                .iter()
+                .map(|&i| resources[i].name().to_string())
+                .collect(),
+        }
+    }
 }
 
 /// Cross-batch memo of resolved important terms, keyed by symbol.
@@ -172,10 +200,17 @@ impl ExpansionCache {
     pub fn restore(&mut self, term: TermId, resolution: ResolvedTerm) {
         self.resolved.insert(term, resolution);
     }
+
+    /// Every degraded resolution (at least one resource failed), in
+    /// symbol order. Empty for a fault-free build and after a complete
+    /// repair.
+    pub fn degraded(&self) -> impl Iterator<Item = (TermId, &ResolvedTerm)> {
+        self.resolved.iter().filter(|(_, r)| !r.is_complete())
+    }
 }
 
 /// What one incremental expansion batch did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppendOutcome {
     /// Documents expanded in this batch.
     pub docs: usize,
@@ -186,9 +221,12 @@ pub struct AppendOutcome {
     /// [`ExpansionCache`] without touching any resource.
     pub reused_terms: usize,
     /// Freshly-resolved terms whose coverage is degraded (at least one
-    /// resource failed); their provenance is recorded in
-    /// [`ContextualizedDatabase::degraded`].
-    pub degraded_terms: usize,
+    /// resource failed), in symbol order; their provenance is their
+    /// [`ResolvedTerm::failed`] in the [`ExpansionCache`].
+    pub degraded: Vec<TermId>,
+    /// Per resource, in resource order, the fresh terms whose query to
+    /// it failed.
+    pub failures: Vec<u64>,
     /// Rows copied to append this batch's rows: the open chunk's rows
     /// when a clone of [`ContextualizedDatabase::rows`] still shared it
     /// (see [`RowStore::push`]), else 0.
@@ -217,12 +255,6 @@ pub struct ContextualizedDatabase {
     rows: RowStore,
     /// Document frequency per term id in `C(D)`.
     df_c: Vec<u64>,
-    /// Degraded-coverage provenance: important term → names of the
-    /// resources that failed when it was resolved. String-keyed on
-    /// purpose — this is the serving/reporting edge, cold by definition,
-    /// and ordered so reports and snapshots are deterministic.
-    // lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
-    degraded: BTreeMap<String, Vec<String>>,
 }
 
 impl ContextualizedDatabase {
@@ -232,7 +264,6 @@ impl ContextualizedDatabase {
         Self {
             rows: RowStore::new(),
             df_c: Vec::new(),
-            degraded: BTreeMap::new(),
         }
     }
 
@@ -240,20 +271,6 @@ impl ContextualizedDatabase {
     /// per document in id order.
     pub fn rows(&self) -> &RowStore {
         &self.rows
-    }
-
-    /// Degraded-coverage provenance: for every important term whose
-    /// resolution is missing at least one resource's answer, the names
-    /// of the failed resources. Empty for a fault-free build.
-    // lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
-    pub fn degraded(&self) -> &BTreeMap<String, Vec<String>> {
-        &self.degraded
-    }
-
-    /// True when every resolved term has answers from every resource
-    /// (no degradation outstanding).
-    pub fn is_fully_covered(&self) -> bool {
-        self.degraded.is_empty()
     }
 
     /// Document frequency of a term in `C(D)`.
@@ -276,20 +293,12 @@ impl ContextualizedDatabase {
         self.rows.is_empty()
     }
 
-    /// Rebuild a contextualized database from serialized parts, counting
-    /// the `df_C` table from the rows.
-    pub fn from_parts(
-        rows: RowStore,
-        // lint:allow(string-keyed-map, reason="serving-edge degraded report; strings materialize here by design")
-        degraded: BTreeMap<String, Vec<String>>,
-    ) -> Self {
+    /// Rebuild a contextualized database from serialized rows, counting
+    /// the `df_C` table from them.
+    pub fn from_parts(rows: RowStore) -> Self {
         let mut df_c = Vec::new();
         add_counts(&mut df_c, rows.iter().flatten());
-        Self {
-            rows,
-            df_c,
-            degraded,
-        }
+        Self { rows, df_c }
     }
 }
 
@@ -361,7 +370,7 @@ impl ResourceMetrics {
 /// [`ExpansionError::DocumentCountMismatch`] when `important_terms` does
 /// not hold one list per document.
 pub fn expand_database(
-    db: &TextDatabase,
+    db: &DocTerms,
     important_terms: &[Vec<String>],
     resources: &[&dyn ContextResource],
     vocab: &mut Vocabulary,
@@ -404,7 +413,7 @@ pub fn expand_database(
 /// batches' corpus terms).
 #[allow(clippy::too_many_arguments)]
 pub fn expand_append_recorded(
-    db: &TextDatabase,
+    db: &DocTerms,
     doc_range: Range<usize>,
     important_terms: &[Vec<TermId>],
     resources: &[&dyn ContextResource],
@@ -446,7 +455,8 @@ pub fn expand_append_recorded(
         docs: doc_range.len(),
         new_distinct_terms: new_distinct.len(),
         reused_terms: batch_distinct - new_distinct.len(),
-        degraded_terms: 0,
+        degraded: Vec::new(),
+        failures: vec![0; resources.len()],
         rows_copied: 0,
     };
     recorder.add("expand.distinct_terms", new_distinct.len() as u64);
@@ -487,24 +497,14 @@ pub fn expand_append_recorded(
     // only on the (sorted) fresh-term sequence — byte-identical across
     // thread counts.
     resolutions.sort_unstable_by_key(|&(s, _)| s);
-    let mut degraded_terms = 0usize;
     for (sym, raw) in resolutions {
-        let terms: Vec<TermId> = raw.terms.iter().map(|c| vocab.intern(c)).collect();
-        if !raw.failed.is_empty() {
-            degraded_terms += 1;
-            ctx.degraded
-                .insert(vocab.term(sym).to_string(), raw.failed.clone());
+        let resolved = raw.commit(resources, vocab, &mut outcome.failures);
+        if !resolved.is_complete() {
+            outcome.degraded.push(sym);
         }
-        cache.resolved.insert(
-            sym,
-            ResolvedTerm {
-                terms,
-                failed: raw.failed,
-            },
-        );
+        cache.resolved.insert(sym, resolved);
     }
-    recorder.add("expand.degraded_terms", degraded_terms as u64);
-    outcome.degraded_terms = degraded_terms;
+    recorder.add("expand.degraded_terms", outcome.degraded.len() as u64);
 
     // ---- per-document union and frequency delta -----------------------------
     let mut row = Vec::new();
@@ -527,7 +527,7 @@ pub fn expand_append_recorded(
 /// loop does no hashing and no interning, which is the hot-path win of
 /// the symbol-keyed cache.
 fn contextualized_row(
-    db: &TextDatabase,
+    db: &DocTerms,
     doc_index: usize,
     important: &[TermId],
     cache: &ExpansionCache,
@@ -545,7 +545,7 @@ fn contextualized_row(
 }
 
 /// What one [`repair_degraded_recorded`] pass did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RepairOutcome {
     /// Degraded terms re-queried in this pass.
     pub requeried_terms: usize,
@@ -557,23 +557,27 @@ pub struct RepairOutcome {
     /// Documents whose term rows changed (and whose `df_c`
     /// contributions were recomputed).
     pub changed_docs: usize,
+    /// Per resource, in resource order, the re-queried terms whose query
+    /// to it failed again.
+    pub failures: Vec<u64>,
 }
 
 /// Backfill pass over degraded-coverage terms: re-query **only** the
-/// important terms recorded in [`ContextualizedDatabase::degraded`],
-/// then recompute the term rows and `df_c` contributions of exactly the
+/// important terms whose [`ExpansionCache`] resolution is degraded
+/// ([`ExpansionCache::degraded`]), serially in term-string order, then
+/// recompute the term rows and `df_c` contributions of exactly the
 /// documents that use a term whose resolution changed.
 ///
-/// Once the underlying resources have recovered, the repaired `ctx` is
-/// identical (term strings, frequencies, provenance) to one built with
-/// no faults at all. Terms whose resources are still failing keep their
+/// Once the underlying resources have recovered, the repaired `ctx` and
+/// `cache` are identical (term strings, frequencies, provenance) to ones
+/// built with no faults at all. Terms whose resources are still failing keep their
 /// updated provenance and remain eligible for the next pass.
 ///
 /// `important_terms` must yield `I(d_i)` for **all** documents of `db`,
 /// in order (the same pre-interned lists every append batch supplied),
 /// and `ctx` must cover the whole database.
 pub fn repair_degraded_recorded<R: AsRef<[TermId]>>(
-    db: &TextDatabase,
+    db: &DocTerms,
     important_terms: impl IntoIterator<Item = R, IntoIter: ExactSizeIterator>,
     resources: &[&dyn ContextResource],
     vocab: &mut Vocabulary,
@@ -595,46 +599,39 @@ pub fn repair_degraded_recorded<R: AsRef<[TermId]>>(
             db_docs: db.len(),
         });
     }
-    if ctx.degraded.is_empty() {
-        return Ok(RepairOutcome::default());
+    // Re-query serially in term-string order: the repair path must be
+    // deterministic regardless of how the degradation was accumulated,
+    // and of the order its terms were interned in.
+    let mut degraded: Vec<TermId> = cache.degraded().map(|(t, _)| t).collect();
+    degraded.sort_unstable_by(|&a, &b| vocab.term(a).cmp(vocab.term(b)));
+    let mut outcome = RepairOutcome {
+        requeried_terms: degraded.len(),
+        failures: vec![0; resources.len()],
+        ..RepairOutcome::default()
+    };
+    if degraded.is_empty() {
+        return Ok(outcome);
     }
 
     let metrics = ResourceMetrics::for_resources(resources, recorder);
     let ctx_per_query = recorder.histogram("expand.context_terms_per_query");
-
-    // Re-query serially in sorted term order (BTreeMap iteration):
-    // the repair path must be deterministic regardless of how the
-    // degradation was accumulated.
-    let degraded: Vec<String> = ctx.degraded.keys().cloned().collect();
-    let mut outcome = RepairOutcome {
-        requeried_terms: degraded.len(),
-        ..RepairOutcome::default()
-    };
     let mut changed: HashSet<TermId> = HashSet::new();
-    for term in &degraded {
-        // The degraded key was interned when its append batch resolved
-        // it, so this is a pure lookup in the steady state.
-        let sym = vocab.intern(term);
-        let raw = resolve_term(term, resources, &metrics, &ctx_per_query);
-        if raw.failed.is_empty() {
+    for sym in degraded {
+        let raw = resolve_term(vocab.term(sym), resources, &metrics, &ctx_per_query);
+        let resolved = raw.commit(resources, vocab, &mut outcome.failures);
+        if resolved.is_complete() {
             outcome.repaired_terms += 1;
-            ctx.degraded.remove(term);
         } else {
             outcome.still_degraded += 1;
-            ctx.degraded.insert(term.clone(), raw.failed.clone());
         }
-        let terms: Vec<TermId> = raw.terms.iter().map(|c| vocab.intern(c)).collect();
-        let differs = cache.resolved.get(sym).is_none_or(|old| old.terms != terms);
-        if differs {
+        if cache
+            .resolved
+            .get(sym)
+            .is_none_or(|old| old.terms != resolved.terms)
+        {
             changed.insert(sym);
         }
-        cache.resolved.insert(
-            sym,
-            ResolvedTerm {
-                terms,
-                failed: raw.failed,
-            },
-        );
+        cache.resolved.insert(sym, resolved);
     }
 
     // Recompute exactly the documents that use a changed term into a
@@ -670,8 +667,8 @@ pub fn repair_degraded_recorded<R: AsRef<[TermId]>>(
 ///
 /// Resources are queried through the fallible
 /// [`ContextResource::try_context_terms`]; a failure contributes no
-/// context terms and is recorded by name in [`ResolvedTerm::failed`]
-/// (and on the `resource.<name>.failures` counter) so expansion
+/// context terms and is recorded by position, then by name in
+/// [`ResolvedTerm::failed`] (and on the `resource.<name>.failures` counter) so expansion
 /// degrades gracefully instead of aborting.
 ///
 /// `metrics[i]` instruments `resources[i]`; latency timing runs inside
@@ -687,9 +684,9 @@ fn resolve_term(
     // priority), the HashSet makes membership O(1) instead of the old
     // O(n²) `Vec::contains` scan per retrieved term.
     let mut out: Vec<String> = Vec::new();
-    let mut failed: Vec<String> = Vec::new();
+    let mut failed: Vec<usize> = Vec::new();
     let mut seen: HashSet<String> = HashSet::new();
-    for (r, m) in resources.iter().zip(metrics) {
+    for (i, (r, m)) in resources.iter().zip(metrics).enumerate() {
         m.queries.incr();
         // Inert (and allocation-free) unless a trace span is open on
         // this thread — see facet_obs::trace.
@@ -703,7 +700,7 @@ fn resolve_term(
                 if query_span.is_active() {
                     facet_obs::trace_error();
                 }
-                failed.push(r.name().to_string());
+                failed.push(i);
                 drop(query_span);
                 continue;
             }
@@ -727,7 +724,7 @@ fn resolve_term(
 mod tests {
     use super::*;
     use facet_corpus::db::TermingOptions;
-    use facet_corpus::{DocId, Document};
+    use facet_corpus::{DocId, Document, TextDatabase};
     use std::collections::HashMap;
 
     struct Fixed(&'static str, HashMap<&'static str, Vec<&'static str>>);
@@ -1001,11 +998,14 @@ mod tests {
 
     #[test]
     fn failed_resource_degrades_coverage_with_provenance() {
-        let (_db, vocab, _important, cache, ctx, _faulty) = degraded_build();
-        assert!(!ctx.is_fully_covered());
+        let (_db, vocab, _important, cache, _ctx, _faulty) = degraded_build();
+        let degraded: Vec<(&str, &[String])> = cache
+            .degraded()
+            .map(|(t, r)| (vocab.term(t), r.failed.as_slice()))
+            .collect();
         assert_eq!(
-            ctx.degraded().get("jacques chirac"),
-            Some(&vec!["G".to_string()]),
+            degraded,
+            [("jacques chirac", ["G".to_string()].as_slice())],
             "provenance names exactly the failed resource"
         );
         // Surviving resource F still contributed.
@@ -1037,7 +1037,8 @@ mod tests {
         assert_eq!(outcome.repaired_terms, 1);
         assert_eq!(outcome.still_degraded, 0);
         assert_eq!(outcome.changed_docs, 2, "both documents use the term");
-        assert!(ctx.is_fully_covered());
+        assert_eq!(outcome.failures, [0, 0]);
+        assert_eq!(cache.degraded().count(), 0);
         let counts = rec.snapshot_counts_only();
         assert_eq!(counts["counter.repair.repaired_terms"], 1);
 
@@ -1074,7 +1075,6 @@ mod tests {
             let repaired_id = vocab.get(term).unwrap();
             assert_eq!(ctx.df_c(repaired_id), clean.df_c(id), "df_c for {term:?}");
         }
-        assert!(clean.is_fully_covered());
     }
 
     #[test]
@@ -1093,11 +1093,12 @@ mod tests {
         .unwrap();
         assert_eq!(outcome.repaired_terms, 0);
         assert_eq!(outcome.still_degraded, 1);
+        assert_eq!(outcome.failures, [0, 1], "G failed again");
         assert_eq!(
             outcome.changed_docs, 0,
             "nothing changed, nothing recomputed"
         );
-        assert!(!ctx.is_fully_covered());
+        assert_eq!(cache.degraded().count(), 1);
         // A later pass after recovery still works.
         faulty.heal();
         let outcome = repair_degraded_recorded(
@@ -1111,7 +1112,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome.repaired_terms, 1);
-        assert!(ctx.is_fully_covered());
+        assert_eq!(cache.degraded().count(), 0);
     }
 
     #[test]
@@ -1143,7 +1144,13 @@ mod tests {
             &mut ctx,
         )
         .unwrap();
-        assert_eq!(outcome, RepairOutcome::default());
+        assert_eq!(
+            outcome,
+            RepairOutcome {
+                failures: vec![0],
+                ..RepairOutcome::default()
+            }
+        );
     }
 
     #[test]

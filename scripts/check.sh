@@ -6,19 +6,15 @@
 #   --tier1        Run exactly the tier-1 gate (release build + tests), the
 #                  command CI and the roadmap treat as the must-stay-green
 #                  bar, plus the facet-resources, facet-corpus and
-#                  facet-textkit unit tests, the index determinism sweep
-#                  over worker counts, the
-#                  facet-core serving and browse unit tests, the
-#                  facet-stats tests and the facet-core selection unit
-#                  tests (counted rank bins and partial top-k against the
-#                  sort-based reference), the facet-core subsumption and
-#                  facet-textkit row-store unit tests (slot-order parent
-#                  choice against two references on churned count tables;
-#                  chunked rows against a Vec model), the recovery suite,
-#                  the facet-core persist unit tests and the
+#                  facet-textkit unit tests, every facet-core, facet-store
+#                  and facet-obs unit test (among them the interleaving
+#                  tests the Lint.toml concurrency sanctions cite) and the
 #                  snapshot-digest property (equal digests across worker
-#                  counts, thread counts and append splits), the Steps
-#                  1–4 paper-formula oracle
+#                  counts, thread counts and append splits), the index
+#                  determinism sweep over worker counts, the facet-stats
+#                  tests, the facet-textkit row-store unit tests (chunked
+#                  rows against a Vec model), the recovery suite, the
+#                  Steps 1–4 paper-formula oracle
 #                  and the paper-fidelity quality gate (QUALITY.json), the
 #                  chaos (fault-injection) suite, the trace-export determinism
 #                  smoke, the facet-lint workspace gate, and a release
@@ -100,34 +96,28 @@ if [[ "${1:-}" == "--tier1" ]]; then
     # repair, the one fallible expand_database), the text database's
     # term strings, and the interner and row store.
     cargo test -q -p facet-resources -p facet-corpus -p facet-textkit
+    echo "== tier-1: index, store and observability unit tests"
+    # Every unit test of the three crates, also skipped by the root run:
+    # the index's worker sweeps, serving and browse, selection and
+    # subsumption against their references, persist, and the
+    # interleaving tests the core::serve, store::wal, store::snapshot and
+    # obs::trace sanctions in Lint.toml cite. The digest property is
+    # named explicitly: it is what recovery's digest checks mean.
+    cargo test -q -p facet-core -p facet-store -p facet-obs
+    cargo test -q -p facet-core digest_is_equal_across_shards_threads_and_splits
     echo "== tier-1: index determinism sweep"
     # The worker-count x thread-count equivalence tests, named explicitly
     # so a filtered or partial test run cannot silently skip them.
     cargo test -q --test determinism shard
-    cargo test -q -p facet-core shard::
-    echo "== tier-1: serving and browse unit tests"
-    # Root `cargo test -q` skips crate unit tests; these hold the
-    # interleaving tests the `core::serve` sanction in Lint.toml cites.
-    cargo test -q -p facet-core serve::
-    cargo test -q -p facet-core browse::
-    echo "== tier-1: statistics and selection unit tests"
-    # Counted rank bins and partial top-k against the sort-based
-    # reference (crate unit tests, also skipped by the root run).
+    echo "== tier-1: statistics and row-store unit tests"
+    # Counted rank bins against the sort-based reference; the chunked
+    # row store against a Vec model (crate unit tests, also skipped by
+    # the root run).
     cargo test -q -p facet-stats
-    cargo test -q -p facet-core selection::
-    echo "== tier-1: subsumption and row-store unit tests"
-    # Slot-order parent choice against the reference builder and the
-    # input-order walk on churned tables; the chunked row store against
-    # a Vec model (crate unit tests, also skipped by the root run).
-    cargo test -q -p facet-core subsumption::
     cargo test -q -p facet-textkit rows::
-    echo "== tier-1: recovery, persist unit tests and the digest property"
-    # Restore rebuilds the tables from persisted sources; the persist
-    # unit tests are crate unit tests, also skipped by the root run, and
-    # the digest property is what recovery's digest checks mean.
+    echo "== tier-1: recovery"
+    # Restore rebuilds the tables from persisted sources.
     cargo test -q --test recovery
-    cargo test -q -p facet-core persist::
-    cargo test -q -p facet-core digest_is_equal_across_shards_threads_and_splits
     echo "== tier-1: pipeline oracle and quality gate"
     # The index against Steps 1–4 written from the paper's formulas, and
     # the recall/precision grids against QUALITY.json, named explicitly

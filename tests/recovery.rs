@@ -449,11 +449,9 @@ fn flipped_byte_in_each_snapshot_section_falls_back_and_converges() {
         [
             "meta",
             "vocab",
-            "docs",
             "doc_terms",
             "cache",
             "ctx_rows",
-            "degraded",
             "important"
         ],
         "the sweep must cover the real section inventory"
@@ -622,33 +620,13 @@ fn rows_bytes(rows: &[Vec<u32>]) -> Vec<u8> {
     w.finish()
 }
 
-/// A documents section as `(id, source, day, title, text)`.
-type DocFields = (u32, u32, u32, String, String);
-
-fn docs_of(bytes: &[u8]) -> Vec<DocFields> {
-    let mut r = ByteReader::new(bytes);
-    let n = r.u64().expect("document count");
-    (0..n)
-        .map(|_| {
-            let mut u32_ = || r.u32().expect("field");
-            let (id, source, day) = (u32_(), u32_(), u32_());
-            let title = r.str().expect("title").to_string();
-            (id, source, day, title, r.str().expect("text").to_string())
-        })
-        .collect()
-}
-
-fn docs_bytes(docs: &[DocFields]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u64(docs.len() as u64);
-    for (id, source, day, title, text) in docs {
-        w.u32(*id);
-        w.u32(*source);
-        w.u32(*day);
-        w.str(title);
-        w.str(text);
-    }
-    w.finish()
+/// `meta` with its document count, the last field, moved by `by`.
+fn shift_doc_count(bytes: &[u8], by: i64) -> Vec<u8> {
+    let (fields, count) = bytes.split_at(bytes.len() - 8);
+    let count = u64::from_le_bytes(count.try_into().expect("u64 count"));
+    let mut out = fields.to_vec();
+    out.extend_from_slice(&count.wrapping_add_signed(by).to_le_bytes());
+    out
 }
 
 /// `vocab` without its last term: the arena, the spans, and the
@@ -676,11 +654,11 @@ fn drop_last_term(bytes: &[u8]) -> Vec<u8> {
 
 /// Checksum-valid snapshots whose sources break what restore's rebuild
 /// indexes into — a row naming a symbol past the vocabulary, a counted
-/// row naming a term twice, one document too many or too few, document
-/// ids out of order, a vocabulary missing a term the cache names — or
-/// that carry the previous `STATE_VERSION`, are refused with a typed
-/// error naming the section, never restored into an index whose publish
-/// would panic.
+/// row naming a term twice, a `meta` document count above or below the
+/// row count, a row section one row short, a vocabulary missing a term
+/// the cache names — or that carry the previous `STATE_VERSION`, are
+/// refused with a typed error naming the section, never restored into an
+/// index whose publish would panic.
 #[test]
 fn shard_sources_breaking_the_rebuild_are_refused_as_corrupt() {
     let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
@@ -707,58 +685,80 @@ fn shard_sources_breaking_the_rebuild_are_refused_as_corrupt() {
         *row.last_mut().expect("non-empty") = u32::MAX;
         rows_bytes(&rows)
     };
-    let cases: [(&str, &str, Damage); 9] = [
+    // Per case: what, the damaged section, the section refused, the
+    // damage. A truncated vocabulary is well-formed on its own: the first
+    // section to name its missing last term (a context term) is refused,
+    // and restore decodes the cache before any row naming it. Every row
+    // section's count is checked against `meta`'s, so a `meta` count off
+    // by one is refused at the first row section.
+    let cases: [(&str, &str, &str, Damage); 9] = [
         (
             "contextualized row past the vocabulary",
             "ctx_rows",
+            "ctx_rows",
             past_vocabulary,
         ),
-        ("term row past the vocabulary", "doc_terms", past_vocabulary),
-        ("contextualized row naming a term twice", "ctx_rows", |b| {
-            let mut rows = rows_of(b);
-            let row = rows
-                .iter_mut()
-                .find(|r| !r.is_empty())
-                .expect("a non-empty row");
-            row.insert(0, row[0]);
-            rows_bytes(&rows)
-        }),
+        (
+            "term row past the vocabulary",
+            "doc_terms",
+            "doc_terms",
+            past_vocabulary,
+        ),
+        (
+            "contextualized row naming a term twice",
+            "ctx_rows",
+            "ctx_rows",
+            |b| {
+                let mut rows = rows_of(b);
+                let row = rows
+                    .iter_mut()
+                    .find(|r| !r.is_empty())
+                    .expect("a non-empty row");
+                row.insert(0, row[0]);
+                rows_bytes(&rows)
+            },
+        ),
         (
             "I(d) list past the vocabulary",
             "important",
+            "important",
             past_vocabulary,
         ),
-        ("one document too many", "docs", |b| {
-            let mut docs = docs_of(b);
-            let mut extra = docs.last().expect("a document").clone();
-            extra.0 += 1;
-            docs.push(extra);
-            docs_bytes(&docs)
-        }),
-        ("document ids out of order", "docs", |b| {
-            let mut docs = docs_of(b);
-            let first = docs[0].0;
-            docs[0].0 = docs[1].0;
-            docs[1].0 = first;
-            docs_bytes(&docs)
-        }),
-        ("one document too few", "docs", |b| {
-            let mut docs = docs_of(b);
-            docs.pop();
-            docs_bytes(&docs)
-        }),
+        (
+            "meta counting one document more than the rows",
+            "meta",
+            "doc_terms",
+            |b| shift_doc_count(b, 1),
+        ),
+        (
+            "meta counting one document fewer than the rows",
+            "meta",
+            "doc_terms",
+            |b| shift_doc_count(b, -1),
+        ),
+        (
+            "contextualized rows one row short of meta's count",
+            "ctx_rows",
+            "ctx_rows",
+            |b| {
+                let mut rows = rows_of(b);
+                rows.pop();
+                rows_bytes(&rows)
+            },
+        ),
         (
             "vocabulary missing a term the cache names",
             "vocab",
+            "cache",
             drop_last_term,
         ),
-        ("a version-3 snapshot", "meta", |b| {
-            let mut v3 = 3u32.to_le_bytes().to_vec();
-            v3.extend_from_slice(&b[4..]);
-            v3
+        ("a version-4 snapshot", "meta", "meta", |b| {
+            let mut v4 = 4u32.to_le_bytes().to_vec();
+            v4.extend_from_slice(&b[4..]);
+            v4
         }),
     ];
-    for (what, section, damage) in cases {
+    for (what, section, refused, damage) in cases {
         let mut bad = payload.clone();
         let bytes = &mut bad
             .sections
@@ -773,10 +773,6 @@ fn shard_sources_breaking_the_rebuild_are_refused_as_corrupt() {
         bad_store
             .publish_snapshot(&bad)
             .expect("publish damaged snapshot");
-        // A truncated vocabulary is well-formed on its own: the first
-        // section to name its missing last term (a context term) is
-        // refused, and restore decodes the cache before any row naming it.
-        let refused = if section == "vocab" { "cache" } else { section };
         let res = CachedResource::new(WikiGraphResource::new(&graph));
         match ShardedFacetIndex::open_from(&bad_store, 2, vec![&ne], vec![&res], options()) {
             Err(StoreError::CorruptSection { section: got }) => assert_eq!(got, refused, "{what}"),
