@@ -25,25 +25,35 @@
 //!   retained snapshot covers it and pruning drops the record.
 //! * [`ShardedFacetIndex::open_from`] recovers: load the newest snapshot
 //!   generation that verifies, decode the sections back into the index's
-//!   state (counting df and `df_C` from the rows), rebuild the postings
-//!   and publish through the index's one publish path at the persisted
-//!   generation, then replay the WAL tail through the ordinary
-//!   `append`/`repair` code paths. Nothing in a snapshot depends on the
-//!   worker count or the expansion threads, so it reopens at any count,
-//!   with the caller's threads. Because the
-//!   pipeline is deterministic end-to-end, the replayed index converges
-//!   **string-identical** ([`crate::FacetSnapshot::digest`]) to an index that
-//!   never crashed — `tests/recovery.rs` proves it under injected
-//!   corruption.
+//!   state (counting df and `df_C` from the rows) and rebuild the
+//!   postings, then replay the WAL tail through the ordinary
+//!   `append`/`repair` code paths, publishing through the index's one
+//!   publish path. Nothing in a snapshot depends on the worker count or
+//!   the expansion threads, so it reopens at any count, with the
+//!   caller's threads. Because the pipeline is deterministic end-to-end,
+//!   and N appends publish what one append of the same documents
+//!   publishes, the replayed index converges **string-identical**
+//!   ([`crate::FacetSnapshot::digest`]) to an index that never crashed —
+//!   `tests/recovery.rs` proves it under injected corruption.
 //!
 //! ## Replay discipline
 //!
 //! Every WAL record's sequence number equals the generation its
-//! publication produced. Replay asserts this invariant record by record
-//! ([`StoreError::ReplayFailed`] on any divergence), and the store
-//! already guarantees the tail is contiguous from the snapshot's
-//! generation — so recovery either reproduces the exact publication
-//! history or fails loudly; it never silently skips or reorders a batch.
+//! publication produced. Replay works run by run: each run of
+//! consecutive append records is concatenated into one batch that goes
+//! through the append path once and publishes at the run's last
+//! sequence number, and each repair record runs one repair. Replay
+//! asserts that the run's last sequence number, or the repair's, is the
+//! generation that landed ([`StoreError::ReplayFailed`] on any
+//! divergence), and the store already guarantees the tail is contiguous
+//! from the snapshot's generation — so recovery either reproduces the
+//! publication history's end state or fails loudly; it never silently
+//! skips or reorders a batch. A record that does not decode is named by
+//! its own sequence number, before any batch is built from it. A restart
+//! publishes once per run and once per repair record. The restored state
+//! shares the first run's publish when a run comes first; when a repair
+//! record or the end of the tail comes first, it is published on its
+//! own, at the snapshot's generation.
 
 use crate::config::PipelineOptions;
 use crate::index::{AppendStats, IndexError, RepairStats};
@@ -392,10 +402,12 @@ fn encode_index(index: &ShardedFacetIndex<'_>) -> SnapshotPayload {
 /// symbol of the vocabulary, and the rows df and `df_C` count are
 /// strictly ascending, as ingest and expansion write them
 /// ([`decode_rows`], which pushes each row into its store as it checks
-/// it). Then rebuild everything else the way repair does: the postings
-/// from the rows, the degraded map from the cache, and the one publish
-/// path ranks, scans the subsumption counts and publishes at the
-/// persisted generation.
+/// it). Then set the persisted generation and rebuild the postings and
+/// the degraded map the way repair does. Nothing is published: the
+/// index's snapshot stays the empty one until replay publishes (see
+/// [`ShardedFacetIndex::open_from`]), which ranks, scans the
+/// subsumption counts and publishes once for the restored state and the
+/// first run of appends together.
 fn restore_index(
     index: &mut ShardedFacetIndex<'_>,
     payload: &SnapshotPayload,
@@ -432,8 +444,87 @@ fn restore_index(
     index.cache = cache;
     index.ctx = ContextualizedDatabase::from_parts(ctx_rows);
     index.important = important;
-    index.reindex_and_publish(meta.generation);
+    index.generation = meta.generation;
+    index.reindex();
     Ok(())
+}
+
+/// An open run of logged appends: their documents in log order, how
+/// many records they came from, and the last record's sequence number.
+#[derive(Default)]
+struct Run {
+    docs: Vec<Document>,
+    records: u64,
+    last_seq: u64,
+}
+
+/// Publish what replay has held back: the open `run` as one batch at its
+/// last sequence number, or, with no run open, a `restored` state that
+/// nothing has published yet. Either way the index is published after.
+fn flush(
+    index: &mut ShardedFacetIndex<'_>,
+    run: &mut Run,
+    restored: &mut bool,
+) -> Result<(), StoreError> {
+    let run = std::mem::take(run);
+    if run.records > 0 {
+        let landed = index
+            .append_at(run.docs, index.generation + run.records)
+            .map_err(|e| replay_failed(run.last_seq, e.to_string()))?
+            .generation;
+        check_replayed_generation(run.last_seq, landed)?;
+    } else if *restored {
+        index.publish_restored();
+    }
+    *restored = false;
+    Ok(())
+}
+
+/// [`ShardedFacetIndex::open_from`] into `index`, fresh from
+/// [`ShardedFacetIndex::new`]: restore the newest verified snapshot, if
+/// the store holds one, and replay the tail.
+fn recover_into<'a>(
+    store: &FacetStore,
+    mut index: ShardedFacetIndex<'a>,
+) -> Result<(ShardedFacetIndex<'a>, RecoveryReport), StoreError> {
+    let recovery = store.recover()?;
+    let snapshot = &recovery.snapshot;
+    let restored = snapshot.generation > 0 || !snapshot.sections.is_empty();
+    if restored {
+        restore_index(&mut index, snapshot)?;
+    }
+    replay(&mut index, &recovery.tail, restored)?;
+    Ok((index, recovery.report))
+}
+
+/// Replay `tail`, the WAL records after the state `index` holds, run by
+/// run (see [Replay discipline](self#replay-discipline)). `restored`
+/// says that state came from a snapshot and is not published yet; the
+/// index is published when this returns.
+fn replay(
+    index: &mut ShardedFacetIndex<'_>,
+    tail: &[WalRecord],
+    mut restored: bool,
+) -> Result<(), StoreError> {
+    let mut run = Run::default();
+    for record in tail {
+        match dec_record(record)? {
+            ReplayOp::Append(docs) => {
+                run.docs.extend(docs);
+                run.records += 1;
+                run.last_seq = record.seq;
+            }
+            ReplayOp::Repair => {
+                flush(index, &mut run, &mut restored)?;
+                let landed = index
+                    .repair()
+                    .map_err(|e| replay_failed(record.seq, e.to_string()))?
+                    .generation;
+                check_replayed_generation(record.seq, landed)?;
+            }
+        }
+    }
+    flush(index, &mut run, &mut restored)
 }
 
 impl<'a> ShardedFacetIndex<'a> {
@@ -451,11 +542,15 @@ impl<'a> ShardedFacetIndex<'a> {
         Ok(payload.generation)
     }
 
-    /// Recover an index from a store: newest verified snapshot, then
-    /// replay of the WAL tail through the live
+    /// Recover an index from a store: decode the newest verified
+    /// snapshot, then replay the WAL tail through the live
     /// [`ShardedFacetIndex::append`] / [`ShardedFacetIndex::repair`]
-    /// paths. `n` floors the worker count as in
-    /// [`ShardedFacetIndex::new`]; any count reopens any snapshot.
+    /// paths, one append per run of consecutive append records (see
+    /// [Replay discipline](crate::persist#replay-discipline)). A snapshot
+    /// followed by an append-only tail publishes once in all, and one
+    /// with an empty tail once at the snapshot's generation; no reader
+    /// sees a snapshot of the index before this returns. `n` floors the worker count as
+    /// in [`ShardedFacetIndex::new`]; any count reopens any snapshot.
     /// `options.expansion.threads` always applies: it is the caller's
     /// worker budget, and results do not depend on it. The rest of
     /// `options` applies only when the store is empty (a fresh
@@ -464,8 +559,10 @@ impl<'a> ShardedFacetIndex<'a> {
     ///
     /// # Errors
     /// [`StoreError`] from recovery, decoding (including a snapshot of
-    /// another [`STATE_VERSION`]), or a replayed publication that
-    /// diverges from its record ([`StoreError::ReplayFailed`]).
+    /// another [`STATE_VERSION`]), a WAL record that does not decode, or
+    /// a replayed publication that diverges from its record
+    /// ([`StoreError::ReplayFailed`], naming the record's sequence
+    /// number).
     pub fn open_from(
         store: &FacetStore,
         n: usize,
@@ -473,20 +570,8 @@ impl<'a> ShardedFacetIndex<'a> {
         resources: Vec<&'a dyn ContextResource>,
         options: PipelineOptions,
     ) -> Result<(Self, RecoveryReport), StoreError> {
-        let recovery = store.recover()?;
-        let mut index = ShardedFacetIndex::new(n, extractors, resources, options);
-        if recovery.snapshot.generation > 0 || !recovery.snapshot.sections.is_empty() {
-            restore_index(&mut index, &recovery.snapshot)?;
-        }
-        for record in &recovery.tail {
-            let landed = match dec_record(record)? {
-                ReplayOp::Append(docs) => index.append(docs).map(|s| s.generation),
-                ReplayOp::Repair => index.repair().map(|s| s.generation),
-            }
-            .map_err(|e| replay_failed(record.seq, e.to_string()))?;
-            check_replayed_generation(record.seq, landed)?;
-        }
-        Ok((index, recovery.report))
+        let index = ShardedFacetIndex::new(n, extractors, resources, options);
+        recover_into(store, index)
     }
 
     /// [`ShardedFacetIndex::append`] with log-ahead durability: the batch
@@ -535,6 +620,7 @@ impl<'a> ShardedFacetIndex<'a> {
 mod tests {
     use super::*;
     use crate::shard::tests::{corpus, options, with_threads, CountingResource, FixedExtractor};
+    use facet_obs::Recorder;
     use facet_resources::{FaultPlan, FaultyResource, VirtualClock};
     use facet_store::{snapshot_file_name, WAL_FILE};
     use facet_textkit::rows::CHUNK_ROWS;
@@ -592,6 +678,160 @@ mod tests {
         assert_eq!(replayed.snapshot().digest(), healed.digest());
         assert_eq!(replayed.repair().unwrap().requeried_terms, 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A snapshot with degraded terms, then an append-only tail that
+    /// resolves one more term degraded: the one publish of recovery
+    /// carries the restored degradation and the tail's together.
+    #[test]
+    fn restored_degradation_survives_the_single_publish() {
+        let e = FixedExtractor;
+        let faulty = FaultyResource::new(
+            CountingResource::new(),
+            FaultPlan::seeded(7, 1000),
+            VirtualClock::new(),
+        );
+        let dir = test_dir("degraded-tail");
+        let store = FacetStore::open(&dir).unwrap();
+        let mut live = ShardedFacetIndex::new(2, vec![&e], vec![&faulty], options());
+        // corpus(1) names only Chirac; corpus(2) adds Merkel.
+        live.append_logged(corpus(1), &store).unwrap();
+        live.persist_to(&store).unwrap();
+        assert_eq!(live.snapshot().degraded().len(), 1);
+        live.append_logged(corpus(2), &store).unwrap();
+        live.append_logged(corpus(1), &store).unwrap();
+        let snap = live.snapshot();
+        assert_eq!(snap.degraded().len(), 2, "the tail degraded Merkel");
+        let (recovered, report) =
+            ShardedFacetIndex::open_from(&store, 1, vec![&e], vec![&faulty], options()).unwrap();
+        assert_eq!(report.replayed_records, 2);
+        let got = recovered.snapshot();
+        assert_eq!(got.generation(), snap.generation());
+        assert_eq!(got.degraded(), snap.degraded());
+        assert_eq!(got.digest(), snap.digest());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Append, append, repair, append after a degraded snapshot: two
+    /// runs around the repair record, each publishing once, recover the
+    /// live digest at one worker and at three.
+    #[test]
+    fn runs_around_a_repair_recover_the_live_digest() {
+        let e = FixedExtractor;
+        let faulty = FaultyResource::new(
+            CountingResource::new(),
+            FaultPlan::seeded(7, 1000),
+            VirtualClock::new(),
+        );
+        let dir = test_dir("runs-repair");
+        let store = FacetStore::open(&dir).unwrap();
+        let mut live = ShardedFacetIndex::new(2, vec![&e], vec![&faulty], options());
+        live.append_logged(corpus(4), &store).unwrap();
+        live.persist_to(&store).unwrap();
+        live.append_logged(corpus(5), &store).unwrap();
+        live.append_logged(corpus(3), &store).unwrap();
+        faulty.heal();
+        assert_eq!(live.repair_logged(&store).unwrap().repaired_terms, 3);
+        live.append_logged(corpus(6), &store).unwrap();
+        let snap = live.snapshot();
+        assert!(snap.is_fully_covered());
+        for n in [1, 3] {
+            let recorder = Recorder::enabled();
+            let index = ShardedFacetIndex::new(n, vec![&e], vec![&faulty], with_threads(1))
+                .with_recorder(recorder.clone());
+            let (recovered, _) = recover_into(&store, index).unwrap();
+            let got = recovered.snapshot();
+            assert_eq!(got.generation(), snap.generation(), "{n} workers");
+            assert_eq!(got.digest(), snap.digest(), "{n} workers");
+            assert_eq!(publishes(&recorder), 3, "{n} workers: run, repair, run");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The publishes a recorder saw: each one records one `swap` span,
+    /// under `append`, `repair` or on its own.
+    fn publishes(recorder: &Recorder) -> u64 {
+        recorder
+            .snapshot_counts_only()
+            .iter()
+            .filter(|(k, _)| k.starts_with("span.") && k.ends_with("swap.count"))
+            .map(|(_, v)| v)
+            .sum()
+    }
+
+    /// An append-only tail of several records publishes once, at the
+    /// last record's sequence number, with the live digest; so does an
+    /// empty tail, at the snapshot's generation.
+    #[test]
+    fn append_only_tail_publishes_once() {
+        let e = FixedExtractor;
+        let r = CountingResource::new();
+        let dir = test_dir("one-publish");
+        let store = FacetStore::open(&dir).unwrap();
+        let mut live = ShardedFacetIndex::new(2, vec![&e], vec![&r], options());
+        live.append_logged(corpus(12), &store).unwrap();
+        live.persist_to(&store).unwrap();
+        let open = || {
+            let recorder = Recorder::enabled();
+            let index = ShardedFacetIndex::new(2, vec![&e], vec![&r], options())
+                .with_recorder(recorder.clone());
+            let (index, report) = recover_into(&store, index).unwrap();
+            (index.snapshot(), report.replayed_records, recorder)
+        };
+        let (got, replayed, recorder) = open();
+        assert_eq!((got.generation(), replayed), (1, 0));
+        assert_eq!(got.digest(), live.snapshot().digest());
+        assert_eq!(
+            publishes(&recorder),
+            1,
+            "an empty tail publishes the snapshot"
+        );
+
+        for n in [3, 1, 7, 2, 5] {
+            live.append_logged(corpus(n), &store).unwrap();
+        }
+        let (got, replayed, recorder) = open();
+        assert_eq!(replayed, 5);
+        assert_eq!(got.generation(), 6);
+        assert_eq!(got.digest(), live.snapshot().digest());
+        assert_eq!(publishes(&recorder), 1);
+        let counts = recorder.snapshot_counts_only();
+        assert_eq!(counts["span.append.count"], 1, "one append for the run");
+        assert_eq!(counts["counter.append.docs"], 18);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A record that does not decode fails recovery with `ReplayFailed`
+    /// naming its own sequence number, after a valid record in the same
+    /// run: an unknown kind byte, and an append whose payload is cut
+    /// short.
+    #[test]
+    fn undecodable_records_are_named_by_sequence() {
+        let e = FixedExtractor;
+        let r = CountingResource::new();
+        let append = encode(|w| {
+            w.u8(RECORD_APPEND);
+            enc_docs(w, &corpus(3));
+        });
+        let cases = [
+            ("unknown kind", vec![7u8]),
+            ("truncated append", append[..append.len() - 5].to_vec()),
+        ];
+        for (what, bad) in cases {
+            let dir = test_dir("hostile");
+            let store = FacetStore::open(&dir).unwrap();
+            let mut live = ShardedFacetIndex::new(1, vec![&e], vec![&r], options());
+            live.append_logged(corpus(8), &store).unwrap();
+            live.persist_to(&store).unwrap();
+            live.append_logged(corpus(4), &store).unwrap();
+            store.log_record(3, &bad).unwrap();
+            match ShardedFacetIndex::open_from(&store, 1, vec![&e], vec![&r], options()) {
+                Err(StoreError::ReplayFailed { seq, .. }) => assert_eq!(seq, 3, "{what}"),
+                Err(other) => panic!("{what}: {other}"),
+                Ok(_) => panic!("{what}: recovered past a malformed record"),
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// Document text reaches the WAL, which keeps each batch until the
@@ -653,8 +893,8 @@ mod tests {
     }
 
     /// Restore rebuilds the rows into one store that the index and the
-    /// restored snapshot share, and publishes the live digest, at a worker
-    /// count other than the one that persisted.
+    /// restored snapshot share, and replaying an empty tail publishes the
+    /// live digest, at a worker count other than the one that persisted.
     #[test]
     fn rows_restore_as_one_copy() {
         let e = FixedExtractor;
@@ -669,6 +909,7 @@ mod tests {
 
         let mut restored = ShardedFacetIndex::new(3, vec![&e], vec![&r], options());
         restore_index(&mut restored, &payload).unwrap();
+        replay(&mut restored, &[], true).unwrap();
         assert_eq!(restored.ctx.rows(), index.ctx.rows());
         let snap = restored.snapshot();
         assert!(snap.doc_terms().shares_chunks_with(restored.ctx.rows()));

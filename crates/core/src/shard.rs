@@ -49,9 +49,10 @@
 //!    terms that stayed, and fills the entering terms' rows from their
 //!    postings, so its counting scales with the batch and the churn, not
 //!    the corpus. A fresh, repaired or restored index rebuilds the table
-//!    by one scan at its next publish. Parent choice then walks each
-//!    term's count row in slot order. The result is published as one
-//!    new [`FacetSnapshot`] behind an `Arc`, which shares the rows
+//!    by one scan at its next publish, its rows split into one contiguous
+//!    range per worker and the ranges' counts summed. Parent choice then
+//!    walks each term's count row in slot order. The result is published
+//!    as one new [`FacetSnapshot`] behind an `Arc`, which shares the rows
 //!    with the index: they live in an append-only [`RowStore`] of
 //!    `Arc`-shared chunks, so a publish clones the chunk list, and the
 //!    next append copies at most the one open chunk the snapshot still
@@ -83,7 +84,7 @@ use crate::config::PipelineOptions;
 use crate::hierarchy::FacetForest;
 use crate::index::{AppendStats, DegradedMap, FacetSnapshot, IndexError, RepairStats};
 use crate::selection::{collect_candidates, rank_stable, SelectionInputs, SelectionStatistic};
-use crate::subsumption::{choose_parents_scanned, CoCounts, SubsumptionParams};
+use crate::subsumption::{choose_parents_scanned, CoCounts, RangeCounts, SubsumptionParams};
 use facet_corpus::db::{term_strings, DocTerms, TermStrings, TermingOptions};
 use facet_corpus::Document;
 use facet_obs::{Recorder, SpanContext};
@@ -107,8 +108,8 @@ type Termed = (TermStrings, Vec<String>);
 /// for the stages of an append and the equivalence invariant. The
 /// `pub(crate)` fields are the state [`crate::persist`] encodes and
 /// restores; outside this impl, only the restore path writes them,
-/// before it rebuilds the postings and publishes through
-/// [`ShardedFacetIndex::reindex_and_publish`].
+/// before it rebuilds the postings and the degraded map through
+/// [`ShardedFacetIndex::reindex`].
 ///
 /// ```no_run
 /// # use facet_core::ShardedFacetIndex;
@@ -156,6 +157,10 @@ pub struct ShardedFacetIndex<'a> {
     /// by each publish. `None` on a fresh, repaired or restored index
     /// until its next publish rebuilds it by scan. Never persisted.
     co_counts: Option<CoCounts>,
+    /// The degraded map the next publish carries: every degraded term's
+    /// provenance, keyed by term string. An append adds the terms it
+    /// resolved degraded; repair and restore rebuild it from the cache.
+    degraded: Arc<DegradedMap>,
     /// The current published snapshot. Every update, restore's included,
     /// goes through [`ShardedFacetIndex::publish`]; it takes `&mut self`,
     /// so no reader of this field can overlap it.
@@ -205,6 +210,7 @@ impl<'a> ShardedFacetIndex<'a> {
             important: RowStore::new(),
             postings: Vec::new(),
             co_counts: None,
+            degraded: Arc::default(),
             snapshot,
             generation: 0,
         }
@@ -326,7 +332,18 @@ impl<'a> ShardedFacetIndex<'a> {
     /// should be discarded, since it may have ingested documents it
     /// could not expand.
     pub fn append(&mut self, batch: Vec<Document>) -> Result<AppendStats, IndexError> {
-        self.append_with(batch, None)
+        self.append_with(batch, None, self.generation + 1)
+    }
+
+    /// [`ShardedFacetIndex::append`], publishing at `generation` instead
+    /// of the next one: recovery replays a run of logged appends as one
+    /// batch that lands on the run's last sequence number.
+    pub(crate) fn append_at(
+        &mut self,
+        batch: Vec<Document>,
+        generation: u64,
+    ) -> Result<AppendStats, IndexError> {
+        self.append_with(batch, None, generation)
     }
 
     /// [`ShardedFacetIndex::append`] with Step 1 already done:
@@ -355,15 +372,17 @@ impl<'a> ShardedFacetIndex<'a> {
                 },
             ));
         }
-        self.append_with(batch, Some(important))
+        self.append_with(batch, Some(important), self.generation + 1)
     }
 
     /// The one append path: `important` is `I(d)` per document, or `None`
-    /// to have the extract stage compute it.
+    /// to have the extract stage compute it; the result publishes at
+    /// `generation`.
     fn append_with(
         &mut self,
         batch: Vec<Document>,
         important: Option<Vec<Vec<String>>>,
+        generation: u64,
     ) -> Result<AppendStats, IndexError> {
         // The span guard borrows its recorder; a clone (one `Arc` bump)
         // leaves `self` free for the stages below.
@@ -424,8 +443,8 @@ impl<'a> ShardedFacetIndex<'a> {
             self.important.push(terms);
         }
         self.index_rows(start);
-        let degraded = self.add_degraded(&self.snapshot.degraded, outcome.degraded);
-        self.publish(self.generation + 1, outcome.rows_copied, degraded);
+        self.degraded = self.add_degraded(&self.degraded, outcome.degraded);
+        self.publish(generation, outcome.rows_copied);
 
         let resource_queries = self.count_queries(outcome.new_distinct_terms, &outcome.failures);
         let intern_after = self.vocab.stats();
@@ -504,9 +523,9 @@ impl<'a> ShardedFacetIndex<'a> {
     /// resolution changed, re-rank, and publish a new snapshot.
     ///
     /// The postings are then rebuilt from every row, and the subsumption
-    /// counts by one scan at publish — O(corpus), acceptable for a rare
-    /// backfill. The df table over `D` is untouched: repair never changes
-    /// the corpus itself.
+    /// counts by one scan at publish — O(corpus), split over the workers,
+    /// acceptable for a rare backfill. The df table over `D` is
+    /// untouched: repair never changes the corpus itself.
     ///
     /// Once the failing resources have recovered (e.g. a circuit breaker
     /// has closed), the repaired snapshot is string-identical — facet
@@ -533,7 +552,8 @@ impl<'a> ShardedFacetIndex<'a> {
         )?;
         self.count_queries(outcome.requeried_terms, &outcome.failures);
         if outcome.requeried_terms > 0 {
-            self.reindex_and_publish(self.generation + 1);
+            self.reindex();
+            self.publish(self.generation + 1, 0);
             self.recorder.incr("repair.snapshot_swaps");
         }
         Ok(RepairStats {
@@ -556,21 +576,27 @@ impl<'a> ShardedFacetIndex<'a> {
     }
 
     /// Rebuild the postings from every row and the degraded map from the
-    /// cache, drop the subsumption counts, and publish at `generation`:
-    /// what repair runs after rewriting rows and restore runs after
+    /// cache, and drop the subsumption counts so the next publish scans
+    /// them: what repair runs after rewriting rows and restore runs after
     /// decoding them.
-    pub(crate) fn reindex_and_publish(&mut self, generation: u64) {
+    pub(crate) fn reindex(&mut self) {
         self.postings.clear();
         self.index_rows(0);
         self.co_counts = None;
         let degraded: Vec<TermId> = self.cache.degraded().map(|(t, _)| t).collect();
-        let degraded = self.add_degraded(&Arc::default(), degraded);
-        self.publish(generation, 0, degraded);
+        self.degraded = self.add_degraded(&Arc::default(), degraded);
+    }
+
+    /// Publish the state as it stands at the current generation: what
+    /// recovery runs when a restored index has no logged append to
+    /// publish it.
+    pub(crate) fn publish_restored(&mut self) {
+        self.publish(self.generation, 0);
     }
 
     /// `base` plus the provenance the cache holds for `terms`, keyed by
     /// term string: the degraded map a snapshot publishes. An append adds
-    /// the terms it resolved degraded to the published map (shared, not
+    /// the terms it resolved degraded to the current map (shared, not
     /// copied, when there are none); repair and restore build it from
     /// every degraded entry.
     fn add_degraded(&self, base: &Arc<DegradedMap>, terms: Vec<TermId>) -> Arc<DegradedMap> {
@@ -587,14 +613,14 @@ impl<'a> ShardedFacetIndex<'a> {
     /// counts up to the new candidate set and rows (a scan if there are
     /// none yet) and run Step 4's parent choice over them, set the
     /// generation to `generation`, and replace the published snapshot
-    /// with the new one, which carries `degraded` — the index's one
+    /// with the new one, which carries the degraded map — the index's one
     /// publish path, shared by append, repair and restore. The snapshot
     /// shares the rows' chunks with the index; `rows_copied` is what the
     /// append before it copied to push its rows. Records the `freeze` span, the
     /// `select` span (attributes: `terms` scanned, `candidates` passing
     /// the shift filters), the `subsumption` span (`pairs_scanned`: count
     /// entries parent choice walked) and the `swap` span (`rows_copied`).
-    fn publish(&mut self, generation: u64, rows_copied: usize, degraded: Arc<DegradedMap>) {
+    fn publish(&mut self, generation: u64, rows_copied: usize) {
         // One freeze per publish: ranking, forest, and snapshot share it.
         let frozen = {
             let _span = self.recorder.span("freeze");
@@ -624,7 +650,7 @@ impl<'a> ShardedFacetIndex<'a> {
                     counts.advance(&terms, rows, &self.postings);
                     counts
                 }
-                None => self.co_counts.insert(CoCounts::scan(&terms, rows)),
+                None => self.co_counts.insert(self.scan_counts(&terms)),
             };
             let (sub, pairs_scanned) = choose_parents_scanned(
                 &terms,
@@ -650,8 +676,36 @@ impl<'a> ShardedFacetIndex<'a> {
             candidates,
             forest,
             &self.postings,
-            degraded,
+            Arc::clone(&self.degraded),
         ));
+    }
+
+    /// [`CoCounts::scan`] of `terms` over every contextualized row, on
+    /// the workers: the rows are cut into `workers` contiguous ranges,
+    /// the first counted on this thread and the rest on scoped worker
+    /// threads, and the ranges' counts are summed. The table is the same
+    /// at any worker count.
+    fn scan_counts(&self, terms: &[TermId]) -> CoCounts {
+        let rows = self.ctx.rows();
+        let mut counts = CoCounts::with_slots(terms);
+        let per = rows.len().div_ceil(self.workers()).max(1);
+        let starts: Vec<usize> = (0..rows.len()).step_by(per).collect();
+        let mut ranges: Vec<Option<RangeCounts>> = starts.iter().map(|_| None).collect();
+        let table = &counts;
+        let count = |start: usize| table.count_range(rows.iter_from(start).take(per));
+        rayon::scope(|s| {
+            let mut parts = starts.iter().zip(ranges.iter_mut());
+            let first = parts.next();
+            for (&start, out) in parts {
+                let count = &count;
+                s.spawn(move |_| *out = Some(count(start)));
+            }
+            if let Some((&start, out)) = first {
+                *out = Some(count(start));
+            }
+        });
+        counts.absorb(ranges.into_iter().flatten().collect());
+        counts
     }
 }
 
@@ -853,6 +907,29 @@ pub(crate) mod tests {
             assert_eq!(terms(&index), terms(&one), "{n} workers: interning order");
             assert_eq!(index.ctx.rows(), one.ctx.rows(), "{n} workers: rows");
             assert_eq!(index.important, one.important, "{n} workers: I(d)");
+        }
+    }
+
+    /// The publish path's scan, split over 1–4 workers, builds the table
+    /// one serial scan builds, over more rows than one chunk holds.
+    #[test]
+    fn split_scan_equals_serial_scan() {
+        let e = FixedExtractor;
+        for n in 1..=4 {
+            let r = CountingResource::new();
+            let index =
+                ShardedFacetIndex::build(corpus(CHUNK_ROWS + 37), n, vec![&e], vec![&r], options())
+                    .unwrap();
+            let terms: Vec<TermId> = index
+                .snapshot()
+                .candidates()
+                .iter()
+                .map(|c| c.term)
+                .collect();
+            assert!(terms.len() > 2);
+            let serial = CoCounts::scan(&terms, index.ctx.rows());
+            assert_eq!(index.scan_counts(&terms), serial, "{n} workers");
+            assert_eq!(index.co_counts.as_ref(), Some(&serial), "{n} workers");
         }
     }
 

@@ -107,7 +107,7 @@ const ABSENT: u32 = u32::MAX;
 /// of entering terms from their postings. Either way the table holds,
 /// for its members, exactly what a fresh scan over the same rows would
 /// count, so [`choose_parents`] cannot tell the two apart.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoCounts {
     /// `slot_of[sym]`: the term's slot, or [`ABSENT`].
     slot_of: Vec<u32>,
@@ -128,6 +128,18 @@ pub struct CoCounts {
     n_docs: usize,
 }
 
+/// Document and pair counts of one contiguous range of rows, over the
+/// slots of the table that counted them ([`CoCounts::count_range`]):
+/// `df` per slot and the upper triangle of the pair counts. A scan is the
+/// sum of its ranges' counts, so any split of the rows sums to the same
+/// table.
+#[derive(Debug)]
+pub(crate) struct RangeCounts {
+    n_docs: usize,
+    df: Vec<u32>,
+    co: Vec<u32>,
+}
+
 impl CoCounts {
     /// Count `terms` (distinct) over every row of `doc_terms`, the
     /// distinct terms of each document. Slot `i` holds `terms[i]`.
@@ -135,42 +147,92 @@ impl CoCounts {
         terms: &[TermId],
         doc_terms: impl IntoIterator<Item = R>,
     ) -> Self {
-        let n = terms.len();
+        let mut counts = Self::with_slots(terms);
+        let range = counts.count_range(doc_terms);
+        counts.absorb(vec![range]);
+        counts
+    }
+
+    /// A table whose slot `i` holds `terms[i]` (distinct), with no rows
+    /// counted yet: the slot table [`CoCounts::count_range`] reads. Its
+    /// counts are empty until [`CoCounts::absorb`] fills them.
+    pub(crate) fn with_slots(terms: &[TermId]) -> Self {
         let max_sym = terms.iter().map(|t| t.index()).max().map_or(0, |m| m + 1);
         let mut slot_of = vec![ABSENT; max_sym];
         for (i, t) in terms.iter().enumerate() {
             debug_assert_eq!(slot_of[t.index()], ABSENT, "duplicate term {t:?}");
             slot_of[t.index()] = i as u32;
         }
-        let mut counts = Self {
+        Self {
             slot_of,
             term_of: terms.iter().copied().map(Some).collect(),
             free: Vec::new(),
-            cap: n,
+            cap: terms.len(),
+            df: Vec::new(),
+            co: Vec::new(),
+            n_docs: 0,
+        }
+    }
+
+    /// Count one range of rows over this table's slots into fresh
+    /// counts, reading only the slot table: the serial unit of a scan,
+    /// which ranges of the same rows can run on separate threads. Only
+    /// the upper triangle is written, half the writes of counting both
+    /// orientations per document.
+    pub(crate) fn count_range<R: AsRef<[TermId]>>(
+        &self,
+        rows: impl IntoIterator<Item = R>,
+    ) -> RangeCounts {
+        let n = self.cap;
+        let mut out = RangeCounts {
+            n_docs: 0,
             df: vec![0; n],
             co: vec![0; n * n],
-            n_docs: 0,
         };
-        // Upper triangle only, mirrored once at the end: half the writes
-        // of counting both orientations per document.
         let mut present: Vec<usize> = Vec::new();
-        for d in doc_terms {
-            counts.n_docs += 1;
-            counts.present_slots(d.as_ref(), &mut present);
+        for d in rows {
+            out.n_docs += 1;
+            self.present_slots(d.as_ref(), &mut present);
             for (a, &i) in present.iter().enumerate() {
-                counts.df[i] += 1;
+                out.df[i] += 1;
                 for &j in &present[a + 1..] {
                     let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-                    counts.co[lo * n + hi] += 1;
+                    out.co[lo * n + hi] += 1;
                 }
             }
         }
-        for lo in 0..n {
-            for hi in lo + 1..n {
-                counts.co[hi * n + lo] = counts.co[lo * n + hi];
+        out
+    }
+
+    /// Take the sum of `ranges` — the counts of consecutive ranges that
+    /// together cover the rows, each from [`CoCounts::count_range`] on
+    /// this table — as the table's counts, and mirror the upper triangle
+    /// once. Counts are integer sums, so the table is the same however
+    /// the rows were split.
+    pub(crate) fn absorb(&mut self, ranges: Vec<RangeCounts>) {
+        let mut ranges = ranges.into_iter();
+        let mut sum = match ranges.next() {
+            Some(first) => first,
+            None => self.count_range(std::iter::empty::<&[TermId]>()),
+        };
+        for range in ranges {
+            sum.n_docs += range.n_docs;
+            for (a, b) in sum.df.iter_mut().zip(&range.df) {
+                *a += b;
+            }
+            for (a, b) in sum.co.iter_mut().zip(&range.co) {
+                *a += b;
             }
         }
-        counts
+        let n = self.cap;
+        for lo in 0..n {
+            for hi in lo + 1..n {
+                sum.co[hi * n + lo] = sum.co[lo * n + hi];
+            }
+        }
+        self.n_docs = sum.n_docs;
+        self.df = sum.df;
+        self.co = sum.co;
     }
 
     /// Advance the table to count `terms` (distinct) over every row of
@@ -598,10 +660,36 @@ mod tests {
         assert_eq!(f.parent[1], None, "chance co-occurrence must not subsume");
     }
 
+    /// [`CoCounts::scan`] with the rows cut into `parts` contiguous
+    /// ranges at random points (empty ranges included), each counted on
+    /// its own, the way the index's scan splits them over its workers.
+    fn split_scan(
+        terms: &[TermId],
+        rows: &RowStore,
+        parts: u64,
+        rng: &mut proptest::test_runner::TestRng,
+    ) -> CoCounts {
+        let mut cuts: Vec<usize> = (1..parts)
+            .map(|_| rng.below(rows.len() as u64 + 1) as usize)
+            .collect();
+        cuts.sort_unstable();
+        let mut counts = CoCounts::with_slots(terms);
+        let mut start = 0;
+        let mut ranges = Vec::new();
+        for end in cuts.into_iter().chain([rows.len()]) {
+            ranges.push(counts.count_range(rows.iter_from(start).take(end - start)));
+            start = end;
+        }
+        counts.absorb(ranges);
+        counts
+    }
+
     /// A table advanced through random enter/leave/append steps counts
     /// exactly what a fresh scan counts, and parent choice over it is
     /// identical. Sizes swing between 2 and 14 terms so the table both
-    /// grows and reuses freed slots, and terms leave and re-enter.
+    /// grows and reuses freed slots, and terms leave and re-enter. A scan
+    /// split into 1–4 row ranges equals one scan entry for entry, and
+    /// the advanced table starts from such a split scan.
     #[test]
     fn advanced_table_equals_fresh_scan() {
         use proptest::test_runner::TestRng;
@@ -641,9 +729,14 @@ mod tests {
                         reused += usize::from(entering && t.cap == cap);
                         t
                     }
-                    None => table.insert(CoCounts::scan(&terms, &rows)),
+                    None => {
+                        let parts = 1 + rng.below(4);
+                        table.insert(split_scan(&terms, &rows, parts, &mut rng))
+                    }
                 };
                 let fresh = CoCounts::scan(&terms, &rows);
+                let parts = 1 + rng.below(4);
+                assert_eq!(split_scan(&terms, &rows, parts, &mut rng), fresh);
                 // (df, co-df) of a pair of members; a == b gives df.
                 let count = |c: &CoCounts, a: TermId, b: TermId| {
                     let (i, j) = (c.slot(a).unwrap(), c.slot(b).unwrap());

@@ -611,6 +611,18 @@ let done = true;
     }
 
     #[test]
+    fn fixture_c1_rayon_join_is_caught() {
+        // `rayon::join` runs its second closure on a new thread.
+        let findings = lint_fixture("c1_join.rs");
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.rule == "concurrency" && f.message.contains("`rayon::join`")),
+            "expected C1 on rayon::join: {findings:?}"
+        );
+    }
+
+    #[test]
     fn fixture_sanctioned_concurrency_site_is_clean() {
         // The resilience-layer shape: Mutex-guarded state + atomic
         // virtual clock. Unsanctioned, the Mutex is a deny finding…

@@ -563,7 +563,9 @@ fn concurrency(tokens: &[Token], out: &mut Vec<(&'static str, u32, u32, String)>
         } else if (t.is_ident("thread") || t.is_ident("rayon") || t.is_ident("crossbeam"))
             && i + 2 < tokens.len()
             && tokens[i + 1].is_punct("::")
-            && (tokens[i + 2].is_ident("spawn") || tokens[i + 2].is_ident("scope"))
+            && (tokens[i + 2].is_ident("spawn")
+                || tokens[i + 2].is_ident("scope")
+                || tokens[i + 2].is_ident("join"))
         {
             flag(
                 out,

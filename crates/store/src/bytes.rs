@@ -19,12 +19,47 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// [`fnv1a`] over the concatenation of `parts`, hashed in place.
 pub(crate) fn fnv1a_parts(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in parts.iter().copied().flatten() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::new();
+    for part in parts {
+        h.write(part);
     }
-    h
+    h.finish()
+}
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// A running [`fnv1a`] state, for checksums over bytes that arrive in
+/// pieces.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Advance this state and `other` over the same `bytes` in one loop.
+    /// Each byte is one multiply per state, and the two multiply chains
+    /// do not depend on each other, so the pair costs about what one
+    /// state costs alone.
+    pub(crate) fn write_both(&mut self, other: &mut Fnv1a, bytes: &[u8]) {
+        let (mut a, mut b) = (self.0, other.0);
+        for &byte in bytes {
+            a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+            b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+        (self.0, other.0) = (a, b);
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// An append-only little-endian encoder.
@@ -83,6 +118,11 @@ impl ByteWriter {
     /// True if nothing has been encoded.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// The bytes encoded so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
     }
 
     /// The encoded buffer.

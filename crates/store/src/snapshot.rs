@@ -13,10 +13,13 @@
 //! Per-section checksums localize damage (`StoreError::CorruptSection`
 //! names the section, and the flipped-byte sweep in `tests/recovery.rs`
 //! proves every section is covered); the whole-file trailer catches
-//! framing damage between sections. The payloads themselves are opaque
-//! here — `facet-core`'s persistence layer defines what goes in them.
+//! framing damage between sections. Encode and decode each compute both
+//! checksums in one pass: a section's name and payload bytes advance the
+//! section checksum and the trailer together, in one loop. The payloads
+//! themselves are opaque here — `facet-core`'s persistence layer defines
+//! what goes in them.
 
-use crate::bytes::{fnv1a, fnv1a_parts, ByteReader, ByteWriter};
+use crate::bytes::{ByteReader, ByteWriter, Fnv1a};
 use crate::error::StoreError;
 use crate::storage::Storage;
 use parking_lot::Mutex;
@@ -48,6 +51,22 @@ impl SnapshotPayload {
     }
 }
 
+/// Hash one section frame — `name` and `payload` with their length
+/// prefixes, then the section checksum — into `trailer`, and return the
+/// section checksum. The section and trailer states advance over `name`
+/// and `payload` in the same loop, so encode and decode each read a
+/// section's bytes once.
+fn hash_section(trailer: &mut Fnv1a, name: &[u8], payload: &[u8]) -> u64 {
+    let mut section = Fnv1a::new();
+    trailer.write(&(name.len() as u64).to_le_bytes());
+    section.write_both(trailer, name);
+    trailer.write(&(payload.len() as u64).to_le_bytes());
+    section.write_both(trailer, payload);
+    let sum = section.finish();
+    trailer.write(&sum.to_le_bytes());
+    sum
+}
+
 /// Frame a payload into the on-disk snapshot format.
 pub fn encode_snapshot(payload: &SnapshotPayload) -> Vec<u8> {
     let mut w = ByteWriter::new();
@@ -55,15 +74,16 @@ pub fn encode_snapshot(payload: &SnapshotPayload) -> Vec<u8> {
     w.u32(FORMAT_VERSION);
     w.u64(payload.generation);
     w.u32(payload.sections.len() as u32);
+    let mut trailer = Fnv1a::new();
+    trailer.write(w.as_slice());
     for (name, bytes) in &payload.sections {
+        let sum = hash_section(&mut trailer, name.as_bytes(), bytes);
         w.str(name);
         w.bytes(bytes);
-        w.u64(fnv1a_parts(&[name.as_bytes(), bytes]));
+        w.u64(sum);
     }
-    let mut buf = w.finish();
-    let trailer = fnv1a(&buf);
-    buf.extend_from_slice(&trailer.to_le_bytes());
-    buf
+    w.u64(trailer.finish());
+    w.finish()
 }
 
 /// Parse and verify a snapshot file: magic, version, every section
@@ -92,6 +112,8 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotPayload, StoreError> {
     }
     let generation = r.u64().ok_or_else(|| corrupt("missing generation"))?;
     let count = r.u32().ok_or_else(|| corrupt("missing section count"))?;
+    let mut whole = Fnv1a::new();
+    whole.write(&body[..r.position()]);
     // A damaged count must not size the allocation: every section frame
     // takes at least 24 bytes (name length, payload length, checksum).
     let mut sections = Vec::with_capacity((count as usize).min(r.remaining() / 24));
@@ -106,7 +128,9 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotPayload, StoreError> {
         let sum = r.u64().ok_or_else(|| StoreError::CorruptSection {
             section: name.clone(),
         })?;
-        if fnv1a_parts(&[name.as_bytes(), payload]) != sum {
+        // On a match the frame hashed into `whole` is the stored one
+        // byte for byte; on a mismatch the trailer is never checked.
+        if hash_section(&mut whole, name.as_bytes(), payload) != sum {
             return Err(StoreError::CorruptSection { section: name });
         }
         sections.push((name, payload.to_vec()));
@@ -116,7 +140,7 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotPayload, StoreError> {
     }
     // Per-section checksums localize damage; the whole-file trailer is
     // the backstop for bytes no section covers (header fields, framing).
-    if fnv1a(body) != trailer {
+    if whole.finish() != trailer {
         return Err(corrupt("file checksum mismatch"));
     }
     Ok(SnapshotPayload {
@@ -221,6 +245,7 @@ impl SnapshotSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytes::fnv1a;
     use crate::storage::DiskStorage;
     use crate::test_dir;
 
@@ -250,6 +275,46 @@ mod tests {
         assert_eq!(bytes.len(), 107);
         assert_eq!(fnv1a(&bytes), 0xde63_d5ec_86a7_5f18);
         assert_eq!(decode_snapshot(&bytes).expect("golden decodes"), p);
+    }
+
+    /// The one-pass checksums are plain FNV-1a: over random payloads,
+    /// each section checksum is `fnv1a(name ++ payload)`, the trailer is
+    /// `fnv1a` of every byte before it, and the file decodes back.
+    #[test]
+    fn one_pass_checksums_equal_fnv1a() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for round in 0..50 {
+            let mut sections = Vec::new();
+            for i in 0..next(6) {
+                let len = next(3000);
+                let bytes: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+                sections.push((format!("s{round}.{i}"), bytes));
+            }
+            let p = SnapshotPayload {
+                generation: next(1000),
+                sections,
+            };
+            let bytes = encode_snapshot(&p);
+            let mut r = ByteReader::new(&bytes);
+            // magic, version, generation, section count
+            r.take(4 + 4 + 8 + 4).expect("header");
+            for (name, payload) in &p.sections {
+                assert_eq!(r.str(), Some(name.as_str()));
+                assert_eq!(r.bytes(), Some(payload.as_slice()));
+                let framed = [name.as_bytes(), payload].concat();
+                assert_eq!(r.u64(), Some(fnv1a(&framed)), "section {name}");
+            }
+            let body = r.position();
+            assert_eq!(r.u64(), Some(fnv1a(&bytes[..body])), "trailer");
+            assert!(r.is_empty());
+            assert_eq!(decode_snapshot(&bytes), Ok(p));
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@
 #                  Steps 1–4 paper-formula oracle
 #                  and the paper-fidelity quality gate (QUALITY.json), the
 #                  chaos (fault-injection) suite, the trace-export determinism
-#                  smoke, the facet-lint workspace gate, and a release
+#                  smoke, the facet-lint unit tests (the rules' fixtures)
+#                  and workspace gate, and a release
 #                  build of the perfbench workspace with --locked (its
 #                  own Cargo workspace, so neither the root build nor the
 #                  tests compile it).
@@ -126,6 +127,10 @@ if [[ "${1:-}" == "--tier1" ]]; then
     cargo test -q --test quality_gate
     run_chaos
     run_trace_smoke
+    echo "== tier-1: facet-lint unit tests"
+    # The rules' fixture tests (C1's among them), which the workspace
+    # gate below only applies, never tests.
+    cargo test -q -p facet-lint
     run_lint
     echo "== tier-1: perfbench build"
     # --locked: a dependency change that would rewrite perfbench's
