@@ -915,4 +915,156 @@ mod tests {
         assert!(snap.doc_terms().shares_chunks_with(restored.ctx.rows()));
         assert_eq!(snap.digest(), index.snapshot().digest());
     }
+
+    /// Background words for [`maintained_selection_equals_a_fresh_pass`]:
+    /// each is its own important term, and the resource maps it to two
+    /// other words and a topic term, so `Shift_f` moves for corpus terms
+    /// and context terms alike.
+    const WORDS: [&str; 12] = [
+        "harbor", "budget", "summit", "winter", "council", "river", "market", "garden", "bridge",
+        "castle", "forest", "island",
+    ];
+
+    /// `I(d)`: the distinct lowercase words of the text.
+    struct WordExtractor;
+    impl facet_termx::TermExtractor for WordExtractor {
+        fn name(&self) -> &'static str {
+            "Words"
+        }
+        fn extract(&self, text: &str) -> Vec<String> {
+            let mut out: Vec<String> = Vec::new();
+            for w in text.split(|c: char| !c.is_alphanumeric()) {
+                let w = w.to_lowercase();
+                if !w.is_empty() && !out.contains(&w) {
+                    out.push(w);
+                }
+            }
+            out
+        }
+    }
+
+    /// Word `i` → words `i + 1` and `i + 3` and topic `i mod 4`.
+    struct NeighbourResource;
+    impl facet_resources::ContextResource for NeighbourResource {
+        fn name(&self) -> &'static str {
+            "Neighbours"
+        }
+        fn context_terms(&self, term: &str) -> Vec<String> {
+            let n = WORDS.len();
+            WORDS
+                .iter()
+                .position(|w| *w == term)
+                .map_or(Vec::new(), |i| {
+                    vec![
+                        WORDS[(i + 1) % n].to_string(),
+                        WORDS[(i + 3) % n].to_string(),
+                        format!("topic {}", i % 4),
+                    ]
+                })
+        }
+    }
+
+    /// The published candidates — term, df, `df_C`, both shifts and score
+    /// bits — equal `collect_candidates` and `rank_stable` run afresh over
+    /// the tables the snapshot was published from.
+    fn assert_fresh_selection(index: &ShardedFacetIndex<'_>, what: &str) {
+        use crate::selection::rank_stable;
+        use crate::selection::tests::collect_candidates;
+        use crate::selection::{FacetCandidate, SelectionInputs};
+        let bits = |out: &[FacetCandidate]| -> Vec<(u32, u64, u64, i64, i64, u64)> {
+            out.iter()
+                .map(|c| {
+                    (
+                        c.term.0,
+                        c.df,
+                        c.df_c,
+                        c.shift_f,
+                        c.shift_r,
+                        c.score.to_bits(),
+                    )
+                })
+                .collect()
+        };
+        let inputs = SelectionInputs {
+            df: index.db.df_table(),
+            df_c: index.ctx.df_table(),
+            n_docs: index.db.len() as u64,
+        };
+        let found = collect_candidates(inputs, index.statistic, index.options.min_df_c);
+        let want = rank_stable(found, index.options.top_k, &index.vocab);
+        assert_eq!(bits(index.snapshot().candidates()), bits(&want), "{what}");
+    }
+
+    /// Selection's maintained state publishes what a fresh pass selects,
+    /// on random corpora with a small `top_k`: after every append, after
+    /// a repair that rewrites rows, after a reopen (snapshot plus WAL
+    /// tail), and after appends to the reopened index.
+    #[test]
+    fn maintained_selection_equals_a_fresh_pass() {
+        use facet_corpus::DocId;
+        use proptest::test_runner::TestRng;
+        let e = WordExtractor;
+        let (mut repaired, mut published) = (0, 0);
+        for seed in 0..16u64 {
+            let mut rng = TestRng::deterministic(&format!("maintained selection {seed}"));
+            let docs = |rng: &mut TestRng| -> Vec<Document> {
+                (0..rng.below(9))
+                    .map(|i| {
+                        let words: Vec<&str> = WORDS
+                            .iter()
+                            .enumerate()
+                            .filter(|&(w, _)| rng.below(w as u64 / 2 + 2) == 0)
+                            .map(|(_, w)| *w)
+                            .collect();
+                        Document {
+                            id: DocId(i as u32),
+                            source: 0,
+                            day: 0,
+                            title: "Story".into(),
+                            text: words.join(" ") + ".",
+                        }
+                    })
+                    .collect()
+            };
+            let faulty = FaultyResource::new(
+                NeighbourResource,
+                FaultPlan::seeded(seed, 300),
+                VirtualClock::new(),
+            );
+            let opts = PipelineOptions {
+                top_k: 1 + rng.below(6) as usize,
+                min_df_c: rng.below(4),
+                ..with_threads(1)
+            };
+            let dir = test_dir("selection");
+            let store = FacetStore::open(&dir).unwrap();
+            let mut index = ShardedFacetIndex::new(2, vec![&e], vec![&faulty], opts.clone());
+            for step in 0..4 + rng.below(5) {
+                let batch = docs(&mut rng);
+                index.append_logged(batch, &store).unwrap();
+                assert_fresh_selection(&index, &format!("seed {seed}, append {step}"));
+                if rng.below(3) == 0 {
+                    index.persist_to(&store).unwrap();
+                }
+            }
+            // The snapshot holds the degraded terms, so replaying the
+            // repair record re-queries them as the live repair did.
+            index.persist_to(&store).unwrap();
+            faulty.heal();
+            repaired += index.repair_logged(&store).unwrap().changed_docs;
+            assert_fresh_selection(&index, &format!("seed {seed}, repair"));
+            let (mut reopened, _) =
+                ShardedFacetIndex::open_from(&store, 1, vec![&e], vec![&faulty], opts).unwrap();
+            assert_fresh_selection(&reopened, &format!("seed {seed}, reopen"));
+            assert_eq!(reopened.snapshot().digest(), index.snapshot().digest());
+            for step in 0..3 {
+                let batch = docs(&mut rng);
+                reopened.append(batch).unwrap();
+                assert_fresh_selection(&reopened, &format!("seed {seed}, reopened {step}"));
+            }
+            published += reopened.snapshot().candidates().len();
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        assert!(repaired > 0 && published > 0, "{repaired} {published}");
+    }
 }

@@ -8,24 +8,34 @@
 //! and candidates are ranked by the log-likelihood statistic `−log λ_t`
 //! (or, for the ablation study, by chi-square).
 //!
-//! Selection is linear in the vocabulary, with no sort over it:
+//! Selection keeps its state between publishes and never sorts the
+//! vocabulary:
 //!
 //! * **Bins are counted, not sorted.** Competition rank depends on a term
 //!   only through its frequency, `Rank(f) = 1 + #{terms with frequency
 //!   > f}`, and an absent term gets `nonzero + 1`, the same formula at
 //!   `f = 0`. So each table is counted into a histogram over frequency
 //!   values, one suffix sum turns it into a bin per value
-//!   ([`bins_by_frequency`]), and each term looks its bin up by its
+//!   ([`bins_from_histogram`]), and each term looks its bin up by its
 //!   frequency. Terms past the end of the shorter table read as `f = 0`;
 //!   no padded copy is made. This needs every `df` and `df_C` to be at
 //!   most `n_docs` — a document frequency counts documents — which
-//!   [`SelectionInputs`] states and selection asserts once per call.
+//!   [`SelectionInputs`] states and a build asserts.
+//! * **Only `Shift_f > 0` terms are scored.** A `CandidateSet` keeps
+//!   both histograms and the set of terms with `df_C > df`. Appended rows
+//!   change `df` and `df_C` only for the terms they hold, each from
+//!   `new − k` to `new` for the `k` new rows holding it, so
+//!   `CandidateSet::advance` moves only those terms; a publish then
+//!   takes the bins from the histograms and tests `Shift_r` over the set.
+//!   A fresh pass over the vocabulary (`CandidateSet::build`) runs only
+//!   when there is no state to advance.
 //! * **Only the top k are sorted.** The ranking comparators are total,
 //!   so partial selection of the best `top_k` followed by a sort of
-//!   those alone returns exactly what a full sort and truncation would.
+//!   those alone returns exactly what a full sort and truncation would —
+//!   whatever order the set yields its terms in.
 
-use facet_stats::{bins_by_frequency, chi_square_df, log_likelihood_ratio};
-use facet_textkit::{TermId, Vocabulary};
+use facet_stats::{bins_from_histogram, chi_square_df, frequency_histogram, log_likelihood_ratio};
+use facet_textkit::{RowStore, TermId, Vocabulary};
 use std::cmp::Ordering;
 
 /// Which significance statistic ranks the candidates.
@@ -70,50 +80,163 @@ pub struct SelectionInputs<'a> {
     pub n_docs: u64,
 }
 
-/// Collect every candidate passing the shift and `min_df_c` filters,
-/// unranked, in term-id order. The candidate *set* depends only on the
-/// frequency tables (rank bins use competition ranking, so ties share a
-/// bin), never on term-id assignment order.
-///
-/// # Panics
-/// Panics if a table entry exceeds `inputs.n_docs`.
-pub(crate) fn collect_candidates(
-    inputs: SelectionInputs<'_>,
-    statistic: SelectionStatistic,
-    min_df_c: u64,
-) -> Vec<FacetCandidate> {
-    let SelectionInputs { df, df_c, n_docs } = inputs;
-    let max_freq = df.iter().chain(df_c).copied().max().unwrap_or(0);
-    assert!(max_freq <= n_docs, "frequency {max_freq} > n_docs {n_docs}");
-    let bins_d = bins_by_frequency(df, max_freq);
-    let bins_c = bins_by_frequency(df_c, max_freq);
+/// Step 3's state between publishes: the frequency histograms of both
+/// tables and the set of terms with `Shift_f > 0`, for the first
+/// `n_docs` rows of `D` and `C(D)`. Everything else selection reads —
+/// the bins, `Shift_r` and the score — is derived per publish from these
+/// and the tables.
+#[derive(Debug, Clone)]
+pub(crate) struct CandidateSet {
+    /// Rows of `D` and `C(D)` the state covers.
+    n_docs: usize,
+    /// Histograms of the nonzero `df` and `df_C` values
+    /// ([`frequency_histogram`]).
+    hist_d: Vec<u64>,
+    hist_c: Vec<u64>,
+    /// The terms with `df_C > df`, as a bit per term id, so a selection
+    /// reads the tables in id order.
+    shifted: Vec<u64>,
+    /// Per term, the new rows holding it; zero between advances.
+    held: Vec<u32>,
+}
 
-    let mut candidates: Vec<FacetCandidate> = Vec::new();
-    for i in 0..df.len().max(df_c.len()) {
-        let d = df.get(i).copied().unwrap_or(0);
-        let c = df_c.get(i).copied().unwrap_or(0);
-        let shift_f = c as i64 - d as i64;
-        if shift_f <= 0 || c < min_df_c {
-            continue;
-        }
-        let shift_r = bins_d[d as usize] as i64 - bins_c[c as usize] as i64;
-        if shift_r <= 0 {
-            continue;
-        }
-        let score = match statistic {
-            SelectionStatistic::LogLikelihood => log_likelihood_ratio(d, c, n_docs),
-            SelectionStatistic::ChiSquare => chi_square_df(d, c, n_docs),
+impl CandidateSet {
+    /// The state for `inputs`, by one pass over both tables.
+    ///
+    /// # Panics
+    /// Panics if a table entry exceeds `inputs.n_docs`.
+    pub(crate) fn build(inputs: SelectionInputs<'_>) -> Self {
+        let SelectionInputs { df, df_c, n_docs } = inputs;
+        let max_freq = df.iter().chain(df_c).copied().max().unwrap_or(0);
+        assert!(max_freq <= n_docs, "frequency {max_freq} > n_docs {n_docs}");
+        let len = df.len().max(df_c.len());
+        let mut set = Self {
+            n_docs: n_docs as usize,
+            hist_d: frequency_histogram(df, max_freq),
+            hist_c: frequency_histogram(df_c, max_freq),
+            shifted: vec![0; len.div_ceil(64)],
+            held: vec![0; len],
         };
-        candidates.push(FacetCandidate {
-            term: TermId(i as u32),
-            df: d,
-            df_c: c,
-            shift_f,
-            shift_r,
-            score,
-        });
+        for i in 0..len {
+            let t = TermId(i as u32);
+            set.place(t, inputs);
+        }
+        set
     }
-    candidates
+
+    /// Bring the state up to `inputs`, whose tables count the rows of
+    /// `d_rows` (`D`) and `c_rows` (`C(D)`): the rows past the ones the
+    /// state covers are the only change since, and each term they hold
+    /// moves by the number of them holding it. Costs O(new rows' terms +
+    /// `n_docs`), independent of the vocabulary.
+    pub(crate) fn advance(
+        &mut self,
+        inputs: SelectionInputs<'_>,
+        d_rows: &RowStore,
+        c_rows: &RowStore,
+    ) {
+        let len = inputs.df.len().max(inputs.df_c.len());
+        self.shifted.resize(len.div_ceil(64), 0);
+        self.held.resize(len, 0);
+        let bound = inputs.n_docs as usize + 1;
+        for hist in [&mut self.hist_d, &mut self.hist_c] {
+            hist.resize(hist.len().max(bound), 0);
+        }
+        let mut touched: Vec<TermId> = Vec::new();
+        for (hist, table, rows) in [
+            (&mut self.hist_d, inputs.df, d_rows),
+            (&mut self.hist_c, inputs.df_c, c_rows),
+        ] {
+            let start = touched.len();
+            for row in rows.iter_from(self.n_docs) {
+                for &t in row {
+                    if self.held[t.index()] == 0 {
+                        touched.push(t);
+                    }
+                    self.held[t.index()] += 1;
+                }
+            }
+            for &t in &touched[start..] {
+                let new = table[t.index()];
+                let old = new - u64::from(self.held[t.index()]);
+                if old > 0 {
+                    hist[old as usize] -= 1;
+                }
+                hist[new as usize] += 1;
+                self.held[t.index()] = 0;
+            }
+        }
+        for t in touched {
+            self.place(t, inputs);
+        }
+        self.n_docs = inputs.n_docs as usize;
+    }
+
+    /// Put `t` in the set or take it out, by its `Shift_f` in `inputs`.
+    fn place(&mut self, t: TermId, inputs: SelectionInputs<'_>) {
+        let d = inputs.df.get(t.index()).copied().unwrap_or(0);
+        let c = inputs.df_c.get(t.index()).copied().unwrap_or(0);
+        let (word, bit) = (t.index() / 64, 1u64 << (t.index() % 64));
+        if c > d {
+            self.shifted[word] |= bit;
+        } else {
+            self.shifted[word] &= !bit;
+        }
+    }
+
+    /// The number of terms with `Shift_f > 0`: what a selection scores.
+    pub(crate) fn len(&self) -> usize {
+        self.shifted.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Every candidate passing the shift and `min_df_c` filters over
+    /// `inputs` — the tables the state was built or advanced for —
+    /// unranked, in term-id order. The candidate *set* depends only on
+    /// the frequency tables (rank bins use competition ranking, so ties
+    /// share a bin), never on term-id assignment order.
+    pub(crate) fn select(
+        &self,
+        inputs: SelectionInputs<'_>,
+        statistic: SelectionStatistic,
+        min_df_c: u64,
+    ) -> Vec<FacetCandidate> {
+        let SelectionInputs { df, df_c, n_docs } = inputs;
+        let bins_d = bins_from_histogram(&self.hist_d);
+        let bins_c = bins_from_histogram(&self.hist_c);
+        let mut candidates: Vec<FacetCandidate> = Vec::new();
+        let members = self.shifted.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                let b = bits.trailing_zeros();
+                bits &= bits.wrapping_sub(1);
+                (b < 64).then(|| TermId((w * 64) as u32 + b))
+            })
+        });
+        for t in members {
+            let d = df.get(t.index()).copied().unwrap_or(0);
+            let c = df_c[t.index()];
+            if c < min_df_c {
+                continue;
+            }
+            let shift_r = bins_d[d as usize] as i64 - bins_c[c as usize] as i64;
+            if shift_r <= 0 {
+                continue;
+            }
+            let score = match statistic {
+                SelectionStatistic::LogLikelihood => log_likelihood_ratio(d, c, n_docs),
+                SelectionStatistic::ChiSquare => chi_square_df(d, c, n_docs),
+            };
+            candidates.push(FacetCandidate {
+                term: t,
+                df: d,
+                df_c: c,
+                shift_f: c as i64 - d as i64,
+                shift_r,
+                score,
+            });
+        }
+        candidates
+    }
 }
 
 /// The first `top_k` candidates under the total order `cmp`, sorted: the
@@ -151,7 +274,7 @@ pub fn select_facet_terms(
     min_df_c: u64,
 ) -> Vec<FacetCandidate> {
     top_k_by(
-        collect_candidates(inputs, statistic, min_df_c),
+        CandidateSet::build(inputs).select(inputs, statistic, min_df_c),
         top_k,
         |a, b| {
             b.score
@@ -161,7 +284,7 @@ pub fn select_facet_terms(
     )
 }
 
-/// Rank `candidates` (from [`collect_candidates`]) with an
+/// Rank `candidates` (from [`CandidateSet::select`]) with an
 /// interning-order-independent order and keep the first `top_k`: score
 /// descending, ties broken by the term *string* (then id, unreachable
 /// for distinct strings in one vocabulary).
@@ -189,8 +312,55 @@ pub(crate) fn rank_stable(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Collect every candidate passing the shift and `min_df_c` filters,
+    /// unranked, in term-id order, by one loop over the whole vocabulary:
+    /// the selection every publish ran before `CandidateSet`, kept as
+    /// the reference it must reproduce.
+    ///
+    /// # Panics
+    /// Panics if a table entry exceeds `inputs.n_docs`.
+    pub(crate) fn collect_candidates(
+        inputs: SelectionInputs<'_>,
+        statistic: SelectionStatistic,
+        min_df_c: u64,
+    ) -> Vec<FacetCandidate> {
+        use facet_stats::bins_by_frequency;
+        let SelectionInputs { df, df_c, n_docs } = inputs;
+        let max_freq = df.iter().chain(df_c).copied().max().unwrap_or(0);
+        assert!(max_freq <= n_docs, "frequency {max_freq} > n_docs {n_docs}");
+        let bins_d = bins_by_frequency(df, max_freq);
+        let bins_c = bins_by_frequency(df_c, max_freq);
+
+        let mut candidates: Vec<FacetCandidate> = Vec::new();
+        for i in 0..df.len().max(df_c.len()) {
+            let d = df.get(i).copied().unwrap_or(0);
+            let c = df_c.get(i).copied().unwrap_or(0);
+            let shift_f = c as i64 - d as i64;
+            if shift_f <= 0 || c < min_df_c {
+                continue;
+            }
+            let shift_r = bins_d[d as usize] as i64 - bins_c[c as usize] as i64;
+            if shift_r <= 0 {
+                continue;
+            }
+            let score = match statistic {
+                SelectionStatistic::LogLikelihood => log_likelihood_ratio(d, c, n_docs),
+                SelectionStatistic::ChiSquare => chi_square_df(d, c, n_docs),
+            };
+            candidates.push(FacetCandidate {
+                term: TermId(i as u32),
+                df: d,
+                df_c: c,
+                shift_f,
+                shift_r,
+                score,
+            });
+        }
+        candidates
+    }
 
     /// Build a scenario: term 0 is a background word (frequent in both),
     /// term 1 is a facet term (absent in D, frequent in C), term 2 shrinks,

@@ -40,23 +40,28 @@
 //!    context terms are interned serially in id order, and each new
 //!    document's contextualized row is appended, delta-updating `df_C`
 //!    and the postings.
-//! 4. **Publish.** Selection reranks the tables in time linear in the
-//!    vocabulary: rank bins come from one frequency histogram per table,
-//!    not a sort, and only the top k are sorted (see
-//!    [`crate::selection`]). Subsumption keeps one [`CoCounts`] table for
-//!    the current candidate set across appends: a publish frees the terms
-//!    that left the top k, counts the new documents' pairs among the
-//!    terms that stayed, and fills the entering terms' rows from their
-//!    postings, so its counting scales with the batch and the churn, not
-//!    the corpus. A fresh, repaired or restored index rebuilds the table
-//!    by one scan at its next publish, its rows split into one contiguous
-//!    range per worker and the ranges' counts summed. Parent choice then
-//!    walks each term's count row in slot order. The result is published
-//!    as one new [`FacetSnapshot`] behind an `Arc`, which shares the rows
-//!    with the index: they live in an append-only [`RowStore`] of
-//!    `Arc`-shared chunks, so a publish clones the chunk list, and the
-//!    next append copies at most the one open chunk the snapshot still
-//!    shares ([`facet_textkit::rows::CHUNK_ROWS`] rows) before appending to it.
+//! 4. **Publish.** Steps 3–4 cost what the batch changed. Selection
+//!    keeps a `CandidateSet` across appends: both frequency histograms
+//!    and the set of terms with `Shift_f > 0`. A publish moves the terms
+//!    the new rows hold, takes the rank bins from the histograms (see
+//!    [`crate::selection`]), and scores only the set; only the top k are
+//!    sorted. Subsumption keeps one `CoCounts` table for the current
+//!    candidate set: a publish frees the terms that left the top k,
+//!    counts the new documents' pairs among the terms that stayed, and
+//!    fills the entering terms' rows from their postings, so its counting
+//!    scales with the batch and the churn, not the corpus. The table
+//!    keeps each row's passing list (the counts that can clear the
+//!    threshold), rewritten where the counts moved, and parent choice
+//!    evaluates only those entries. A fresh, repaired or restored index
+//!    builds both states at its next publish: selection by one pass over
+//!    the vocabulary, the counts by one scan, its rows split into one
+//!    contiguous range per worker and the ranges' counts summed. The
+//!    result is published as one new [`FacetSnapshot`] behind an `Arc`,
+//!    which shares the rows with the index: they live in an append-only
+//!    [`RowStore`] of `Arc`-shared chunks, so a publish clones the chunk
+//!    list, and the next append copies at most the one open chunk the
+//!    snapshot still shares ([`facet_textkit::rows::CHUNK_ROWS`] rows)
+//!    before appending to it.
 //!
 //! Interning happens on one thread in one order — a batch's corpus terms,
 //! then its `I(d)` lists, then its new context terms — so no term id
@@ -83,7 +88,7 @@
 use crate::config::PipelineOptions;
 use crate::hierarchy::FacetForest;
 use crate::index::{AppendStats, DegradedMap, FacetSnapshot, IndexError, RepairStats};
-use crate::selection::{collect_candidates, rank_stable, SelectionInputs, SelectionStatistic};
+use crate::selection::{rank_stable, CandidateSet, SelectionInputs, SelectionStatistic};
 use crate::subsumption::{choose_parents_scanned, CoCounts, RangeCounts, SubsumptionParams};
 use facet_corpus::db::{term_strings, DocTerms, TermStrings, TermingOptions};
 use facet_corpus::Document;
@@ -157,6 +162,11 @@ pub struct ShardedFacetIndex<'a> {
     /// by each publish. `None` on a fresh, repaired or restored index
     /// until its next publish rebuilds it by scan. Never persisted.
     co_counts: Option<CoCounts>,
+    /// Selection's histograms and `Shift_f > 0` set for the last
+    /// published tables, advanced by each publish. `None` on a fresh,
+    /// repaired or restored index until its next publish builds it by one
+    /// pass over the vocabulary. Never persisted.
+    selection: Option<CandidateSet>,
     /// The degraded map the next publish carries: every degraded term's
     /// provenance, keyed by term string. An append adds the terms it
     /// resolved degraded; repair and restore rebuild it from the cache.
@@ -210,6 +220,7 @@ impl<'a> ShardedFacetIndex<'a> {
             important: RowStore::new(),
             postings: Vec::new(),
             co_counts: None,
+            selection: None,
             degraded: Arc::default(),
             snapshot,
             generation: 0,
@@ -576,13 +587,14 @@ impl<'a> ShardedFacetIndex<'a> {
     }
 
     /// Rebuild the postings from every row and the degraded map from the
-    /// cache, and drop the subsumption counts so the next publish scans
-    /// them: what repair runs after rewriting rows and restore runs after
-    /// decoding them.
+    /// cache, and drop the selection state and the subsumption counts so
+    /// the next publish builds them afresh: what repair runs after
+    /// rewriting rows and restore runs after decoding them.
     pub(crate) fn reindex(&mut self) {
         self.postings.clear();
         self.index_rows(0);
         self.co_counts = None;
+        self.selection = None;
         let degraded: Vec<TermId> = self.cache.degraded().map(|(t, _)| t).collect();
         self.degraded = self.add_degraded(&Arc::default(), degraded);
     }
@@ -609,17 +621,21 @@ impl<'a> ShardedFacetIndex<'a> {
         map
     }
 
-    /// Re-run Step 3 (selection) over the tables, bring the subsumption
-    /// counts up to the new candidate set and rows (a scan if there are
-    /// none yet) and run Step 4's parent choice over them, set the
-    /// generation to `generation`, and replace the published snapshot
-    /// with the new one, which carries the degraded map — the index's one
-    /// publish path, shared by append, repair and restore. The snapshot
-    /// shares the rows' chunks with the index; `rows_copied` is what the
-    /// append before it copied to push its rows. Records the `freeze` span, the
-    /// `select` span (attributes: `terms` scanned, `candidates` passing
-    /// the shift filters), the `subsumption` span (`pairs_scanned`: count
-    /// entries parent choice walked) and the `swap` span (`rows_copied`).
+    /// Re-run Step 3 (selection) over the tables and bring the
+    /// subsumption counts up to the new candidate set and rows, advancing
+    /// the state each keeps (or building it, if there is none yet), run
+    /// Step 4's parent choice over the counts, set the generation to
+    /// `generation`, and replace the published snapshot with the new one,
+    /// which carries the degraded map — the index's one publish path,
+    /// shared by append, repair and restore. The snapshot shares the
+    /// rows' chunks with the index; `rows_copied` is what the append
+    /// before it copied to push its rows. Records the `freeze` span, the
+    /// `select` span (attributes: `terms`, the vocabulary size; `scanned`,
+    /// the `Shift_f > 0` terms it tested; `candidates`, those passing
+    /// every filter), the `subsumption` span (`pairs_scanned`: the count
+    /// entries read to choose parents — every entry of the table when it
+    /// was built by scan, else the passing-list entries evaluated) and the
+    /// `swap` span (`rows_copied`).
     fn publish(&mut self, generation: u64, rows_copied: usize) {
         // One freeze per publish: ranking, forest, and snapshot share it.
         let frozen = {
@@ -628,16 +644,21 @@ impl<'a> ShardedFacetIndex<'a> {
         };
         let candidates = {
             let span = self.recorder.span("select");
-            let found = collect_candidates(
-                SelectionInputs {
-                    df: self.db.df_table(),
-                    df_c: self.ctx.df_table(),
-                    n_docs: self.db.len() as u64,
-                },
-                self.statistic,
-                self.options.min_df_c,
-            );
+            let inputs = SelectionInputs {
+                df: self.db.df_table(),
+                df_c: self.ctx.df_table(),
+                n_docs: self.db.len() as u64,
+            };
+            let set = match &mut self.selection {
+                Some(set) => {
+                    set.advance(inputs, self.db.rows(), self.ctx.rows());
+                    set
+                }
+                None => self.selection.insert(CandidateSet::build(inputs)),
+            };
+            let found = set.select(inputs, self.statistic, self.options.min_df_c);
             span.attr("terms", self.vocab.len() as u64);
+            span.attr("scanned", set.len() as u64);
             span.attr("candidates", found.len() as u64);
             rank_stable(found, self.options.top_k, &frozen)
         };
@@ -645,22 +666,20 @@ impl<'a> ShardedFacetIndex<'a> {
         let forest = {
             let span = self.recorder.span("subsumption");
             let terms: Vec<TermId> = candidates.iter().map(|c| c.term).collect();
-            let counts = match &mut self.co_counts {
+            let params = SubsumptionParams {
+                threshold: self.options.subsumption_threshold,
+                ..Default::default()
+            };
+            let (counts, fresh) = match &mut self.co_counts {
                 Some(counts) => {
                     counts.advance(&terms, rows, &self.postings);
-                    counts
+                    (counts, false)
                 }
-                None => self.co_counts.insert(self.scan_counts(&terms)),
+                None => (self.co_counts.insert(self.scan_counts(&terms)), true),
             };
-            let (sub, pairs_scanned) = choose_parents_scanned(
-                &terms,
-                counts,
-                SubsumptionParams {
-                    threshold: self.options.subsumption_threshold,
-                    ..Default::default()
-                },
-            );
-            span.attr("pairs_scanned", pairs_scanned);
+            let (sub, evaluated) = choose_parents_scanned(&terms, counts, params);
+            let k = terms.len() as u64;
+            span.attr("pairs_scanned", if fresh { k * k } else { evaluated });
             let df_c = self.ctx.df_table();
             FacetForest::from_subsumption(&sub, &frozen, |t| {
                 df_c.get(t.index()).copied().unwrap_or(0)
@@ -680,14 +699,14 @@ impl<'a> ShardedFacetIndex<'a> {
         ));
     }
 
-    /// [`CoCounts::scan`] of `terms` over every contextualized row, on
-    /// the workers: the rows are cut into `workers` contiguous ranges,
-    /// the first counted on this thread and the rest on scoped worker
-    /// threads, and the ranges' counts are summed. The table is the same
-    /// at any worker count.
+    /// `CoCounts::scan` of `terms` over every contextualized row, for
+    /// the configured threshold, on the workers: the rows are cut into
+    /// `workers` contiguous ranges, the first counted on this thread and
+    /// the rest on scoped worker threads, and the ranges' counts are
+    /// summed. The table is the same at any worker count.
     fn scan_counts(&self, terms: &[TermId]) -> CoCounts {
         let rows = self.ctx.rows();
-        let mut counts = CoCounts::with_slots(terms);
+        let mut counts = CoCounts::with_slots(terms, self.options.subsumption_threshold);
         let per = rows.len().div_ceil(self.workers()).max(1);
         let starts: Vec<usize> = (0..rows.len()).step_by(per).collect();
         let mut ranges: Vec<Option<RangeCounts>> = starts.iter().map(|_| None).collect();
@@ -927,7 +946,8 @@ pub(crate) mod tests {
                 .map(|c| c.term)
                 .collect();
             assert!(terms.len() > 2);
-            let serial = CoCounts::scan(&terms, index.ctx.rows());
+            let threshold = index.options.subsumption_threshold;
+            let serial = CoCounts::scan(&terms, index.ctx.rows(), threshold);
             assert_eq!(index.scan_counts(&terms), serial, "{n} workers");
             assert_eq!(index.co_counts.as_ref(), Some(&serial), "{n} workers");
         }
@@ -1158,6 +1178,54 @@ pub(crate) mod tests {
         assert_eq!(traces.len(), 2);
         assert_eq!(attr(&traces[1], "swap", "rows_copied"), 8);
         assert!(attr(&traces[1], "subsumption", "pairs_scanned") > 0);
+    }
+
+    /// The publish spans count what the publish evaluated: `scanned` is
+    /// the `Shift_f > 0` set, between the candidates and the vocabulary,
+    /// and an advanced publish's `pairs_scanned` is the passing-list
+    /// entries parent choice evaluated, not the k² a scan reads.
+    #[test]
+    fn publish_spans_count_the_maintained_state() {
+        use facet_obs::{AttrValue, TickClock, Tracer, TracerConfig};
+        let e = FixedExtractor;
+        let r = CountingResource::new();
+        let tracer = Tracer::with_clock(TracerConfig::default(), Arc::new(TickClock::new()));
+        let recorder = Recorder::traced(tracer);
+        let mut index = ShardedFacetIndex::new(2, vec![&e], vec![&r], with_threads(1))
+            .with_recorder(recorder.clone());
+        index
+            .append(random_corpus(&mut TestRng::deterministic("spans"), 24))
+            .unwrap();
+        index.append(corpus(8)).unwrap();
+        let traces = recorder.tracer().unwrap().finished();
+        let attr = |span: &str, key: &str| {
+            let s = traces[1].spans.iter().find(|s| s.name == span).unwrap();
+            match s.attrs.iter().find(|(k, _)| k == key) {
+                Some((_, AttrValue::U64(v))) => *v,
+                other => panic!("{span} attribute {key}: {other:?}"),
+            }
+        };
+        let (df, df_c) = (index.db.df_table(), index.ctx.df_table());
+        let shifted = (0..df_c.len())
+            .filter(|&t| df_c[t] > df.get(t).copied().unwrap_or(0))
+            .count() as u64;
+        assert_eq!(attr("select", "scanned"), shifted);
+        assert!(attr("select", "candidates") <= shifted);
+        assert!(shifted < attr("select", "terms"));
+        let terms: Vec<TermId> = index
+            .snapshot()
+            .candidates()
+            .iter()
+            .map(|c| c.term)
+            .collect();
+        let params = SubsumptionParams {
+            threshold: index.options.subsumption_threshold,
+            ..Default::default()
+        };
+        let counts = index.co_counts.as_ref().unwrap();
+        let (_, evaluated) = choose_parents_scanned(&terms, counts, params);
+        assert_eq!(attr("subsumption", "pairs_scanned"), evaluated);
+        assert!(evaluated < (terms.len() * terms.len()) as u64);
     }
 
     #[test]

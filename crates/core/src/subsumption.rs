@@ -7,21 +7,24 @@
 //! subsumer (the subsumer with the smallest document frequency), which
 //! yields a forest.
 //!
-//! Construction is two pieces: a [`CoCounts`] table of document and
-//! co-document frequencies over the terms, and [`choose_parents`], which
+//! Construction is two pieces: a `CoCounts` table of document and
+//! co-document frequencies over the terms, and `choose_parents`, which
 //! reads only that table. [`build_subsumption_forest`] is a scan followed
 //! by parent choice; the incremental index instead advances one table per
 //! publish by the new documents and the terms that enter the top k, and
 //! runs the same parent choice over it.
 //!
-//! Parent choice walks each term's count row contiguously, in slot order,
-//! through one `slot → eligible term` table built per call: free slots
-//! (whose column entries are stale) and slots of terms that may not parent
-//! map to none. Most counts fail the threshold, so the walk tests the raw
-//! count first. Because slot order is not input order, the tie-break is
+//! Most counts fail the threshold, so the table keeps, per slot, the
+//! *passing list*: the member slots whose count in that row reaches the
+//! least count that can clear the threshold at the row's document
+//! frequency, with those counts. That raw-count test depends only on the
+//! row's counts and `df`, so the lists change only where the counts do,
+//! and a table is built for one threshold. Parent choice evaluates only
+//! the list entries, with the full float tests, and never reads the
+//! matrix. Lists are in slot order, not input order, so the tie-break is
 //! explicit: the strongest confidence bucket wins, then the smaller
 //! document frequency, then the earlier input term — exactly the subsumer
-//! an input-order walk keeps.
+//! an input-order walk over every pair keeps.
 
 use facet_textkit::{RowStore, TermId};
 
@@ -95,9 +98,44 @@ impl SubsumptionForest {
 /// Slot-table sentinel: the symbol is not a member of the table.
 const ABSENT: u32 = u32::MAX;
 
+/// The least co-document count `c` with `c / df ≥ threshold`, by the very
+/// float test parent choice applies (`df + 1` when no count up to `df`
+/// clears it). `P(x|y)` is monotone in the count, so a row's count passes
+/// the threshold exactly when it reaches this.
+fn least_passing(threshold: f64, df: u32) -> u64 {
+    let df = u64::from(df);
+    let clears = |c: u64| c as f64 / df as f64 >= threshold;
+    let mut least = ((threshold * df as f64).ceil() as u64).min(df + 1);
+    while least > 0 && clears(least - 1) {
+        least -= 1;
+    }
+    while least <= df && !clears(least) {
+        least += 1;
+    }
+    least
+}
+
+/// Append the passing list of slot `own`'s row `row` to `out`:
+/// `(slot, count)` for every member slot other than `own` whose count is
+/// at least `least`.
+fn read_passing(
+    out: &mut Vec<(u32, u32)>,
+    row: &[u32],
+    own: usize,
+    least: u64,
+    term_of: &[Option<TermId>],
+) {
+    out.extend(
+        row.iter()
+            .enumerate()
+            .filter(|&(x, &c)| u64::from(c) >= least && x != own && term_of[x].is_some())
+            .map(|(x, &c)| (x as u32, c)),
+    );
+}
+
 /// Co-document counts for a set of terms: per-term document frequency
 /// and pairwise co-document frequency, slot-indexed, with a dense
-/// symbol→slot table.
+/// symbol→slot table, and each row's passing list for one threshold.
 ///
 /// A table is built by one scan over the document rows
 /// ([`CoCounts::scan`]) or advanced by a delta ([`CoCounts::advance`]):
@@ -106,15 +144,18 @@ const ABSENT: u32 = u32::MAX;
 /// new documents' pairs among the terms that stayed, and fills the rows
 /// of entering terms from their postings. Either way the table holds,
 /// for its members, exactly what a fresh scan over the same rows would
-/// count, so [`choose_parents`] cannot tell the two apart.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoCounts {
+/// count, and the same passing lists, so [`choose_parents`] cannot tell
+/// the two apart.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CoCounts {
+    /// The `P(x|y)` threshold the passing lists are kept for.
+    threshold: f64,
     /// `slot_of[sym]`: the term's slot, or [`ABSENT`].
     slot_of: Vec<u32>,
     /// `term_of[slot]`: the member term, or `None` for a free slot.
     term_of: Vec<Option<TermId>>,
-    /// Free slots. Their `df` and row are zero; their column is stale
-    /// until the slot is reused, which rewrites it.
+    /// Free slots. Their `df`, row and passing list are empty; their
+    /// column is stale until the slot is reused, which rewrites it.
     free: Vec<u32>,
     /// Slot capacity; `co` is `cap × cap`.
     cap: usize,
@@ -124,6 +165,16 @@ pub struct CoCounts {
     /// documents containing both slot `a`'s and slot `b`'s terms (for
     /// member slots `a` and `b`).
     co: Vec<u32>,
+    /// `least[a]`: [`least_passing`] of `df[a]` at this threshold.
+    least: Vec<u64>,
+    /// The passing lists, row after row: slot `a`'s is
+    /// `passing[ends[a]..ends[a + 1]]`, `(b, co[a * cap + b])` for the
+    /// member slots `b ≠ a` whose count is at least `least[a]`, ascending
+    /// by `b`. Parent choice reads the counts here, in one sequential
+    /// pass, not in the matrix.
+    passing: Vec<(u32, u32)>,
+    /// `cap + 1` list boundaries into `passing`.
+    ends: Vec<usize>,
     /// Document rows the counts cover (the prefix `0..n_docs`).
     n_docs: usize,
 }
@@ -142,21 +193,24 @@ pub(crate) struct RangeCounts {
 
 impl CoCounts {
     /// Count `terms` (distinct) over every row of `doc_terms`, the
-    /// distinct terms of each document. Slot `i` holds `terms[i]`.
-    pub fn scan<R: AsRef<[TermId]>>(
+    /// distinct terms of each document, with passing lists for
+    /// `threshold`. Slot `i` holds `terms[i]`.
+    pub(crate) fn scan<R: AsRef<[TermId]>>(
         terms: &[TermId],
         doc_terms: impl IntoIterator<Item = R>,
+        threshold: f64,
     ) -> Self {
-        let mut counts = Self::with_slots(terms);
+        let mut counts = Self::with_slots(terms, threshold);
         let range = counts.count_range(doc_terms);
         counts.absorb(vec![range]);
         counts
     }
 
-    /// A table whose slot `i` holds `terms[i]` (distinct), with no rows
-    /// counted yet: the slot table [`CoCounts::count_range`] reads. Its
-    /// counts are empty until [`CoCounts::absorb`] fills them.
-    pub(crate) fn with_slots(terms: &[TermId]) -> Self {
+    /// A table for `threshold` whose slot `i` holds `terms[i]`
+    /// (distinct), with no rows counted yet: the slot table
+    /// [`CoCounts::count_range`] reads. Its counts are empty until
+    /// [`CoCounts::absorb`] fills them.
+    pub(crate) fn with_slots(terms: &[TermId], threshold: f64) -> Self {
         let max_sym = terms.iter().map(|t| t.index()).max().map_or(0, |m| m + 1);
         let mut slot_of = vec![ABSENT; max_sym];
         for (i, t) in terms.iter().enumerate() {
@@ -164,12 +218,16 @@ impl CoCounts {
             slot_of[t.index()] = i as u32;
         }
         Self {
+            threshold,
             slot_of,
             term_of: terms.iter().copied().map(Some).collect(),
             free: Vec::new(),
             cap: terms.len(),
             df: Vec::new(),
             co: Vec::new(),
+            least: Vec::new(),
+            passing: Vec::new(),
+            ends: vec![0; terms.len() + 1],
             n_docs: 0,
         }
     }
@@ -192,7 +250,8 @@ impl CoCounts {
         let mut present: Vec<usize> = Vec::new();
         for d in rows {
             out.n_docs += 1;
-            self.present_slots(d.as_ref(), &mut present);
+            present.clear();
+            present.extend(d.as_ref().iter().filter_map(|&t| self.slot(t)));
             for (a, &i) in present.iter().enumerate() {
                 out.df[i] += 1;
                 for &j in &present[a + 1..] {
@@ -206,9 +265,10 @@ impl CoCounts {
 
     /// Take the sum of `ranges` — the counts of consecutive ranges that
     /// together cover the rows, each from [`CoCounts::count_range`] on
-    /// this table — as the table's counts, and mirror the upper triangle
-    /// once. Counts are integer sums, so the table is the same however
-    /// the rows were split.
+    /// this table — as the table's counts, mirror the upper triangle
+    /// once, and build every passing list in one pass over the table.
+    /// Counts are integer sums, so the table is the same however the
+    /// rows were split.
     pub(crate) fn absorb(&mut self, ranges: Vec<RangeCounts>) {
         let mut ranges = ranges.into_iter();
         let mut sum = match ranges.next() {
@@ -233,19 +293,37 @@ impl CoCounts {
         self.n_docs = sum.n_docs;
         self.df = sum.df;
         self.co = sum.co;
+        self.least = self
+            .df
+            .iter()
+            .map(|&d| least_passing(self.threshold, d))
+            .collect();
+        let mut passing = Vec::new();
+        for s in 0..n {
+            read_passing(&mut passing, self.row(s), s, self.least[s], &self.term_of);
+            self.ends[s + 1] = passing.len();
+        }
+        self.passing = passing;
     }
 
     /// Advance the table to count `terms` (distinct) over every row of
     /// `doc_terms`, whose prefix up to the last scan or advance it already
     /// covers for its current members (rows are only ever appended).
     /// `postings[sym]` lists the rows (ascending) that contain symbol
-    /// `sym`, for every row of `doc_terms`.
+    /// `sym`, for every symbol of `doc_terms`.
     ///
     /// Costs O(new rows' member pairs + entering terms' postings rows +
-    /// churn · capacity), independent of the rows already counted for
+    /// churn · capacity + passing-list entries, rewritten in one
+    /// sequential pass), independent of the rows already counted for
     /// terms that stay.
-    pub fn advance(&mut self, terms: &[TermId], doc_terms: &RowStore, postings: &[Vec<u32>]) {
-        // Leave: free every member that is not in the new set.
+    pub(crate) fn advance(
+        &mut self,
+        terms: &[TermId],
+        doc_terms: &RowStore,
+        postings: &[Vec<u32>],
+    ) {
+        // Leave: free every member that is not in the new set. Its list
+        // entries go when the lists are rewritten, at the end.
         let mut keep = vec![false; self.cap];
         let mut entering: Vec<TermId> = Vec::new();
         for &t in terms {
@@ -254,61 +332,157 @@ impl CoCounts {
                 None => entering.push(t),
             }
         }
+        let mut gone = vec![false; self.cap];
         for (s, kept) in keep.into_iter().enumerate() {
             if !kept && self.term_of[s].is_some() {
                 self.release(s);
+                gone[s] = true;
             }
         }
         if terms.len() > self.cap {
             self.grow(terms.len());
+            gone.resize(self.cap, false);
         }
-        if let Some(max_sym) = entering.iter().map(|t| t.index() + 1).max() {
-            if max_sym > self.slot_of.len() {
-                self.slot_of.resize(max_sym, ABSENT);
-            }
+        let max_sym = entering.iter().map(|t| t.index() + 1).max().unwrap_or(0);
+        let max_sym = max_sym.max(postings.len());
+        if max_sym > self.slot_of.len() {
+            self.slot_of.resize(max_sym, ABSENT);
         }
 
-        // Stay: the new rows' pairs among the remaining members.
+        // Stay: the new rows' member slots, row after row, then per slot
+        // the new rows holding it (a counting sort), so each row whose df
+        // grows is counted while its stretch of the matrix is in cache.
         let cap = self.cap;
         let mut present: Vec<usize> = Vec::new();
+        let mut bounds: Vec<usize> = vec![0];
         for d in doc_terms.iter_from(self.n_docs) {
-            self.present_slots(d, &mut present);
-            for (a, &i) in present.iter().enumerate() {
-                self.df[i] += 1;
-                for &j in &present[a + 1..] {
-                    self.co[i * cap + j] += 1;
-                    self.co[j * cap + i] += 1;
+            let start = present.len();
+            present.extend(d.iter().filter_map(|&t| self.slot(t)));
+            // Ascending, so each row is walked in address order.
+            present[start..].sort_unstable();
+            bounds.push(present.len());
+        }
+        self.n_docs = doc_terms.len();
+        let mut starts = vec![0usize; cap + 1];
+        for &i in &present {
+            starts[i + 1] += 1;
+        }
+        for i in 0..cap {
+            starts[i + 1] += starts[i];
+        }
+        let mut holding = vec![0usize; present.len()];
+        let mut next = starts.clone();
+        for (k, w) in bounds.windows(2).enumerate() {
+            for &i in &present[w[0]..w[1]] {
+                holding[next[i]] = k;
+                next[i] += 1;
+            }
+        }
+        let prior = self.least.clone();
+        // (row, slot) of each count that reached its row's least passing
+        // count, rows ascending; one that already passed is deduplicated
+        // when the lists are rewritten.
+        let mut joined: Vec<(u32, u32)> = Vec::new();
+        for r in 0..cap {
+            let docs = &holding[starts[r]..starts[r + 1]];
+            if docs.is_empty() {
+                continue;
+            }
+            self.df[r] += docs.len() as u32;
+            let least = least_passing(self.threshold, self.df[r]);
+            self.least[r] = least;
+            let row = &mut self.co[r * cap..(r + 1) * cap];
+            for &k in docs {
+                for &j in &present[bounds[k]..bounds[k + 1]] {
+                    if j != r {
+                        row[j] += 1;
+                        if u64::from(row[j]) == least {
+                            joined.push((r as u32, j as u32));
+                        }
+                    }
                 }
             }
         }
-        self.n_docs = doc_terms.len();
 
         // Enter: one at a time, each counted against the members present
         // when it joins, so a pair of entering terms is counted once (by
-        // the later one) and mirrored into the earlier one's row.
+        // the later one) and mirrored into the earlier one's row. Every
+        // symbol counts into `acc` without a branch: non-members land in
+        // the sink cell `cap`. An entering row's list is read off its row
+        // at the end; each other member row whose count in the new column
+        // passes gains the entry.
+        let mut entered = vec![false; cap];
+        let mut acc = vec![0u32; cap + 1];
         for t in entering {
             let Some(s) = self.free.pop().map(|s| s as usize) else {
                 unreachable!("grow() reserved a slot for every term");
             };
             self.slot_of[t.index()] = s as u32;
             self.term_of[s] = Some(t);
+            entered[s] = true;
             let rows = postings.get(t.index()).map_or(&[][..], Vec::as_slice);
             self.df[s] = rows.len() as u32;
+            self.least[s] = least_passing(self.threshold, self.df[s]);
+            acc.fill(0);
             for &d in rows {
                 let Some(row) = doc_terms.get(d as usize) else {
                     continue;
                 };
                 for &u in row {
-                    match self.slot(u) {
-                        Some(o) if o != s => self.co[s * cap + o] += 1,
-                        _ => {}
-                    }
+                    acc[(self.slot_of[u.index()] as usize).min(cap)] += 1;
                 }
             }
-            for r in 0..cap {
-                self.co[r * cap + s] = self.co[s * cap + r];
+            acc[s] = 0;
+            self.co[s * cap..(s + 1) * cap].copy_from_slice(&acc[..cap]);
+            for (r, &c) in acc[..cap].iter().enumerate() {
+                self.co[r * cap + s] = c;
+                if u64::from(c) >= self.least[r] && self.term_of[r].is_some() && r != s {
+                    joined.push((r as u32, s as u32));
+                }
             }
         }
+
+        // Rewrite the lists in one pass, row after row: drop the slots
+        // that left, refresh the counts of rows whose df grew and drop
+        // the entries now short of the least passing count, and merge in
+        // the joined entries. A row that entered, or whose least passing
+        // count fell (from df 0, at a threshold of 0 or less, so counts
+        // that never moved pass now too), is read off its row instead.
+        joined.sort_unstable();
+        let mut joined = joined.into_iter().peekable();
+        let mut passing: Vec<(u32, u32)> = Vec::with_capacity(self.passing.len());
+        let mut ends = Vec::with_capacity(cap + 1);
+        ends.push(0);
+        let mut list: Vec<(u32, u32)> = Vec::new();
+        for r in 0..cap {
+            let row = &self.co[r * cap..(r + 1) * cap];
+            let least = self.least[r];
+            list.clear();
+            if self.term_of[r].is_none() {
+                // A free row has no list.
+            } else if entered[r] || least < prior[r] {
+                read_passing(&mut list, row, r, least, &self.term_of);
+            } else {
+                let grew = starts[r + 1] > starts[r];
+                list.extend(self.list(r).iter().filter_map(|&(x, c)| {
+                    let c = if grew { row[x as usize] } else { c };
+                    (!gone[x as usize] && u64::from(c) >= least).then_some((x, c))
+                }));
+                let kept = list.len();
+                while let Some((_, x)) = joined.next_if(|&(jr, _)| jr as usize == r) {
+                    list.push((x, row[x as usize]));
+                }
+                if list.len() > kept {
+                    list.sort_unstable();
+                    list.dedup();
+                }
+            }
+            while joined.next_if(|&(jr, _)| jr as usize == r).is_some() {}
+            passing.extend_from_slice(&list);
+            ends.push(passing.len());
+        }
+        self.passing = passing;
+        self.ends = ends;
     }
 
     fn slot(&self, t: TermId) -> Option<usize> {
@@ -319,19 +493,25 @@ impl CoCounts {
             .map(|s| s as usize)
     }
 
-    /// The member slots of one document row, into `present`.
-    fn present_slots(&self, row: &[TermId], present: &mut Vec<usize>) {
-        present.clear();
-        present.extend(row.iter().filter_map(|&t| self.slot(t)));
+    /// Row `s` of the matrix.
+    fn row(&self, s: usize) -> &[u32] {
+        &self.co[s * self.cap..(s + 1) * self.cap]
+    }
+
+    /// Row `s`'s passing list.
+    fn list(&self, s: usize) -> &[(u32, u32)] {
+        &self.passing[self.ends[s]..self.ends[s + 1]]
     }
 
     /// Free slot `s`: zero its `df` and row. Nothing reads a free slot's
-    /// column, and the entering term that reuses the slot overwrites it.
+    /// column, and the entering term that reuses the slot overwrites it;
+    /// [`CoCounts::advance`] drops the slot from the lists.
     fn release(&mut self, s: usize) {
         if let Some(t) = self.term_of[s].take() {
             self.slot_of[t.index()] = ABSENT;
         }
         self.df[s] = 0;
+        self.least[s] = least_passing(self.threshold, 0);
         self.co[s * self.cap..(s + 1) * self.cap].fill(0);
         self.free.push(s as u32);
     }
@@ -345,7 +525,10 @@ impl CoCounts {
         }
         self.co = co;
         self.df.resize(cap, 0);
+        self.least.resize(cap, least_passing(self.threshold, 0));
         self.term_of.resize(cap, None);
+        let last = self.ends[old];
+        self.ends.resize(cap + 1, last);
         // Lowest new slot pops first.
         self.free.extend((old..cap).rev().map(|s| s as u32));
         self.cap = cap;
@@ -354,21 +537,26 @@ impl CoCounts {
 
 /// Build the subsumption forest for `terms`, where `doc_terms[d]` lists
 /// the distinct (sorted) terms of document `d` — typically from the
-/// contextualized database, as in the paper. One [`CoCounts::scan`]
-/// followed by [`choose_parents`].
+/// contextualized database, as in the paper. One scan of the co-document
+/// counts followed by parent choice.
 pub fn build_subsumption_forest<R: AsRef<[TermId]>>(
     terms: &[TermId],
     doc_terms: impl IntoIterator<Item = R>,
     params: SubsumptionParams,
 ) -> SubsumptionForest {
-    choose_parents(terms, &CoCounts::scan(terms, doc_terms), params)
+    choose_parents(
+        terms,
+        &CoCounts::scan(terms, doc_terms, params.threshold),
+        params,
+    )
 }
 
 /// Attach each of `terms` (in ranked order) under its best subsumer,
 /// reading document and co-document frequencies from `counts` (which must
-/// count every one of `terms`), then break any cycles. Ties go to the
-/// earlier term in `terms`, so the order is part of the result.
-pub fn choose_parents(
+/// count every one of `terms`, with passing lists for
+/// `params.threshold`), then break any cycles. Ties go to the earlier
+/// term in `terms`, so the order is part of the result.
+pub(crate) fn choose_parents(
     terms: &[TermId],
     counts: &CoCounts,
     params: SubsumptionParams,
@@ -379,13 +567,18 @@ pub fn choose_parents(
 /// Table entry of a slot that no term may be attached under.
 const NO_PARENT: u32 = u32::MAX;
 
-/// [`choose_parents`], also returning the count entries it walked (one
-/// per slot of every row it scanned).
+/// [`choose_parents`], also returning the count entries it evaluated (the
+/// passing-list entries of every row it read).
 pub(crate) fn choose_parents_scanned(
     terms: &[TermId],
     counts: &CoCounts,
     params: SubsumptionParams,
 ) -> (SubsumptionForest, u64) {
+    debug_assert_eq!(
+        counts.threshold.to_bits(),
+        params.threshold.to_bits(),
+        "the table's lists are kept for another threshold"
+    );
     let n = terms.len();
     let n_docs = counts.n_docs;
     let slots: Vec<Option<usize>> = terms.iter().map(|&t| counts.slot(t)).collect();
@@ -399,8 +592,7 @@ pub(crate) fn choose_parents_scanned(
         .map(|&d| d as f64 / n_docs.max(1) as f64)
         .collect();
     // `eligible[slot]`: the index of the term in that slot if it may
-    // parent anything, else NO_PARENT — as for free slots, whose column
-    // entries are stale, and for members outside `terms`.
+    // parent anything, else NO_PARENT — as for members outside `terms`.
     let mut eligible = vec![NO_PARENT; counts.cap];
     for (x, s) in slots.iter().enumerate() {
         if let Some(s) = *s {
@@ -418,34 +610,20 @@ pub(crate) fn choose_parents_scanned(
     // specific subsumer). We bucket P(x|y) into 5%-wide confidence bands
     // and pick the most specific subsumer within the strongest band.
     let mut parent: Vec<Option<usize>> = vec![None; n];
-    let mut scanned = 0u64;
+    let mut evaluated = 0u64;
     for y in 0..n {
         let Some(sy) = slots[y].filter(|_| df[y] != 0) else {
             continue;
         };
         let min_parent_df = params.min_generality_ratio * df[y] as f64;
-        // The least co-document count that clears the threshold. P(x|y)
-        // is monotone in the count, so a smaller count fails the float
-        // test below and is skipped without evaluating it.
-        let clears = |c: u64| c as f64 / df[y] as f64 >= params.threshold;
-        let mut min_co = ((params.threshold * df[y] as f64).ceil() as u64).min(df[y] + 1);
-        while min_co > 0 && clears(min_co - 1) {
-            min_co -= 1;
-        }
-        while min_co <= df[y] && !clears(min_co) {
-            min_co += 1;
-        }
-        // Counts are u32: a least count past that range clears nothing.
-        let Ok(min_co) = u32::try_from(min_co) else {
-            continue;
-        };
-        let row = &counts.co[sy * counts.cap..(sy + 1) * counts.cap];
-        scanned += row.len() as u64;
+        // Only the counts that can clear the threshold: the row's list.
+        let passing = counts.list(sy);
+        evaluated += passing.len() as u64;
         // (index, confidence bucket) of the current best parent.
         let mut best: Option<(usize, u32)> = None;
-        for (&c, &x) in row.iter().zip(&eligible) {
-            // Most pairs barely co-occur: test the count first.
-            if c < min_co || x == NO_PARENT {
+        for &(sx, c) in passing {
+            let x = eligible[sx as usize];
+            if x == NO_PARENT {
                 continue;
             }
             let x = x as usize;
@@ -500,7 +678,7 @@ pub(crate) fn choose_parents_scanned(
             terms: terms.to_vec(),
             parent,
         },
-        scanned,
+        evaluated,
     )
 }
 
@@ -666,6 +844,7 @@ mod tests {
     fn split_scan(
         terms: &[TermId],
         rows: &RowStore,
+        threshold: f64,
         parts: u64,
         rng: &mut proptest::test_runner::TestRng,
     ) -> CoCounts {
@@ -673,7 +852,7 @@ mod tests {
             .map(|_| rng.below(rows.len() as u64 + 1) as usize)
             .collect();
         cuts.sort_unstable();
-        let mut counts = CoCounts::with_slots(terms);
+        let mut counts = CoCounts::with_slots(terms, threshold);
         let mut start = 0;
         let mut ranges = Vec::new();
         for end in cuts.into_iter().chain([rows.len()]) {
@@ -694,6 +873,7 @@ mod tests {
     fn advanced_table_equals_fresh_scan() {
         use proptest::test_runner::TestRng;
         const VOCAB: u32 = 24;
+        let threshold = SubsumptionParams::default().threshold;
         let mut rng = TestRng::deterministic("advanced_table_equals_fresh_scan");
         for _ in 0..40 {
             let mut rows = RowStore::new();
@@ -731,12 +911,12 @@ mod tests {
                     }
                     None => {
                         let parts = 1 + rng.below(4);
-                        table.insert(split_scan(&terms, &rows, parts, &mut rng))
+                        table.insert(split_scan(&terms, &rows, threshold, parts, &mut rng))
                     }
                 };
-                let fresh = CoCounts::scan(&terms, &rows);
+                let fresh = CoCounts::scan(&terms, &rows, threshold);
                 let parts = 1 + rng.below(4);
-                assert_eq!(split_scan(&terms, &rows, parts, &mut rng), fresh);
+                assert_eq!(split_scan(&terms, &rows, threshold, parts, &mut rng), fresh);
                 // (df, co-df) of a pair of members; a == b gives df.
                 let count = |c: &CoCounts, a: TermId, b: TermId| {
                     let (i, j) = (c.slot(a).unwrap(), c.slot(b).unwrap());
@@ -761,6 +941,107 @@ mod tests {
             }
             assert!(reused > 0, "freed slots must be reused");
         }
+    }
+
+    /// Each member's passing list as terms, members in term order: the
+    /// lists of two tables over the same terms compare equal whatever
+    /// slots the terms hold.
+    fn lists_by_term(c: &CoCounts) -> Vec<(TermId, Vec<TermId>)> {
+        let mut out: Vec<(TermId, Vec<TermId>)> = (0..c.cap)
+            .filter_map(|s| {
+                let t = c.term_of[s]?;
+                let mut list: Vec<TermId> = c
+                    .list(s)
+                    .iter()
+                    .map(|&(x, _)| c.term_of[x as usize].unwrap())
+                    .collect();
+                list.sort_unstable();
+                Some((t, list))
+            })
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Passing lists advanced through leave, stay, enter, growth and slot
+    /// reuse equal the lists a fresh scan builds, at thresholds from ones
+    /// every count clears to ones none can; and parent choice over the
+    /// advanced table equals both references at that threshold. Each
+    /// advanced list is ascending and free of repeats and free slots.
+    #[test]
+    fn passing_lists_equal_a_fresh_scan() {
+        use proptest::test_runner::TestRng;
+        const VOCAB: u32 = 24;
+        let mut rng = TestRng::deterministic("passing_lists_equal_a_fresh_scan");
+        let (mut grown, mut reused, mut stayed) = (0, 0, 0);
+        for case in 0..60 {
+            let threshold = [-0.5, 0.0, 0.3, 0.5, 0.8, 1.0, 1.2][case % 7];
+            let mut rows = RowStore::new();
+            let mut postings: Vec<Vec<u32>> = vec![Vec::new(); VOCAB as usize];
+            let mut table: Option<CoCounts> = None;
+            for _ in 0..12 {
+                for _ in 0..rng.below(6) {
+                    let row: Vec<TermId> = (0..VOCAB)
+                        .filter(|&t| rng.below(u64::from(t) / 3 + 2) == 0)
+                        .map(TermId)
+                        .collect();
+                    for t in &row {
+                        postings[t.index()].push(rows.len() as u32);
+                    }
+                    rows.push(&row);
+                }
+                let size = 2 + rng.below(13) as usize;
+                let mut terms: Vec<TermId> = (0..VOCAB).map(TermId).collect();
+                for i in (1..terms.len()).rev() {
+                    terms.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                terms.truncate(size);
+                let advanced = match &mut table {
+                    Some(t) => {
+                        let entering = terms.iter().any(|&x| t.slot(x).is_none());
+                        let cap = t.cap;
+                        stayed += usize::from(t.n_docs < rows.len());
+                        t.advance(&terms, &rows, &postings);
+                        grown += usize::from(t.cap > cap);
+                        reused += usize::from(entering && t.cap == cap);
+                        t
+                    }
+                    None => table.insert(CoCounts::scan(&terms, &rows, threshold)),
+                };
+                let fresh = CoCounts::scan(&terms, &rows, threshold);
+                assert_eq!(
+                    lists_by_term(advanced),
+                    lists_by_term(&fresh),
+                    "{threshold}"
+                );
+                for s in 0..advanced.cap {
+                    let list = advanced.list(s);
+                    assert!(
+                        list.windows(2).all(|w| w[0].0 < w[1].0),
+                        "slot {s}: {list:?}"
+                    );
+                    for &(x, c) in list {
+                        assert!(advanced.term_of[s].is_some(), "free slot {s}: {x}");
+                        assert!(advanced.term_of[x as usize].is_some(), "slot {s}: {x}");
+                        assert_eq!(c, advanced.row(s)[x as usize], "slot {s}: {x}");
+                    }
+                }
+                let row_vecs: Vec<Vec<TermId>> = rows.iter().map(<[TermId]>::to_vec).collect();
+                for guards in [SubsumptionParams::default(), relaxed()] {
+                    let params = SubsumptionParams {
+                        threshold,
+                        ..guards
+                    };
+                    let got = choose_parents(&terms, advanced, params).parent;
+                    assert_eq!(got, eligible_list_parents(&terms, advanced, params));
+                    assert_eq!(got, reference_build(&terms, &row_vecs, params));
+                }
+            }
+        }
+        assert!(
+            grown > 0 && reused > 0 && stayed > 0,
+            "{grown} {reused} {stayed}"
+        );
     }
 
     /// A verbatim copy of the single-function builder that predates the
@@ -1046,7 +1327,11 @@ mod tests {
                         reused += usize::from(entering && t.cap == cap);
                         t
                     }
-                    None => table.insert(CoCounts::scan(&terms, &rows)),
+                    None => table.insert(CoCounts::scan(
+                        &terms,
+                        &rows,
+                        SubsumptionParams::default().threshold,
+                    )),
                 };
                 let row_vecs: Vec<Vec<TermId>> = rows.iter().map(<[TermId]>::to_vec).collect();
                 for params in [SubsumptionParams::default(), relaxed()] {
@@ -1101,8 +1386,9 @@ mod tests {
     }
 
     /// Parent choice over a scanned table reproduces the reference
-    /// builder edge for edge, across thresholds (including ones no count
-    /// can clear), density guards, and term orders.
+    /// builder and the input-order `eligible`-list walk edge for edge,
+    /// across thresholds (including ones every count clears and ones no
+    /// count can clear), density guards, and term orders.
     #[test]
     fn parent_choice_matches_reference_builder() {
         use proptest::test_runner::TestRng;
@@ -1134,6 +1420,18 @@ mod tests {
                 reference_build(&terms, &rows, params),
                 "{params:?}"
             );
+            // Every threshold on the same rows, down to ones that put
+            // every member in every passing list, and both references.
+            for threshold in [-0.5, 0.0, 0.3, 0.5, 0.55, 0.8, 0.85, 1.0, 1.2] {
+                let params = SubsumptionParams {
+                    threshold,
+                    ..params
+                };
+                let built = reference_build(&terms, &rows, params);
+                let counts = CoCounts::scan(&terms, &rows, threshold);
+                assert_eq!(choose_parents(&terms, &counts, params).parent, built);
+                assert_eq!(eligible_list_parents(&terms, &counts, params), built);
+            }
         }
     }
 

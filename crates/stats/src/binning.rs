@@ -80,8 +80,8 @@ pub fn rank_bins(freqs: &[u64]) -> Vec<RankBin> {
 /// in [`ranks_by_frequency`]), which also covers entries beyond the end
 /// of a shorter table: zeros never count towards any rank.
 ///
-/// One counting pass into a `max_freq + 1` histogram and one suffix sum,
-/// so `O(freqs.len() + max_freq)`.
+/// [`frequency_histogram`] followed by [`bins_from_histogram`], so
+/// `O(freqs.len() + max_freq)`.
 ///
 /// ```
 /// use facet_stats::bins_by_frequency;
@@ -93,15 +93,35 @@ pub fn rank_bins(freqs: &[u64]) -> Vec<RankBin> {
 /// # Panics
 /// Panics if an entry exceeds `max_freq`.
 pub fn bins_by_frequency(freqs: &[u64], max_freq: u64) -> Vec<RankBin> {
+    bins_from_histogram(&frequency_histogram(freqs, max_freq))
+}
+
+/// The `max_freq + 1` histogram of a table's nonzero entries: `hist[f]`
+/// is the number of entries equal to `f` for `f ≥ 1`, and `hist[0]` is 0,
+/// since zeros never count towards any rank. A caller that keeps the
+/// histogram moves an entry from `f` to `f'` by one decrement (skipped
+/// for `f = 0`) and one increment.
+///
+/// # Panics
+/// Panics if an entry exceeds `max_freq`.
+pub fn frequency_histogram(freqs: &[u64], max_freq: u64) -> Vec<u64> {
     let mut hist = vec![0u64; max_freq as usize + 1];
     for &f in freqs {
         hist[f as usize] += 1;
     }
+    hist[0] = 0;
+    hist
+}
+
+/// The rank bin of every frequency value `f < hist.len()`, from the
+/// histogram of a table's nonzero entries ([`frequency_histogram`]): one
+/// suffix sum over the histogram.
+pub fn bins_from_histogram(hist: &[u64]) -> Vec<RankBin> {
     // Walk frequencies downwards, `above` counting the entries seen so
     // far, i.e. those with a strictly larger frequency.
     let mut above = 0u64;
     let mut bins = vec![0; hist.len()];
-    for (bin, count) in bins.iter_mut().zip(&hist).rev() {
+    for (bin, count) in bins.iter_mut().zip(hist).rev() {
         *bin = rank_bin(above + 1);
         above += count;
     }
@@ -177,6 +197,24 @@ mod tests {
     fn counted_bins_of_empty_and_zero_tables() {
         assert_eq!(bins_by_frequency(&[], 0), vec![0]);
         assert_eq!(bins_by_frequency(&[0, 0], 3), vec![0; 4]);
+    }
+
+    /// A histogram kept by moving entries gives the bins a recount of
+    /// the moved table gives.
+    #[test]
+    fn moved_histogram_bins_equal_recounted_bins() {
+        let mut freqs = vec![7, 0, 7, 3, 3, 3, 1, 0, 12];
+        let mut hist = frequency_histogram(&freqs, 14);
+        for (i, to) in [(1, 2), (6, 7), (8, 14), (3, 4)] {
+            let from = freqs[i];
+            if from > 0 {
+                hist[from as usize] -= 1;
+            }
+            hist[to as usize] += 1;
+            freqs[i] = to;
+        }
+        assert_eq!(hist, frequency_histogram(&freqs, 14));
+        assert_eq!(bins_from_histogram(&hist), bins_by_frequency(&freqs, 14));
     }
 
     #[test]

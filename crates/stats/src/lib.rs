@@ -19,12 +19,13 @@
 
 pub mod binning;
 pub mod chisq;
-pub mod divergence;
 pub mod loglik;
 pub mod shift;
 
-pub use binning::{bins_by_frequency, rank_bin, rank_bins, ranks_by_frequency, RankBin};
+pub use binning::{
+    bins_by_frequency, bins_from_histogram, frequency_histogram, rank_bin, rank_bins,
+    ranks_by_frequency, RankBin,
+};
 pub use chisq::{chi_square_2x2, chi_square_df};
-pub use divergence::{corpus_skew_divergence, kl_divergence, normalize, skew_divergence};
 pub use loglik::{binomial_log_likelihood, log_likelihood_ratio};
 pub use shift::{is_candidate, shift_f, shift_r};

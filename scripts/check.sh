@@ -10,7 +10,10 @@
 #                  and facet-obs unit test (among them the interleaving
 #                  tests the Lint.toml concurrency sanctions cite) and the
 #                  snapshot-digest property (equal digests across worker
-#                  counts, thread counts and append splits), the index
+#                  counts, thread counts and append splits), the
+#                  maintained selection state and the published forests
+#                  against fresh passes (the selection-state property and
+#                  tests/subsumption_delta.rs), the index
 #                  determinism sweep over worker counts, the facet-stats
 #                  tests, the facet-textkit row-store unit tests (chunked
 #                  rows against a Vec model), the recovery suite, the
@@ -106,6 +109,13 @@ if [[ "${1:-}" == "--tier1" ]]; then
     # named explicitly: it is what recovery's digest checks mean.
     cargo test -q -p facet-core -p facet-store -p facet-obs
     cargo test -q -p facet-core digest_is_equal_across_shards_threads_and_splits
+    echo "== tier-1: publish state against fresh passes"
+    # Selection's maintained candidate set against a fresh selection
+    # after appends, repair and reopen, and every published forest
+    # against a fresh build, named explicitly so a filtered or partial
+    # test run cannot silently skip them.
+    cargo test -q -p facet-core maintained_selection_equals_a_fresh_pass
+    cargo test -q --test subsumption_delta
     echo "== tier-1: index determinism sweep"
     # The worker-count x thread-count equivalence tests, named explicitly
     # so a filtered or partial test run cannot silently skip them.
