@@ -94,8 +94,6 @@ fn main() {
             top_k: 1500,
             ..Default::default()
         },
-        build_hierarchies: true,
-        subsumption_doc_cap: 3000,
         recorder: recorder.clone(),
     };
     let cells = run_grid(&mut bundle, &options);
@@ -291,7 +289,10 @@ fn main() {
     // ---- WikiSyn shift probe ---------------------------------------------
     {
         use facet_ner::NerTagger;
-        use facet_resources::{expand_database, ExpansionOptions, WikiSynonymsResource};
+        use facet_resources::{
+            expand_append_recorded, intern_important_terms, ContextualizedDatabase, ExpansionCache,
+            ExpansionOptions, WikiSynonymsResource,
+        };
         use facet_stats::bins_by_frequency;
         use facet_termx::{NamedEntityExtractor, TermExtractor};
         use facet_wikipedia::WikipediaSynonyms;
@@ -311,13 +312,18 @@ fn main() {
             &bundle.wiki.anchors,
         );
         let syn_res = WikiSynonymsResource::new(&synonyms);
-        let c = expand_database(
+        let important = intern_important_terms(&mut bundle.vocab, &important);
+        let mut c = ContextualizedDatabase::empty();
+        expand_append_recorded(
             &bundle.corpus.db,
+            0..bundle.corpus.db.len(),
             &important,
             &[&syn_res],
             &mut bundle.vocab,
             &ExpansionOptions::default(),
             facet_obs::Recorder::disabled_ref(),
+            &mut ExpansionCache::new(),
+            &mut c,
         )
         .expect("one I(d) list per document");
         let df = bundle.corpus.db.df_table_resized(bundle.vocab.len());

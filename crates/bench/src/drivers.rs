@@ -62,8 +62,6 @@ pub fn run_dataset_tables_recorded(
             top_k,
             ..Default::default()
         },
-        build_hierarchies: true,
-        subsumption_doc_cap: 3000,
         recorder: recorder.clone(),
     };
     let cells = run_grid(&mut bundle, &options);
@@ -162,8 +160,8 @@ pub fn run_sensitivity(kind: RecipeKind, scale: f64) -> Table {
 
 /// The Section V-D efficiency study.
 pub fn run_efficiency(kind: RecipeKind, scale: f64, sample_docs: usize) -> Table {
-    let mut bundle = scaled_bundle(kind, scale);
-    let rows = measure_efficiency(&mut bundle, sample_docs);
+    let bundle = scaled_bundle(kind, scale);
+    let rows = measure_efficiency(&bundle, sample_docs);
     efficiency_table(&format!("Efficiency ({})", kind.name()), &rows)
 }
 
@@ -189,7 +187,7 @@ pub fn run_ablation(scale: f64, top_k: usize) -> Table {
     use facet_core::{
         build_evidence_forest, EvidenceParams, HypernymHints, SelectionStatistic, ShardedFacetIndex,
     };
-    use facet_eval::harness::default_gold;
+    use facet_eval::harness::{default_gold, GridCell};
     use facet_eval::judge_model::JudgeModel;
     use facet_eval::precision::PrecisionJudge;
     use facet_ner::NerTagger;
@@ -258,22 +256,22 @@ pub fn run_ablation(scale: f64, top_k: usize) -> Table {
             .expect("a fresh index accepts any batch");
         let snapshot = index.snapshot();
         let vocab = snapshot.vocab();
-        let candidates = snapshot.candidates();
+        let mut cell = GridCell::from_snapshot("All", label, &snapshot);
 
         // Recall.
-        let selected: std::collections::HashSet<&str> =
-            candidates.iter().map(|c| vocab.term(c.term)).collect();
+        let selected: std::collections::HashSet<&str> = cell.terms().into_iter().collect();
         let recall = gold_terms
             .iter()
             .filter(|g| selected.contains(g.as_str()))
             .count() as f64
             / gold_terms.len().max(1) as f64;
 
-        // Hierarchy: plain subsumption or evidence combination.
-        let terms: Vec<_> = candidates.iter().map(|c| c.term).collect();
-        let forest = if evidence {
+        // Hierarchy: the index's subsumption forest, or evidence
+        // combination over the same rows.
+        if evidence {
             // Hints from the WordNet resource: a candidate's hypernyms
             // that are themselves candidates.
+            let terms: Vec<_> = snapshot.candidates().iter().map(|c| c.term).collect();
             let mut hints = HypernymHints::new();
             let selected_ids: std::collections::HashMap<&str, facet_textkit::TermId> =
                 terms.iter().map(|&t| (vocab.term(t), t)).collect();
@@ -284,44 +282,23 @@ pub fn run_ablation(scale: f64, top_k: usize) -> Table {
                     }
                 }
             }
-            build_evidence_forest(
+            let forest = build_evidence_forest(
                 &terms,
                 snapshot.doc_terms().iter(),
                 &hints,
                 EvidenceParams::default(),
-            )
-        } else {
-            use facet_core::{build_subsumption_forest, SubsumptionParams};
-            build_subsumption_forest(
-                &terms,
-                snapshot.doc_terms().iter(),
-                SubsumptionParams::default(),
-            )
-        };
-        let parents: Vec<(String, Option<String>)> = forest
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                let parent = forest.parent[i].map(|p| vocab.term(forest.terms[p]).to_string());
-                (vocab.term(t).to_string(), parent)
-            })
-            .collect();
-
-        let cell = facet_eval::harness::GridCell {
-            extractor: "All".into(),
-            resource: label.into(),
-            candidates: candidates
+            );
+            cell.parents = forest
+                .terms
                 .iter()
-                .map(|c| facet_eval::harness::CandidateOut {
-                    term: vocab.term(c.term).to_string(),
-                    df: c.df,
-                    df_c: c.df_c,
-                    score: c.score,
+                .enumerate()
+                .map(|(i, &t)| {
+                    let parent = forest.parent[i].map(|p| vocab.term(forest.terms[p]).to_string());
+                    (vocab.term(t).to_string(), parent)
                 })
-                .collect(),
-            parents,
-        };
+                .collect();
+        }
+
         let model = JudgeModel::new(&bundle.world);
         let precision = judge.precision_with_model(&cell, &model);
         table.row(&[
@@ -401,8 +378,6 @@ pub fn run_baselines(scale: f64, top_k: usize) -> Table {
             top_k,
             ..Default::default()
         },
-        build_hierarchies: false,
-        subsumption_doc_cap: 3000,
         ..Default::default()
     };
     let cells = run_grid(&mut bundle, &options);
@@ -433,8 +408,6 @@ pub fn run_dimensions(kind: RecipeKind, scale: f64, top_k: usize) -> (Table, Tab
             top_k,
             ..Default::default()
         },
-        build_hierarchies: false,
-        subsumption_doc_cap: 3000,
         ..Default::default()
     };
     let cells = run_grid(&mut bundle, &options);

@@ -108,8 +108,7 @@ impl FacetForest {
             }
         }
         // Children of every node, bucketed in one pass in ascending index
-        // order (the order of `SubsumptionForest::children`), which the
-        // stable sort below keeps for ties.
+        // order, which the stable sort below keeps for ties.
         let mut kids: Vec<Vec<usize>> = vec![Vec::new(); forest.terms.len()];
         let mut roots: Vec<usize> = Vec::new();
         for (i, p) in forest.parent.iter().enumerate() {

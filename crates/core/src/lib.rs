@@ -53,7 +53,7 @@ pub use facet_textkit::RowStore;
 pub use hierarchy::{FacetForest, FacetTree, TreeNode};
 pub use index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
 pub use persist::STATE_VERSION;
-pub use selection::{select_facet_terms, FacetCandidate, SelectionInputs, SelectionStatistic};
+pub use selection::{FacetCandidate, SelectionInputs, SelectionStatistic};
 pub use serve::{
     fanout_browse, normalize_query, BrowseResult, FacetServer, ServeCacheStats, ServeHandle,
     ServeSnapshot,

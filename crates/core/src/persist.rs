@@ -42,7 +42,9 @@
 //! publication produced. Replay works run by run: each run of
 //! consecutive append records is concatenated into one batch that goes
 //! through the append path once and publishes at the run's last
-//! sequence number, and each repair record runs one repair. Replay
+//! sequence number, and each repair record runs one repair (a repair
+//! that finds nothing to re-query — the replayed appends already
+//! resolved its terms — publishes the state as it stands instead). Replay
 //! asserts that the run's last sequence number, or the repair's, is the
 //! generation that landed ([`StoreError::ReplayFailed`] on any
 //! divergence), and the store already guarantees the tail is contiguous
@@ -474,7 +476,7 @@ fn flush(
             .generation;
         check_replayed_generation(run.last_seq, landed)?;
     } else if *restored {
-        index.publish_restored();
+        index.publish_at(index.generation);
     }
     *restored = false;
     Ok(())
@@ -516,11 +518,18 @@ fn replay(
             }
             ReplayOp::Repair => {
                 flush(index, &mut run, &mut restored)?;
-                let landed = index
+                let stats = index
                     .repair()
-                    .map_err(|e| replay_failed(record.seq, e.to_string()))?
-                    .generation;
-                check_replayed_generation(record.seq, landed)?;
+                    .map_err(|e| replay_failed(record.seq, e.to_string()))?;
+                if stats.requeried_terms == 0 {
+                    // The terms the live repair re-queried were resolved
+                    // cleanly by the replayed appends (their resource
+                    // healed before the restart), so the state already
+                    // equals the live repaired one: publish it where the
+                    // live repair did.
+                    index.publish_at(index.generation + 1);
+                }
+                check_replayed_generation(record.seq, index.generation)?;
             }
         }
     }
@@ -745,6 +754,50 @@ mod tests {
             assert_eq!(got.digest(), snap.digest(), "{n} workers");
             assert_eq!(publishes(&recorder), 3, "{n} workers: run, repair, run");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every degraded term is in the WAL tail, and the resource heals
+    /// before the restart: the replayed appends resolve those terms
+    /// cleanly, so the replayed repair record finds nothing to re-query,
+    /// and recovery still lands on the live repaired state at the
+    /// repair's generation.
+    #[test]
+    fn replayed_repair_with_nothing_to_requery_recovers_the_live_digest() {
+        let e = WordExtractor;
+        let faulty = FaultyResource::new(
+            NeighbourResource,
+            FaultPlan::seeded(3, 300),
+            VirtualClock::new(),
+        );
+        let dir = test_dir("repair-healed");
+        let store = FacetStore::open(&dir).unwrap();
+        let mut live = ShardedFacetIndex::new(1, vec![&e], vec![&faulty], with_threads(1));
+        for words in [&WORDS[..6], &WORDS[4..], &WORDS[..]] {
+            let doc = Document {
+                id: DocId(0),
+                source: 0,
+                day: 0,
+                title: "Story".into(),
+                text: words.join(" ") + ".",
+            };
+            live.append_logged(vec![doc], &store).unwrap();
+        }
+        assert!(
+            !live.snapshot().is_fully_covered(),
+            "the plan degrades a term"
+        );
+        faulty.heal();
+        assert!(live.repair_logged(&store).unwrap().repaired_terms > 0);
+        let snap = live.snapshot();
+        let (recovered, report) =
+            ShardedFacetIndex::open_from(&store, 1, vec![&e], vec![&faulty], with_threads(1))
+                .unwrap();
+        assert_eq!(report.replayed_records, 4, "three appends and the repair");
+        let got = recovered.snapshot();
+        assert_eq!(got.generation(), snap.generation());
+        assert!(got.is_fully_covered());
+        assert_eq!(got.digest(), snap.digest());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -258,32 +258,6 @@ fn top_k_by(
     candidates
 }
 
-/// Run the selection: returns candidates with both shifts positive,
-/// ranked by `statistic` descending, truncated to `top_k`.
-/// `min_df_c` filters terms too rare in `C(D)` to be meaningful facets.
-///
-/// Score ties break on [`TermId`], i.e. interning order. The index ranks
-/// by term string instead, an order independent of id assignment.
-///
-/// # Panics
-/// Panics if a table entry exceeds `inputs.n_docs`.
-pub fn select_facet_terms(
-    inputs: SelectionInputs<'_>,
-    statistic: SelectionStatistic,
-    top_k: usize,
-    min_df_c: u64,
-) -> Vec<FacetCandidate> {
-    top_k_by(
-        CandidateSet::build(inputs).select(inputs, statistic, min_df_c),
-        top_k,
-        |a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then_with(|| a.term.cmp(&b.term))
-        },
-    )
-}
-
 /// Rank `candidates` (from [`CandidateSet::select`]) with an
 /// interning-order-independent order and keep the first `top_k`: score
 /// descending, ties broken by the term *string* (then id, unreachable
@@ -375,10 +349,37 @@ pub(crate) mod tests {
         (df, df_c)
     }
 
+    /// What the index publishes for `inputs`: a fresh `CandidateSet`'s
+    /// candidates, ranked by [`rank_stable`] over `vocab`.
+    fn ranked_in(
+        inputs: SelectionInputs<'_>,
+        statistic: SelectionStatistic,
+        top_k: usize,
+        min_df_c: u64,
+        vocab: &Vocabulary,
+    ) -> Vec<FacetCandidate> {
+        let found = CandidateSet::build(inputs).select(inputs, statistic, min_df_c);
+        rank_stable(found, top_k, vocab)
+    }
+
+    /// [`ranked_in`] over a vocabulary of `t<id>` strings.
+    fn ranked(
+        inputs: SelectionInputs<'_>,
+        statistic: SelectionStatistic,
+        top_k: usize,
+        min_df_c: u64,
+    ) -> Vec<FacetCandidate> {
+        let mut vocab = Vocabulary::new();
+        for i in 0..inputs.df.len().max(inputs.df_c.len()) {
+            vocab.intern(&format!("t{i}"));
+        }
+        ranked_in(inputs, statistic, top_k, min_df_c, &vocab)
+    }
+
     #[test]
     fn facet_term_selected_background_not() {
         let (df, df_c) = tables();
-        let out = select_facet_terms(
+        let out = ranked(
             SelectionInputs {
                 df: &df,
                 df_c: &df_c,
@@ -397,7 +398,7 @@ pub(crate) mod tests {
     #[test]
     fn ranked_by_score_descending() {
         let (df, df_c) = tables();
-        let out = select_facet_terms(
+        let out = ranked(
             SelectionInputs {
                 df: &df,
                 df_c: &df_c,
@@ -415,7 +416,7 @@ pub(crate) mod tests {
     #[test]
     fn top_k_truncates() {
         let (df, df_c) = tables();
-        let out = select_facet_terms(
+        let out = ranked(
             SelectionInputs {
                 df: &df,
                 df_c: &df_c,
@@ -434,7 +435,7 @@ pub(crate) mod tests {
         // non-degenerate so absent terms land in a high bin.
         let df = vec![0, 0, 100, 50, 30, 10];
         let df_c = vec![2, 50, 100, 50, 30, 10];
-        let out = select_facet_terms(
+        let out = ranked(
             SelectionInputs {
                 df: &df,
                 df_c: &df_c,
@@ -453,7 +454,7 @@ pub(crate) mod tests {
         // df_c longer than df: the new term ids must be handled.
         let df = vec![10u64];
         let df_c = vec![12u64, 40];
-        let out = select_facet_terms(
+        let out = ranked(
             SelectionInputs {
                 df: &df,
                 df_c: &df_c,
@@ -485,21 +486,9 @@ pub(crate) mod tests {
             df_c: &df_c,
             n_docs: 1000,
         };
-        let plain = select_facet_terms(inputs, SelectionStatistic::LogLikelihood, 100, 1);
-        let stable = rank_stable(
-            collect_candidates(inputs, SelectionStatistic::LogLikelihood, 1),
-            100,
-            &vocab,
-        );
-        // Same candidate set either way.
-        let mut p: Vec<u32> = plain.iter().map(|c| c.term.0).collect();
-        let mut s: Vec<u32> = stable.iter().map(|c| c.term.0).collect();
-        p.sort_unstable();
-        s.sort_unstable();
-        assert_eq!(p, s);
-        // Tie order: plain follows ids (zebra first), stable follows
-        // strings (apple first).
-        assert_eq!(plain[0].term, TermId(0), "id order puts zebra first");
+        let stable = ranked_in(inputs, SelectionStatistic::LogLikelihood, 100, 1, &vocab);
+        // Tie order follows strings (apple first), not ids (zebra
+        // first).
         assert_eq!(stable[0].term, TermId(1), "string order puts apple first");
         assert_eq!(stable[1].term, TermId(0));
     }
@@ -507,7 +496,7 @@ pub(crate) mod tests {
     #[test]
     fn chi_square_variant_runs() {
         let (df, df_c) = tables();
-        let out = select_facet_terms(
+        let out = ranked(
             SelectionInputs {
                 df: &df,
                 df_c: &df_c,
@@ -523,7 +512,7 @@ pub(crate) mod tests {
     #[test]
     fn shifts_recorded() {
         let (df, df_c) = tables();
-        let out = select_facet_terms(
+        let out = ranked(
             SelectionInputs {
                 df: &df,
                 df_c: &df_c,
@@ -543,27 +532,22 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "n_docs")]
     fn frequency_above_n_docs_panics() {
-        let _ = select_facet_terms(
-            SelectionInputs {
-                df: &[1],
-                df_c: &[0, 11],
-                n_docs: 10,
-            },
-            SelectionStatistic::LogLikelihood,
-            10,
-            1,
-        );
+        let _ = CandidateSet::build(SelectionInputs {
+            df: &[1],
+            df_c: &[0, 11],
+            n_docs: 10,
+        });
     }
 
     /// The selection path before bins were counted, verbatim: padded
-    /// copies, sort-based `rank_bins`, a full sort with the plain (`None`)
-    /// or stable (`Some(vocab)`) comparator, then `truncate`.
+    /// copies, sort-based `rank_bins`, a full sort with the stable
+    /// comparator, then `truncate`.
     fn reference_select(
         inputs: SelectionInputs<'_>,
         statistic: SelectionStatistic,
         top_k: usize,
         min_df_c: u64,
-        stable: Option<&Vocabulary>,
+        vocab: &Vocabulary,
     ) -> Vec<FacetCandidate> {
         use facet_stats::rank_bins;
         let vocab_len = inputs.df_c.len().max(inputs.df.len());
@@ -597,24 +581,17 @@ pub(crate) mod tests {
                 score,
             });
         }
-        match stable {
-            None => candidates.sort_by(|a, b| {
-                b.score
-                    .total_cmp(&a.score)
-                    .then_with(|| a.term.cmp(&b.term))
-            }),
-            Some(vocab) => candidates.sort_by(|a, b| {
-                b.score
-                    .total_cmp(&a.score)
-                    .then_with(|| {
-                        vocab
-                            .try_term(a.term)
-                            .unwrap_or("")
-                            .cmp(vocab.try_term(b.term).unwrap_or(""))
-                    })
-                    .then_with(|| a.term.cmp(&b.term))
-            }),
-        }
+        candidates.sort_by(|a, b| {
+            b.score
+                .total_cmp(&a.score)
+                .then_with(|| {
+                    vocab
+                        .try_term(a.term)
+                        .unwrap_or("")
+                        .cmp(vocab.try_term(b.term).unwrap_or(""))
+                })
+                .then_with(|| a.term.cmp(&b.term))
+        });
         candidates.truncate(top_k);
         candidates
     }
@@ -636,9 +613,10 @@ pub(crate) mod tests {
     }
 
     /// Counted bins with partial top-k reproduce the sort-based path
-    /// candidate for candidate — order, statistics and score bits — for
-    /// both rankings, over tables drawn from small value ranges (so
-    /// scores tie and string tie-breaks fire), tables of unequal length,
+    /// candidate for candidate — order, statistics and score bits — from
+    /// a fresh `CandidateSet` and from the whole-vocabulary pass, over
+    /// tables drawn from small value ranges (so scores tie and string
+    /// tie-breaks fire), tables of unequal length,
     /// all-zero tables, both statistics, several `min_df_c`, and `top_k`
     /// of 0, 1, a random count inside the candidates, exactly the
     /// candidate count, and beyond it.
@@ -690,13 +668,16 @@ pub(crate) mod tests {
                 SelectionStatistic::ChiSquare,
             ][rng.below(2) as usize];
             let min_df_c = [0, 1, 2, 5][rng.below(4) as usize];
-            let found = reference_select(inputs, statistic, usize::MAX, min_df_c, None).len();
+            let found = reference_select(inputs, statistic, usize::MAX, min_df_c, &vocab).len();
             let inside = 1 + rng.below(found.max(1) as u64) as usize;
             for top_k in [0, 1, inside, found, found + 1 + rng.below(5) as usize] {
+                let want = bits(&reference_select(
+                    inputs, statistic, top_k, min_df_c, &vocab,
+                ));
                 assert_eq!(
-                    bits(&select_facet_terms(inputs, statistic, top_k, min_df_c)),
-                    bits(&reference_select(inputs, statistic, top_k, min_df_c, None)),
-                    "plain, case {case}, top_k {top_k}"
+                    bits(&ranked_in(inputs, statistic, top_k, min_df_c, &vocab)),
+                    want,
+                    "candidate set, case {case}, top_k {top_k}"
                 );
                 assert_eq!(
                     bits(&rank_stable(
@@ -704,16 +685,61 @@ pub(crate) mod tests {
                         top_k,
                         &vocab
                     )),
-                    bits(&reference_select(
-                        inputs,
-                        statistic,
-                        top_k,
-                        min_df_c,
-                        Some(&vocab)
-                    )),
-                    "stable, case {case}, top_k {top_k}"
+                    want,
+                    "fresh pass, case {case}, top_k {top_k}"
                 );
             }
+        }
+    }
+
+    /// A pair of df tables over the same vocabulary with
+    /// `df_c[i] >= df[i]` (context only ever adds documents).
+    fn df_tables() -> impl proptest::strategy::Strategy<Value = (Vec<u64>, Vec<u64>, u64)> {
+        use proptest::prelude::*;
+        proptest::collection::vec((0u64..50, 0u64..30), 2..80).prop_map(|pairs| {
+            let df: Vec<u64> = pairs.iter().map(|&(d, _)| d).collect();
+            let df_c: Vec<u64> = pairs.iter().map(|&(d, extra)| d + extra).collect();
+            let n = df_c.iter().copied().max().unwrap_or(0).max(1) + 10;
+            (df, df_c, n)
+        })
+    }
+
+    proptest::proptest! {
+        /// Selection invariants: every candidate has both shifts positive,
+        /// scores are sorted descending, and nothing exceeds top_k.
+        #[test]
+        fn selection_invariants((df, df_c, n) in df_tables(), top_k in 1usize..50) {
+            use proptest::prelude::*;
+            let out = ranked(
+                SelectionInputs { df: &df, df_c: &df_c, n_docs: n },
+                SelectionStatistic::LogLikelihood,
+                top_k,
+                1,
+            );
+            prop_assert!(out.len() <= top_k);
+            for w in out.windows(2) {
+                prop_assert!(w[0].score >= w[1].score);
+            }
+            for c in &out {
+                prop_assert!(c.shift_f > 0);
+                prop_assert!(c.shift_r > 0);
+                prop_assert_eq!(c.df, df[c.term.index()]);
+                prop_assert_eq!(c.df_c, df_c[c.term.index()]);
+                prop_assert!(c.score >= 0.0);
+            }
+        }
+
+        /// A term with no frequency gain is never selected.
+        #[test]
+        fn unchanged_terms_never_selected((df, _, n) in df_tables()) {
+            use proptest::prelude::*;
+            let out = ranked(
+                SelectionInputs { df: &df, df_c: &df, n_docs: n },
+                SelectionStatistic::LogLikelihood,
+                100,
+                1,
+            );
+            prop_assert!(out.is_empty(), "no term changed, none should be selected");
         }
     }
 }

@@ -444,8 +444,8 @@ impl<'a> FacetServer<'a> {
     /// Records `serve.reopen`.
     ///
     /// This is a sanctioned publication point (`Lint.toml` C2); the
-    /// cross-thread interleaving is covered by
-    /// [`tests::reopen_swaps_behind_live_readers`].
+    /// cross-thread interleaving is covered by the unit test
+    /// `reopen_swaps_behind_live_readers`.
     ///
     /// # Errors
     /// [`IndexError::StaleReopen`] when the recovered generation is

@@ -113,8 +113,8 @@ type Termed = (TermStrings, Vec<String>);
 /// for the stages of an append and the equivalence invariant. The
 /// `pub(crate)` fields are the state [`crate::persist`] encodes and
 /// restores; outside this impl, only the restore path writes them,
-/// before it rebuilds the postings and the degraded map through
-/// [`ShardedFacetIndex::reindex`].
+/// before it rebuilds the postings and the degraded map through the
+/// crate-private `reindex`.
 ///
 /// ```no_run
 /// # use facet_core::ShardedFacetIndex;
@@ -599,11 +599,11 @@ impl<'a> ShardedFacetIndex<'a> {
         self.degraded = self.add_degraded(&Arc::default(), degraded);
     }
 
-    /// Publish the state as it stands at the current generation: what
-    /// recovery runs when a restored index has no logged append to
-    /// publish it.
-    pub(crate) fn publish_restored(&mut self) {
-        self.publish(self.generation, 0);
+    /// Publish the state as it stands at `generation`: what recovery
+    /// runs when a restored index has no logged append to publish it, or
+    /// when a replayed repair finds nothing left to re-query.
+    pub(crate) fn publish_at(&mut self, generation: u64) {
+        self.publish(generation, 0);
     }
 
     /// `base` plus the provenance the cache holds for `terms`, keyed by

@@ -68,33 +68,6 @@ pub struct SubsumptionForest {
     pub parent: Vec<Option<usize>>,
 }
 
-impl SubsumptionForest {
-    /// Indices of the root terms.
-    pub fn roots(&self) -> Vec<usize> {
-        (0..self.terms.len())
-            .filter(|&i| self.parent[i].is_none())
-            .collect()
-    }
-
-    /// Indices of the children of term `i`.
-    pub fn children(&self, i: usize) -> Vec<usize> {
-        (0..self.terms.len())
-            .filter(|&j| self.parent[j] == Some(i))
-            .collect()
-    }
-
-    /// Depth of term `i` (roots have depth 0).
-    pub fn depth(&self, i: usize) -> usize {
-        let mut d = 0;
-        let mut cur = self.parent[i];
-        while let Some(p) = cur {
-            d += 1;
-            cur = self.parent[p];
-        }
-        d
-    }
-}
-
 /// Slot-table sentinel: the symbol is not a member of the table.
 const ABSENT: u32 = u32::MAX;
 
@@ -723,16 +696,6 @@ mod tests {
         assert_eq!(f.parent[1], Some(0));
         assert_eq!(f.parent[0], None);
         assert_eq!(f.parent[3], None);
-    }
-
-    #[test]
-    fn roots_and_children() {
-        let terms = vec![TermId(0), TermId(1), TermId(2), TermId(3)];
-        let f = build_subsumption_forest(&terms, docs(), relaxed());
-        assert_eq!(f.roots(), vec![0, 3]);
-        assert_eq!(f.children(0), vec![1]);
-        assert_eq!(f.children(1), vec![2]);
-        assert_eq!(f.depth(2), 2);
     }
 
     #[test]
@@ -1454,6 +1417,6 @@ mod tests {
     fn empty_inputs() {
         let f = build_subsumption_forest(&[], &RowStore::new(), SubsumptionParams::default());
         assert!(f.terms.is_empty());
-        assert!(f.roots().is_empty());
+        assert!(f.parent.is_empty());
     }
 }

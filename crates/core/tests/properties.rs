@@ -2,60 +2,11 @@
 
 //! Property-based tests for the core pipeline invariants.
 
-use facet_core::{
-    build_subsumption_forest, select_facet_terms, FacetForest, SelectionInputs, SelectionStatistic,
-    SubsumptionParams,
-};
+use facet_core::{build_subsumption_forest, FacetForest, SubsumptionParams};
 use facet_textkit::{TermId, Vocabulary};
 use proptest::prelude::*;
 
-/// Strategy: a pair of df tables over the same vocabulary with
-/// `df_c[i] >= df[i]` (context only ever adds documents).
-fn df_tables() -> impl Strategy<Value = (Vec<u64>, Vec<u64>, u64)> {
-    proptest::collection::vec((0u64..50, 0u64..30), 2..80).prop_map(|pairs| {
-        let df: Vec<u64> = pairs.iter().map(|&(d, _)| d).collect();
-        let df_c: Vec<u64> = pairs.iter().map(|&(d, extra)| d + extra).collect();
-        let n = df_c.iter().copied().max().unwrap_or(0).max(1) + 10;
-        (df, df_c, n)
-    })
-}
-
 proptest! {
-    /// Selection invariants: every candidate has both shifts positive,
-    /// scores are sorted descending, and nothing exceeds top_k.
-    #[test]
-    fn selection_invariants((df, df_c, n) in df_tables(), top_k in 1usize..50) {
-        let out = select_facet_terms(
-            SelectionInputs { df: &df, df_c: &df_c, n_docs: n },
-            SelectionStatistic::LogLikelihood,
-            top_k,
-            1,
-        );
-        prop_assert!(out.len() <= top_k);
-        for w in out.windows(2) {
-            prop_assert!(w[0].score >= w[1].score);
-        }
-        for c in &out {
-            prop_assert!(c.shift_f > 0);
-            prop_assert!(c.shift_r > 0);
-            prop_assert_eq!(c.df, df[c.term.index()]);
-            prop_assert_eq!(c.df_c, df_c[c.term.index()]);
-            prop_assert!(c.score >= 0.0);
-        }
-    }
-
-    /// A term with no frequency gain is never selected.
-    #[test]
-    fn unchanged_terms_never_selected((df, _, n) in df_tables()) {
-        let out = select_facet_terms(
-            SelectionInputs { df: &df, df_c: &df, n_docs: n },
-            SelectionStatistic::LogLikelihood,
-            100,
-            1,
-        );
-        prop_assert!(out.is_empty(), "no term changed, none should be selected");
-    }
-
     /// The subsumption forest is acyclic and parents always satisfy the
     /// generality requirement.
     #[test]

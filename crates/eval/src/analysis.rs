@@ -100,8 +100,6 @@ mod tests {
                 top_k: 400,
                 ..Default::default()
             },
-            build_hierarchies: false,
-            subsumption_doc_cap: 500,
             ..Default::default()
         };
         let cells = run_grid(&mut bundle, &options);

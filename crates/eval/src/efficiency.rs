@@ -7,28 +7,43 @@
 //! WordNet); facet-term selection is milliseconds; hierarchy construction
 //! 1–2 s.
 //!
-//! We measure our local throughputs directly, and additionally derive a
-//! "with simulated web latency" column by adding the paper's per-document
-//! web-service round-trip times arithmetically (no actual sleeping), so
-//! the *relationships* of the paper's table are reproducible: web-backed
-//! stages are the bottleneck, local stages are orders of magnitude
-//! faster, selection is the cheapest step.
+//! We measure our local throughputs from the index's own stage spans,
+//! and additionally derive a "with simulated web latency" column by
+//! adding the paper's per-document web-service round-trip times
+//! arithmetically (no actual sleeping), so the *relationships* of the
+//! paper's table are reproducible: web-backed stages are the bottleneck,
+//! local stages are orders of magnitude faster, selection is the
+//! cheapest step.
+//!
+//! Every number is a span of [`ShardedFacetIndex`], the path the facet
+//! pipeline runs, on one worker so each span total is wall time:
+//!
+//! * **extract** — one index per extractor appends the sample; its
+//!   `append.extract` span covers that extractor and the index's own
+//!   terming of each document;
+//! * **expand** — one index per resource takes the same precomputed
+//!   `I(d)` through [`ShardedFacetIndex::append_extracted`]; its
+//!   `append.expand` span covers the resource queries (each distinct
+//!   important term once) and the contextualized rows;
+//! * **select** and **subsumption** — the `append.select` and
+//!   `append.subsumption` spans of one more index over all four
+//!   resources.
 
 use crate::harness::DatasetBundle;
 use crate::report::Table;
-use facet_core::{build_subsumption_forest, SubsumptionParams};
-use facet_core::{select_facet_terms, SelectionInputs, SelectionStatistic};
+use facet_core::{PipelineOptions, ShardedFacetIndex};
+use facet_corpus::Document;
 use facet_ner::NerTagger;
 use facet_obs::Recorder;
 use facet_resources::{
-    expand_database, ContextResource, ExpansionOptions, GoogleResource, WikiGraphResource,
-    WikiSynonymsResource, WordNetHypernymsResource,
+    ContextResource, ExpansionOptions, GoogleResource, WikiGraphResource, WikiSynonymsResource,
+    WordNetHypernymsResource,
 };
 use facet_termx::{
-    NamedEntityExtractor, TermExtractor, WikipediaTitleExtractor, YahooTermExtractor,
+    extract_important_terms, NamedEntityExtractor, TermExtractor, WikipediaTitleExtractor,
+    YahooTermExtractor,
 };
 use facet_wikipedia::{TitleIndex, WikipediaGraph, WikipediaSynonyms};
-use std::time::Instant;
 
 /// Simulated 2005-era web-service round trips (seconds per document),
 /// matching the paper's reported bottlenecks.
@@ -49,24 +64,63 @@ pub struct EfficiencyRow {
     pub paper: String,
 }
 
-/// Measure all stages over (a sample of) the bundle's corpus.
-pub fn measure_efficiency(bundle: &mut DatasetBundle, sample_docs: usize) -> Vec<EfficiencyRow> {
+/// Total wall seconds of the `append.<stage>` span that `recorder` saw.
+fn stage_seconds(recorder: &Recorder, stage: &str) -> f64 {
+    let path = format!("append.{stage}");
+    let report = recorder.snapshot();
+    let span = report.spans.iter().find(|s| s.path == path);
+    span.map_or(0, |s| s.total_us) as f64 / 1e6
+}
+
+/// An index of `extractors` and `resources` on one worker, fed `docs`
+/// (with `important` as their `I(d)` when given), and the recorder that
+/// saw its spans.
+fn run_index(
+    extractors: Vec<&dyn TermExtractor>,
+    resources: Vec<&dyn ContextResource>,
+    docs: &[Document],
+    important: Option<&[Vec<String>]>,
+) -> Recorder {
+    let recorder = Recorder::enabled();
+    let options = PipelineOptions {
+        expansion: ExpansionOptions { threads: 1 },
+        ..Default::default()
+    };
+    let mut index =
+        ShardedFacetIndex::new(1, extractors, resources, options).with_recorder(recorder.clone());
+    match important {
+        Some(lists) => index.append_extracted(docs.to_vec(), lists.to_vec()),
+        None => index.append(docs.to_vec()),
+    }
+    .expect("one I(d) list per document");
+    recorder
+}
+
+/// Measure all stages over the bundle's first `sample_docs` documents.
+pub fn measure_efficiency(bundle: &DatasetBundle, sample_docs: usize) -> Vec<EfficiencyRow> {
     let n = bundle.corpus.db.len().min(sample_docs).max(1);
-    let docs: Vec<String> = bundle.corpus.db.docs()[..n]
-        .iter()
-        .map(|d| d.full_text())
-        .collect();
+    let docs = &bundle.corpus.db.docs()[..n];
 
     let mut rows = Vec::new();
-    let throughput = |elapsed_s: f64, n: usize| -> f64 {
+    let throughput = |elapsed_s: f64| -> f64 {
         if elapsed_s <= 0.0 {
             f64::INFINITY
         } else {
             n as f64 / elapsed_s
         }
     };
-    let with_latency = |local_docs_per_s: f64, latency_s: f64| -> f64 {
-        1.0 / (1.0 / local_docs_per_s + latency_s)
+    let mut row = |component: String, local: f64, latency: f64, paper: &str| {
+        let derived = if latency > 0.0 {
+            1.0 / (1.0 / local + latency)
+        } else {
+            local
+        };
+        rows.push(EfficiencyRow {
+            component,
+            measured: format!("{local:.0} docs/s"),
+            with_web_latency: format!("{derived:.2} docs/s"),
+            paper: paper.to_string(),
+        });
     };
 
     // ---- term extraction -----------------------------------------------------
@@ -81,31 +135,18 @@ pub fn measure_efficiency(bundle: &mut DatasetBundle, sample_docs: usize) -> Vec
         (&yahoo, SIMULATED_YAHOO_LATENCY, "2-3 s/doc (web service)"),
         (&wiki_x, 0.0, ">100 docs/s (local)"),
     ];
-    let mut important: Vec<Vec<String>> = vec![Vec::new(); n];
     for (e, latency, paper) in extractors {
-        let start = Instant::now();
-        for (i, text) in docs.iter().enumerate() {
-            for t in e.extract(text) {
-                if !important[i].contains(&t) {
-                    important[i].push(t);
-                }
-            }
-        }
-        let local = throughput(start.elapsed().as_secs_f64(), n);
-        let derived = if latency > 0.0 {
-            with_latency(local, latency)
-        } else {
-            local
-        };
-        rows.push(EfficiencyRow {
-            component: format!("extract: {}", e.name()),
-            measured: format!("{local:.0} docs/s"),
-            with_web_latency: format!("{derived:.2} docs/s"),
-            paper: paper.to_string(),
-        });
+        let recorder = run_index(vec![e], Vec::new(), docs, None);
+        let local = throughput(stage_seconds(&recorder, "extract"));
+        row(format!("extract: {}", e.name()), local, latency, paper);
     }
 
     // ---- expansion -----------------------------------------------------------
+    let all_extractors: Vec<&dyn TermExtractor> = extractors.iter().map(|x| x.0).collect();
+    let important: Vec<Vec<String>> = docs
+        .iter()
+        .map(|d| extract_important_terms(&all_extractors, &d.full_text()))
+        .collect();
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
     let synonyms = WikipediaSynonyms::new(
         &bundle.wiki.wiki,
@@ -122,68 +163,23 @@ pub fn measure_efficiency(bundle: &mut DatasetBundle, sample_docs: usize) -> Vec
         (&syn_res, 0.0, ">100 docs/s (local)"),
         (&graph_res, 0.0, ">100 docs/s (local)"),
     ];
-    // Expansion over the sample needs a database slice; reuse the full
-    // corpus db but only the sampled important-term lists.
-    let mut important_full: Vec<Vec<String>> = important.clone();
-    important_full.resize(bundle.corpus.db.len(), Vec::new());
-    let mut contextualized = None;
     for (r, latency, paper) in resources {
-        let start = Instant::now();
-        let c = expand_database(
-            &bundle.corpus.db,
-            &important_full,
-            &[r],
-            &mut bundle.vocab,
-            &ExpansionOptions::default(),
-            Recorder::disabled_ref(),
-        )
-        .expect("one I(d) list per document");
-        let local = throughput(start.elapsed().as_secs_f64(), n);
-        let derived = if latency > 0.0 {
-            with_latency(local, latency)
-        } else {
-            local
-        };
-        rows.push(EfficiencyRow {
-            component: format!("expand: {}", r.name()),
-            measured: format!("{local:.0} docs/s"),
-            with_web_latency: format!("{derived:.2} docs/s"),
-            paper: paper.to_string(),
-        });
-        contextualized = Some(c);
+        let recorder = run_index(Vec::new(), vec![r], docs, Some(&important));
+        let local = throughput(stage_seconds(&recorder, "expand"));
+        row(format!("expand: {}", r.name()), local, latency, paper);
     }
-    let contextualized = contextualized.expect("at least one resource measured");
 
-    // ---- selection -------------------------------------------------------------
-    let df = bundle.corpus.db.df_table_resized(bundle.vocab.len());
-    let start = Instant::now();
-    let candidates = select_facet_terms(
-        SelectionInputs {
-            df: &df,
-            df_c: contextualized.df_table(),
-            n_docs: bundle.corpus.db.len() as u64,
-        },
-        SelectionStatistic::LogLikelihood,
-        800,
-        3,
-    );
-    let sel_ms = start.elapsed().as_secs_f64() * 1000.0;
+    // ---- selection and hierarchy construction --------------------------------
+    let all_resources: Vec<&dyn ContextResource> = resources.iter().map(|x| x.0).collect();
+    let recorder = run_index(Vec::new(), all_resources, docs, Some(&important));
+    let sel_ms = stage_seconds(&recorder, "select") * 1000.0;
     rows.push(EfficiencyRow {
         component: "facet-term selection".into(),
         measured: format!("{sel_ms:.1} ms"),
         with_web_latency: format!("{sel_ms:.1} ms"),
         paper: "a few milliseconds".into(),
     });
-
-    // ---- hierarchy construction -------------------------------------------------
-    let terms: Vec<_> = candidates.iter().map(|c| c.term).collect();
-    let start = Instant::now();
-    let _forest = build_subsumption_forest(
-        &terms,
-        contextualized.rows().iter().take(n),
-        SubsumptionParams::default(),
-    );
-    let hier_s = start.elapsed().as_secs_f64();
+    let hier_s = stage_seconds(&recorder, "subsumption");
     rows.push(EfficiencyRow {
         component: "hierarchy construction".into(),
         measured: format!("{hier_s:.2} s"),
@@ -224,8 +220,8 @@ mod tests {
 
     #[test]
     fn all_stages_measured() {
-        let mut bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
-        let rows = measure_efficiency(&mut bundle, 20);
+        let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+        let rows = measure_efficiency(&bundle, 20);
         assert_eq!(
             rows.len(),
             3 + 4 + 2,
@@ -237,8 +233,8 @@ mod tests {
 
     #[test]
     fn simulated_latency_dominates_web_components() {
-        let mut bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
-        let rows = measure_efficiency(&mut bundle, 20);
+        let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+        let rows = measure_efficiency(&bundle, 20);
         let yahoo = rows
             .iter()
             .find(|r| r.component == "extract: Yahoo")

@@ -18,6 +18,7 @@ use facet_wikipedia::{
     build_wikipedia, TitleIndex, WikiBundle, WikipediaConfig, WikipediaGraph, WikipediaSynonyms,
 };
 use facet_wordnet::{build_wordnet, WordNet};
+use std::collections::BTreeMap;
 
 /// Everything needed to evaluate one dataset.
 pub struct DatasetBundle {
@@ -90,13 +91,6 @@ pub fn default_gold(bundle: &DatasetBundle, sample_size: usize) -> crate::GoldAn
 pub struct GridOptions {
     /// Pipeline options shared by all cells.
     pub pipeline: PipelineOptions,
-    /// Build the facet hierarchy per cell (needed for precision; costs a
-    /// subsumption pass).
-    pub build_hierarchies: bool,
-    /// Maximum documents used for subsumption co-occurrence (sampled by
-    /// stride when the corpus is larger; keeps hierarchy construction
-    /// tractable at MNYT scale).
-    pub subsumption_doc_cap: usize,
     /// Observability recorder threaded into every cell's index, the web
     /// search engine, and the resource caches (disabled by default).
     pub recorder: facet_obs::Recorder,
@@ -106,8 +100,6 @@ impl Default for GridOptions {
     fn default() -> Self {
         Self {
             pipeline: PipelineOptions::default(),
-            build_hierarchies: true,
-            subsumption_doc_cap: 3000,
             recorder: facet_obs::Recorder::disabled(),
         }
     }
@@ -136,12 +128,42 @@ pub struct GridCell {
     pub resource: String,
     /// The ranked candidate facet terms.
     pub candidates: Vec<CandidateOut>,
-    /// Hierarchy placement: term → parent term (None for facet roots),
-    /// present when hierarchies were built.
+    /// Hierarchy placement, in candidate order: term → parent term (None
+    /// for facet roots).
     pub parents: Vec<(String, Option<String>)>,
 }
 
 impl GridCell {
+    /// The cell an index published: its ranked candidates, each placed
+    /// under its parent in the snapshot's forest.
+    pub fn from_snapshot(extractor: &str, resource: &str, snapshot: &FacetSnapshot) -> Self {
+        let vocab = snapshot.vocab();
+        let parent_of: BTreeMap<String, String> = snapshot
+            .forest()
+            .edges()
+            .into_iter()
+            .map(|(parent, child)| (child, parent))
+            .collect();
+        let mut candidates = Vec::with_capacity(snapshot.candidates().len());
+        let mut parents = Vec::with_capacity(snapshot.candidates().len());
+        for c in snapshot.candidates() {
+            let term = vocab.term(c.term).to_string();
+            parents.push((term.clone(), parent_of.get(&term).cloned()));
+            candidates.push(CandidateOut {
+                term,
+                df: c.df,
+                df_c: c.df_c,
+                score: c.score,
+            });
+        }
+        Self {
+            extractor: extractor.to_string(),
+            resource: resource.to_string(),
+            candidates,
+            parents,
+        }
+    }
+
     /// The candidate terms as a string list.
     pub fn terms(&self) -> Vec<&str> {
         self.candidates.iter().map(|c| c.term.as_str()).collect()
@@ -239,28 +261,7 @@ pub fn run_grid(bundle: &mut DatasetBundle, options: &GridOptions) -> Vec<GridCe
             index
                 .append_extracted(bundle.corpus.db.docs().to_vec(), important)
                 .expect("one I(d) per document by construction");
-            let snapshot = index.snapshot();
-            let candidates: Vec<CandidateOut> = snapshot
-                .candidates()
-                .iter()
-                .map(|c| CandidateOut {
-                    term: snapshot.vocab().term(c.term).to_string(),
-                    df: c.df,
-                    df_c: c.df_c,
-                    score: c.score,
-                })
-                .collect();
-            let parents = if options.build_hierarchies {
-                hierarchy_parents(&snapshot, options)
-            } else {
-                Vec::new()
-            };
-            cells.push(GridCell {
-                extractor: e_label.to_string(),
-                resource: r_label.to_string(),
-                candidates,
-                parents,
-            });
+            cells.push(GridCell::from_snapshot(e_label, r_label, &index.snapshot()));
         }
     }
 
@@ -276,39 +277,6 @@ pub fn run_grid(bundle: &mut DatasetBundle, options: &GridOptions) -> Vec<GridCe
     flush(graph_res.name(), graph_res.stats());
 
     cells
-}
-
-/// Build the hierarchy for a cell and export `(term, parent)` pairs.
-/// Subsumption co-occurrence is computed over a stride sample of at most
-/// `subsumption_doc_cap` of the snapshot's contextualized documents.
-fn hierarchy_parents(
-    snapshot: &FacetSnapshot,
-    options: &GridOptions,
-) -> Vec<(String, Option<String>)> {
-    use facet_core::{build_subsumption_forest, SubsumptionParams};
-    let _span = options.recorder.span("subsumption");
-    let terms: Vec<_> = snapshot.candidates().iter().map(|c| c.term).collect();
-    let rows = snapshot.doc_terms();
-    let cap = options.subsumption_doc_cap.max(1);
-    let stride = rows.len().div_ceil(cap).max(1);
-    let forest = build_subsumption_forest(
-        &terms,
-        rows.iter().step_by(stride),
-        SubsumptionParams {
-            threshold: options.pipeline.subsumption_threshold,
-            ..Default::default()
-        },
-    );
-    let vocab = snapshot.vocab();
-    forest
-        .terms
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| {
-            let parent = forest.parent[i].map(|p| vocab.term(forest.terms[p]).to_string());
-            (vocab.term(t).to_string(), parent)
-        })
-        .collect()
 }
 
 /// A small-world recipe for tests and quick runs: shrinks both the world
@@ -339,8 +307,6 @@ mod tests {
                 top_k: 200,
                 ..Default::default()
             },
-            build_hierarchies: false,
-            subsumption_doc_cap: 500,
             ..Default::default()
         };
         let cells = run_grid(&mut bundle, &options);
@@ -365,8 +331,6 @@ mod tests {
                 top_k: 500,
                 ..Default::default()
             },
-            build_hierarchies: false,
-            subsumption_doc_cap: 500,
             ..Default::default()
         };
         let cells = run_grid(&mut bundle, &options);

@@ -29,7 +29,7 @@
 //! [`crate::Recorder::span_under`] on the worker.
 //!
 //! **Bounded memory.** Finished traces land in a bounded ring with
-//! head-based sampling (see [`crate::sample`]); traces containing an
+//! head-based sampling (see the `sample` module); traces containing an
 //! errored span are always retained, sampled or not.
 
 use crate::sample::{HeadSampler, TraceRing};
@@ -244,7 +244,7 @@ pub struct TracerConfig {
     /// in span-open order, so a serial traced region is id-deterministic.
     pub seed: u64,
     /// Span budget of the finished-trace ring; oldest whole traces are
-    /// evicted beyond it (see [`crate::sample`]).
+    /// evicted beyond it (see the `sample` module).
     pub max_buffered_spans: usize,
     /// Head sampling: keep 1-in-N root spans (error traces are always
     /// kept). `1` keeps everything.

@@ -122,12 +122,6 @@ impl<R: ContextResource> CachedResource<R> {
         }
     }
 
-    /// Number of terms with a resolution slot (memoized, in flight, or
-    /// awaiting retry after a failure).
-    pub fn cached_queries(&self) -> usize {
-        self.cache.read().terms.len()
-    }
-
     /// Hit/miss/failure totals so far.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -256,7 +250,6 @@ mod tests {
         assert_eq!(c.context_terms("x"), vec!["ctx of x"]);
         assert_eq!(c.context_terms("x"), vec!["ctx of x"]);
         assert_eq!(c.inner().0.load(Ordering::SeqCst), 1);
-        assert_eq!(c.cached_queries(), 1);
     }
 
     #[test]
@@ -295,7 +288,6 @@ mod tests {
         });
         let s = c.stats();
         assert_eq!(s.hits + s.misses, 8 * 50);
-        assert_eq!(c.cached_queries(), 5);
         // The slot guarantees exactly one inner query — and thus one
         // counted miss — per distinct term, no matter the interleaving.
         assert_eq!(s.misses, 5);

@@ -10,10 +10,10 @@
 //! The engine is **incremental**: [`expand_append_recorded`] expands only
 //! a suffix of the database (newly-appended documents) into an existing
 //! [`ContextualizedDatabase`], resolving only the important terms that an
-//! [`ExpansionCache`] has not seen in any earlier batch. The one-shot
-//! [`expand_database`] is the degenerate single-batch case of the same
-//! code path, which is what makes batch and incremental expansion produce
-//! identical results.
+//! [`ExpansionCache`] has not seen in any earlier batch. A one-shot
+//! expansion is the degenerate case: one batch over the whole database
+//! with a fresh cache, which is what makes batch and incremental
+//! expansion produce identical results.
 //!
 //! Since the global-interner refactor the whole engine speaks
 //! [`TermId`]s: important terms arrive pre-interned
@@ -346,52 +346,6 @@ impl ResourceMetrics {
             })
             .collect()
     }
-}
-
-/// Expand `db` into a contextualized database.
-///
-/// * `important_terms[i]` is `I(d_i)` — the important terms of document
-///   `i` as produced by the Step-1 extractors.
-/// * `resources` are queried for every distinct important term.
-/// * New context terms are interned into `vocab`.
-///
-/// `recorder` receives per-resource query counts
-/// (`resource.<name>.queries`) and latency histograms
-/// (`resource.<name>.latency_us`), the distribution of context terms
-/// produced per distinct important term
-/// (`expand.context_terms_per_query`), and summary counters
-/// (`expand.distinct_terms`); pass [`Recorder::disabled_ref`] for none.
-///
-/// Implemented as a single [`expand_append_recorded`] batch over the whole
-/// database with a fresh [`ExpansionCache`], so the one-shot and
-/// incremental paths cannot drift apart.
-///
-/// # Errors
-/// [`ExpansionError::DocumentCountMismatch`] when `important_terms` does
-/// not hold one list per document.
-pub fn expand_database(
-    db: &DocTerms,
-    important_terms: &[Vec<String>],
-    resources: &[&dyn ContextResource],
-    vocab: &mut Vocabulary,
-    options: &ExpansionOptions,
-    recorder: &Recorder,
-) -> Result<ContextualizedDatabase, ExpansionError> {
-    let important_syms = intern_important_terms(vocab, important_terms);
-    let mut cache = ExpansionCache::new();
-    let mut ctx = ContextualizedDatabase::empty();
-    expand_append_recorded(
-        db,
-        0..db.len(),
-        &important_syms,
-        resources,
-        vocab,
-        options,
-        recorder,
-        &mut cache,
-        &mut ctx,
-    )?;
-    Ok(ctx)
 }
 
 /// Incrementally expand the documents `doc_range` (a suffix of `db`,
@@ -766,6 +720,32 @@ mod tests {
         (db, vocab, important)
     }
 
+    /// Expand all of `db` in one batch with a fresh cache: a one-shot
+    /// expansion, by the path the index runs.
+    fn expand_fresh(
+        db: &DocTerms,
+        important: &[Vec<String>],
+        resources: &[&dyn ContextResource],
+        vocab: &mut Vocabulary,
+        options: &ExpansionOptions,
+        recorder: &Recorder,
+    ) -> Result<ContextualizedDatabase, ExpansionError> {
+        let important = intern_important_terms(vocab, important);
+        let mut ctx = ContextualizedDatabase::empty();
+        expand_append_recorded(
+            db,
+            0..db.len(),
+            &important,
+            resources,
+            vocab,
+            options,
+            recorder,
+            &mut ExpansionCache::new(),
+            &mut ctx,
+        )?;
+        Ok(ctx)
+    }
+
     fn chirac_resource() -> Fixed {
         let mut m = HashMap::new();
         m.insert("jacques chirac", vec!["political leaders", "france", "the"]);
@@ -776,7 +756,7 @@ mod tests {
     fn context_terms_raise_df_c() {
         let (db, mut vocab, important) = fixture();
         let r = chirac_resource();
-        let c = expand_database(
+        let c = expand_fresh(
             &db,
             &important,
             &[&r],
@@ -796,7 +776,7 @@ mod tests {
     fn stopwords_filtered_from_context() {
         let (db, mut vocab, important) = fixture();
         let r = chirac_resource();
-        let _ = expand_database(
+        let _ = expand_fresh(
             &db,
             &important,
             &[&r],
@@ -812,7 +792,7 @@ mod tests {
     fn original_terms_kept() {
         let (db, mut vocab, important) = fixture();
         let r = chirac_resource();
-        let c = expand_database(
+        let c = expand_fresh(
             &db,
             &important,
             &[&r],
@@ -835,7 +815,7 @@ mod tests {
         // compared across configurations.
         let (db, mut vocab1, important) = fixture();
         let r = chirac_resource();
-        let serial = expand_database(
+        let serial = expand_fresh(
             &db,
             &important,
             &[&r],
@@ -845,7 +825,7 @@ mod tests {
         )
         .unwrap();
         let (db2, mut vocab2, important2) = fixture();
-        let parallel = expand_database(
+        let parallel = expand_fresh(
             &db2,
             &important2,
             &[&r],
@@ -867,7 +847,7 @@ mod tests {
     #[test]
     fn no_resources_means_no_change_in_terms() {
         let (db, mut vocab, important) = fixture();
-        let c = expand_database(
+        let c = expand_fresh(
             &db,
             &important,
             &[],
@@ -887,7 +867,7 @@ mod tests {
         let (db, mut vocab, important) = fixture();
         let r = chirac_resource();
         let rec = facet_obs::Recorder::enabled();
-        let c = expand_database(
+        let c = expand_fresh(
             &db,
             &important,
             &[&r],
@@ -912,7 +892,7 @@ mod tests {
     #[test]
     fn mismatched_lengths_typed_error() {
         let (db, mut vocab, _) = fixture();
-        let err = expand_database(
+        let err = expand_fresh(
             &db,
             &[],
             &[],
@@ -1046,7 +1026,7 @@ mod tests {
         let (db2, mut vocab2, important2) = fixture();
         let f2 = chirac_resource();
         let g2 = second_resource();
-        let clean = expand_database(
+        let clean = expand_fresh(
             &db2,
             &important2,
             &[&f2, &g2],
@@ -1207,7 +1187,7 @@ mod tests {
         let mut vocab_batch = Vocabulary::new();
         let mut batch_db = TextDatabase::build(vec![], &mut vocab_batch, TermingOptions::default());
         batch_db.append(docs, &mut vocab_batch);
-        let batch = expand_database(
+        let batch = expand_fresh(
             &batch_db,
             &important,
             &[&r],

@@ -38,9 +38,9 @@ pub mod wiki_synonyms;
 pub use cache::{CacheStats, CachedResource};
 pub use clock::VirtualClock;
 pub use expand::{
-    expand_append_recorded, expand_database, intern_important_terms, repair_degraded_recorded,
-    AppendOutcome, ContextualizedDatabase, ExpansionCache, ExpansionError, ExpansionOptions,
-    RepairOutcome, ResolvedTerm,
+    expand_append_recorded, intern_important_terms, repair_degraded_recorded, AppendOutcome,
+    ContextualizedDatabase, ExpansionCache, ExpansionError, ExpansionOptions, RepairOutcome,
+    ResolvedTerm,
 };
 pub use fault::{FaultPlan, FaultSchedule, FaultyResource};
 pub use google::GoogleResource;

@@ -6,7 +6,10 @@
 use facet_corpus::db::TermingOptions;
 use facet_corpus::{DocId, Document, TextDatabase};
 use facet_obs::Recorder;
-use facet_resources::{expand_database, ContextResource, ExpansionOptions};
+use facet_resources::{
+    expand_append_recorded, intern_important_terms, ContextResource, ContextualizedDatabase,
+    ExpansionCache, ExpansionOptions,
+};
 use facet_textkit::Vocabulary;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -81,13 +84,18 @@ proptest! {
         let mut vocab = Vocabulary::new();
         let db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
         let resource = PoolResource { map };
-        let c = expand_database(
+        let important = intern_important_terms(&mut vocab, &important);
+        let mut c = ContextualizedDatabase::empty();
+        expand_append_recorded(
             &db,
+            0..db.len(),
             &important,
             &[&resource],
             &mut vocab,
             &ExpansionOptions { threads: 2 },
             Recorder::disabled_ref(),
+            &mut ExpansionCache::new(),
+            &mut c,
         )
         .unwrap();
 

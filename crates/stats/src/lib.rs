@@ -13,14 +13,15 @@
 //!   frequencies; we reproduce that comparison),
 //! * [`binning`] — the rank-binning function `B(t) = ⌈log2(Rank(t))⌉`,
 //!   counted per frequency value in linear time, and the sort-based rank
-//!   computation kept as its reference,
-//! * [`shift`] — the frequency- and rank-based shift functions `Shift_f`
-//!   and `Shift_r`.
+//!   computation kept as its reference.
+//!
+//! The shift functions `Shift_f` and `Shift_r` that combine these are
+//! two subtractions, computed where selection tests them
+//! (`facet_core::selection`).
 
 pub mod binning;
 pub mod chisq;
 pub mod loglik;
-pub mod shift;
 
 pub use binning::{
     bins_by_frequency, bins_from_histogram, frequency_histogram, rank_bin, rank_bins,
@@ -28,4 +29,3 @@ pub use binning::{
 };
 pub use chisq::{chi_square_2x2, chi_square_df};
 pub use loglik::{binomial_log_likelihood, log_likelihood_ratio};
-pub use shift::{is_candidate, shift_f, shift_r};

@@ -3,8 +3,7 @@
 //! Property-based tests for the statistics substrate.
 
 use facet_stats::{
-    bins_by_frequency, chi_square_df, is_candidate, log_likelihood_ratio, rank_bin, rank_bins,
-    ranks_by_frequency, shift_f, shift_r,
+    bins_by_frequency, chi_square_df, log_likelihood_ratio, rank_bin, rank_bins, ranks_by_frequency,
 };
 use proptest::prelude::*;
 
@@ -87,13 +86,6 @@ proptest! {
                 prop_assert!(ranks[i] <= nonzero);
             }
         }
-    }
-
-    /// The candidate predicate equals the conjunction of the two shifts.
-    #[test]
-    fn candidate_is_conjunction(df in 0u64..100, df_c in 0u64..100, bd in 0u32..20, bc in 0u32..20) {
-        let expected = shift_f(df, df_c) > 0 && shift_r(bd, bc) > 0;
-        prop_assert_eq!(is_candidate(df, df_c, bd, bc), expected);
     }
 
     /// rank_bins composes ranks_by_frequency with rank_bin.

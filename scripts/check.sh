@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repository gate: formatting, lints, and the full test suite.
+# Repository gate: formatting, lints, rustdoc, and the full test suite.
 #
 # Usage: scripts/check.sh [--tier1|--trace-smoke|--lint|--chaos]
 #
@@ -97,8 +97,8 @@ if [[ "${1:-}" == "--tier1" ]]; then
     cargo test -q
     echo "== tier-1: expansion, corpus and text-kit unit tests"
     # Crate unit tests the root run skips: the expansion engine (rows,
-    # repair, the one fallible expand_database), the text database's
-    # term strings, and the interner and row store.
+    # repair, the fallible append path), the text database's term
+    # strings, and the interner and row store.
     cargo test -q -p facet-resources -p facet-corpus -p facet-textkit
     echo "== tier-1: index, store and observability unit tests"
     # Every unit test of the three crates, also skipped by the root run:
@@ -155,6 +155,15 @@ cargo fmt --all --check
 
 echo "== cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (first-party packages, warnings are errors)"
+# Every package of this repository but the third_party/ shims: the root
+# package and each crate under crates/.
+doc_packages=(-p facet-hierarchies)
+for manifest in crates/*/Cargo.toml; do
+    doc_packages+=(-p "$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)")
+done
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps "${doc_packages[@]}"
 
 echo "== cargo test"
 cargo test -q --workspace

@@ -26,8 +26,6 @@ fn grid() -> (
             top_k: 800,
             ..Default::default()
         },
-        build_hierarchies: true,
-        subsumption_doc_cap: 500,
         ..Default::default()
     };
     let cells = run_grid(&mut bundle, &options);
