@@ -42,7 +42,7 @@ fn main() {
         .map(str::to_string)
         .collect();
     println!("gold terms: {}", gold_terms.len());
-    let mut by_root: std::collections::HashMap<&str, usize> = Default::default();
+    let mut by_root: std::collections::BTreeMap<&str, usize> = Default::default();
     for &(n, _) in &gold.term_counts {
         let root = world.ontology.root_of(n);
         *by_root
@@ -110,7 +110,7 @@ fn main() {
             .find(|c| c.resource == res && c.extractor == ext)
             .unwrap();
         let world = &bundle.world;
-        let mut classes: std::collections::HashMap<&str, usize> = Default::default();
+        let mut classes: std::collections::BTreeMap<&str, usize> = Default::default();
         let mut placement_wrong = 0usize;
         for c in &cell.candidates {
             let class = if world.ontology.find(&c.term).is_some() {
@@ -150,7 +150,7 @@ fn main() {
         // Missed gold by dimension.
         let have: std::collections::HashSet<&str> =
             cell.candidates.iter().map(|c| c.term.as_str()).collect();
-        let mut missed_by_root: std::collections::HashMap<String, usize> = Default::default();
+        let mut missed_by_root: std::collections::BTreeMap<String, usize> = Default::default();
         for g in &gold_set {
             if !have.contains(g.as_str()) {
                 let node = world.ontology.find(g).unwrap();
@@ -247,7 +247,7 @@ fn main() {
             .expect("one I(d) per document");
         let snapshot = index.snapshot();
         // Which important term drags "railways" into every document?
-        let mut culprits: std::collections::HashMap<String, usize> = Default::default();
+        let mut culprits: std::collections::BTreeMap<String, usize> = Default::default();
         for terms in important.iter().take(200) {
             for t in terms {
                 if graph_res.context_terms(t).iter().any(|c| c == "railways") {

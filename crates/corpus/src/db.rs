@@ -11,7 +11,7 @@
 
 use crate::document::{DocId, Document};
 use facet_textkit::{
-    is_stopword, normalize_term_into, tokens, RowStore, TermId, TokenKind, Vocabulary,
+    is_stopword, normalize_term_into, RowStore, TermId, TokenKind, Tokens, Vocabulary,
 };
 use std::ops::Range;
 
@@ -85,7 +85,7 @@ pub fn term_strings(text: &str, options: &TermingOptions) -> TermStrings {
     // Where the previous counted word sits in `out.text`, if adjacent.
     let mut prev: Option<Range<usize>> = None;
     let mut bigram = String::new();
-    for t in tokens(text) {
+    for t in Tokens::new(text) {
         if t.kind != TokenKind::Word {
             prev = None;
             continue;

@@ -1,17 +1,26 @@
 //! The entity gazetteer: longest-match dictionary of known surface forms.
 
 use facet_knowledge::{EntityId, EntityKind, World};
-use facet_textkit::{tokens, TokenKind};
-use std::collections::HashMap;
+use facet_textkit::{tokens, LowerWords, SymTable, Token, Vocabulary};
 
 /// A dictionary mapping normalized surface forms to entities.
+///
+/// Form keys and their first words share one arena [`Vocabulary`]; the
+/// entity and the first-word length bound live in dense symbol-indexed
+/// [`SymTable`]s, so a scan probes by slices of one lowercase buffer.
 #[derive(Debug, Default)]
 pub struct Gazetteer {
-    /// normalized surface form → entity.
-    map: HashMap<String, (EntityId, EntityKind)>,
-    /// first word → max form length in words.
-    first_word_max: HashMap<String, usize>,
+    /// Shared arena for form keys and first words.
+    terms: Vocabulary,
+    /// Symbol of a normalized surface form → entity.
+    map: SymTable<(EntityId, EntityKind)>,
+    /// Symbol of a first word → max form length in words.
+    first_word_max: SymTable<usize>,
 }
+
+/// One gazetteer match: `(matched text, start byte, end byte, entity,
+/// kind)`.
+pub type GazetteerHit<'t> = (&'t str, usize, usize, EntityId, EntityKind);
 
 impl Gazetteer {
     /// Create an empty gazetteer.
@@ -38,23 +47,27 @@ impl Gazetteer {
     /// Insert a surface form. First insertion wins (ambiguous forms keep
     /// their first sense, a realistic dictionary behavior).
     pub fn insert(&mut self, form: &str, entity: EntityId, kind: EntityKind) {
-        let words: Vec<String> = form
-            .to_lowercase()
-            .split_whitespace()
-            .map(str::to_string)
-            .collect();
-        if words.is_empty() {
+        let lower = form.to_lowercase();
+        let words: Vec<&str> = lower.split_whitespace().collect();
+        let Some(first) = words.first() else {
             return;
+        };
+        let first = self.terms.intern(first);
+        let entry = self.first_word_max.get_or_default(first);
+        *entry = (*entry).max(words.len());
+        let key = self.terms.intern(&words.join(" "));
+        if !self.map.contains(key) {
+            self.map.insert(key, (entity, kind));
         }
-        let key = words.join(" ");
-        self.map.entry(key).or_insert((entity, kind));
-        let e = self.first_word_max.entry(words[0].clone()).or_insert(0);
-        *e = (*e).max(words.len());
     }
 
     /// Exact lookup of a normalized form.
     pub fn get(&self, form: &str) -> Option<(EntityId, EntityKind)> {
-        self.map.get(&form.to_lowercase()).copied()
+        self.lookup(&form.to_lowercase())
+    }
+
+    fn lookup(&self, key: &str) -> Option<(EntityId, EntityKind)> {
+        self.terms.get(key).and_then(|s| self.map.get(s)).copied()
     }
 
     /// Number of entries.
@@ -69,47 +82,45 @@ impl Gazetteer {
 
     /// Longest-match scan over `text`. Returns `(matched text, start byte,
     /// end byte, entity, kind)` tuples in document order, non-overlapping.
-    pub fn scan<'t>(&self, text: &'t str) -> Vec<(&'t str, usize, usize, EntityId, EntityKind)> {
-        let toks = tokens(text);
-        // Indices of word tokens only.
-        let word_idx: Vec<usize> = toks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.kind == TokenKind::Word || t.kind == TokenKind::Number)
-            .map(|(i, _)| i)
-            .collect();
+    pub fn scan<'t>(&self, text: &'t str) -> Vec<GazetteerHit<'t>> {
+        self.scan_tokens(text, &tokens(text))
+    }
+
+    /// [`Gazetteer::scan`] over `toks`, the [`tokens`] of `text`.
+    pub(crate) fn scan_tokens<'t>(
+        &self,
+        text: &'t str,
+        toks: &[Token<'_>],
+    ) -> Vec<GazetteerHit<'t>> {
+        let words = LowerWords::new(toks);
         let mut out = Vec::new();
         let mut wi = 0;
-        while wi < word_idx.len() {
-            let first = toks[word_idx[wi]].text.to_lowercase();
-            let Some(&max_len) = self.first_word_max.get(&first) else {
+        while wi < words.len() {
+            let Some(&max_len) = self
+                .terms
+                .get(words.word(wi))
+                .and_then(|s| self.first_word_max.get(s))
+            else {
                 wi += 1;
                 continue;
             };
-            let upper = max_len.min(word_idx.len() - wi);
-            let mut matched = false;
-            for len in (1..=upper).rev() {
-                // A form cannot cross punctuation: the word tokens must be
-                // adjacent in the token stream (only whitespace between).
-                if (0..len - 1).any(|k| word_idx[wi + k + 1] != word_idx[wi + k] + 1) {
-                    continue;
+            let upper = max_len.min(words.len() - wi);
+            // A form cannot cross punctuation: its words must be adjacent
+            // in the token stream (only whitespace between).
+            let hit = (1..=upper).rev().find_map(|len| {
+                if !words.adjacent(wi, len) {
+                    return None;
                 }
-                let key: Vec<String> = (0..len)
-                    .map(|k| toks[word_idx[wi + k]].text.to_lowercase())
-                    .collect();
-                let key = key.join(" ");
-                if let Some(&(entity, kind)) = self.map.get(&key) {
-                    let start = toks[word_idx[wi]].start;
-                    let end = toks[word_idx[wi + len - 1]].end;
-                    out.push((&text[start..end], start, end, entity, kind));
-                    wi += len;
-                    matched = true;
-                    break;
-                }
-            }
-            if !matched {
+                self.lookup(words.key(wi, len)).map(|found| (len, found))
+            });
+            let Some((len, (entity, kind))) = hit else {
                 wi += 1;
-            }
+                continue;
+            };
+            let start = words.source(wi).0;
+            let end = words.source(wi + len - 1).1;
+            out.push((&text[start..end], start, end, entity, kind));
+            wi += len;
         }
         out
     }

@@ -24,6 +24,6 @@ pub mod gazetteer;
 pub mod rules;
 pub mod tagger;
 
-pub use gazetteer::Gazetteer;
+pub use gazetteer::{Gazetteer, GazetteerHit};
 pub use rules::rule_based_spans;
 pub use tagger::{EntitySpan, NerTagger};

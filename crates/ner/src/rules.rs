@@ -43,25 +43,6 @@ const COMMON_STARTERS: &[&str] = &[
     "Commentary",
 ];
 
-/// Suffix words that mark an organization/corporation name.
-const ORG_SUFFIX_WORDS: &[&str] = &[
-    "Corp",
-    "Systems",
-    "Group",
-    "Industries",
-    "Holdings",
-    "Labs",
-    "Partners",
-    "Energy",
-    "Institute",
-    "University",
-    "Foundation",
-    "Agency",
-    "Council",
-    "Commission",
-    "Ministry",
-];
-
 /// Detect entity-like spans by rule:
 ///
 /// * runs of two or more capitalized words ("Jacques Chirac"),
@@ -71,7 +52,11 @@ const ORG_SUFFIX_WORDS: &[&str] = &[
 ///
 /// Returns `(text, start, end)` spans, non-overlapping, document order.
 pub fn rule_based_spans(text: &str) -> Vec<(&str, usize, usize)> {
-    let toks = tokens(text);
+    rule_spans_in(text, &tokens(text))
+}
+
+/// [`rule_based_spans`] over `toks`, the [`tokens`] of `text`.
+pub(crate) fn rule_spans_in<'t>(text: &'t str, toks: &[Token<'_>]) -> Vec<(&'t str, usize, usize)> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -94,17 +79,9 @@ pub fn rule_based_spans(text: &str) -> Vec<(&str, usize, usize)> {
         {
             j += 1;
         }
-        let run_len = j - i;
-        let sentence_initial = is_sentence_initial(&toks, i, text);
-        let is_honorific = HONORIFICS.contains(&t.text);
-        let ends_with_org_suffix = ORG_SUFFIX_WORDS.contains(&toks[j - 1].text);
-        let accept = if run_len >= 2 {
-            true
-        } else {
-            // Single capitalized word: accept only mid-sentence and
-            // non-honorific (a bare "Senator" is a title, not an entity).
-            !sentence_initial && !is_honorific
-        };
+        // A single capitalized word is accepted only mid-sentence and
+        // non-honorific (a bare "Senator" is a title, not an entity).
+        let accept = j - i >= 2 || (!is_sentence_initial(toks, i) && !HONORIFICS.contains(&t.text));
         if accept {
             // Drop a leading honorific from multi-word runs: "Senator
             // Brask" → span covers both (the honorific disambiguates), but
@@ -112,7 +89,6 @@ pub fn rule_based_spans(text: &str) -> Vec<(&str, usize, usize)> {
             let start = toks[i].start;
             let end = toks[j - 1].end;
             out.push((&text[start..end], start, end));
-            let _ = ends_with_org_suffix; // suffix runs are already covered
             i = j;
         } else {
             i += 1;
@@ -123,7 +99,7 @@ pub fn rule_based_spans(text: &str) -> Vec<(&str, usize, usize)> {
 
 /// True if token `i` starts a sentence: it is the first token, or the
 /// previous token is sentence-ending punctuation.
-fn is_sentence_initial(toks: &[Token<'_>], i: usize, _text: &str) -> bool {
+fn is_sentence_initial(toks: &[Token<'_>], i: usize) -> bool {
     if i == 0 {
         return true;
     }

@@ -1,15 +1,16 @@
 //! The combined tagger: gazetteer matches first, rule-based spans fill
 //! the gaps.
 
-use crate::gazetteer::Gazetteer;
-use crate::rules::rule_based_spans;
+use crate::gazetteer::{Gazetteer, GazetteerHit};
+use crate::rules::rule_spans_in;
 use facet_knowledge::{EntityId, EntityKind, World};
+use facet_textkit::tokens;
 
-/// One tagged entity span.
+/// One tagged entity span, borrowing its text from the tagged document.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EntitySpan {
+pub struct EntitySpan<'t> {
     /// The surface text of the span.
-    pub text: String,
+    pub text: &'t str,
     /// Byte offsets in the source text.
     pub start: usize,
     /// One past the last byte.
@@ -46,33 +47,44 @@ impl NerTagger {
     /// Tag `text`: gazetteer spans take precedence; rule-based spans are
     /// added where they do not overlap a gazetteer span. Spans are
     /// returned in document order.
-    pub fn tag(&self, text: &str) -> Vec<EntitySpan> {
-        let mut spans: Vec<EntitySpan> = self
+    ///
+    /// The text is tokenized once for both stages. Each stage's spans
+    /// are in document order and never overlap each other, so the two
+    /// lists merge in one pass.
+    pub fn tag<'t>(&self, text: &'t str) -> Vec<EntitySpan<'t>> {
+        let toks = tokens(text);
+        let resolved = |(text, start, end, id, kind): GazetteerHit<'t>| EntitySpan {
+            text,
+            start,
+            end,
+            entity: Some(id),
+            kind: Some(kind),
+        };
+        let mut gazetteer = self
             .gazetteer
-            .scan(text)
+            .scan_tokens(text, &toks)
             .into_iter()
-            .map(|(t, s, e, id, kind)| EntitySpan {
-                text: t.to_string(),
+            .peekable();
+        let mut out = Vec::new();
+        for (t, s, e) in rule_spans_in(text, &toks) {
+            // Gazetteer spans ending by `s` come first; the next one
+            // overlaps this rule span or starts after it.
+            while let Some(hit) = gazetteer.next_if(|g| g.2 <= s) {
+                out.push(resolved(hit));
+            }
+            if gazetteer.peek().is_some_and(|g| g.1 < e) {
+                continue;
+            }
+            out.push(EntitySpan {
+                text: t,
                 start: s,
                 end: e,
-                entity: Some(id),
-                kind: Some(kind),
-            })
-            .collect();
-        for (t, s, e) in rule_based_spans(text) {
-            let overlaps = spans.iter().any(|sp| s < sp.end && sp.start < e);
-            if !overlaps {
-                spans.push(EntitySpan {
-                    text: t.to_string(),
-                    start: s,
-                    end: e,
-                    entity: None,
-                    kind: None,
-                });
-            }
+                entity: None,
+                kind: None,
+            });
         }
-        spans.sort_by_key(|s| s.start);
-        spans
+        out.extend(gazetteer.map(resolved));
+        out
     }
 }
 
@@ -100,7 +112,7 @@ mod tests {
     fn rules_fill_unknown_entities() {
         let t = tagger();
         let spans = t.tag("He met Maria Dravenholt in France.");
-        let texts: Vec<&str> = spans.iter().map(|s| s.text.as_str()).collect();
+        let texts: Vec<&str> = spans.iter().map(|s| s.text).collect();
         assert!(texts.contains(&"Maria Dravenholt"));
         assert!(texts.contains(&"France"));
         let unknown = spans.iter().find(|s| s.text == "Maria Dravenholt").unwrap();

@@ -1,6 +1,8 @@
 //! The extractor trait and the union-of-extractors helper (Figure 1 of
 //! the paper).
 
+use facet_textkit::Vocabulary;
+
 /// An important-term extractor: document text in, normalized terms out.
 pub trait TermExtractor: Send + Sync {
     /// Short display name ("NE", "Yahoo", "Wikipedia") matching the
@@ -36,15 +38,49 @@ impl std::fmt::Debug for ExtractorSet<'_> {
 /// Compute `I(d)`: the deduplicated union of all extractors' terms for a
 /// document, in first-seen order.
 pub fn extract_important_terms(extractors: &[&dyn TermExtractor], text: &str) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
+    let mut out = Distinct::default();
     for e in extractors {
         for term in e.extract(text) {
-            if !out.contains(&term) {
-                out.push(term);
-            }
+            out.push(term);
         }
     }
-    out
+    out.into_vec()
+}
+
+/// Distinct strings in first-seen order, deduplicated through an
+/// interner: linear in the terms pushed, where `Vec::contains` per push
+/// is quadratic.
+#[derive(Debug, Default)]
+pub(crate) struct Distinct {
+    seen: Vocabulary,
+    out: Vec<String>,
+}
+
+impl Distinct {
+    /// Keep `term` if it is new.
+    pub(crate) fn push(&mut self, term: String) {
+        if self.is_new(&term) {
+            self.out.push(term);
+        }
+    }
+
+    /// Keep a copy of `term` if it is new.
+    pub(crate) fn push_str(&mut self, term: &str) {
+        if self.is_new(term) {
+            self.out.push(term.to_string());
+        }
+    }
+
+    fn is_new(&mut self, term: &str) -> bool {
+        let before = self.seen.len();
+        self.seen.intern(term);
+        self.seen.len() > before
+    }
+
+    /// The kept terms, in first-seen order.
+    pub(crate) fn into_vec(self) -> Vec<String> {
+        self.out
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! The named-entity term extractor (paper: LingPipe).
 
-use crate::extractor::TermExtractor;
+use crate::extractor::{Distinct, TermExtractor};
 use facet_ner::NerTagger;
-use facet_textkit::normalize_term;
+use facet_textkit::normalize_term_into;
 
 /// Extracts named-entity spans as important terms. The characteristic
 /// limitation — no topical noun phrases, only names — is inherited from
@@ -29,14 +29,17 @@ impl TermExtractor for NamedEntityExtractor {
     }
 
     fn extract(&self, text: &str) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for span in self.tagger.tag(text) {
-            let term = normalize_term(&span.text);
-            if !term.is_empty() && !out.contains(&term) {
-                out.push(term);
+        let spans = self.tagger.tag(text);
+        let mut out = Distinct::default();
+        let mut term = String::new();
+        for span in spans {
+            term.clear();
+            normalize_term_into(span.text, &mut term);
+            if !term.is_empty() {
+                out.push_str(&term);
             }
         }
-        out
+        out.into_vec()
     }
 }
 

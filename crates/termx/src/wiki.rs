@@ -2,7 +2,7 @@
 //! Terms"): document spans matching page titles, longest title first,
 //! with redirect titles improving coverage.
 
-use crate::extractor::TermExtractor;
+use crate::extractor::{Distinct, TermExtractor};
 use facet_wikipedia::{TitleIndex, Wikipedia};
 
 /// Extracts document terms that match Wikipedia page titles, including
@@ -32,13 +32,11 @@ impl TermExtractor for WikipediaTitleExtractor<'_> {
     }
 
     fn extract(&self, text: &str) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
+        let mut out = Distinct::default();
         for (title, _page) in self.index.extract(self.wiki, text) {
-            if !out.contains(&title) {
-                out.push(title);
-            }
+            out.push(title);
         }
-        out
+        out.into_vec()
     }
 }
 

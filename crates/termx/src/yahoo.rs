@@ -10,7 +10,9 @@
 
 use crate::extractor::TermExtractor;
 use facet_corpus::TextDatabase;
-use facet_textkit::{is_stopword, normalize_term, tokens, SymTable, TokenKind, Vocabulary};
+use facet_textkit::{
+    is_stopword, normalize_term_into, SymTable, TermId, TokenKind, Tokens, Vocabulary,
+};
 
 /// tf·idf keyphrase extractor.
 pub struct YahooTermExtractor {
@@ -76,45 +78,72 @@ impl TermExtractor for YahooTermExtractor {
     fn extract(&self, text: &str) -> Vec<String> {
         // Count unigrams and stopword-free bigrams in a per-document
         // vocabulary + dense count table (no String-keyed map in the per-
-        // document hot path).
-        let toks = tokens(text);
-        let mut seen = Vocabulary::new();
-        let mut tf: SymTable<u32> = SymTable::new();
-        let mut prev: Option<String> = None;
-        for t in &toks {
+        // document hot path), both pre-sized for one distinct term per
+        // five bytes of text. Each word is normalized into one reused
+        // buffer and each bigram built in another.
+        let terms = text.len() / 5;
+        let mut seen = Vocabulary::with_capacity(terms, text.len());
+        let mut tf: Vec<u32> = Vec::with_capacity(terms);
+        let mut count = |term: &str| {
+            let id = seen.intern(term).index();
+            if id == tf.len() {
+                tf.push(0);
+            }
+            tf[id] += 1;
+        };
+        let (mut word, mut prev, mut bigram) = (String::new(), String::new(), String::new());
+        let mut has_prev = false;
+        for t in Tokens::new(text) {
             if t.kind != TokenKind::Word {
-                prev = None;
+                has_prev = false;
                 continue;
             }
-            let w = normalize_term(t.text);
-            if is_stopword(&w) || w.len() < 2 {
-                prev = None;
+            word.clear();
+            normalize_term_into(t.text, &mut word);
+            if is_stopword(&word) || word.len() < 2 {
+                has_prev = false;
                 continue;
             }
-            *tf.get_or_default(seen.intern(&w)) += 1;
-            if let Some(p) = prev {
-                *tf.get_or_default(seen.intern(&format!("{p} {w}"))) += 1;
+            count(&word);
+            if has_prev {
+                bigram.clear();
+                bigram.push_str(&prev);
+                bigram.push(' ');
+                bigram.push_str(&word);
+                count(&bigram);
             }
-            prev = Some(w);
+            std::mem::swap(&mut prev, &mut word);
+            has_prev = true;
         }
-        // Score and rank. Bigram scores get a small boost (phrases are
-        // more informative when they recur at all).
-        let mut scored: Vec<(String, f64)> = tf
+        // Score and rank by id. Bigram scores get a small boost (phrases
+        // are more informative when they recur at all). Only terms with
+        // meaningful salience are kept.
+        let mut scored: Vec<(TermId, f64)> = tf
             .iter()
-            .map(|(sym, &f)| {
+            .enumerate()
+            .filter_map(|(i, &f)| {
+                let sym = TermId(i as u32);
                 let term = seen.term(sym);
                 let phrase_boost = if term.contains(' ') { 1.35 } else { 1.0 };
                 let score = f as f64 * self.idf(term) * phrase_boost;
-                (term.to_string(), score)
+                (score > 0.0).then_some((sym, score))
             })
             .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        // Keep terms with meaningful salience only.
+        // Score descending, then term string: a strict order, since the
+        // terms are distinct, so selecting the top `max_terms` and then
+        // sorting only those ranks exactly as a full sort would.
+        let by_rank = |a: &(TermId, f64), b: &(TermId, f64)| {
+            b.1.total_cmp(&a.1)
+                .then_with(|| seen.term(a.0).cmp(seen.term(b.0)))
+        };
+        if scored.len() > self.max_terms {
+            scored.select_nth_unstable_by(self.max_terms, by_rank);
+            scored.truncate(self.max_terms);
+        }
+        scored.sort_unstable_by(by_rank);
         scored
             .into_iter()
-            .filter(|(_, s)| *s > 0.0)
-            .take(self.max_terms)
-            .map(|(t, _)| t)
+            .map(|(sym, _)| seen.term(sym).to_string())
             .collect()
     }
 }

@@ -11,6 +11,8 @@
 //! provides everything needed to go from raw text to term statistics:
 //!
 //! * [`tokenize`] — a deterministic word/sentence tokenizer,
+//! * [`lower`] — a text's words lowercased into one buffer, so a
+//!   dictionary scan's multi-word keys are slices ([`LowerWords`]),
 //! * [`stem`] — a full Porter stemmer,
 //! * [`stopwords`] — a standard English stopword list,
 //! * [`phrase`] — n-gram and capitalized-phrase iterators,
@@ -26,6 +28,7 @@
 //! Everything here is written from scratch with no external NLP
 //! dependencies, so the whole reproduction is self-contained.
 
+pub mod lower;
 pub mod phrase;
 pub mod rows;
 pub mod stem;
@@ -34,11 +37,12 @@ pub mod tokenize;
 pub mod vocab;
 pub mod zipf;
 
+pub use lower::LowerWords;
 pub use phrase::{ngrams, proper_noun_phrases};
 pub use rows::RowStore;
 pub use stem::porter_stem;
 pub use stopwords::is_stopword;
-pub use tokenize::{sentences, tokens, Token, TokenKind};
+pub use tokenize::{sentences, tokens, Token, TokenKind, Tokens};
 pub use vocab::{FrozenVocabulary, InternStats, SymTable, TermId, Vocabulary};
 pub use zipf::Zipf;
 
@@ -93,8 +97,24 @@ pub fn normalize_term(raw: &str) -> String {
 }
 
 /// [`normalize_term`] appended to `out`, keeping what `out` held before.
+///
+/// ASCII input is copied word by word and lowercased in place; other
+/// input lowercases char by char through [`char::to_lowercase`].
 pub fn normalize_term_into(raw: &str, out: &mut String) {
     let start = out.len();
+    if raw.is_ascii() {
+        // `char::is_whitespace` on ASCII: space and \t \n \x0B \x0C \r
+        // (`u8::is_ascii_whitespace` leaves out the vertical tab).
+        let is_space = |c: char| matches!(c, ' ' | '\t' | '\n' | '\x0B' | '\x0C' | '\r');
+        for word in raw.split(is_space).filter(|w| !w.is_empty()) {
+            if out.len() > start {
+                out.push(' ');
+            }
+            out.push_str(word);
+        }
+        out[start..].make_ascii_lowercase();
+        return;
+    }
     let mut last_space = true;
     for ch in raw.chars() {
         if ch.is_whitespace() {
@@ -148,6 +168,22 @@ mod tests {
         let mut pieces = Fnv1a::new();
         pieces.write(b"foo").write(b"").write(b"bar");
         assert_eq!(pieces, *Fnv1a::new().write(b"foobar"));
+    }
+
+    #[test]
+    fn normalize_ascii_whitespace_includes_vertical_tab() {
+        assert_eq!(normalize_term("\x0BG8\x0B\x0CSummit\r"), "g8 summit");
+        let mut out = String::from("kept ");
+        normalize_term_into(" A\x0BB ", &mut out);
+        assert_eq!(out, "kept a b");
+    }
+
+    #[test]
+    fn normalize_non_ascii_whitespace_and_case() {
+        assert_eq!(normalize_term("Café\u{a0}Ünïcode\u{85}"), "café ünïcode");
+        // Char-wise lowercasing: a word-final capital sigma stays σ.
+        assert_eq!(normalize_term("ΟΔΟΣ"), "οδοσ");
+        assert_eq!(normalize_term("İ"), "i\u{307}");
     }
 
     #[test]

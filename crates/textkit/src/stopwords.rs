@@ -5,10 +5,11 @@
 //! analysis both filter through this list. The list is the classic
 //! SMART-derived core set plus contractions common in news text.
 
-use std::collections::HashSet;
+use crate::Vocabulary;
 use std::sync::OnceLock;
 
-static STOPWORDS: &[&str] = &[
+/// The stopword list, lowercase, each word once.
+pub static STOPWORDS: &[&str] = &[
     "a",
     "about",
     "above",
@@ -202,19 +203,27 @@ static STOPWORDS: &[&str] = &[
     "via",
 ];
 
-fn set() -> &'static HashSet<&'static str> {
-    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
-    SET.get_or_init(|| STOPWORDS.iter().copied().collect())
+/// The list interned once: a probe is one FNV-1a hash and one slice
+/// compare, with no SipHash and no allocation.
+fn table() -> &'static Vocabulary {
+    static TABLE: OnceLock<Vocabulary> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut v = Vocabulary::new();
+        for w in STOPWORDS {
+            v.intern(w);
+        }
+        v
+    })
 }
 
 /// Return true if `word` (assumed lowercase) is an English stopword.
 pub fn is_stopword(word: &str) -> bool {
-    set().contains(word)
+    table().get(word).is_some()
 }
 
 /// Number of entries in the stopword list (for diagnostics).
 pub fn stopword_count() -> usize {
-    set().len()
+    table().len()
 }
 
 #[cfg(test)]

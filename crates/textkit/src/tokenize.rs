@@ -18,7 +18,7 @@ pub enum TokenKind {
 }
 
 /// A token with its byte span in the source text.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token<'a> {
     /// The token text, borrowed from the input.
     pub text: &'a str,
@@ -37,10 +37,6 @@ impl<'a> Token<'a> {
     }
 }
 
-fn is_word_char(c: char) -> bool {
-    c.is_alphabetic()
-}
-
 fn is_word_joiner(c: char) -> bool {
     c == '\'' || c == '-'
 }
@@ -54,87 +50,91 @@ fn is_number_joiner(c: char) -> bool {
 /// texts plus the skipped whitespace reconstructs the input (a property we
 /// verify with proptest).
 pub fn tokens(text: &str) -> Vec<Token<'_>> {
-    let mut out = Vec::new();
-    let bytes_len = text.len();
-    let mut iter = text.char_indices().peekable();
-    while let Some(&(start, c)) = iter.peek() {
-        if c.is_whitespace() {
-            iter.next();
-            continue;
-        }
-        if is_word_char(c) {
-            // Word: letters, with single joiners between letters.
-            let mut end = start + c.len_utf8();
-            iter.next();
-            while let Some(&(i, ch)) = iter.peek() {
-                if is_word_char(ch) {
-                    end = i + ch.len_utf8();
-                    iter.next();
-                } else if is_word_joiner(ch) {
-                    // Only join if followed by another letter.
-                    let mut ahead = iter.clone();
-                    ahead.next();
-                    if let Some(&(j, ch2)) = ahead.peek() {
-                        if is_word_char(ch2) {
-                            end = j + ch2.len_utf8();
-                            iter.next();
-                            iter.next();
-                            continue;
-                        }
-                    }
-                    break;
-                } else {
-                    break;
-                }
-            }
-            out.push(Token {
-                text: &text[start..end],
-                start,
-                end,
-                kind: TokenKind::Word,
-            });
-        } else if c.is_ascii_digit() {
-            let mut end = start + 1;
-            iter.next();
-            while let Some(&(i, ch)) = iter.peek() {
-                if ch.is_ascii_digit() {
-                    end = i + 1;
-                    iter.next();
-                } else if is_number_joiner(ch) {
-                    let mut ahead = iter.clone();
-                    ahead.next();
-                    if let Some(&(j, ch2)) = ahead.peek() {
-                        if ch2.is_ascii_digit() {
-                            end = j + 1;
-                            iter.next();
-                            iter.next();
-                            continue;
-                        }
-                    }
-                    break;
-                } else {
-                    break;
-                }
-            }
-            out.push(Token {
-                text: &text[start..end],
-                start,
-                end,
-                kind: TokenKind::Number,
-            });
-        } else {
-            let end = start + c.len_utf8();
-            iter.next();
-            out.push(Token {
-                text: &text[start..end],
-                start,
-                end,
-                kind: TokenKind::Punct,
-            });
-        }
-        debug_assert!(out.last().is_none_or(|t| t.end <= bytes_len));
-    }
+    // News text averages more than four bytes per token and gap.
+    let mut out = Vec::with_capacity(text.len() / 4);
+    out.extend(Tokens::new(text));
     out
+}
+
+/// The [`tokens`] of a text as an iterator, for callers that read each
+/// token once and need no `Vec`.
+///
+/// ```
+/// use facet_textkit::{tokens, Tokens};
+/// let text = "O'Brien paid 1,000 dollars.";
+/// assert!(Tokens::new(text).eq(tokens(text)));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Tokens<'a> {
+    text: &'a str,
+    /// Byte offset of the next unread char.
+    pos: usize,
+}
+
+impl<'a> Tokens<'a> {
+    /// Tokens of `text`, from its start.
+    pub fn new(text: &'a str) -> Self {
+        Self { text, pos: 0 }
+    }
+
+    /// The char at byte `pos`, decoded without a UTF-8 walk when ASCII.
+    #[inline]
+    fn char_at(&self, pos: usize) -> Option<char> {
+        let b = *self.text.as_bytes().get(pos)?;
+        if b.is_ascii() {
+            Some(char::from(b))
+        } else {
+            self.text[pos..].chars().next()
+        }
+    }
+
+    /// Advance over chars that satisfy `member`, and over a single
+    /// (ASCII) `joiner` char when a member char follows it.
+    #[inline]
+    fn run(&mut self, member: impl Fn(char) -> bool, joiner: impl Fn(char) -> bool) {
+        while let Some(c) = self.char_at(self.pos) {
+            if member(c) {
+                self.pos += c.len_utf8();
+            } else if joiner(c) {
+                match self.char_at(self.pos + 1) {
+                    Some(next) if member(next) => self.pos += 1 + next.len_utf8(),
+                    _ => break,
+                }
+            } else {
+                break;
+            }
+        }
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        loop {
+            let c = self.char_at(self.pos)?;
+            let start = self.pos;
+            self.pos += c.len_utf8();
+            let kind = if c.is_whitespace() {
+                continue;
+            } else if c.is_alphabetic() {
+                // Word: letters, with single joiners between letters.
+                self.run(char::is_alphabetic, is_word_joiner);
+                TokenKind::Word
+            } else if c.is_ascii_digit() {
+                self.run(|c| c.is_ascii_digit(), is_number_joiner);
+                TokenKind::Number
+            } else {
+                TokenKind::Punct
+            };
+            return Some(Token {
+                text: &self.text[start..self.pos],
+                start,
+                end: self.pos,
+                kind,
+            });
+        }
+    }
 }
 
 /// Split `text` into sentences. A sentence ends at `.`, `!` or `?` that is

@@ -71,6 +71,16 @@ fn term_hash(term: &str) -> u64 {
     Fnv1a::new().write(term.as_bytes()).finish()
 }
 
+/// Table slots for `terms` terms: the smallest power of two, at least
+/// 16, that holds them under the 7/8 load bound.
+fn slots_for(terms: usize) -> usize {
+    let mut slots = 16;
+    while terms * 8 > slots * 7 {
+        slots *= 2;
+    }
+    slots
+}
+
 /// An append-only arena interner mapping term strings to dense
 /// [`TermId`]s.
 ///
@@ -108,6 +118,23 @@ impl Vocabulary {
         Self::default()
     }
 
+    /// An empty vocabulary with room for `terms` terms of `bytes` bytes
+    /// in total before it reallocates. Ids are assigned exactly as by
+    /// [`Vocabulary::new`].
+    pub fn with_capacity(terms: usize, bytes: usize) -> Self {
+        Self {
+            arena: String::with_capacity(bytes),
+            spans: Vec::with_capacity(terms),
+            table: if terms == 0 {
+                Vec::new()
+            } else {
+                vec![0; slots_for(terms)]
+            },
+            hits: 0,
+            misses: 0,
+        }
+    }
+
     /// Probe the table for `term` under `hash`.
     fn lookup_hashed(&self, term: &str, hash: u64) -> Option<TermId> {
         if self.table.is_empty() {
@@ -140,10 +167,11 @@ impl Vocabulary {
 
     /// Grow the table when load would exceed 7/8 and rehash every id.
     fn grow_if_needed(&mut self) {
-        if (self.spans.len() + 1) * 8 <= self.table.len() * 7 {
+        let terms = self.spans.len() + 1;
+        if terms * 8 <= self.table.len() * 7 {
             return;
         }
-        let mut table = vec![0u32; (self.table.len() * 2).max(16)];
+        let mut table = vec![0u32; slots_for(terms)];
         for (id, term) in self.iter() {
             Self::insert_hashed(&mut table, id, term_hash(term));
         }
@@ -312,10 +340,16 @@ impl Deref for FrozenVocabulary {
 /// are one bounds check and iteration replays in id (= first-interned)
 /// order — deterministic by construction, with no sort step and no
 /// unordered-map hazard.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SymTable<T> {
     slots: Vec<Option<T>>,
     filled: usize,
+}
+
+impl<T> Default for SymTable<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<T> SymTable<T> {
@@ -468,6 +502,20 @@ mod tests {
         let stats = v.stats();
         assert_eq!(stats.misses as usize, v.len());
         assert_eq!(stats.hits + stats.misses, 3000);
+    }
+
+    #[test]
+    fn with_capacity_assigns_ids_as_new() {
+        let terms: Vec<String> = (0..300).map(|k| format!("t{}", k % 170)).collect();
+        for cap in [0, 1, 14, 15, 100, 1000] {
+            let mut fresh = Vocabulary::new();
+            let mut sized = Vocabulary::with_capacity(cap, cap * 4);
+            for t in &terms {
+                assert_eq!(sized.intern(t), fresh.intern(t));
+            }
+            assert_eq!(sized.stats(), fresh.stats());
+            assert!(terms.iter().all(|t| sized.get(t) == fresh.get(t)));
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::page::{PageId, Wikipedia};
 use crate::redirects::RedirectTable;
-use facet_textkit::{is_stopword, tokens, SymTable, TokenKind, Vocabulary};
+use facet_textkit::{is_stopword, LowerWords, SymTable, Vocabulary};
 
 /// A dictionary of page titles supporting longest-match extraction.
 ///
@@ -39,11 +39,8 @@ impl TitleIndex {
         let mut map: SymTable<PageId> = SymTable::new();
         let mut first_word_max: SymTable<usize> = SymTable::new();
         let mut insert = |title: &str, page: PageId| {
-            let words: Vec<String> = title
-                .to_lowercase()
-                .split_whitespace()
-                .map(str::to_string)
-                .collect();
+            let lower = title.to_lowercase();
+            let words: Vec<&str> = lower.split_whitespace().collect();
             if words.is_empty() {
                 return;
             }
@@ -51,7 +48,7 @@ impl TitleIndex {
             if !map.contains(key_sym) {
                 map.insert(key_sym, page);
             }
-            let first_sym = terms.intern(&words[0]);
+            let first_sym = terms.intern(words[0]);
             let entry = first_word_max.get_or_default(first_sym);
             *entry = (*entry).max(words.len());
         };
@@ -87,30 +84,16 @@ impl TitleIndex {
     /// canonicalization is the job of the downstream resources, which
     /// resolve redirects themselves). A page may repeat.
     pub fn extract(&self, wiki: &Wikipedia, text: &str) -> Vec<(String, PageId)> {
-        let toks = tokens(text);
-        // Word tokens only, lowercased, with punctuation recorded as
-        // window breaks (a title never crosses sentence punctuation).
-        let mut words: Vec<String> = Vec::with_capacity(toks.len());
-        let mut breaks: Vec<bool> = Vec::with_capacity(toks.len());
-        for t in &toks {
-            match t.kind {
-                TokenKind::Word | TokenKind::Number => {
-                    words.push(t.text.to_lowercase());
-                    breaks.push(false);
-                }
-                TokenKind::Punct => {
-                    if let Some(last) = breaks.last_mut() {
-                        *last = true;
-                    }
-                }
-            }
-        }
+        let _ = wiki;
+        // Word tokens only, lowercased into one buffer; a title never
+        // crosses sentence punctuation.
+        let words = LowerWords::of_text(text);
         let mut out = Vec::new();
         let mut i = 0;
         while i < words.len() {
             let Some(&max_len) = self
                 .terms
-                .get(&words[i])
+                .get(words.word(i))
                 .and_then(|s| self.first_word_max.get(s))
             else {
                 i += 1;
@@ -118,30 +101,24 @@ impl TitleIndex {
             };
             // Longest window first; a window may not contain a break
             // except at its final word.
-            let mut matched = false;
             let upper = max_len.min(words.len() - i);
-            for len in (1..=upper).rev() {
-                if (0..len - 1).any(|k| breaks[i + k]) {
-                    continue;
-                }
+            let hit = (1..=upper).rev().find_map(|len| {
                 // A single-word match must not be a function word: real
                 // extractors never mark "the" important even though a
                 // page titled "The" exists.
-                if len == 1 && is_stopword(&words[i]) {
-                    continue;
+                if !words.adjacent(i, len) || (len == 1 && is_stopword(words.word(i))) {
+                    return None;
                 }
-                let key = words[i..i + len].join(" ");
-                if let Some(&page) = self.terms.get(&key).and_then(|s| self.map.get(s)) {
-                    let _ = wiki;
-                    out.push((key, page));
-                    i += len;
-                    matched = true;
-                    break;
-                }
-            }
-            if !matched {
+                let key = words.key(i, len);
+                let page = self.terms.get(key).and_then(|s| self.map.get(s))?;
+                Some((len, key, *page))
+            });
+            let Some((len, key, page)) = hit else {
                 i += 1;
-            }
+                continue;
+            };
+            out.push((key.to_string(), page));
+            i += len;
         }
         out
     }

@@ -5,8 +5,9 @@
 #
 #   --tier1        Run exactly the tier-1 gate (release build + tests), the
 #                  command CI and the roadmap treat as the must-stay-green
-#                  bar, plus the facet-resources, facet-corpus and
-#                  facet-textkit unit tests, every facet-core, facet-store
+#                  bar, plus the facet-resources, facet-corpus,
+#                  facet-textkit, facet-termx, facet-ner and
+#                  facet-wikipedia unit tests, every facet-core, facet-store
 #                  and facet-obs unit test (among them the interleaving
 #                  tests the Lint.toml concurrency sanctions cite) and the
 #                  snapshot-digest property (equal digests across worker
@@ -17,7 +18,8 @@
 #                  determinism sweep over worker counts, the facet-stats
 #                  tests, the facet-textkit row-store unit tests (chunked
 #                  rows against a Vec model), the recovery suite, the
-#                  Steps 1–4 paper-formula oracle
+#                  Steps 1–4 paper-formula oracle, the Step-1
+#                  string-path oracle (tests/extraction_oracle.rs)
 #                  and the paper-fidelity quality gate (QUALITY.json), the
 #                  chaos (fault-injection) suite, the trace-export determinism
 #                  smoke, the facet-lint unit tests (the rules' fixtures)
@@ -95,11 +97,14 @@ if [[ "${1:-}" == "--tier1" ]]; then
     echo "== tier-1: cargo build --release && cargo test -q"
     cargo build --release
     cargo test -q
-    echo "== tier-1: expansion, corpus and text-kit unit tests"
+    echo "== tier-1: expansion, corpus, text-kit and extractor unit tests"
     # Crate unit tests the root run skips: the expansion engine (rows,
     # repair, the fallible append path), the text database's term
     # strings, and the interner and row store.
     cargo test -q -p facet-resources -p facet-corpus -p facet-textkit
+    # The Step-1 extractors' unit tests: the gazetteer, rules and tagger,
+    # the title index, and the three extractors with the I(d) union.
+    cargo test -q -p facet-termx -p facet-ner -p facet-wikipedia
     echo "== tier-1: index, store and observability unit tests"
     # Every unit test of the three crates, also skipped by the root run:
     # the index's worker sweeps, serving and browse, selection and
@@ -129,11 +134,13 @@ if [[ "${1:-}" == "--tier1" ]]; then
     echo "== tier-1: recovery"
     # Restore rebuilds the tables from persisted sources.
     cargo test -q --test recovery
-    echo "== tier-1: pipeline oracle and quality gate"
-    # The index against Steps 1–4 written from the paper's formulas, and
-    # the recall/precision grids against QUALITY.json, named explicitly
-    # so a filtered or partial test run cannot silently skip them.
+    echo "== tier-1: pipeline oracle, Step-1 oracle and quality gate"
+    # The index against Steps 1–4 written from the paper's formulas, the
+    # extractors against the string-based Step-1 path, and the
+    # recall/precision grids against QUALITY.json, named explicitly so a
+    # filtered or partial test run cannot silently skip them.
     cargo test -q --test pipeline_oracle
+    cargo test -q --test extraction_oracle
     cargo test -q --test quality_gate
     run_chaos
     run_trace_smoke
