@@ -219,14 +219,14 @@ fn main() {
     // ---- subsumption sanity probe ----------------------------------------
     {
         use facet_core::{PipelineOptions, ShardedFacetIndex};
-        use facet_resources::{CachedResource, ContextResource, WikiGraphResource};
+        use facet_resources::{ContextResource, WikiGraphResource};
         use facet_termx::{TermExtractor, WikipediaTitleExtractor};
         use facet_wikipedia::{TitleIndex, WikipediaGraph};
         let world = &bundle.world;
         let title_index = TitleIndex::build(&bundle.wiki.wiki, &bundle.wiki.redirects);
         let wiki_x = WikipediaTitleExtractor::new(&bundle.wiki.wiki, title_index);
         let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
-        let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
+        let graph_res = WikiGraphResource::new(&graph);
         let docs = bundle.corpus.db.docs();
         let important: Vec<Vec<String>> = docs
             .iter()

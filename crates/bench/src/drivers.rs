@@ -191,9 +191,7 @@ pub fn run_ablation(scale: f64, top_k: usize) -> Table {
     use facet_eval::judge_model::JudgeModel;
     use facet_eval::precision::PrecisionJudge;
     use facet_ner::NerTagger;
-    use facet_resources::{
-        CachedResource, ContextResource, WikiGraphResource, WordNetHypernymsResource,
-    };
+    use facet_resources::{ContextResource, WikiGraphResource, WordNetHypernymsResource};
     use facet_termx::{
         NamedEntityExtractor, TermExtractor, WikipediaTitleExtractor, YahooTermExtractor,
     };
@@ -213,8 +211,8 @@ pub fn run_ablation(scale: f64, top_k: usize) -> Table {
     let title_index = TitleIndex::build(&bundle.wiki.wiki, &bundle.wiki.redirects);
     let wiki_x = WikipediaTitleExtractor::new(&bundle.wiki.wiki, title_index);
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
-    let wn_res = CachedResource::new(WordNetHypernymsResource::new(&bundle.wordnet));
+    let graph_res = WikiGraphResource::new(&graph);
+    let wn_res = WordNetHypernymsResource::new(&bundle.wordnet);
 
     let judge = PrecisionJudge::default();
     let mut table = Table::new(

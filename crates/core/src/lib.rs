@@ -58,5 +58,5 @@ pub use serve::{
     fanout_browse, normalize_query, BrowseResult, FacetServer, ServeCacheStats, ServeHandle,
     ServeSnapshot,
 };
-pub use shard::ShardedFacetIndex;
+pub use shard::{CacheStats, ShardedFacetIndex};
 pub use subsumption::{build_subsumption_forest, SubsumptionForest, SubsumptionParams};

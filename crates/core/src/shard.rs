@@ -94,8 +94,8 @@ use facet_corpus::db::{term_strings, DocTerms, TermStrings, TermingOptions};
 use facet_corpus::Document;
 use facet_obs::{Recorder, SpanContext};
 use facet_resources::{
-    expand_append_recorded, intern_important_terms, repair_degraded_recorded, CacheStats,
-    ContextResource, ContextualizedDatabase, ExpansionCache, ExpansionOptions,
+    expand_append_recorded, intern_important_terms, repair_degraded_recorded, ContextResource,
+    ContextualizedDatabase, ExpansionCache, ExpansionOptions,
 };
 use facet_termx::{extract_important_terms, TermExtractor};
 use facet_textkit::{InternStats, RowStore, TermId, Vocabulary};
@@ -108,6 +108,19 @@ pub(crate) const WINDOW_DOCS: usize = 256;
 /// One document's extract-stage output: its counted term strings, and
 /// its `I(d)` (empty when the caller supplied the lists).
 type Termed = (TermStrings, Vec<String>);
+
+/// The queries an index sent one resource; see
+/// [`ShardedFacetIndex::resource_cache_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Queries answered from a memo: always 0, because the expansion
+    /// cache sends each distinct term to each resource once.
+    pub hits: u64,
+    /// Queries that reached the resource and succeeded.
+    pub misses: u64,
+    /// Queries that reached the resource and failed.
+    pub failures: u64,
+}
 
 /// The incrementally-updatable facet index. See the [module docs](self)
 /// for the stages of an append and the equivalence invariant. The
@@ -200,14 +213,7 @@ impl<'a> ShardedFacetIndex<'a> {
         ));
         Self {
             extractors,
-            queries: vec![
-                CacheStats {
-                    hits: 0,
-                    misses: 0,
-                    failures: 0
-                };
-                resources.len()
-            ],
+            queries: vec![CacheStats::default(); resources.len()],
             resources,
             options,
             statistic: SelectionStatistic::LogLikelihood,

@@ -6,8 +6,8 @@ use facet_corpus::{DatasetRecipe, GeneratedCorpus, RecipeKind};
 use facet_knowledge::World;
 use facet_ner::NerTagger;
 use facet_resources::{
-    CachedResource, ContextResource, GoogleResource, WikiGraphResource, WikiSynonymsResource,
-    WordNetHypernymsResource,
+    ContextResource, FaultKind, GoogleResource, ResourceError, WikiGraphResource,
+    WikiSynonymsResource, WordNetHypernymsResource,
 };
 use facet_termx::{
     NamedEntityExtractor, TermExtractor, WikipediaTitleExtractor, YahooTermExtractor,
@@ -18,7 +18,7 @@ use facet_wikipedia::{
     build_wikipedia, TitleIndex, WikiBundle, WikipediaConfig, WikipediaGraph, WikipediaSynonyms,
 };
 use facet_wordnet::{build_wordnet, WordNet};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything needed to evaluate one dataset.
 pub struct DatasetBundle {
@@ -91,8 +91,8 @@ pub fn default_gold(bundle: &DatasetBundle, sample_size: usize) -> crate::GoldAn
 pub struct GridOptions {
     /// Pipeline options shared by all cells.
     pub pipeline: PipelineOptions,
-    /// Observability recorder threaded into every cell's index, the web
-    /// search engine, and the resource caches (disabled by default).
+    /// Observability recorder threaded into every cell's index and the
+    /// web search engine (disabled by default).
     pub recorder: facet_obs::Recorder,
 }
 
@@ -181,6 +181,46 @@ pub const RESOURCE_LABELS: [&str; 5] = [
     "All",
 ];
 
+/// One resource's answers to every important term of the grid, asked
+/// once before the cells run. The cells read it in place of the
+/// resource, so the 20 indexes share one query per term and resource.
+struct AnswerTable<'t> {
+    name: &'static str,
+    answers: BTreeMap<&'t str, Result<Vec<String>, ResourceError>>,
+}
+
+impl<'t> AnswerTable<'t> {
+    fn ask(resource: &dyn ContextResource, terms: &BTreeSet<&'t str>) -> Self {
+        Self {
+            name: resource.name(),
+            answers: terms
+                .iter()
+                .map(|&t| (t, resource.try_context_terms(t)))
+                .collect(),
+        }
+    }
+}
+
+impl ContextResource for AnswerTable<'_> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn context_terms(&self, term: &str) -> Vec<String> {
+        self.try_context_terms(term).unwrap_or_default()
+    }
+
+    fn try_context_terms(&self, term: &str) -> Result<Vec<String>, ResourceError> {
+        self.answers.get(term).cloned().unwrap_or_else(|| {
+            Err(ResourceError::new(
+                self.name,
+                FaultKind::Permanent,
+                format!("`{term}` is not an important term of the grid"),
+            ))
+        })
+    }
+}
+
 /// Run the full 4 × 5 grid over the bundle. Returns 20 cells in
 /// row-major order (resource rows × extractor columns).
 pub fn run_grid(bundle: &mut DatasetBundle, options: &GridOptions) -> Vec<GridCell> {
@@ -220,18 +260,32 @@ pub fn run_grid(bundle: &mut DatasetBundle, options: &GridOptions) -> Vec<GridCe
         &bundle.wiki.redirects,
         &bundle.wiki.anchors,
     );
-    let google = CachedResource::new(GoogleResource::new(&bundle.web));
-    let wn_res = CachedResource::new(WordNetHypernymsResource::new(&bundle.wordnet));
-    let syn_res = CachedResource::new(WikiSynonymsResource::new(&synonyms));
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
-    let base_resources: [&dyn ContextResource; 4] = [&google, &wn_res, &syn_res, &graph_res];
+    let google = GoogleResource::new(&bundle.web);
+    let wn_res = WordNetHypernymsResource::new(&bundle.wordnet);
+    let syn_res = WikiSynonymsResource::new(&synonyms);
+    let graph_res = WikiGraphResource::new(&graph);
+    // Every cell's I(d) terms come from the three base extractors, so
+    // their union is every term a cell sends to a resource.
+    let tables: Vec<AnswerTable<'_>> = {
+        let _span = recorder.span("resolve");
+        let terms: BTreeSet<&str> = per_extractor
+            .iter()
+            .flatten()
+            .flatten()
+            .map(String::as_str)
+            .collect();
+        let live: [&dyn ContextResource; 4] = [&google, &wn_res, &syn_res, &graph_res];
+        live.iter().map(|r| AnswerTable::ask(*r, &terms)).collect()
+    };
+    let base_resources: Vec<&dyn ContextResource> =
+        tables.iter().map(|t| t as &dyn ContextResource).collect();
 
     let mut cells = Vec::with_capacity(20);
     for (ri, r_label) in RESOURCE_LABELS.iter().enumerate() {
         let resources: Vec<&dyn ContextResource> = if ri < 4 {
             vec![base_resources[ri]]
         } else {
-            base_resources.to_vec()
+            base_resources.clone()
         };
         for (ei, e_label) in EXTRACTOR_LABELS.iter().enumerate() {
             // I(d): one extractor's terms, or the union for "All".
@@ -264,17 +318,6 @@ pub fn run_grid(bundle: &mut DatasetBundle, options: &GridOptions) -> Vec<GridCe
             cells.push(GridCell::from_snapshot(e_label, r_label, &index.snapshot()));
         }
     }
-
-    // Flush cache effectiveness into counters: `cache.<resource>.hits`
-    // and `cache.<resource>.misses`.
-    let flush = |name: &str, stats: facet_resources::CacheStats| {
-        recorder.add(&format!("cache.{name}.hits"), stats.hits);
-        recorder.add(&format!("cache.{name}.misses"), stats.misses);
-    };
-    flush(google.name(), google.stats());
-    flush(wn_res.name(), wn_res.stats());
-    flush(syn_res.name(), syn_res.stats());
-    flush(graph_res.name(), graph_res.stats());
 
     cells
 }
@@ -321,6 +364,96 @@ mod tests {
             "only {} candidates",
             all.candidates.len()
         );
+    }
+
+    /// A cell as plain comparable data: each candidate's term, df,
+    /// `df_C`, score bits and parent.
+    fn cell_rows(cell: &GridCell) -> Vec<(&str, u64, u64, u64, Option<&str>)> {
+        cell.candidates
+            .iter()
+            .zip(&cell.parents)
+            .map(|(c, (_, parent))| {
+                (
+                    c.term.as_str(),
+                    c.df,
+                    c.df_c,
+                    c.score.to_bits(),
+                    parent.as_deref(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn answer_tables_are_transparent() {
+        // Every cell the grid builds over its answer tables equals the
+        // cell a fresh index builds over that cell's live resources, with
+        // no memo in front of them.
+        let mut bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+        let options = GridOptions::default();
+        let cells = run_grid(&mut bundle, &options);
+
+        let ne = NamedEntityExtractor::new(NerTagger::from_world(&bundle.world));
+        let yahoo = YahooTermExtractor::fit(&bundle.corpus.db, &bundle.vocab);
+        let title_index = TitleIndex::build(&bundle.wiki.wiki, &bundle.wiki.redirects);
+        let wiki_x = WikipediaTitleExtractor::new(&bundle.wiki.wiki, title_index);
+        let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
+        let synonyms = WikipediaSynonyms::new(
+            &bundle.wiki.wiki,
+            &bundle.wiki.redirects,
+            &bundle.wiki.anchors,
+        );
+        let google = GoogleResource::new(&bundle.web);
+        let wn_res = WordNetHypernymsResource::new(&bundle.wordnet);
+        let syn_res = WikiSynonymsResource::new(&synonyms);
+        let graph_res = WikiGraphResource::new(&graph);
+        let extractors: [&dyn TermExtractor; 3] = [&ne, &yahoo, &wiki_x];
+        let live: [&dyn ContextResource; 4] = [&google, &wn_res, &syn_res, &graph_res];
+
+        assert_eq!(cells.len(), 20);
+        for (i, cell) in cells.iter().enumerate() {
+            let (ri, ei) = (i / 4, i % 4);
+            let cell_extractors = if ei < 3 {
+                vec![extractors[ei]]
+            } else {
+                extractors.to_vec()
+            };
+            let cell_resources = if ri < 4 {
+                vec![live[ri]]
+            } else {
+                live.to_vec()
+            };
+            let fresh = ShardedFacetIndex::build(
+                bundle.corpus.db.docs().to_vec(),
+                1,
+                cell_extractors,
+                cell_resources,
+                options.pipeline.clone(),
+            )
+            .unwrap();
+            let expected = GridCell::from_snapshot(
+                EXTRACTOR_LABELS[ei],
+                RESOURCE_LABELS[ri],
+                &fresh.snapshot(),
+            );
+            assert_eq!(
+                (cell.extractor.as_str(), cell.resource.as_str()),
+                (EXTRACTOR_LABELS[ei], RESOURCE_LABELS[ri])
+            );
+            assert!(
+                !cell.candidates.is_empty(),
+                "{} x {}: no candidates",
+                cell.resource,
+                cell.extractor
+            );
+            assert_eq!(
+                cell_rows(cell),
+                cell_rows(&expected),
+                "{} x {} differs from a fresh index over live resources",
+                cell.resource,
+                cell.extractor
+            );
+        }
     }
 
     #[test]

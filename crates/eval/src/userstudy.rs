@@ -22,9 +22,7 @@ use crate::harness::DatasetBundle;
 use crate::report::Table;
 use facet_core::{FacetSnapshot, PipelineOptions, ShardedFacetIndex};
 use facet_ner::NerTagger;
-use facet_resources::{
-    CachedResource, ContextResource, WikiGraphResource, WordNetHypernymsResource,
-};
+use facet_resources::{ContextResource, WikiGraphResource, WordNetHypernymsResource};
 use facet_termx::{
     NamedEntityExtractor, TermExtractor, WikipediaTitleExtractor, YahooTermExtractor,
 };
@@ -90,8 +88,8 @@ pub fn run_user_study(bundle: &mut DatasetBundle, config: &UserStudyConfig) -> V
     let title_index = TitleIndex::build(&bundle.wiki.wiki, &bundle.wiki.redirects);
     let wiki_x = WikipediaTitleExtractor::new(&bundle.wiki.wiki, title_index);
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let wn_res = CachedResource::new(WordNetHypernymsResource::new(&bundle.wordnet));
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
+    let wn_res = WordNetHypernymsResource::new(&bundle.wordnet);
+    let graph_res = WikiGraphResource::new(&graph);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo, &wiki_x];
     let resources: Vec<&dyn ContextResource> = vec![&wn_res, &graph_res];
     let index = ShardedFacetIndex::build(

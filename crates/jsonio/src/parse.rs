@@ -33,14 +33,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean value, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

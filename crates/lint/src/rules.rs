@@ -118,11 +118,6 @@ pub const RULES: &[RuleMeta] = &[
     },
 ];
 
-/// Look up a rule's report code by its `Lint.toml` name.
-pub fn rule_code(name: &str) -> &'static str {
-    code_for(name)
-}
-
 fn code_for(name: &str) -> &'static str {
     RULES
         .iter()

@@ -378,11 +378,6 @@ impl HistogramHandle {
         }
     }
 
-    /// Record a [`std::time::Duration`] in microseconds.
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_micros().min(u64::MAX as u128) as u64);
-    }
-
     /// Run `f`, recording its wall-clock duration when this handle is
     /// live (a [`HistogramHandle::noop`] skips the clock entirely).
     ///

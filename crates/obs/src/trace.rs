@@ -22,7 +22,7 @@
 //! opening a span under an open span parents it automatically, and the
 //! free functions ([`trace_span`], [`trace_attr`], [`trace_event`],
 //! [`trace_error`]) attach to the innermost open span without any
-//! handle plumbing — which is how deep layers (the resource cache, the
+//! handle plumbing — which is how deep layers (the resource query, the
 //! retry loop) annotate traces they never knew existed. Crossing a
 //! thread boundary is explicit: capture a [`SpanContext`] with
 //! [`current_context`] and open the child with

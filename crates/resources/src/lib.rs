@@ -24,7 +24,6 @@
 //! database `C(D)` whose per-term document frequencies feed the selection
 //! statistics of Section IV-C.
 
-pub mod cache;
 pub mod clock;
 pub mod expand;
 pub mod fault;
@@ -35,7 +34,6 @@ pub mod resource;
 pub mod wiki_graph;
 pub mod wiki_synonyms;
 
-pub use cache::{CacheStats, CachedResource};
 pub use clock::VirtualClock;
 pub use expand::{
     expand_append_recorded, intern_important_terms, repair_degraded_recorded, AppendOutcome,
@@ -46,6 +44,6 @@ pub use fault::{FaultPlan, FaultSchedule, FaultyResource};
 pub use google::GoogleResource;
 pub use hypernyms::WordNetHypernymsResource;
 pub use resilient::{BreakerConfig, BreakerState, ResilientResource, RetryPolicy};
-pub use resource::{ContextResource, FaultKind, ResourceError, ResourceSet};
+pub use resource::{ContextResource, FaultKind, ResourceError};
 pub use wiki_graph::WikiGraphResource;
 pub use wiki_synonyms::WikiSynonymsResource;

@@ -138,8 +138,7 @@ impl ResilientMetrics {
 
 /// Retry + circuit-breaker + budget decorator for a [`ContextResource`].
 /// Forwards the wrapped resource's [`name`](ContextResource::name), so
-/// it is transparent to provenance and to [`crate::CachedResource`]
-/// stacked on top.
+/// it is transparent to provenance.
 pub struct ResilientResource<R> {
     inner: R,
     retry: RetryPolicy,

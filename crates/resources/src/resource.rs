@@ -122,43 +122,6 @@ pub trait ContextResource: Send + Sync {
     }
 }
 
-/// References delegate, so adapters like
-/// [`crate::CachedResource`] can wrap a borrowed resource (including a
-/// borrowed trait object) without taking ownership.
-impl<R: ContextResource + ?Sized> ContextResource for &R {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn context_terms(&self, term: &str) -> Vec<String> {
-        (**self).context_terms(term)
-    }
-
-    fn try_context_terms(&self, term: &str) -> Result<Vec<String>, ResourceError> {
-        (**self).try_context_terms(term)
-    }
-}
-
-/// A labelled selection of resources, one table row of the paper.
-pub struct ResourceSet<'a> {
-    /// Display label ("Google", …, or "All").
-    pub label: &'a str,
-    /// The resources in the set.
-    pub resources: Vec<&'a dyn ContextResource>,
-}
-
-impl std::fmt::Debug for ResourceSet<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResourceSet")
-            .field("label", &self.label)
-            .field(
-                "resources",
-                &self.resources.iter().map(|r| r.name()).collect::<Vec<_>>(),
-            )
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,25 +137,11 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_usable() {
-        let e = Echo;
-        let set = ResourceSet {
-            label: "solo",
-            resources: vec![&e],
-        };
-        assert_eq!(set.resources[0].context_terms("x"), vec!["about x"]);
-        assert!(format!("{set:?}").contains("Echo"));
-    }
-
-    #[test]
     fn try_defaults_to_infallible_and_forwards_through_refs() {
         let e = Echo;
         assert_eq!(e.try_context_terms("x").unwrap(), vec!["about x"]);
         let as_dyn: &dyn ContextResource = &e;
         assert_eq!(as_dyn.try_context_terms("x").unwrap(), vec!["about x"]);
-        // Double reference exercises the blanket impl's forwarding.
-        let as_ref = &as_dyn;
-        assert_eq!(as_ref.try_context_terms("x").unwrap(), vec!["about x"]);
     }
 
     struct Down;
@@ -232,7 +181,7 @@ mod tests {
         }
         // The infallible view degrades to empty, never panics.
         assert!(d.context_terms("x").is_empty());
-        // Errors forward through the blanket impl too.
+        // Errors forward through a trait object too.
         let as_dyn: &dyn ContextResource = &d;
         assert_eq!(as_dyn.try_context_terms("x").unwrap_err(), err);
     }

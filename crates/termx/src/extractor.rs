@@ -14,27 +14,6 @@ pub trait TermExtractor: Send + Sync {
     fn extract(&self, text: &str) -> Vec<String>;
 }
 
-/// A named selection of extractors, used to reproduce the per-column
-/// results of Tables II–VII.
-pub struct ExtractorSet<'a> {
-    /// Display label ("NE", "Yahoo", "Wikipedia", or "All").
-    pub label: &'a str,
-    /// The extractors in the set.
-    pub extractors: Vec<&'a dyn TermExtractor>,
-}
-
-impl std::fmt::Debug for ExtractorSet<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExtractorSet")
-            .field("label", &self.label)
-            .field(
-                "extractors",
-                &self.extractors.iter().map(|e| e.name()).collect::<Vec<_>>(),
-            )
-            .finish()
-    }
-}
-
 /// Compute `I(d)`: the deduplicated union of all extractors' terms for a
 /// document, in first-seen order.
 pub fn extract_important_terms(extractors: &[&dyn TermExtractor], text: &str) -> Vec<String> {

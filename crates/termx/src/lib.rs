@@ -24,7 +24,7 @@ pub mod ne;
 pub mod wiki;
 pub mod yahoo;
 
-pub use extractor::{extract_important_terms, ExtractorSet, TermExtractor};
+pub use extractor::{extract_important_terms, TermExtractor};
 pub use ne::NamedEntityExtractor;
 pub use wiki::WikipediaTitleExtractor;
 pub use yahoo::YahooTermExtractor;

@@ -1,6 +1,6 @@
 //! The arena-backed term vocabulary: term strings to dense [`TermId`]s.
 //!
-//! Every layer of the system — pipeline, index, resource caches, the
+//! Every layer of the system — pipeline, index, expansion cache, the
 //! search and title indexes — speaks [`TermId`]: a dense `u32` id handed
 //! out by a [`Vocabulary`] in first-seen order. Term text lives once, in
 //! a single contiguous byte arena, and a deterministic open-addressing

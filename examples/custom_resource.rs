@@ -27,7 +27,7 @@ use facet_hierarchies::core::{PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{DatasetRecipe, RecipeKind};
 use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::resources::{
-    CachedResource, ContextResource, ExpansionOptions, FaultKind, ResourceError, WikiGraphResource,
+    ContextResource, ExpansionOptions, FaultKind, ResourceError, WikiGraphResource,
 };
 use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor, YahooTermExtractor};
 use facet_hierarchies::textkit::Vocabulary;
@@ -115,7 +115,7 @@ fn main() {
 
     let wiki = build_wikipedia(&world, &WikipediaConfig::default());
     let graph = WikipediaGraph::new(&wiki.wiki, &wiki.redirects);
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
+    let graph_res = WikiGraphResource::new(&graph);
     // A deliberately tight quota: the build will exhaust it mid-expansion.
     let thesaurus = FinancialThesaurus::new(8);
 

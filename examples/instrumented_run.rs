@@ -37,8 +37,8 @@ use facet_hierarchies::corpus::{DatasetRecipe, RecipeKind};
 use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::obs::Recorder;
 use facet_hierarchies::resources::{
-    BreakerConfig, CachedResource, ContextResource, ExpansionOptions, FaultPlan, FaultyResource,
-    ResilientResource, VirtualClock, WikiGraphResource, WordNetHypernymsResource,
+    BreakerConfig, ContextResource, ExpansionOptions, FaultPlan, FaultyResource, ResilientResource,
+    VirtualClock, WikiGraphResource, WordNetHypernymsResource,
 };
 use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor, YahooTermExtractor};
 use facet_hierarchies::textkit::Vocabulary;
@@ -222,8 +222,8 @@ fn main() {
     let wiki = build_wikipedia(&world, &WikipediaConfig::default());
     let wordnet = build_wordnet(&world);
     let graph = WikipediaGraph::new(&wiki.wiki, &wiki.redirects);
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
-    let wn_res = CachedResource::new(WordNetHypernymsResource::new(&wordnet));
+    let graph_res = WikiGraphResource::new(&graph);
+    let wn_res = WordNetHypernymsResource::new(&wordnet);
     let tagger = NerTagger::from_world(&world);
     let ne = NamedEntityExtractor::new(tagger);
 
@@ -274,16 +274,6 @@ fn main() {
         );
     }
 
-    // Cache effectiveness (also exported via `GridOptions::recorder` in
-    // the experiment harness).
-    let s = graph_res.stats();
-    println!(
-        "\nwiki-graph cache: {} hits / {} misses ({:.0}% hit rate)",
-        s.hits,
-        s.misses,
-        s.hit_rate() * 100.0
-    );
-
     // The same report as machine-readable JSON (what `--obs` writes).
     let json = facet_hierarchies::jsonio::to_json_string_pretty(&report).expect("serialize");
     println!("\nJSON report is {} bytes; first lines:", json.len());
@@ -312,13 +302,12 @@ fn main() {
             half_open_probes: 1,
         })
         .with_recorder(&chaos_recorder);
-    let graph_res2 = CachedResource::new(WikiGraphResource::new(&graph));
     // Yahoo terms include common nouns, so WordNet hypernyms actually
     // shape the contextualized database here.
     let yahoo = YahooTermExtractor::fit(&corpus.db, &vocab);
 
     let chaos_extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
-    let chaos_resources: Vec<&dyn ContextResource> = vec![&graph_res2, &resilient];
+    let chaos_resources: Vec<&dyn ContextResource> = vec![&graph_res, &resilient];
     let options = PipelineOptions {
         top_k: 400,
         // Single-threaded expansion keeps the breaker's shed set (which
@@ -366,10 +355,8 @@ fn main() {
     );
 
     // The repaired index is identical to one that never saw a fault.
-    let wn_clean = CachedResource::new(WordNetHypernymsResource::new(&wordnet));
-    let graph_res3 = CachedResource::new(WikiGraphResource::new(&graph));
     let clean_extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo];
-    let clean_resources: Vec<&dyn ContextResource> = vec![&graph_res3, &wn_clean];
+    let clean_resources: Vec<&dyn ContextResource> = vec![&graph_res, &wn_res];
     let clean = ShardedFacetIndex::build(
         corpus.db.docs().to_vec(),
         1,

@@ -13,7 +13,7 @@
 use facet_hierarchies::core::{PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{DatasetRecipe, RecipeKind};
 use facet_hierarchies::ner::NerTagger;
-use facet_hierarchies::resources::{CachedResource, ContextResource, WikiGraphResource};
+use facet_hierarchies::resources::{ContextResource, WikiGraphResource};
 use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor, WikipediaTitleExtractor};
 use facet_hierarchies::textkit::Vocabulary;
 use facet_hierarchies::wikipedia::{build_wikipedia, TitleIndex, WikipediaConfig, WikipediaGraph};
@@ -26,7 +26,7 @@ fn main() {
 
     let wiki = build_wikipedia(&world, &WikipediaConfig::default());
     let graph = WikipediaGraph::new(&wiki.wiki, &wiki.redirects);
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
+    let graph_res = WikiGraphResource::new(&graph);
     let tagger = NerTagger::from_world(&world);
     let ne = NamedEntityExtractor::new(tagger);
     let title_index = TitleIndex::build(&wiki.wiki, &wiki.redirects);

@@ -26,7 +26,7 @@ use facet_hierarchies::core::{fanout_browse, FacetServer, PipelineOptions, Shard
 use facet_hierarchies::corpus::{DatasetRecipe, RecipeKind};
 use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::obs::{Recorder, Tracer, TracerConfig, WallTraceClock};
-use facet_hierarchies::resources::{CachedResource, ContextResource, WikiGraphResource};
+use facet_hierarchies::resources::{ContextResource, WikiGraphResource};
 use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor};
 use facet_hierarchies::textkit::Vocabulary;
 use facet_hierarchies::wikipedia::{build_wikipedia, WikipediaConfig, WikipediaGraph};
@@ -78,7 +78,7 @@ fn main() {
     // Index ONCE (the expensive offline half), then serve.
     let wiki = build_wikipedia(&world, &WikipediaConfig::default());
     let graph = WikipediaGraph::new(&wiki.wiki, &wiki.redirects);
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
+    let graph_res = WikiGraphResource::new(&graph);
     let tagger = NerTagger::from_world(&world);
     let ne = NamedEntityExtractor::new(tagger);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];

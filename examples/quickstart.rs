@@ -13,9 +13,7 @@
 use facet_hierarchies::core::{PipelineOptions, ShardedFacetIndex};
 use facet_hierarchies::corpus::{DatasetRecipe, RecipeKind};
 use facet_hierarchies::ner::NerTagger;
-use facet_hierarchies::resources::{
-    CachedResource, ContextResource, WikiGraphResource, WordNetHypernymsResource,
-};
+use facet_hierarchies::resources::{ContextResource, WikiGraphResource, WordNetHypernymsResource};
 use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor, YahooTermExtractor};
 use facet_hierarchies::textkit::Vocabulary;
 use facet_hierarchies::wikipedia::{build_wikipedia, WikipediaConfig, WikipediaGraph};
@@ -35,8 +33,8 @@ fn main() {
     let wiki = build_wikipedia(&world, &WikipediaConfig::default());
     let wordnet = build_wordnet(&world);
     let graph = WikipediaGraph::new(&wiki.wiki, &wiki.redirects);
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
-    let wn_res = CachedResource::new(WordNetHypernymsResource::new(&wordnet));
+    let graph_res = WikiGraphResource::new(&graph);
+    let wn_res = WordNetHypernymsResource::new(&wordnet);
 
     // 3. Important-term extractors.
     let tagger = NerTagger::from_world(&world);

@@ -21,6 +21,9 @@
 #                  Steps 1–4 paper-formula oracle, the Step-1
 #                  string-path oracle (tests/extraction_oracle.rs)
 #                  and the paper-fidelity quality gate (QUALITY.json), the
+#                  facet-eval unit tests (the Tables II–VII grid, its
+#                  answer tables against live resources, and the
+#                  evaluation measures), the
 #                  chaos (fault-injection) suite, the trace-export determinism
 #                  smoke, the facet-lint unit tests (the rules' fixtures)
 #                  and workspace gate, and a release
@@ -142,6 +145,11 @@ if [[ "${1:-}" == "--tier1" ]]; then
     cargo test -q --test pipeline_oracle
     cargo test -q --test extraction_oracle
     cargo test -q --test quality_gate
+    echo "== tier-1: evaluation unit tests"
+    # The experiment grid and its answer tables against fresh indexes
+    # over live resources, the judges and the user study (crate unit
+    # tests, also skipped by the root run).
+    cargo test -q -p facet-eval
     run_chaos
     run_trace_smoke
     echo "== tier-1: facet-lint unit tests"

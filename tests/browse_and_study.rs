@@ -6,7 +6,7 @@ use facet_hierarchies::corpus::RecipeKind;
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::eval::userstudy::{run_user_study, UserStudyConfig};
 use facet_hierarchies::ner::NerTagger;
-use facet_hierarchies::resources::{CachedResource, ContextResource, WikiGraphResource};
+use facet_hierarchies::resources::{ContextResource, WikiGraphResource};
 use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor};
 use facet_hierarchies::wikipedia::WikipediaGraph;
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use std::sync::Arc;
 fn snapshot() -> (Arc<FacetSnapshot>, usize) {
     let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
+    let graph_res = WikiGraphResource::new(&graph);
     let tagger = NerTagger::from_world(&bundle.world);
     let ne = NamedEntityExtractor::new(tagger);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];

@@ -13,7 +13,7 @@ use facet_hierarchies::core::{FacetSnapshot, PipelineOptions, ShardedFacetIndex}
 use facet_hierarchies::corpus::{Document, RecipeKind};
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::ner::NerTagger;
-use facet_hierarchies::resources::{CachedResource, ContextResource, WikiGraphResource};
+use facet_hierarchies::resources::{ContextResource, WikiGraphResource};
 use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor};
 use facet_hierarchies::wikipedia::WikipediaGraph;
 
@@ -38,7 +38,7 @@ fn readers_keep_generation_while_appends_publish_new_ones() {
         r
     });
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
+    let graph_res = WikiGraphResource::new(&graph);
     let tagger = NerTagger::from_world(&bundle.world);
     let ne = NamedEntityExtractor::new(tagger);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
@@ -108,7 +108,7 @@ fn snapshot_reads_are_stable_between_appends() {
         r
     });
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
+    let graph_res = WikiGraphResource::new(&graph);
     let tagger = NerTagger::from_world(&bundle.world);
     let ne = NamedEntityExtractor::new(tagger);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];

@@ -6,16 +6,14 @@ use facet_hierarchies::core::{FacetSnapshot, PipelineOptions, ShardedFacetIndex}
 use facet_hierarchies::corpus::RecipeKind;
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::ner::NerTagger;
-use facet_hierarchies::resources::{
-    CachedResource, ContextResource, ExpansionOptions, WikiGraphResource,
-};
+use facet_hierarchies::resources::{ContextResource, ExpansionOptions, WikiGraphResource};
 use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor};
 use facet_hierarchies::wikipedia::WikipediaGraph;
 
 fn facet_terms_with_threads(threads: usize) -> Vec<String> {
     let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
+    let graph_res = WikiGraphResource::new(&graph);
     let tagger = NerTagger::from_world(&bundle.world);
     let ne = NamedEntityExtractor::new(tagger);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
@@ -92,7 +90,7 @@ fn pipeline_outputs(
 ) -> (Vec<CandidateRow>, Vec<(String, String)>) {
     let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
+    let graph_res = WikiGraphResource::new(&graph);
     let tagger = NerTagger::from_world(&bundle.world);
     let ne = NamedEntityExtractor::new(tagger);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
@@ -159,7 +157,7 @@ fn snapshot_rows(snap: &FacetSnapshot) -> (Vec<CandidateRow>, Vec<(String, Strin
 }
 
 /// A resource wrapper that counts how many queries reach the inner
-/// resource (what a `CachedResource` is supposed to minimize).
+/// resource (what the index's expansion cache is supposed to minimize).
 struct CountedInner<'a> {
     inner: WikiGraphResource<'a>,
     queries: std::sync::atomic::AtomicUsize,
@@ -195,7 +193,7 @@ fn shard_and_thread_sweep_matches_batch_pipeline() {
         ..Default::default()
     };
 
-    let batch_res = CachedResource::new(WikiGraphResource::new(&graph));
+    let batch_res = WikiGraphResource::new(&graph);
     let batch =
         ShardedFacetIndex::build(docs.clone(), 1, vec![&ne], vec![&batch_res], options(1)).unwrap();
     let expected = snapshot_rows(&batch.snapshot());
@@ -207,7 +205,7 @@ fn shard_and_thread_sweep_matches_batch_pipeline() {
     let mut vocab_len = None;
     for n_shards in [1, 2, 3, 4, 8] {
         for threads in [1, 4] {
-            let res = CachedResource::new(WikiGraphResource::new(&graph));
+            let res = WikiGraphResource::new(&graph);
             let extractors: Vec<&dyn TermExtractor> = vec![&ne];
             let resources: Vec<&dyn ContextResource> = vec![&res];
             let mut index =
@@ -232,10 +230,10 @@ fn shard_and_thread_sweep_matches_batch_pipeline() {
 
 #[test]
 fn racing_shards_query_each_term_once() {
-    // The shared resource cache must collapse cross-shard duplicate
-    // queries: however many shards race on the same important terms, the
-    // wrapped resource answers each distinct term exactly once — the same
-    // query count a 1-shard build issues.
+    // The index's expansion cache must collapse cross-worker duplicate
+    // queries: however many workers race on the same important terms, the
+    // resource answers each distinct term exactly once — the same query
+    // count a 1-worker build issues.
     let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
     let tagger = NerTagger::from_world(&bundle.world);
@@ -251,9 +249,8 @@ fn racing_shards_query_each_term_once() {
             inner: WikiGraphResource::new(&graph),
             queries: std::sync::atomic::AtomicUsize::new(0),
         };
-        let res = CachedResource::new(&counted as &dyn ContextResource);
         let extractors: Vec<&dyn TermExtractor> = vec![&ne];
-        let resources: Vec<&dyn ContextResource> = vec![&res];
+        let resources: Vec<&dyn ContextResource> = vec![&counted];
         let index = ShardedFacetIndex::build(
             docs.clone(),
             n_shards,
@@ -307,7 +304,7 @@ fn fanout_browse_is_identical_across_shard_and_thread_sweep() {
     // One canonical answer set per (shards, threads) cell: the empty
     // query, every facet root, and a two-root conjunction.
     let answers = |n_shards: usize, threads: usize| -> Vec<String> {
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let extractors: Vec<&dyn TermExtractor> = vec![&ne];
         let resources: Vec<&dyn ContextResource> = vec![&res];
         let mut index = ShardedFacetIndex::new(n_shards, extractors, resources, options(threads));
@@ -382,12 +379,12 @@ fn persist_and_reopen_round_trip_is_bit_identical() {
     {
         let dir = test_dir("flat");
         let store = FacetStore::open(&dir).expect("open store");
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let mut live =
             ShardedFacetIndex::build(head.to_vec(), 1, vec![&ne], vec![&res], options.clone())
                 .expect("build");
         live.persist_to(&store).expect("persist");
-        let res2 = CachedResource::new(WikiGraphResource::new(&graph));
+        let res2 = WikiGraphResource::new(&graph);
         let (mut reopened, report) =
             ShardedFacetIndex::open_from(&store, 1, vec![&ne], vec![&res2], options.clone())
                 .expect("open_from");
@@ -412,12 +409,12 @@ fn persist_and_reopen_round_trip_is_bit_identical() {
     {
         let dir = test_dir("sharded");
         let store = FacetStore::open(&dir).expect("open store");
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let mut live =
             ShardedFacetIndex::build(head.to_vec(), 3, vec![&ne], vec![&res], options.clone())
                 .expect("build");
         live.persist_to(&store).expect("persist");
-        let res2 = CachedResource::new(WikiGraphResource::new(&graph));
+        let res2 = WikiGraphResource::new(&graph);
         let (mut reopened, report) =
             ShardedFacetIndex::open_from(&store, 3, vec![&ne], vec![&res2], options.clone())
                 .expect("open_from");

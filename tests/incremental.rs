@@ -14,7 +14,7 @@ use facet_hierarchies::corpus::{DatasetRecipe, Document, RecipeKind};
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::obs::Recorder;
-use facet_hierarchies::resources::{CachedResource, ContextResource, WikiGraphResource};
+use facet_hierarchies::resources::{ContextResource, WikiGraphResource};
 use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor};
 use facet_hierarchies::wikipedia::WikipediaGraph;
 
@@ -88,7 +88,7 @@ fn run_all(enabled: bool, n_batches: usize) -> (Outputs, IncrementalRun) {
     };
     let bundle = DatasetBundle::build_with(mnyt_recipe());
     let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let graph_res = CachedResource::new(WikiGraphResource::new(&graph));
+    let graph_res = WikiGraphResource::new(&graph);
     let tagger = NerTagger::from_world(&bundle.world);
     let ne = NamedEntityExtractor::new(tagger);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];

@@ -19,9 +19,7 @@ use facet_hierarchies::core::{
 use facet_hierarchies::corpus::{Document, RecipeKind};
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::ner::NerTagger;
-use facet_hierarchies::resources::{
-    CachedResource, FaultSchedule, VirtualClock, WikiGraphResource,
-};
+use facet_hierarchies::resources::{FaultSchedule, VirtualClock, WikiGraphResource};
 use facet_hierarchies::store::bytes::{ByteReader, ByteWriter};
 use facet_hierarchies::store::{
     snapshot_file_name, DiskStorage, FacetStore, FaultyStorage, Storage, StoreError, WAL_FILE,
@@ -99,7 +97,7 @@ fn recovery_matrix_converges_across_seeds_scenarios_and_shards() {
         // The reference: the same three batches applied purely in
         // memory, same topology, no store in the loop.
         let reference = {
-            let res = CachedResource::new(WikiGraphResource::new(&graph));
+            let res = WikiGraphResource::new(&graph);
             let mut idx = ShardedFacetIndex::new(n_shards, vec![&ne], vec![&res], options());
             for chunk in &chunks {
                 idx.append(chunk.clone()).expect("append");
@@ -117,7 +115,7 @@ fn recovery_matrix_converges_across_seeds_scenarios_and_shards() {
                 // byte offset where record 3's frame begins.
                 let wal_boundary = {
                     let store = FacetStore::open(&dir).expect("open store");
-                    let res = CachedResource::new(WikiGraphResource::new(&graph));
+                    let res = WikiGraphResource::new(&graph);
                     let mut live =
                         ShardedFacetIndex::new(n_shards, vec![&ne], vec![&res], options());
                     live.append_logged(chunks[0].clone(), &store)
@@ -165,7 +163,7 @@ fn recovery_matrix_converges_across_seeds_scenarios_and_shards() {
                 }
 
                 let store = FacetStore::open(&dir).expect("reopen store");
-                let res = CachedResource::new(WikiGraphResource::new(&graph));
+                let res = WikiGraphResource::new(&graph);
                 let (mut recovered, report) = ShardedFacetIndex::open_from(
                     &store,
                     n_shards,
@@ -246,7 +244,7 @@ fn recovery_extracts_only_the_wal_tail_documents() {
     for k in 0..=tail.len() {
         let dir = test_dir(&format!("tail-work-{k}"));
         let store = FacetStore::open(&dir).expect("open store");
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let mut live = ShardedFacetIndex::new(2, vec![&ne], vec![&res], options());
         for batch in archive {
             live.append_logged(batch.to_vec(), &store)
@@ -262,7 +260,7 @@ fn recovery_extracts_only_the_wal_tail_documents() {
             inner: &ne,
             calls: AtomicUsize::new(0),
         };
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let (recovered, report) =
             ShardedFacetIndex::open_from(&store, 2, vec![&counted], vec![&res], options())
                 .expect("open_from");
@@ -299,7 +297,7 @@ fn torn_wal_tail_truncates_cleanly_at_every_byte_offset() {
 
     let dir = test_dir("torn-exhaustive");
     let store = FacetStore::open(&dir).expect("open store");
-    let res = CachedResource::new(WikiGraphResource::new(&graph));
+    let res = WikiGraphResource::new(&graph);
     let mut live = ShardedFacetIndex::new(1, vec![&ne], vec![&res], options());
     live.append_logged(head.to_vec(), &store)
         .expect("append head");
@@ -308,7 +306,7 @@ fn torn_wal_tail_truncates_cleanly_at_every_byte_offset() {
         .expect("append last"); // record 2
     let digest_full = live.snapshot().digest();
     let digest_head = {
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let mut idx = ShardedFacetIndex::new(1, vec![&ne], vec![&res], options());
         idx.append(head.to_vec()).expect("append head");
         idx.snapshot().digest()
@@ -365,7 +363,7 @@ fn torn_wal_tail_truncates_cleanly_at_every_byte_offset() {
         fs::copy(dir.join(&snap_name), scratch.join(&snap_name)).expect("copy snap");
         fs::write(scratch.join(WAL_FILE), &wal[..cut]).expect("write torn wal");
         let s = FacetStore::open(&scratch).expect("open scratch");
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let (mut recovered, report) =
             ShardedFacetIndex::open_from(&s, 1, vec![&ne], vec![&res], options())
                 .expect("open_from");
@@ -426,7 +424,7 @@ fn flipped_byte_in_each_snapshot_section_falls_back_and_converges() {
     let reference_digest;
     {
         let store = FacetStore::open(&dir).expect("open store");
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let mut live = ShardedFacetIndex::new(1, vec![&ne], vec![&res], options());
         live.append_logged(chunks[0].clone(), &store)
             .expect("append");
@@ -473,7 +471,7 @@ fn flipped_byte_in_each_snapshot_section_falls_back_and_converges() {
         fs::write(scratch.join(WAL_FILE), &wal).expect("write wal");
 
         let s = FacetStore::open(&scratch).expect("open scratch");
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let (recovered, report) =
             ShardedFacetIndex::open_from(&s, 1, vec![&ne], vec![&res], options())
                 .unwrap_or_else(|e| panic!("section {name}: fallback recovery failed: {e}"));
@@ -511,7 +509,7 @@ fn version_one_snapshot_is_refused_as_corrupt_meta() {
 
     let dir = test_dir("v1-source");
     let store = FacetStore::open(&dir).expect("open store");
-    let res = CachedResource::new(WikiGraphResource::new(&graph));
+    let res = WikiGraphResource::new(&graph);
     let live = ShardedFacetIndex::build(docs, 1, vec![&ne], vec![&res], options()).expect("build");
     live.persist_to(&store).expect("persist");
     let mut payload = store.recover().expect("recover").snapshot;
@@ -539,7 +537,7 @@ fn version_one_snapshot_is_refused_as_corrupt_meta() {
     old_store
         .publish_snapshot(&payload)
         .expect("publish v1 snapshot");
-    let res = CachedResource::new(WikiGraphResource::new(&graph));
+    let res = WikiGraphResource::new(&graph);
     match ShardedFacetIndex::open_from(&old_store, 1, vec![&ne], vec![&res], options()) {
         Err(StoreError::CorruptSection { section }) => assert_eq!(section, "meta"),
         Err(e) => panic!("a version-1 snapshot must be refused as corrupt meta, got: {e}"),
@@ -566,7 +564,7 @@ fn snapshot_reopens_at_another_worker_count() {
     for (n, m) in [(1, 3), (2, 1), (4, 2)] {
         let dir = test_dir(&format!("workers-{n}-{m}"));
         let store = FacetStore::open(&dir).expect("open store");
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let mut live = ShardedFacetIndex::new(n, vec![&ne], vec![&res], options());
         live.append_logged(chunks[0].clone(), &store)
             .expect("append");
@@ -574,7 +572,7 @@ fn snapshot_reopens_at_another_worker_count() {
         live.append_logged(chunks[1].clone(), &store)
             .expect("append");
 
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let (mut reopened, report) =
             ShardedFacetIndex::open_from(&store, m, vec![&ne], vec![&res], options())
                 .unwrap_or_else(|e| panic!("{n} → {m} workers: {e}"));
@@ -669,7 +667,7 @@ fn shard_sources_breaking_the_rebuild_are_refused_as_corrupt() {
 
     let dir = test_dir("sources-source");
     let store = FacetStore::open(&dir).expect("open store");
-    let res = CachedResource::new(WikiGraphResource::new(&graph));
+    let res = WikiGraphResource::new(&graph);
     let live = ShardedFacetIndex::build(docs, 2, vec![&ne], vec![&res], options()).expect("build");
     live.persist_to(&store).expect("persist");
     let payload = store.recover().expect("recover").snapshot;
@@ -773,7 +771,7 @@ fn shard_sources_breaking_the_rebuild_are_refused_as_corrupt() {
         bad_store
             .publish_snapshot(&bad)
             .expect("publish damaged snapshot");
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         match ShardedFacetIndex::open_from(&bad_store, 2, vec![&ne], vec![&res], options()) {
             Err(StoreError::CorruptSection { section: got }) => assert_eq!(got, refused, "{what}"),
             Err(e) => panic!("{what}: expected corrupt {refused}, got: {e}"),
@@ -800,7 +798,7 @@ fn seeded_storage_faults_lose_only_unacknowledged_batches() {
         .map(<[Document]>::to_vec)
         .collect();
     let reference_digest = {
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let mut idx = ShardedFacetIndex::new(1, vec![&ne], vec![&res], options());
         for chunk in &chunks {
             idx.append(chunk.clone()).expect("append");
@@ -819,7 +817,7 @@ fn seeded_storage_faults_lose_only_unacknowledged_batches() {
         {
             let store =
                 FacetStore::open_with(faulty.clone() as Arc<dyn Storage>).expect("open store");
-            let res = CachedResource::new(WikiGraphResource::new(&graph));
+            let res = WikiGraphResource::new(&graph);
             let mut live = ShardedFacetIndex::new(1, vec![&ne], vec![&res], options());
             live.append_logged(chunks[0].clone(), &store)
                 .expect("append");
@@ -839,8 +837,8 @@ fn seeded_storage_faults_lose_only_unacknowledged_batches() {
         // The post-crash process sees plain disk storage — the damage is
         // only discoverable through checksums.
         let store = FacetStore::open(&dir).expect("reopen store");
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
-        let res_fallback = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
+        let res_fallback = WikiGraphResource::new(&graph);
         let mut recovered =
             match ShardedFacetIndex::open_from(&store, 1, vec![&ne], vec![&res], options()) {
                 Ok((idx, report)) => {
@@ -888,7 +886,7 @@ fn seeded_storage_faults_lose_only_unacknowledged_batches() {
             "seed={seed:x}: retried recovery diverged"
         );
         recovered.persist_to(&store).expect("persist recovered");
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let (reopened, report) =
             ShardedFacetIndex::open_from(&store, 1, vec![&ne], vec![&res], options())
                 .expect("clean reopen");
@@ -922,7 +920,7 @@ fn server_reopen_serves_store_recovered_state() {
     let dir = test_dir("serve-reopen");
     let store = FacetStore::open(&dir).expect("open store");
     {
-        let res = CachedResource::new(WikiGraphResource::new(&graph));
+        let res = WikiGraphResource::new(&graph);
         let mut writer = ShardedFacetIndex::new(2, vec![&ne], vec![&res], options());
         writer
             .append_logged(chunks[0].clone(), &store)
@@ -936,8 +934,8 @@ fn server_reopen_serves_store_recovered_state() {
             .expect("append");
     }
 
-    let res_old = CachedResource::new(WikiGraphResource::new(&graph));
-    let res_rec = CachedResource::new(WikiGraphResource::new(&graph));
+    let res_old = WikiGraphResource::new(&graph);
+    let res_rec = WikiGraphResource::new(&graph);
     let mut old = ShardedFacetIndex::new(2, vec![&ne], vec![&res_old], options());
     old.append(chunks[0].clone()).expect("append");
     let (recovered, report) =

@@ -9,8 +9,8 @@ use facet_hierarchies::corpus::RecipeKind;
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::resources::{
-    CachedResource, ContextResource, ExpansionOptions, FaultPlan, FaultyResource, VirtualClock,
-    WikiGraphResource, WordNetHypernymsResource,
+    ContextResource, ExpansionOptions, FaultPlan, FaultyResource, VirtualClock, WikiGraphResource,
+    WordNetHypernymsResource,
 };
 use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor};
 use facet_hierarchies::wikipedia::WikipediaGraph;
@@ -47,7 +47,7 @@ fn root_queries(server: &FacetServer<'_>, n: usize) -> Vec<String> {
 fn cached_browse_is_byte_identical_to_uncached_across_appends() {
     let b = bundle();
     let graph = WikipediaGraph::new(&b.wiki.wiki, &b.wiki.redirects);
-    let res = CachedResource::new(WikiGraphResource::new(&graph));
+    let res = WikiGraphResource::new(&graph);
     let tagger = NerTagger::from_world(&b.world);
     let ne = NamedEntityExtractor::new(tagger);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
@@ -92,7 +92,7 @@ fn cached_browse_is_byte_identical_to_uncached_across_appends() {
 fn append_generation_bump_invalidates_the_signature_cache() {
     let b = bundle();
     let graph = WikipediaGraph::new(&b.wiki.wiki, &b.wiki.redirects);
-    let res = CachedResource::new(WikiGraphResource::new(&graph));
+    let res = WikiGraphResource::new(&graph);
     let tagger = NerTagger::from_world(&b.world);
     let ne = NamedEntityExtractor::new(tagger);
     let extractors: Vec<&dyn TermExtractor> = vec![&ne];
