@@ -1,5 +1,6 @@
 //! Pipeline configuration.
 
+use crate::index::IndexError;
 use facet_resources::ExpansionOptions;
 
 /// Options for the end-to-end facet pipeline.
@@ -29,6 +30,28 @@ impl Default for PipelineOptions {
     }
 }
 
+impl PipelineOptions {
+    /// Check that a pipeline can run with these options: the subsumption
+    /// threshold is a number in (0, 1]. An append checks this before it
+    /// ingests anything, and a restore refuses a snapshot whose `meta`
+    /// section fails it.
+    ///
+    /// # Errors
+    /// [`IndexError::InvalidOptions`] naming the first bad option.
+    pub fn validate(&self) -> Result<(), IndexError> {
+        let t = self.subsumption_threshold;
+        if t > 0.0 && t <= 1.0 {
+            Ok(())
+        } else {
+            Err(IndexError::InvalidOptions {
+                option: "subsumption_threshold",
+                value: t.to_string(),
+                expected: "a number in (0, 1]",
+            })
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -38,5 +61,35 @@ mod tests {
         let o = PipelineOptions::default();
         assert!(o.top_k > 0);
         assert!(o.subsumption_threshold > 0.5 && o.subsumption_threshold <= 1.0);
+        assert_eq!(o.validate(), Ok(()));
+    }
+
+    #[test]
+    fn thresholds_outside_the_unit_interval_are_rejected() {
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.5, 1.5] {
+            let o = PipelineOptions {
+                subsumption_threshold: t,
+                ..Default::default()
+            };
+            let err = o.validate().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    IndexError::InvalidOptions {
+                        option: "subsumption_threshold",
+                        ..
+                    }
+                ),
+                "{t}: {err:?}"
+            );
+            assert!(err.to_string().contains("subsumption_threshold"), "{err}");
+        }
+        for t in [f64::MIN_POSITIVE, 0.5, 1.0] {
+            let o = PipelineOptions {
+                subsumption_threshold: t,
+                ..Default::default()
+            };
+            assert_eq!(o.validate(), Ok(()), "{t}");
+        }
     }
 }

@@ -41,6 +41,17 @@ pub enum IndexError {
         /// The stale generation the recovered index carries.
         recovered: u64,
     },
+    /// The index's [`crate::PipelineOptions`] hold a value no pipeline
+    /// can run with (see [`crate::PipelineOptions::validate`]). Checked
+    /// before anything is ingested or logged.
+    InvalidOptions {
+        /// The option's field name.
+        option: &'static str,
+        /// Its value, as written by `Display`.
+        value: String,
+        /// The values it may take.
+        expected: &'static str,
+    },
 }
 
 impl std::fmt::Display for IndexError {
@@ -56,6 +67,14 @@ impl std::fmt::Display for IndexError {
                 "reopen rejected: recovered generation {recovered} is older than \
                  the published generation {published}"
             ),
+            IndexError::InvalidOptions {
+                option,
+                value,
+                expected,
+            } => write!(
+                f,
+                "invalid pipeline options: {option} is {value}, expected {expected}"
+            ),
         }
     }
 }
@@ -65,7 +84,7 @@ impl std::error::Error for IndexError {
         match self {
             IndexError::Expansion(e) => Some(e),
             IndexError::Store(e) => Some(e),
-            IndexError::StaleReopen { .. } => None,
+            IndexError::StaleReopen { .. } | IndexError::InvalidOptions { .. } => None,
         }
     }
 }

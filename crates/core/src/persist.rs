@@ -318,6 +318,7 @@ fn dec_meta(r: &mut ByteReader<'_>, expansion: &ExpansionOptions) -> Option<Meta
         subsumption_threshold: r.f64()?,
         min_df_c: r.u64()?,
     };
+    options.validate().ok()?;
     let terming = TermingOptions {
         bigrams: r.u8()? != 0,
         min_len: r.u64()? as usize,
@@ -589,6 +590,8 @@ impl<'a> ShardedFacetIndex<'a> {
     /// to a state that includes every acknowledged batch.
     ///
     /// # Errors
+    /// [`IndexError::InvalidOptions`] before anything is logged if the
+    /// index's options fail [`PipelineOptions::validate`];
     /// [`IndexError::Store`] if the WAL write fails (the batch was not
     /// applied), or any [`IndexError`] from the append itself (the
     /// record is durable; recovery replays it from the last snapshot).
@@ -597,6 +600,7 @@ impl<'a> ShardedFacetIndex<'a> {
         batch: Vec<Document>,
         store: &FacetStore,
     ) -> Result<AppendStats, IndexError> {
+        self.options.validate()?;
         let record = encode(|w| {
             w.u8(RECORD_APPEND);
             enc_docs(w, &batch);
@@ -1119,5 +1123,71 @@ mod tests {
             std::fs::remove_dir_all(&dir).ok();
         }
         assert!(repaired > 0 && published > 0, "{repaired} {published}");
+    }
+
+    /// A checksum-valid snapshot whose `meta` section holds a subsumption
+    /// threshold outside (0, 1] is refused as a corrupt `meta` section,
+    /// and an index built with such a threshold refuses `append` and
+    /// `append_logged` with a typed error before it ingests or logs
+    /// anything.
+    #[test]
+    fn thresholds_outside_the_unit_interval_are_refused() {
+        let e = FixedExtractor;
+        let r = CountingResource::new();
+        let mut live = ShardedFacetIndex::new(1, vec![&e], vec![&r], options());
+        live.append(corpus(8)).unwrap();
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.25, 1.5] {
+            let bad = PipelineOptions {
+                subsumption_threshold: t,
+                ..options()
+            };
+            let dir = test_dir("threshold");
+            let store = FacetStore::open(&dir).unwrap();
+            let mut payload = encode_index(&live);
+            let meta = Meta {
+                generation: live.generation,
+                statistic: live.statistic,
+                options: bad.clone(),
+                terming: live.db.options().clone(),
+                n_docs: live.len() as u64,
+            };
+            for (name, bytes) in &mut payload.sections {
+                if name == "meta" {
+                    *bytes = encode(|w| enc_meta(w, &meta));
+                }
+            }
+            store.publish_snapshot(&payload).unwrap();
+            let restored = ShardedFacetIndex::open_from(&store, 1, vec![&e], vec![&r], options());
+            assert!(
+                matches!(&restored, Err(StoreError::CorruptSection { section }) if section == "meta"),
+                "threshold {t}: {:?}",
+                restored.err()
+            );
+
+            let mut index = ShardedFacetIndex::new(2, vec![&e], vec![&r], bad);
+            let before = index.snapshot();
+            for logged in [false, true] {
+                let err = if logged {
+                    index.append_logged(corpus(8), &store)
+                } else {
+                    index.append(corpus(8))
+                }
+                .unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        IndexError::InvalidOptions {
+                            option: "subsumption_threshold",
+                            ..
+                        }
+                    ),
+                    "threshold {t}: {err:?}"
+                );
+                assert_eq!((index.len(), index.generation), (0, 0), "threshold {t}");
+                assert!(std::sync::Arc::ptr_eq(&before, &index.snapshot()));
+            }
+            assert!(store.recover().unwrap().tail.is_empty(), "nothing logged");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -21,25 +21,29 @@
 //! append as stages over the batch, on `workers` threads where the work
 //! is per document:
 //!
-//! 1. **Extract (parallel).** In windows of `WINDOW_DOCS` (256) documents,
-//!    each worker takes a contiguous slice of the window and computes,
-//!    per document, its counted term strings ([`term_strings`]) and,
-//!    unless the caller supplied it, its `I(d)` from the configured
-//!    extractors. Workers touch no index state.
-//! 2. **Ingest (serial).** The window's term strings are interned into
-//!    the vocabulary in document order and each document's row appended
-//!    to `D`'s term rows, delta-updating `df`; windowing bounds the
-//!    strings held at once. After the last window the batch's `I(d)`
-//!    lists are interned, in document order. The documents themselves are
-//!    dropped here: no later step reads their text, so the index keeps
-//!    none of it, and the caller owns it
-//!    ([`ShardedFacetIndex::append_logged`] keeps each batch in the WAL
-//!    until the oldest retained snapshot covers it).
-//! 3. **Expand.** Important terms the cache has not seen are resolved on
-//!    `workers` threads, each term by one query per resource; their
-//!    context terms are interned serially in id order, and each new
-//!    document's contextualized row is appended, delta-updating `df_C`
-//!    and the postings.
+//! 1. **Extract (parallel).** The appending thread and `workers - 1`
+//!    scoped threads claim runs of `RUN_DOCS` (4) documents, in batch
+//!    order, from one cursor and compute, per document, its counted term
+//!    strings ([`term_strings`]) and, unless the caller supplied it, its
+//!    `I(d)` from the configured extractors. Extraction touches no index
+//!    state, and each document is dropped once extracted: no later step
+//!    reads its text, so the index keeps none of it, and the caller owns
+//!    it ([`ShardedFacetIndex::append_logged`] keeps each batch in the
+//!    WAL until the oldest retained snapshot covers it).
+//! 2. **Ingest (serial, overlapped).** Once a window of `WINDOW_DOCS`
+//!    (256) documents is extracted, the appending thread interns its term
+//!    strings into the vocabulary in document order and appends each
+//!    document's row to `D`'s term rows, delta-updating `df`, while the
+//!    workers extract the next window; then it claims runs again. Claims
+//!    stop two windows past what is ingested, so at most two windows of
+//!    term strings are held. After the last window the batch's `I(d)`
+//!    lists are interned, in document order.
+//! 3. **Expand.** Important terms the cache has not seen are resolved by
+//!    the appending thread and `workers - 1` scoped threads, each
+//!    claiming runs of terms from one cursor, each term by one query per
+//!    resource; their context terms are interned serially in id order,
+//!    and each new document's contextualized row is appended,
+//!    delta-updating `df_C` and the postings.
 //! 4. **Publish.** Steps 3–4 cost what the batch changed. Selection
 //!    keeps a `CandidateSet` across appends: both frequency histograms
 //!    and the set of terms with `Shift_f > 0`. A publish moves the terms
@@ -65,7 +69,7 @@
 //!
 //! Interning happens on one thread in one order — a batch's corpus terms,
 //! then its `I(d)` lists, then its new context terms — so no term id
-//! depends on the worker count.
+//! depends on the worker count or on which participant claimed what.
 //!
 //! **Equivalence invariant:** for every worker count and batch partition
 //! of the corpus, the published snapshot is string-identical — facet
@@ -92,18 +96,24 @@ use crate::selection::{rank_stable, CandidateSet, SelectionInputs, SelectionStat
 use crate::subsumption::{choose_parents_scanned, CoCounts, RangeCounts, SubsumptionParams};
 use facet_corpus::db::{term_strings, DocTerms, TermStrings, TermingOptions};
 use facet_corpus::Document;
-use facet_obs::{Recorder, SpanContext};
+use facet_obs::Recorder;
 use facet_resources::{
     expand_append_recorded, intern_important_terms, repair_degraded_recorded, ContextResource,
     ContextualizedDatabase, ExpansionCache, ExpansionOptions,
 };
 use facet_termx::{extract_important_terms, TermExtractor};
 use facet_textkit::{InternStats, RowStore, TermId, Vocabulary};
+use parking_lot::{Condvar, Mutex};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Documents per extraction window: the extract stage holds the term
-/// strings of at most this many documents before ingest interns them.
+/// Documents per window: ingest takes the extract stage's output a window
+/// at a time, and the stage holds the term strings of at most two.
 pub(crate) const WINDOW_DOCS: usize = 256;
+
+/// Documents a participant of the extract stage claims at a time.
+const RUN_DOCS: usize = 4;
+const _: () = assert!(WINDOW_DOCS.is_multiple_of(RUN_DOCS));
 
 /// One document's extract-stage output: its counted term strings, and
 /// its `I(d)` (empty when the caller supplied the lists).
@@ -255,9 +265,10 @@ impl<'a> ShardedFacetIndex<'a> {
     }
 
     /// Attach an observability recorder. Appends record `append.*` spans
-    /// (`extract` per worker and window — the workers run on their own
-    /// threads and carry the full dotted name — then `ingest`, `expand`,
-    /// `freeze`, `select`, `subsumption` and `swap`) and counters
+    /// (`extract` per window on the appending thread and once per worker
+    /// — the workers run on their own threads and carry the full dotted
+    /// name — `ingest` per window and once for the `I(d)` lists, then
+    /// `expand`, `freeze`, `select`, `subsumption` and `swap`) and counters
     /// (`append.docs`, `append.new_distinct_terms`,
     /// `append.reused_terms`, `append.snapshot_swaps`).
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
@@ -343,7 +354,10 @@ impl<'a> ShardedFacetIndex<'a> {
     /// index keeps the documents' counted terms, not the documents.
     ///
     /// # Errors
-    /// Returns [`IndexError`] if the expansion state is corrupted. The
+    /// [`IndexError::InvalidOptions`] if the index's options fail
+    /// [`PipelineOptions::validate`]; nothing is ingested, so the length,
+    /// generation and published snapshot are unchanged. Otherwise
+    /// [`IndexError`] if the expansion state is corrupted. The
     /// published snapshot is left untouched, so a serving process can
     /// keep answering from the previous generation; the index itself
     /// should be discarded, since it may have ingested documents it
@@ -401,6 +415,7 @@ impl<'a> ShardedFacetIndex<'a> {
         important: Option<Vec<Vec<String>>>,
         generation: u64,
     ) -> Result<AppendStats, IndexError> {
+        self.options.validate()?;
         // The span guard borrows its recorder; a clone (one `Arc` bump)
         // leaves `self` free for the stages below.
         let recorder = self.recorder.clone();
@@ -415,25 +430,41 @@ impl<'a> ShardedFacetIndex<'a> {
         let start = self.db.len();
         let docs = batch.len();
 
-        // ---- extract (parallel) and ingest (serial), window by window ---
+        // ---- extract (claimed runs) and ingest (in order), pipelined -----
         let extract = important.is_none();
         let mut lists = important.unwrap_or_else(|| Vec::with_capacity(docs));
-        let mut batch = batch.into_iter();
-        loop {
-            let window: Vec<Document> = batch.by_ref().take(WINDOW_DOCS).collect();
-            if window.is_empty() {
-                break;
+        let terming = self.db.options().clone();
+        let stage = ExtractStage::new(batch, &self.extractors, &terming, extract);
+        rayon::scope(|s| {
+            let _unwind = WakeOnUnwind(&stage);
+            for _ in 1..workers.min(docs) {
+                let (stage, recorder) = (&stage, &recorder);
+                // A worker thread has a fresh span stack: its span carries
+                // the full dotted name and the captured trace parent.
+                s.spawn(move |_| {
+                    let span = recorder.span_under(trace_parent, "append.extract");
+                    span.attr("docs", stage.work());
+                });
             }
-            let termed = self.extract_window(&window, extract, workers, trace_parent);
-            drop(window);
-            let _span = recorder.span("ingest");
-            for (terms, found) in termed {
-                self.db.push(&terms, &mut self.vocab);
-                if extract {
-                    lists.push(found);
+            for start in (0..docs).step_by(WINDOW_DOCS) {
+                let end = (start + WINDOW_DOCS).min(docs);
+                let window = {
+                    let _span = recorder.span("extract");
+                    stage.take_window(start, end)
+                };
+                // `None`: a worker unwound, and the scope re-raises its
+                // panic as it exits.
+                let Some(window) = window else { break };
+                let _span = recorder.span("ingest");
+                for (terms, found) in window {
+                    self.db.push(&terms, &mut self.vocab);
+                    if extract {
+                        lists.push(found);
+                    }
                 }
+                stage.ingested(end);
             }
-        }
+        });
         let new_important = {
             let _span = recorder.span("ingest");
             intern_important_terms(&mut self.vocab, &lists)
@@ -487,51 +518,6 @@ impl<'a> ShardedFacetIndex<'a> {
             resource_queries,
             generation: self.generation,
         })
-    }
-
-    /// The extract stage over one window: per document, its counted term
-    /// strings and, when `extract`, its `I(d)`, in window order. The
-    /// window is cut into `workers` contiguous slices; the first runs on
-    /// this thread, the rest on scoped worker threads, each under an
-    /// `append.extract` span.
-    fn extract_window(
-        &self,
-        window: &[Document],
-        extract: bool,
-        workers: usize,
-        trace_parent: Option<SpanContext>,
-    ) -> Vec<Termed> {
-        let mut termed: Vec<Termed> = Vec::new();
-        termed.resize_with(window.len(), Default::default);
-        let extractors = &self.extractors;
-        let terming = self.db.options();
-        let recorder = &self.recorder;
-        let work = |docs: &[Document], out: &mut [Termed], parent, span: &str| {
-            let _span = recorder.span_under(parent, span);
-            _span.attr("docs", docs.len() as u64);
-            for (d, slot) in docs.iter().zip(out) {
-                let text = d.full_text();
-                if extract {
-                    slot.1 = extract_important_terms(extractors, &text);
-                }
-                slot.0 = term_strings(&text, terming);
-            }
-        };
-        let per = window.len().div_ceil(workers).max(1);
-        rayon::scope(|s| {
-            let mut parts = window.chunks(per).zip(termed.chunks_mut(per));
-            let first = parts.next();
-            for (docs, out) in parts {
-                let work = &work;
-                // A worker thread has a fresh span stack: its span carries
-                // the full dotted name and the captured trace parent.
-                s.spawn(move |_| work(docs, out, trace_parent, "append.extract"));
-            }
-            if let Some((docs, out)) = first {
-                work(docs, out, None, "extract");
-            }
-        });
-        termed
     }
 
     /// Backfill pass over degraded-coverage terms: re-query exactly the
@@ -731,6 +717,172 @@ impl<'a> ShardedFacetIndex<'a> {
         });
         counts.absorb(ranges.into_iter().flatten().collect());
         counts
+    }
+}
+
+/// The extract stage of one append, shared by its participants: the
+/// appending thread and the scoped workers. Each participant claims runs
+/// of [`RUN_DOCS`] documents, in batch order, and extracts them; the
+/// appending thread also takes each window once all of it is extracted,
+/// and ingests it while the workers go on. Claims stop two windows past
+/// what is ingested, so at most two windows of term strings are held.
+struct ExtractStage<'s> {
+    claims: Mutex<Claims>,
+    /// Signalled when a run is extracted, a window is ingested or a
+    /// participant unwinds.
+    changed: Condvar,
+    extractors: &'s [&'s dyn TermExtractor],
+    terming: &'s TermingOptions,
+    /// Whether to compute `I(d)`, or only the counted terms.
+    extract: bool,
+}
+
+/// What the participants of an [`ExtractStage`] share under its lock.
+struct Claims {
+    /// The documents no participant has claimed, in batch order; a
+    /// document is dropped once it is extracted.
+    unclaimed: std::vec::IntoIter<Document>,
+    /// The batch position of the next unclaimed document.
+    next: usize,
+    /// The documents ingested so far: a window boundary.
+    ingested: usize,
+    /// Extracted runs not yet taken by ingest, by their first position.
+    extracted: BTreeMap<usize, Vec<Termed>>,
+    /// A participant unwound: nobody waits for its run any more.
+    abandoned: bool,
+}
+
+impl<'s> ExtractStage<'s> {
+    fn new(
+        batch: Vec<Document>,
+        extractors: &'s [&'s dyn TermExtractor],
+        terming: &'s TermingOptions,
+        extract: bool,
+    ) -> Self {
+        Self {
+            claims: Mutex::new(Claims {
+                unclaimed: batch.into_iter(),
+                next: 0,
+                ingested: 0,
+                extracted: BTreeMap::new(),
+                abandoned: false,
+            }),
+            changed: Condvar::new(),
+            extractors,
+            terming,
+            extract,
+        }
+    }
+
+    /// Claim the next run, unless every document is claimed or the next
+    /// one lies two windows past ingest. A run never crosses a window
+    /// boundary: [`RUN_DOCS`] divides [`WINDOW_DOCS`].
+    fn claim(claims: &mut Claims) -> Option<(usize, Vec<Document>)> {
+        if claims.next == claims.ingested + 2 * WINDOW_DOCS {
+            return None;
+        }
+        let run: Vec<Document> = claims.unclaimed.by_ref().take(RUN_DOCS).collect();
+        if run.is_empty() {
+            return None;
+        }
+        let start = claims.next;
+        claims.next += run.len();
+        Some((start, run))
+    }
+
+    /// Extract a claimed run, per document its counted term strings and,
+    /// when `extract`, its `I(d)`, and hand it to ingest. Returns the
+    /// documents extracted.
+    fn extract_run(&self, (start, run): (usize, Vec<Document>)) -> u64 {
+        let termed: Vec<Termed> = run
+            .into_iter()
+            .map(|d| {
+                let text = d.full_text();
+                let found = if self.extract {
+                    extract_important_terms(self.extractors, &text)
+                } else {
+                    Vec::new()
+                };
+                (term_strings(&text, self.terming), found)
+            })
+            .collect();
+        let n = termed.len() as u64;
+        self.claims.lock().extracted.insert(start, termed);
+        self.changed.notify_all();
+        n
+    }
+
+    /// A worker: claim and extract runs until none is left. Returns the
+    /// documents it extracted.
+    fn work(&self) -> u64 {
+        let _unwind = WakeOnUnwind(self);
+        let mut done = 0;
+        loop {
+            let run = {
+                let mut claims = self.claims.lock();
+                loop {
+                    if claims.abandoned {
+                        return done;
+                    }
+                    if let Some(run) = Self::claim(&mut claims) {
+                        break run;
+                    }
+                    if claims.unclaimed.len() == 0 {
+                        return done;
+                    }
+                    self.changed.wait(&mut claims);
+                }
+            };
+            done += self.extract_run(run);
+        }
+    }
+
+    /// The appending thread's side: extract runs until the documents
+    /// `start..end` (one window) are all extracted, then take them, in
+    /// batch order. `None` if another participant unwound.
+    fn take_window(&self, start: usize, end: usize) -> Option<Vec<Termed>> {
+        loop {
+            let run = {
+                let mut claims = self.claims.lock();
+                loop {
+                    if claims.abandoned {
+                        return None;
+                    }
+                    let ready: usize = claims.extracted.range(..end).map(|(_, r)| r.len()).sum();
+                    if ready == end - start {
+                        let later = claims.extracted.split_off(&end);
+                        let window = std::mem::replace(&mut claims.extracted, later);
+                        return Some(window.into_values().flatten().collect());
+                    }
+                    if let Some(run) = Self::claim(&mut claims) {
+                        break run;
+                    }
+                    self.changed.wait(&mut claims);
+                }
+            };
+            self.extract_run(run);
+        }
+    }
+
+    /// Record that the documents before `end` are ingested, which lets
+    /// claims run up to two windows past it.
+    fn ingested(&self, end: usize) {
+        self.claims.lock().ingested = end;
+        self.changed.notify_all();
+    }
+}
+
+/// Marks its stage abandoned if the participant holding it unwinds, so
+/// no other participant waits for a run that will never come; the scope
+/// then propagates the panic.
+struct WakeOnUnwind<'g, 's>(&'g ExtractStage<'s>);
+
+impl Drop for WakeOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.claims.lock().abandoned = true;
+            self.0.changed.notify_all();
+        }
     }
 }
 
@@ -935,6 +1087,158 @@ pub(crate) mod tests {
         }
     }
 
+    /// Reports every `tag<n>` word of a text: many distinct terms, each
+    /// recurring in later windows.
+    struct TagExtractor;
+    impl TermExtractor for TagExtractor {
+        fn name(&self) -> &'static str {
+            "Tag"
+        }
+        fn extract(&self, text: &str) -> Vec<String> {
+            text.split(|c: char| !c.is_alphanumeric())
+                .filter(|w| w.starts_with("tag"))
+                .map(str::to_string)
+                .collect()
+        }
+    }
+
+    /// Answers every term with a context term of its own and one of five
+    /// groups, and counts the queries per term.
+    struct TallyResource {
+        name: &'static str,
+        queries: Mutex<BTreeMap<String, usize>>,
+    }
+    impl TallyResource {
+        fn new(name: &'static str) -> Self {
+            Self {
+                name,
+                queries: Mutex::new(BTreeMap::new()),
+            }
+        }
+    }
+    impl ContextResource for TallyResource {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+        fn context_terms(&self, term: &str) -> Vec<String> {
+            *self.queries.lock().entry(term.to_string()).or_default() += 1;
+            vec![
+                format!("{} on {term}", self.name),
+                format!("{} group {}", self.name, term.len() % 5),
+            ]
+        }
+    }
+
+    /// Documents whose `tag` words recur across windows: document `i`
+    /// names `tag<i mod 97>` and `tag<7i mod 131>`.
+    fn tagged_corpus(n: usize) -> Vec<Document> {
+        (0..n)
+            .map(|i| Document {
+                id: DocId(i as u32),
+                source: 0,
+                day: 0,
+                title: format!("Story {}", i % 11),
+                text: format!("Notes on tag{} and tag{} today.", i % 97, i * 7 % 131),
+            })
+            .collect()
+    }
+
+    /// Around and across window boundaries, every worker count interns
+    /// the vocabulary, fills `D` and `I(d)` and persists the snapshot
+    /// bytes that one worker does, and asks each resource once per
+    /// distinct term, terms recurring in later windows included.
+    #[test]
+    fn pipeline_matches_one_worker_at_window_boundaries() {
+        let e = TagExtractor;
+        for n in [1, 255, 256, 257, 513, 1283] {
+            let docs = tagged_corpus(n);
+            let mut distinct: Vec<String> = docs
+                .iter()
+                .flat_map(|d| e.extract(&d.full_text()))
+                .collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let build = |workers: usize| {
+                let (a, b) = (TallyResource::new("A"), TallyResource::new("B"));
+                let index = ShardedFacetIndex::build(
+                    docs.clone(),
+                    workers,
+                    vec![&e],
+                    vec![&a, &b],
+                    with_threads(workers),
+                )
+                .unwrap();
+                for r in [&a, &b] {
+                    let queries = r.queries.lock();
+                    assert!(
+                        queries.keys().eq(distinct.iter()) && queries.values().all(|&q| q == 1),
+                        "{n} docs, {workers} workers, resource {}: {queries:?}",
+                        r.name
+                    );
+                }
+                let vocab: Vec<(TermId, String)> = index
+                    .vocab
+                    .iter()
+                    .map(|(t, s)| (t, s.to_string()))
+                    .collect();
+                let dir = std::env::temp_dir().join(format!(
+                    "facet-core-shard-pipeline-{}-{n}-{workers}",
+                    std::process::id()
+                ));
+                std::fs::remove_dir_all(&dir).ok();
+                let store = facet_store::FacetStore::open(&dir).unwrap();
+                let generation = index.persist_to(&store).unwrap();
+                let bytes =
+                    std::fs::read(dir.join(facet_store::snapshot_file_name(generation))).unwrap();
+                std::fs::remove_dir_all(&dir).ok();
+                (
+                    vocab,
+                    index.db.rows().clone(),
+                    index.important.clone(),
+                    bytes,
+                )
+            };
+            let one = build(1);
+            assert_eq!(one.1.len(), n);
+            for workers in 2..=4 {
+                let other = build(workers);
+                assert!(other.0 == one.0, "{n} docs, {workers} workers: vocabulary");
+                assert!(other.1 == one.1, "{n} docs, {workers} workers: D rows");
+                assert!(other.2 == one.2, "{n} docs, {workers} workers: I(d) rows");
+                assert!(
+                    other.3 == one.3,
+                    "{n} docs, {workers} workers: snapshot bytes"
+                );
+            }
+        }
+    }
+
+    /// A panicking extractor fails the append with its panic, at every
+    /// worker count, on the appending thread or a worker: no participant
+    /// is left waiting for a run that never comes.
+    #[test]
+    fn extractor_panic_propagates_instead_of_hanging() {
+        struct Fails;
+        impl TermExtractor for Fails {
+            fn name(&self) -> &'static str {
+                "Fails"
+            }
+            fn extract(&self, text: &str) -> Vec<String> {
+                assert!(!text.contains("tag13 "), "hostile document");
+                Vec::new()
+            }
+        }
+        let e = Fails;
+        for workers in 1..=4 {
+            let r = CountingResource::new();
+            let mut index = ShardedFacetIndex::new(workers, vec![&e], vec![&r], options());
+            let appended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                index.append(tagged_corpus(3 * WINDOW_DOCS))
+            }));
+            assert!(appended.is_err(), "{workers} workers");
+        }
+    }
+
     /// The publish path's scan, split over 1–4 workers, builds the table
     /// one serial scan builds, over more rows than one chunk holds.
     #[test]
@@ -1132,8 +1436,8 @@ pub(crate) mod tests {
             .iter()
             .find(|s| s.name == "append" && s.parent.is_none())
             .expect("append root span");
-        // The first of three slices runs on the appending thread, the
-        // other two on workers.
+        // Three participants: the appending thread and two workers, each
+        // worker under one span.
         let workers: Vec<_> = t
             .spans
             .iter()

@@ -18,7 +18,7 @@ use facet_wikipedia::{
     build_wikipedia, TitleIndex, WikiBundle, WikipediaConfig, WikipediaGraph, WikipediaSynonyms,
 };
 use facet_wordnet::{build_wordnet, WordNet};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Everything needed to evaluate one dataset.
 pub struct DatasetBundle {
@@ -279,6 +279,25 @@ pub fn run_grid(bundle: &mut DatasetBundle, options: &GridOptions) -> Vec<GridCe
     };
     let base_resources: Vec<&dyn ContextResource> =
         tables.iter().map(|t| t as &dyn ContextResource).collect();
+    // The "All" column's I(d): per document, the three extractors' terms
+    // in first-seen order.
+    let union: Vec<Vec<String>> = (0..bundle.corpus.db.len())
+        .map(|d| {
+            let mut seen: HashSet<&str> = HashSet::new();
+            per_extractor
+                .iter()
+                .flat_map(|ex| &ex[d])
+                .filter(|t| seen.insert(t.as_str()))
+                .cloned()
+                .collect()
+        })
+        .collect();
+    let columns: [&Vec<Vec<String>>; 4] = [
+        &per_extractor[0],
+        &per_extractor[1],
+        &per_extractor[2],
+        &union,
+    ];
 
     let mut cells = Vec::with_capacity(20);
     for (ri, r_label) in RESOURCE_LABELS.iter().enumerate() {
@@ -287,25 +306,8 @@ pub fn run_grid(bundle: &mut DatasetBundle, options: &GridOptions) -> Vec<GridCe
         } else {
             base_resources.clone()
         };
-        for (ei, e_label) in EXTRACTOR_LABELS.iter().enumerate() {
-            // I(d): one extractor's terms, or the union for "All".
-            let important: Vec<Vec<String>> = if ei < 3 {
-                per_extractor[ei].clone()
-            } else {
-                (0..bundle.corpus.db.len())
-                    .map(|d| {
-                        let mut u: Vec<String> = Vec::new();
-                        for ex in &per_extractor {
-                            for t in &ex[d] {
-                                if !u.contains(t) {
-                                    u.push(t.clone());
-                                }
-                            }
-                        }
-                        u
-                    })
-                    .collect()
-            };
+        for (important, e_label) in columns.into_iter().zip(EXTRACTOR_LABELS) {
+            let important = important.clone();
             let _cell_span = recorder.span("cell");
             // Step 1 is shared across the grid, so each cell's index
             // starts from the precomputed I(d).

@@ -5,7 +5,8 @@
 //! resource; the union of retrieved context terms is added to the
 //! document. Since the same important term recurs across many documents,
 //! resource queries are resolved once per *distinct* term (memoized), and
-//! the distinct-term resolution fans out across threads with crossbeam.
+//! the calling thread and scoped crossbeam workers resolve the distinct
+//! terms, each claiming small runs of them from one atomic cursor.
 //!
 //! The engine is **incremental**: [`expand_append_recorded`] expands only
 //! a suffix of the database (newly-appended documents) into an existing
@@ -31,9 +32,12 @@ use crate::resource::ContextResource;
 use facet_corpus::DocTerms;
 use facet_obs::{Counter, HistogramHandle, Recorder};
 use facet_textkit::{is_stopword, normalize_term, RowStore, SymTable, TermId, Vocabulary};
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Fresh terms a resolution worker claims at a time.
+const RUN_TERMS: usize = 8;
 
 /// A structural mismatch between the expansion inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,7 +240,7 @@ pub struct AppendOutcome {
 /// Options for the expansion engine.
 #[derive(Debug, Clone)]
 pub struct ExpansionOptions {
-    /// Worker threads for distinct-term resolution.
+    /// Threads for distinct-term resolution, the calling thread included.
     pub threads: usize,
 }
 
@@ -429,21 +433,31 @@ pub fn expand_append_recorded(
         if options.threads <= 1 || fresh_terms.len() < 32 {
             fresh_terms.iter().map(|&(s, t)| (s, resolve(t))).collect()
         } else {
-            let results: Mutex<Vec<(TermId, RawResolution)>> = Mutex::new(Vec::new());
-            let chunk = fresh_terms.len().div_ceil(options.threads);
-            crossbeam::scope(|sc| {
-                for part in fresh_terms.chunks(chunk) {
-                    let results = &results;
-                    let resolve = &resolve;
-                    sc.spawn(move |_| {
-                        let local: Vec<(TermId, RawResolution)> =
-                            part.iter().map(|&(s, t)| (s, resolve(t))).collect();
-                        results.lock().extend(local);
-                    });
+            // The calling thread and `threads - 1` scoped workers claim
+            // runs of terms from one cursor until none is left.
+            let cursor = AtomicUsize::new(0);
+            let claim = || {
+                let mut local = Vec::new();
+                loop {
+                    let at = cursor.fetch_add(RUN_TERMS, Ordering::Relaxed);
+                    if at >= fresh_terms.len() {
+                        return local;
+                    }
+                    let run = &fresh_terms[at..(at + RUN_TERMS).min(fresh_terms.len())];
+                    local.extend(run.iter().map(|&(s, t)| (s, resolve(t))));
                 }
+            };
+            crossbeam::scope(|sc| {
+                let workers: Vec<_> = (1..options.threads)
+                    .map(|_| sc.spawn(|_| claim()))
+                    .collect();
+                let mut all = claim();
+                for worker in workers {
+                    all.extend(worker.join().map_err(|_| ExpansionError::WorkerPanicked)?);
+                }
+                Ok(all)
             })
-            .map_err(|_| ExpansionError::WorkerPanicked)?;
-            results.into_inner()
+            .map_err(|_| ExpansionError::WorkerPanicked)??
         }
     };
     // Commit in symbol order regardless of worker scheduling: context

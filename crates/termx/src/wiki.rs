@@ -4,20 +4,26 @@
 
 use crate::extractor::{Distinct, TermExtractor};
 use facet_wikipedia::{TitleIndex, Wikipedia};
+use std::marker::PhantomData;
 
 /// Extracts document terms that match Wikipedia page titles, including
 /// redirect titles (the paper's use of redirect pages to capture name
 /// variations). The reported term is the document's surface term; the
 /// context resources resolve it to the canonical entry when queried.
 pub struct WikipediaTitleExtractor<'a> {
-    wiki: &'a Wikipedia,
     index: TitleIndex,
+    /// The encyclopedia the index was built from. The scan reads only
+    /// the index; the borrow keeps the constructor's signature.
+    wiki: PhantomData<&'a Wikipedia>,
 }
 
 impl<'a> WikipediaTitleExtractor<'a> {
     /// Build over an encyclopedia and its prebuilt title index.
-    pub fn new(wiki: &'a Wikipedia, index: TitleIndex) -> Self {
-        Self { wiki, index }
+    pub fn new(_wiki: &'a Wikipedia, index: TitleIndex) -> Self {
+        Self {
+            index,
+            wiki: PhantomData,
+        }
     }
 
     /// The underlying title index.
@@ -33,7 +39,7 @@ impl TermExtractor for WikipediaTitleExtractor<'_> {
 
     fn extract(&self, text: &str) -> Vec<String> {
         let mut out = Distinct::default();
-        for (title, _page) in self.index.extract(self.wiki, text) {
+        for (title, _page) in self.index.extract(text) {
             out.push(title);
         }
         out.into_vec()

@@ -1,6 +1,6 @@
 //! BM25 ranking over the inverted index.
 
-use crate::index::{InvertedIndex, WebDocId};
+use crate::index::{InvertedIndex, Posting, WebDocId};
 use facet_textkit::TermId;
 
 /// BM25 parameters.
@@ -28,56 +28,43 @@ fn idf(n_docs: usize, df: usize) -> f64 {
 /// Score the documents matching any of `query` and return the top `k` as
 /// `(doc, score)`, by descending score with ties by ascending doc id.
 ///
-/// Scores accumulate in a dense per-call array indexed by doc, each doc
-/// summing its terms' contributions in query order (a repeated query
-/// term counts once per occurrence); the `k` best are then selected
-/// without sorting the rest.
+/// The query terms' posting lists are doc-ordered, so one merge walks
+/// them together: each matched document sums its terms' contributions in
+/// query order (a repeated query term counts once per occurrence), and
+/// nothing is allocated beyond the cursors and the matches. The `k` best
+/// are then selected without sorting the rest.
 pub fn bm25_rank(
     index: &InvertedIndex,
     query: &[TermId],
     params: Bm25Params,
     k: usize,
 ) -> Vec<(WebDocId, f64)> {
-    // Posting lists are doc-ordered, so the docs the query can touch lie
-    // between the lowest first and the highest last doc of its lists; the
-    // accumulator covers only that range.
-    let (lo, hi) = query
+    // Per query term: its idf and the postings the merge has not passed.
+    let mut lists: Vec<(f64, &[Posting])> = query
         .iter()
-        .filter_map(|&sym| {
-            let postings = index.postings_of(sym);
-            Some((postings.first()?.doc.index(), postings.last()?.doc.index()))
-        })
-        .fold((usize::MAX, 0), |(lo, hi), (first, last)| {
-            (lo.min(first), hi.max(last))
-        });
-    if lo > hi {
-        return Vec::new();
-    }
-    let avg_len = index.avg_doc_len().max(1.0);
-    let mut scores = vec![0.0f64; hi - lo + 1];
-    let mut matched = vec![false; hi - lo + 1];
-    let mut docs: Vec<WebDocId> = Vec::new();
-    for &sym in query {
-        let postings = index.postings_of(sym);
-        if postings.is_empty() {
-            continue;
-        }
-        let w = idf(index.n_docs(), postings.len());
-        for p in postings {
-            let tf = p.tf as f64;
-            let len_norm = 1.0 - params.b + params.b * index.doc_len(p.doc) as f64 / avg_len;
-            let contrib = w * (tf * (params.k1 + 1.0)) / (tf + params.k1 * len_norm);
-            let slot = p.doc.index() - lo;
-            if !std::mem::replace(&mut matched[slot], true) {
-                docs.push(p.doc);
-            }
-            scores[slot] += contrib;
-        }
-    }
-    let mut out: Vec<(WebDocId, f64)> = docs
-        .into_iter()
-        .map(|d| (d, scores[d.index() - lo]))
+        .map(|&sym| index.postings_of(sym))
+        .filter(|postings| !postings.is_empty())
+        .map(|postings| (idf(index.n_docs(), postings.len()), postings))
         .collect();
+    let avg_len = index.avg_doc_len().max(1.0);
+    let mut out: Vec<(WebDocId, f64)> = Vec::new();
+    while let Some(doc) = lists
+        .iter()
+        .filter_map(|(_, rest)| rest.first())
+        .map(|p| p.doc)
+        .min()
+    {
+        let len_norm = 1.0 - params.b + params.b * index.doc_len(doc) as f64 / avg_len;
+        let mut score = 0.0;
+        for (w, rest) in &mut lists {
+            if let Some((p, tail)) = rest.split_first().filter(|(p, _)| p.doc == doc) {
+                let tf = p.tf as f64;
+                score += *w * (tf * (params.k1 + 1.0)) / (tf + params.k1 * len_norm);
+                *rest = tail;
+            }
+        }
+        out.push((doc, score));
+    }
     let by_rank =
         |a: &(WebDocId, f64), b: &(WebDocId, f64)| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0));
     if k < out.len() {

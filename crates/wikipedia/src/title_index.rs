@@ -83,8 +83,7 @@ impl TitleIndex {
     /// that matched (the paper marks *the document's term* as important —
     /// canonicalization is the job of the downstream resources, which
     /// resolve redirects themselves). A page may repeat.
-    pub fn extract(&self, wiki: &Wikipedia, text: &str) -> Vec<(String, PageId)> {
-        let _ = wiki;
+    pub fn extract(&self, text: &str) -> Vec<(String, PageId)> {
         // Word tokens only, lowercased into one buffer; a title never
         // crosses sentence punctuation.
         let words = LowerWords::of_text(text);
@@ -148,7 +147,7 @@ mod tests {
     fn longest_match_wins() {
         let (w, r) = fixture();
         let idx = TitleIndex::build(&w, &r);
-        let hits = idx.extract(&w, "Jacques Chirac visited France.");
+        let hits = idx.extract("Jacques Chirac visited France.");
         let titles: Vec<&str> = hits.iter().map(|(t, _)| t.as_str()).collect();
         assert_eq!(titles, vec!["jacques chirac", "france"]);
     }
@@ -157,7 +156,7 @@ mod tests {
     fn redirect_titles_match_to_canonical() {
         let (w, r) = fixture();
         let idx = TitleIndex::build(&w, &r);
-        let hits = idx.extract(&w, "President Chirac spoke in France");
+        let hits = idx.extract("President Chirac spoke in France");
         assert_eq!(hits[0].0, "president chirac");
         // The page still resolves to the canonical entry.
         assert_eq!(w.page(hits[0].1).title, "Jacques Chirac");
@@ -170,7 +169,7 @@ mod tests {
         let france = w.find_title("France").unwrap();
         r.add("Republic France", france);
         let idx = TitleIndex::build(&w, &r);
-        let hits = idx.extract(&w, "the Republic. France acted");
+        let hits = idx.extract("the Republic. France acted");
         let titles: Vec<&str> = hits.iter().map(|(t, _)| t.as_str()).collect();
         assert_eq!(titles, vec!["france"]);
     }
@@ -179,7 +178,7 @@ mod tests {
     fn case_insensitive() {
         let (w, r) = fixture();
         let idx = TitleIndex::build(&w, &r);
-        let hits = idx.extract(&w, "JACQUES CHIRAC and france");
+        let hits = idx.extract("JACQUES CHIRAC and france");
         assert_eq!(hits.len(), 2);
     }
 
@@ -187,7 +186,7 @@ mod tests {
     fn repeated_mentions_repeat() {
         let (w, r) = fixture();
         let idx = TitleIndex::build(&w, &r);
-        let hits = idx.extract(&w, "France, France and France");
+        let hits = idx.extract("France, France and France");
         assert_eq!(hits.len(), 3);
     }
 
@@ -195,7 +194,7 @@ mod tests {
     fn no_matches() {
         let (w, r) = fixture();
         let idx = TitleIndex::build(&w, &r);
-        assert!(idx.extract(&w, "completely unrelated words").is_empty());
-        assert!(idx.extract(&w, "").is_empty());
+        assert!(idx.extract("completely unrelated words").is_empty());
+        assert!(idx.extract("").is_empty());
     }
 }

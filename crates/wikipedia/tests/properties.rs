@@ -87,7 +87,7 @@ proptest! {
             }
         }
         text.push_str("everyone else.");
-        let hits = index.extract(&bundle.wiki, &text);
+        let hits = index.extract(&text);
         for (term, page) in &hits {
             prop_assert!(!term.is_empty());
             prop_assert!(page.index() < bundle.wiki.len());

@@ -542,7 +542,6 @@ struct Pair<'a> {
     ref_gazetteer: &'a RefGazetteer,
     titles: &'a TitleIndex,
     ref_titles: &'a RefTitleIndex,
-    wiki: &'a Wikipedia,
     ne: &'a NamedEntityExtractor,
     yahoo: &'a YahooTermExtractor,
     ref_yahoo: &'a RefYahoo,
@@ -572,7 +571,7 @@ impl Pair<'_> {
             .collect();
         assert_eq!(spans, ref_tag(self.ref_gazetteer, text), "tags of {text:?}");
         assert_eq!(
-            self.titles.extract(self.wiki, text),
+            self.titles.extract(text),
             self.ref_titles.extract(text),
             "title scan of {text:?}"
         );
@@ -625,7 +624,6 @@ fn snb_step1_digest() -> u64 {
         ref_gazetteer: &ref_gazetteer,
         titles: wiki_x.index(),
         ref_titles: &ref_titles,
-        wiki,
         ne: &ne,
         yahoo: &YahooTermExtractor::fit(&bundle.corpus.db, &bundle.vocab),
         ref_yahoo: &RefYahoo::fit(&bundle.corpus.db, &bundle.vocab),
@@ -818,7 +816,6 @@ fn step1_matches_the_string_reference_on_hostile_text() {
             ref_gazetteer: &ref_gazetteer,
             titles: wiki_x.index(),
             ref_titles: &ref_titles,
-            wiki: &wiki,
             ne: &ne,
             yahoo: &yahoo,
             ref_yahoo: &ref_yahoo,
