@@ -120,8 +120,8 @@ fn show(table: &facet_eval::Table, args: &Args) {
 }
 
 fn recall_precision(kind: RecipeKind, which: &str, args: &Args) {
-    let (recall, precision, gold_n, _bundle) =
-        drivers::run_dataset_tables_recorded(kind, args.scale, args.top_k, &args.recorder);
+    let (recall, precision, gold_n) =
+        drivers::run_dataset_tables(kind, args.scale, args.top_k, &args.recorder);
     println!(
         "Gold standard: {gold_n} distinct facet terms ({}).",
         kind.name()
@@ -174,17 +174,21 @@ fn main() {
         "snb" => recall_precision(RecipeKind::Snb, "both", &args),
         "mnyt" => recall_precision(RecipeKind::Mnyt, "both", &args),
         "dimensions" => {
-            let (dims, comp) = drivers::run_dimensions(RecipeKind::Snyt, args.scale, args.top_k);
+            let (dims, comp) =
+                drivers::run_dimensions(RecipeKind::Snyt, args.scale, args.top_k, &args.recorder);
             show(&dims, &args);
             show(&comp, &args);
         }
         "ablation" => {
-            println!("{}", drivers::run_ablation(args.scale, args.top_k).render());
+            println!(
+                "{}",
+                drivers::run_ablation(args.scale, args.top_k, &args.recorder).render()
+            );
         }
         "baselines" => {
             println!(
                 "{}",
-                drivers::run_baselines(args.scale, args.top_k).render()
+                drivers::run_baselines(args.scale, args.top_k, &args.recorder).render()
             );
         }
         "sensitivity" => {
@@ -202,7 +206,7 @@ fn main() {
         "userstudy" => {
             println!(
                 "{}",
-                drivers::run_user_study_experiment(args.scale).render()
+                drivers::run_user_study_experiment(args.scale, &args.recorder).render()
             );
         }
         "all" => {
@@ -221,12 +225,16 @@ fn main() {
             for kind in RecipeKind::ALL {
                 recall_precision(kind, "both", &args);
             }
-            println!("{}", drivers::run_ablation(args.scale, args.top_k).render());
             println!(
                 "{}",
-                drivers::run_baselines(args.scale, args.top_k).render()
+                drivers::run_ablation(args.scale, args.top_k, &args.recorder).render()
             );
-            let (dims, comp) = drivers::run_dimensions(RecipeKind::Snyt, args.scale, args.top_k);
+            println!(
+                "{}",
+                drivers::run_baselines(args.scale, args.top_k, &args.recorder).render()
+            );
+            let (dims, comp) =
+                drivers::run_dimensions(RecipeKind::Snyt, args.scale, args.top_k, &args.recorder);
             println!("{}", dims.render());
             println!("{}", comp.render());
             println!(
@@ -239,7 +247,7 @@ fn main() {
             );
             println!(
                 "{}",
-                drivers::run_user_study_experiment(args.scale).render()
+                drivers::run_user_study_experiment(args.scale, &args.recorder).render()
             );
         }
         other => {

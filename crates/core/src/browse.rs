@@ -13,8 +13,8 @@
 //! ([`crate::serve::fanout_browse`]) answers every query through it. The
 //! engine holds one ascending document list
 //! per facet term in CSR form (one offsets array, one document array).
-//! Selection intersects the lists smallest first; refinement and pivot
-//! counts intersect sorted lists. Only facet terms — the forest's nodes
+//! Selection intersects the lists smallest first; refinement counts
+//! intersect sorted lists. Only facet terms — the forest's nodes
 //! — select: any other term matches no document.
 
 use crate::hierarchy::{FacetForest, TreeNode};
@@ -149,21 +149,6 @@ impl BrowseEngine {
         out.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.1.cmp(&b.1)));
         out
     }
-
-    /// OLAP-style pivot: the co-occurrence matrix between two facet-term
-    /// lists. `result[i][j]` is the number of documents carrying both
-    /// `rows[i]` and `cols[j]` — the cube the paper's Section V-F
-    /// envisions exposing to OLAP users ("show profit-margin distribution
-    /// for users with this type of complaints").
-    pub fn pivot(&self, rows: &[TermId], cols: &[TermId]) -> Vec<Vec<usize>> {
-        rows.iter()
-            .map(|&r| {
-                cols.iter()
-                    .map(|&c| count_common(self.docs_with(r), self.docs_with(c)))
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 /// Call `f` on every document in both ascending lists, in order. Each
@@ -283,28 +268,6 @@ mod tests {
             refs,
             vec![(vocab.get("election").unwrap(), "election".into(), 1)]
         );
-    }
-
-    #[test]
-    fn pivot_counts_cooccurrence() {
-        let (e, vocab) = engine();
-        let politics = vocab.get("politics").unwrap();
-        let election = vocab.get("election").unwrap();
-        let france = vocab.get("france").unwrap();
-        let m = e.pivot(&[politics, election], &[france]);
-        // politics ∧ france: doc 0 only; election ∧ france: doc 0 only.
-        assert_eq!(m, vec![vec![1], vec![1]]);
-        // Diagonal-style sanity: politics × politics = df(politics).
-        let d = e.pivot(&[politics], &[politics]);
-        assert_eq!(d, vec![vec![3]]);
-    }
-
-    #[test]
-    fn pivot_empty_inputs() {
-        let (e, _) = engine();
-        assert!(e.pivot(&[], &[]).is_empty());
-        let m = e.pivot(&[TermId(999)], &[TermId(998)]);
-        assert_eq!(m, vec![vec![0]]);
     }
 
     #[test]

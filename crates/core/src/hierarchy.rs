@@ -28,15 +28,6 @@ impl TreeNode {
     pub fn size(&self) -> usize {
         1 + self.children.iter().map(TreeNode::size).sum::<usize>()
     }
-
-    /// Depth of the deepest leaf below this node (0 for a leaf).
-    pub fn height(&self) -> usize {
-        self.children
-            .iter()
-            .map(|c| c.height() + 1)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// One facet: a tree rooted at a top-level facet term.
@@ -243,7 +234,6 @@ mod tests {
         assert_eq!(f.label(&root.children[0]), "election");
         assert_eq!(f.label(&root.children[0].children[0]), "ballot");
         assert_eq!(f.total_terms(), 3);
-        assert_eq!(root.height(), 2);
     }
 
     #[test]

@@ -350,14 +350,6 @@ impl ServeHandle {
             .insert(generation, sig, normalized, Arc::clone(&result));
         result
     }
-
-    /// Answer a query by a fresh browse over the current snapshot,
-    /// never touching the cache (the re-selection path the
-    /// cache is measured against). Records `serve.fanout`.
-    pub fn browse_uncached(&self, query: &[&str]) -> BrowseResult {
-        self.shared.recorder.incr("serve.fanout");
-        fanout_browse(&self.snapshot(), query)
-    }
 }
 
 /// The serving tier over a [`ShardedFacetIndex`]: owns the writer,
@@ -625,7 +617,7 @@ mod tests {
         let srv = server(3, 24, &e, &r);
         let h = srv.handle();
         for q in [vec![], vec!["political leaders"], vec!["france", "germany"]] {
-            let uncached = h.browse_uncached(&q);
+            let uncached = fanout_browse(&h.snapshot(), &q);
             let first = h.browse(&q); // miss: computes and fills
             let second = h.browse(&q); // hit: served from the cache
             assert!(Arc::ptr_eq(&first, &second), "second lookup was not a hit");
@@ -736,12 +728,11 @@ mod tests {
         let h = srv.handle();
         h.browse(&["france"]);
         h.browse(&["france"]);
-        h.browse_uncached(&["france"]);
         srv.append(corpus(4)).unwrap();
         let counts = recorder.snapshot_counts_only();
         assert_eq!(counts["counter.serve.hit"], 1);
         assert_eq!(counts["counter.serve.miss"], 1);
-        assert_eq!(counts["counter.serve.fanout"], 2);
+        assert_eq!(counts["counter.serve.fanout"], 1);
         assert_eq!(counts["counter.serve.publish"], 1);
     }
 
@@ -756,7 +747,7 @@ mod tests {
         let r = FixedResource::new();
         let srv = server(3, 24, &e, &r);
         let h = srv.handle();
-        let expected = h.browse_uncached(&["political leaders"]).canonical();
+        let expected = fanout_browse(&h.snapshot(), &["political leaders"]).canonical();
         std::thread::scope(|s| {
             let mut joins = Vec::new();
             for _ in 0..4 {
@@ -796,7 +787,7 @@ mod tests {
         ahead.append(corpus(6)).unwrap();
         let mut srv = FacetServer::new(index);
         let h = srv.handle();
-        let at_gen1 = h.browse_uncached(&["political leaders"]).canonical();
+        let at_gen1 = fanout_browse(&h.snapshot(), &["political leaders"]).canonical();
         std::thread::scope(|s| {
             let reader = {
                 let h = h.clone();

@@ -177,13 +177,6 @@ impl DocTerms {
         &self.df
     }
 
-    /// A copy of the df table resized to `vocab_len` entries (new terms 0).
-    pub fn df_table_resized(&self, vocab_len: usize) -> Vec<u64> {
-        let mut t = self.df.clone();
-        t.resize(vocab_len.max(t.len()), 0);
-        t
-    }
-
     /// The terming options documents are reduced by.
     pub fn options(&self) -> &TermingOptions {
         &self.options
@@ -367,8 +360,7 @@ mod tests {
         let db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
         let later = vocab.intern("political leaders");
         assert_eq!(db.df(later), 0);
-        let resized = db.df_table_resized(vocab.len());
-        assert_eq!(resized[later.index()], 0);
+        assert!(db.df_table().get(later.index()).is_none());
     }
 
     #[test]

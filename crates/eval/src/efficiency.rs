@@ -15,35 +15,27 @@
 //! local stages are orders of magnitude faster, selection is the
 //! cheapest step.
 //!
-//! Every number is a span of [`ShardedFacetIndex`], the path the facet
-//! pipeline runs, on one worker so each span total is wall time:
+//! Every number is a span of an index from [`build_cell`], the path the
+//! facet pipeline runs, on one worker so each span total is wall time:
 //!
 //! * **extract** — one index per extractor appends the sample; its
 //!   `append.extract` span covers that extractor and the index's own
 //!   terming of each document;
 //! * **expand** — one index per resource takes the same precomputed
-//!   `I(d)` through [`ShardedFacetIndex::append_extracted`]; its
-//!   `append.expand` span covers the resource queries (each distinct
-//!   important term once) and the contextualized rows;
+//!   `I(d)` ([`Column::Given`]); its `append.expand` span covers the
+//!   resource queries (each distinct important term once) and the
+//!   contextualized rows;
 //! * **select** and **subsumption** — the `append.select` and
 //!   `append.subsumption` spans of one more index over all four
 //!   resources.
 
-use crate::harness::DatasetBundle;
+use crate::harness::{build_cell, Backends, Column, DatasetBundle, GridOptions, Substrates};
 use crate::report::Table;
-use facet_core::{PipelineOptions, ShardedFacetIndex};
+use facet_core::{PipelineOptions, SelectionStatistic};
 use facet_corpus::Document;
-use facet_ner::NerTagger;
 use facet_obs::Recorder;
-use facet_resources::{
-    ContextResource, ExpansionOptions, GoogleResource, WikiGraphResource, WikiSynonymsResource,
-    WordNetHypernymsResource,
-};
-use facet_termx::{
-    extract_important_terms, NamedEntityExtractor, TermExtractor, WikipediaTitleExtractor,
-    YahooTermExtractor,
-};
-use facet_wikipedia::{TitleIndex, WikipediaGraph, WikipediaSynonyms};
+use facet_resources::{ContextResource, ExpansionOptions};
+use facet_termx::extract_important_terms;
 
 /// Simulated 2005-era web-service round trips (seconds per document),
 /// matching the paper's reported bottlenecks.
@@ -72,28 +64,24 @@ fn stage_seconds(recorder: &Recorder, stage: &str) -> f64 {
     span.map_or(0, |s| s.total_us) as f64 / 1e6
 }
 
-/// An index of `extractors` and `resources` on one worker, fed `docs`
-/// (with `important` as their `I(d)` when given), and the recorder that
-/// saw its spans.
-fn run_index(
-    extractors: Vec<&dyn TermExtractor>,
-    resources: Vec<&dyn ContextResource>,
-    docs: &[Document],
-    important: Option<&[Vec<String>]>,
-) -> Recorder {
-    let recorder = Recorder::enabled();
-    let options = PipelineOptions {
-        expansion: ExpansionOptions { threads: 1 },
-        ..Default::default()
+/// The index of one configuration on one worker over `docs`, and the
+/// recorder that saw its spans.
+fn run_index(docs: &[Document], column: Column<'_>, row: Vec<&dyn ContextResource>) -> Recorder {
+    let options = GridOptions {
+        pipeline: PipelineOptions {
+            expansion: ExpansionOptions { threads: 1 },
+            ..Default::default()
+        },
+        recorder: Recorder::enabled(),
     };
-    let mut index =
-        ShardedFacetIndex::new(1, extractors, resources, options).with_recorder(recorder.clone());
-    match important {
-        Some(lists) => index.append_extracted(docs.to_vec(), lists.to_vec()),
-        None => index.append(docs.to_vec()),
-    }
-    .expect("one I(d) list per document");
-    recorder
+    build_cell(
+        docs,
+        column,
+        row,
+        SelectionStatistic::LogLikelihood,
+        &options,
+    );
+    options.recorder
 }
 
 /// Measure all stages over the bundle's first `sample_docs` documents.
@@ -122,56 +110,44 @@ pub fn measure_efficiency(bundle: &DatasetBundle, sample_docs: usize) -> Vec<Eff
             paper: paper.to_string(),
         });
     };
+    let subs = Substrates::new(bundle);
+    let backends = Backends::new(&subs);
 
     // ---- term extraction -----------------------------------------------------
-    let tagger = NerTagger::from_world(&bundle.world);
-    let ne = NamedEntityExtractor::new(tagger);
-    let yahoo = YahooTermExtractor::fit(&bundle.corpus.db, &bundle.vocab);
-    let title_index = TitleIndex::build(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let wiki_x = WikipediaTitleExtractor::new(&bundle.wiki.wiki, title_index);
-
-    let extractors: [(&dyn TermExtractor, f64, &str); 3] = [
-        (&ne, 0.0, ">100 docs/s (local)"),
-        (&yahoo, SIMULATED_YAHOO_LATENCY, "2-3 s/doc (web service)"),
-        (&wiki_x, 0.0, ">100 docs/s (local)"),
+    let latencies = [
+        (0.0, ">100 docs/s (local)"),
+        (SIMULATED_YAHOO_LATENCY, "2-3 s/doc (web service)"),
+        (0.0, ">100 docs/s (local)"),
     ];
-    for (e, latency, paper) in extractors {
-        let recorder = run_index(vec![e], Vec::new(), docs, None);
+    for (e, (latency, paper)) in subs.extractors().into_iter().zip(latencies) {
+        let recorder = run_index(docs, Column::Extract(vec![e]), Vec::new());
         let local = throughput(stage_seconds(&recorder, "extract"));
         row(format!("extract: {}", e.name()), local, latency, paper);
     }
 
     // ---- expansion -----------------------------------------------------------
-    let all_extractors: Vec<&dyn TermExtractor> = extractors.iter().map(|x| x.0).collect();
     let important: Vec<Vec<String>> = docs
         .iter()
-        .map(|d| extract_important_terms(&all_extractors, &d.full_text()))
+        .map(|d| extract_important_terms(&subs.extractors(), &d.full_text()))
         .collect();
-    let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let synonyms = WikipediaSynonyms::new(
-        &bundle.wiki.wiki,
-        &bundle.wiki.redirects,
-        &bundle.wiki.anchors,
-    );
-    let google = GoogleResource::new(&bundle.web);
-    let wn_res = WordNetHypernymsResource::new(&bundle.wordnet);
-    let syn_res = WikiSynonymsResource::new(&synonyms);
-    let graph_res = WikiGraphResource::new(&graph);
-    let resources: [(&dyn ContextResource, f64, &str); 4] = [
-        (&google, SIMULATED_GOOGLE_LATENCY, "~1 s/doc (web service)"),
-        (&wn_res, 0.0, ">100 docs/s (local)"),
-        (&syn_res, 0.0, ">100 docs/s (local)"),
-        (&graph_res, 0.0, ">100 docs/s (local)"),
+    let latencies = [
+        (SIMULATED_GOOGLE_LATENCY, "~1 s/doc (web service)"),
+        (0.0, ">100 docs/s (local)"),
+        (0.0, ">100 docs/s (local)"),
+        (0.0, ">100 docs/s (local)"),
     ];
-    for (r, latency, paper) in resources {
-        let recorder = run_index(Vec::new(), vec![r], docs, Some(&important));
+    for (r, (latency, paper)) in backends.resources().into_iter().zip(latencies) {
+        let recorder = run_index(docs, Column::Given(important.clone()), vec![r]);
         let local = throughput(stage_seconds(&recorder, "expand"));
         row(format!("expand: {}", r.name()), local, latency, paper);
     }
 
     // ---- selection and hierarchy construction --------------------------------
-    let all_resources: Vec<&dyn ContextResource> = resources.iter().map(|x| x.0).collect();
-    let recorder = run_index(Vec::new(), all_resources, docs, Some(&important));
+    let recorder = run_index(
+        docs,
+        Column::Given(important),
+        backends.resources().to_vec(),
+    );
     let sel_ms = stage_seconds(&recorder, "select") * 1000.0;
     rows.push(EfficiencyRow {
         component: "facet-term selection".into(),

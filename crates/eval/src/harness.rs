@@ -1,8 +1,10 @@
 //! The experiment harness: builds a dataset bundle (world + corpus + all
-//! substrates) and runs the extractor × resource grid of Tables II–VII.
+//! substrates), the paper's extractors ([`Substrates`]) and resources
+//! ([`Backends`]) over it, and one index per configuration
+//! ([`build_cell`]); runs the extractor × resource grid of Tables II–VII.
 
-use facet_core::{FacetSnapshot, PipelineOptions, ShardedFacetIndex};
-use facet_corpus::{DatasetRecipe, GeneratedCorpus, RecipeKind};
+use facet_core::{FacetSnapshot, PipelineOptions, SelectionStatistic, ShardedFacetIndex};
+use facet_corpus::{DatasetRecipe, Document, GeneratedCorpus, RecipeKind};
 use facet_knowledge::World;
 use facet_ner::NerTagger;
 use facet_resources::{
@@ -221,49 +223,145 @@ impl ContextResource for AnswerTable<'_> {
     }
 }
 
+/// The paper's three term extractors fitted to a bundle, and the
+/// Wikipedia views its Wikipedia resources read.
+pub struct Substrates<'b> {
+    bundle: &'b DatasetBundle,
+    ne: NamedEntityExtractor,
+    yahoo: YahooTermExtractor,
+    wiki: WikipediaTitleExtractor<'b>,
+    graph: WikipediaGraph<'b>,
+    synonyms: WikipediaSynonyms<'b>,
+}
+
+impl<'b> Substrates<'b> {
+    /// Fit the extractors and build the Wikipedia views.
+    pub fn new(bundle: &'b DatasetBundle) -> Self {
+        let title_index = TitleIndex::build(&bundle.wiki.wiki, &bundle.wiki.redirects);
+        Self {
+            bundle,
+            ne: NamedEntityExtractor::new(NerTagger::from_world(&bundle.world)),
+            yahoo: YahooTermExtractor::fit(&bundle.corpus.db, &bundle.vocab),
+            wiki: WikipediaTitleExtractor::new(&bundle.wiki.wiki, title_index),
+            graph: WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects),
+            synonyms: WikipediaSynonyms::new(
+                &bundle.wiki.wiki,
+                &bundle.wiki.redirects,
+                &bundle.wiki.anchors,
+            ),
+        }
+    }
+
+    /// NE, Yahoo and Wikipedia: the grid's single-extractor columns, in
+    /// [`EXTRACTOR_LABELS`] order.
+    pub fn extractors(&self) -> [&dyn TermExtractor; 3] {
+        [&self.ne, &self.yahoo, &self.wiki]
+    }
+}
+
+/// The paper's four context resources over a bundle's substrates.
+pub struct Backends<'s> {
+    google: GoogleResource<'s>,
+    wordnet: WordNetHypernymsResource<'s>,
+    wikisyn: WikiSynonymsResource<'s>,
+    wikigraph: WikiGraphResource<'s>,
+}
+
+impl<'s> Backends<'s> {
+    /// Google, WordNet hypernyms, Wikipedia synonyms, Wikipedia graph.
+    pub fn new(subs: &'s Substrates<'_>) -> Self {
+        Self {
+            google: GoogleResource::new(&subs.bundle.web),
+            wordnet: WordNetHypernymsResource::new(&subs.bundle.wordnet),
+            wikisyn: WikiSynonymsResource::new(&subs.synonyms),
+            wikigraph: WikiGraphResource::new(&subs.graph),
+        }
+    }
+
+    /// The grid's single-resource rows, in [`RESOURCE_LABELS`] order.
+    pub fn resources(&self) -> [&dyn ContextResource; 4] {
+        [&self.google, &self.wordnet, &self.wikisyn, &self.wikigraph]
+    }
+}
+
+/// Where a configuration's `I(d)` lists come from.
+pub enum Column<'a> {
+    /// The index runs these extractors over each document.
+    Extract(Vec<&'a dyn TermExtractor>),
+    /// One list per document, extracted before (the grid shares one
+    /// Step 1 across its cells).
+    Given(Vec<Vec<String>>),
+}
+
+/// The index of one configuration over `docs`, after one append: the
+/// `column` gives `I(d)`, the `row` of resources expands it and
+/// `statistic` ranks the candidates. It runs on one worker, with the
+/// pipeline options and the recorder of `options`.
+pub fn build_cell<'a>(
+    docs: &[Document],
+    column: Column<'a>,
+    row: Vec<&'a dyn ContextResource>,
+    statistic: SelectionStatistic,
+    options: &GridOptions,
+) -> ShardedFacetIndex<'a> {
+    let (extractors, important) = match column {
+        Column::Extract(extractors) => (extractors, None),
+        Column::Given(important) => (Vec::new(), Some(important)),
+    };
+    let mut index = ShardedFacetIndex::new(1, extractors, row, options.pipeline.clone())
+        .with_statistic(statistic)
+        .with_recorder(options.recorder.clone());
+    match important {
+        Some(important) => index.append_extracted(docs.to_vec(), important),
+        None => index.append(docs.to_vec()),
+    }
+    .expect("a fresh index accepts one I(d) list per document");
+    index
+}
+
+/// The All × All cell alone: every extractor and every live resource
+/// over the bundle's documents, as [`run_grid`] builds it among the 20.
+pub fn all_by_all(bundle: &mut DatasetBundle, options: &GridOptions) -> GridCell {
+    bundle.web.instrument(&options.recorder);
+    let bundle = &*bundle;
+    let subs = Substrates::new(bundle);
+    let backends = Backends::new(&subs);
+    let index = build_cell(
+        bundle.corpus.db.docs(),
+        Column::Extract(subs.extractors().to_vec()),
+        backends.resources().to_vec(),
+        SelectionStatistic::LogLikelihood,
+        options,
+    );
+    GridCell::from_snapshot("All", "All", &index.snapshot())
+}
+
+/// The members of grid line `i` over `base`: entry `i` alone, or all of
+/// them for the "All" line that follows the last entry.
+fn line<T: Copy>(base: &[T], i: usize) -> Vec<T> {
+    base.get(i).map_or_else(|| base.to_vec(), |&one| vec![one])
+}
+
 /// Run the full 4 × 5 grid over the bundle. Returns 20 cells in
 /// row-major order (resource rows × extractor columns).
 pub fn run_grid(bundle: &mut DatasetBundle, options: &GridOptions) -> Vec<GridCell> {
-    let recorder = options.recorder.clone();
+    let recorder = &options.recorder;
     let _grid_span = recorder.span("grid");
-    bundle.web.instrument(&recorder);
-
-    // ---- substrate-backed extractors ---------------------------------------
-    let tagger = NerTagger::from_world(&bundle.world);
-    let ne = NamedEntityExtractor::new(tagger);
-    let yahoo = YahooTermExtractor::fit(&bundle.corpus.db, &bundle.vocab);
-    let title_index = TitleIndex::build(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let wiki_x = WikipediaTitleExtractor::new(&bundle.wiki.wiki, title_index);
+    bundle.web.instrument(recorder);
+    let bundle = &*bundle;
+    let subs = Substrates::new(bundle);
+    let backends = Backends::new(&subs);
+    let docs = bundle.corpus.db.docs();
 
     // Precompute I(d) per base extractor once.
-    let extractors: [&dyn TermExtractor; 3] = [&ne, &yahoo, &wiki_x];
     let per_extractor: Vec<Vec<Vec<String>>> = {
         let _span = recorder.span("extract");
-        extractors
+        subs.extractors()
             .iter()
-            .map(|e| {
-                bundle
-                    .corpus
-                    .db
-                    .docs()
-                    .iter()
-                    .map(|d| e.extract(&d.full_text()))
-                    .collect()
-            })
+            .map(|e| docs.iter().map(|d| e.extract(&d.full_text())).collect())
             .collect()
     };
 
-    // ---- resources -----------------------------------------------------------
-    let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let synonyms = WikipediaSynonyms::new(
-        &bundle.wiki.wiki,
-        &bundle.wiki.redirects,
-        &bundle.wiki.anchors,
-    );
-    let google = GoogleResource::new(&bundle.web);
-    let wn_res = WordNetHypernymsResource::new(&bundle.wordnet);
-    let syn_res = WikiSynonymsResource::new(&synonyms);
-    let graph_res = WikiGraphResource::new(&graph);
     // Every cell's I(d) terms come from the three base extractors, so
     // their union is every term a cell sends to a resource.
     let tables: Vec<AnswerTable<'_>> = {
@@ -274,14 +372,17 @@ pub fn run_grid(bundle: &mut DatasetBundle, options: &GridOptions) -> Vec<GridCe
             .flatten()
             .map(String::as_str)
             .collect();
-        let live: [&dyn ContextResource; 4] = [&google, &wn_res, &syn_res, &graph_res];
-        live.iter().map(|r| AnswerTable::ask(*r, &terms)).collect()
+        backends
+            .resources()
+            .iter()
+            .map(|r| AnswerTable::ask(*r, &terms))
+            .collect()
     };
     let base_resources: Vec<&dyn ContextResource> =
         tables.iter().map(|t| t as &dyn ContextResource).collect();
     // The "All" column's I(d): per document, the three extractors' terms
     // in first-seen order.
-    let union: Vec<Vec<String>> = (0..bundle.corpus.db.len())
+    let union: Vec<Vec<String>> = (0..docs.len())
         .map(|d| {
             let mut seen: HashSet<&str> = HashSet::new();
             per_extractor
@@ -301,22 +402,15 @@ pub fn run_grid(bundle: &mut DatasetBundle, options: &GridOptions) -> Vec<GridCe
 
     let mut cells = Vec::with_capacity(20);
     for (ri, r_label) in RESOURCE_LABELS.iter().enumerate() {
-        let resources: Vec<&dyn ContextResource> = if ri < 4 {
-            vec![base_resources[ri]]
-        } else {
-            base_resources.clone()
-        };
         for (important, e_label) in columns.into_iter().zip(EXTRACTOR_LABELS) {
-            let important = important.clone();
             let _cell_span = recorder.span("cell");
-            // Step 1 is shared across the grid, so each cell's index
-            // starts from the precomputed I(d).
-            let mut index =
-                ShardedFacetIndex::new(1, Vec::new(), resources.clone(), options.pipeline.clone())
-                    .with_recorder(recorder.clone());
-            index
-                .append_extracted(bundle.corpus.db.docs().to_vec(), important)
-                .expect("one I(d) per document by construction");
+            let index = build_cell(
+                docs,
+                Column::Given(important.clone()),
+                line(&base_resources, ri),
+                SelectionStatistic::LogLikelihood,
+                options,
+            );
             cells.push(GridCell::from_snapshot(e_label, r_label, &index.snapshot()));
         }
     }
@@ -386,53 +480,25 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn answer_tables_are_transparent() {
-        // Every cell the grid builds over its answer tables equals the
-        // cell a fresh index builds over that cell's live resources, with
-        // no memo in front of them.
-        let mut bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
-        let options = GridOptions::default();
-        let cells = run_grid(&mut bundle, &options);
+    /// Every cell the grid builds over its answer tables equals the cell
+    /// a fresh index builds over that cell's live resources, with no memo
+    /// in front of them; so does the All × All cell built alone.
+    fn assert_grid_is_transparent(mut bundle: DatasetBundle, options: &GridOptions) {
+        let cells = run_grid(&mut bundle, options);
+        let alone = all_by_all(&mut bundle, options);
 
-        let ne = NamedEntityExtractor::new(NerTagger::from_world(&bundle.world));
-        let yahoo = YahooTermExtractor::fit(&bundle.corpus.db, &bundle.vocab);
-        let title_index = TitleIndex::build(&bundle.wiki.wiki, &bundle.wiki.redirects);
-        let wiki_x = WikipediaTitleExtractor::new(&bundle.wiki.wiki, title_index);
-        let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
-        let synonyms = WikipediaSynonyms::new(
-            &bundle.wiki.wiki,
-            &bundle.wiki.redirects,
-            &bundle.wiki.anchors,
-        );
-        let google = GoogleResource::new(&bundle.web);
-        let wn_res = WordNetHypernymsResource::new(&bundle.wordnet);
-        let syn_res = WikiSynonymsResource::new(&synonyms);
-        let graph_res = WikiGraphResource::new(&graph);
-        let extractors: [&dyn TermExtractor; 3] = [&ne, &yahoo, &wiki_x];
-        let live: [&dyn ContextResource; 4] = [&google, &wn_res, &syn_res, &graph_res];
-
+        let subs = Substrates::new(&bundle);
+        let backends = Backends::new(&subs);
         assert_eq!(cells.len(), 20);
         for (i, cell) in cells.iter().enumerate() {
             let (ri, ei) = (i / 4, i % 4);
-            let cell_extractors = if ei < 3 {
-                vec![extractors[ei]]
-            } else {
-                extractors.to_vec()
-            };
-            let cell_resources = if ri < 4 {
-                vec![live[ri]]
-            } else {
-                live.to_vec()
-            };
-            let fresh = ShardedFacetIndex::build(
-                bundle.corpus.db.docs().to_vec(),
-                1,
-                cell_extractors,
-                cell_resources,
-                options.pipeline.clone(),
-            )
-            .unwrap();
+            let fresh = build_cell(
+                bundle.corpus.db.docs(),
+                Column::Extract(line(&subs.extractors(), ei)),
+                line(&backends.resources(), ri),
+                SelectionStatistic::LogLikelihood,
+                options,
+            );
             let expected = GridCell::from_snapshot(
                 EXTRACTOR_LABELS[ei],
                 RESOURCE_LABELS[ri],
@@ -456,6 +522,29 @@ mod tests {
                 cell.extractor
             );
         }
+        assert_eq!(
+            cell_rows(&alone),
+            cell_rows(&cells[19]),
+            "the All x All cell built alone differs from the grid's"
+        );
+    }
+
+    #[test]
+    fn answer_tables_are_transparent() {
+        assert_grid_is_transparent(
+            DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt)),
+            &GridOptions::default(),
+        );
+        assert_grid_is_transparent(
+            DatasetBundle::build_with(tiny_recipe(RecipeKind::Snb)),
+            &GridOptions {
+                pipeline: PipelineOptions {
+                    top_k: 300,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
     }
 
     #[test]

@@ -9,10 +9,15 @@ use std::collections::HashSet;
 
 /// Recall of one cell against the gold term list.
 pub fn recall_of(cell: &GridCell, gold_terms: &[&str]) -> f64 {
+    recall_of_terms(&cell.terms(), gold_terms)
+}
+
+/// Recall of an extracted term list against the gold term list.
+pub fn recall_of_terms<S: AsRef<str>>(terms: &[S], gold_terms: &[&str]) -> f64 {
     if gold_terms.is_empty() {
         return 0.0;
     }
-    let extracted: HashSet<&str> = cell.terms().into_iter().collect();
+    let extracted: HashSet<&str> = terms.iter().map(AsRef::as_ref).collect();
     let hit = gold_terms
         .iter()
         .filter(|t| extracted.contains(**t))

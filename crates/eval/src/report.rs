@@ -25,12 +25,6 @@ impl Table {
         self
     }
 
-    /// Append a row of string slices.
-    pub fn row_strs(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -77,25 +71,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as a Markdown table (for EXPERIMENTS.md).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### {}\n\n", self.title));
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!(
-            "|{}|\n",
-            self.headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
 }
 
 /// Format a proportion like the paper's tables ("0.945").
@@ -110,8 +85,8 @@ mod tests {
     #[test]
     fn render_aligns_columns() {
         let mut t = Table::new("Demo", &["Resource", "NE"]);
-        t.row_strs(&["Google", "0.529"]);
-        t.row_strs(&["Wikipedia Graph", "0.632"]);
+        t.row(&["Google".into(), "0.529".into()]);
+        t.row(&["Wikipedia Graph".into(), "0.632".into()]);
         let text = t.render();
         assert!(text.contains("Demo"));
         assert!(text.contains("Google"));
@@ -121,20 +96,10 @@ mod tests {
     }
 
     #[test]
-    fn markdown_shape() {
-        let mut t = Table::new("Demo", &["A", "B"]);
-        t.row_strs(&["1", "2"]);
-        let md = t.render_markdown();
-        assert!(md.contains("| A | B |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| 1 | 2 |"));
-    }
-
-    #[test]
     #[should_panic]
     fn row_width_checked() {
         let mut t = Table::new("Demo", &["A", "B"]);
-        t.row_strs(&["only one"]);
+        t.row(&["only one".into()]);
     }
 
     #[test]

@@ -18,16 +18,11 @@
 //! typing a query ≈ 8 s, scanning one result ≈ 1.8 s, one facet click
 //! ≈ 1.6 s (point-and-click plus list reorientation).
 
-use crate::harness::DatasetBundle;
+use crate::harness::{build_cell, Backends, Column, DatasetBundle, GridOptions, Substrates};
 use crate::report::Table;
-use facet_core::{FacetSnapshot, PipelineOptions, ShardedFacetIndex};
-use facet_ner::NerTagger;
-use facet_resources::{ContextResource, WikiGraphResource, WordNetHypernymsResource};
-use facet_termx::{
-    NamedEntityExtractor, TermExtractor, WikipediaTitleExtractor, YahooTermExtractor,
-};
+use facet_core::{FacetSnapshot, PipelineOptions, SelectionStatistic};
+use facet_obs::Recorder;
 use facet_websearch::{SearchEngine, WebDocId, WebPage};
-use facet_wikipedia::{TitleIndex, WikipediaGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -77,29 +72,29 @@ impl Default for UserStudyConfig {
 }
 
 /// Run the simulated study over a dataset bundle. Builds the full
-/// pipeline (all extractors, local resources), the facet browsing engine,
-/// and a keyword search engine over the news corpus; then simulates the
-/// users.
-pub fn run_user_study(bundle: &mut DatasetBundle, config: &UserStudyConfig) -> Vec<SessionStats> {
+/// pipeline (all extractors, local resources) with `recorder` attached,
+/// the facet browsing engine, and a keyword search engine over the news
+/// corpus; then simulates the users.
+pub fn run_user_study(
+    bundle: &DatasetBundle,
+    config: &UserStudyConfig,
+    recorder: &Recorder,
+) -> Vec<SessionStats> {
     // ---- faceted interface ----------------------------------------------
-    let tagger = NerTagger::from_world(&bundle.world);
-    let ne = NamedEntityExtractor::new(tagger);
-    let yahoo = YahooTermExtractor::fit(&bundle.corpus.db, &bundle.vocab);
-    let title_index = TitleIndex::build(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let wiki_x = WikipediaTitleExtractor::new(&bundle.wiki.wiki, title_index);
-    let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
-    let wn_res = WordNetHypernymsResource::new(&bundle.wordnet);
-    let graph_res = WikiGraphResource::new(&graph);
-    let extractors: Vec<&dyn TermExtractor> = vec![&ne, &yahoo, &wiki_x];
-    let resources: Vec<&dyn ContextResource> = vec![&wn_res, &graph_res];
-    let index = ShardedFacetIndex::build(
-        bundle.corpus.db.docs().to_vec(),
-        1,
-        extractors,
-        resources,
-        PipelineOptions::default(),
-    )
-    .expect("a fresh index accepts any batch");
+    let subs = Substrates::new(bundle);
+    let backends = Backends::new(&subs);
+    let [_, wordnet, _, graph] = backends.resources();
+    let options = GridOptions {
+        pipeline: PipelineOptions::default(),
+        recorder: recorder.clone(),
+    };
+    let index = build_cell(
+        bundle.corpus.db.docs(),
+        Column::Extract(subs.extractors().to_vec()),
+        vec![wordnet, graph],
+        SelectionStatistic::LogLikelihood,
+        &options,
+    );
     let snapshot = index.snapshot();
 
     // ---- keyword interface ------------------------------------------------
@@ -288,8 +283,12 @@ mod tests {
 
     #[test]
     fn study_runs_and_reports() {
-        let mut bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
-        let stats = run_user_study(&mut bundle, &UserStudyConfig::default());
+        let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+        let stats = run_user_study(
+            &bundle,
+            &UserStudyConfig::default(),
+            Recorder::disabled_ref(),
+        );
         assert_eq!(stats.len(), 5);
         let t = user_study_table("User study", &stats);
         assert!(t.render().contains("Session"));
@@ -303,13 +302,14 @@ mod tests {
     fn keyword_use_and_time_decline_over_sessions() {
         // Five users is a small sample (as in the paper); compare the
         // first session against the mean of the last two to absorb noise.
-        let mut bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+        let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
         let stats = run_user_study(
-            &mut bundle,
+            &bundle,
             &UserStudyConfig {
                 users: 10,
                 ..Default::default()
             },
+            Recorder::disabled_ref(),
         );
         let first = stats.first().unwrap();
         let late_queries = (stats[3].keyword_queries + stats[4].keyword_queries) / 2.0;

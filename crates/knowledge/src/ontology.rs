@@ -164,17 +164,6 @@ impl FacetOntology {
         false
     }
 
-    /// All descendants of `id` (not including `id`), in BFS order.
-    pub fn descendants(&self, id: FacetNodeId) -> Vec<FacetNodeId> {
-        let mut out = Vec::new();
-        let mut queue: Vec<FacetNodeId> = self.nodes[id.index()].children.clone();
-        while let Some(n) = queue.pop() {
-            out.push(n);
-            queue.extend(self.nodes[n.index()].children.iter().copied());
-        }
-        out
-    }
-
     /// All facet terms as strings (id order).
     pub fn terms(&self) -> impl Iterator<Item = &str> {
         self.nodes.iter().map(|n| n.term.as_str())
@@ -227,15 +216,6 @@ mod tests {
         assert!(o.is_ancestor(eu, fr));
         assert!(!o.is_ancestor(fr, eu));
         assert!(!o.is_ancestor(fr, fr));
-    }
-
-    #[test]
-    fn descendants_bfsish() {
-        let (o, loc, eu, fr) = sample();
-        let mut d = o.descendants(loc);
-        d.sort();
-        assert_eq!(d, vec![eu, fr]);
-        assert!(o.descendants(fr).is_empty());
     }
 
     #[test]

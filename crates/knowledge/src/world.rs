@@ -858,15 +858,6 @@ impl World {
     pub fn entities_of_kind(&self, kind: EntityKind) -> impl Iterator<Item = &Entity> {
         self.entities.iter().filter(move |e| e.kind == kind)
     }
-
-    /// Find an entity by canonical name (case-insensitive, linear scan —
-    /// used by evaluation code, not by the pipeline).
-    pub fn find_entity(&self, name: &str) -> Option<&Entity> {
-        let lower = name.to_lowercase();
-        self.entities
-            .iter()
-            .find(|e| e.name.to_lowercase() == lower)
-    }
 }
 
 /// Popularity that decays Zipf-like with catalog position, in (0, 1].

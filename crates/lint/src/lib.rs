@@ -79,14 +79,6 @@ pub fn load_config(root: &Path) -> Result<Config, LintError> {
     Ok(config::parse(&text)?)
 }
 
-/// Lint one file's contents under `config` — token-local rules only
-/// (exposed for self-tests and targeted runs; the program-level D5/C2/A1
-/// analyses need the whole file set, see [`lint_sources`]).
-pub fn lint_source(file: &walk::SourceFile, source: &str, config: &Config) -> Vec<Finding> {
-    let lexed = lexer::lex(source);
-    rules::analyze(file, &lexed, config)
-}
-
 /// Lint a set of files as one program: per-file token rules, then the
 /// workspace-global analyses (D5 taint, C2 publication discipline, A1
 /// sanction audit) over the shared symbol table and call graph.
@@ -380,6 +372,13 @@ mod tests {
     use crate::config::Severity;
     use crate::lexer::{lex, strip_test_code, TokenKind};
     use std::path::PathBuf;
+
+    /// Lint one file's contents under `config`: the token-local rules
+    /// only (the program-level D5/C2/A1 analyses need the whole file set,
+    /// see [`lint_sources`]).
+    fn lint_source(file: &walk::SourceFile, source: &str, config: &Config) -> Vec<Finding> {
+        rules::analyze(file, &lex(source), config)
+    }
 
     fn fixture_config() -> Config {
         config::parse(

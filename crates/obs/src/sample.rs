@@ -44,11 +44,6 @@ impl HeadSampler {
         let n = self.roots_seen.fetch_add(1, Ordering::Relaxed);
         self.every <= 1 || n.is_multiple_of(self.every)
     }
-
-    /// Total roots that have started (sampled or not).
-    pub(crate) fn roots_seen(&self) -> u64 {
-        self.roots_seen.load(Ordering::Relaxed)
-    }
 }
 
 /// A bounded ring of finished traces.
@@ -137,7 +132,6 @@ mod tests {
         let s = HeadSampler::new(3);
         let kept: Vec<bool> = (0..7).map(|_| s.admit()).collect();
         assert_eq!(kept, [true, false, false, true, false, false, true]);
-        assert_eq!(s.roots_seen(), 7);
         let all = HeadSampler::new(1);
         assert!((0..5).all(|_| all.admit()));
         let zero = HeadSampler::new(0);

@@ -273,8 +273,6 @@ struct PendingTrace {
 struct TracerState {
     pending: HashMap<u64, PendingTrace>,
     ring: TraceRing,
-    /// Unsampled, error-free traces discarded at finalization.
-    unsampled_traces: u64,
 }
 
 #[derive(Debug)]
@@ -314,7 +312,6 @@ impl Tracer {
                 state: Mutex::new(TracerState {
                     pending: HashMap::new(),
                     ring: TraceRing::new(config.max_buffered_spans),
-                    unsampled_traces: 0,
                 }),
             }),
         }
@@ -389,16 +386,6 @@ impl Tracer {
         self.inner.state.lock().ring.evicted_traces()
     }
 
-    /// Error-free traces discarded by head sampling.
-    pub fn unsampled_traces(&self) -> u64 {
-        self.inner.state.lock().unsampled_traces
-    }
-
-    /// Total root spans started, sampled or not.
-    pub fn roots_started(&self) -> u64 {
-        self.inner.sampler.roots_seen()
-    }
-
     /// Export the buffered traces as Chrome trace-event JSON (see
     /// [`crate::export::chrome_trace_json`]).
     pub fn chrome_trace_json(&self) -> String {
@@ -434,8 +421,6 @@ impl Tracer {
                     error: done.error,
                     spans: done.spans,
                 });
-            } else {
-                state.unsampled_traces += 1;
             }
         }
     }
@@ -733,8 +718,6 @@ mod tests {
         // Roots 0 and 4 are sampled; root 6 is retained by its error.
         assert_eq!(traces.len(), 3);
         assert_eq!(traces.iter().filter(|t| t.error).count(), 1);
-        assert_eq!(tracer.unsampled_traces(), 5);
-        assert_eq!(tracer.roots_started(), 8);
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl VirtualClock {
         Self::default()
     }
 
-    /// A new clock starting at `start_us`.
-    pub fn starting_at(start_us: u64) -> Self {
-        Self(Arc::new(AtomicU64::new(start_us)))
-    }
-
     /// Current virtual time in microseconds.
     pub fn now_us(&self) -> u64 {
         self.0.load(Ordering::Acquire)
@@ -65,12 +60,6 @@ mod tests {
         assert_eq!(b.now_us(), 500);
         b.advance_us(250);
         assert_eq!(a.now_us(), 750);
-    }
-
-    #[test]
-    fn starting_offset_respected() {
-        let c = VirtualClock::starting_at(1_000);
-        assert_eq!(c.now_us(), 1_000);
     }
 
     #[test]

@@ -196,12 +196,6 @@ impl<R: ContextResource> FaultyResource<R> {
         self.healed.store(true, Ordering::Release);
     }
 
-    /// Re-arm the plan after a [`heal`](Self::heal) (attempt counters
-    /// keep advancing; phase-mode terms resume failing).
-    pub fn unheal(&self) {
-        self.healed.store(false, Ordering::Release);
-    }
-
     /// Whether [`heal`](Self::heal) has been called.
     pub fn is_healed(&self) -> bool {
         self.healed.load(Ordering::Acquire)
@@ -298,8 +292,6 @@ mod tests {
         f.heal();
         assert_eq!(f.try_context_terms("x").unwrap(), vec!["about x"]);
         assert_eq!(f.injected_failures(), 3);
-        f.unheal();
-        assert!(f.try_context_terms("x").is_err());
     }
 
     #[test]

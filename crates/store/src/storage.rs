@@ -163,7 +163,7 @@ impl Storage for DiskStorage {
 ///   its tail past a seed-derived offset (may tear previously durable
 ///   records, not just the new one).
 ///
-/// By default the wrapper is **one-shot**: after the first injection it
+/// The wrapper is **one-shot**: after the first injection it
 /// disarms, so a scenario damages exactly one crash point and recovery
 /// runs against otherwise healthy storage. Reads are never faulted — all
 /// damage must be discovered via checksums, never via errors. Every
@@ -174,7 +174,6 @@ pub struct FaultyStorage<S> {
     schedule: FaultSchedule,
     clock: VirtualClock,
     armed: AtomicBool,
-    one_shot: bool,
     injected: AtomicU64,
 }
 
@@ -186,15 +185,8 @@ impl<S: Storage> FaultyStorage<S> {
             schedule,
             clock,
             armed: AtomicBool::new(true),
-            one_shot: true,
             injected: AtomicU64::new(0),
         }
-    }
-
-    /// Keep injecting after the first fault instead of disarming.
-    pub fn continuous(mut self) -> Self {
-        self.one_shot = false;
-        self
     }
 
     /// Disarm injection (the "crash point has passed" switch).
@@ -241,9 +233,7 @@ impl<S: Storage> FaultyStorage<S> {
             return None;
         }
         self.injected.fetch_add(1, Ordering::Relaxed);
-        if self.one_shot {
-            self.disarm();
-        }
+        self.disarm();
         Some((self.kind_for(&key, attempt), attempt, key))
     }
 
@@ -373,8 +363,7 @@ mod tests {
                 DiskStorage::open(&dir).expect("open"),
                 FaultSchedule::new(seed, 1000),
                 clock.clone(),
-            )
-            .continuous();
+            );
             for i in 0..4u8 {
                 // Silent model: the op reports success even when damaged.
                 s.append("w.log", &[i; 64]).expect("append reports ok");
@@ -385,7 +374,7 @@ mod tests {
             (bytes, injected, clock.now_us())
         };
         let (a, injected, t) = run(0xC0FFEE);
-        assert!(injected > 0, "permille 1000 injects on every write");
+        assert!(injected > 0, "permille 1000 injects on the first write");
         let healthy: Vec<u8> = (0..4u8).flat_map(|i| [i; 64]).collect();
         assert_ne!(a, healthy, "damage happened");
         let (b, _, t2) = run(0xC0FFEE);

@@ -221,11 +221,6 @@ pub fn is_stopword(word: &str) -> bool {
     table().get(word).is_some()
 }
 
-/// Number of entries in the stopword list (for diagnostics).
-pub fn stopword_count() -> usize {
-    table().len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,10 +247,6 @@ mod tests {
 
     #[test]
     fn no_duplicates_in_list() {
-        assert_eq!(
-            stopword_count(),
-            STOPWORDS.len(),
-            "duplicate stopword entry"
-        );
+        assert_eq!(table().len(), STOPWORDS.len(), "duplicate stopword entry");
     }
 }

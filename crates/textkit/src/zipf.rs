@@ -63,23 +63,26 @@ impl Zipf {
             Err(i) => i.min(self.cdf.len() - 1),
         }
     }
-
-    /// The probability mass of `rank`.
-    pub fn pmf(&self, rank: usize) -> f64 {
-        if rank >= self.cdf.len() {
-            return 0.0;
-        }
-        if rank == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[rank] - self.cdf[rank - 1]
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Zipf {
+        /// The probability mass of `rank`: the reference the sampler's
+        /// tests check against.
+        fn pmf(&self, rank: usize) -> f64 {
+            if rank >= self.cdf.len() {
+                return 0.0;
+            }
+            if rank == 0 {
+                self.cdf[0]
+            } else {
+                self.cdf[rank] - self.cdf[rank - 1]
+            }
+        }
+    }
 
     #[test]
     fn cdf_is_monotone_and_normalized() {

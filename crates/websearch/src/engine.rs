@@ -3,7 +3,7 @@
 use crate::index::{index_terms, InvertedIndex, WebDocId, WebPage};
 use crate::rank::{bm25_rank, Bm25Params};
 use facet_obs::{Counter, HistogramHandle, Recorder};
-use facet_textkit::{tokens, TermId, TokenKind};
+use facet_textkit::{TermId, TokenKind};
 use std::ops::Range;
 
 /// One search result.
@@ -14,8 +14,7 @@ pub struct SearchHit {
     /// BM25 score.
     pub score: f64,
     /// Result snippet: a window of the engine's token table around the
-    /// first query hit, read through [`SearchEngine::snippet_tokens`] and
-    /// [`SearchEngine::snippet_text`].
+    /// first query hit, read through [`SearchEngine::snippet_tokens`].
     snippet: Range<u32>,
 }
 
@@ -127,31 +126,19 @@ impl SearchEngine {
     ) -> impl Iterator<Item = (TermId, TokenKind)> + '_ {
         self.index.folded_tokens(hit.snippet.clone())
     }
-
-    /// The text of `hit`'s snippet, as it appears on the page.
-    ///
-    /// The token table keeps no byte offsets, so this re-tokenizes the
-    /// page; the hot path (the snippet miner) reads
-    /// [`SearchEngine::snippet_tokens`] instead.
-    pub fn snippet_text(&self, hit: &SearchHit) -> String {
-        let page = self.index.page_tokens(hit.doc).start;
-        let (first, end) = (
-            (hit.snippet.start - page) as usize,
-            (hit.snippet.end - page) as usize,
-        );
-        if first == end {
-            return String::new();
-        }
-        let text = self.page(hit.doc).full_text();
-        let toks = tokens(&text);
-        text[toks[first].start..toks[end - 1].end].to_string()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::WebPage;
+
+    /// The folded text of each token of `hit`'s snippet.
+    fn snippet_words<'e>(e: &'e SearchEngine, hit: &SearchHit) -> Vec<&'e str> {
+        e.snippet_tokens(hit)
+            .map(|(s, _)| e.index().resolve(s))
+            .collect()
+    }
 
     fn engine() -> SearchEngine {
         SearchEngine::new(vec![
@@ -174,7 +161,7 @@ mod tests {
         let e = engine();
         let hits = e.search("France summit", 5);
         assert_eq!(hits[0].doc, WebDocId(0));
-        assert!(e.snippet_text(&hits[0]).to_lowercase().contains("summit"));
+        assert!(snippet_words(&e, &hits[0]).contains(&"summit"));
     }
 
     #[test]
@@ -204,25 +191,22 @@ mod tests {
     }
 
     #[test]
-    fn snippet_text_is_the_token_window_around_the_first_hit() {
+    fn snippet_is_the_token_window_around_the_first_hit() {
         let mut e = engine();
         e.snippet_radius = 1;
         let hits = e.search("France", 5);
         assert_eq!(hits[0].doc, WebDocId(0));
-        // The first hit is the title word, so the window spans the title
-        // and the ". " that joins it to the body.
-        assert_eq!(e.snippet_text(&hits[0]), "France summit");
+        // The first hit is the title word, so the window is the title.
+        assert_eq!(snippet_words(&e, &hits[0]), vec!["france", "summit"]);
         e.snippet_radius = 3;
         let hits = e.search("trade", 5);
-        assert_eq!(e.snippet_text(&hits[0]), "France to discuss trade.");
-        let words: Vec<&str> = e
-            .snippet_tokens(&hits[0])
-            .map(|(s, _)| e.index().resolve(s))
-            .collect();
-        assert_eq!(words, vec!["france", "to", "discuss", "trade", "."]);
+        assert_eq!(
+            snippet_words(&e, &hits[0]),
+            vec!["france", "to", "discuss", "trade", "."]
+        );
         e.snippet_radius = 0;
         let hits = e.search("summit", 5);
-        assert_eq!(e.snippet_text(&hits[0]), "summit");
+        assert_eq!(snippet_words(&e, &hits[0]), vec!["summit"]);
     }
 
     #[test]
@@ -230,8 +214,7 @@ mod tests {
         let mut e = engine();
         e.snippet_radius = 2;
         let hits = e.search("trade", 1);
-        let snippet = e.snippet_text(&hits[0]);
-        let words = snippet.split_whitespace().count();
-        assert!(words <= 6, "snippet too long: {snippet}");
+        let snippet = snippet_words(&e, &hits[0]);
+        assert!(snippet.len() <= 5, "snippet too long: {snippet:?}");
     }
 }

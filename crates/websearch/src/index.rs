@@ -79,8 +79,8 @@ struct SymInfo {
 /// token's symbol (the i-th entry of a page is the i-th token of
 /// [`tokens`] over its [`WebPage::full_text`]), and the posting lists
 /// live in a dense symbol-indexed table built from the same pass. Only
-/// index terms have postings, and only they count towards
-/// [`InvertedIndex::vocabulary_size`] and [`InvertedIndex::iter`].
+/// index terms have postings, and only they are listed by
+/// [`InvertedIndex::iter`].
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
     terms: Vocabulary,
@@ -88,8 +88,6 @@ pub struct InvertedIndex {
     info: Vec<SymInfo>,
     /// Posting lists indexed by symbol (empty unless an index term).
     postings: Vec<Vec<Posting>>,
-    /// Symbols with a non-empty posting list.
-    vocabulary: usize,
     /// The lowercase symbol of every page's tokens, page after page.
     tokens: Vec<TermId>,
     /// Page `d`'s tokens are `tokens[page_start[d]..page_start[d + 1]]`.
@@ -171,7 +169,6 @@ impl InvertedIndex {
             idx.total_len += u64::from(len);
             idx.page_start.push(to_u32(idx.tokens.len()));
         }
-        idx.vocabulary = idx.postings.iter().filter(|p| !p.is_empty()).count();
         idx
     }
 
@@ -244,11 +241,6 @@ impl InvertedIndex {
         } else {
             self.total_len as f64 / self.doc_len.len() as f64
         }
-    }
-
-    /// Number of distinct index terms.
-    pub fn vocabulary_size(&self) -> usize {
-        self.vocabulary
     }
 
     /// Iterate over `(term, postings)` pairs of the index terms in symbol
@@ -367,7 +359,7 @@ mod tests {
             })
             .collect();
         let idx = InvertedIndex::build(&pages);
-        assert!(idx.vocabulary_size() > 5);
+        assert!(idx.iter().count() > 5);
         for (term, list) in idx.iter() {
             assert!(
                 list.windows(2).all(|w| w[0].doc < w[1].doc),
@@ -389,7 +381,7 @@ mod tests {
         let idx = InvertedIndex::build(&pages);
         let terms: Vec<&str> = idx.iter().map(|(t, _)| t).collect();
         assert_eq!(terms, vec!["summit", "leaders"]);
-        assert_eq!(idx.vocabulary_size(), 2);
+        assert_eq!(idx.iter().count(), 2);
         assert!(idx.sym("the").is_some_and(|s| !idx.is_index_term(s)));
         assert!(idx
             .sym("1,000")
@@ -428,7 +420,7 @@ mod tests {
             ]
         );
         assert_eq!(idx.df("οδος"), 1, "title and body share one posting");
-        assert_eq!(idx.vocabulary_size(), 2, "the folded form has no postings");
+        assert_eq!(idx.iter().count(), 2, "the folded form has no postings");
     }
 
     #[test]

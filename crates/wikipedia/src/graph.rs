@@ -55,11 +55,6 @@ impl<'a> WikipediaGraph<'a> {
             .or_else(|| self.redirects.resolve(term))
     }
 
-    /// In-degree of a page.
-    pub fn in_degree(&self, p: PageId) -> u32 {
-        self.in_degree[p.index()]
-    }
-
     /// The association score of the link `from → to`. Returns `None` if
     /// the link does not exist.
     pub fn association(&self, from: PageId, to: PageId) -> Option<f64> {

@@ -99,11 +99,6 @@ impl WordNet {
         !self.lookup(lemma).is_empty()
     }
 
-    /// Direct hypernyms of a synset.
-    pub fn direct_hypernyms(&self, id: SynsetId) -> &[SynsetId] {
-        &self.hypernyms[id.index()]
-    }
-
     /// All hypernym ancestors of `id` up to `max_depth` levels, in BFS
     /// order (nearest first), deduplicated, excluding `id` itself.
     pub fn hypernym_closure(&self, id: SynsetId, max_depth: usize) -> Vec<SynsetId> {
@@ -229,6 +224,6 @@ mod tests {
     fn duplicate_edge_ignored() {
         let (mut wn, vehicle, car, _) = fixture();
         wn.add_hypernym(car, vehicle);
-        assert_eq!(wn.direct_hypernyms(car).len(), 1);
+        assert_eq!(wn.hypernyms[car.index()].len(), 1);
     }
 }

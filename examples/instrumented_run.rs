@@ -7,8 +7,8 @@
 //! ```
 //!
 //! The same recorder can be threaded through the experiment harness
-//! (`GridOptions::recorder`) or enabled on the `experiments`/`diag`
-//! binaries with `--obs <path.json>`.
+//! (`GridOptions::recorder`) or enabled on the `experiments` binary
+//! with `--obs <path.json>`.
 //!
 //! The second half of the example is a **chaos run**: one resource is
 //! wrapped in a seeded [`FaultyResource`] and a [`ResilientResource`]

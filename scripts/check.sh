@@ -23,7 +23,10 @@
 #                  and the paper-fidelity quality gate (QUALITY.json), the
 #                  facet-eval unit tests (the Tables II–VII grid, its
 #                  answer tables against live resources, and the
-#                  evaluation measures), the
+#                  evaluation measures), a release build of
+#                  facet-bench with its unit tests and one
+#                  `experiments all --scale 0.05` run that must exit 0 (the
+#                  root build compiles only the umbrella package), the
 #                  chaos (fault-injection) suite, the trace-export determinism
 #                  smoke, the facet-lint unit tests (the rules' fixtures)
 #                  and workspace gate, and a release
@@ -150,6 +153,13 @@ if [[ "${1:-}" == "--tier1" ]]; then
     # over live resources, the judges and the user study (crate unit
     # tests, also skipped by the root run).
     cargo test -q -p facet-eval
+    echo "== tier-1: experiment drivers"
+    # The root build compiles only the umbrella package, so facet-bench
+    # and its drivers are built, unit-tested and run here: every
+    # experiment at a small scale must finish with exit 0.
+    cargo build --release -p facet-bench
+    cargo test -q -p facet-bench
+    ./target/release/experiments all --scale 0.05 >/dev/null
     run_chaos
     run_trace_smoke
     echo "== tier-1: facet-lint unit tests"

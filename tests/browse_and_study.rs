@@ -6,6 +6,7 @@ use facet_hierarchies::corpus::RecipeKind;
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::eval::userstudy::{run_user_study, UserStudyConfig};
 use facet_hierarchies::ner::NerTagger;
+use facet_hierarchies::obs::Recorder;
 use facet_hierarchies::resources::{ContextResource, WikiGraphResource};
 use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor};
 use facet_hierarchies::wikipedia::WikipediaGraph;
@@ -71,8 +72,12 @@ fn refinement_counts_match_actual_selection() {
 
 #[test]
 fn user_study_reproduces_section_v_e_shape() {
-    let mut bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
-    let stats = run_user_study(&mut bundle, &UserStudyConfig::default());
+    let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+    let stats = run_user_study(
+        &bundle,
+        &UserStudyConfig::default(),
+        Recorder::disabled_ref(),
+    );
     assert_eq!(stats.len(), 5);
     let first = &stats[0];
     let last = &stats[4];
