@@ -29,6 +29,7 @@ use facet_bench::drivers;
 use facet_corpus::RecipeKind;
 use facet_obs::Recorder;
 
+#[derive(Debug)]
 struct Args {
     command: String,
     scale: f64,
@@ -38,46 +39,41 @@ struct Args {
     recorder: Recorder,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+/// Parse the arguments after the program name. A flag missing its value,
+/// an unparsable `--scale` (or one not a positive number) or `--top-k`,
+/// and an unknown flag are errors naming the flag and the value.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut command = String::from("all");
     let mut scale = 1.0f64;
     let mut top_k = 2000usize;
     let mut json = false;
     let mut obs: Option<String> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
+    let mut args = argv.iter();
+    while let Some(arg) = args.next() {
+        let mut value = |what: &str| {
+            args.next()
+                .ok_or_else(|| format!("{arg} requires {what}"))
+                .cloned()
+        };
+        match arg.as_str() {
+            "--json" => json = true,
             "--scale" => {
-                scale = argv.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-                i += 2;
+                let v = value("a value")?;
+                scale = v
+                    .parse()
+                    .ok()
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .ok_or_else(|| format!("--scale expects a positive number, got `{v}`"))?;
             }
             "--top-k" => {
-                top_k = argv.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(2000);
-                i += 2;
+                let v = value("a value")?;
+                top_k = v
+                    .parse()
+                    .map_err(|_| format!("--top-k expects a whole number, got `{v}`"))?;
             }
-            "--obs" => {
-                match argv.get(i + 1) {
-                    Some(path) => obs = Some(path.clone()),
-                    None => {
-                        eprintln!("--obs requires a file path");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            c if !c.starts_with("--") => {
-                command = c.to_string();
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            "--obs" => obs = Some(value("a file path")?),
+            c if !c.starts_with("--") => command = c.to_string(),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
     let recorder = if obs.is_some() {
@@ -85,14 +81,14 @@ fn parse_args() -> Args {
     } else {
         Recorder::disabled()
     };
-    Args {
+    Ok(Args {
         command,
         scale,
         top_k,
         json,
         obs,
         recorder,
-    }
+    })
 }
 
 /// Write the metrics report to `--obs <path>` (JSON) and print the
@@ -137,7 +133,11 @@ fn recall_precision(kind: RecipeKind, which: &str, args: &Args) {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     match args.command.as_str() {
         "table1" => {
             let (t, missing) = drivers::run_pilot(args.scale);
@@ -256,4 +256,62 @@ fn main() {
         }
     }
     dump_obs(&args);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn defaults_and_values() {
+        let a = parse(&[]).unwrap();
+        assert_eq!((a.command.as_str(), a.scale, a.top_k), ("all", 1.0, 2000));
+        assert!(!a.json && a.obs.is_none());
+        let a = parse(&["table2", "--scale", "0.1", "--top-k", "300", "--json"]).unwrap();
+        assert_eq!((a.command.as_str(), a.scale, a.top_k), ("table2", 0.1, 300));
+        assert!(a.json);
+        let a = parse(&["--obs", "m.json", "ablation"]).unwrap();
+        assert_eq!(a.obs.as_deref(), Some("m.json"));
+        assert_eq!(a.command, "ablation");
+    }
+
+    #[test]
+    fn bad_values_name_the_flag_and_the_value() {
+        for (args, want) in [
+            (
+                &["--scale", "0.1x"][..],
+                "--scale expects a positive number, got `0.1x`",
+            ),
+            (
+                &["--scale", "-1"],
+                "--scale expects a positive number, got `-1`",
+            ),
+            (
+                &["--scale", "NaN"],
+                "--scale expects a positive number, got `NaN`",
+            ),
+            (
+                &["--scale", "--json"],
+                "--scale expects a positive number, got `--json`",
+            ),
+            (
+                &["--top-k", "2k"],
+                "--top-k expects a whole number, got `2k`",
+            ),
+            (
+                &["--top-k", "-5"],
+                "--top-k expects a whole number, got `-5`",
+            ),
+            (&["table3", "--scale"], "--scale requires a value"),
+            (&["--top-k"], "--top-k requires a value"),
+            (&["--obs"], "--obs requires a file path"),
+            (&["--fast"], "unknown flag --fast"),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), want, "{args:?}");
+        }
+    }
 }

@@ -40,7 +40,6 @@ pub fn raw_subsumption_terms(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use facet_corpus::db::TermingOptions;
     use facet_corpus::{DocId, Document};
 
     #[test]
@@ -59,7 +58,7 @@ mod tests {
             })
             .collect();
         let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
+        let db = TextDatabase::build(docs, &mut vocab);
         let (terms, _forest) = raw_subsumption_terms(&db, &vocab, 4);
         let labels: Vec<&str> = terms.iter().map(|&t| vocab.term(t)).collect();
         // Only the generic, frequent words survive.
@@ -78,7 +77,7 @@ mod tests {
             text: "alpha beta gamma delta".into(),
         }];
         let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
+        let db = TextDatabase::build(docs, &mut vocab);
         let (terms, forest) = raw_subsumption_terms(&db, &vocab, 2);
         assert_eq!(terms.len(), 2);
         assert_eq!(forest.terms.len(), 2);

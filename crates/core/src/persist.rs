@@ -61,7 +61,7 @@ use crate::config::PipelineOptions;
 use crate::index::{AppendStats, IndexError, RepairStats};
 use crate::selection::SelectionStatistic;
 use crate::shard::ShardedFacetIndex;
-use facet_corpus::db::{DocTerms, TermingOptions};
+use facet_corpus::db::DocTerms;
 use facet_corpus::{DocId, Document};
 use facet_resources::{
     ContextResource, ContextualizedDatabase, ExpansionCache, ExpansionOptions, ResolvedTerm,
@@ -75,7 +75,7 @@ use facet_textkit::{RowStore, TermId, Vocabulary};
 /// covers the framing). Bump when any section codec changes shape; a
 /// snapshot of any other version is refused as a corrupt `meta`
 /// section, never decoded.
-pub const STATE_VERSION: u32 = 5;
+pub const STATE_VERSION: u32 = 6;
 
 fn corrupt(section: &str) -> StoreError {
     StoreError::CorruptSection {
@@ -282,7 +282,6 @@ struct Meta {
     generation: u64,
     statistic: SelectionStatistic,
     options: PipelineOptions,
-    terming: TermingOptions,
     n_docs: u64,
 }
 
@@ -296,8 +295,6 @@ fn enc_meta(w: &mut ByteWriter, meta: &Meta) {
     w.u64(meta.options.top_k as u64);
     w.f64(meta.options.subsumption_threshold);
     w.u64(meta.options.min_df_c);
-    w.u8(u8::from(meta.terming.bigrams));
-    w.u64(meta.terming.min_len as u64);
     w.u64(meta.n_docs);
 }
 
@@ -319,15 +316,10 @@ fn dec_meta(r: &mut ByteReader<'_>, expansion: &ExpansionOptions) -> Option<Meta
         min_df_c: r.u64()?,
     };
     options.validate().ok()?;
-    let terming = TermingOptions {
-        bigrams: r.u8()? != 0,
-        min_len: r.u64()? as usize,
-    };
     Some(Meta {
         generation,
         statistic,
         options,
-        terming,
         n_docs: r.u64()?,
     })
 }
@@ -379,7 +371,6 @@ fn encode_index(index: &ShardedFacetIndex<'_>) -> SnapshotPayload {
         generation: index.generation,
         statistic: index.statistic,
         options: index.options.clone(),
-        terming: index.db.options().clone(),
         n_docs: index.db.len() as u64,
     };
     let sections = [
@@ -422,7 +413,7 @@ fn restore_index(
     let n_docs = usize::try_from(meta.n_docs).map_err(|_| corrupt("meta"))?;
     let vocab = decode(payload, "vocab", dec_vocab)?;
     let known = |t: &TermId| t.index() < vocab.len();
-    let mut db = DocTerms::new(meta.terming);
+    let mut db = DocTerms::default();
     decode_rows(payload, "doc_terms", n_docs, vocab.len(), true, |row| {
         db.push_row(row)
     })?;
@@ -1148,7 +1139,6 @@ mod tests {
                 generation: live.generation,
                 statistic: live.statistic,
                 options: bad.clone(),
-                terming: live.db.options().clone(),
                 n_docs: live.len() as u64,
             };
             for (name, bytes) in &mut payload.sections {

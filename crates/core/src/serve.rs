@@ -33,7 +33,7 @@ use crate::index::{AppendStats, FacetSnapshot, IndexError, RepairStats};
 use crate::shard::ShardedFacetIndex;
 use facet_corpus::Document;
 use facet_obs::Recorder;
-use facet_textkit::{Fnv1a, FrozenVocabulary, TermId};
+use facet_textkit::{lowercase, Fnv1a, FrozenVocabulary, TermId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -125,7 +125,7 @@ impl BrowseResult {
 pub fn normalize_query(query: &[&str]) -> Vec<String> {
     let mut terms: Vec<String> = query
         .iter()
-        .map(|q| q.trim().to_lowercase())
+        .map(|q| lowercase(q.trim()))
         .filter(|q| !q.is_empty())
         .collect();
     terms.sort_unstable();
@@ -572,6 +572,22 @@ mod tests {
             normalize_query(&["France", "  POLITICAL LEADERS ", "france", ""]),
             vec!["france".to_string(), "political leaders".to_string()]
         );
+    }
+
+    /// A query folds like the counted and context terms: `ΟΔΟΣ` selects
+    /// the facet `οδοσ`.
+    #[test]
+    fn capital_sigma_query_selects_the_folded_facet() {
+        let e = FixedExtractor;
+        let mut map = HashMap::new();
+        map.insert("jacques chirac", vec!["οδοσ"]);
+        map.insert("angela merkel", vec!["οδοσ"]);
+        let r = FixedResource(map);
+        let srv = server(1, 24, &e, &r);
+        let got = srv.handle().browse(&["ΟΔΟΣ"]);
+        assert_eq!(got.query, vec!["οδοσ"]);
+        assert_eq!(got.total(), 18, "the Chirac and Merkel stories");
+        assert_eq!(got.docs, srv.handle().browse(&["οδοσ"]).docs);
     }
 
     #[test]

@@ -94,7 +94,7 @@ use crate::hierarchy::FacetForest;
 use crate::index::{AppendStats, DegradedMap, FacetSnapshot, IndexError, RepairStats};
 use crate::selection::{rank_stable, CandidateSet, SelectionInputs, SelectionStatistic};
 use crate::subsumption::{choose_parents_scanned, CoCounts, RangeCounts, SubsumptionParams};
-use facet_corpus::db::{term_strings, DocTerms, TermStrings, TermingOptions};
+use facet_corpus::db::{term_strings, DocTerms, TermStrings};
 use facet_corpus::Document;
 use facet_obs::Recorder;
 use facet_resources::{
@@ -203,7 +203,7 @@ pub struct ShardedFacetIndex<'a> {
 
 impl<'a> ShardedFacetIndex<'a> {
     /// An empty index with the paper's configuration (log-likelihood
-    /// ranking, default terming). Appends run their per-document stages
+    /// ranking). Appends run their per-document stages
     /// on `max(n, options.expansion.threads)` threads (at least one).
     pub fn new(
         n: usize,
@@ -230,7 +230,7 @@ impl<'a> ShardedFacetIndex<'a> {
             recorder: Recorder::disabled(),
             min_workers: n,
             vocab,
-            db: DocTerms::new(TermingOptions::default()),
+            db: DocTerms::default(),
             cache: ExpansionCache::new(),
             ctx: ContextualizedDatabase::empty(),
             important: RowStore::new(),
@@ -433,8 +433,7 @@ impl<'a> ShardedFacetIndex<'a> {
         // ---- extract (claimed runs) and ingest (in order), pipelined -----
         let extract = important.is_none();
         let mut lists = important.unwrap_or_else(|| Vec::with_capacity(docs));
-        let terming = self.db.options().clone();
-        let stage = ExtractStage::new(batch, &self.extractors, &terming, extract);
+        let stage = ExtractStage::new(batch, &self.extractors, extract);
         rayon::scope(|s| {
             let _unwind = WakeOnUnwind(&stage);
             for _ in 1..workers.min(docs) {
@@ -732,7 +731,6 @@ struct ExtractStage<'s> {
     /// participant unwinds.
     changed: Condvar,
     extractors: &'s [&'s dyn TermExtractor],
-    terming: &'s TermingOptions,
     /// Whether to compute `I(d)`, or only the counted terms.
     extract: bool,
 }
@@ -753,12 +751,7 @@ struct Claims {
 }
 
 impl<'s> ExtractStage<'s> {
-    fn new(
-        batch: Vec<Document>,
-        extractors: &'s [&'s dyn TermExtractor],
-        terming: &'s TermingOptions,
-        extract: bool,
-    ) -> Self {
+    fn new(batch: Vec<Document>, extractors: &'s [&'s dyn TermExtractor], extract: bool) -> Self {
         Self {
             claims: Mutex::new(Claims {
                 unclaimed: batch.into_iter(),
@@ -769,7 +762,6 @@ impl<'s> ExtractStage<'s> {
             }),
             changed: Condvar::new(),
             extractors,
-            terming,
             extract,
         }
     }
@@ -803,7 +795,7 @@ impl<'s> ExtractStage<'s> {
                 } else {
                     Vec::new()
                 };
-                (term_strings(&text, self.terming), found)
+                (term_strings(&text), found)
             })
             .collect();
         let n = termed.len() as u64;

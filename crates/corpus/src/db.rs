@@ -11,40 +11,21 @@
 
 use crate::document::{DocId, Document};
 use facet_textkit::{
-    is_stopword, normalize_term_into, RowStore, TermId, TokenKind, Tokens, Vocabulary,
+    is_counted_word, normalize_term_into, RowStore, TermId, TokenKind, Tokens, Vocabulary,
 };
 use std::ops::Range;
-
-/// Options controlling how documents are reduced to counted terms.
-#[derive(Debug, Clone)]
-pub struct TermingOptions {
-    /// Include stopword-free bigrams as phrase terms.
-    pub bigrams: bool,
-    /// Minimum unigram length in characters.
-    pub min_len: usize,
-}
-
-impl Default for TermingOptions {
-    fn default() -> Self {
-        Self {
-            bigrams: true,
-            min_len: 2,
-        }
-    }
-}
 
 /// The counted terms of `D`: one sorted, distinct term-id row per
 /// document, in id order, and the document frequency of every term over
 /// those rows. This is all Steps 2–4 read of the corpus; the documents
 /// themselves are Step 1's input only.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DocTerms {
     /// Distinct term ids per document, sorted.
     rows: RowStore,
     /// Document frequency per term id (indexed by `TermId`); term ids
     /// interned after the last push have frequency 0.
     df: Vec<u64>,
-    options: TermingOptions,
 }
 
 /// A database of text documents beside their [`DocTerms`], which it
@@ -75,12 +56,13 @@ impl TermStrings {
     }
 }
 
-/// The counted terms of `text`: each normalized word that is neither a
-/// stopword nor shorter than `min_len` bytes, followed (with bigrams on)
-/// by its bigram with the previous such word if the two were adjacent. A
+/// The counted terms of `text`: each normalized word that passes
+/// [`is_counted_word`], followed by its bigram with the previous such word
+/// if the two were adjacent. The one unigram-plus-bigram rule: the
+/// database counts these terms and the keyphrase extractor scores them. A
 /// pure function of the text, so callers can run it on other threads and
 /// intern the result later with [`DocTerms::push`].
-pub fn term_strings(text: &str, options: &TermingOptions) -> TermStrings {
+pub fn term_strings(text: &str) -> TermStrings {
     let mut out = TermStrings::default();
     // Where the previous counted word sits in `out.text`, if adjacent.
     let mut prev: Option<Range<usize>> = None;
@@ -93,13 +75,13 @@ pub fn term_strings(text: &str, options: &TermingOptions) -> TermStrings {
         let start = out.text.len();
         normalize_term_into(t.text, &mut out.text);
         let word = start..out.text.len();
-        if is_stopword(&out.text[word.clone()]) || word.len() < options.min_len {
+        if !is_counted_word(&out.text[word.clone()]) {
             out.text.truncate(start);
             prev = None;
             continue;
         }
         out.ends.push(word.end);
-        if let Some(p) = prev.filter(|_| options.bigrams) {
+        if let Some(p) = prev {
             bigram.clear();
             bigram.push_str(&out.text[p]);
             bigram.push(' ');
@@ -113,17 +95,8 @@ pub fn term_strings(text: &str, options: &TermingOptions) -> TermStrings {
 }
 
 impl DocTerms {
-    /// No documents yet; documents will be reduced to terms by `options`.
-    pub fn new(options: TermingOptions) -> Self {
-        Self {
-            rows: RowStore::new(),
-            df: Vec::new(),
-            options,
-        }
-    }
-
     /// Append one document whose counted terms are `terms` — the
-    /// [`term_strings`] of its full text under these options — interning
+    /// [`term_strings`] of its full text — interning
     /// them into `vocab` in order.
     pub fn push(&mut self, terms: &TermStrings, vocab: &mut Vocabulary) {
         let mut row: Vec<TermId> = terms.iter().map(|t| vocab.intern(t)).collect();
@@ -177,11 +150,6 @@ impl DocTerms {
         &self.df
     }
 
-    /// The terming options documents are reduced by.
-    pub fn options(&self) -> &TermingOptions {
-        &self.options
-    }
-
     /// True if the document contains the term (by id).
     pub fn doc_contains(&self, id: DocId, t: TermId) -> bool {
         self.doc_terms(id).binary_search(&t).is_ok()
@@ -190,10 +158,10 @@ impl DocTerms {
 
 impl TextDatabase {
     /// Build a database from `docs`, interning terms into `vocab`.
-    pub fn build(docs: Vec<Document>, vocab: &mut Vocabulary, options: TermingOptions) -> Self {
+    pub fn build(docs: Vec<Document>, vocab: &mut Vocabulary) -> Self {
         let mut db = Self {
             docs: Vec::with_capacity(docs.len()),
-            terms: DocTerms::new(options),
+            terms: DocTerms::default(),
         };
         for d in docs {
             db.push(d, vocab);
@@ -208,8 +176,7 @@ impl TextDatabase {
     ///
     /// Appending in batches is equivalent to building once from the
     /// concatenation: the df table ends up with identical counts, and the
-    /// per-document term sets are extracted with the same
-    /// [`TermingOptions`] the database was built with. Documents are
+    /// per-document term sets are the same [`term_strings`]. Documents are
     /// expected to carry positional ids (`docs[i].id == DocId(len + i)`),
     /// matching the invariant `build` establishes.
     pub fn append(&mut self, docs: Vec<Document>, vocab: &mut Vocabulary) -> Range<usize> {
@@ -226,7 +193,7 @@ impl TextDatabase {
     }
 
     fn push(&mut self, doc: Document, vocab: &mut Vocabulary) {
-        let terms = term_strings(&doc.full_text(), &self.terms.options);
+        let terms = term_strings(&doc.full_text());
         self.terms.push(&terms, vocab);
         self.docs.push(doc);
     }
@@ -271,7 +238,7 @@ mod tests {
             doc(1, "Peace", "A peace accord was signed."),
         ];
         let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
+        let db = TextDatabase::build(docs, &mut vocab);
         let war = vocab.get("war").unwrap();
         assert_eq!(db.df(war), 1, "df counts documents, not mentions");
         let peace = vocab.get("peace").unwrap();
@@ -282,7 +249,7 @@ mod tests {
     fn stopwords_and_numbers_excluded() {
         let docs = vec![doc(0, "T", "The summit of 2005 was a success.")];
         let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
+        let db = TextDatabase::build(docs, &mut vocab);
         assert!(vocab.get("the").is_none());
         assert!(vocab.get("2005").is_none());
         assert!(vocab.get("summit").is_some());
@@ -293,7 +260,7 @@ mod tests {
     fn bigrams_present_when_enabled() {
         let docs = vec![doc(0, "T", "The real estate market collapsed.")];
         let mut vocab = Vocabulary::new();
-        let _db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
+        let _db = TextDatabase::build(docs, &mut vocab);
         assert!(vocab.get("real estate").is_some());
         assert!(vocab.get("estate market").is_some());
         // Bigrams never span a stopword.
@@ -304,10 +271,7 @@ mod tests {
     /// stopwords, short words and punctuation break the chain.
     #[test]
     fn term_strings_keep_interning_order() {
-        let terms = term_strings(
-            "The Real  estate market, a US-led x rally.",
-            &TermingOptions::default(),
-        );
+        let terms = term_strings("The Real  estate market, a US-led x rally.");
         let got: Vec<&str> = terms.iter().collect();
         assert_eq!(
             got,
@@ -321,31 +285,15 @@ mod tests {
                 "rally"
             ]
         );
-        let none = term_strings("the a of", &TermingOptions::default());
+        let none = term_strings("the a of");
         assert_eq!(none.iter().count(), 0);
-    }
-
-    #[test]
-    fn bigrams_disabled() {
-        let docs = vec![doc(0, "T", "real estate market")];
-        let mut vocab = Vocabulary::new();
-        let _db = TextDatabase::build(
-            docs,
-            &mut vocab,
-            TermingOptions {
-                bigrams: false,
-                min_len: 2,
-            },
-        );
-        assert!(vocab.get("real estate").is_none());
-        assert!(vocab.get("real").is_some());
     }
 
     #[test]
     fn doc_terms_sorted_distinct() {
         let docs = vec![doc(0, "T", "alpha beta alpha gamma beta")];
         let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
+        let db = TextDatabase::build(docs, &mut vocab);
         let terms = db.doc_terms(DocId(0));
         let mut sorted = terms.to_vec();
         sorted.sort();
@@ -357,7 +305,7 @@ mod tests {
     fn unknown_term_df_zero() {
         let docs = vec![doc(0, "T", "alpha")];
         let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
+        let db = TextDatabase::build(docs, &mut vocab);
         let later = vocab.intern("political leaders");
         assert_eq!(db.df(later), 0);
         assert!(db.df_table().get(later.index()).is_none());
@@ -367,7 +315,7 @@ mod tests {
     fn doc_contains_works() {
         let docs = vec![doc(0, "T", "alpha beta")];
         let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
+        let db = TextDatabase::build(docs, &mut vocab);
         let alpha = vocab.get("alpha").unwrap();
         assert!(db.doc_contains(DocId(0), alpha));
         let zeta = vocab.intern("zeta");
@@ -377,7 +325,7 @@ mod tests {
     #[test]
     fn empty_database() {
         let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(vec![], &mut vocab, TermingOptions::default());
+        let db = TextDatabase::build(vec![], &mut vocab);
         assert!(db.is_empty());
         assert_eq!(db.len(), 0);
     }
@@ -392,10 +340,10 @@ mod tests {
         ];
         // One-shot build.
         let mut vocab_batch = Vocabulary::new();
-        let batch = TextDatabase::build(all.clone(), &mut vocab_batch, TermingOptions::default());
+        let batch = TextDatabase::build(all.clone(), &mut vocab_batch);
         // Incremental: empty build + two appends.
         let mut vocab_inc = Vocabulary::new();
-        let mut inc = TextDatabase::build(vec![], &mut vocab_inc, TermingOptions::default());
+        let mut inc = TextDatabase::build(vec![], &mut vocab_inc);
         let r1 = inc.append(all[..2].to_vec(), &mut vocab_inc);
         assert_eq!(r1, 0..2);
         let r2 = inc.append(all[2..].to_vec(), &mut vocab_inc);
@@ -415,11 +363,7 @@ mod tests {
     #[test]
     fn append_df_accounts_only_new_docs() {
         let mut vocab = Vocabulary::new();
-        let mut db = TextDatabase::build(
-            vec![doc(0, "A", "alpha beta")],
-            &mut vocab,
-            TermingOptions::default(),
-        );
+        let mut db = TextDatabase::build(vec![doc(0, "A", "alpha beta")], &mut vocab);
         db.append(vec![doc(1, "B", "beta gamma")], &mut vocab);
         assert_eq!(db.df(vocab.get("alpha").unwrap()), 1);
         assert_eq!(db.df(vocab.get("beta").unwrap()), 2);

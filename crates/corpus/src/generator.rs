@@ -17,7 +17,7 @@
 //! The generator returns both the documents and per-document gold
 //! annotations ([`crate::gold::DocGold`]) for the evaluation harness.
 
-use crate::db::{TermingOptions, TextDatabase};
+use crate::db::TextDatabase;
 use crate::document::{DocId, Document};
 use crate::gold::DocGold;
 use facet_knowledge::{EntityId, FacetNodeId, World};
@@ -132,7 +132,7 @@ impl<'w> CorpusGenerator<'w> {
             gold.push(g);
         }
 
-        let db = TextDatabase::build(docs, vocab, TermingOptions::default());
+        let db = TextDatabase::build(docs, vocab);
         GeneratedCorpus { db, gold }
     }
 

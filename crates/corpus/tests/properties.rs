@@ -2,7 +2,6 @@
 
 //! Property-based tests for the text-database substrate.
 
-use facet_corpus::db::TermingOptions;
 use facet_corpus::{DocId, Document, TextDatabase};
 use facet_textkit::Vocabulary;
 use proptest::prelude::*;
@@ -24,7 +23,7 @@ fn build(texts: &[String]) -> (TextDatabase, Vocabulary) {
         })
         .collect();
     let mut vocab = Vocabulary::new();
-    let db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
+    let db = TextDatabase::build(docs, &mut vocab);
     (db, vocab)
 }
 

@@ -7,6 +7,7 @@ use crate::annotators::GoldAnnotations;
 use crate::harness::GridCell;
 use crate::report::{fmt3, Table};
 use facet_knowledge::World;
+use facet_textkit::lowercase;
 use std::collections::{HashMap, HashSet};
 
 /// Recall per facet dimension (ontology root) for one grid cell.
@@ -59,7 +60,7 @@ pub fn candidate_composition(cell: &GridCell, world: &World) -> [(&'static str, 
     let surface: HashSet<String> = world
         .entities
         .iter()
-        .flat_map(|e| e.surface_forms().map(str::to_lowercase).collect::<Vec<_>>())
+        .flat_map(|e| e.surface_forms().map(lowercase).collect::<Vec<_>>())
         .collect();
     let nouns: HashSet<&str> = world.concepts.iter().map(|c| c.noun.as_str()).collect();
     let mut ontology = 0;

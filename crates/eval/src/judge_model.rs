@@ -20,6 +20,7 @@
 //! "Oceania" does not). Roots are acceptable facets by themselves.
 
 use facet_knowledge::{EntityId, FacetNodeId, World};
+use facet_textkit::lowercase;
 use std::collections::HashMap;
 
 /// Precomputed lookup tables for fast ideal judgments.
@@ -37,7 +38,7 @@ impl<'w> JudgeModel<'w> {
         let mut surface = HashMap::new();
         for e in &world.entities {
             for form in e.surface_forms() {
-                surface.entry(form.to_lowercase()).or_insert(e.id);
+                surface.entry(lowercase(form)).or_insert(e.id);
             }
         }
         let concepts = world

@@ -11,6 +11,7 @@
 use crate::annotators::{annotate_sample, AnnotatorConfig, GoldAnnotations};
 use facet_corpus::GeneratedCorpus;
 use facet_knowledge::World;
+use facet_textkit::lowercase;
 use std::collections::HashMap;
 
 /// The pilot study's findings.
@@ -48,7 +49,7 @@ pub fn pilot_study(
     let mut present = 0usize;
     let mut total = 0usize;
     for (i, agreed) in gold.per_doc.iter().enumerate() {
-        let text = corpus.db.docs()[gold.sample[i]].full_text().to_lowercase();
+        let text = lowercase(&corpus.db.docs()[gold.sample[i]].full_text());
         for &node in agreed {
             total += 1;
             if text.contains(&world.ontology.node(node).term) {

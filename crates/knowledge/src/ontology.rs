@@ -12,6 +12,7 @@
 //! reads it. It drives the corpus generator, the synthetic external
 //! resources, and the simulated annotators.
 
+use facet_textkit::lowercase;
 use std::collections::HashMap;
 
 /// Index of a node in a [`FacetOntology`].
@@ -71,7 +72,7 @@ impl FacetOntology {
     }
 
     fn add_node(&mut self, term: &str, parent: Option<FacetNodeId>) -> FacetNodeId {
-        let term = term.to_lowercase();
+        let term = lowercase(term);
         if let Some(&existing) = self.by_term.get(&term) {
             return existing;
         }
@@ -99,7 +100,7 @@ impl FacetOntology {
 
     /// Look up a facet term (case-insensitive).
     pub fn find(&self, term: &str) -> Option<FacetNodeId> {
-        self.by_term.get(&term.to_lowercase()).copied()
+        self.by_term.get(&lowercase(term)).copied()
     }
 
     /// True if `term` is a facet term anywhere in the ontology.

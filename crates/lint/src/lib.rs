@@ -212,6 +212,14 @@ pub fn explain(rule: &str) -> Option<String> {
              the caller. Return a typed error (IndexError/ExpansionError \
              precedent) or restructure so the failure cannot happen."
         }
+        "T1" => {
+            "One case fold: Steps 1-3 match strings (a term against a title, a \
+             context term against C(D), df against df_C), so every term, \
+             dictionary key and query lowercases through facet_textkit::lowercase \
+             (or normalize_term). to_lowercase, to_ascii_lowercase and \
+             make_ascii_lowercase are a second fold: str::to_lowercase maps a \
+             word-final capital sigma to a different letter."
+        }
         "D5" => {
             "Interprocedural determinism taint. Values originating from \
              HashMap/HashSet iteration, wall-clock reads, or unseeded RNG are \
@@ -282,6 +290,9 @@ sanctioned = ["fixtures::long_gone"]
 [rules.panic]
 severity = "deny"
 
+[rules.case-fold]
+severity = "deny"
+
 [rules.taint-unordered]
 severity = "deny"
 published = ["BrowseResult"]
@@ -330,6 +341,10 @@ severity = "deny"
         "P1" => vec![fixture(
             "p1_panic.rs",
             include_str!("../fixtures/p1_panic.rs"),
+        )],
+        "T1" => vec![fixture(
+            "t1_case_fold.rs",
+            include_str!("../fixtures/t1_case_fold.rs"),
         )],
         "D5" => vec![
             fixture(
@@ -399,6 +414,9 @@ severity = "deny"
 severity = "deny"
 
 [rules.panic]
+severity = "deny"
+
+[rules.case-fold]
 severity = "deny"
 "#,
         )
@@ -658,6 +676,21 @@ let done = true;
         assert!(
             findings.iter().any(|f| f.rule == "panic"),
             "expected P1: {findings:?}"
+        );
+    }
+
+    #[test]
+    fn fixture_t1_case_fold_is_caught() {
+        let findings = lint_fixture("t1_case_fold.rs");
+        let t1: Vec<(u32, &str)> = findings
+            .iter()
+            .filter(|f| f.rule == "case-fold")
+            .map(|f| (f.line, f.code.as_str()))
+            .collect();
+        assert_eq!(
+            t1,
+            vec![(4, "T1"), (5, "T1"), (10, "T1")],
+            "three folds in library code, none in test code: {findings:?}"
         );
     }
 

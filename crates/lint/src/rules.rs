@@ -9,6 +9,7 @@
 //! | D4   | `string-keyed-map` | advisory: `String`-keyed `HashMap`/`BTreeMap` in hot paths — intern and index a dense table instead |
 //! | C1   | `concurrency`   | no threading/locking/`unsafe` outside sanctioned sites |
 //! | P1   | `panic`         | no `unwrap()`/`expect()`/`panic!`/`todo!` in library code |
+//! | T1   | `case-fold`     | no `to_lowercase`/`to_ascii_lowercase`/`make_ascii_lowercase` outside `facet_textkit` |
 //! | A0   | `allow-hygiene` | every `lint:allow` names a known rule and carries a reason |
 //!
 //! The v2 program-level analyses (built on [`crate::parser`]) live in
@@ -101,6 +102,10 @@ pub const RULES: &[RuleMeta] = &[
         name: "panic",
     },
     RuleMeta {
+        code: "T1",
+        name: "case-fold",
+    },
+    RuleMeta {
         code: "D5",
         name: "taint-unordered",
     },
@@ -142,6 +147,7 @@ pub fn raw_hits(tokens: &[Token]) -> Vec<RawHit> {
     string_keyed_map(tokens, &mut raw);
     concurrency(tokens, &mut raw);
     panic_rule(tokens, &mut raw);
+    case_fold(tokens, &mut raw);
     raw
 }
 
@@ -606,6 +612,33 @@ fn panic_rule(tokens: &[Token], out: &mut Vec<(&'static str, u32, u32, String)>)
                 t.col,
                 format!(
                     "`{}!` aborts library code; return a typed error instead",
+                    t.text
+                ),
+            ));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// T1: a second case fold
+// ---------------------------------------------------------------------
+
+const CASE_FOLDS: &[&str] = &["to_lowercase", "to_ascii_lowercase", "make_ascii_lowercase"];
+
+/// Flag every lowercasing call or path (`s.to_lowercase()`,
+/// `str::to_lowercase`). Terms, dictionary keys and queries must match
+/// string for string, so they fold through `facet_textkit::lowercase`
+/// only; `str::to_lowercase` folds a final capital sigma differently.
+fn case_fold(tokens: &[Token], out: &mut Vec<(&'static str, u32, u32, String)>) {
+    for t in tokens {
+        if CASE_FOLDS.iter().any(|f| t.is_ident(f)) {
+            out.push((
+                "case-fold",
+                t.line,
+                t.col,
+                format!(
+                    "`{}` is a second case fold; lowercase terms, keys and queries \
+                     with `facet_textkit::lowercase` (or `normalize_term`)",
                     t.text
                 ),
             ));

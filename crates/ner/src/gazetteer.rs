@@ -1,7 +1,7 @@
 //! The entity gazetteer: longest-match dictionary of known surface forms.
 
 use facet_knowledge::{EntityId, EntityKind, World};
-use facet_textkit::{tokens, LowerWords, SymTable, Token, Vocabulary};
+use facet_textkit::{lowercase, normalize_term, tokens, LowerWords, SymTable, Token, Vocabulary};
 
 /// A dictionary mapping normalized surface forms to entities.
 ///
@@ -47,15 +47,14 @@ impl Gazetteer {
     /// Insert a surface form. First insertion wins (ambiguous forms keep
     /// their first sense, a realistic dictionary behavior).
     pub fn insert(&mut self, form: &str, entity: EntityId, kind: EntityKind) {
-        let lower = form.to_lowercase();
-        let words: Vec<&str> = lower.split_whitespace().collect();
-        let Some(first) = words.first() else {
+        let key = normalize_term(form);
+        let Some(first) = key.split(' ').next().filter(|w| !w.is_empty()) else {
             return;
         };
         let first = self.terms.intern(first);
         let entry = self.first_word_max.get_or_default(first);
-        *entry = (*entry).max(words.len());
-        let key = self.terms.intern(&words.join(" "));
+        *entry = (*entry).max(key.split(' ').count());
+        let key = self.terms.intern(&key);
         if !self.map.contains(key) {
             self.map.insert(key, (entity, kind));
         }
@@ -63,7 +62,7 @@ impl Gazetteer {
 
     /// Exact lookup of a normalized form.
     pub fn get(&self, form: &str) -> Option<(EntityId, EntityKind)> {
-        self.lookup(&form.to_lowercase())
+        self.lookup(&lowercase(form))
     }
 
     fn lookup(&self, key: &str) -> Option<(EntityId, EntityKind)> {

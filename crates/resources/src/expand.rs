@@ -691,7 +691,6 @@ fn resolve_term(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use facet_corpus::db::TermingOptions;
     use facet_corpus::{DocId, Document, TextDatabase};
     use std::collections::HashMap;
 
@@ -726,7 +725,7 @@ mod tests {
             },
         ];
         let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
+        let db = TextDatabase::build(docs, &mut vocab);
         let important = vec![
             vec!["jacques chirac".to_string()],
             vec!["jacques chirac".to_string()],
@@ -1158,7 +1157,7 @@ mod tests {
         // Rebuild the same two-document database one document at a time.
         let docs = db.docs().to_vec();
         let mut vocab_inc = Vocabulary::new();
-        let mut inc_db = TextDatabase::build(vec![], &mut vocab_inc, TermingOptions::default());
+        let mut inc_db = TextDatabase::build(vec![], &mut vocab_inc);
         inc_db.append(docs[..1].to_vec(), &mut vocab_inc);
         let syms_first = intern_important_terms(&mut vocab_inc, &important[..1]);
         let first = expand_append_recorded(
@@ -1199,7 +1198,7 @@ mod tests {
         // The incremental ctx matches the one-shot expansion of the same
         // vocabulary history (single resource, both docs share the term).
         let mut vocab_batch = Vocabulary::new();
-        let mut batch_db = TextDatabase::build(vec![], &mut vocab_batch, TermingOptions::default());
+        let mut batch_db = TextDatabase::build(vec![], &mut vocab_batch);
         batch_db.append(docs, &mut vocab_batch);
         let batch = expand_fresh(
             &batch_db,

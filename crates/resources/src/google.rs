@@ -9,7 +9,7 @@
 //! context terms alongside the true facet terms.
 
 use crate::resource::ContextResource;
-use facet_textkit::{TermId, TokenKind};
+use facet_textkit::{lowercase, TermId, TokenKind};
 use facet_websearch::SearchEngine;
 
 /// Frequent-snippet-term mining over the web-search substrate.
@@ -47,8 +47,7 @@ impl ContextResource for GoogleResource<'_> {
         }
         let index = self.engine.index();
         // A query word no page contains can never equal a snippet word.
-        let query_words: Vec<TermId> = term
-            .to_lowercase()
+        let query_words: Vec<TermId> = lowercase(term)
             .split_whitespace()
             .filter_map(|w| index.sym(w))
             .collect();

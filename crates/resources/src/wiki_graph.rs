@@ -47,4 +47,20 @@ mod tests {
         assert_eq!(res.context_terms("Hasekura Tsunenaga"), vec!["samurai"]);
         assert!(res.context_terms("nothing").is_empty());
     }
+
+    /// A counted term with a folded final sigma finds the page whose
+    /// title ends in a capital sigma, and the linked titles fold the same
+    /// way.
+    #[test]
+    fn counted_term_finds_a_capital_sigma_title() {
+        let mut w = Wikipedia::new();
+        let s = PageSubject::Concept(FacetNodeId(0));
+        let a = w.add_page("ΟΔΟΣ", String::new(), s);
+        let b = w.add_page("ΝΗΣΟΣ", String::new(), s);
+        w.add_link(a, b);
+        let r = RedirectTable::new();
+        let g = WikipediaGraph::new(&w, &r);
+        let res = WikiGraphResource::new(&g);
+        assert_eq!(res.context_terms("οδοσ"), vec!["νησοσ"]);
+    }
 }

@@ -54,4 +54,19 @@ mod tests {
         assert!(out.contains(&"hillary rodham clinton".to_string()));
         assert!(res.context_terms("unknown").is_empty());
     }
+
+    /// A counted term with a folded final sigma finds the page whose
+    /// title ends in a capital sigma, and the variants fold the same way.
+    #[test]
+    fn counted_term_finds_a_capital_sigma_title() {
+        let mut w = Wikipedia::new();
+        let page = w.add_page("ΟΔΟΣ", String::new(), PageSubject::Entity(EntityId(0)));
+        let mut r = RedirectTable::new();
+        r.add("ΔΡΟΜΟΣ", page);
+        let a = AnchorTable::new();
+        let syn = WikipediaSynonyms::new(&w, &r, &a);
+        let res = WikiSynonymsResource::new(&syn);
+        assert_eq!(res.context_terms("οδοσ"), vec!["δρομοσ"]);
+        assert_eq!(res.context_terms("δρομοσ"), vec!["οδοσ"]);
+    }
 }

@@ -3,7 +3,6 @@
 //! Property-based tests for the expansion engine: structural invariants
 //! of the contextualized database C(D).
 
-use facet_corpus::db::TermingOptions;
 use facet_corpus::{DocId, Document, TextDatabase};
 use facet_obs::Recorder;
 use facet_resources::{
@@ -82,7 +81,7 @@ proptest! {
             })
             .collect();
         let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
+        let db = TextDatabase::build(docs, &mut vocab);
         let resource = PoolResource { map };
         let important = intern_important_terms(&mut vocab, &important);
         let mut c = ContextualizedDatabase::empty();

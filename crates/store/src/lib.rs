@@ -6,7 +6,7 @@
 //! * **Versioned binary snapshots** — named, individually checksummed
 //!   sections inside a magic/version/trailer frame, written atomically
 //!   (temp file + fsync + rename + directory fsync) under retention
-//!   ([`FacetStore::with_retention`], default keeps 2 generations).
+//!   (the newest [`DEFAULT_RETENTION`] = 2 generations are kept).
 //! * **An append-ahead WAL** — one checksummed, length-prefixed record
 //!   per `append`/`repair` publication, logged *before* the publication
 //!   is applied in memory.

@@ -59,7 +59,6 @@ pub struct FacetStore {
     recorder: Recorder,
     wal: Wal,
     snapshots: SnapshotSet,
-    keep: usize,
 }
 
 impl FacetStore {
@@ -79,19 +78,12 @@ impl FacetStore {
             recorder: Recorder::disabled_ref().clone(),
             wal,
             snapshots,
-            keep: DEFAULT_RETENTION,
         })
     }
 
     /// Attach an observability recorder (`store.*` counters and spans).
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
-        self
-    }
-
-    /// Keep the newest `keep` snapshot generations (minimum 1).
-    pub fn with_retention(mut self, keep: usize) -> Self {
-        self.keep = keep.max(1);
         self
     }
 
@@ -105,12 +97,13 @@ impl FacetStore {
         &self.storage
     }
 
-    /// Write a snapshot generation atomically, apply retention, and
+    /// Write a snapshot generation atomically, keep the newest
+    /// [`DEFAULT_RETENTION`] generations, and
     /// prune WAL records every retained generation already captures.
     pub fn publish_snapshot(&self, payload: &SnapshotPayload) -> Result<(), StoreError> {
         let span = self.recorder.span("store.persist");
         span.attr("generation", payload.generation);
-        let oldest_kept = self.snapshots.publish(payload, self.keep)?;
+        let oldest_kept = self.snapshots.publish(payload, DEFAULT_RETENTION)?;
         self.wal.prune_through(oldest_kept)?;
         self.recorder.incr("store.persist");
         Ok(())

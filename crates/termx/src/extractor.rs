@@ -88,4 +88,32 @@ mod tests {
     fn empty_extractor_list() {
         assert!(extract_important_terms(&[], "text").is_empty());
     }
+
+    /// A word-final capital sigma folds one way in every Step-1 output:
+    /// the gazetteer, the title index, NE's reported term and the counted
+    /// terms all give `οδοσ`, so `I(d)` holds one string for the word and
+    /// it is a counted term.
+    #[test]
+    fn one_case_fold_across_step1() {
+        use crate::{NamedEntityExtractor, WikipediaTitleExtractor};
+        use facet_corpus::db::term_strings;
+        use facet_knowledge::{EntityId, EntityKind};
+        use facet_ner::{Gazetteer, NerTagger};
+        use facet_wikipedia::page::PageSubject;
+        use facet_wikipedia::{RedirectTable, TitleIndex, Wikipedia};
+
+        let mut gazetteer = Gazetteer::new();
+        gazetteer.insert("ΟΔΟΣ", EntityId(0), EntityKind::Location);
+        let ne = NamedEntityExtractor::new(NerTagger::new(gazetteer));
+        let mut wiki = Wikipedia::new();
+        wiki.add_page("ΟΔΟΣ", String::new(), PageSubject::Entity(EntityId(0)));
+        let titles = TitleIndex::build(&wiki, &RedirectTable::new());
+        let wiki_x = WikipediaTitleExtractor::new(&wiki, titles);
+        let text = "They walked the ΟΔΟΣ yesterday";
+        assert_eq!(ne.extract(text), vec!["οδοσ"]);
+        assert_eq!(wiki_x.extract(text), vec!["οδοσ"]);
+        let important = extract_important_terms(&[&ne, &wiki_x], text);
+        assert_eq!(important, vec!["οδοσ"]);
+        assert!(term_strings(text).iter().any(|t| t == important[0]));
+    }
 }

@@ -9,10 +9,9 @@
 //! corpus the extractor was fitted on.
 
 use crate::extractor::TermExtractor;
+use facet_corpus::db::term_strings;
 use facet_corpus::TextDatabase;
-use facet_textkit::{
-    is_stopword, normalize_term_into, SymTable, TermId, TokenKind, Tokens, Vocabulary,
-};
+use facet_textkit::{SymTable, TermId, Vocabulary};
 
 /// tf·idf keyphrase extractor.
 pub struct YahooTermExtractor {
@@ -76,44 +75,19 @@ impl TermExtractor for YahooTermExtractor {
     }
 
     fn extract(&self, text: &str) -> Vec<String> {
-        // Count unigrams and stopword-free bigrams in a per-document
-        // vocabulary + dense count table (no String-keyed map in the per-
-        // document hot path), both pre-sized for one distinct term per
-        // five bytes of text. Each word is normalized into one reused
-        // buffer and each bigram built in another.
+        // Count the document's counted terms (unigrams and stopword-free
+        // bigrams, as the database counts them) in a per-document
+        // vocabulary + dense count table, both pre-sized for one distinct
+        // term per five bytes of text.
         let terms = text.len() / 5;
         let mut seen = Vocabulary::with_capacity(terms, text.len());
         let mut tf: Vec<u32> = Vec::with_capacity(terms);
-        let mut count = |term: &str| {
+        for term in term_strings(text).iter() {
             let id = seen.intern(term).index();
             if id == tf.len() {
                 tf.push(0);
             }
             tf[id] += 1;
-        };
-        let (mut word, mut prev, mut bigram) = (String::new(), String::new(), String::new());
-        let mut has_prev = false;
-        for t in Tokens::new(text) {
-            if t.kind != TokenKind::Word {
-                has_prev = false;
-                continue;
-            }
-            word.clear();
-            normalize_term_into(t.text, &mut word);
-            if is_stopword(&word) || word.len() < 2 {
-                has_prev = false;
-                continue;
-            }
-            count(&word);
-            if has_prev {
-                bigram.clear();
-                bigram.push_str(&prev);
-                bigram.push(' ');
-                bigram.push_str(&word);
-                count(&bigram);
-            }
-            std::mem::swap(&mut prev, &mut word);
-            has_prev = true;
         }
         // Score and rank by id. Bigram scores get a small boost (phrases
         // are more informative when they recur at all). Only terms with
@@ -204,7 +178,6 @@ mod tests {
 
     #[test]
     fn fit_from_database() {
-        use facet_corpus::db::TermingOptions;
         use facet_corpus::{DocId, Document, TextDatabase};
         let docs = vec![Document {
             id: DocId(0),
@@ -214,7 +187,7 @@ mod tests {
             text: "market summit market".into(),
         }];
         let mut vocab = Vocabulary::new();
-        let db = TextDatabase::build(docs, &mut vocab, TermingOptions::default());
+        let db = TextDatabase::build(docs, &mut vocab);
         let e = YahooTermExtractor::fit(&db, &vocab);
         assert_eq!(e.n_docs, 1);
         assert!(e.terms.get("market").is_some_and(|s| e.df.contains(s)));

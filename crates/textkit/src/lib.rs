@@ -14,7 +14,9 @@
 //! * [`lower`] — a text's words lowercased into one buffer, so a
 //!   dictionary scan's multi-word keys are slices ([`LowerWords`]),
 //! * [`stem`] — a full Porter stemmer,
-//! * [`stopwords`] — a standard English stopword list,
+//! * [`lowercase`] — the one case fold of every term, key and query,
+//! * [`stopwords`] — a standard English stopword list and the counted-word
+//!   rule ([`is_counted_word`]),
 //! * [`phrase`] — n-gram and capitalized-phrase iterators,
 //! * [`vocab`] — the arena-backed vocabulary mapping terms to dense
 //!   [`TermId`]s ([`Vocabulary`], its [`FrozenVocabulary`] snapshots,
@@ -41,7 +43,7 @@ pub use lower::LowerWords;
 pub use phrase::{ngrams, proper_noun_phrases};
 pub use rows::RowStore;
 pub use stem::porter_stem;
-pub use stopwords::is_stopword;
+pub use stopwords::{is_counted_word, is_stopword};
 pub use tokenize::{sentences, tokens, Token, TokenKind, Tokens};
 pub use vocab::{FrozenVocabulary, InternStats, SymTable, TermId, Vocabulary};
 pub use zipf::Zipf;
@@ -87,7 +89,37 @@ impl Fnv1a {
     }
 }
 
-/// Normalize a raw term for frequency counting: lowercase and collapse
+/// Lowercase `text` char by char through [`char::to_lowercase`]: the one
+/// case fold every term, dictionary key and query goes through.
+///
+/// Unlike [`str::to_lowercase`], a capital sigma always folds to `σ`,
+/// never to the word-final `ς`, so a word folds the same alone and inside
+/// a phrase.
+///
+/// ```
+/// use facet_textkit::lowercase;
+/// assert_eq!(lowercase("G8 Summit"), "g8 summit");
+/// assert_eq!(lowercase("ΟΔΟΣ"), "οδοσ");
+/// ```
+pub fn lowercase(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    lowercase_into(text, &mut out);
+    out
+}
+
+/// [`lowercase`] appended to `out`, keeping what `out` held before. ASCII
+/// input is copied and lowercased in place.
+pub fn lowercase_into(text: &str, out: &mut String) {
+    if text.is_ascii() {
+        let start = out.len();
+        out.push_str(text);
+        out[start..].make_ascii_lowercase();
+    } else {
+        out.extend(text.chars().flat_map(char::to_lowercase));
+    }
+}
+
+/// Normalize a raw term for frequency counting: [`lowercase`] and collapse
 /// internal whitespace. Multi-word phrases stay phrases ("Jacques Chirac"
 /// becomes "jacques chirac").
 pub fn normalize_term(raw: &str) -> String {
@@ -97,40 +129,13 @@ pub fn normalize_term(raw: &str) -> String {
 }
 
 /// [`normalize_term`] appended to `out`, keeping what `out` held before.
-///
-/// ASCII input is copied word by word and lowercased in place; other
-/// input lowercases char by char through [`char::to_lowercase`].
 pub fn normalize_term_into(raw: &str, out: &mut String) {
     let start = out.len();
-    if raw.is_ascii() {
-        // `char::is_whitespace` on ASCII: space and \t \n \x0B \x0C \r
-        // (`u8::is_ascii_whitespace` leaves out the vertical tab).
-        let is_space = |c: char| matches!(c, ' ' | '\t' | '\n' | '\x0B' | '\x0C' | '\r');
-        for word in raw.split(is_space).filter(|w| !w.is_empty()) {
-            if out.len() > start {
-                out.push(' ');
-            }
-            out.push_str(word);
+    for word in raw.split(char::is_whitespace).filter(|w| !w.is_empty()) {
+        if out.len() > start {
+            out.push(' ');
         }
-        out[start..].make_ascii_lowercase();
-        return;
-    }
-    let mut last_space = true;
-    for ch in raw.chars() {
-        if ch.is_whitespace() {
-            if !last_space {
-                out.push(' ');
-                last_space = true;
-            }
-        } else {
-            for lc in ch.to_lowercase() {
-                out.push(lc);
-            }
-            last_space = false;
-        }
-    }
-    while out.len() > start && out.ends_with(' ') {
-        out.pop();
+        lowercase_into(word, out);
     }
 }
 

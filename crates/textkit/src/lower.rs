@@ -6,7 +6,7 @@
 //! the words are lowercased once into one buffer, separated by single
 //! spaces, so every such key is a slice of that buffer.
 
-use crate::{Token, TokenKind, Tokens};
+use crate::{lowercase_into, Token, TokenKind, Tokens};
 
 /// One word of a [`LowerWords`].
 #[derive(Debug, Clone, Copy)]
@@ -20,9 +20,8 @@ struct Word {
     run: usize,
 }
 
-/// The word and number tokens of a text, each lowercased as
-/// [`str::to_lowercase`] lowercases it alone, in one buffer separated by
-/// single spaces.
+/// The word and number tokens of a text, each through [`crate::lowercase`], in
+/// one buffer separated by single spaces.
 ///
 /// ```
 /// use facet_textkit::LowerWords;
@@ -66,7 +65,7 @@ impl LowerWords {
                 out.buf.push(' ');
             }
             let start = out.buf.len();
-            push_lowercase(t.text, &mut out.buf);
+            lowercase_into(t.text, &mut out.buf);
             out.words.push(Word {
                 lower: (start, out.buf.len()),
                 source: (t.start, t.end),
@@ -112,22 +111,10 @@ impl LowerWords {
     }
 }
 
-/// Append `word.to_lowercase()` to `out`, without a temporary `String`
-/// for an ASCII word.
-fn push_lowercase(word: &str, out: &mut String) {
-    if word.is_ascii() {
-        let start = out.len();
-        out.push_str(word);
-        out[start..].make_ascii_lowercase();
-    } else {
-        out.push_str(&word.to_lowercase());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokens;
+    use crate::{normalize_term, tokens};
 
     #[test]
     fn keys_equal_joined_lowercase_words() {
@@ -136,7 +123,7 @@ mod tests {
         let words: Vec<String> = toks
             .iter()
             .filter(|t| t.kind != TokenKind::Punct)
-            .map(|t| t.text.to_lowercase())
+            .map(|t| normalize_term(t.text))
             .collect();
         let lower = LowerWords::new(&toks);
         assert_eq!(LowerWords::of_text(text).buf, lower.buf);

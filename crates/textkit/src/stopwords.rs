@@ -221,6 +221,13 @@ pub fn is_stopword(word: &str) -> bool {
     table().get(word).is_some()
 }
 
+/// True if the lowercase word `word` counts as a term: two bytes or
+/// longer and not a stopword. The one rule behind the database's counted
+/// terms, the keyphrase scorer's candidates and the web index's terms.
+pub fn is_counted_word(word: &str) -> bool {
+    word.len() >= 2 && !is_stopword(word)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,6 +250,12 @@ mod tests {
     fn case_sensitive_lowercase_contract() {
         // Callers must lowercase first; "The" is not in the set.
         assert!(!is_stopword("The"));
+    }
+
+    #[test]
+    fn counted_words_are_long_non_stopwords() {
+        assert!(is_counted_word("g8") && is_counted_word("summit"));
+        assert!(!is_counted_word("x") && !is_counted_word("the") && !is_counted_word(""));
     }
 
     #[test]

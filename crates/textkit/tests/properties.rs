@@ -283,7 +283,7 @@ proptest! {
         prop_assert_eq!(is_stopword(&word), STOPWORDS.contains(&word.as_str()));
     }
 
-    /// Every key of a `LowerWords` is its words' `str::to_lowercase`
+    /// Every key of a `LowerWords` is its words' `normalize_term`
     /// joined by single spaces, and two words are adjacent exactly when
     /// no punctuation token lies between them.
     #[test]
@@ -293,7 +293,7 @@ proptest! {
             .iter()
             .enumerate()
             .filter(|(_, t)| t.kind != TokenKind::Punct)
-            .map(|(i, t)| (i, t.text.to_lowercase()))
+            .map(|(i, t)| (i, normalize_term(t.text)))
             .collect();
         let lower = LowerWords::new(&toks);
         prop_assert_eq!(lower.len(), words.len());

@@ -116,15 +116,17 @@ impl SearchEngine {
         at(start)..at(end)
     }
 
-    /// The tokens of `hit`'s snippet as `(symbol, class)`, where a word's
-    /// symbol is that of its [`facet_textkit::normalize_term`] text (look
-    /// it up with [`InvertedIndex::resolve`] and
-    /// [`InvertedIndex::is_index_term`]).
+    /// The tokens of `hit`'s snippet as `(symbol, class)`, where a token's
+    /// symbol is that of its [`facet_textkit::lowercase`] text (look it up
+    /// with [`InvertedIndex::resolve`] and [`InvertedIndex::is_index_term`]).
     pub fn snippet_tokens(
         &self,
         hit: &SearchHit,
     ) -> impl Iterator<Item = (TermId, TokenKind)> + '_ {
-        self.index.folded_tokens(hit.snippet.clone())
+        hit.snippet.clone().map(|t| {
+            let sym = self.index.token_sym(t);
+            (sym, self.index.kind(sym))
+        })
     }
 }
 
@@ -133,7 +135,7 @@ mod tests {
     use super::*;
     use crate::index::WebPage;
 
-    /// The folded text of each token of `hit`'s snippet.
+    /// The lowercase text of each token of `hit`'s snippet.
     fn snippet_words<'e>(e: &'e SearchEngine, hit: &SearchHit) -> Vec<&'e str> {
         e.snippet_tokens(hit)
             .map(|(s, _)| e.index().resolve(s))

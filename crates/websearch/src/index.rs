@@ -1,6 +1,8 @@
 //! Web pages, their token tables, and the inverted index.
 
-use facet_textkit::{is_stopword, normalize_term, tokens, TermId, TokenKind, Vocabulary};
+use facet_textkit::{
+    is_counted_word, lowercase, lowercase_into, tokens, TermId, TokenKind, Vocabulary,
+};
 use std::ops::Range;
 
 /// Index of a page in the web corpus.
@@ -42,20 +44,14 @@ pub struct Posting {
     pub tf: u32,
 }
 
-/// True if the lowercase `word` of a word token is an index term: two
-/// bytes or longer and not a stopword.
-fn is_index_word(word: &str) -> bool {
-    word.len() >= 2 && !is_stopword(word)
-}
-
-/// Tokenize text into lowercase index terms (words only, stopwords and
-/// single characters dropped).
+/// Tokenize text into lowercase index terms: the words that pass
+/// [`is_counted_word`].
 pub fn index_terms(text: &str) -> Vec<String> {
     tokens(text)
         .iter()
         .filter(|t| t.kind == TokenKind::Word)
-        .map(|t| t.text.to_lowercase())
-        .filter(|w| is_index_word(w))
+        .map(|t| lowercase(t.text))
+        .filter(|w| is_counted_word(w))
         .collect()
 }
 
@@ -67,7 +63,7 @@ struct SymInfo {
     /// (lowercasing keeps letters letters), numbers with an ASCII digit,
     /// and punctuation is one character that lowercasing leaves alone.
     kind: TokenKind,
-    /// A word of two or more bytes that is not a stopword.
+    /// A word that passes [`is_counted_word`].
     index_term: bool,
 }
 
@@ -92,11 +88,6 @@ pub struct InvertedIndex {
     tokens: Vec<TermId>,
     /// Page `d`'s tokens are `tokens[page_start[d]..page_start[d + 1]]`.
     page_start: Vec<u32>,
-    /// `(token, symbol)` for the word tokens whose [`normalize_term`]
-    /// text differs from their lowercase text, sorted by token. The two
-    /// lowercasings disagree only on a word-final capital sigma, which
-    /// `str::to_lowercase` maps to `ς` and a per-character fold to `σ`.
-    folded: Vec<(u32, TermId)>,
     doc_len: Vec<u32>,
     total_len: u64,
 }
@@ -126,13 +117,7 @@ impl InvertedIndex {
             text.push_str(&page.text);
             for t in tokens(&text) {
                 lower.clear();
-                let ascii = t.text.is_ascii();
-                if ascii {
-                    lower.push_str(t.text);
-                    lower.make_ascii_lowercase();
-                } else {
-                    lower.push_str(&t.text.to_lowercase());
-                }
+                lowercase_into(t.text, &mut lower);
                 let sym = idx.intern(&lower, t.kind);
                 if idx.info[sym.index()].index_term {
                     if sym.index() >= tf.len() {
@@ -142,14 +127,6 @@ impl InvertedIndex {
                         touched.push(sym);
                     }
                     tf[sym.index()] += 1;
-                }
-                if t.kind == TokenKind::Word && !ascii {
-                    let folded = normalize_term(t.text);
-                    if folded != lower {
-                        let token = to_u32(idx.tokens.len());
-                        let sym = idx.intern(&folded, TokenKind::Word);
-                        idx.folded.push((token, sym));
-                    }
                 }
                 idx.tokens.push(sym);
             }
@@ -172,13 +149,13 @@ impl InvertedIndex {
         idx
     }
 
-    /// Intern `text` (a token's lowercase or folded text) of class `kind`.
+    /// Intern `text` (a token's lowercase text) of class `kind`.
     fn intern(&mut self, text: &str, kind: TokenKind) -> TermId {
         let sym = self.terms.intern(text);
         if sym.index() == self.info.len() {
             self.info.push(SymInfo {
                 kind,
-                index_term: kind == TokenKind::Word && is_index_word(text),
+                index_term: kind == TokenKind::Word && is_counted_word(text),
             });
             self.postings.push(Vec::new());
         }
@@ -186,8 +163,8 @@ impl InvertedIndex {
         sym
     }
 
-    /// The symbol of a token's lowercase (or folded) text, if any page
-    /// has such a token.
+    /// The symbol of a token's lowercase text, if any page has such a
+    /// token.
     pub fn sym(&self, text: &str) -> Option<TermId> {
         self.terms.get(text)
     }
@@ -198,13 +175,12 @@ impl InvertedIndex {
     }
 
     /// The lexical class of a symbol from this index.
-    fn kind(&self, sym: TermId) -> TokenKind {
+    pub(crate) fn kind(&self, sym: TermId) -> TokenKind {
         self.info[sym.index()].kind
     }
 
-    /// True if `sym` is a word of two or more bytes that is not a
-    /// stopword: the terms the index keeps postings for and the snippet
-    /// miner counts.
+    /// True if `sym` is a word that passes [`is_counted_word`]: the terms
+    /// the index keeps postings for and the snippet miner counts.
     pub fn is_index_term(&self, sym: TermId) -> bool {
         self.info[sym.index()].index_term
     }
@@ -261,27 +237,6 @@ impl InvertedIndex {
     pub(crate) fn token_sym(&self, token: u32) -> TermId {
         self.tokens[token as usize]
     }
-
-    /// `(symbol, class)` of the tokens at table positions `window`, with
-    /// each word's [`normalize_term`] symbol (which differs from its
-    /// lowercase symbol only on a word-final capital sigma).
-    pub(crate) fn folded_tokens(
-        &self,
-        window: Range<u32>,
-    ) -> impl Iterator<Item = (TermId, TokenKind)> + '_ {
-        let mut folded = &self.folded[self.folded.partition_point(|&(t, _)| t < window.start)..];
-        window.map(move |token| {
-            let lower = self.token_sym(token);
-            let sym = match folded.first() {
-                Some(&(t, sym)) if t == token => {
-                    folded = &folded[1..];
-                    sym
-                }
-                _ => lower,
-            };
-            (sym, self.kind(lower))
-        })
-    }
 }
 
 /// A token-table position as `u32`.
@@ -293,6 +248,7 @@ fn to_u32(n: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use facet_textkit::normalize_term;
 
     fn pages() -> Vec<WebPage> {
         vec![
@@ -390,28 +346,25 @@ mod tests {
     }
 
     #[test]
-    fn folded_tokens_carry_the_normalize_term_symbol() {
-        // A word-final capital sigma lowercases to `ς` in context but
-        // folds to `σ` character by character; the token table keeps the
-        // lowercase symbol and the miner's view gets the folded one.
+    fn snippet_words_carry_their_normalize_term_symbol() {
+        // A word's one symbol is its `normalize_term` text: a word-final
+        // capital sigma folds to `σ` as everywhere else, so `ΟΔΟΣ` and
+        // `οδος` are two index terms.
         let pages = vec![WebPage {
             id: WebDocId(0),
             title: "ΟΔΟΣ".into(),
             text: "οδος Trade".into(),
         }];
         let idx = InvertedIndex::build(&pages);
-        let page = idx.page_tokens(WebDocId(0));
-        let lower: Vec<&str> = page
-            .clone()
-            .map(|t| idx.resolve(idx.token_sym(t)))
-            .collect();
-        assert_eq!(lower, vec!["οδος", ".", "οδος", "trade"]);
-        let folded: Vec<(&str, TokenKind)> = idx
-            .folded_tokens(page)
-            .map(|(s, k)| (idx.resolve(s), k))
+        let words: Vec<(&str, TokenKind)> = idx
+            .page_tokens(WebDocId(0))
+            .map(|t| {
+                let sym = idx.token_sym(t);
+                (idx.resolve(sym), idx.kind(sym))
+            })
             .collect();
         assert_eq!(
-            folded,
+            words,
             vec![
                 ("οδοσ", TokenKind::Word),
                 (".", TokenKind::Punct),
@@ -419,8 +372,13 @@ mod tests {
                 ("trade", TokenKind::Word),
             ]
         );
-        assert_eq!(idx.df("οδος"), 1, "title and body share one posting");
-        assert_eq!(idx.iter().count(), 2, "the folded form has no postings");
+        for word in ["ΟΔΟΣ", "οδος", "Trade"] {
+            let sym = idx.sym(&normalize_term(word)).unwrap();
+            assert!(idx.is_index_term(sym), "{word}");
+        }
+        assert_eq!(idx.df("οδοσ"), 1);
+        assert_eq!(idx.df("οδος"), 1);
+        assert_eq!(index_terms("ΟΔΟΣ Trade"), vec!["οδοσ", "trade"]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! low. The Synonyms resource keeps anchors above a score threshold.
 
 use crate::page::PageId;
+use facet_textkit::lowercase;
 use std::collections::HashMap;
 
 /// Anchor-text occurrence counts.
@@ -31,7 +32,7 @@ impl AnchorTable {
     /// Record one use of `phrase` as anchor text for a link to `target`.
     /// Phrases are normalized to lowercase.
     pub fn record(&mut self, phrase: &str, target: PageId) {
-        let phrase = phrase.to_lowercase();
+        let phrase = lowercase(phrase);
         *self.counts.entry((phrase.clone(), target)).or_insert(0) += 1;
         let targets = self.targets.entry(phrase.clone()).or_default();
         if !targets.contains(&target) {
@@ -46,7 +47,7 @@ impl AnchorTable {
     /// `tf(p, t)`: times `phrase` was used to link to `target`.
     pub fn tf(&self, phrase: &str, target: PageId) -> u32 {
         self.counts
-            .get(&(phrase.to_lowercase(), target))
+            .get(&(lowercase(phrase), target))
             .copied()
             .unwrap_or(0)
     }
@@ -54,7 +55,7 @@ impl AnchorTable {
     /// `f(p)`: number of distinct targets `phrase` points to.
     pub fn fanout(&self, phrase: &str) -> u32 {
         self.targets
-            .get(&phrase.to_lowercase())
+            .get(&lowercase(phrase))
             .map_or(0, |v| v.len() as u32)
     }
 

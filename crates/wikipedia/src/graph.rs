@@ -15,6 +15,7 @@
 
 use crate::page::{PageId, Wikipedia};
 use crate::redirects::RedirectTable;
+use facet_textkit::lowercase;
 
 /// Precomputed link-graph statistics plus the scoring query.
 #[derive(Debug)]
@@ -89,7 +90,7 @@ impl<'a> WikipediaGraph<'a> {
         scored
             .into_iter()
             .take(self.k)
-            .map(|(to, s)| (self.wiki.page(to).title.to_lowercase(), s))
+            .map(|(to, s)| (lowercase(&self.wiki.page(to).title), s))
             .collect()
     }
 }

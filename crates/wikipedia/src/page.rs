@@ -1,6 +1,7 @@
 //! Pages and the encyclopedia container.
 
 use facet_knowledge::{ConceptId, EntityId, FacetNodeId};
+use facet_textkit::lowercase;
 use std::collections::HashMap;
 
 /// Index of a page in a [`Wikipedia`].
@@ -61,7 +62,7 @@ impl Wikipedia {
     /// # Panics
     /// Panics on duplicate titles (the builder guarantees uniqueness).
     pub fn add_page(&mut self, title: &str, text: String, subject: PageSubject) -> PageId {
-        let key = title.to_lowercase();
+        let key = lowercase(title);
         assert!(
             !self.by_title.contains_key(&key),
             "duplicate page title {title}"
@@ -99,7 +100,7 @@ impl Wikipedia {
     /// Find a page by exact title (case-insensitive). Does **not** follow
     /// redirects — see [`crate::redirects::RedirectTable::resolve`].
     pub fn find_title(&self, title: &str) -> Option<PageId> {
-        self.by_title.get(&title.to_lowercase()).copied()
+        self.by_title.get(&lowercase(title)).copied()
     }
 
     /// Number of pages (the `N` of the association score).

@@ -6,6 +6,7 @@
 //! Wikipedia Synonyms resource.
 
 use crate::page::PageId;
+use facet_textkit::lowercase;
 use std::collections::HashMap;
 
 /// Map from redirect titles to canonical page ids, plus the reverse
@@ -27,7 +28,7 @@ impl RedirectTable {
     /// the variant; the stored variant keeps its original casing for
     /// display. Re-registering the same variant is a no-op.
     pub fn add(&mut self, variant: &str, target: PageId) {
-        let key = variant.to_lowercase();
+        let key = lowercase(variant);
         if self.forward.contains_key(&key) {
             return;
         }
@@ -41,7 +42,7 @@ impl RedirectTable {
     /// Resolve a title through the redirect table. Returns the canonical
     /// page if `title` is a redirect, else `None`.
     pub fn resolve(&self, title: &str) -> Option<PageId> {
-        self.forward.get(&title.to_lowercase()).copied()
+        self.forward.get(&lowercase(title)).copied()
     }
 
     /// All redirect titles pointing at `target` (the redirect synonym

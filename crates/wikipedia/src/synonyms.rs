@@ -11,6 +11,7 @@
 use crate::anchors::AnchorTable;
 use crate::page::Wikipedia;
 use crate::redirects::RedirectTable;
+use facet_textkit::lowercase;
 
 /// The synonyms resource.
 #[derive(Debug)]
@@ -48,16 +49,16 @@ impl<'a> WikipediaSynonyms<'a> {
         else {
             return Vec::new();
         };
-        let query_norm = term.to_lowercase();
+        let query_norm = lowercase(term);
         let mut out: Vec<String> = Vec::new();
         // Canonical title.
-        let canonical = self.wiki.page(page_id).title.to_lowercase();
+        let canonical = lowercase(&self.wiki.page(page_id).title);
         if canonical != query_norm {
             out.push(canonical);
         }
         // Redirect group.
         for v in self.redirects.group(page_id) {
-            let v = v.to_lowercase();
+            let v = lowercase(v);
             if v != query_norm && !out.contains(&v) {
                 out.push(v);
             }

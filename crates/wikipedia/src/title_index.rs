@@ -12,7 +12,7 @@
 
 use crate::page::{PageId, Wikipedia};
 use crate::redirects::RedirectTable;
-use facet_textkit::{is_stopword, LowerWords, SymTable, Vocabulary};
+use facet_textkit::{is_stopword, normalize_term, LowerWords, SymTable, Vocabulary};
 
 /// A dictionary of page titles supporting longest-match extraction.
 ///
@@ -39,18 +39,17 @@ impl TitleIndex {
         let mut map: SymTable<PageId> = SymTable::new();
         let mut first_word_max: SymTable<usize> = SymTable::new();
         let mut insert = |title: &str, page: PageId| {
-            let lower = title.to_lowercase();
-            let words: Vec<&str> = lower.split_whitespace().collect();
-            if words.is_empty() {
+            let key = normalize_term(title);
+            let Some(first) = key.split(' ').next().filter(|w| !w.is_empty()) else {
                 return;
-            }
-            let key_sym = terms.intern(&words.join(" "));
+            };
+            let key_sym = terms.intern(&key);
             if !map.contains(key_sym) {
                 map.insert(key_sym, page);
             }
-            let first_sym = terms.intern(words[0]);
+            let first_sym = terms.intern(first);
             let entry = first_word_max.get_or_default(first_sym);
-            *entry = (*entry).max(words.len());
+            *entry = (*entry).max(key.split(' ').count());
         };
         for p in wiki.pages() {
             insert(&p.title, p.id);

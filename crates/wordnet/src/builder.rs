@@ -57,7 +57,7 @@ pub fn build_wordnet(world: &World) -> WordNet {
             continue; // location entities are facet nodes; tolerate gaps
         };
         let gloss = format!("a place named {}", e.name);
-        let syn = wn.add_synset(&[&e.name.to_lowercase()], &gloss);
+        let syn = wn.add_synset(&[&e.name], &gloss);
         facet_synsets.insert(node.0, syn);
     }
     // Second pass to wire geography hypernyms (parents may be created

@@ -1,5 +1,6 @@
 //! Synsets, the lemma index, and hypernym closure queries.
 
+use facet_textkit::lowercase;
 use std::collections::HashMap;
 
 /// Index of a synset in a [`WordNet`].
@@ -49,7 +50,7 @@ impl WordNet {
         assert!(!lemmas.is_empty(), "synset needs at least one lemma");
         // lint:allow(panic, reason="u32 id-space exhaustion (>4B synsets) is unrecoverable and unreachable for the mini-WordNet")
         let id = SynsetId(u32::try_from(self.synsets.len()).expect("too many synsets"));
-        let lemmas: Vec<String> = lemmas.iter().map(|l| l.to_lowercase()).collect();
+        let lemmas: Vec<String> = lemmas.iter().map(|l| lowercase(l)).collect();
         for l in &lemmas {
             self.by_lemma.entry(l.clone()).or_default().push(id);
         }
@@ -89,7 +90,7 @@ impl WordNet {
     /// All synsets containing `lemma` (case-insensitive).
     pub fn lookup(&self, lemma: &str) -> &[SynsetId] {
         self.by_lemma
-            .get(&lemma.to_lowercase())
+            .get(&lowercase(lemma))
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }

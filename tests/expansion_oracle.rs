@@ -6,8 +6,9 @@
 //! BM25 accumulator with a full sort, a snippet `String` cut from a
 //! freshly built `full_text()` of the page, and a miner that counts
 //! `normalize_term` strings into a `BTreeMap`. It is kept here verbatim
-//! (modulo being free functions) as the oracle; nothing in the library
-//! calls it.
+//! (modulo being free functions, and every `str::to_lowercase` replaced
+//! by the char-wise fold [`ref_lowercase`]) as the oracle; nothing in the
+//! library calls it.
 //!
 //! One test runs two checks:
 //!
@@ -39,6 +40,12 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 const SNB_EXPANSION_DIGEST: u64 = 0x0163_2e79_ca7c_01ef;
 
 // ---- reference: the string-based Google path --------------------------
+
+/// Lowercase char by char through `char::to_lowercase`: a capital sigma
+/// folds to `σ` wherever it stands.
+fn ref_lowercase(s: &str) -> String {
+    s.chars().flat_map(char::to_lowercase).collect()
+}
 
 fn idf(n_docs: usize, df: usize) -> f64 {
     let n = n_docs as f64;
@@ -77,7 +84,7 @@ fn snippet(engine: &SearchEngine, doc: WebDocId, q_terms: &[String]) -> String {
     let hit = toks
         .iter()
         .position(|t| {
-            let w = t.text.to_lowercase();
+            let w = ref_lowercase(t.text);
             q_terms.contains(&w)
         })
         .unwrap_or(0);
@@ -107,8 +114,7 @@ fn context_terms(engine: &SearchEngine, g: &GoogleResource<'_>, term: &str) -> V
     if hits.is_empty() {
         return Vec::new();
     }
-    let query_words: Vec<String> = term
-        .to_lowercase()
+    let query_words: Vec<String> = ref_lowercase(term)
         .split_whitespace()
         .map(str::to_string)
         .collect();
@@ -231,8 +237,8 @@ fn snb_expansion_digest() -> u64 {
 
 /// Words for the random pages: plain words, stopwords, single letters,
 /// hyphenated and apostrophe words, digits and digit-letter mixes,
-/// punctuation, and Greek words ending in a capital sigma (where
-/// `str::to_lowercase` and `normalize_term` disagree).
+/// punctuation, and Greek words ending in a capital sigma (which
+/// `str::to_lowercase` would fold to `ς`, the one fold to `σ`).
 const VOCAB: &[&str] = &[
     "summit",
     "Summit",

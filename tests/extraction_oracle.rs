@@ -10,7 +10,10 @@
 //! clones every distinct term before a full sort, `Vec::contains`
 //! dedupes, a char-wise `normalize_term_into` and a `HashSet` stopword
 //! test. It is kept here verbatim (modulo being free functions and
-//! test-local types) as the oracle; nothing in the library calls it.
+//! test-local types, every `str::to_lowercase` replaced by the char-wise
+//! fold [`ref_lowercase`], and the counted terms at the one setting of
+//! unigrams of two bytes or more plus bigrams) as the oracle; nothing in
+//! the library calls it.
 //!
 //! Two tests:
 //!
@@ -25,7 +28,7 @@
 //!    whitespace-only text, against gazetteers, title indexes and df
 //!    tables drawn from the same words.
 
-use facet_hierarchies::corpus::db::{term_strings, TermingOptions};
+use facet_hierarchies::corpus::db::term_strings;
 use facet_hierarchies::corpus::{RecipeKind, TextDatabase};
 use facet_hierarchies::eval::harness::{tiny_recipe, DatasetBundle};
 use facet_hierarchies::knowledge::names::HONORIFICS;
@@ -57,6 +60,12 @@ fn ref_is_stopword(word: &str) -> bool {
     static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
     SET.get_or_init(|| STOPWORDS.iter().copied().collect())
         .contains(word)
+}
+
+/// Lowercase char by char through `char::to_lowercase`: a capital sigma
+/// folds to `σ` wherever it stands.
+fn ref_lowercase(s: &str) -> String {
+    s.chars().flat_map(char::to_lowercase).collect()
 }
 
 fn ref_normalize_term(raw: &str) -> String {
@@ -107,8 +116,7 @@ impl RefGazetteer {
     }
 
     fn insert(&mut self, form: &str, entity: EntityId, kind: EntityKind) {
-        let words: Vec<String> = form
-            .to_lowercase()
+        let words: Vec<String> = ref_lowercase(form)
             .split_whitespace()
             .map(str::to_string)
             .collect();
@@ -122,7 +130,7 @@ impl RefGazetteer {
     }
 
     fn get(&self, form: &str) -> Option<(EntityId, EntityKind)> {
-        self.map.get(&form.to_lowercase()).copied()
+        self.map.get(&ref_lowercase(form)).copied()
     }
 
     fn scan<'t>(&self, text: &'t str) -> Vec<(&'t str, usize, usize, EntityId, EntityKind)> {
@@ -136,7 +144,7 @@ impl RefGazetteer {
         let mut out = Vec::new();
         let mut wi = 0;
         while wi < word_idx.len() {
-            let first = toks[word_idx[wi]].text.to_lowercase();
+            let first = ref_lowercase(toks[word_idx[wi]].text);
             let Some(&max_len) = self.first_word_max.get(&first) else {
                 wi += 1;
                 continue;
@@ -148,7 +156,7 @@ impl RefGazetteer {
                     continue;
                 }
                 let key: Vec<String> = (0..len)
-                    .map(|k| toks[word_idx[wi + k]].text.to_lowercase())
+                    .map(|k| ref_lowercase(toks[word_idx[wi + k]].text))
                     .collect();
                 let key = key.join(" ");
                 if let Some(&(entity, kind)) = self.map.get(&key) {
@@ -297,8 +305,7 @@ impl RefTitleIndex {
         let mut map: SymTable<PageId> = SymTable::new();
         let mut first_word_max: SymTable<usize> = SymTable::new();
         let mut insert = |title: &str, page: PageId| {
-            let words: Vec<String> = title
-                .to_lowercase()
+            let words: Vec<String> = ref_lowercase(title)
                 .split_whitespace()
                 .map(str::to_string)
                 .collect();
@@ -335,7 +342,7 @@ impl RefTitleIndex {
         for t in &toks {
             match t.kind {
                 TokenKind::Word | TokenKind::Number => {
-                    words.push(t.text.to_lowercase());
+                    words.push(ref_lowercase(t.text));
                     breaks.push(false);
                 }
                 TokenKind::Punct => {
@@ -491,7 +498,7 @@ fn ref_important_terms(lists: Vec<Vec<String>>) -> Vec<String> {
     out
 }
 
-fn ref_term_strings(text: &str, options: &TermingOptions) -> Vec<String> {
+fn ref_term_strings(text: &str) -> Vec<String> {
     let mut text_buf = String::new();
     let mut ends: Vec<usize> = Vec::new();
     let mut prev: Option<Range<usize>> = None;
@@ -504,13 +511,13 @@ fn ref_term_strings(text: &str, options: &TermingOptions) -> Vec<String> {
         let start = text_buf.len();
         ref_normalize_term_into(t.text, &mut text_buf);
         let word = start..text_buf.len();
-        if ref_is_stopword(&text_buf[word.clone()]) || word.len() < options.min_len {
+        if ref_is_stopword(&text_buf[word.clone()]) || word.len() < 2 {
             text_buf.truncate(start);
             prev = None;
             continue;
         }
         ends.push(word.end);
-        if let Some(p) = prev.filter(|_| options.bigrams) {
+        if let Some(p) = prev {
             bigram.clear();
             bigram.push_str(&text_buf[p]);
             bigram.push(' ');
@@ -551,7 +558,7 @@ struct Pair<'a> {
 impl Pair<'_> {
     /// Assert every Step-1 output on `text` equals the reference; return
     /// `I(d)` and the counted term strings.
-    fn check(&self, text: &str, terming: &TermingOptions) -> (Vec<String>, Vec<String>) {
+    fn check(&self, text: &str) -> (Vec<String>, Vec<String>) {
         assert_eq!(
             self.gazetteer.scan(text),
             self.ref_gazetteer.scan(text),
@@ -596,15 +603,8 @@ impl Pair<'_> {
             ref_important_terms(vec![ne, yahoo, wiki]),
             "I(d) of {text:?}"
         );
-        let counted: Vec<String> = term_strings(text, terming)
-            .iter()
-            .map(str::to_string)
-            .collect();
-        assert_eq!(
-            counted,
-            ref_term_strings(text, terming),
-            "term strings of {text:?}"
-        );
+        let counted: Vec<String> = term_strings(text).iter().map(str::to_string).collect();
+        assert_eq!(counted, ref_term_strings(text), "term strings of {text:?}");
         (important, counted)
     }
 }
@@ -634,7 +634,7 @@ fn snb_step1_digest() -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut terms = 0;
     for d in docs {
-        let (important, counted) = pair.check(&d.full_text(), bundle.corpus.db.options());
+        let (important, counted) = pair.check(&d.full_text());
         terms += important.len();
         for t in &important {
             fnv(&mut hash, t.as_bytes());
@@ -663,8 +663,8 @@ fn step1_matches_the_string_reference_on_the_snb_bundle() {
 /// Words for the hostile texts: capitalized runs, honorifics and common
 /// sentence starters, stopwords in both cases, hyphen and apostrophe
 /// joiners (also dangling), digits with `.` and `,`, sentence-ending
-/// punctuation, Greek words with a word-final capital sigma (where
-/// `str::to_lowercase` and `normalize_term` disagree), `İ`, and other
+/// punctuation, Greek words with a word-final capital sigma (which
+/// `str::to_lowercase` would fold to `ς`, the one fold to `σ`), `İ`, and other
 /// non-ASCII letters.
 const WORDS: &[&str] = &[
     "Jacques",
@@ -782,7 +782,7 @@ fn step1_matches_the_string_reference_on_hostile_text() {
             let kind = [EntityKind::Person, EntityKind::Location][k as usize % 2];
             gazetteer.insert(form, EntityId(k as u32), kind);
             ref_gazetteer.insert(form, EntityId(k as u32), kind);
-            let lower = form.to_lowercase();
+            let lower = ref_lowercase(form);
             if titles.contains(&lower) {
                 continue;
             }
@@ -821,16 +821,12 @@ fn step1_matches_the_string_reference_on_hostile_text() {
             ref_yahoo: &ref_yahoo,
             wiki_x: &wiki_x,
         };
-        let terming = TermingOptions {
-            bigrams: case % 3 != 0,
-            min_len: [0, 1, 2, 3][case % 4],
-        };
         for text in ["", " ", "\u{b}\u{a0}\u{85}\n"] {
-            pair.check(text, &terming);
+            pair.check(text);
         }
         for _ in 0..24 {
             let text = hostile_text(&mut rng);
-            pair.check(&text, &terming);
+            pair.check(&text);
             for raw in [text.as_str(), pick(&mut rng, WORDS), pick(&mut rng, GAPS)] {
                 assert_eq!(normalize_term(raw), ref_normalize_term(raw), "{raw:?}");
                 let mut out = String::from("Kept ");
