@@ -26,9 +26,10 @@
 //! * [`ShardedFacetIndex::open_from`] recovers: load the newest snapshot
 //!   generation that verifies, decode the sections back into the index's
 //!   state (counting df and `df_C` from the rows) and rebuild the
-//!   postings, then replay the WAL tail through the ordinary
-//!   `append`/`repair` code paths, publishing through the index's one
-//!   publish path. Nothing in a snapshot depends on the worker count or
+//!   postings — while one more thread runs Step 1 on the WAL tail's
+//!   documents until restore is done — then replay the tail through the
+//!   ordinary `append`/`repair` code paths, publishing through the
+//!   index's one publish path. Nothing in a snapshot depends on the worker count or
 //!   the expansion threads, so it reopens at any count, with the
 //!   caller's threads. Because the pipeline is deterministic end-to-end,
 //!   and N appends publish what one append of the same documents
@@ -51,7 +52,8 @@
 //! from the snapshot's generation — so recovery either reproduces the
 //! publication history's end state or fails loudly; it never silently
 //! skips or reorders a batch. A record that does not decode is named by
-//! its own sequence number, before any batch is built from it. A restart
+//! its own sequence number when replay reaches it, before any batch is
+//! built from it, unless restoring the snapshot failed first. A restart
 //! publishes once per run and once per repair record. The restored state
 //! shares the first run's publish when a run comes first; when a repair
 //! record or the end of the tail comes first, it is published on its
@@ -60,7 +62,7 @@
 use crate::config::PipelineOptions;
 use crate::index::{AppendStats, IndexError, RepairStats};
 use crate::selection::SelectionStatistic;
-use crate::shard::ShardedFacetIndex;
+use crate::shard::{ShardedFacetIndex, Termed};
 use facet_corpus::db::DocTerms;
 use facet_corpus::{DocId, Document};
 use facet_resources::{
@@ -209,9 +211,9 @@ fn dec_docs(r: &mut ByteReader<'_>) -> Option<Vec<Document>> {
 }
 
 /// The vocabulary round-trips through its raw parts;
-/// [`Vocabulary::from_parts`] replays the exact progressive table growth,
-/// so a restored vocabulary interns future terms byte-identically to the
-/// live one it mirrors.
+/// [`Vocabulary::from_parts`] rebuilds the probe table progressive
+/// interning would have built, so a restored vocabulary interns future
+/// terms byte-identically to the live one it mirrors.
 fn enc_vocab(w: &mut ByteWriter, vocab: &Vocabulary) {
     let stats = vocab.stats();
     w.str(vocab.arena());
@@ -333,18 +335,26 @@ const RECORD_REPAIR: u8 = 1;
 
 /// What one WAL record asks a replaying index to do.
 enum ReplayOp {
-    Append(Vec<Document>),
+    /// Append the record's documents, this many.
+    Append(usize),
     Repair,
 }
 
-fn dec_record(record: &WalRecord) -> Result<ReplayOp, StoreError> {
+/// One WAL record as replay reads it: its sequence number and what it
+/// asks, or why it does not decode.
+type Decoded = Result<(u64, ReplayOp), StoreError>;
+
+/// Decode `record`, moving an append record's documents onto `docs`.
+fn dec_record(record: &WalRecord, docs: &mut Vec<Document>) -> Result<ReplayOp, StoreError> {
     let mut r = ByteReader::new(&record.payload);
     match r.u8() {
         Some(RECORD_APPEND) => {
-            let docs = dec_docs(&mut r)
+            let batch = dec_docs(&mut r)
                 .filter(|_| r.is_empty())
                 .ok_or_else(|| replay_failed(record.seq, "append record payload is malformed"))?;
-            Ok(ReplayOp::Append(docs))
+            let n = batch.len();
+            docs.extend(batch);
+            Ok(ReplayOp::Append(n))
         }
         Some(RECORD_REPAIR) if r.is_empty() => Ok(ReplayOp::Repair),
         _ => Err(replay_failed(record.seq, "unknown record kind")),
@@ -443,10 +453,12 @@ fn restore_index(
     Ok(())
 }
 
-/// An open run of logged appends: their documents in log order, how
-/// many records they came from, and the last record's sequence number.
+/// An open run of logged appends: their documents in log order, the
+/// leading ones already through Step 1, how many records they came
+/// from, and the last record's sequence number.
 #[derive(Default)]
 struct Run {
+    extracted: Vec<Termed>,
     docs: Vec<Document>,
     records: u64,
     last_seq: u64,
@@ -463,7 +475,7 @@ fn flush(
     let run = std::mem::take(run);
     if run.records > 0 {
         let landed = index
-            .append_at(run.docs, index.generation + run.records)
+            .append_resumed_at(run.extracted, run.docs, index.generation + run.records)
             .map_err(|e| replay_failed(run.last_seq, e.to_string()))?
             .generation;
         check_replayed_generation(run.last_seq, landed)?;
@@ -474,9 +486,34 @@ fn flush(
     Ok(())
 }
 
+/// Decode `tail` record by record, up to and including the first record
+/// that does not decode: each entry is the record's sequence number and
+/// what it asks, or the error replay reports when it reaches that
+/// record. The append records' documents come back in log order.
+fn decode_tail(tail: &[WalRecord]) -> (Vec<Decoded>, Vec<Document>) {
+    let mut ops = Vec::with_capacity(tail.len());
+    let mut docs = Vec::new();
+    for record in tail {
+        let op = dec_record(record, &mut docs);
+        let failed = op.is_err();
+        ops.push(op.map(|op| (record.seq, op)));
+        if failed {
+            break;
+        }
+    }
+    (ops, docs)
+}
+
 /// [`ShardedFacetIndex::open_from`] into `index`, fresh from
 /// [`ShardedFacetIndex::new`]: restore the newest verified snapshot, if
 /// the store holds one, and replay the tail.
+///
+/// Step 1 of the tail's documents is a pure function of their text, so
+/// it runs beside restore ([`ShardedFacetIndex::extract_beside`]) on the
+/// documents it reaches before restore is done; replay ingests those and
+/// extracts the rest as an append does. Either way replay ingests in log
+/// order, so ids and snapshot bytes are those of a serial replay.
+/// Restore's error, if any, comes before any record's.
 fn recover_into<'a>(
     store: &FacetStore,
     mut index: ShardedFacetIndex<'a>,
@@ -484,35 +521,49 @@ fn recover_into<'a>(
     let recovery = store.recover()?;
     let snapshot = &recovery.snapshot;
     let restored = snapshot.generation > 0 || !snapshot.sections.is_empty();
-    if restored {
-        restore_index(&mut index, snapshot)?;
-    }
-    replay(&mut index, &recovery.tail, restored)?;
+    let (ops, mut docs) = decode_tail(&recovery.tail);
+    let extracted = if restored {
+        let (restore, extracted) =
+            index.extract_beside(&docs, |index| restore_index(index, snapshot));
+        restore?;
+        extracted
+    } else {
+        Vec::new()
+    };
+    docs.drain(..extracted.len());
+    replay(&mut index, ops, extracted, docs, restored)?;
     Ok((index, recovery.report))
 }
 
-/// Replay `tail`, the WAL records after the state `index` holds, run by
-/// run (see [Replay discipline](self#replay-discipline)). `restored`
-/// says that state came from a snapshot and is not published yet; the
-/// index is published when this returns.
+/// Replay `ops`, the WAL records after the state `index` holds as
+/// [`decode_tail`] returns them, run by run (see [Replay
+/// discipline](self#replay-discipline)). The append records' documents
+/// are `extracted`, those Step 1 already ran on, then `docs`, in log
+/// order. `restored` says that state came from a snapshot and is not
+/// published yet; the index is published when this returns.
 fn replay(
     index: &mut ShardedFacetIndex<'_>,
-    tail: &[WalRecord],
+    ops: Vec<Decoded>,
+    extracted: Vec<Termed>,
+    docs: Vec<Document>,
     mut restored: bool,
 ) -> Result<(), StoreError> {
+    let (mut extracted, mut docs) = (extracted.into_iter(), docs.into_iter());
     let mut run = Run::default();
-    for record in tail {
-        match dec_record(record)? {
-            ReplayOp::Append(docs) => {
-                run.docs.extend(docs);
+    for op in ops {
+        match op? {
+            (seq, ReplayOp::Append(n)) => {
+                let ready = n.min(extracted.len());
+                run.extracted.extend(extracted.by_ref().take(ready));
+                run.docs.extend(docs.by_ref().take(n - ready));
                 run.records += 1;
-                run.last_seq = record.seq;
+                run.last_seq = seq;
             }
-            ReplayOp::Repair => {
+            (seq, ReplayOp::Repair) => {
                 flush(index, &mut run, &mut restored)?;
                 let stats = index
                     .repair()
-                    .map_err(|e| replay_failed(record.seq, e.to_string()))?;
+                    .map_err(|e| replay_failed(seq, e.to_string()))?;
                 if stats.requeried_terms == 0 {
                     // The terms the live repair re-queried were resolved
                     // cleanly by the replayed appends (their resource
@@ -521,7 +572,7 @@ fn replay(
                     // live repair did.
                     index.publish_at(index.generation + 1);
                 }
-                check_replayed_generation(record.seq, index.generation)?;
+                check_replayed_generation(seq, index.generation)?;
             }
         }
     }
@@ -623,6 +674,7 @@ impl<'a> ShardedFacetIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::extract_document;
     use crate::shard::tests::{corpus, options, with_threads, CountingResource, FixedExtractor};
     use facet_obs::Recorder;
     use facet_resources::{FaultPlan, FaultyResource, VirtualClock};
@@ -882,6 +934,162 @@ mod tests {
         }
     }
 
+    /// Step 1 of the tail, run beside restore, replays like one serial
+    /// pass: tails of no run, of one run, and of runs around a repair
+    /// record reopen at 1–4 workers to the live digest, and each reopened
+    /// index persists a snapshot byte-identical to the one-worker
+    /// replay's. So does replay with every split of the tail into
+    /// documents extracted beside restore and documents left to the
+    /// extract stage, which the timing of a real restart only samples.
+    #[test]
+    fn tail_extracted_beside_restore_replays_like_one_thread() {
+        let e = FixedExtractor;
+        let faulty = FaultyResource::new(
+            CountingResource::new(),
+            FaultPlan::seeded(7, 1000),
+            VirtualClock::new(),
+        );
+        let dir = test_dir("beside");
+        let store = FacetStore::open(&dir).unwrap();
+        let mut live = ShardedFacetIndex::new(2, vec![&e], vec![&faulty], options());
+        live.append_logged(corpus(4), &store).unwrap();
+        live.persist_to(&store).unwrap();
+        let snapshot_bytes = |index: &ShardedFacetIndex<'_>| {
+            let out = test_dir("beside-out");
+            let generation = index.persist_to(&FacetStore::open(&out).unwrap()).unwrap();
+            let bytes = std::fs::read(out.join(snapshot_file_name(generation))).unwrap();
+            std::fs::remove_dir_all(&out).ok();
+            bytes
+        };
+        let check = |live: &ShardedFacetIndex<'_>, tail: usize| {
+            let mut serial = None;
+            for n in 1..=4 {
+                let (index, report) = ShardedFacetIndex::open_from(
+                    &store,
+                    n,
+                    vec![&e],
+                    vec![&faulty],
+                    with_threads(1),
+                )
+                .unwrap();
+                assert_eq!(report.replayed_records, tail, "{n} workers");
+                assert_eq!(
+                    index.snapshot().digest(),
+                    live.snapshot().digest(),
+                    "{n} workers"
+                );
+                let bytes = snapshot_bytes(&index);
+                match &serial {
+                    None => serial = Some(bytes),
+                    Some(serial) => assert!(bytes == *serial, "{n} workers, {tail} records"),
+                }
+            }
+            let serial = serial.unwrap();
+            let recovery = store.recover().unwrap();
+            let (_, docs) = decode_tail(&recovery.tail);
+            for split in 0..=docs.len() {
+                let mut index = ShardedFacetIndex::new(2, vec![&e], vec![&faulty], with_threads(1));
+                restore_index(&mut index, &recovery.snapshot).unwrap();
+                let (ops, mut rest) = decode_tail(&recovery.tail);
+                let extracted = rest
+                    .drain(..split)
+                    .map(|d| extract_document(&[&e], &d))
+                    .collect();
+                replay(&mut index, ops, extracted, rest, true).unwrap();
+                assert_eq!(index.snapshot().digest(), live.snapshot().digest());
+                assert!(
+                    snapshot_bytes(&index) == serial,
+                    "split {split}, {tail} records"
+                );
+            }
+        };
+        check(&live, 0);
+        live.append_logged(corpus(5), &store).unwrap();
+        check(&live, 1);
+        live.append_logged(corpus(3), &store).unwrap();
+        faulty.heal();
+        assert_eq!(live.repair_logged(&store).unwrap().repaired_terms, 3);
+        live.append_logged(corpus(6), &store).unwrap();
+        live.append_logged(corpus(2), &store).unwrap();
+        check(&live, 5);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An extractor that panics on a tail document takes `open_from`
+    /// down with its panic at 1–4 workers; nobody waits for it forever.
+    #[test]
+    fn tail_extractor_panic_propagates_instead_of_hanging() {
+        struct Fails;
+        impl TermExtractor for Fails {
+            fn name(&self) -> &'static str {
+                "Fails"
+            }
+            fn extract(&self, text: &str) -> Vec<String> {
+                assert!(!text.contains("Blair"), "hostile document");
+                Vec::new()
+            }
+        }
+        let (e, r) = (FixedExtractor, CountingResource::new());
+        let dir = test_dir("tail-panic");
+        let store = FacetStore::open(&dir).unwrap();
+        let mut live = ShardedFacetIndex::new(1, vec![&e], vec![&r], options());
+        live.append_logged(corpus(8), &store).unwrap();
+        live.persist_to(&store).unwrap();
+        live.append_logged(corpus(3), &store).unwrap();
+        for n in 1..=4 {
+            let opened = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ShardedFacetIndex::open_from(&store, n, vec![&Fails], vec![&r], with_threads(1))
+            }));
+            assert!(opened.is_err(), "{n} workers");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// With Step 1 of the tail beside restore, the errors come as they
+    /// did in series: an undecodable record is named by its sequence
+    /// number at 1–4 workers, and once the snapshot's `meta` is also
+    /// corrupt, restore's error wins.
+    #[test]
+    fn restore_errors_still_win_over_undecodable_records() {
+        let (e, r) = (FixedExtractor, CountingResource::new());
+        let dir = test_dir("error-order");
+        let store = FacetStore::open(&dir).unwrap();
+        let mut live = ShardedFacetIndex::new(1, vec![&e], vec![&r], options());
+        live.append_logged(corpus(8), &store).unwrap();
+        live.persist_to(&store).unwrap();
+        live.append_logged(corpus(4), &store).unwrap();
+        store.log_record(3, &[7u8]).unwrap();
+        let open_err = |n| match ShardedFacetIndex::open_from(
+            &store,
+            n,
+            vec![&e],
+            vec![&r],
+            with_threads(1),
+        ) {
+            Err(e) => e,
+            Ok(_) => panic!("{n} workers: recovered past a malformed record"),
+        };
+        for n in 1..=4 {
+            assert!(
+                matches!(open_err(n), StoreError::ReplayFailed { seq: 3, .. }),
+                "{n} workers"
+            );
+        }
+        let mut payload = store.recover().unwrap().snapshot;
+        let meta = &mut payload
+            .sections
+            .iter_mut()
+            .find(|(n, _)| n == "meta")
+            .unwrap()
+            .1;
+        meta[..4].copy_from_slice(&(STATE_VERSION + 1).to_le_bytes());
+        store.publish_snapshot(&payload).unwrap();
+        for n in 1..=4 {
+            assert_eq!(open_err(n), corrupt("meta"), "{n} workers");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Document text reaches the WAL, which keeps each batch until the
     /// oldest retained snapshot covers it, and never a snapshot.
     #[test]
@@ -957,7 +1165,7 @@ mod tests {
 
         let mut restored = ShardedFacetIndex::new(3, vec![&e], vec![&r], options());
         restore_index(&mut restored, &payload).unwrap();
-        replay(&mut restored, &[], true).unwrap();
+        replay(&mut restored, Vec::new(), Vec::new(), Vec::new(), true).unwrap();
         assert_eq!(restored.ctx.rows(), index.ctx.rows());
         let snap = restored.snapshot();
         assert!(snap.doc_terms().shares_chunks_with(restored.ctx.rows()));

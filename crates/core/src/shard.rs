@@ -105,6 +105,7 @@ use facet_termx::{extract_important_terms, TermExtractor};
 use facet_textkit::{InternStats, RowStore, TermId, Vocabulary};
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Documents per window: ingest takes the extract stage's output a window
@@ -115,9 +116,31 @@ pub(crate) const WINDOW_DOCS: usize = 256;
 const RUN_DOCS: usize = 4;
 const _: () = assert!(WINDOW_DOCS.is_multiple_of(RUN_DOCS));
 
-/// One document's extract-stage output: its counted term strings, and
-/// its `I(d)` (empty when the caller supplied the lists).
-type Termed = (TermStrings, Vec<String>);
+/// One document's Step 1 output: its counted term strings, and its
+/// `I(d)` (empty when the caller supplied the lists).
+pub(crate) type Termed = (TermStrings, Vec<String>);
+
+/// Step 1 of one document: its counted term strings ([`term_strings`])
+/// and its `I(d)` from `extractors` (empty for none). A pure function of
+/// the text, so any thread may run it.
+pub(crate) fn extract_document(extractors: &[&dyn TermExtractor], doc: &Document) -> Termed {
+    let text = doc.full_text();
+    (
+        term_strings(&text),
+        extract_important_terms(extractors, &text),
+    )
+}
+
+/// Where an append's Step 1 output comes from.
+enum Step1 {
+    /// The extract stage computes the counted terms and `I(d)` of the
+    /// documents, after the leading ones whose Step 1 already ran
+    /// ([`ShardedFacetIndex::extract_beside`]).
+    Run(Vec<Termed>, Vec<Document>),
+    /// The caller supplied `I(d)`, one list per document: the stage
+    /// computes the counted terms only.
+    Given(Vec<Document>, Vec<Vec<String>>),
+}
 
 /// The queries an index sent one resource; see
 /// [`ShardedFacetIndex::resource_cache_stats`].
@@ -281,6 +304,40 @@ impl<'a> ShardedFacetIndex<'a> {
         self.min_workers.max(self.options.expansion.threads).max(1)
     }
 
+    /// Run `f` on this thread while one scoped thread runs Step 1 on
+    /// `docs`, in order, until `f` returns: what `f` returns, and the
+    /// Step 1 output of the documents extracted by then, a prefix of
+    /// `docs`, for [`ShardedFacetIndex::append_resumed_at`]. Recovery
+    /// restores a snapshot this way, so the WAL tail's Step 1 takes at
+    /// most the time restore does; the rest of the tail goes through the
+    /// extract stage. With one worker, `f` runs alone and nothing is
+    /// extracted.
+    pub(crate) fn extract_beside<R>(
+        &mut self,
+        docs: &[Document],
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> (R, Vec<Termed>) {
+        if self.workers() == 1 || docs.is_empty() {
+            return (f(self), Vec::new());
+        }
+        let extractors = self.extractors.clone();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let helper = s.spawn(|| {
+                docs.iter()
+                    .take_while(|_| !done.load(Ordering::Relaxed))
+                    .map(|d| extract_document(&extractors, d))
+                    .collect()
+            });
+            let out = f(self);
+            done.store(true, Ordering::Relaxed);
+            let extracted = helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (out, extracted)
+        })
+    }
+
     /// The configured options.
     pub fn options(&self) -> &PipelineOptions {
         &self.options
@@ -363,18 +420,21 @@ impl<'a> ShardedFacetIndex<'a> {
     /// should be discarded, since it may have ingested documents it
     /// could not expand.
     pub fn append(&mut self, batch: Vec<Document>) -> Result<AppendStats, IndexError> {
-        self.append_with(batch, None, self.generation + 1)
+        self.append_with(Step1::Run(Vec::new(), batch), self.generation + 1)
     }
 
-    /// [`ShardedFacetIndex::append`], publishing at `generation` instead
-    /// of the next one: recovery replays a run of logged appends as one
-    /// batch that lands on the run's last sequence number.
-    pub(crate) fn append_at(
+    /// [`ShardedFacetIndex::append`] of `extracted`, documents Step 1
+    /// already ran on ([`ShardedFacetIndex::extract_beside`]), followed
+    /// by `batch`, publishing at `generation` instead of the next one:
+    /// recovery replays a run of logged appends as one batch that lands
+    /// on the run's last sequence number.
+    pub(crate) fn append_resumed_at(
         &mut self,
+        extracted: Vec<Termed>,
         batch: Vec<Document>,
         generation: u64,
     ) -> Result<AppendStats, IndexError> {
-        self.append_with(batch, None, generation)
+        self.append_with(Step1::Run(extracted, batch), generation)
     }
 
     /// [`ShardedFacetIndex::append`] with Step 1 already done:
@@ -403,40 +463,45 @@ impl<'a> ShardedFacetIndex<'a> {
                 },
             ));
         }
-        self.append_with(batch, Some(important), self.generation + 1)
+        self.append_with(Step1::Given(batch, important), self.generation + 1)
     }
 
-    /// The one append path: `important` is `I(d)` per document, or `None`
-    /// to have the extract stage compute it; the result publishes at
+    /// The one append path, from `step1`; the result publishes at
     /// `generation`.
-    fn append_with(
-        &mut self,
-        batch: Vec<Document>,
-        important: Option<Vec<Vec<String>>>,
-        generation: u64,
-    ) -> Result<AppendStats, IndexError> {
+    fn append_with(&mut self, step1: Step1, generation: u64) -> Result<AppendStats, IndexError> {
         self.options.validate()?;
         // The span guard borrows its recorder; a clone (one `Arc` bump)
         // leaves `self` free for the stages below.
         let recorder = self.recorder.clone();
         let _append_span = recorder.span("append");
         let workers = self.workers();
-        _append_span.attr("docs", batch.len() as u64);
+        let (extracted, batch, given) = match step1 {
+            Step1::Run(extracted, batch) => (extracted, batch, None),
+            Step1::Given(batch, lists) => (Vec::new(), batch, Some(lists)),
+        };
+        let docs = extracted.len() + batch.len();
+        _append_span.attr("docs", docs as u64);
         _append_span.attr("workers", workers as u64);
         // Captured here so worker threads (fresh span stacks) can parent
         // their spans under this append span.
         let trace_parent = facet_obs::current_context();
         let intern_before = self.vocab.stats();
         let start = self.db.len();
-        let docs = batch.len();
 
         // ---- extract (claimed runs) and ingest (in order), pipelined -----
-        let extract = important.is_none();
-        let mut lists = important.unwrap_or_else(|| Vec::with_capacity(docs));
-        let stage = ExtractStage::new(batch, &self.extractors, extract);
+        // With the lists supplied, the stage computes the counted terms only.
+        let computed = given.is_none();
+        let mut lists = given.unwrap_or_else(|| Vec::with_capacity(docs));
+        let extractors = if computed {
+            self.extractors.as_slice()
+        } else {
+            &[]
+        };
+        let to_extract = batch.len();
+        let stage = ExtractStage::new(batch, extractors);
         rayon::scope(|s| {
             let _unwind = WakeOnUnwind(&stage);
-            for _ in 1..workers.min(docs) {
+            for _ in 1..workers.min(to_extract) {
                 let (stage, recorder) = (&stage, &recorder);
                 // A worker thread has a fresh span stack: its span carries
                 // the full dotted name and the captured trace parent.
@@ -445,8 +510,22 @@ impl<'a> ShardedFacetIndex<'a> {
                     span.attr("docs", stage.work());
                 });
             }
-            for start in (0..docs).step_by(WINDOW_DOCS) {
-                let end = (start + WINDOW_DOCS).min(docs);
+            let mut ingest = |termed: Vec<Termed>| {
+                for (terms, found) in termed {
+                    self.db.push(&terms, &mut self.vocab);
+                    if computed {
+                        lists.push(found);
+                    }
+                }
+            };
+            // The leading documents are extracted already: ingest them
+            // while the workers extract the rest.
+            if !extracted.is_empty() {
+                let _span = recorder.span("ingest");
+                ingest(extracted);
+            }
+            for start in (0..to_extract).step_by(WINDOW_DOCS) {
+                let end = (start + WINDOW_DOCS).min(to_extract);
                 let window = {
                     let _span = recorder.span("extract");
                     stage.take_window(start, end)
@@ -455,12 +534,7 @@ impl<'a> ShardedFacetIndex<'a> {
                 // panic as it exits.
                 let Some(window) = window else { break };
                 let _span = recorder.span("ingest");
-                for (terms, found) in window {
-                    self.db.push(&terms, &mut self.vocab);
-                    if extract {
-                        lists.push(found);
-                    }
-                }
+                ingest(window);
                 stage.ingested(end);
             }
         });
@@ -582,7 +656,18 @@ impl<'a> ShardedFacetIndex<'a> {
     /// the next publish builds them afresh: what repair runs after
     /// rewriting rows and restore runs after decoding them.
     pub(crate) fn reindex(&mut self) {
-        self.postings.clear();
+        // The rows are strictly ascending, so a symbol's `df_C` is the
+        // length of its postings. Each list is reserved once, at the
+        // capacity pushing its entries one by one reaches (doubling from
+        // 4): at exactly `df_C`, the next append would reallocate every
+        // list it touches, the longest ones included.
+        let df_c = self.ctx.df_table();
+        self.postings = (0..self.vocab.len())
+            .map(|t| match df_c.get(t).map_or(0, |&n| n as usize) {
+                0 => Vec::new(),
+                n => Vec::with_capacity(n.next_power_of_two().max(4)),
+            })
+            .collect();
         self.index_rows(0);
         self.co_counts = None;
         self.selection = None;
@@ -730,9 +815,9 @@ struct ExtractStage<'s> {
     /// Signalled when a run is extracted, a window is ingested or a
     /// participant unwinds.
     changed: Condvar,
+    /// The extractors computing `I(d)`; none when the caller supplied
+    /// the lists.
     extractors: &'s [&'s dyn TermExtractor],
-    /// Whether to compute `I(d)`, or only the counted terms.
-    extract: bool,
 }
 
 /// What the participants of an [`ExtractStage`] share under its lock.
@@ -751,7 +836,7 @@ struct Claims {
 }
 
 impl<'s> ExtractStage<'s> {
-    fn new(batch: Vec<Document>, extractors: &'s [&'s dyn TermExtractor], extract: bool) -> Self {
+    fn new(batch: Vec<Document>, extractors: &'s [&'s dyn TermExtractor]) -> Self {
         Self {
             claims: Mutex::new(Claims {
                 unclaimed: batch.into_iter(),
@@ -762,7 +847,6 @@ impl<'s> ExtractStage<'s> {
             }),
             changed: Condvar::new(),
             extractors,
-            extract,
         }
     }
 
@@ -782,21 +866,12 @@ impl<'s> ExtractStage<'s> {
         Some((start, run))
     }
 
-    /// Extract a claimed run, per document its counted term strings and,
-    /// when `extract`, its `I(d)`, and hand it to ingest. Returns the
-    /// documents extracted.
+    /// Extract a claimed run ([`extract_document`]) and hand it to
+    /// ingest. Returns the documents extracted.
     fn extract_run(&self, (start, run): (usize, Vec<Document>)) -> u64 {
         let termed: Vec<Termed> = run
-            .into_iter()
-            .map(|d| {
-                let text = d.full_text();
-                let found = if self.extract {
-                    extract_important_terms(self.extractors, &text)
-                } else {
-                    Vec::new()
-                };
-                (term_strings(&text), found)
-            })
+            .iter()
+            .map(|d| extract_document(self.extractors, d))
             .collect();
         let n = termed.len() as u64;
         self.claims.lock().extracted.insert(start, termed);

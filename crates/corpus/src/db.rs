@@ -63,10 +63,16 @@ impl TermStrings {
 /// pure function of the text, so callers can run it on other threads and
 /// intern the result later with [`DocTerms::push`].
 pub fn term_strings(text: &str) -> TermStrings {
-    let mut out = TermStrings::default();
+    // Sized from the input, so a document's terms rarely grow either
+    // buffer: on the generated corpora the counted words and their
+    // bigrams take about 1.2 bytes per input byte, and there is about
+    // one term per 8 input bytes.
+    let mut out = TermStrings {
+        text: String::with_capacity(text.len() + text.len() / 2),
+        ends: Vec::with_capacity(text.len() / 6),
+    };
     // Where the previous counted word sits in `out.text`, if adjacent.
     let mut prev: Option<Range<usize>> = None;
-    let mut bigram = String::new();
     for t in Tokens::new(text) {
         if t.kind != TokenKind::Word {
             prev = None;
@@ -82,11 +88,9 @@ pub fn term_strings(text: &str) -> TermStrings {
         }
         out.ends.push(word.end);
         if let Some(p) = prev {
-            bigram.clear();
-            bigram.push_str(&out.text[p]);
-            bigram.push(' ');
-            bigram.push_str(&out.text[word.clone()]);
-            out.text.push_str(&bigram);
+            out.text.extend_from_within(p);
+            out.text.push(' ');
+            out.text.extend_from_within(word.clone());
             out.ends.push(out.text.len());
         }
         prev = Some(word);

@@ -1,64 +1,104 @@
-//! Little-endian byte codec and FNV-1a checksums.
+//! Little-endian byte codec and word-wise checksums.
 //!
 //! Every on-disk structure in this crate — snapshot sections and WAL
 //! records — is built from the same three primitives: fixed-width
-//! little-endian integers, `u64`-length-prefixed byte strings, and an
-//! FNV-1a checksum over the framed bytes. `facet-core`'s persistence
+//! little-endian integers, `u64`-length-prefixed byte strings, and a
+//! word-wise checksum over the framed bytes. `facet-core`'s persistence
 //! layer uses the same codec for its section payloads, so one decoder
 //! discipline (never index past the buffer, surface `None` instead of
 //! panicking) covers the whole format.
 
-/// FNV-1a over a byte slice: the checksum primitive of the snapshot and
-/// WAL formats. Same constants as `facet_textkit::Fnv1a`, which this
-/// crate does not import — cheap, deterministic, and plenty for
+/// Starting state of every [`Checksum`].
+const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// Odd, so multiplying by it is a bijection of the state.
+const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Fold one word into `state`: xor, multiply by an odd constant, rotate,
+/// and multiply again. Each step is a bijection of the state, so two
+/// inputs that differ in exactly one word always end in different sums.
+/// The rotation brings the product's high bits down and the second
+/// multiply spreads them upward again, so the state difference one
+/// word's error leaves depends on the data: with one multiply, a flip of
+/// the top bit always left the same one-bit difference (the top bit, or
+/// where the rotation put it), which a flip of that bit in the next word
+/// cancels.
+#[inline]
+fn mix(state: u64, word: u64) -> u64 {
+    (state ^ word)
+        .wrapping_mul(MULTIPLIER)
+        .rotate_left(29)
+        .wrapping_mul(MULTIPLIER)
+}
+
+/// [`Checksum`] over one byte slice.
+#[cfg(test)]
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
+    let mut sum = Checksum::new();
+    sum.write(bytes);
+    sum.finish()
+}
+
+/// The checksum of the snapshot and WAL formats, over bytes that may
+/// arrive in pieces. It reads the input as little-endian `u64` words,
+/// pads the last partial word with zero bytes and folds the byte length
+/// in at [`Checksum::finish`], so the sum depends only on the bytes,
+/// not on how they were split across [`Checksum::write`] calls. Two
+/// multiplies per eight bytes: cheap, deterministic, and plenty for
 /// detecting the corruption the fault injector produces (bit flips,
 /// truncation, short writes), which is accidental, not adversarial.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_parts(&[bytes])
-}
-
-/// [`fnv1a`] over the concatenation of `parts`, hashed in place.
-pub(crate) fn fnv1a_parts(parts: &[&[u8]]) -> u64 {
-    let mut h = Fnv1a::new();
-    for part in parts {
-        h.write(part);
-    }
-    h.finish()
-}
-
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A running [`fnv1a`] state, for checksums over bytes that arrive in
-/// pieces.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv1a(u64);
+pub(crate) struct Checksum {
+    state: u64,
+    /// The bytes of the current partial word, in its low bytes.
+    partial: u64,
+    /// Bytes written so far.
+    len: u64,
+}
 
-impl Fnv1a {
+impl Checksum {
+    /// A checksum over no bytes yet.
     pub(crate) fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        Self {
+            state: SEED,
+            partial: 0,
+            len: 0,
         }
     }
 
-    /// Advance this state and `other` over the same `bytes` in one loop.
-    /// Each byte is one multiply per state, and the two multiply chains
-    /// do not depend on each other, so the pair costs about what one
-    /// state costs alone.
-    pub(crate) fn write_both(&mut self, other: &mut Fnv1a, bytes: &[u8]) {
-        let (mut a, mut b) = (self.0, other.0);
-        for &byte in bytes {
-            a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    /// Append `bytes` to the input.
+    pub(crate) fn write(&mut self, mut bytes: &[u8]) {
+        let filled = (self.len % 8) as usize;
+        self.len += bytes.len() as u64;
+        if filled > 0 {
+            let take = bytes.len().min(8 - filled);
+            for (i, &b) in bytes[..take].iter().enumerate() {
+                self.partial |= u64::from(b) << (8 * (filled + i));
+            }
+            if filled + take < 8 {
+                return;
+            }
+            self.state = mix(self.state, self.partial);
+            self.partial = 0;
+            bytes = &bytes[take..];
         }
-        (self.0, other.0) = (a, b);
+        let (words, rest) = bytes.as_chunks::<8>();
+        self.state = words
+            .iter()
+            .fold(self.state, |state, w| mix(state, u64::from_le_bytes(*w)));
+        for (i, &b) in rest.iter().enumerate() {
+            self.partial |= u64::from(b) << (8 * i);
+        }
     }
 
+    /// The sum of every byte written: the padded last word, if any, then
+    /// the byte length.
     pub(crate) fn finish(self) -> u64 {
-        self.0
+        let state = if self.len.is_multiple_of(8) {
+            self.state
+        } else {
+            mix(self.state, self.partial)
+        };
+        mix(state, self.len)
     }
 }
 
@@ -243,11 +283,66 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable_and_input_sensitive() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+    fn checksum_is_input_sensitive() {
+        assert_ne!(checksum(b""), checksum(&[0]), "the length is folded in");
+        assert_ne!(checksum(b"a"), checksum(b"b"));
         let mut flipped = b"hello world".to_vec();
         flipped[3] ^= 0x01;
-        assert_ne!(fnv1a(b"hello world"), fnv1a(&flipped));
+        assert_ne!(checksum(b"hello world"), checksum(&flipped));
+    }
+
+    /// Property: however the input is cut into `write` calls, the sum is
+    /// the one-call sum. Random inputs up to 300 bytes, each cut at up to
+    /// eight random points (empty pieces included).
+    #[test]
+    fn any_split_gives_the_same_sum() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..2000 {
+            let len = next(301) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+            let mut cuts: Vec<usize> = (0..next(9))
+                .map(|_| next(len as u64 + 1) as usize)
+                .collect();
+            cuts.sort_unstable();
+            let mut sum = Checksum::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                sum.write(&bytes[from..cut]);
+                from = cut;
+            }
+            assert_eq!(sum.finish(), checksum(&bytes), "{len} bytes");
+        }
+    }
+
+    /// A flip of the top bit of one word leaves a bare xor-multiply
+    /// state different in its top bit only, so the same flip in the next
+    /// word would cancel it, and a rotation alone would only move the
+    /// cancelling bit. Here every flip of one bit, and every flip of two
+    /// bits, anywhere in three words changes the sum, over several fills.
+    #[test]
+    fn one_and_two_bit_flips_change_the_sum() {
+        for fill in [0x00u8, 0x5a, 0xff, 0x80] {
+            let bytes = [fill; 24];
+            let sum = checksum(&bytes);
+            let flip = |bits: &[usize]| {
+                let mut flipped = bytes;
+                for &bit in bits {
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                }
+                checksum(&flipped)
+            };
+            for i in 0..bytes.len() * 8 {
+                assert_ne!(flip(&[i]), sum, "fill {fill:#x}, bit {i}");
+                for j in i + 1..bytes.len() * 8 {
+                    assert_ne!(flip(&[i, j]), sum, "fill {fill:#x}, bits {i} and {j}");
+                }
+            }
+        }
     }
 }

@@ -17,9 +17,10 @@ pub enum StoreError {
     },
     /// The snapshot file does not start with the format magic.
     BadMagic,
-    /// The snapshot was written by an unknown format version.
+    /// A snapshot or the WAL was written in another format version.
     UnsupportedVersion {
-        /// The version found in the header.
+        /// The version found in the snapshot header or the WAL's record
+        /// magic.
         found: u32,
     },
     /// The snapshot's framing is damaged (a length prefix runs past the
@@ -64,7 +65,7 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::BadMagic => f.write_str("snapshot magic mismatch"),
             StoreError::UnsupportedVersion { found } => {
-                write!(f, "unsupported snapshot format version {found}")
+                write!(f, "unsupported store format version {found}")
             }
             StoreError::CorruptSnapshot { detail } => {
                 write!(f, "corrupt snapshot: {detail}")

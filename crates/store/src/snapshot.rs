@@ -6,20 +6,20 @@
 //!
 //! ```text
 //! magic "FSNP" | version u32 | generation u64 | section_count u32
-//! section*:  name (u64-len str) | payload (u64-len bytes) | fnv1a(name ++ payload) u64
-//! trailer:   fnv1a(everything before the trailer) u64
+//! section*:  name (u64-len str) | payload (u64-len bytes) | sum(name ++ payload) u64
+//! trailer:   sum(header ++ per section: name_len ++ payload_len ++ section sum) u64
 //! ```
 //!
-//! Per-section checksums localize damage (`StoreError::CorruptSection`
-//! names the section, and the flipped-byte sweep in `tests/recovery.rs`
-//! proves every section is covered); the whole-file trailer catches
-//! framing damage between sections. Encode and decode each compute both
-//! checksums in one pass: a section's name and payload bytes advance the
-//! section checksum and the trailer together, in one loop. The payloads
-//! themselves are opaque here — `facet-core`'s persistence layer defines
-//! what goes in them.
+//! `sum` is the word-wise [`Checksum`]. Per-section checksums localize
+//! damage (`StoreError::CorruptSection` names the section, and the
+//! flipped-byte sweep in `tests/recovery.rs` proves every section is
+//! covered); the trailer covers every byte the sections do not — the
+//! header, the length prefixes and the section checksums themselves —
+//! so each byte of the file is hashed once. The payloads themselves are
+//! opaque here — `facet-core`'s persistence layer defines what goes in
+//! them.
 
-use crate::bytes::{ByteReader, ByteWriter, Fnv1a};
+use crate::bytes::{ByteReader, ByteWriter, Checksum};
 use crate::error::StoreError;
 use crate::storage::Storage;
 use parking_lot::Mutex;
@@ -28,7 +28,7 @@ use std::sync::Arc;
 /// File magic of a snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"FSNP";
 /// Current snapshot format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A snapshot ready to be framed: a generation counter plus named,
 /// opaque section payloads (order is preserved and covered by the file
@@ -51,20 +51,20 @@ impl SnapshotPayload {
     }
 }
 
-/// Hash one section frame — `name` and `payload` with their length
-/// prefixes, then the section checksum — into `trailer`, and return the
-/// section checksum. The section and trailer states advance over `name`
-/// and `payload` in the same loop, so encode and decode each read a
-/// section's bytes once.
-fn hash_section(trailer: &mut Fnv1a, name: &[u8], payload: &[u8]) -> u64 {
-    let mut section = Fnv1a::new();
-    trailer.write(&(name.len() as u64).to_le_bytes());
-    section.write_both(trailer, name);
-    trailer.write(&(payload.len() as u64).to_le_bytes());
-    section.write_both(trailer, payload);
-    let sum = section.finish();
-    trailer.write(&sum.to_le_bytes());
-    sum
+/// A section's checksum: its name, then its payload.
+fn section_sum(name: &[u8], payload: &[u8]) -> u64 {
+    let mut sum = Checksum::new();
+    sum.write(name);
+    sum.write(payload);
+    sum.finish()
+}
+
+/// Advance the trailer over one section's framing: its name and payload
+/// lengths and its checksum.
+fn frame_into(trailer: &mut Checksum, name: &[u8], payload: &[u8], sum: u64) {
+    for field in [name.len() as u64, payload.len() as u64, sum] {
+        trailer.write(&field.to_le_bytes());
+    }
 }
 
 /// Frame a payload into the on-disk snapshot format.
@@ -74,10 +74,11 @@ pub fn encode_snapshot(payload: &SnapshotPayload) -> Vec<u8> {
     w.u32(FORMAT_VERSION);
     w.u64(payload.generation);
     w.u32(payload.sections.len() as u32);
-    let mut trailer = Fnv1a::new();
+    let mut trailer = Checksum::new();
     trailer.write(w.as_slice());
     for (name, bytes) in &payload.sections {
-        let sum = hash_section(&mut trailer, name.as_bytes(), bytes);
+        let sum = section_sum(name.as_bytes(), bytes);
+        frame_into(&mut trailer, name.as_bytes(), bytes, sum);
         w.str(name);
         w.bytes(bytes);
         w.u64(sum);
@@ -87,7 +88,7 @@ pub fn encode_snapshot(payload: &SnapshotPayload) -> Vec<u8> {
 }
 
 /// Parse and verify a snapshot file: magic, version, every section
-/// checksum, and the whole-file trailer.
+/// checksum, and the trailer.
 pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotPayload, StoreError> {
     let corrupt = |detail: &str| StoreError::CorruptSnapshot {
         detail: detail.to_string(),
@@ -96,7 +97,7 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotPayload, StoreError> {
         return Err(corrupt("shorter than the trailer checksum"));
     }
     let (body, trailer_bytes) = buf.split_at(buf.len() - 8);
-    let trailer = trailer_bytes
+    let stored = trailer_bytes
         .try_into()
         .map(u64::from_le_bytes)
         .map_err(|_| corrupt("unreadable trailer"))?;
@@ -112,8 +113,8 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotPayload, StoreError> {
     }
     let generation = r.u64().ok_or_else(|| corrupt("missing generation"))?;
     let count = r.u32().ok_or_else(|| corrupt("missing section count"))?;
-    let mut whole = Fnv1a::new();
-    whole.write(&body[..r.position()]);
+    let mut trailer = Checksum::new();
+    trailer.write(&body[..r.position()]);
     // A damaged count must not size the allocation: every section frame
     // takes at least 24 bytes (name length, payload length, checksum).
     let mut sections = Vec::with_capacity((count as usize).min(r.remaining() / 24));
@@ -128,19 +129,18 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotPayload, StoreError> {
         let sum = r.u64().ok_or_else(|| StoreError::CorruptSection {
             section: name.clone(),
         })?;
-        // On a match the frame hashed into `whole` is the stored one
-        // byte for byte; on a mismatch the trailer is never checked.
-        if hash_section(&mut whole, name.as_bytes(), payload) != sum {
+        if section_sum(name.as_bytes(), payload) != sum {
             return Err(StoreError::CorruptSection { section: name });
         }
+        frame_into(&mut trailer, name.as_bytes(), payload, sum);
         sections.push((name, payload.to_vec()));
     }
     if !r.is_empty() {
         return Err(corrupt("trailing bytes after the last section"));
     }
-    // Per-section checksums localize damage; the whole-file trailer is
-    // the backstop for bytes no section covers (header fields, framing).
-    if whole.finish() != trailer {
+    // Per-section checksums localize damage; the trailer covers the
+    // bytes no section covers (header fields, framing, section sums).
+    if trailer.finish() != stored {
         return Err(corrupt("file checksum mismatch"));
     }
     Ok(SnapshotPayload {
@@ -245,7 +245,7 @@ impl SnapshotSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytes::fnv1a;
+    use crate::bytes::checksum;
     use crate::storage::DiskStorage;
     use crate::test_dir;
 
@@ -262,8 +262,8 @@ mod tests {
 
     #[test]
     fn two_section_payload_encodes_to_golden_bytes() {
-        // The FNV-1a of the whole file was computed before the section
-        // checksums were hashed in place: the bytes must not change.
+        // Pinned by the checksum of the whole file: the bytes must not
+        // change without a `FORMAT_VERSION` bump.
         let p = SnapshotPayload {
             generation: 3,
             sections: vec![
@@ -273,15 +273,32 @@ mod tests {
         };
         let bytes = encode_snapshot(&p);
         assert_eq!(bytes.len(), 107);
-        assert_eq!(fnv1a(&bytes), 0xde63_d5ec_86a7_5f18);
+        assert_eq!(checksum(&bytes), 0x360e_fe45_9418_996b);
         assert_eq!(decode_snapshot(&bytes).expect("golden decodes"), p);
     }
 
-    /// The one-pass checksums are plain FNV-1a: over random payloads,
-    /// each section checksum is `fnv1a(name ++ payload)`, the trailer is
-    /// `fnv1a` of every byte before it, and the file decodes back.
+    /// The checksum written out independently of [`Checksum`]: the whole
+    /// buffer padded with zero bytes to whole little-endian words, each
+    /// folded by xor, odd multiply, rotate and odd multiply, then the
+    /// byte length.
+    fn reference_sum(bytes: &[u8]) -> u64 {
+        const M: u64 = 0x9e37_79b9_7f4a_7c15;
+        let step = |h: u64, w: u64| ((h ^ w).wrapping_mul(M).rotate_left(29)).wrapping_mul(M);
+        let mut padded = bytes.to_vec();
+        padded.resize(bytes.len().div_ceil(8) * 8, 0);
+        let h = padded
+            .chunks(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .fold(0xcbf2_9ce4_8422_2325, step);
+        step(h, bytes.len() as u64)
+    }
+
+    /// Over random payloads, each section checksum is the reference sum
+    /// of `name ++ payload`, the trailer is the reference sum of the
+    /// header and every section's lengths and checksum, and the file
+    /// decodes back.
     #[test]
-    fn one_pass_checksums_equal_fnv1a() {
+    fn checksums_equal_a_word_wise_reference() {
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
         let mut next = |bound: u64| {
             state ^= state << 13;
@@ -303,15 +320,17 @@ mod tests {
             let bytes = encode_snapshot(&p);
             let mut r = ByteReader::new(&bytes);
             // magic, version, generation, section count
-            r.take(4 + 4 + 8 + 4).expect("header");
+            let mut covered = r.take(4 + 4 + 8 + 4).expect("header").to_vec();
             for (name, payload) in &p.sections {
                 assert_eq!(r.str(), Some(name.as_str()));
                 assert_eq!(r.bytes(), Some(payload.as_slice()));
-                let framed = [name.as_bytes(), payload].concat();
-                assert_eq!(r.u64(), Some(fnv1a(&framed)), "section {name}");
+                let sum = reference_sum(&[name.as_bytes(), payload].concat());
+                assert_eq!(r.u64(), Some(sum), "section {name}");
+                for field in [name.len() as u64, payload.len() as u64, sum] {
+                    covered.extend_from_slice(&field.to_le_bytes());
+                }
             }
-            let body = r.position();
-            assert_eq!(r.u64(), Some(fnv1a(&bytes[..body])), "trailer");
+            assert_eq!(r.u64(), Some(reference_sum(&covered)), "trailer");
             assert!(r.is_empty());
             assert_eq!(decode_snapshot(&bytes), Ok(p));
         }
@@ -352,19 +371,13 @@ mod tests {
 
     #[test]
     fn wrong_magic_and_version_are_typed() {
+        // Both are checked before any checksum.
         let mut bad_magic = encode_snapshot(&payload(1));
         bad_magic[0] = b'X';
-        // Trailer must be rewritten or the file checksum masks the magic.
-        let body_len = bad_magic.len() - 8;
-        let sum = fnv1a(&bad_magic[..body_len]).to_le_bytes();
-        bad_magic[body_len..].copy_from_slice(&sum);
         assert_eq!(decode_snapshot(&bad_magic), Err(StoreError::BadMagic));
 
         let mut bad_version = encode_snapshot(&payload(1));
         bad_version[4..8].copy_from_slice(&99u32.to_le_bytes());
-        let body_len = bad_version.len() - 8;
-        let sum = fnv1a(&bad_version[..body_len]).to_le_bytes();
-        bad_version[body_len..].copy_from_slice(&sum);
         assert_eq!(
             decode_snapshot(&bad_version),
             Err(StoreError::UnsupportedVersion { found: 99 })

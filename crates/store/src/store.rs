@@ -122,10 +122,12 @@ impl FacetStore {
     /// any torn WAL tail; hand back the records to replay.
     ///
     /// Errors only when storage itself fails, when snapshots exist but
-    /// none verifies ([`StoreError::NoValidSnapshot`]), or when the WAL
-    /// is missing records between the snapshot and its first replayable
-    /// record ([`StoreError::WalGap`]) — silent data loss is never an
-    /// outcome.
+    /// none verifies ([`StoreError::NoValidSnapshot`]), when the store
+    /// was written in another format version — every snapshot, or the
+    /// WAL's first record ([`StoreError::UnsupportedVersion`]; nothing is
+    /// truncated) — or when the WAL is missing records between the
+    /// snapshot and its first replayable record ([`StoreError::WalGap`])
+    /// — silent data loss is never an outcome.
     pub fn recover(&self) -> Result<Recovery, StoreError> {
         let span = self.recorder.span("store.recover");
         self.recorder.incr("store.recover");
@@ -134,6 +136,8 @@ impl FacetStore {
         let candidates = self.snapshots.candidates();
         let had_candidates = !candidates.is_empty();
         let mut snapshot: Option<SnapshotPayload> = None;
+        let mut first_failure = None;
+        let mut all_other_version = true;
         for generation in candidates {
             match self.snapshots.load(generation) {
                 Ok(payload) => {
@@ -147,12 +151,21 @@ impl FacetStore {
                     self.recorder.incr("store.corrupt_section");
                     report.corrupt_snapshots.push(e.to_string());
                     report.fell_back = true;
+                    all_other_version &= matches!(e, StoreError::UnsupportedVersion { .. });
+                    first_failure.get_or_insert(e);
                 }
             }
         }
         let snapshot = match snapshot {
             Some(p) => p,
-            None if had_candidates => return Err(StoreError::NoValidSnapshot),
+            // A store of another format version is refused as such, not
+            // as corrupt.
+            None if had_candidates => {
+                return Err(match first_failure {
+                    Some(e) if all_other_version => e,
+                    _ => StoreError::NoValidSnapshot,
+                })
+            }
             None => SnapshotPayload {
                 generation: 0,
                 sections: Vec::new(),

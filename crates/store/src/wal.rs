@@ -4,23 +4,29 @@
 //! ## Record layout (all integers little-endian)
 //!
 //! ```text
-//! magic "FWR1" | seq u64 | payload_len u32 | fnv1a(seq ++ payload) u64 | payload
+//! magic "FWR2" | seq u64 | payload_len u32 | sum(seq ++ payload) u64 | payload
 //! ```
 //!
-//! Records are framed independently, so a scan can stop at the first
-//! byte that fails to parse or verify: everything before it is the valid
-//! prefix, everything after is a torn tail a crash left behind (the
-//! fault injector produces exactly such tails). Recovery truncates the
-//! file back to the valid prefix.
+//! `sum` is the word-wise [`Checksum`]; the magic's digit is the
+//! format version, the snapshots' `FORMAT_VERSION`. Records are framed
+//! independently, so a scan can stop at the first byte that fails to
+//! parse or verify: everything before it is the valid prefix, everything
+//! after is a torn tail a crash left behind (the fault injector produces
+//! exactly such tails). Recovery truncates the file back to the valid
+//! prefix. A log whose first frame carries the version-1 magic `FWR1` is
+//! refused with [`StoreError::UnsupportedVersion`] instead, before
+//! anything is truncated or rewritten.
 
-use crate::bytes::{fnv1a_parts, ByteReader, ByteWriter};
+use crate::bytes::{ByteReader, ByteWriter, Checksum};
 use crate::error::StoreError;
 use crate::storage::Storage;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Record magic marking the start of each WAL frame.
-pub const RECORD_MAGIC: &[u8; 4] = b"FWR1";
+pub const RECORD_MAGIC: &[u8; 4] = b"FWR2";
+/// Record magic of format version 1, whose checksums were FNV-1a.
+const RECORD_MAGIC_V1: &[u8; 4] = b"FWR1";
 /// The WAL's file name inside the store directory.
 pub const WAL_FILE: &str = "wal.log";
 /// Fixed bytes before the payload: magic + seq + len + checksum.
@@ -37,13 +43,21 @@ pub struct WalRecord {
     pub payload: Vec<u8>,
 }
 
+/// A record's checksum: its sequence number, then its payload.
+fn record_sum(seq: u64, payload: &[u8]) -> u64 {
+    let mut sum = Checksum::new();
+    sum.write(&seq.to_le_bytes());
+    sum.write(payload);
+    sum.finish()
+}
+
 /// Frame one record.
 pub fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.raw(RECORD_MAGIC);
     w.u64(seq);
     w.u32(payload.len() as u32);
-    w.u64(fnv1a_parts(&[&seq.to_le_bytes(), payload]));
+    w.u64(record_sum(seq, payload));
     w.raw(payload);
     w.finish()
 }
@@ -57,6 +71,15 @@ pub(crate) struct WalScan {
     pub valid_len: u64,
     /// Total file length (`> valid_len` means a torn tail).
     pub total_len: u64,
+}
+
+/// Refuse a WAL image of format version 1: its frames would fail the
+/// magic check, and the torn-tail contract would truncate them away.
+fn refuse_old_format(buf: &[u8]) -> Result<(), StoreError> {
+    if buf.starts_with(RECORD_MAGIC_V1) {
+        return Err(StoreError::UnsupportedVersion { found: 1 });
+    }
+    Ok(())
 }
 
 /// Parse the longest valid prefix of a WAL image. Never errors: damage
@@ -75,7 +98,7 @@ pub(crate) fn scan_records(buf: &[u8]) -> WalScan {
             let len = r.u32()? as usize;
             let sum = r.u64()?;
             let payload = r.take(len)?;
-            if fnv1a_parts(&[&seq.to_le_bytes(), payload]) != sum {
+            if record_sum(seq, payload) != sum {
                 return None;
             }
             Some(WalRecord {
@@ -124,10 +147,11 @@ impl Wal {
         self.storage.append(WAL_FILE, &frame)
     }
 
-    /// Read and scan the log.
+    /// Read and scan the log; a version-1 log is refused.
     pub(crate) fn scan(&self) -> Result<WalScan, StoreError> {
         let _guard = self.lock.lock();
         let buf = self.storage.read(WAL_FILE)?.unwrap_or_default();
+        refuse_old_format(&buf)?;
         Ok(scan_records(&buf))
     }
 
@@ -142,10 +166,12 @@ impl Wal {
 
     /// Drop records with `seq <= floor` (their effects are captured by
     /// every retained snapshot generation), rewriting the log
-    /// atomically. A torn tail, if present, is dropped with them.
+    /// atomically. A torn tail, if present, is dropped with them; a
+    /// version-1 log is refused and left as it is.
     pub(crate) fn prune_through(&self, floor: u64) -> Result<(), StoreError> {
         let _guard = self.lock.lock();
         let buf = self.storage.read(WAL_FILE)?.unwrap_or_default();
+        refuse_old_format(&buf)?;
         let scan = scan_records(&buf);
         let mut w = ByteWriter::new();
         for rec in &scan.records {
@@ -165,11 +191,11 @@ mod tests {
 
     #[test]
     fn record_encodes_to_golden_bytes() {
-        // The FNV-1a of the frame was computed before the record checksum
-        // was hashed in place: the bytes must not change.
+        // Pinned by the checksum of the whole frame: the bytes must not
+        // change without a new record magic.
         let bytes = encode_record(42, b"a batch payload");
         assert_eq!(bytes.len(), RECORD_HEADER_LEN + 15);
-        assert_eq!(crate::bytes::fnv1a(&bytes), 0xb47f_aebb_72e4_caff);
+        assert_eq!(crate::bytes::checksum(&bytes), 0xcd6a_158b_9324_f5fd);
         let scan = scan_records(&bytes);
         assert_eq!(scan.valid_len, bytes.len() as u64);
         assert_eq!(
@@ -260,6 +286,19 @@ mod tests {
         let pruned = wal.scan().expect("scan");
         let seqs: Vec<u64> = pruned.records.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![3, 4]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_one_log_is_refused_and_left_as_it_is() {
+        let (wal, dir) = disk_wal("wal-v1");
+        let mut old = encode_record(1, b"an old batch");
+        old[..4].copy_from_slice(RECORD_MAGIC_V1);
+        wal.storage.append(WAL_FILE, &old).expect("write");
+        let refused = StoreError::UnsupportedVersion { found: 1 };
+        assert_eq!(wal.scan(), Err(refused.clone()));
+        assert_eq!(wal.prune_through(0), Err(refused));
+        assert_eq!(wal.storage.read(WAL_FILE).expect("read"), Some(old));
         std::fs::remove_dir_all(&dir).ok();
     }
 

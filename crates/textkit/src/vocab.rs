@@ -267,8 +267,10 @@ impl Vocabulary {
     }
 
     /// Rebuild a vocabulary from a serialized `(arena, spans)` pair plus
-    /// the hit/miss counters, rehashing every span to reconstruct the
-    /// probe table exactly as progressive interning would have.
+    /// the hit/miss counters. The probe table is allocated at its final
+    /// size and each term hashed once, in id order; progressive
+    /// interning ends at the same size, and each growth rehashes in id
+    /// order, so the table comes out slot for slot as it would have.
     ///
     /// Returns `None` when the parts are inconsistent: a span out of
     /// bounds, inverted, off a UTF-8 boundary, or two spans resolving to
@@ -279,37 +281,31 @@ impl Vocabulary {
         hits: u64,
         misses: u64,
     ) -> Option<Self> {
-        for &(start, end) in &spans {
-            let (s, e) = (start as usize, end as usize);
-            if s > e || e > arena.len() || !arena.is_char_boundary(s) || !arena.is_char_boundary(e)
-            {
-                return None;
+        let mut table = if spans.is_empty() {
+            Vec::new()
+        } else {
+            vec![0u32; slots_for(spans.len())]
+        };
+        let mask = table.len().wrapping_sub(1);
+        for (id, &(start, end)) in spans.iter().enumerate() {
+            let term = arena.get(start as usize..end as usize)?;
+            let mut idx = (term_hash(term) as usize) & mask;
+            while table[idx] != 0 {
+                let (s, e) = spans[table[idx] as usize - 1];
+                if &arena[s as usize..e as usize] == term {
+                    return None;
+                }
+                idx = (idx + 1) & mask;
             }
+            table[idx] = u32::try_from(id + 1).ok()?;
         }
-        let mut out = Self {
+        Some(Self {
             arena,
-            spans: Vec::with_capacity(spans.len()),
-            table: Vec::new(),
+            spans,
+            table,
             hits,
             misses,
-        };
-        // Replay intern()'s growth sequence (double at 7/8 load, checked
-        // before each insert) so the table size — and therefore future
-        // growth points — matches a live vocabulary that interned the
-        // same terms in the same order.
-        for span in spans {
-            let (start, end) = span;
-            let term = &out.arena[start as usize..end as usize];
-            let hash = term_hash(term);
-            if out.lookup_hashed(term, hash).is_some() {
-                return None;
-            }
-            out.grow_if_needed();
-            let id = TermId(out.spans.len() as u32);
-            out.spans.push(span);
-            Self::insert_hashed(&mut out.table, id, hash);
-        }
-        Some(out)
+        })
     }
 }
 

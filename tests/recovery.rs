@@ -22,7 +22,8 @@ use facet_hierarchies::ner::NerTagger;
 use facet_hierarchies::resources::{FaultSchedule, VirtualClock, WikiGraphResource};
 use facet_hierarchies::store::bytes::{ByteReader, ByteWriter};
 use facet_hierarchies::store::{
-    snapshot_file_name, DiskStorage, FacetStore, FaultyStorage, Storage, StoreError, WAL_FILE,
+    snapshot_file_name, DiskStorage, FacetStore, FaultyStorage, SnapshotPayload, Storage,
+    StoreError, WAL_FILE,
 };
 use facet_hierarchies::termx::{NamedEntityExtractor, TermExtractor};
 use facet_hierarchies::wikipedia::WikipediaGraph;
@@ -545,6 +546,116 @@ fn version_one_snapshot_is_refused_as_corrupt_meta() {
     }
     fs::remove_dir_all(&dir).ok();
     fs::remove_dir_all(&old_dir).ok();
+}
+
+/// FNV-1a, the checksum of store format version 1.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A snapshot file of store format version 1: the version-2 framing
+/// with FNV-1a section checksums and an FNV-1a trailer over every byte
+/// before it.
+fn v1_snapshot(payload: &SnapshotPayload) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.raw(b"FSNP");
+    w.u32(1);
+    w.u64(payload.generation);
+    w.u32(payload.sections.len() as u32);
+    for (name, bytes) in &payload.sections {
+        w.str(name);
+        w.bytes(bytes);
+        w.u64(fnv1a(&[name.as_bytes(), bytes].concat()));
+    }
+    let trailer = fnv1a(w.as_slice());
+    w.u64(trailer);
+    w.finish()
+}
+
+/// A WAL frame of store format version 1.
+fn v1_record(seq: u64, payload: &[u8]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.raw(b"FWR1");
+    w.u64(seq);
+    w.u32(payload.len() as u32);
+    w.u64(fnv1a(&[&seq.to_le_bytes()[..], payload].concat()));
+    w.raw(payload);
+    w.finish()
+}
+
+/// A store written in format version 1 — a snapshot with a WAL tail, or
+/// a WAL alone — is refused with the typed version error, and recovery
+/// leaves every file byte for byte as it was: the old log is never
+/// truncated as a torn tail.
+#[test]
+fn version_one_store_is_refused_and_left_as_it_is() {
+    let bundle = DatasetBundle::build_with(tiny_recipe(RecipeKind::Snyt));
+    let graph = WikipediaGraph::new(&bundle.wiki.wiki, &bundle.wiki.redirects);
+    let tagger = NerTagger::from_world(&bundle.world);
+    let ne = NamedEntityExtractor::new(tagger);
+    let docs = bundle.corpus.db.docs().to_vec();
+    let (first, rest) = docs.split_at(docs.len() / 2);
+
+    // The sources: a current store, read back as payloads and records.
+    let dir = test_dir("v1-store-source");
+    let store = FacetStore::open(&dir).expect("open store");
+    let res = WikiGraphResource::new(&graph);
+    let mut live = ShardedFacetIndex::new(1, vec![&ne], vec![&res], options());
+    live.append_logged(first.to_vec(), &store)
+        .expect("append_logged");
+    live.persist_to(&store).expect("persist");
+    for chunk in rest.chunks(rest.len().div_ceil(2)) {
+        live.append_logged(chunk.to_vec(), &store)
+            .expect("append_logged");
+    }
+    let recovery = store.recover().expect("recover");
+    assert_eq!(recovery.tail.len(), 2);
+    let wal: Vec<u8> = recovery
+        .tail
+        .iter()
+        .flat_map(|r| v1_record(r.seq, &r.payload))
+        .collect();
+
+    let with_snapshot = vec![
+        (snapshot_file_name(1), v1_snapshot(&recovery.snapshot)),
+        (WAL_FILE.to_string(), wal.clone()),
+    ];
+    let wal_only = vec![(WAL_FILE.to_string(), wal)];
+    for files in [with_snapshot, wal_only] {
+        let old_dir = test_dir("v1-store");
+        for (name, bytes) in &files {
+            fs::write(old_dir.join(name), bytes).expect("write v1 file");
+        }
+        let old_store = FacetStore::open(&old_dir).expect("open store");
+        let res = WikiGraphResource::new(&graph);
+        match ShardedFacetIndex::open_from(&old_store, 1, vec![&ne], vec![&res], options()) {
+            Err(e) => assert_eq!(
+                e,
+                StoreError::UnsupportedVersion { found: 1 },
+                "{} files",
+                files.len()
+            ),
+            Ok(_) => panic!("a version-1 store must be refused"),
+        }
+        let mut names: Vec<String> = fs::read_dir(&old_dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name().into_string().expect("name"))
+            .collect();
+        names.sort();
+        let mut expected: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+        expected.sort();
+        assert_eq!(names, expected, "recovery added or removed a file");
+        for (name, bytes) in &files {
+            assert!(
+                fs::read(old_dir.join(name)).expect("read") == *bytes,
+                "{name} changed"
+            );
+        }
+        fs::remove_dir_all(&old_dir).ok();
+    }
+    fs::remove_dir_all(&dir).ok();
 }
 
 /// Nothing persisted depends on the worker count: a snapshot and WAL
