@@ -26,6 +26,7 @@
 //! time table is printed to stderr.
 
 use facet_bench::drivers;
+use facet_core::MAX_TOP_K;
 use facet_corpus::RecipeKind;
 use facet_obs::Recorder;
 
@@ -40,8 +41,9 @@ struct Args {
 }
 
 /// Parse the arguments after the program name. A flag missing its value,
-/// an unparsable `--scale` (or one not a positive number) or `--top-k`,
-/// and an unknown flag are errors naming the flag and the value.
+/// an unparsable `--scale` (or one not a positive number) or `--top-k`
+/// (or one above [`MAX_TOP_K`]), and an unknown flag are errors naming
+/// the flag and the value.
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut command = String::from("all");
     let mut scale = 1.0f64;
@@ -70,6 +72,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 top_k = v
                     .parse()
                     .map_err(|_| format!("--top-k expects a whole number, got `{v}`"))?;
+                if top_k > MAX_TOP_K {
+                    return Err(format!("--top-k expects at most {MAX_TOP_K}, got `{v}`"));
+                }
             }
             "--obs" => obs = Some(value("a file path")?),
             c if !c.starts_with("--") => command = c.to_string(),
@@ -305,6 +310,10 @@ mod tests {
             (
                 &["--top-k", "-5"],
                 "--top-k expects a whole number, got `-5`",
+            ),
+            (
+                &["--top-k", "4097"],
+                "--top-k expects at most 4096, got `4097`",
             ),
             (&["table3", "--scale"], "--scale requires a value"),
             (&["--top-k"], "--top-k requires a value"),

@@ -47,7 +47,7 @@ pub mod subsumption;
 
 pub use baseline::raw_subsumption_terms;
 pub use browse::BrowseEngine;
-pub use config::PipelineOptions;
+pub use config::{PipelineOptions, MAX_TOP_K};
 pub use evidence::{build_evidence_forest, EvidenceParams, HypernymHints};
 pub use facet_textkit::RowStore;
 pub use hierarchy::{FacetForest, FacetTree, TreeNode};

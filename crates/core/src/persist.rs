@@ -27,9 +27,12 @@
 //!   generation that verifies, decode the sections back into the index's
 //!   state (counting df and `df_C` from the rows) and rebuild the
 //!   postings — while one more thread runs Step 1 on the WAL tail's
-//!   documents until restore is done — then replay the tail through the
-//!   ordinary `append`/`repair` code paths, publishing through the
-//!   index's one publish path. Nothing in a snapshot depends on the worker count or
+//!   documents until restore is done, and, from the moment the rows are
+//!   decoded, `workers - 1` more count the pairs of the snapshot's top k
+//!   — then replay the tail through the ordinary `append`/`repair` code
+//!   paths, publishing through the index's one publish path, whose first
+//!   call finishes those counts and advances them by the tail. Nothing in
+//!   a snapshot depends on the worker count or
 //!   the expansion threads, so it reopens at any count, with the
 //!   caller's threads. Because the pipeline is deterministic end-to-end,
 //!   and N appends publish what one append of the same documents
@@ -62,14 +65,14 @@
 use crate::config::PipelineOptions;
 use crate::index::{AppendStats, IndexError, RepairStats};
 use crate::selection::SelectionStatistic;
-use crate::shard::{ShardedFacetIndex, Termed};
+use crate::shard::{EarlyCounts, ShardedFacetIndex, Termed};
 use facet_corpus::db::DocTerms;
 use facet_corpus::{DocId, Document};
 use facet_resources::{
     ContextResource, ContextualizedDatabase, ExpansionCache, ExpansionOptions, ResolvedTerm,
 };
 use facet_store::bytes::{ByteReader, ByteWriter};
-use facet_store::{FacetStore, RecoveryReport, SnapshotPayload, StoreError, WalRecord};
+use facet_store::{FacetStore, Recovery, RecoveryReport, SnapshotPayload, StoreError, WalRecord};
 use facet_termx::TermExtractor;
 use facet_textkit::{RowStore, TermId, Vocabulary};
 
@@ -406,51 +409,79 @@ fn encode_index(index: &ShardedFacetIndex<'_>) -> SnapshotPayload {
 /// symbol of the vocabulary, and the rows df and `df_C` count are
 /// strictly ascending, as ingest and expansion write them
 /// ([`decode_rows`], which pushes each row into its store as it checks
-/// it). Then set the persisted generation and rebuild the postings and
-/// the degraded map the way repair does. Nothing is published: the
-/// index's snapshot stays the empty one until replay publishes (see
-/// [`ShardedFacetIndex::open_from`]), which ranks, scans the
-/// subsumption counts and publishes once for the restored state and the
-/// first run of appends together.
-fn restore_index(
-    index: &mut ShardedFacetIndex<'_>,
+/// it). The row sections come first. Once `doc_terms` and `ctx_rows` are
+/// in place, with df and `df_C`, `beside` runs on the index, and restore
+/// returns what it returns: recovery ranks the snapshot's top k there and
+/// starts counting their pairs ([`ShardedFacetIndex::start_counts`]).
+/// A snapshot is still refused at its first bad section in section order
+/// (`meta`, `vocab`, `doc_terms`, `cache`, `ctx_rows`, `important`).
+/// Then `cache` and `important` are decoded, the persisted
+/// generation set, and the postings and the degraded map rebuilt the way
+/// repair does. Nothing is published: the index's snapshot stays the
+/// empty one until replay publishes (see
+/// [`ShardedFacetIndex::open_from`]), which ranks, counts the subsumption
+/// pairs (or finishes the count `beside` started) and publishes once for
+/// the restored state and the first run of appends together.
+fn restore_index_with<'a, T>(
+    index: &mut ShardedFacetIndex<'a>,
     payload: &SnapshotPayload,
-) -> Result<(), StoreError> {
+    beside: impl FnOnce(&mut ShardedFacetIndex<'a>) -> T,
+) -> Result<T, StoreError> {
     let meta = decode(payload, "meta", |r| dec_meta(r, &index.options.expansion))?;
     if payload.generation != meta.generation {
         return Err(corrupt("meta"));
     }
     let n_docs = usize::try_from(meta.n_docs).map_err(|_| corrupt("meta"))?;
     let vocab = decode(payload, "vocab", dec_vocab)?;
-    let known = |t: &TermId| t.index() < vocab.len();
+    let n_terms = vocab.len();
+    let decode_cache = || {
+        let known = |t: &TermId| t.index() < n_terms;
+        decode(payload, "cache", |r| {
+            dec_cache(r).filter(|c| {
+                c.entries()
+                    .all(|(t, res)| known(&t) && res.terms.iter().all(known))
+            })
+        })
+    };
     let mut db = DocTerms::default();
-    decode_rows(payload, "doc_terms", n_docs, vocab.len(), true, |row| {
+    decode_rows(payload, "doc_terms", n_docs, n_terms, true, |row| {
         db.push_row(row)
     })?;
-    let cache = decode(payload, "cache", |r| {
-        dec_cache(r).filter(|c| {
-            c.entries()
-                .all(|(t, res)| known(&t) && res.terms.iter().all(known))
-        })
-    })?;
     let mut ctx_rows = RowStore::new();
-    decode_rows(payload, "ctx_rows", n_docs, vocab.len(), true, |row| {
+    if let Err(e) = decode_rows(payload, "ctx_rows", n_docs, n_terms, true, |row| {
         ctx_rows.push(row);
-    })?;
-    let mut important = RowStore::new();
-    decode_rows(payload, "important", n_docs, vocab.len(), false, |row| {
-        important.push(row);
-    })?;
+    }) {
+        // A snapshot is refused at its first bad section in section
+        // order, and `cache` comes before `ctx_rows`.
+        decode_cache()?;
+        return Err(e);
+    }
     index.options = meta.options;
     index.statistic = meta.statistic;
     index.vocab = vocab;
     index.db = db;
-    index.cache = cache;
     index.ctx = ContextualizedDatabase::from_parts(ctx_rows);
+    let started = beside(index);
+    let cache = decode_cache()?;
+    let mut important = RowStore::new();
+    decode_rows(payload, "important", n_docs, n_terms, false, |row| {
+        important.push(row);
+    })?;
+    index.cache = cache;
     index.important = important;
     index.generation = meta.generation;
     index.reindex();
-    Ok(())
+    Ok(started)
+}
+
+/// [`restore_index_with`], running nothing beside: the next publish
+/// builds selection's state and the counts.
+#[cfg(test)]
+fn restore_index(
+    index: &mut ShardedFacetIndex<'_>,
+    payload: &SnapshotPayload,
+) -> Result<(), StoreError> {
+    restore_index_with(index, payload, |_| ())
 }
 
 /// An open run of logged appends: their documents in log order, the
@@ -466,21 +497,29 @@ struct Run {
 
 /// Publish what replay has held back: the open `run` as one batch at its
 /// last sequence number, or, with no run open, a `restored` state that
-/// nothing has published yet. Either way the index is published after.
+/// nothing has published yet. Either way the index is published after;
+/// the first publish takes the `early` counts, if any.
 fn flush(
     index: &mut ShardedFacetIndex<'_>,
     run: &mut Run,
     restored: &mut bool,
+    early: &mut Option<EarlyCounts<'_>>,
 ) -> Result<(), StoreError> {
     let run = std::mem::take(run);
+    let early = early.take();
     if run.records > 0 {
         let landed = index
-            .append_resumed_at(run.extracted, run.docs, index.generation + run.records)
+            .append_resumed_at(
+                run.extracted,
+                run.docs,
+                index.generation + run.records,
+                early,
+            )
             .map_err(|e| replay_failed(run.last_seq, e.to_string()))?
             .generation;
         check_replayed_generation(run.last_seq, landed)?;
     } else if *restored {
-        index.publish_at(index.generation);
+        index.publish_at(index.generation, early);
     }
     *restored = false;
     Ok(())
@@ -509,30 +548,55 @@ fn decode_tail(tail: &[WalRecord]) -> (Vec<Decoded>, Vec<Document>) {
 /// the store holds one, and replay the tail.
 ///
 /// Step 1 of the tail's documents is a pure function of their text, so
-/// it runs beside restore ([`ShardedFacetIndex::extract_beside`]) on the
-/// documents it reaches before restore is done; replay ingests those and
-/// extracts the rest as an append does. Either way replay ingests in log
-/// order, so ids and snapshot bytes are those of a serial replay.
-/// Restore's error, if any, comes before any record's.
+/// it runs beside restore on the documents it reaches before restore is
+/// done; replay ingests those and extracts the rest as an append does.
+/// Either way replay ingests in log order, so ids and snapshot bytes are
+/// those of a serial replay. Once the row sections are decoded, the
+/// snapshot generation's pair counts start on scoped threads, and
+/// replay's first publish finishes them
+/// ([`ShardedFacetIndex::restore_beside`]). The tail's records are
+/// dropped once decoded and the snapshot's bytes once restored, so
+/// neither is held through replay. Restore's error, if any, comes before
+/// any record's.
 fn recover_into<'a>(
     store: &FacetStore,
     mut index: ShardedFacetIndex<'a>,
 ) -> Result<(ShardedFacetIndex<'a>, RecoveryReport), StoreError> {
-    let recovery = store.recover()?;
-    let snapshot = &recovery.snapshot;
+    let Recovery {
+        snapshot,
+        tail,
+        report,
+    } = store.recover()?;
     let restored = snapshot.generation > 0 || !snapshot.sections.is_empty();
-    let (ops, mut docs) = decode_tail(&recovery.tail);
-    let extracted = if restored {
-        let (restore, extracted) =
-            index.extract_beside(&docs, |index| restore_index(index, snapshot));
-        restore?;
-        extracted
+    let (ops, docs) = decode_tail(&tail);
+    drop(tail);
+    if restored {
+        index.restore_beside(
+            docs,
+            |index, start| {
+                let restored = restore_index_with(index, &snapshot, start);
+                // Decoded: the section bytes need not live through replay.
+                drop(snapshot);
+                restored
+            },
+            |index, extracted, docs, early| replay_from(index, ops, extracted, docs, true, early),
+        )?;
     } else {
-        Vec::new()
-    };
-    docs.drain(..extracted.len());
-    replay(&mut index, ops, extracted, docs, restored)?;
-    Ok((index, recovery.report))
+        replay_from(&mut index, ops, Vec::new(), docs, false, None)?;
+    }
+    Ok((index, report))
+}
+
+/// [`replay_from`] with no counts started beside restore.
+#[cfg(test)]
+fn replay(
+    index: &mut ShardedFacetIndex<'_>,
+    ops: Vec<Decoded>,
+    extracted: Vec<Termed>,
+    docs: Vec<Document>,
+    restored: bool,
+) -> Result<(), StoreError> {
+    replay_from(index, ops, extracted, docs, restored, None)
 }
 
 /// Replay `ops`, the WAL records after the state `index` holds as
@@ -540,13 +604,16 @@ fn recover_into<'a>(
 /// discipline](self#replay-discipline)). The append records' documents
 /// are `extracted`, those Step 1 already ran on, then `docs`, in log
 /// order. `restored` says that state came from a snapshot and is not
-/// published yet; the index is published when this returns.
-fn replay(
+/// published yet, and `early` holds its pair counts if restore started
+/// them; the first publish takes them. The index is published when this
+/// returns.
+fn replay_from(
     index: &mut ShardedFacetIndex<'_>,
     ops: Vec<Decoded>,
     extracted: Vec<Termed>,
     docs: Vec<Document>,
     mut restored: bool,
+    mut early: Option<EarlyCounts<'_>>,
 ) -> Result<(), StoreError> {
     let (mut extracted, mut docs) = (extracted.into_iter(), docs.into_iter());
     let mut run = Run::default();
@@ -560,7 +627,7 @@ fn replay(
                 run.last_seq = seq;
             }
             (seq, ReplayOp::Repair) => {
-                flush(index, &mut run, &mut restored)?;
+                flush(index, &mut run, &mut restored, &mut early)?;
                 let stats = index
                     .repair()
                     .map_err(|e| replay_failed(seq, e.to_string()))?;
@@ -570,13 +637,13 @@ fn replay(
                     // healed before the restart), so the state already
                     // equals the live repaired one: publish it where the
                     // live repair did.
-                    index.publish_at(index.generation + 1);
+                    index.publish_at(index.generation + 1, None);
                 }
                 check_replayed_generation(seq, index.generation)?;
             }
         }
     }
-    flush(index, &mut run, &mut restored)
+    flush(index, &mut run, &mut restored, &mut early)
 }
 
 impl<'a> ShardedFacetIndex<'a> {
@@ -1045,6 +1112,194 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `n` documents of random [`WORDS`], a few words each, low words more
+    /// often, so the top k shifts as batches come.
+    fn word_docs(rng: &mut proptest::test_runner::TestRng, n: usize) -> Vec<Document> {
+        (0..n)
+            .map(|i| {
+                let words: Vec<&str> = WORDS
+                    .iter()
+                    .enumerate()
+                    .filter(|&(w, _)| rng.below(w as u64 / 3 + 2) == 0)
+                    .map(|(_, w)| *w)
+                    .collect();
+                Document {
+                    id: DocId(i as u32),
+                    source: 0,
+                    day: 0,
+                    title: "Story".into(),
+                    text: words.join(" ") + ".",
+                }
+            })
+            .collect()
+    }
+
+    /// The pair counts started beside restore give what counting at the
+    /// publish gives. Tails of 0, 1 and 5 records (two runs around a
+    /// repair record), and a repair record right after the snapshot,
+    /// reopen at 1–4 workers to the live digest, persist snapshot bytes
+    /// equal to the one-worker replay's, and leave a co-count table, with
+    /// its passing lists, and a selection state equal to fresh builds for
+    /// what they published. So does replay with every split of the rows
+    /// between a helper thread and the publishing thread, which the
+    /// timing of a real restart only samples. A small `top_k` makes the
+    /// top k churn between the snapshot and the tail.
+    #[test]
+    fn counts_started_beside_restore_equal_a_fresh_scan() {
+        use crate::shard::tests::assert_maintained_state_is_fresh;
+        use proptest::test_runner::TestRng;
+        let e = WordExtractor;
+        let opts = PipelineOptions {
+            top_k: 4,
+            min_df_c: 1,
+            ..with_threads(1)
+        };
+        let snapshot_bytes = |index: &ShardedFacetIndex<'_>| {
+            let out = test_dir("early-out");
+            let generation = index.persist_to(&FacetStore::open(&out).unwrap()).unwrap();
+            let bytes = std::fs::read(out.join(snapshot_file_name(generation))).unwrap();
+            std::fs::remove_dir_all(&out).ok();
+            bytes
+        };
+        let mut splits = 0;
+        for repair_first in [false, true] {
+            let mut rng = TestRng::deterministic(&format!("early counts {repair_first}"));
+            // Every word degraded on the second resource until it heals,
+            // so a repair record re-queries them.
+            let faulty = FaultyResource::new(
+                CountingResource::new(),
+                FaultPlan::seeded(7, 1000),
+                VirtualClock::new(),
+            );
+            let resources: Vec<&dyn ContextResource> = vec![&NeighbourResource, &faulty];
+            let dir = test_dir("early");
+            let store = FacetStore::open(&dir).unwrap();
+            let mut check = |live: &ShardedFacetIndex<'_>, tail: usize| {
+                let what =
+                    |how: String| format!("repair first {repair_first}, {tail} records, {how}");
+                let want = live.snapshot().digest();
+                let mut serial = None;
+                for n in 1..=4 {
+                    let (index, report) = ShardedFacetIndex::open_from(
+                        &store,
+                        n,
+                        vec![&e],
+                        resources.clone(),
+                        opts.clone(),
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        report.replayed_records,
+                        tail,
+                        "{}",
+                        what(format!("{n} workers"))
+                    );
+                    assert_eq!(
+                        index.snapshot().digest(),
+                        want,
+                        "{}",
+                        what(format!("{n} workers"))
+                    );
+                    assert_maintained_state_is_fresh(&index, &what(format!("{n} workers")));
+                    let bytes = snapshot_bytes(&index);
+                    match &serial {
+                        None => serial = Some(bytes),
+                        Some(serial) => {
+                            assert!(bytes == *serial, "{}", what(format!("{n} workers")))
+                        }
+                    }
+                }
+                let serial = serial.unwrap();
+                let recovery = store.recover().unwrap();
+                let mut rows = None;
+                let mut split = 0;
+                while rows.is_none_or(|rows| split <= rows) {
+                    let (ops, docs) = decode_tail(&recovery.tail);
+                    let mut index =
+                        ShardedFacetIndex::new(2, vec![&e], resources.clone(), opts.clone());
+                    std::thread::scope(|s| {
+                        let early = restore_index_with(&mut index, &recovery.snapshot, |index| {
+                            rows = Some(index.ctx.len());
+                            let early = index.start_counts(s, 1, 1, move |scan| scan.count(split));
+                            // The helper claims its rows before the
+                            // publishing thread may claim any.
+                            while early.scan().claimed() < split {
+                                std::thread::yield_now();
+                            }
+                            early
+                        })
+                        .unwrap();
+                        replay_from(&mut index, ops, Vec::new(), docs, true, Some(early)).unwrap();
+                    });
+                    let how = what(format!("split {split}"));
+                    assert_eq!(index.snapshot().digest(), want, "{how}");
+                    assert!(snapshot_bytes(&index) == serial, "{how}");
+                    assert_maintained_state_is_fresh(&index, &how);
+                    split += 1;
+                    splits += 1;
+                }
+            };
+            let mut live = ShardedFacetIndex::new(2, vec![&e], resources.clone(), opts.clone());
+            live.append_logged(word_docs(&mut rng, 12), &store).unwrap();
+            live.persist_to(&store).unwrap();
+            assert!(
+                !live.snapshot().is_fully_covered(),
+                "the snapshot holds degraded terms"
+            );
+            if repair_first {
+                faulty.heal();
+                assert!(live.repair_logged(&store).unwrap().requeried_terms > 0);
+                live.append_logged(word_docs(&mut rng, 5), &store).unwrap();
+                check(&live, 2);
+            } else {
+                check(&live, 0);
+                live.append_logged(word_docs(&mut rng, 6), &store).unwrap();
+                check(&live, 1);
+                live.append_logged(word_docs(&mut rng, 5), &store).unwrap();
+                faulty.heal();
+                assert!(live.repair_logged(&store).unwrap().requeried_terms > 0);
+                live.append_logged(word_docs(&mut rng, 7), &store).unwrap();
+                live.append_logged(word_docs(&mut rng, 4), &store).unwrap();
+                check(&live, 5);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        assert!(splits > 40, "{splits} splits");
+    }
+
+    /// A helper thread counting pairs beside restore that panics, after
+    /// claiming rows, takes the replay down with its panic at 1–3 helpers
+    /// instead of leaving the publish waiting for its counts.
+    #[test]
+    fn count_worker_panic_propagates_instead_of_hanging() {
+        let (e, r) = (FixedExtractor, CountingResource::new());
+        let dir = test_dir("count-panic");
+        let store = FacetStore::open(&dir).unwrap();
+        let mut live = ShardedFacetIndex::new(1, vec![&e], vec![&r], options());
+        live.append_logged(corpus(40), &store).unwrap();
+        live.persist_to(&store).unwrap();
+        live.append_logged(corpus(3), &store).unwrap();
+        let recovery = store.recover().unwrap();
+        for helpers in 1..=3 {
+            let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let (ops, docs) = decode_tail(&recovery.tail);
+                let mut index = ShardedFacetIndex::new(2, vec![&e], vec![&r], with_threads(1));
+                std::thread::scope(|s| {
+                    let early = restore_index_with(&mut index, &recovery.snapshot, |index| {
+                        index.start_counts(s, 4, helpers, |scan| {
+                            scan.count(1);
+                            panic!("count worker");
+                        })
+                    })
+                    .unwrap();
+                    replay_from(&mut index, ops, Vec::new(), docs, true, Some(early))
+                })
+            }));
+            assert!(replayed.is_err(), "{helpers} helpers");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// With Step 1 of the tail beside restore, the errors come as they
     /// did in series: an undecodable record is named by its sequence
     /// number at 1–4 workers, and once the snapshot's `meta` is also
@@ -1322,6 +1577,85 @@ mod tests {
             std::fs::remove_dir_all(&dir).ok();
         }
         assert!(repaired > 0 && published > 0, "{repaired} {published}");
+    }
+
+    /// A checksum-valid snapshot whose `meta` section holds a `top_k`
+    /// above [`crate::MAX_TOP_K`] is refused as a corrupt `meta` section,
+    /// at any worker count, before restore sizes a table by it; an index
+    /// built with such a `top_k` refuses `append` and `append_logged`
+    /// with a typed error before it ingests or logs anything. `MAX_TOP_K`
+    /// itself restores.
+    #[test]
+    fn top_k_above_the_bound_is_refused() {
+        let e = FixedExtractor;
+        let r = CountingResource::new();
+        let mut live = ShardedFacetIndex::new(1, vec![&e], vec![&r], options());
+        live.append(corpus(8)).unwrap();
+        let publish_with = |store: &FacetStore, top_k: usize| {
+            let mut payload = encode_index(&live);
+            let meta = Meta {
+                generation: live.generation,
+                statistic: live.statistic,
+                options: PipelineOptions { top_k, ..options() },
+                n_docs: live.len() as u64,
+            };
+            for (name, bytes) in &mut payload.sections {
+                if name == "meta" {
+                    *bytes = encode(|w| enc_meta(w, &meta));
+                }
+            }
+            store.publish_snapshot(&payload).unwrap();
+        };
+        for k in [crate::MAX_TOP_K + 1, usize::MAX] {
+            let dir = test_dir("top-k");
+            let store = FacetStore::open(&dir).unwrap();
+            publish_with(&store, k);
+            for n in 1..=2 {
+                let restored =
+                    ShardedFacetIndex::open_from(&store, n, vec![&e], vec![&r], options());
+                assert!(
+                    matches!(&restored, Err(StoreError::CorruptSection { section }) if section == "meta"),
+                    "top_k {k}, {n} workers: {:?}",
+                    restored.err()
+                );
+            }
+
+            let bad = PipelineOptions {
+                top_k: k,
+                ..options()
+            };
+            let mut index = ShardedFacetIndex::new(2, vec![&e], vec![&r], bad);
+            let before = index.snapshot();
+            for logged in [false, true] {
+                let err = if logged {
+                    index.append_logged(corpus(8), &store)
+                } else {
+                    index.append(corpus(8))
+                }
+                .unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        IndexError::InvalidOptions {
+                            option: "top_k",
+                            ..
+                        }
+                    ),
+                    "top_k {k}: {err:?}"
+                );
+                assert_eq!((index.len(), index.generation), (0, 0), "top_k {k}");
+                assert!(std::sync::Arc::ptr_eq(&before, &index.snapshot()));
+            }
+            assert!(store.recover().unwrap().tail.is_empty(), "nothing logged");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        let dir = test_dir("top-k-max");
+        let store = FacetStore::open(&dir).unwrap();
+        publish_with(&store, crate::MAX_TOP_K);
+        let (restored, _) =
+            ShardedFacetIndex::open_from(&store, 2, vec![&e], vec![&r], options()).unwrap();
+        assert_eq!(restored.options().top_k, crate::MAX_TOP_K);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A checksum-valid snapshot whose `meta` section holds a subsumption

@@ -336,6 +336,24 @@ pub(crate) mod tests {
         candidates
     }
 
+    /// What `set` holds, with trailing zero histogram bins and set words
+    /// cut: a state advanced row by row and one built in one pass over the
+    /// same tables give the same value (the advanced one may carry longer
+    /// histograms). Asserts the per-advance scratch is clear.
+    pub(crate) fn state_of(set: &CandidateSet) -> (usize, Vec<u64>, Vec<u64>, Vec<u64>) {
+        assert!(set.held.iter().all(|&h| h == 0), "held counts left over");
+        let trimmed = |v: &[u64]| {
+            let len = v.iter().rposition(|&x| x != 0).map_or(0, |i| i + 1);
+            v[..len].to_vec()
+        };
+        (
+            set.n_docs,
+            trimmed(&set.hist_d),
+            trimmed(&set.hist_c),
+            trimmed(&set.shifted),
+        )
+    }
+
     /// Build a scenario: term 0 is a background word (frequent in both),
     /// term 1 is a facet term (absent in D, frequent in C), term 2 shrinks,
     /// terms 3.. are mid-frequency fillers that keep ranks meaningful.

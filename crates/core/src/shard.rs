@@ -56,11 +56,18 @@
 //!    scales with the batch and the churn, not the corpus. The table
 //!    keeps each row's passing list (the counts that can clear the
 //!    threshold), rewritten where the counts moved, and parent choice
-//!    evaluates only those entries. A fresh, repaired or restored index
-//!    builds both states at its next publish: selection by one pass over
-//!    the vocabulary, the counts by one scan, its rows split into one
-//!    contiguous range per worker and the ranges' counts summed. The
-//!    result is published as one new [`FacetSnapshot`] behind an `Arc`,
+//!    evaluates only those entries. A fresh or repaired index, or one
+//!    restored at one worker, builds both states at its next publish:
+//!    selection by one pass over the vocabulary, the counts by one scan,
+//!    whose participants (the publishing thread and `workers - 1` scoped
+//!    threads) claim runs of `CLAIM_ROWS` (64) rows from one cursor, each
+//!    into counts of its own, and the parts are summed. A restored index
+//!    builds them for the snapshot's generation during restore, beside
+//!    the rest of it (`restore_beside`): selection's state and top k on
+//!    the restoring thread, the counts by the same claimed scan on scoped
+//!    threads, which the next publish joins after claiming the runs left;
+//!    that publish then advances both by the tail as a live publish does.
+//!    The result is published as one new [`FacetSnapshot`] behind an `Arc`,
 //!    which shares the rows with the index: they live in an append-only
 //!    [`RowStore`] of `Arc`-shared chunks, so a publish clones the chunk
 //!    list, and the next append copies at most the one open chunk the
@@ -105,8 +112,9 @@ use facet_termx::{extract_important_terms, TermExtractor};
 use facet_textkit::{InternStats, RowStore, TermId, Vocabulary};
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Documents per window: ingest takes the extract stage's output a window
 /// at a time, and the stage holds the term strings of at most two.
@@ -115,6 +123,9 @@ pub(crate) const WINDOW_DOCS: usize = 256;
 /// Documents a participant of the extract stage claims at a time.
 const RUN_DOCS: usize = 4;
 const _: () = assert!(WINDOW_DOCS.is_multiple_of(RUN_DOCS));
+
+/// Rows a participant of a co-count scan claims at a time.
+const CLAIM_ROWS: usize = 64;
 
 /// One document's Step 1 output: its counted term strings, and its
 /// `I(d)` (empty when the caller supplied the lists).
@@ -135,7 +146,7 @@ pub(crate) fn extract_document(extractors: &[&dyn TermExtractor], doc: &Document
 enum Step1 {
     /// The extract stage computes the counted terms and `I(d)` of the
     /// documents, after the leading ones whose Step 1 already ran
-    /// ([`ShardedFacetIndex::extract_beside`]).
+    /// ([`ShardedFacetIndex::restore_beside`]).
     Run(Vec<Termed>, Vec<Document>),
     /// The caller supplied `I(d)`, one list per document: the stage
     /// computes the counted terms only.
@@ -206,12 +217,15 @@ pub struct ShardedFacetIndex<'a> {
     postings: Vec<Vec<u32>>,
     /// Subsumption counts for the last published candidate set, advanced
     /// by each publish. `None` on a fresh, repaired or restored index
-    /// until its next publish rebuilds it by scan. Never persisted.
+    /// until its next publish builds it: by scan, or from the counts
+    /// [`ShardedFacetIndex::restore_beside`] started. Never persisted.
     co_counts: Option<CoCounts>,
     /// Selection's histograms and `Shift_f > 0` set for the last
-    /// published tables, advanced by each publish. `None` on a fresh,
-    /// repaired or restored index until its next publish builds it by one
-    /// pass over the vocabulary. Never persisted.
+    /// published tables, advanced by each publish. `None` on a fresh or
+    /// repaired index until its next publish builds it by one pass over
+    /// the vocabulary; a restored one holds the snapshot's
+    /// ([`ShardedFacetIndex::restore_beside`]) or, at one worker, none.
+    /// Never persisted.
     selection: Option<CandidateSet>,
     /// The degraded map the next publish carries: every degraded term's
     /// provenance, keyed by term string. An append adds the terms it
@@ -307,12 +321,11 @@ impl<'a> ShardedFacetIndex<'a> {
     /// Run `f` on this thread while one scoped thread runs Step 1 on
     /// `docs`, in order, until `f` returns: what `f` returns, and the
     /// Step 1 output of the documents extracted by then, a prefix of
-    /// `docs`, for [`ShardedFacetIndex::append_resumed_at`]. Recovery
-    /// restores a snapshot this way, so the WAL tail's Step 1 takes at
-    /// most the time restore does; the rest of the tail goes through the
-    /// extract stage. With one worker, `f` runs alone and nothing is
-    /// extracted.
-    pub(crate) fn extract_beside<R>(
+    /// `docs`, for [`ShardedFacetIndex::append_resumed_at`]. So the WAL
+    /// tail's Step 1 takes at most the time restore does; the rest of the
+    /// tail goes through the extract stage. With one worker, `f` runs
+    /// alone and nothing is extracted.
+    fn extract_beside<R>(
         &mut self,
         docs: &[Document],
         f: impl FnOnce(&mut Self) -> R,
@@ -335,6 +348,46 @@ impl<'a> ShardedFacetIndex<'a> {
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             (out, extracted)
+        })
+    }
+
+    /// Recovery's threads, all scoped to this call. `restore` runs on
+    /// this thread beside Step 1 of `docs`
+    /// ([`ShardedFacetIndex::extract_beside`]). Once the row sections are
+    /// in place it calls its second argument, which ranks the restored
+    /// top k and starts counting their pairs on `workers - 1` threads
+    /// ([`ShardedFacetIndex::start_counts`]) beside the rest of restore
+    /// and the tail's ingest and expansion. Then `replay` runs with the
+    /// Step 1 output of the documents extracted by then, the rest of
+    /// `docs`, and the counts started, which its first publish finishes.
+    /// With one worker, nothing runs beside and the publish scans. Every
+    /// thread is joined before this returns, and a thread's panic resumes
+    /// on this one. Restore's error, if any, comes before `replay` runs.
+    pub(crate) fn restore_beside<T, E>(
+        &mut self,
+        mut docs: Vec<Document>,
+        restore: impl FnOnce(&mut Self, &mut dyn FnMut(&mut Self)) -> Result<(), E>,
+        replay: impl FnOnce(
+            &mut Self,
+            Vec<Termed>,
+            Vec<Document>,
+            Option<EarlyCounts<'_>>,
+        ) -> Result<T, E>,
+    ) -> Result<T, E> {
+        std::thread::scope(|scope| {
+            let mut early = None;
+            let (restored, extracted) = self.extract_beside(&docs, |index| {
+                restore(index, &mut |index| {
+                    let helpers = index.workers() - 1;
+                    early = (helpers > 0).then(|| {
+                        index
+                            .start_counts(scope, CLAIM_ROWS, helpers, |scan| scan.count(usize::MAX))
+                    });
+                })
+            });
+            restored?;
+            docs.drain(..extracted.len());
+            replay(self, extracted, docs, early)
         })
     }
 
@@ -420,21 +473,23 @@ impl<'a> ShardedFacetIndex<'a> {
     /// should be discarded, since it may have ingested documents it
     /// could not expand.
     pub fn append(&mut self, batch: Vec<Document>) -> Result<AppendStats, IndexError> {
-        self.append_with(Step1::Run(Vec::new(), batch), self.generation + 1)
+        self.append_with(Step1::Run(Vec::new(), batch), self.generation + 1, None)
     }
 
     /// [`ShardedFacetIndex::append`] of `extracted`, documents Step 1
-    /// already ran on ([`ShardedFacetIndex::extract_beside`]), followed
+    /// already ran on ([`ShardedFacetIndex::restore_beside`]), followed
     /// by `batch`, publishing at `generation` instead of the next one:
     /// recovery replays a run of logged appends as one batch that lands
-    /// on the run's last sequence number.
+    /// on the run's last sequence number. The publish takes its counts
+    /// from `early` when given ([`ShardedFacetIndex::restore_beside`]).
     pub(crate) fn append_resumed_at(
         &mut self,
         extracted: Vec<Termed>,
         batch: Vec<Document>,
         generation: u64,
+        early: Option<EarlyCounts<'_>>,
     ) -> Result<AppendStats, IndexError> {
-        self.append_with(Step1::Run(extracted, batch), generation)
+        self.append_with(Step1::Run(extracted, batch), generation, early)
     }
 
     /// [`ShardedFacetIndex::append`] with Step 1 already done:
@@ -463,12 +518,17 @@ impl<'a> ShardedFacetIndex<'a> {
                 },
             ));
         }
-        self.append_with(Step1::Given(batch, important), self.generation + 1)
+        self.append_with(Step1::Given(batch, important), self.generation + 1, None)
     }
 
     /// The one append path, from `step1`; the result publishes at
-    /// `generation`.
-    fn append_with(&mut self, step1: Step1, generation: u64) -> Result<AppendStats, IndexError> {
+    /// `generation`, with the counts of `early` if given.
+    fn append_with(
+        &mut self,
+        step1: Step1,
+        generation: u64,
+        early: Option<EarlyCounts<'_>>,
+    ) -> Result<AppendStats, IndexError> {
         self.options.validate()?;
         // The span guard borrows its recorder; a clone (one `Arc` bump)
         // leaves `self` free for the stages below.
@@ -565,7 +625,7 @@ impl<'a> ShardedFacetIndex<'a> {
         }
         self.index_rows(start);
         self.degraded = self.add_degraded(&self.degraded, outcome.degraded);
-        self.publish(generation, outcome.rows_copied);
+        self.publish(generation, outcome.rows_copied, early);
 
         let resource_queries = self.count_queries(outcome.new_distinct_terms, &outcome.failures);
         let intern_after = self.vocab.stats();
@@ -628,8 +688,12 @@ impl<'a> ShardedFacetIndex<'a> {
         )?;
         self.count_queries(outcome.requeried_terms, &outcome.failures);
         if outcome.requeried_terms > 0 {
+            // The rewritten rows moved `df_C` with no new row to advance
+            // by: the next publish builds both states afresh.
             self.reindex();
-            self.publish(self.generation + 1, 0);
+            self.co_counts = None;
+            self.selection = None;
+            self.publish(self.generation + 1, 0, None);
             self.recorder.incr("repair.snapshot_swaps");
         }
         Ok(RepairStats {
@@ -652,9 +716,8 @@ impl<'a> ShardedFacetIndex<'a> {
     }
 
     /// Rebuild the postings from every row and the degraded map from the
-    /// cache, and drop the selection state and the subsumption counts so
-    /// the next publish builds them afresh: what repair runs after
-    /// rewriting rows and restore runs after decoding them.
+    /// cache: what repair runs after rewriting rows and restore runs after
+    /// decoding them.
     pub(crate) fn reindex(&mut self) {
         // The rows are strictly ascending, so a symbol's `df_C` is the
         // length of its postings. Each list is reserved once, at the
@@ -669,17 +732,16 @@ impl<'a> ShardedFacetIndex<'a> {
             })
             .collect();
         self.index_rows(0);
-        self.co_counts = None;
-        self.selection = None;
         let degraded: Vec<TermId> = self.cache.degraded().map(|(t, _)| t).collect();
         self.degraded = self.add_degraded(&Arc::default(), degraded);
     }
 
-    /// Publish the state as it stands at `generation`: what recovery
-    /// runs when a restored index has no logged append to publish it, or
-    /// when a replayed repair finds nothing left to re-query.
-    pub(crate) fn publish_at(&mut self, generation: u64) {
-        self.publish(generation, 0);
+    /// Publish the state as it stands at `generation`, with the counts
+    /// of `early` if given: what recovery runs when a restored index has
+    /// no logged append to publish it, or when a replayed repair finds
+    /// nothing left to re-query.
+    pub(crate) fn publish_at(&mut self, generation: u64, early: Option<EarlyCounts<'_>>) {
+        self.publish(generation, 0, early);
     }
 
     /// `base` plus the provenance the cache holds for `terms`, keyed by
@@ -703,8 +765,11 @@ impl<'a> ShardedFacetIndex<'a> {
     /// Step 4's parent choice over the counts, set the generation to
     /// `generation`, and replace the published snapshot with the new one,
     /// which carries the degraded map — the index's one publish path,
-    /// shared by append, repair and restore. The snapshot shares the
-    /// rows' chunks with the index; `rows_copied` is what the append
+    /// shared by append, repair and restore. `early`, when given, holds
+    /// the counts of the candidate set selection's state was built for
+    /// ([`ShardedFacetIndex::restore_beside`]): the publish finishes them
+    /// and advances them like a table it published. The snapshot shares
+    /// the rows' chunks with the index; `rows_copied` is what the append
     /// before it copied to push its rows. Records the `freeze` span, the
     /// `select` span (attributes: `terms`, the vocabulary size; `scanned`,
     /// the `Shift_f > 0` terms it tested; `candidates`, those passing
@@ -712,7 +777,7 @@ impl<'a> ShardedFacetIndex<'a> {
     /// entries read to choose parents — every entry of the table when it
     /// was built by scan, else the passing-list entries evaluated) and the
     /// `swap` span (`rows_copied`).
-    fn publish(&mut self, generation: u64, rows_copied: usize) {
+    fn publish(&mut self, generation: u64, rows_copied: usize, early: Option<EarlyCounts<'_>>) {
         // One freeze per publish: ranking, forest, and snapshot share it.
         let frozen = {
             let _span = self.recorder.span("freeze");
@@ -746,6 +811,9 @@ impl<'a> ShardedFacetIndex<'a> {
                 threshold: self.options.subsumption_threshold,
                 ..Default::default()
             };
+            if let Some(early) = early {
+                self.co_counts = Some(early.finish());
+            }
             let (counts, fresh) = match &mut self.co_counts {
                 Some(counts) => {
                     counts.advance(&terms, rows, &self.postings);
@@ -776,31 +844,163 @@ impl<'a> ShardedFacetIndex<'a> {
     }
 
     /// `CoCounts::scan` of `terms` over every contextualized row, for
-    /// the configured threshold, on the workers: the rows are cut into
-    /// `workers` contiguous ranges, the first counted on this thread and
-    /// the rest on scoped worker threads, and the ranges' counts are
-    /// summed. The table is the same at any worker count.
+    /// the configured threshold, on the workers: this thread and
+    /// `workers - 1` scoped threads claim runs of rows from one
+    /// [`ClaimedScan`], and their counts are summed. The table is the
+    /// same at any worker count.
     fn scan_counts(&self, terms: &[TermId]) -> CoCounts {
-        let rows = self.ctx.rows();
-        let mut counts = CoCounts::with_slots(terms, self.options.subsumption_threshold);
-        let per = rows.len().div_ceil(self.workers()).max(1);
-        let starts: Vec<usize> = (0..rows.len()).step_by(per).collect();
-        let mut ranges: Vec<Option<RangeCounts>> = starts.iter().map(|_| None).collect();
-        let table = &counts;
-        let count = |start: usize| table.count_range(rows.iter_from(start).take(per));
+        let scan = self.claimed_scan(terms, CLAIM_ROWS);
+        let helpers = self.workers().min(scan.runs()).max(1) - 1;
+        let mut parts: Vec<Option<RangeCounts>> = (0..=helpers).map(|_| None).collect();
         rayon::scope(|s| {
-            let mut parts = starts.iter().zip(ranges.iter_mut());
-            let first = parts.next();
-            for (&start, out) in parts {
-                let count = &count;
-                s.spawn(move |_| *out = Some(count(start)));
+            let mut parts = parts.iter_mut();
+            let mine = parts.next();
+            for out in parts {
+                let scan = &scan;
+                s.spawn(move |_| *out = scan.count(usize::MAX));
             }
-            if let Some((&start, out)) = first {
-                *out = Some(count(start));
+            if let Some(out) = mine {
+                *out = scan.count(usize::MAX);
             }
         });
-        counts.absorb(ranges.into_iter().flatten().collect());
-        counts
+        scan.sum(parts.into_iter().flatten().collect())
+    }
+
+    /// A [`ClaimedScan`] of `terms` over the contextualized rows, in
+    /// runs of `run` rows.
+    fn claimed_scan(&self, terms: &[TermId], run: usize) -> ClaimedScan {
+        ClaimedScan {
+            table: CoCounts::with_slots(terms, self.options.subsumption_threshold),
+            rows: self.ctx.rows().clone(),
+            run,
+            next: AtomicUsize::new(0),
+        }
+    }
+
+    /// Rank the top k of the tables the index holds, on this thread, keep
+    /// selection's state for them, and start counting the pairs of those
+    /// k over the rows, in runs of `run` rows, on `helpers` threads of
+    /// `scope` each running `count`. The next publish, given the result,
+    /// claims the runs no thread has claimed, joins the threads, takes the
+    /// summed counts as the table of the snapshot's generation and
+    /// advances it, and selection's state, by the tail: the restored index
+    /// ends as a live one that published the snapshot's generation and
+    /// then appended the tail ([`ShardedFacetIndex::restore_beside`]).
+    pub(crate) fn start_counts<'s>(
+        &mut self,
+        scope: &'s Scope<'s, '_>,
+        run: usize,
+        helpers: usize,
+        count: impl Fn(&ClaimedScan) -> Option<RangeCounts> + Clone + Send + 's,
+    ) -> EarlyCounts<'s> {
+        let inputs = SelectionInputs {
+            df: self.db.df_table(),
+            df_c: self.ctx.df_table(),
+            n_docs: self.db.len() as u64,
+        };
+        let set = CandidateSet::build(inputs);
+        let found = set.select(inputs, self.statistic, self.options.min_df_c);
+        let terms: Vec<TermId> = rank_stable(found, self.options.top_k, &self.vocab)
+            .iter()
+            .map(|c| c.term)
+            .collect();
+        self.selection = Some(set);
+        let scan = Arc::new(self.claimed_scan(&terms, run));
+        let helpers = (0..helpers)
+            .map(|_| {
+                let (scan, count) = (Arc::clone(&scan), count.clone());
+                scope.spawn(move || count(&scan))
+            })
+            .collect();
+        EarlyCounts { scan, helpers }
+    }
+}
+
+/// A co-count scan whose rows are claimed in runs from one cursor: the
+/// slot table of the terms counted, the rows (a clone sharing the
+/// index's chunks) and the first unclaimed row. Each participant counts
+/// the runs it claims into counts of its own; integer sums do not depend
+/// on who claimed what, so the parts sum to one serial scan's table.
+pub(crate) struct ClaimedScan {
+    table: CoCounts,
+    rows: RowStore,
+    run: usize,
+    next: AtomicUsize,
+}
+
+impl ClaimedScan {
+    /// The runs the rows are cut into.
+    fn runs(&self) -> usize {
+        self.rows.len().div_ceil(self.run)
+    }
+
+    /// Claim and count runs, at most `limit` of them, until none is left:
+    /// their counts, or `None` if it claimed none. A participant that
+    /// finds every run claimed allocates no counts.
+    pub(crate) fn count(&self, limit: usize) -> Option<RangeCounts> {
+        let mut out = None;
+        for _ in 0..limit {
+            let start = self.next.fetch_add(self.run, Ordering::Relaxed);
+            if start >= self.rows.len() {
+                break;
+            }
+            let rows = self.rows.iter_from(start).take(self.run);
+            let part = out.get_or_insert_with(|| self.table.zeroed_range());
+            self.table.count_into(part, rows);
+        }
+        out
+    }
+
+    /// The rows claimed so far, unclaimed ones past the end included.
+    #[cfg(test)]
+    pub(crate) fn claimed(&self) -> usize {
+        self.next.load(Ordering::Relaxed)
+    }
+
+    /// The table whose counts are the sum of `parts`, which together
+    /// counted every run.
+    fn sum(&self, parts: Vec<RangeCounts>) -> CoCounts {
+        let mut table = self.table.clone();
+        table.absorb(parts);
+        table
+    }
+}
+
+/// Pair counts started beside restore ([`ShardedFacetIndex::restore_beside`]),
+/// on scoped threads. Dropped unfinished, on an error before the
+/// publish, it leaves no run to claim, so the threads stop after the run
+/// each is counting.
+pub(crate) struct EarlyCounts<'s> {
+    scan: Arc<ClaimedScan>,
+    helpers: Vec<ScopedJoinHandle<'s, Option<RangeCounts>>>,
+}
+
+impl EarlyCounts<'_> {
+    /// Count the runs nobody has claimed on this thread, join the
+    /// threads — resuming a thread's panic here — and sum the parts.
+    fn finish(mut self) -> CoCounts {
+        let mut parts: Vec<RangeCounts> = self.scan.count(usize::MAX).into_iter().collect();
+        for helper in std::mem::take(&mut self.helpers) {
+            let part = helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            parts.extend(part);
+        }
+        self.scan.sum(parts)
+    }
+
+    /// The scan the threads claim from.
+    #[cfg(test)]
+    pub(crate) fn scan(&self) -> &ClaimedScan {
+        &self.scan
+    }
+}
+
+impl Drop for EarlyCounts<'_> {
+    fn drop(&mut self) {
+        self.scan
+            .next
+            .store(self.scan.rows.len(), Ordering::Relaxed);
     }
 }
 
@@ -1081,6 +1281,41 @@ pub(crate) mod tests {
             expansion: ExpansionOptions { threads },
             ..options()
         }
+    }
+
+    /// The state `index`'s last publish left for the next one equals a
+    /// fresh build for what it published: the co-count table and its
+    /// passing lists, whatever slots they sit in, equal
+    /// [`CoCounts::scan`] of the published candidates over every row, and
+    /// selection's state equals [`CandidateSet::build`] over the tables.
+    pub(crate) fn assert_maintained_state_is_fresh(index: &ShardedFacetIndex<'_>, what: &str) {
+        use crate::selection::tests::state_of;
+        use crate::subsumption::tests::counted_by_term;
+        let terms: Vec<TermId> = index
+            .snapshot()
+            .candidates()
+            .iter()
+            .map(|c| c.term)
+            .collect();
+        let threshold = index.options.subsumption_threshold;
+        let fresh = CoCounts::scan(&terms, index.ctx.rows(), threshold);
+        let counts = index.co_counts.as_ref();
+        assert!(counts.is_some(), "{what}: no co-count table");
+        assert_eq!(
+            counts.map(counted_by_term),
+            Some(counted_by_term(&fresh)),
+            "{what}: co-counts"
+        );
+        let inputs = SelectionInputs {
+            df: index.db.df_table(),
+            df_c: index.ctx.df_table(),
+            n_docs: index.db.len() as u64,
+        };
+        assert_eq!(
+            index.selection.as_ref().map(state_of),
+            Some(state_of(&CandidateSet::build(inputs))),
+            "{what}: selection state"
+        );
     }
 
     #[test]

@@ -152,11 +152,11 @@ pub(crate) struct CoCounts {
     n_docs: usize,
 }
 
-/// Document and pair counts of one contiguous range of rows, over the
-/// slots of the table that counted them ([`CoCounts::count_range`]):
-/// `df` per slot and the upper triangle of the pair counts. A scan is the
-/// sum of its ranges' counts, so any split of the rows sums to the same
-/// table.
+/// Document and pair counts of some of the rows, over the slots of the
+/// table that counted them ([`CoCounts::count_range`],
+/// [`CoCounts::count_into`]): `df` per slot and the upper triangle of the
+/// pair counts. A scan is the sum of its parts' counts, so any split of
+/// the rows sums to the same table.
 #[derive(Debug)]
 pub(crate) struct RangeCounts {
     n_docs: usize,
@@ -207,47 +207,63 @@ impl CoCounts {
 
     /// Count one range of rows over this table's slots into fresh
     /// counts, reading only the slot table: the serial unit of a scan,
-    /// which ranges of the same rows can run on separate threads. Only
-    /// the upper triangle is written, half the writes of counting both
-    /// orientations per document.
+    /// which ranges of the same rows can run on separate threads.
     pub(crate) fn count_range<R: AsRef<[TermId]>>(
         &self,
         rows: impl IntoIterator<Item = R>,
     ) -> RangeCounts {
-        let n = self.cap;
-        let mut out = RangeCounts {
+        let mut out = self.zeroed_range();
+        self.count_into(&mut out, rows);
+        out
+    }
+
+    /// Counts of no rows over this table's slots, for
+    /// [`CoCounts::count_into`] to add to.
+    pub(crate) fn zeroed_range(&self) -> RangeCounts {
+        RangeCounts {
             n_docs: 0,
-            df: vec![0; n],
-            co: vec![0; n * n],
-        };
+            df: vec![0; self.cap],
+            co: vec![0; self.cap * self.cap],
+        }
+    }
+
+    /// Add the counts of `rows` to `out` (counts over this table's
+    /// slots). Each row's member slots are sorted ascending, so every
+    /// slot after `i` lies in the upper triangle of row `i`: the pairs of
+    /// `i` are one run of increments into that row, with no swap. Only
+    /// the upper triangle is written, half the writes of counting both
+    /// orientations per document.
+    pub(crate) fn count_into<R: AsRef<[TermId]>>(
+        &self,
+        out: &mut RangeCounts,
+        rows: impl IntoIterator<Item = R>,
+    ) {
+        let n = self.cap;
         let mut present: Vec<usize> = Vec::new();
         for d in rows {
             out.n_docs += 1;
             present.clear();
             present.extend(d.as_ref().iter().filter_map(|&t| self.slot(t)));
+            present.sort_unstable();
             for (a, &i) in present.iter().enumerate() {
                 out.df[i] += 1;
+                let row = &mut out.co[i * n..(i + 1) * n];
                 for &j in &present[a + 1..] {
-                    let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-                    out.co[lo * n + hi] += 1;
+                    row[j] += 1;
                 }
             }
         }
-        out
     }
 
-    /// Take the sum of `ranges` — the counts of consecutive ranges that
-    /// together cover the rows, each from [`CoCounts::count_range`] on
-    /// this table — as the table's counts, mirror the upper triangle
-    /// once, and build every passing list in one pass over the table.
-    /// Counts are integer sums, so the table is the same however the
-    /// rows were split.
+    /// Take the sum of `ranges` — counts that together cover each row
+    /// once, each from [`CoCounts::count_range`] or
+    /// [`CoCounts::count_into`] on this table — as the table's counts,
+    /// mirror the upper triangle once, and build every passing list in
+    /// one pass over the table. Counts are integer sums, so the table is
+    /// the same however the rows were split.
     pub(crate) fn absorb(&mut self, ranges: Vec<RangeCounts>) {
         let mut ranges = ranges.into_iter();
-        let mut sum = match ranges.next() {
-            Some(first) => first,
-            None => self.count_range(std::iter::empty::<&[TermId]>()),
-        };
+        let mut sum = ranges.next().unwrap_or_else(|| self.zeroed_range());
         for range in ranges {
             sum.n_docs += range.n_docs;
             for (a, b) in sum.df.iter_mut().zip(&range.df) {
@@ -656,7 +672,7 @@ pub(crate) fn choose_parents_scanned(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Params without the density guards, for small synthetic fixtures
@@ -904,6 +920,108 @@ mod tests {
             }
             assert!(reused > 0, "freed slots must be reused");
         }
+    }
+
+    /// The loop [`CoCounts::count_range`] ran before it sorted each row's
+    /// member slots: every pair in row order, swapped into the upper
+    /// triangle. Kept as the reference the sorted kernel must reproduce.
+    fn swapped_pair_counts(table: &CoCounts, rows: &[Vec<TermId>]) -> RangeCounts {
+        let n = table.cap;
+        let mut out = RangeCounts {
+            n_docs: 0,
+            df: vec![0; n],
+            co: vec![0; n * n],
+        };
+        let mut present: Vec<usize> = Vec::new();
+        for d in rows {
+            out.n_docs += 1;
+            present.clear();
+            present.extend(d.iter().filter_map(|&t| table.slot(t)));
+            for (a, &i) in present.iter().enumerate() {
+                out.df[i] += 1;
+                for &j in &present[a + 1..] {
+                    let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+                    out.co[lo * n + hi] += 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// The sorted-slot kernel counts what the swapped-pair loop counts,
+    /// on random rows (ascending by id, as the index stores them, and
+    /// shuffled) over random slot sets in random order, so slot order
+    /// and term order disagree; counted at once or into one part run by
+    /// run, as a claimed scan does.
+    #[test]
+    fn sorted_slot_kernel_equals_the_swapped_pair_loop() {
+        use proptest::test_runner::TestRng;
+        let mut rng = TestRng::deterministic("sorted_slot_kernel");
+        for case in 0..200 {
+            let vocab = 1 + rng.below(40) as u32;
+            let rows: Vec<Vec<TermId>> = (0..rng.below(60))
+                .map(|_| {
+                    let mut row: Vec<TermId> = (0..vocab)
+                        .filter(|&t| rng.below(u64::from(t % 7) + 2) == 0)
+                        .map(TermId)
+                        .collect();
+                    if case % 2 == 1 {
+                        for i in (1..row.len()).rev() {
+                            row.swap(i, rng.below(i as u64 + 1) as usize);
+                        }
+                    }
+                    row
+                })
+                .collect();
+            let mut terms: Vec<TermId> = (0..vocab + 3).map(TermId).collect();
+            for i in (1..terms.len()).rev() {
+                terms.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            terms.truncate(rng.below(terms.len() as u64 + 1) as usize);
+            let table = CoCounts::with_slots(&terms, 0.8);
+            let want = swapped_pair_counts(&table, &rows);
+            let got = table.count_range(&rows);
+            let mut parts = table.zeroed_range();
+            let run = 1 + rng.below(8) as usize;
+            for chunk in rows.chunks(run) {
+                table.count_into(&mut parts, chunk);
+            }
+            for got in [got, parts] {
+                assert_eq!(got.n_docs, want.n_docs, "case {case}");
+                assert_eq!(got.df, want.df, "case {case}");
+                assert!(got.co == want.co, "case {case}");
+            }
+        }
+    }
+
+    /// What `c` counts, whatever slots its members hold: the rows it
+    /// covers and, per member in term order, its `df`, its count with
+    /// each other member and its passing list, both in term order. A
+    /// table advanced through any churn and a fresh scan of the same
+    /// terms over the same rows give the same value.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn counted_by_term(
+        c: &CoCounts,
+    ) -> (usize, Vec<(TermId, u32, Vec<(TermId, u32)>, Vec<TermId>)>) {
+        let members: Vec<(TermId, usize)> = (0..c.cap)
+            .filter_map(|s| c.term_of[s].map(|t| (t, s)))
+            .collect();
+        let passing: std::collections::BTreeMap<TermId, Vec<TermId>> =
+            lists_by_term(c).into_iter().collect();
+        let mut out: Vec<_> = members
+            .iter()
+            .map(|&(t, s)| {
+                let mut co: Vec<(TermId, u32)> = members
+                    .iter()
+                    .filter(|&&(_, x)| x != s)
+                    .map(|&(u, x)| (u, c.row(s)[x]))
+                    .collect();
+                co.sort_unstable();
+                (t, c.df[s], co, passing[&t].clone())
+            })
+            .collect();
+        out.sort_unstable_by_key(|m| m.0);
+        (c.n_docs, out)
     }
 
     /// Each member's passing list as terms, members in term order: the
