@@ -1658,6 +1658,55 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `min_df_c` needs no bound: selection only compares `df_C` against
+    /// it, so `u64::MAX` selects nothing and sizes nothing. An index
+    /// built with it appends and publishes an empty selection and forest,
+    /// and a re-published, checksum-valid snapshot that carries it, over
+    /// an index whose selection was not empty, restores at 1 and 2
+    /// workers to that same state.
+    #[test]
+    fn min_df_c_at_the_maximum_selects_nothing() {
+        let e = FixedExtractor;
+        let r = CountingResource::new();
+        let max = PipelineOptions {
+            min_df_c: u64::MAX,
+            ..options()
+        };
+        let mut live = ShardedFacetIndex::new(2, vec![&e], vec![&r], max.clone());
+        live.append(corpus(8)).unwrap();
+        let want = live.snapshot();
+        assert_eq!((want.n_docs(), want.generation()), (8, 1));
+        assert!(want.candidates().is_empty());
+        assert!(want.forest().edges().is_empty());
+
+        let mut selecting = ShardedFacetIndex::new(1, vec![&e], vec![&r], options());
+        selecting.append(corpus(8)).unwrap();
+        assert!(!selecting.snapshot().candidates().is_empty());
+        let dir = test_dir("min-df-c");
+        let store = FacetStore::open(&dir).unwrap();
+        let mut payload = encode_index(&selecting);
+        let meta = Meta {
+            generation: selecting.generation,
+            statistic: selecting.statistic,
+            options: max,
+            n_docs: selecting.len() as u64,
+        };
+        for (name, bytes) in &mut payload.sections {
+            if name == "meta" {
+                *bytes = encode(|w| enc_meta(w, &meta));
+            }
+        }
+        store.publish_snapshot(&payload).unwrap();
+        for n in 1..=2 {
+            let (restored, _) =
+                ShardedFacetIndex::open_from(&store, n, vec![&e], vec![&r], options()).unwrap();
+            assert_eq!(restored.options().min_df_c, u64::MAX, "{n} workers");
+            assert!(restored.snapshot().candidates().is_empty(), "{n} workers");
+            assert_eq!(restored.snapshot().digest(), want.digest(), "{n} workers");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A checksum-valid snapshot whose `meta` section holds a subsumption
     /// threshold outside (0, 1] is refused as a corrupt `meta` section,
     /// and an index built with such a threshold refuses `append` and

@@ -34,6 +34,7 @@ pub mod walk;
 use config::Config;
 use report::LintReport;
 use rules::Finding;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
@@ -150,6 +151,13 @@ pub fn lint_workspace(
     root: &Path,
     recorder: &facet_obs::Recorder,
 ) -> Result<LintReport, LintError> {
+    let (config, sources) = workspace_sources(root)?;
+    let findings = lint_sources(&sources, &config);
+    Ok(LintReport::assemble(findings, sources.len(), recorder))
+}
+
+/// The policy under `root` and the text of every file it has linted.
+fn workspace_sources(root: &Path) -> Result<(Config, Vec<(walk::SourceFile, String)>), LintError> {
     let config = load_config(root)?;
     let files = walk::workspace_files(root, &config.exclude).map_err(|source| LintError::Io {
         path: root.display().to_string(),
@@ -164,8 +172,31 @@ pub fn lint_workspace(
         })?;
         sources.push((file, text));
     }
-    let findings = lint_sources(&sources, &config);
-    Ok(LintReport::assemble(findings, sources.len(), recorder))
+    Ok((config, sources))
+}
+
+/// Lines of `text` that hold a token outside test items: the token
+/// stream [`lexer::strip_test_code`] leaves, by line. Comments, blank
+/// lines and every `#[cfg(test)]` or `#[test]` item, wherever it sits in
+/// the file, do not count.
+pub fn code_lines(text: &str) -> usize {
+    let mut lines: Vec<u32> = lexer::strip_test_code(lexer::lex(text).tokens)
+        .iter()
+        .map(|t| t.line)
+        .collect();
+    // Tokens come in source order, so equal lines are adjacent.
+    lines.dedup();
+    lines.len()
+}
+
+/// [`code_lines`] of every file the workspace lint reads, summed per
+/// crate (`root` for the workspace package's own `src/`), by crate name.
+pub fn loc_by_crate(root: &Path) -> Result<BTreeMap<String, usize>, LintError> {
+    let mut out = BTreeMap::new();
+    for (file, text) in workspace_sources(root)?.1 {
+        *out.entry(file.krate).or_insert(0) += code_lines(&text);
+    }
+    Ok(out)
 }
 
 /// The catalogue text + a live example finding for `--explain <rule>`.
@@ -506,6 +537,23 @@ let done = true;
         let unwraps = tokens.iter().filter(|t| t.is_ident("unwrap")).count();
         assert_eq!(unwraps, 1, "only the live unwrap survives");
         assert!(tokens.iter().any(|t| t.is_ident("live2")));
+    }
+
+    #[test]
+    fn code_lines_skip_inline_test_items_comments_and_blank_lines() {
+        // An inline `#[cfg(test)]` helper between two live functions: a
+        // count that stopped at the first `cfg(test)` line would read 2.
+        let src = "//! Module doc.\n\
+                   fn live() {\n    x.len();\n}\n\
+                   \n\
+                   #[cfg(test)]\n\
+                   fn helper() -> u32 {\n    7\n}\n\
+                   // A comment.\n\
+                   fn later() {}\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n    #[test]\n    fn t() {}\n}\n";
+        assert_eq!(code_lines(src), 4);
+        assert_eq!(code_lines(""), 0);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! facet-lint [--root DIR] [--json PATH] [--obs]
+//! facet-lint [--root DIR] --loc
 //! facet-lint --verify-report PATH
 //! facet-lint --explain RULE
 //! ```
@@ -9,6 +10,8 @@
 //! The default mode lints the workspace under `--root` (default: the
 //! current directory), prints the text report, optionally writes the
 //! JSON report, and exits non-zero when any `deny` finding exists.
+//! `--loc` prints, per crate, the lines that hold code outside test
+//! items (`facet_lint::code_lines`) and their total, and lints nothing.
 //! `--verify-report` re-parses a previously written JSON report and
 //! checks its structural invariants (used by `check.sh --lint`).
 //! `--explain` prints one rule's catalogue entry plus an example
@@ -23,6 +26,7 @@ struct Args {
     root: PathBuf,
     json: Option<PathBuf>,
     obs: bool,
+    loc: bool,
     verify_report: Option<PathBuf>,
     explain: Option<String>,
 }
@@ -32,6 +36,7 @@ fn parse_args() -> Result<Args, String> {
         root: PathBuf::from("."),
         json: None,
         obs: false,
+        loc: false,
         verify_report: None,
         explain: None,
     };
@@ -41,6 +46,7 @@ fn parse_args() -> Result<Args, String> {
             "--root" => args.root = PathBuf::from(it.next().ok_or("--root needs a value")?),
             "--json" => args.json = Some(PathBuf::from(it.next().ok_or("--json needs a value")?)),
             "--obs" => args.obs = true,
+            "--loc" => args.loc = true,
             "--verify-report" => {
                 args.verify_report = Some(PathBuf::from(
                     it.next().ok_or("--verify-report needs a value")?,
@@ -48,9 +54,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--explain" => args.explain = Some(it.next().ok_or("--explain needs a rule")?),
             "--help" | "-h" => {
-                return Err("usage: facet-lint [--root DIR] [--json PATH] [--obs] \
+                return Err(
+                    "usage: facet-lint [--root DIR] [--json PATH] [--obs] [--loc] \
                             [--verify-report PATH] [--explain RULE]"
-                    .to_string())
+                        .to_string(),
+                )
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -94,6 +102,23 @@ fn main() -> ExitCode {
             Err(msg) => {
                 eprintln!("facet-lint: report verification failed: {msg}");
                 ExitCode::FAILURE
+            }
+        };
+    }
+
+    if args.loc {
+        return match facet_lint::loc_by_crate(&args.root) {
+            Ok(counts) => {
+                println!("facet-lint: code lines outside test items, per crate");
+                for (krate, lines) in &counts {
+                    println!("  {krate:<12} {lines:>6}");
+                }
+                println!("  {:<12} {:>6}", "total", counts.values().sum::<usize>());
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("facet-lint: {e}");
+                ExitCode::from(2)
             }
         };
     }

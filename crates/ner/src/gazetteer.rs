@@ -1,13 +1,17 @@
 //! The entity gazetteer: longest-match dictionary of known surface forms.
 
 use facet_knowledge::{EntityId, EntityKind, World};
-use facet_textkit::{lowercase, normalize_term, tokens, LowerWords, SymTable, Token, Vocabulary};
+use facet_textkit::{
+    lowercase, normalize_term, tokens, LowerWords, SymTable, Token, Vocabulary, WordFilter,
+};
 
 /// A dictionary mapping normalized surface forms to entities.
 ///
 /// Form keys and their first words share one arena [`Vocabulary`]; the
 /// entity and the first-word length bound live in dense symbol-indexed
-/// [`SymTable`]s, so a scan probes by slices of one lowercase buffer.
+/// [`SymTable`]s, so a scan probes by slices of one lowercase buffer. A
+/// [`WordFilter`] of the first words lets the scan skip, without a probe,
+/// most words that start no form.
 #[derive(Debug, Default)]
 pub struct Gazetteer {
     /// Shared arena for form keys and first words.
@@ -16,6 +20,8 @@ pub struct Gazetteer {
     map: SymTable<(EntityId, EntityKind)>,
     /// Symbol of a first word → max form length in words.
     first_word_max: SymTable<usize>,
+    /// The first words, as a bit filter tested before the probe.
+    first_words: WordFilter,
 }
 
 /// One gazetteer match: `(matched text, start byte, end byte, entity,
@@ -51,8 +57,11 @@ impl Gazetteer {
         let Some(first) = key.split(' ').next().filter(|w| !w.is_empty()) else {
             return;
         };
-        let first = self.terms.intern(first);
-        let entry = self.first_word_max.get_or_default(first);
+        let first_sym = self.terms.intern(first);
+        if !self.first_word_max.contains(first_sym) {
+            self.first_words.insert(first);
+        }
+        let entry = self.first_word_max.get_or_default(first_sym);
         *entry = (*entry).max(key.split(' ').count());
         let key = self.terms.intern(&key);
         if !self.map.contains(key) {
@@ -95,9 +104,9 @@ impl Gazetteer {
         let mut out = Vec::new();
         let mut wi = 0;
         while wi < words.len() {
-            let Some(&max_len) = self
-                .terms
-                .get(words.word(wi))
+            let Some(&max_len) = Some(words.word(wi))
+                .filter(|w| self.first_words.may_contain(w))
+                .and_then(|w| self.terms.get(w))
                 .and_then(|s| self.first_word_max.get(s))
             else {
                 wi += 1;

@@ -39,9 +39,8 @@ impl TermExtractor for WikipediaTitleExtractor<'_> {
 
     fn extract(&self, text: &str) -> Vec<String> {
         let mut out = Distinct::default();
-        for (title, _page) in self.index.extract(text) {
-            out.push(title);
-        }
+        self.index
+            .for_each_match(text, |title, _page| out.push_str(title));
         out.into_vec()
     }
 }

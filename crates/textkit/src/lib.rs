@@ -12,7 +12,9 @@
 //!
 //! * [`tokenize`] — a deterministic word/sentence tokenizer,
 //! * [`lower`] — a text's words lowercased into one buffer, so a
-//!   dictionary scan's multi-word keys are slices ([`LowerWords`]),
+//!   dictionary scan's multi-word keys are slices ([`LowerWords`]), and
+//!   the first-word bit filter those scans test before they probe
+//!   ([`WordFilter`]),
 //! * [`stem`] — a full Porter stemmer,
 //! * [`lowercase`] — the one case fold of every term, key and query,
 //! * [`stopwords`] — a standard English stopword list and the counted-word
@@ -24,8 +26,8 @@
 //! * [`rows`] — append-only per-document term rows in `Arc`-shared
 //!   chunks ([`RowStore`]),
 //! * [`zipf`] — Zipfian samplers used by the synthetic corpus generators,
-//! * [`Fnv1a`] — the streaming FNV-1a hash behind the vocabulary, the
-//!   snapshot digest, query signatures and fault schedules.
+//! * [`Fnv1a`] — the streaming FNV-1a hash behind the snapshot digest,
+//!   query signatures and fault schedules.
 //!
 //! Everything here is written from scratch with no external NLP
 //! dependencies, so the whole reproduction is self-contained.
@@ -39,7 +41,7 @@ pub mod tokenize;
 pub mod vocab;
 pub mod zipf;
 
-pub use lower::LowerWords;
+pub use lower::{LowerWords, WordFilter};
 pub use phrase::{ngrams, proper_noun_phrases};
 pub use rows::RowStore;
 pub use stem::porter_stem;
@@ -87,6 +89,35 @@ impl Fnv1a {
     pub fn finish(&self) -> u64 {
         self.0
     }
+}
+
+/// The first 8 bytes of `bytes` as one little-endian `u64`, zero-padded.
+#[inline]
+pub(crate) fn pack8(bytes: &[u8]) -> u64 {
+    // Two overlapping loads cover 2..=8 bytes without a copy loop: the
+    // bytes they share are equal, so or-ing them is exact.
+    let n = bytes.len().min(8);
+    let load = |at: usize, width: usize| {
+        bytes[at..at + width]
+            .iter()
+            .rev()
+            .fold(0u64, |v, &b| v << 8 | u64::from(b))
+    };
+    match n {
+        0 => 0,
+        1 => u64::from(bytes[0]),
+        2..=3 => load(0, 2) | load(n - 2, 2) << (8 * (n - 2)),
+        4..=7 => load(0, 4) | load(n - 4, 4) << (8 * (n - 4)),
+        _ => load(0, 8),
+    }
+}
+
+/// A well-mixed 64-bit key of a word from its [`pack8`] bytes and its
+/// length (Fibonacci hashing: the top bits depend on every input bit).
+/// Words that share their first 8 bytes and their length share a key.
+#[inline]
+pub(crate) fn word_key(packed: u64, len: usize) -> u64 {
+    (packed ^ ((len as u64) << 56)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Lowercase `text` char by char through [`char::to_lowercase`]: the one
@@ -160,6 +191,16 @@ mod tests {
         assert_eq!(out, "kept g8 summit");
         normalize_term_into("   ", &mut out);
         assert_eq!(out, "kept g8 summit");
+    }
+
+    #[test]
+    fn pack8_packs_the_first_eight_bytes() {
+        for n in 0..=10usize {
+            let bytes: Vec<u8> = (1..=n as u8).collect();
+            let mut want = [0u8; 8];
+            want[..n.min(8)].copy_from_slice(&bytes[..n.min(8)]);
+            assert_eq!(pack8(&bytes), u64::from_le_bytes(want), "{n} bytes");
+        }
     }
 
     #[test]

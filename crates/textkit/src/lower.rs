@@ -5,8 +5,12 @@
 //! single spaces, for every start `i` and every candidate length. Here
 //! the words are lowercased once into one buffer, separated by single
 //! spaces, so every such key is a slice of that buffer.
+//!
+//! Most words of a text start no dictionary entry. A [`WordFilter`] of
+//! the entries' first words answers "no" for most of them from one bit,
+//! before the scan hashes the word into its vocabulary.
 
-use crate::{lowercase_into, Token, TokenKind, Tokens};
+use crate::{lowercase_into, pack8, word_key, Token, TokenKind, Tokens};
 
 /// One word of a [`LowerWords`].
 #[derive(Debug, Clone, Copy)]
@@ -111,10 +115,91 @@ impl LowerWords {
     }
 }
 
+/// Filter bits per inserted word: about one word in 16 that was never
+/// inserted finds its bit set.
+const BITS_PER_WORD: usize = 16;
+
+/// A set of words that answers "no" or "maybe" from one bit.
+///
+/// A clear bit means the word was never inserted; a set bit may belong
+/// to another word. The bit is picked by the word's first 8 bytes and
+/// its length, so testing a word reads none of its bytes past the
+/// eighth.
+///
+/// ```
+/// use facet_textkit::WordFilter;
+/// let mut first = WordFilter::default();
+/// first.insert("jacques");
+/// assert!(first.may_contain("jacques"));
+/// assert!(!WordFilter::default().may_contain("jacques"));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct WordFilter {
+    bits: Vec<u64>,
+    /// `64 - log2(bit count)`: a key's top bits pick its bit.
+    shift: u32,
+    /// The key of every inserted word, to rebuild the bits as they grow.
+    keys: Vec<u64>,
+}
+
+impl WordFilter {
+    fn key(word: &str) -> u64 {
+        word_key(pack8(word.as_bytes()), word.len())
+    }
+
+    /// Add `word`. Insert each word once: a repeat only takes room.
+    pub fn insert(&mut self, word: &str) {
+        let key = Self::key(word);
+        self.keys.push(key);
+        let need = (self.keys.len() * BITS_PER_WORD)
+            .next_power_of_two()
+            .max(64);
+        if need > self.bits.len() * 64 {
+            self.bits = vec![0; need / 64];
+            self.shift = 64 - need.trailing_zeros();
+            for i in 0..self.keys.len() {
+                self.set(self.keys[i]);
+            }
+        } else {
+            self.set(key);
+        }
+    }
+
+    fn set(&mut self, key: u64) {
+        let bit = (key >> self.shift) as usize;
+        self.bits[bit / 64] |= 1 << (bit % 64);
+    }
+
+    /// False if `word` was never inserted; true if it was, and for about
+    /// one other word in 16.
+    #[inline]
+    pub fn may_contain(&self, word: &str) -> bool {
+        if self.bits.is_empty() {
+            return false;
+        }
+        let bit = (Self::key(word) >> self.shift) as usize;
+        self.bits[bit / 64] >> (bit % 64) & 1 == 1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{normalize_term, tokens};
+
+    #[test]
+    fn filter_holds_every_inserted_word_across_growth() {
+        let mut filter = WordFilter::default();
+        let words: Vec<String> = (0..500).map(|i| format!("w{i}")).collect();
+        for (n, w) in words.iter().enumerate() {
+            filter.insert(w);
+            assert!(words[..=n].iter().all(|w| filter.may_contain(w)), "{n}");
+        }
+        let misses = (0..10_000)
+            .filter(|i| filter.may_contain(&format!("x{i}")))
+            .count();
+        assert!(misses < 1_500, "{misses} of 10000 absent words pass");
+    }
 
     #[test]
     fn keys_equal_joined_lowercase_words() {

@@ -4,8 +4,15 @@
 //! propose function words as facets; the extractors and the comparative
 //! analysis both filter through this list. The list is the classic
 //! SMART-derived core set plus contractions common in news text.
+//!
+//! [`is_stopword`] runs on every word of every document, in the database,
+//! the keyphrase scorer and the web index. Every listed word of 8 bytes
+//! or fewer is packed into one `u64` and held in a small open-addressing
+//! table keyed by its bytes and length, so a probe is one multiply, one
+//! load and one compare; the four longer words are compared on their
+//! own.
 
-use crate::Vocabulary;
+use crate::{pack8, word_key};
 use std::sync::OnceLock;
 
 /// The stopword list, lowercase, each word once.
@@ -203,22 +210,71 @@ pub static STOPWORDS: &[&str] = &[
     "via",
 ];
 
-/// The list interned once: a probe is one FNV-1a hash and one slice
-/// compare, with no SipHash and no allocation.
-fn table() -> &'static Vocabulary {
-    static TABLE: OnceLock<Vocabulary> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut v = Vocabulary::new();
-        for w in STOPWORDS {
-            v.intern(w);
+/// Slots of the packed table: a power of two, at least twice the list.
+const SLOTS: usize = 512;
+
+/// The list, packed: every word of at most 8 bytes as `(bytes, length)`
+/// at the slot its [`word_key`] picks (linear probing, length 0 is an
+/// empty slot), and the longer words as they are.
+struct Table {
+    short: Vec<(u64, u8)>,
+    long: Vec<&'static str>,
+}
+
+impl Table {
+    /// Slot of the packed word `(bytes, len)`, or of the empty slot
+    /// where it would go.
+    fn slot(&self, bytes: u64, len: u8, key: u64) -> usize {
+        let mut i = (key >> (64 - SLOTS.trailing_zeros())) as usize;
+        while self.short[i].1 != 0 && self.short[i] != (bytes, len) {
+            i = (i + 1) % SLOTS;
         }
-        v
+        i
+    }
+
+    fn contains(&self, word: &str) -> bool {
+        match u8::try_from(word.len()) {
+            Ok(len @ 1..=8) => {
+                let bytes = pack8(word.as_bytes());
+                let i = self.slot(bytes, len, word_key(bytes, word.len()));
+                self.short[i].1 != 0
+            }
+            _ => self.long.contains(&word),
+        }
+    }
+
+    /// Number of distinct words held.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.short.iter().filter(|s| s.1 != 0).count() + self.long.len()
+    }
+}
+
+fn table() -> &'static Table {
+    static TABLE: OnceLock<Table> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut t = Table {
+            short: vec![(0, 0); SLOTS],
+            long: Vec::new(),
+        };
+        for &w in STOPWORDS {
+            match u8::try_from(w.len()) {
+                Ok(len @ 1..=8) => {
+                    let bytes = pack8(w.as_bytes());
+                    let i = t.slot(bytes, len, word_key(bytes, w.len()));
+                    t.short[i] = (bytes, len);
+                }
+                _ if !t.long.contains(&w) => t.long.push(w),
+                _ => {}
+            }
+        }
+        t
     })
 }
 
 /// Return true if `word` (assumed lowercase) is an English stopword.
 pub fn is_stopword(word: &str) -> bool {
-    table().get(word).is_some()
+    table().contains(word)
 }
 
 /// True if the lowercase word `word` counts as a term: two bytes or
@@ -256,6 +312,25 @@ mod tests {
     fn counted_words_are_long_non_stopwords() {
         assert!(is_counted_word("g8") && is_counted_word("summit"));
         assert!(!is_counted_word("x") && !is_counted_word("the") && !is_counted_word(""));
+    }
+
+    #[test]
+    fn packed_table_answers_exact_membership() {
+        // A trailing NUL packs like the word without it; the length
+        // tells them apart. Prefixes of the long words are not words.
+        for w in ["a\0", "the\0", "\0", "ourselve", "themselve", "yourselve"] {
+            assert!(!is_stopword(w), "{w:?}");
+        }
+        for w in [
+            "ourselves",
+            "shouldn't",
+            "themselves",
+            "yourselves",
+            "between",
+        ] {
+            assert!(is_stopword(w), "{w}");
+        }
+        assert_eq!(table().long.len(), 4);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! which is what lets frozen snapshots and dense frequency vectors share
 //! ids without coordination.
 
-use crate::Fnv1a;
+use crate::pack8;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -66,9 +66,22 @@ impl InternStats {
     }
 }
 
+/// The probe hash of a term: one multiply per eight bytes, then a
+/// finalizer that folds the high bits into the low ones the table index
+/// reads.
 #[inline]
 fn term_hash(term: &str) -> u64 {
-    Fnv1a::new().write(term.as_bytes()).finish()
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let bytes = term.as_bytes();
+    let mut h = (bytes.len() as u64).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ pack8(w)).wrapping_mul(K).rotate_left(29);
+    }
+    h = (h ^ pack8(words.remainder())).wrapping_mul(K);
+    h ^= h >> 32;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^ (h >> 29)
 }
 
 /// Table slots for `terms` terms: the smallest power of two, at least
@@ -97,9 +110,11 @@ fn slots_for(terms: usize) -> usize {
 /// stored once in a single byte arena (`String`), with a span per id —
 /// no per-term `String` allocations, and resolving an id is two array
 /// reads. The hash table uses open addressing with linear probing over
-/// FNV-1a, so the structure is fully deterministic: the same sequence of
-/// `intern` calls always produces the same ids and the same memory
-/// layout.
+/// a fixed, unseeded hash that reads eight bytes per multiply, so the
+/// structure is fully deterministic: the same sequence of `intern` calls
+/// always produces the same ids and the same memory layout. Ids and
+/// persisted bytes do not depend on the hash at all: the table is
+/// rebuilt on restore ([`Vocabulary::from_parts`]).
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     /// Concatenated UTF-8 text of every interned term.

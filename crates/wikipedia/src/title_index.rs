@@ -12,14 +12,16 @@
 
 use crate::page::{PageId, Wikipedia};
 use crate::redirects::RedirectTable;
-use facet_textkit::{is_stopword, normalize_term, LowerWords, SymTable, Vocabulary};
+use facet_textkit::{is_stopword, normalize_term, LowerWords, SymTable, Vocabulary, WordFilter};
 
 /// A dictionary of page titles supporting longest-match extraction.
 ///
 /// Both the full normalized title keys and their first words are interned
 /// into one arena [`Vocabulary`]; the page mapping and the first-word
 /// length bound live in dense symbol-indexed [`SymTable`]s instead of
-/// `String`-keyed hash maps, so the extraction scan probes by symbol.
+/// `String`-keyed hash maps, so the extraction scan probes by symbol. A
+/// [`WordFilter`] of the first words lets the scan skip, without a
+/// probe, most words that start no title.
 #[derive(Debug)]
 pub struct TitleIndex {
     /// Shared arena for title keys and first words.
@@ -29,6 +31,8 @@ pub struct TitleIndex {
     /// Symbol of a first word → maximum title length (in words) starting
     /// with it.
     first_word_max: SymTable<usize>,
+    /// The first words, as a bit filter tested before the probe.
+    first_words: WordFilter,
 }
 
 impl TitleIndex {
@@ -38,6 +42,7 @@ impl TitleIndex {
         let mut terms = Vocabulary::new();
         let mut map: SymTable<PageId> = SymTable::new();
         let mut first_word_max: SymTable<usize> = SymTable::new();
+        let mut first_words = WordFilter::default();
         let mut insert = |title: &str, page: PageId| {
             let key = normalize_term(title);
             let Some(first) = key.split(' ').next().filter(|w| !w.is_empty()) else {
@@ -48,6 +53,9 @@ impl TitleIndex {
                 map.insert(key_sym, page);
             }
             let first_sym = terms.intern(first);
+            if !first_word_max.contains(first_sym) {
+                first_words.insert(first);
+            }
             let entry = first_word_max.get_or_default(first_sym);
             *entry = (*entry).max(key.split(' ').count());
         };
@@ -63,6 +71,7 @@ impl TitleIndex {
             terms,
             map,
             first_word_max,
+            first_words,
         }
     }
 
@@ -83,15 +92,23 @@ impl TitleIndex {
     /// canonicalization is the job of the downstream resources, which
     /// resolve redirects themselves). A page may repeat.
     pub fn extract(&self, text: &str) -> Vec<(String, PageId)> {
+        let mut out = Vec::new();
+        self.for_each_match(text, |key, page| out.push((key.to_string(), page)));
+        out
+    }
+
+    /// [`TitleIndex::extract`]'s matches passed to `found` in document
+    /// order, each term borrowed from the scan's lowercase buffer, so a
+    /// caller that keeps only some of them copies only those.
+    pub fn for_each_match(&self, text: &str, mut found: impl FnMut(&str, PageId)) {
         // Word tokens only, lowercased into one buffer; a title never
         // crosses sentence punctuation.
         let words = LowerWords::of_text(text);
-        let mut out = Vec::new();
         let mut i = 0;
         while i < words.len() {
-            let Some(&max_len) = self
-                .terms
-                .get(words.word(i))
+            let Some(&max_len) = Some(words.word(i))
+                .filter(|w| self.first_words.may_contain(w))
+                .and_then(|w| self.terms.get(w))
                 .and_then(|s| self.first_word_max.get(s))
             else {
                 i += 1;
@@ -115,10 +132,9 @@ impl TitleIndex {
                 i += 1;
                 continue;
             };
-            out.push((key.to_string(), page));
+            found(key, page);
             i += len;
         }
-        out
     }
 }
 

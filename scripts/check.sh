@@ -43,7 +43,9 @@
 #   --lint         Run the facet-lint workspace gate only: two lint runs
 #                  whose v2 JSON reports must be byte-identical, then the
 #                  tool's --verify-report structural check (non-zero exit
-#                  on any deny finding; see DESIGN.md section 13).
+#                  on any deny finding; see DESIGN.md section 13), and
+#                  print the per-crate count of code lines outside test
+#                  items (facet-lint --loc).
 #   --chaos        Run the fault-injection determinism suite only
 #                  (tests/chaos.rs: seeded faults, degraded-coverage
 #                  provenance, repair convergence; see DESIGN.md
@@ -62,6 +64,9 @@ run_lint() {
     cargo run -q --release -p facet-lint -- --root . --json target/LINT_GATE_B.json >/dev/null
     cmp target/LINT_GATE_A.json target/LINT_GATE_B.json
     cargo run -q --release -p facet-lint -- --verify-report target/LINT_GATE_A.json
+    # Code lines outside test items, per crate: the size a change adds
+    # or removes (printed, not gated).
+    cargo run -q --release -p facet-lint -- --root . --loc
 }
 
 run_chaos() {
